@@ -204,26 +204,6 @@ let parallelize file spec_file parts nprocs no_fission mpi output =
       close_out oc;
       Printf.printf "wrote %s\n" path
 
-let engine_name = function
-  | Autocfd_interp.Spmd.Tree -> "tree"
-  | Autocfd_interp.Spmd.Compiled -> "compiled"
-  | Autocfd_interp.Spmd.Fused -> "fused"
-  | Autocfd_interp.Spmd.Domains -> "domains"
-
-(* program state (gathered arrays, scalars, per-rank flops, output)
-   bit-identical — the Domains-vs-simulator equivalence contract, which
-   deliberately excludes stats (Domains stats are measured wall clock) *)
-let same_program_state (a : Autocfd_interp.Spmd.result)
-    (b : Autocfd_interp.Spmd.result) =
-  let module I = Autocfd_interp in
-  List.length a.I.Spmd.gathered = List.length b.I.Spmd.gathered
-  && List.for_all2
-       (fun (na, aa) (nb, ab) -> na = nb && aa.I.Value.data = ab.I.Value.data)
-       a.I.Spmd.gathered b.I.Spmd.gathered
-  && a.I.Spmd.scalars = b.I.Spmd.scalars
-  && a.I.Spmd.flops_per_rank = b.I.Spmd.flops_per_rank
-  && a.I.Spmd.output = b.I.Spmd.output
-
 (* The run verb goes through the sweep scheduler as a single job, so a
    repeated `autocfd run` of an unchanged source is a cache hit: the
    stored result document carries everything both renderings and the
@@ -254,7 +234,7 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
       (fun () ->
         let t = D.load ~spec:run_spec source in
         let plan = D.plan ~spec:run_spec t in
-        let seq = D.run_seq t in
+        let seq = D.run_seq ~spec:run_spec t in
         let par = D.run ~spec:run_spec plan in
         (* a Domains run is additionally held to bit-identity against
            the simulated cluster (the CI equivalence gate) *)
@@ -270,7 +250,7 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
                       |> with_tracer None)
                   plan
               in
-              J.Bool (same_program_state reference par)
+              J.Bool (Autocfd.Experiments.program_state_identical reference par)
           | _ -> J.Null
         in
         let stats = par.Autocfd_interp.Spmd.stats in
@@ -284,7 +264,7 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
             ("schema", J.Str "autocfd-run/2");
             ("spec", Autocfd.Runspec.to_json run_spec);
             ("ranks", J.Int (Autocfd_partition.Topology.nranks plan.D.topo));
-            ("engine", J.Str (engine_name engine));
+            ("engine", J.Str (Autocfd.Runspec.engine_to_string engine));
             ("bit_identical", bit_identical);
             ("seq_output", strs seq.D.sq_output);
             ("output", strs par.Autocfd_interp.Spmd.output);
@@ -645,23 +625,23 @@ let cache_dir_arg =
            ~doc:"Result cache directory (default: _autocfd_cache).")
 
 let engine_arg =
-  let parse = function
-    | "tree" -> Ok Autocfd_interp.Spmd.Tree
-    | "compiled" -> Ok Autocfd_interp.Spmd.Compiled
-    | "fused" -> Ok Autocfd_interp.Spmd.Fused
-    | "domains" -> Ok Autocfd_interp.Spmd.Domains
-    | s ->
-        Error
-          (`Msg
-             (Printf.sprintf "bad engine %S (tree|compiled|fused|domains)" s))
+  let parse s =
+    match Autocfd.Runspec.engine_of_string s with
+    | e -> Ok e
+    | exception Obs.Json.Parse_error _ ->
+        Error (`Msg (Printf.sprintf "bad engine %S (tree|fused|domains)" s))
   in
-  let print ppf e = Format.pp_print_string ppf (engine_name e) in
+  let print ppf e =
+    Format.pp_print_string ppf (Autocfd.Runspec.engine_to_string e)
+  in
   Arg.(value & opt (some (conv (parse, print))) None
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: tree, compiled, fused (default, or \
-                 whatever --spec says) or domains (real shared-memory \
-                 execution on OCaml 5 domains).  The compiled, fused and \
-                 domains engines emit per-nest kernel summaries.")
+           ~doc:"Execution engine: tree (the reference tree walker), fused \
+                 (default, or whatever --spec says: the compiled closure IR \
+                 with fused kernels unless the spec sets \"fuse\": false) \
+                 or domains (the same closure IR run for real, one OCaml 5 \
+                 domain per rank in shared memory).  The fused and domains \
+                 engines emit per-nest kernel summaries.")
 
 let run_cmd_ =
   Cmd.v

@@ -5,8 +5,8 @@
    quirks) is split into maximal independent sub-nests so the affine
    fragments reach the fused-kernel tier while only the genuine residue
    stays on the closure IR.  The pass is purely an AST transform applied
-   before any analysis or engine sees the unit, so all four execution
-   engines run the same fissioned program and cross-engine bit-identity
+   before any analysis or engine sees the unit, so every execution
+   engine runs the same fissioned program and cross-engine bit-identity
    is preserved by construction.
 
    Algorithm (classic loop distribution):

@@ -175,15 +175,8 @@ let calibrated_flop_time ?(machine = Autocfd_perfmodel.Model.pentium_cluster)
   let ws = PM.working_set_bytes ~gi:plan.source.gi ~points_per_rank in
   PM.memory_slowdown machine ws /. machine.PM.flop_rate
 
-(* [spec.fuse = false] demotes the fused engine to the unfused closure
-   IR; the other engines are unaffected (Domains always runs fused) *)
-let effective_engine (spec : Runspec.t) =
-  match spec.Runspec.engine with
-  | I.Spmd.Fused when not spec.Runspec.fuse -> I.Spmd.Compiled
-  | e -> e
-
 let run_seq ?(spec = Runspec.default) t =
-  match effective_engine spec with
+  match spec.Runspec.engine with
   | I.Spmd.Tree ->
       let m = I.Machine.create ~input:spec.Runspec.input t.inlined in
       I.Machine.run m;
@@ -195,13 +188,12 @@ let run_seq ?(spec = Runspec.default) t =
             (I.Machine.array_names m);
         sq_flops = I.Machine.flops m;
       }
-  | I.Spmd.Compiled | I.Spmd.Fused | I.Spmd.Domains as engine ->
+  | I.Spmd.Fused | I.Spmd.Domains ->
       (* Domains differs from Fused only in how ranks execute; the
-         sequential reference is the same fused closure IR *)
-      let fuse = engine <> I.Spmd.Compiled in
+         sequential reference is the same closure IR *)
       let st =
         I.Compile.create ~input:spec.Runspec.input
-          (I.Compile.of_unit ~fuse t.inlined)
+          (I.Compile.of_unit ~fuse:spec.Runspec.fuse t.inlined)
       in
       I.Compile.run st;
       {
@@ -232,7 +224,8 @@ let run ?(spec = Runspec.default) plan =
       recovery = spec.Runspec.recovery;
     }
   in
-  I.Spmd.run ~engine:(effective_engine spec) config plan.spmd
+  I.Spmd.run ~engine:spec.Runspec.engine ~fuse:spec.Runspec.fuse config
+    plan.spmd
 
 let max_divergence seq par =
   List.filter_map

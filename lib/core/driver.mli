@@ -81,15 +81,20 @@ type seq_result = {
 }
 
 val run_seq : ?spec:Runspec.t -> t -> seq_result
-(** Executes the inlined sequential unit.  Only [spec.engine] (evaluator;
-    results are bit-identical across engines), [spec.fuse] and
+(** Executes the inlined sequential unit.  Only [spec.engine] and
+    [spec.fuse] (the evaluator: the tree walker for [Tree], the closure
+    IR for [Fused] and [Domains], with fused kernels unless [fuse] is
+    false; results are bit-identical across all of them) and
     [spec.input] (READ data) apply; the cluster-side fields are
     ignored. *)
 
 val run : ?spec:Runspec.t -> plan -> Autocfd_interp.Spmd.result
-(** Executes the SPMD unit on the simulated cluster under one
-    {!Runspec.t} (default {!Runspec.default}: fused engine, fast network,
-    zero flop cost, nothing optional).  With [spec.machine] set, the
+(** Executes the SPMD unit under one {!Runspec.t} (default
+    {!Runspec.default}: fused engine, fast network, zero flop cost,
+    nothing optional).  [spec.engine] and [spec.fuse] pick the engine
+    and whether it uses fused kernels ({!Autocfd_interp.Spmd.run}):
+    [Tree] and [Fused] run on the simulated cluster, [Domains] for real
+    on OCaml 5 domains.  With [spec.machine] set, the
     machine's network and the plan-calibrated per-flop charge override
     [spec.net]/[spec.flop_time] — add a tracer to get what the old
     [run_traced] produced.  [spec.faults] installs a deterministic fault

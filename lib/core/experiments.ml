@@ -113,22 +113,23 @@ let parts_spec parts = Runspec.(default |> with_parts (Some parts))
 
 module Fault = Autocfd_mpsim.Fault
 
+let arrays_identical (a : Autocfd_interp.Spmd.result)
+    (b : Autocfd_interp.Spmd.result) =
+  List.length a.Autocfd_interp.Spmd.gathered
+  = List.length b.Autocfd_interp.Spmd.gathered
+  && List.for_all2
+       (fun (na, aa) (nb, ab) ->
+         na = nb
+         && aa.Autocfd_interp.Value.bounds = ab.Autocfd_interp.Value.bounds
+         && aa.Autocfd_interp.Value.data = ab.Autocfd_interp.Value.data)
+       a.Autocfd_interp.Spmd.gathered b.Autocfd_interp.Spmd.gathered
+
 (* program state only — gathered arrays, scalars, flop census, WRITE
    output.  This is the bit-equivalence contract the Domains engine can
    meet: its [stats] are measured wall clock, not virtual time. *)
 let program_state_identical (a : Autocfd_interp.Spmd.result)
     (b : Autocfd_interp.Spmd.result) =
-  let arrays_eq =
-    List.length a.Autocfd_interp.Spmd.gathered
-    = List.length b.Autocfd_interp.Spmd.gathered
-    && List.for_all2
-         (fun (na, aa) (nb, ab) ->
-           na = nb
-           && aa.Autocfd_interp.Value.bounds = ab.Autocfd_interp.Value.bounds
-           && aa.Autocfd_interp.Value.data = ab.Autocfd_interp.Value.data)
-         a.Autocfd_interp.Spmd.gathered b.Autocfd_interp.Spmd.gathered
-  in
-  arrays_eq
+  arrays_identical a b
   && a.Autocfd_interp.Spmd.scalars = b.Autocfd_interp.Spmd.scalars
   && a.Autocfd_interp.Spmd.flops_per_rank = b.Autocfd_interp.Spmd.flops_per_rank
   && a.Autocfd_interp.Spmd.output = b.Autocfd_interp.Spmd.output
@@ -141,17 +142,7 @@ let results_identical (a : Autocfd_interp.Spmd.result)
 (* the resilience claim: same science out, faults or no faults *)
 let state_identical (a : Autocfd_interp.Spmd.result)
     (b : Autocfd_interp.Spmd.result) =
-  let arrays_eq =
-    List.length a.Autocfd_interp.Spmd.gathered
-    = List.length b.Autocfd_interp.Spmd.gathered
-    && List.for_all2
-         (fun (na, aa) (nb, ab) ->
-           na = nb
-           && aa.Autocfd_interp.Value.bounds = ab.Autocfd_interp.Value.bounds
-           && aa.Autocfd_interp.Value.data = ab.Autocfd_interp.Value.data)
-         a.Autocfd_interp.Spmd.gathered b.Autocfd_interp.Spmd.gathered
-  in
-  arrays_eq
+  arrays_identical a b
   && a.Autocfd_interp.Spmd.scalars = b.Autocfd_interp.Spmd.scalars
   && a.Autocfd_interp.Spmd.output = b.Autocfd_interp.Spmd.output
 
@@ -270,28 +261,21 @@ let resilience_to_json (rs : Autocfd_interp.Spmd.resilience)
     ("checksum_failures", J.Int rs.Autocfd_interp.Spmd.rs_checksum_failures);
   ]
 
-let engine_name = function
-  | Autocfd_interp.Spmd.Tree -> "tree"
-  | Autocfd_interp.Spmd.Compiled -> "compiled"
-  | Autocfd_interp.Spmd.Fused -> "fused"
-  | Autocfd_interp.Spmd.Domains -> "domains"
-
-let engine_of_name = function
-  | "tree" -> Autocfd_interp.Spmd.Tree
-  | "compiled" -> Autocfd_interp.Spmd.Compiled
-  | "fused" -> Autocfd_interp.Spmd.Fused
-  | "domains" -> Autocfd_interp.Spmd.Domains
-  | other -> raise (J.Parse_error ("unknown engine " ^ other))
+(* wall clock, not [Sys.time]: that sums the CPU time of every domain
+   in the process, including the pool's other jobs running alongside.
+   The wall clock still counts the cores those jobs take, so
+   engine-bench jobs hold [timing_lock] and run one at a time. *)
+let timing_lock = Mutex.create ()
 
 let time_run f =
   ignore (f ());
   (* warm: populate compile + plan caches *)
   let reps = 3 in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   for _ = 1 to reps do
     ignore (f ())
   done;
-  (Sys.time () -. t0) /. float_of_int reps
+  (Unix.gettimeofday () -. t0) /. float_of_int reps
 
 let exec_spec spec =
   let source () = js "source" spec in
@@ -371,16 +355,19 @@ let exec_spec spec =
           ("modelled", J.Float modelled);
         ]
   | "engine-bench" ->
+      Mutex.protect timing_lock @@ fun () ->
       let source = source () in
       let large_source = js "large_source" spec in
       let parts = parts () in
       let t = Driver.load source in
       let plan = Driver.plan ~spec:(parts_spec parts) t in
-      let run engine () =
-        Driver.run ~spec:(Runspec.with_engine engine Runspec.default) plan
+      let run ?(fuse = true) engine () =
+        Driver.run
+          ~spec:Runspec.(default |> with_engine engine |> with_fuse fuse)
+          plan
       in
       let tree = run Autocfd_interp.Spmd.Tree in
-      let compiled = run Autocfd_interp.Spmd.Compiled in
+      let compiled = run ~fuse:false Autocfd_interp.Spmd.Fused in
       let fused = run Autocfd_interp.Spmd.Fused in
       let reference = tree () in
       let identical =
@@ -393,8 +380,7 @@ let exec_spec spec =
       (* fused vs domains: the same program at the large size, where
          per-barrier compute dominates domain spawn/wakeup cost.  The
          Domains engine is timed on the wall clock it measures
-         itself (Sys.time would sum CPU across domains); the fused
-         run is single-threaded, so its CPU time is its wall time *)
+         itself *)
       let lplan = Driver.plan ~spec:(parts_spec parts) (Driver.load large_source) in
       let lrun engine () =
         Driver.run ~spec:(Runspec.with_engine engine Runspec.default)
@@ -489,7 +475,7 @@ let exec_spec spec =
         ]
   | "chaos" ->
       let seed = ji "seed" spec in
-      let engine = engine_of_name (js "engine" spec) in
+      let engine = Runspec.engine_of_string (js "engine" spec) in
       let idx = ji "schedule" spec in
       let t = Driver.load (source ()) in
       let plan = Driver.plan ~spec:(parts_spec (parts ())) t in
@@ -934,7 +920,7 @@ let engine_bench ?sweep () =
                  ("large_src", J.Str (Sched.Job.digest large_source));
                  (* row-schema version: bumped when the measured columns
                     change so stale cached rows are not replayed *)
-                 ("columns", J.Str "v3-fission");
+                 ("columns", J.Str "v4-wall");
                ])
           ~spec:
             (J.Obj
@@ -1014,7 +1000,7 @@ let chaos_case ?(seed = 42) ?(engine = Autocfd_interp.Spmd.Fused) sw name
                  ("partition", parts_key parts);
                  ("schedule", J.Str label);
                  ("seed", J.Int seed);
-                 ("engine", J.Str (engine_name engine));
+                 ("engine", J.Str (Runspec.engine_to_string engine));
                  ("src", J.Str (Sched.Job.digest source));
                ])
           ~spec:
@@ -1024,7 +1010,7 @@ let chaos_case ?(seed = 42) ?(engine = Autocfd_interp.Spmd.Fused) sw name
                  ("source", J.Str source);
                  ("partition", parts_key parts);
                  ("seed", J.Int seed);
-                 ("engine", J.Str (engine_name engine));
+                 ("engine", J.Str (Runspec.engine_to_string engine));
                  ("schedule", J.Int idx);
                ]))
       schedule_labels

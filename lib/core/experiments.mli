@@ -50,6 +50,14 @@ val exec_spec : Autocfd_obs.Json.t -> Autocfd_obs.Json.t
     @raise Autocfd_obs.Json.Parse_error on an unknown or malformed
     spec. *)
 
+val program_state_identical :
+  Autocfd_interp.Spmd.result -> Autocfd_interp.Spmd.result -> bool
+(** Gathered arrays (names, bounds and data), final scalars, per-rank
+    flop counts and WRITE output all bit-identical.  [stats] is left out:
+    it is what the Domains engine cannot share with the simulator (its
+    stats are measured wall clock), so this is the Domains-vs-simulator
+    equivalence contract. *)
+
 type t1_row = {
   t1_program : string;
   t1_partition : int array;
@@ -134,13 +142,16 @@ type engine_row = {
   er_program : string;
   er_parts : int array;
   er_tree_s : float;  (** mean wall-clock of a tree-walking SPMD run *)
-  er_compiled_s : float;  (** same run on the compiled closure IR *)
+  er_compiled_s : float;
+      (** same run on the closure IR without fused kernels ([Fused],
+          [fuse = false]) *)
   er_fused_s : float;  (** same run with the fused-kernel tier enabled *)
   er_speedup : float;  (** tree / compiled *)
   er_fused_speedup : float;  (** tree / fused *)
   er_identical : bool;
       (** gathered arrays, scalars, WRITE output, per-rank flop counts and
-          simulator stats all bit-identical across the three engines *)
+          simulator stats all bit-identical across tree, unfused and
+          fused runs *)
   er_coverage : Autocfd_interp.Compile.coverage_entry list;
       (** static fusibility of every field-loop nest of the SPMD unit *)
   er_nofission_fused_s : float;
@@ -167,13 +178,14 @@ type engine_row = {
 }
 
 val engine_bench : ?sweep:sweep -> unit -> engine_row list
-(** Head-to-head of the four execution engines on a small aerofoil and
-    sprayer instance: each case is executed on the simulated cluster with
-    every engine (and for real on OCaml 5 domains), results are checked
-    for bit-identity, then each engine is timed over repeated runs.  Note
-    that the measured wall-clock seconds are part of the cached row, so a
-    warm-cache sweep reports the timings of the run that populated the
-    cache. *)
+(** Head-to-head of the three execution engines, [Fused] with and
+    without fused kernels, on a small aerofoil and sprayer instance:
+    each case is executed on the simulated cluster with every engine
+    (and for real on OCaml 5 domains), results are checked for
+    bit-identity, then each is timed on the wall clock over repeated
+    runs.  Note that the measured wall-clock seconds are part of the
+    cached row, so a warm-cache sweep reports the timings of the run
+    that populated the cache. *)
 
 val render_engine : engine_row list -> string
 

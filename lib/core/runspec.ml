@@ -59,16 +59,14 @@ let fail msg = raise (J.Parse_error ("Runspec.of_json: " ^ msg))
 
 let engine_to_string = function
   | I.Spmd.Tree -> "tree"
-  | I.Spmd.Compiled -> "compiled"
   | I.Spmd.Fused -> "fused"
   | I.Spmd.Domains -> "domains"
 
 let engine_of_string = function
   | "tree" -> I.Spmd.Tree
-  | "compiled" -> I.Spmd.Compiled
   | "fused" -> I.Spmd.Fused
   | "domains" -> I.Spmd.Domains
-  | s -> fail (Printf.sprintf "unknown engine %S" s)
+  | s -> fail (Printf.sprintf "unknown engine %S (tree|fused|domains)" s)
 
 let net_to_json (n : M.Netmodel.t) =
   J.Obj
@@ -290,8 +288,15 @@ let get_bool_or name fallback j =
     j
 
 let of_json j =
+  (* documents written before the engine and the fuse knob merged name
+     the unfused closure IR "compiled" *)
+  let engine, fuse =
+    match get_string "engine" j with
+    | "compiled" -> (I.Spmd.Fused, false)
+    | s -> (engine_of_string s, get_bool_or "fuse" default.fuse j)
+  in
   {
-    engine = engine_of_string (get_string "engine" j);
+    engine;
     net = net_of_json (get "net" j);
     flop_time = get_float "flop_time" j;
     machine = opt_of "machine" machine_of_json j;
@@ -321,5 +326,5 @@ let of_json j =
           | _ -> fail "field \"combine\": expected a string")
         j;
     fission = get_bool_or "fission" default.fission j;
-    fuse = get_bool_or "fuse" default.fuse j;
+    fuse;
   }

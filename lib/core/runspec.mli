@@ -22,7 +22,8 @@
     [of_json (to_json s)] re-renders to the same JSON text (round-trip
     tested).  Decoding is backward compatible: the plan-time fields are
     absent in documents written by the pre-tune codec and decode to
-    their [default] values.  The one lossy field is [tracer]: a live
+    their [default] values, and the retired ["compiled"] engine decodes
+    to [Fused] with [fuse = false].  The one lossy field is [tracer]: a live
     tracer cannot be serialized, so it encodes as the boolean ["traced"]
     and decodes to a fresh empty tracer when true. *)
 
@@ -47,8 +48,9 @@ type t = {
       (** sync-combining strategy; default [Optimal] (paper Fig. 6(b)) *)
   fission : bool;  (** run the loop-fission pass at load; default [true] *)
   fuse : bool;
-      (** allow fused kernels; [false] demotes the [Fused] engine to
-          [Compiled] (the other engines are unaffected); default [true] *)
+      (** allow fused kernels; [false] runs the closure-IR engines
+          ([Fused], [Domains]) without the fused-kernel tier ([Tree] has
+          none); default [true] *)
 }
 
 val default : t
@@ -85,7 +87,11 @@ val combine_of_string : string -> Autocfd_syncopt.Optimizer.combine_strategy
 
 val engine_to_string : Autocfd_interp.Spmd.engine -> string
 val engine_of_string : string -> Autocfd_interp.Spmd.engine
-(** ["tree"] / ["compiled"] / ["fused"] / ["domains"]. *)
+(** ["tree"] / ["fused"] / ["domains"]; the one codec for engine names
+    (specs, job keys, the CLI's [--engine]).  [engine_of_string] raises
+    {!Autocfd_obs.Json.Parse_error} on any other name.  {!of_json}
+    additionally decodes the ["compiled"] engine of older documents as
+    [Fused] with [fuse = false]. *)
 
 val to_json : t -> Autocfd_obs.Json.t
 (** Stable canonical encoding; fixed field set, deterministic rendering

@@ -23,8 +23,8 @@ let grid_of_string = function
   | s -> Error (Printf.sprintf "unknown tune grid %S (narrow|default|wide)" s)
 
 (* one value list per orthogonal axis; engine and fuse are enumerated as
-   pairs because [fuse] only distinguishes fused-capable engines
-   (Fused+no-fuse is the Compiled IR; Domains always runs fused) *)
+   pairs because [fuse] only matters to the closure-IR engines, and the
+   wide grid measures Domains in its fused form only *)
 type axes = {
   ax_nprocs : int list;
   ax_combine : S.Optimizer.combine_strategy list;

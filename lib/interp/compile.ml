@@ -155,7 +155,7 @@ and state = {
   mutable flops : float;
   mutable input : float list;
   mutable out_rev : string list;
-  hooks : hooks;
+  hooks : state Machine.hooks;
   (* per-nest profile, indexed like cu_cov (one slot per coverage entry);
      self totals: an entry's own flops/bytes exclude inner profiled nests *)
   kcalls : int array;
@@ -164,19 +164,6 @@ and state = {
   mutable kmoved : float;  (* bytes touched by fused kernels, cumulative *)
   mutable kattr_flops : float;  (* flops already attributed to some nest *)
   mutable kattr_bytes : float;
-}
-
-and hooks = {
-  h_block : (int -> int * int) option;
-  h_comm : state -> sid:int -> Ast.comm -> unit;
-  h_pipe_recv :
-    state -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list
-    -> unit;
-  h_pipe_send :
-    state -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list
-    -> unit;
-  h_read : state -> int -> float array;
-  h_write : state -> Value.scalar list -> unit;
 }
 
 let default_read st n =
@@ -198,20 +185,7 @@ let default_write st values =
   st.out_rev <- line :: st.out_rev
 
 let sequential_hooks =
-  {
-    h_block = None;
-    h_comm =
-      (fun _ ~sid:_ _ ->
-        error "communication statement on the sequential machine");
-    h_pipe_recv =
-      (fun _ ~sid:_ ~dim:_ ~dir:_ _ ->
-        error "pipeline recv on the sequential machine");
-    h_pipe_send =
-      (fun _ ~sid:_ ~dim:_ ~dir:_ _ ->
-        error "pipeline send on the sequential machine");
-    h_read = default_read;
-    h_write = default_write;
-  }
+  Machine.sequential_hooks_with ~read:default_read ~write:default_write
 
 (* Flop accounting: identical increments in identical program positions as
    Machine.charge, so flop totals (and hence simulated compute times) are
@@ -386,7 +360,7 @@ let rec comp ctx (e : Ast.expr) : cexp =
       I
         (fun st ->
           let v = f st in
-          match st.hooks.h_block with
+          match st.hooks.Machine.h_block with
           | None -> v
           | Some g -> max v (fst (g d)))
   | Ast.Local_hi (d, a) ->
@@ -394,7 +368,7 @@ let rec comp ctx (e : Ast.expr) : cexp =
       I
         (fun st ->
           let v = f st in
-          match st.hooks.h_block with
+          match st.hooks.Machine.h_block with
           | None -> v
           | Some g -> min v (snd (g d)))
 
@@ -1051,7 +1025,7 @@ let rec icomp env (fl : int ref) (e : Ast.expr) : (state -> int) * bool =
       let f = icomp_trunc env fl a in
       ( (fun st ->
           let v = f st in
-          match st.hooks.h_block with
+          match st.hooks.Machine.h_block with
           | None -> v
           | Some g -> max v (fst (g d))),
         false )
@@ -1059,7 +1033,7 @@ let rec icomp env (fl : int ref) (e : Ast.expr) : (state -> int) * bool =
       let f = icomp_trunc env fl a in
       ( (fun st ->
           let v = f st in
-          match st.hooks.h_block with
+          match st.hooks.Machine.h_block with
           | None -> v
           | Some g -> min v (snd (g d))),
         false )
@@ -1787,20 +1761,20 @@ and comp_stmt ctx (st : Ast.stmt) : state -> unit =
       let setters = List.map (comp_read_target ctx) items in
       let n = List.length items in
       fun s ->
-        let values = s.hooks.h_read s n in
+        let values = s.hooks.Machine.h_read s n in
         List.iteri (fun i set -> set s values.(i)) setters
   | Ast.Write items ->
       let fs = List.map (fun e -> as_scalar (comp ctx e)) items in
-      fun s -> s.hooks.h_write s (List.map (fun f -> f s) fs)
+      fun s -> s.hooks.Machine.h_write s (List.map (fun f -> f s) fs)
   | Ast.Comm c ->
       let sid = st.Ast.s_id in
-      fun s -> s.hooks.h_comm s ~sid c
+      fun s -> s.hooks.Machine.h_comm s ~sid c
   | Ast.Pipeline_recv { dim; dir; arrays } ->
       let sid = st.Ast.s_id in
-      fun s -> s.hooks.h_pipe_recv s ~sid ~dim ~dir arrays
+      fun s -> s.hooks.Machine.h_pipe_recv s ~sid ~dim ~dir arrays
   | Ast.Pipeline_send { dim; dir; arrays } ->
       let sid = st.Ast.s_id in
-      fun s -> s.hooks.h_pipe_send s ~sid ~dim ~dir arrays
+      fun s -> s.hooks.Machine.h_pipe_send s ~sid ~dim ~dir arrays
 
 and comp_read_target ctx (item : Ast.expr) : state -> float -> unit =
   match item with

@@ -25,22 +25,7 @@ type state
 (** One execution of a compiled unit: slot banks, array storage, flop
     counter, I/O queues, hooks. *)
 
-type hooks = {
-  h_block : (int -> int * int) option;
-      (** per grid dimension: the rank's (lo, hi) owned range; [None] on
-          the sequential engine (Local_lo/Local_hi become identities) *)
-  h_comm : state -> sid:int -> Ast.comm -> unit;
-  h_pipe_recv :
-    state -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list
-    -> unit;
-  h_pipe_send :
-    state -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list
-    -> unit;
-  h_read : state -> int -> float array;
-  h_write : state -> Value.scalar list -> unit;
-}
-
-val sequential_hooks : hooks
+val sequential_hooks : state Machine.hooks
 (** Same behavior as {!Machine.sequential_hooks}. *)
 
 (** Why a field-loop nest did or did not compile to a fused kernel — a
@@ -145,7 +130,7 @@ type kernel_stat = {
 
 val kernel_stats : state -> kernel_stat list
 
-val create : ?hooks:hooks -> ?input:float list -> cu -> state
+val create : ?hooks:state Machine.hooks -> ?input:float list -> cu -> state
 (** Fresh state: arrays copied from the compiled template (bounds + DATA),
     PARAMETER and scalar-DATA slots pre-set. *)
 

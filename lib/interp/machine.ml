@@ -6,6 +6,17 @@ exception Jump of int
 
 let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 
+type 'm hooks = {
+  h_block : (int -> int * int) option;
+  h_comm : 'm -> sid:int -> Ast.comm -> unit;
+  h_pipe_recv :
+    'm -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
+  h_pipe_send :
+    'm -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
+  h_read : 'm -> int -> float array;
+  h_write : 'm -> Value.scalar list -> unit;
+}
+
 type t = {
   unit_ : Ast.program_unit;
   scalars : (string, Value.scalar) Hashtbl.t;
@@ -16,18 +27,7 @@ type t = {
   mutable flops : float;
   mutable names_memo : string list option;
       (* sorted array names; declarations are fixed once the unit starts *)
-  hooks : hooks;
-}
-
-and hooks = {
-  h_block : (int -> int * int) option;
-  h_comm : t -> sid:int -> Ast.comm -> unit;
-  h_pipe_recv :
-    t -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
-  h_pipe_send :
-    t -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
-  h_read : t -> int -> float array;
-  h_write : t -> Value.scalar list -> unit;
+  hooks : t hooks;
 }
 
 let default_read t n =
@@ -48,7 +48,7 @@ let default_write t values =
   in
   t.out_rev <- line :: t.out_rev
 
-let sequential_hooks =
+let sequential_hooks_with ~read ~write =
   {
     h_block = None;
     h_comm =
@@ -60,9 +60,12 @@ let sequential_hooks =
     h_pipe_send =
       (fun _ ~sid:_ ~dim:_ ~dir:_ _ ->
         error "pipeline send on the sequential machine");
-    h_read = default_read;
-    h_write = default_write;
+    h_read = read;
+    h_write = write;
   }
+
+let sequential_hooks =
+  sequential_hooks_with ~read:default_read ~write:default_write
 
 let unit_of t = t.unit_
 let flops t = t.flops

@@ -13,28 +13,39 @@ type t
 exception Stop_run
 exception Runtime_error of string
 
-type hooks = {
+type 'm hooks = {
   h_block : (int -> int * int) option;
       (** per grid dimension: the rank's (lo, hi) owned range; [None] on
           the sequential machine (Local_lo/Local_hi become identities) *)
-  h_comm : t -> sid:int -> Ast.comm -> unit;
+  h_comm : 'm -> sid:int -> Ast.comm -> unit;
       (** [sid] is the communication statement's [Ast.s_id]; the SPMD
           executor uses it to attribute the operation to its combined
           synchronization point for tracing *)
   h_pipe_recv :
-    t -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
+    'm -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
   h_pipe_send :
-    t -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
-  h_read : t -> int -> float array;
+    'm -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list -> unit;
+  h_read : 'm -> int -> float array;
       (** supply [n] input values (rank 0 reads, then broadcasts) *)
-  h_write : t -> Value.scalar list -> unit;
+  h_write : 'm -> Value.scalar list -> unit;
 }
+(** The hooks an evaluator calls for the SPMD constructs and I/O, one
+    record for both evaluators: ['m] is the evaluator's state ({!t}
+    here, [Compile.state] in the closure IR), so the SPMD executor
+    builds one set of hooks for either. *)
 
-val sequential_hooks : hooks
+val sequential_hooks_with :
+  read:('m -> int -> float array) ->
+  write:('m -> Value.scalar list -> unit) ->
+  'm hooks
+(** No block, and communication statements raise {!Runtime_error};
+    READ and WRITE go to [read] and [write]. *)
+
+val sequential_hooks : t hooks
 (** Reads pop the machine's input queue; writes append to the output list;
     communication statements raise {!Runtime_error}. *)
 
-val create : ?hooks:hooks -> ?input:float list -> Ast.program_unit -> t
+val create : ?hooks:t hooks -> ?input:float list -> Ast.program_unit -> t
 (** Evaluates PARAMETER constants, allocates declared arrays, applies DATA
     statements.  @raise Runtime_error when an array bound is not constant. *)
 

@@ -81,7 +81,7 @@ let snapshot_bytes s =
   * (List.length s.ck_scalars
     + List.fold_left (fun acc (_, a) -> acc + Array.length a) 0 s.ck_arrays)
 
-type engine = Tree | Compiled | Fused | Domains
+type engine = Tree | Fused | Domains
 
 let tag_exchange = 3
 let tag_pipe = 5
@@ -367,15 +367,17 @@ type plan =
 (* Process-wide plan cache                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A plan depends only on (engine, sync point, rank, grid, partition) —
+(* A plan depends only on (sync point, rank, grid, partition) —
    sync-point ids are process-unique, so the id pins down the program
-   unit too.  Caching process-wide means switching engines on the same
-   unit within one process (exactly what the bit-equivalence harness
-   does) replans each sync point at most once per engine instead of once
-   per run.  The cached offset/segment vectors are immutable and safe to
-   share across domains; [pp_buf] is private to a run, so every lookup
-   re-arms the plan with fresh buffers. *)
-let plan_cache : (string * int * int * int list * int list, plan) Hashtbl.t =
+   unit too, and every engine allocates the same full-extent arrays, so
+   the offsets are the same whichever engine builds them.  Caching
+   process-wide means switching engines on the same unit within one
+   process (exactly what the bit-equivalence harness does) plans each
+   sync point once instead of once per run.  The cached offset/segment
+   vectors are immutable and safe to share across domains; [pp_buf] is
+   private to a run, so every lookup re-arms the plan with fresh
+   buffers. *)
+let plan_cache : (int * int * int list * int list, plan) Hashtbl.t =
   Hashtbl.create 256
 
 let plan_cache_mutex = Mutex.create ()
@@ -412,10 +414,9 @@ let refresh_plan = function
              (n, refresh_pack mine, Array.map refresh_pack peers))
            l)
 
-let cached_plan ~etag ~topo ~rank ~sid build =
+let cached_plan ~topo ~rank ~sid build =
   let key =
-    ( etag,
-      sid,
+    ( sid,
       rank,
       Array.to_list (Topology.grid topo),
       Array.to_list (Topology.parts topo) )
@@ -440,21 +441,8 @@ let cached_plan ~etag ~topo ~rank ~sid build =
    either the tree-walking machine or the compiled engine; both raise
    [Machine.Runtime_error] on dynamic errors. *)
 
-type 'm gen_hooks = {
-  g_block : int -> int * int;
-  g_comm : 'm -> sid:int -> Ast.comm -> unit;
-  g_pipe_recv :
-    'm -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list
-    -> unit;
-  g_pipe_send :
-    'm -> sid:int -> dim:int -> dir:Ast.direction -> (string * int) list
-    -> unit;
-  g_read : 'm -> int -> float array;
-  g_write : 'm -> Value.scalar list -> unit;
-}
-
 type 'm iface = {
-  i_spawn : 'm gen_hooks -> float list -> 'm;
+  i_spawn : 'm Machine.hooks -> float list -> 'm;
   i_run : 'm -> unit;
   i_flops : 'm -> float;
   i_array : 'm -> string -> Value.arr;
@@ -463,8 +451,7 @@ type 'm iface = {
   i_scalar_bindings : 'm -> (string * Value.scalar) list;
   i_array_names : 'm -> string list;
   i_output : 'm -> string list;
-  i_read0 : 'm -> int -> float array;  (* rank 0's actual READ source *)
-  i_write0 : 'm -> Value.scalar list -> unit;
+  i_seq : 'm Machine.hooks;  (* rank 0's actual READ source and WRITE sink *)
   i_kernels : 'm -> Compile.kernel_stat list;
       (* per-nest execution profile; [] on engines without one *)
 }
@@ -487,16 +474,9 @@ let topo_neighbor topo ~rank dim dir =
   in
   Topology.neighbor topo ~rank ~dim ~dir:d
 
-let build_exchange_plan :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    rank:int ->
-    'm ->
-    Ast.transfer list ->
-    plan =
- fun iface ~gi ~topo ~rank m transfers ->
+(* [array] looks an array up in the planning rank's own state *)
+let build_exchange_plan ~gi ~topo ~rank array (transfers : Ast.transfer list)
+    =
   let transfers =
     List.sort
       (fun (a : Ast.transfer) b ->
@@ -514,7 +494,7 @@ let build_exchange_plan :
   P_exchange
     (List.map
        (fun (xfer : Ast.transfer) ->
-         let arr = iface.i_array m xfer.Ast.xfer_array in
+         let arr = array xfer.Ast.xfer_array in
          let send =
            match topo_neighbor topo ~rank xfer.Ast.xfer_dim xfer.Ast.xfer_dir with
            | Some dest ->
@@ -546,19 +526,7 @@ let build_exchange_plan :
          })
        transfers)
 
-let build_pipe_plan :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    rank:int ->
-    recv:bool ->
-    dim:int ->
-    dir:Ast.direction ->
-    'm ->
-    (string * int) list ->
-    plan =
- fun iface ~gi ~topo ~rank ~recv ~dim ~dir m arrays ->
+let build_pipe_plan ~gi ~topo ~rank ~recv ~dim ~dir array arrays =
   let peer_dir = if recv then opposite_dir dir else dir in
   P_pipe
     (match topo_neighbor topo ~rank dim peer_dir with
@@ -568,7 +536,7 @@ let build_pipe_plan :
           ( peer,
             List.map
               (fun (name, depth) ->
-                let arr = iface.i_array m name in
+                let arr = array name in
                 let owner = if recv then peer else rank in
                 ( name,
                   plan_of arr
@@ -576,17 +544,7 @@ let build_pipe_plan :
                        ~depth name) ))
               arrays ))
 
-let build_allgather_plan :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    rank:int ->
-    nranks:int ->
-    'm ->
-    string list ->
-    plan =
- fun iface ~gi ~topo ~rank ~nranks m arrays ->
+let build_allgather_plan ~gi ~topo ~rank ~nranks array arrays =
   let owned_offsets owner arr name =
     let sa =
       match GI.find_status gi name with
@@ -606,7 +564,7 @@ let build_allgather_plan :
   P_allgather
     (List.map
        (fun name ->
-         let arr = iface.i_array m name in
+         let arr = array name in
          let mine = owned_offsets rank arr name in
          let peers =
            Array.init nranks (fun peer ->
@@ -666,8 +624,229 @@ let gather_results :
   in
   (gathered, scalars)
 
-let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> result =
- fun iface ~etag config u ->
+(* ------------------------------------------------------------------ *)
+(* Per-rank hooks, written once over a transport                       *)
+(* ------------------------------------------------------------------ *)
+
+(* which hook a transport's [t_guard] wraps *)
+type hook = H_comm of Ast.comm | H_pipe_recv | H_pipe_send | H_read
+
+(* What the simulated cluster and real domains do differently.  Every
+   other part of a rank's hooks (plan lookup, the collective dispatch,
+   pipeline messages, the READ broadcast, sync-point spans) is
+   {!rank_hooks}'s. *)
+type 'm transport = {
+  t_send : dest:int -> tag:int -> float array -> unit;
+  t_recv : src:int -> tag:int -> float array;
+  t_allreduce : [ `Max | `Min | `Sum ] -> float -> float;
+  t_bcast : float array -> float array;  (* rooted at rank 0 *)
+  t_barrier : unit -> unit;
+  t_exchange : (string -> float array) -> xfer_plan list -> unit;
+  t_allgather :
+    (string -> float array) -> (string * pack_plan * pack_plan array) list
+    -> unit;
+      (* both take the rank's own array data by name *)
+  t_guard : 'a. 'm -> hook -> (unit -> 'a) -> 'a option;
+      (* runs one hook's operation inside the engine's time accounting;
+         [None] when the operation is skipped (simulator restart replay) *)
+  t_live : unit -> bool;  (* false while replaying: WRITE is suppressed *)
+  t_span : (sync_info -> int option -> (unit -> unit) -> unit) option;
+      (* records one sync-point span around its operation when tracing *)
+}
+
+let unpack_checked what p data payload =
+  if Array.length payload <> p.pp_total then
+    failwith ("Spmd: " ^ what ^ " size mismatch");
+  unpack p data payload
+
+(* halo exchange as messages: send my boundary planes towards each
+   transfer's direction, then receive the matching planes from the
+   opposite neighbour *)
+let exchange_by_messages ~send ~recv data_of xps =
+  List.iter
+    (fun xp ->
+      let data = data_of xp.xp_array in
+      (match xp.xp_send with
+      | Some (dest, p) -> send ~dest ~tag:tag_exchange (pack p data)
+      | None -> ());
+      match xp.xp_recv with
+      | Some (src, p) ->
+          unpack_checked "halo exchange" p data
+            (recv ~src ~tag:tag_exchange)
+      | None -> ())
+    xps
+
+(* allgather as messages: every rank sends its owned region to every
+   other rank, so each ends up holding the full fresh array *)
+let allgather_by_messages ~send ~recv ~rank ~nranks data_of per_array =
+  List.iter
+    (fun (name, mine, peers) ->
+      let data = data_of name in
+      let payload = pack mine data in
+      for peer = 0 to nranks - 1 do
+        if peer <> rank then send ~dest:peer ~tag:tag_gather payload
+      done;
+      for peer = 0 to nranks - 1 do
+        if peer <> rank then
+          unpack_checked "allgather" peers.(peer) data
+            (recv ~src:peer ~tag:tag_gather)
+      done)
+    per_array
+
+let rank_hooks :
+    'm.
+    'm iface ->
+    'm transport ->
+    config ->
+    sync_tbl:(int, sync_info) Hashtbl.t ->
+    rank:int ->
+    'm Machine.hooks =
+ fun iface t config ~sync_tbl ~rank ->
+  let gi = config.gi and topo = config.topo in
+  let nranks = Topology.nranks topo in
+  let block = Topology.block topo rank in
+  let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
+  let plan sid build =
+    match Hashtbl.find_opt plans sid with
+    | Some p -> p
+    | None ->
+        let p = cached_plan ~topo ~rank ~sid build in
+        Hashtbl.replace plans sid p;
+        p
+  in
+  let data m name = (iface.i_array m name).Value.data in
+  (* run a hook body inside its sync-point span, tagged with the
+     enclosing loop variable and iteration *)
+  let traced m sid f =
+    match t.t_span with
+    | None -> f ()
+    | Some span -> (
+        match Hashtbl.find_opt sync_tbl sid with
+        | None -> f ()
+        | Some si ->
+            let iter =
+              match si.si_loop with
+              | None -> None
+              | Some v -> (
+                  match iface.i_scalar m v with
+                  | Value.Int i -> Some i
+                  | Value.Real x -> Some (int_of_float x)
+                  | Value.Bool _ | Value.Str _ -> None
+                  | exception Machine.Runtime_error _ -> None)
+            in
+            span si iter f)
+  in
+  let reduce m op v =
+    let x = Value.to_float (iface.i_scalar m v) in
+    iface.i_set_scalar m v (Value.Real (t.t_allreduce op x))
+  in
+  let comm m sid = function
+    | Ast.Exchange ts -> (
+        match
+          plan sid (fun () ->
+              build_exchange_plan ~gi ~topo ~rank (iface.i_array m) ts)
+        with
+        | P_exchange xps -> t.t_exchange (data m) xps
+        | _ -> assert false)
+    | Ast.Allreduce_max v -> reduce m `Max v
+    | Ast.Allreduce_min v -> reduce m `Min v
+    | Ast.Allreduce_sum v -> reduce m `Sum v
+    | Ast.Broadcast vars ->
+        let vals =
+          t.t_bcast
+            (if rank = 0 then
+               Array.of_list
+                 (List.map (fun v -> Value.to_float (iface.i_scalar m v)) vars)
+             else Array.make (List.length vars) 0.0)
+        in
+        List.iteri (fun i v -> iface.i_set_scalar m v (Value.Real vals.(i))) vars
+    | Ast.Allgather arrays -> (
+        match
+          plan sid (fun () ->
+              build_allgather_plan ~gi ~topo ~rank ~nranks (iface.i_array m)
+                arrays)
+        with
+        | P_allgather l -> t.t_allgather (data m) l
+        | _ -> assert false)
+    | Ast.Barrier -> t.t_barrier ()
+  in
+  (* recv: wait for the upstream neighbor's fresh planes before the
+     sweep; send: forward my downstream boundary after it *)
+  let pipe ~recv m sid ~dim ~dir arrays =
+    match
+      plan sid (fun () ->
+          build_pipe_plan ~gi ~topo ~rank ~recv ~dim ~dir (iface.i_array m)
+            arrays)
+    with
+    | P_pipe None -> ()
+    | P_pipe (Some (peer, per_array)) ->
+        List.iter
+          (fun (name, p) ->
+            if recv then
+              unpack_checked "pipeline message" p (data m name)
+                (t.t_recv ~src:peer ~tag:tag_pipe)
+            else t.t_send ~dest:peer ~tag:tag_pipe (pack p (data m name)))
+          per_array
+    | _ -> assert false
+  in
+  let hook m kind sid f =
+    ignore (t.t_guard m kind (fun () -> traced m sid f) : unit option)
+  in
+  {
+    Machine.h_block =
+      Some
+        (fun d ->
+          (block.Autocfd_partition.Block.lo.(d),
+           block.Autocfd_partition.Block.hi.(d)));
+    h_comm = (fun m ~sid c -> hook m (H_comm c) sid (fun () -> comm m sid c));
+    h_pipe_recv =
+      (fun m ~sid ~dim ~dir arrays ->
+        hook m H_pipe_recv sid (fun () -> pipe ~recv:true m sid ~dim ~dir arrays));
+    h_pipe_send =
+      (fun m ~sid ~dim ~dir arrays ->
+        hook m H_pipe_send sid (fun () ->
+            pipe ~recv:false m sid ~dim ~dir arrays));
+    h_read =
+      (fun m n ->
+        match
+          t.t_guard m H_read (fun () ->
+              t.t_bcast
+                (if rank = 0 then iface.i_seq.Machine.h_read m n
+                 else Array.make n 0.0))
+        with
+        | Some data -> data
+        (* replay: every rank reads its own copy of the input list —
+           same values the broadcast delivered, no communication *)
+        | None -> iface.i_seq.Machine.h_read m n);
+    h_write =
+      (fun m values ->
+        if rank = 0 && t.t_live () then iface.i_seq.Machine.h_write m values);
+  }
+
+let sync_table config u =
+  match config.tracer with None -> Hashtbl.create 1 | Some _ -> sync_points u
+
+let record_phase tr ?wall ~rank ~t0 ~t1 si iter =
+  Trace.phase tr ?wall ~rank ~t0 ~t1 ~sync:si.si_id ~label:si.si_label
+    ?loop:si.si_loop ?iter ()
+
+(* per-nest profile summaries: one Kernel event per executed nest,
+   spanning [0, secs k].  Emitted after the run so they are summaries,
+   not timeline slices — Metrics folds them into its kernel table
+   instead of the rank accounting *)
+let record_kernels tr ?wall ~rank ~secs ks =
+  List.iter
+    (fun (k : Compile.kernel_stat) ->
+      if k.Compile.ks_calls > 0 then
+        Trace.record tr ?wall ~rank ~t0:0.0 ~t1:(secs k) (kernel_event k))
+    ks
+
+(* ------------------------------------------------------------------ *)
+(* Simulated cluster: virtual clock, faults, checkpoint/restart        *)
+(* ------------------------------------------------------------------ *)
+
+let run_sim : 'm. 'm iface -> config -> Ast.program_unit -> result =
+ fun iface config u ->
   let topo = config.topo and gi = config.gi in
   let nranks = Topology.nranks topo in
   let machines = Array.make nranks None in
@@ -678,12 +857,7 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
   let snapshots : snapshot list array = Array.make nranks [] in
   let saved = ref 0 and restored = ref 0 in
   let output_prefix = ref [] in
-  let nranks_total = nranks in
-  let sync_tbl =
-    match config.tracer with
-    | None -> Hashtbl.create 1
-    | Some _ -> sync_points u
-  in
+  let sync_tbl = sync_table config u in
   (* newest visit count for which EVERY rank holds a snapshot: checkpoint
      decisions are deterministic in the visit counter, so a snapshot at
      visit v on one rank implies every rank that reached v also took one *)
@@ -719,8 +893,6 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
     in
   let body (c : Sim.comm) =
     let r = Sim.rank c in
-    let block = Topology.block topo r in
-    let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
     (* reliable transport: only paid for when faults are injected *)
     let ep =
       match config.faults with
@@ -728,12 +900,12 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
       | None -> None
     in
     endpoints.(r) <- ep;
-    let p2p_send ~dest ~tag payload =
+    let send ~dest ~tag payload =
       match ep with
       | Some e -> Reliable.send e ~dest ~tag payload
       | None -> Sim.send c ~dest ~tag payload
     in
-    let p2p_recv ~src ~tag =
+    let recv ~src ~tag =
       match ep with
       | Some e -> Reliable.recv e ~src ~tag
       | None -> Sim.recv c ~src ~tag
@@ -748,18 +920,13 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
     (* lazy compute-time accounting: charge accumulated flops before any
        blocking operation *)
     let last_flops = ref 0.0 in
-    let machine_ref = ref None in
-    let charge () =
-      match !machine_ref with
-      | None -> ()
-      | Some m ->
-          let f = iface.i_flops m in
-          let delta = f -. !last_flops in
-          last_flops := f;
-          if !live && config.flop_time > 0.0 then
-            Sim.advance c (delta *. config.flop_time)
+    let charge m =
+      let f = iface.i_flops m in
+      let delta = f -. !last_flops in
+      last_flops := f;
+      if !live && config.flop_time > 0.0 then
+        Sim.advance c (delta *. config.flop_time)
     in
-    let get_machine () = Option.get !machine_ref in
     let trace_ckpt ~save ~bytes =
       match config.tracer with
       | Some tr ->
@@ -830,253 +997,81 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
           trace_ckpt ~save:true ~bytes
       | _ -> ()
     in
-    (* run a communication hook body inside its sync-point phase: set the
-       rank's sync context (so simulator events recorded within attribute
-       their messages and blocked time to this point) and emit the phase
-       span tagged with the enclosing loop variable and iteration *)
-    let traced m sid f =
-      match config.tracer with
-      | None -> f ()
-      | Some tr -> (
-          match Hashtbl.find_opt sync_tbl sid with
-          | None -> f ()
-          | Some si ->
-              let iter =
-                match si.si_loop with
-                | None -> None
-                | Some v -> (
-                    match iface.i_scalar m v with
-                    | Value.Int i -> Some i
-                    | Value.Real x -> Some (int_of_float x)
-                    | Value.Bool _ | Value.Str _ -> None
-                    | exception Machine.Runtime_error _ -> None)
-              in
-              let t0 = Sim.time c in
-              Trace.set_sync tr ~rank:r ~sync:si.si_id;
-              Fun.protect
-                ~finally:(fun () -> Trace.clear_sync tr ~rank:r)
-                f;
-              Trace.phase tr ~rank:r ~t0 ~t1:(Sim.time c) ~sync:si.si_id
-                ~label:si.si_label ?loop:si.si_loop ?iter ())
+    let guard m kind op =
+      charge m;
+      incr visits;
+      (* a pipeline stream is mid-flight between a recv and its send: the
+         matching send sits at a LATER visit on the upstream rank, so a
+         cut inside it would not be consistent — no checkpoint until it
+         closes *)
+      (match kind with
+      | H_pipe_recv -> incr pipe_open
+      | H_pipe_send -> decr pipe_open
+      | H_comm _ | H_read -> ());
+      if not !live then begin
+        maybe_restore m;
+        None
+      end
+      else begin
+        (* an unacknowledged envelope must not survive into a
+           collective: its sender would park where no retransmit can
+           happen *)
+        (match kind with
+        | H_read
+        | H_comm
+            ( Ast.Allreduce_max _ | Ast.Allreduce_min _ | Ast.Allreduce_sum _
+            | Ast.Broadcast _ | Ast.Barrier ) ->
+            flush ()
+        | H_comm (Ast.Exchange _ | Ast.Allgather _) | H_pipe_recv
+        | H_pipe_send ->
+            ());
+        let v = op () in
+        (match kind with H_pipe_recv -> () | _ -> maybe_checkpoint m);
+        Some v
+      end
     in
-    let exchange_plan m sid transfers =
-      match Hashtbl.find_opt plans sid with
-      | Some (P_exchange p) -> p
-      | _ ->
-          let p =
-            cached_plan ~etag ~topo ~rank:r ~sid (fun () ->
-                build_exchange_plan iface ~gi ~topo ~rank:r m transfers)
-          in
-          Hashtbl.replace plans sid p;
-          (match p with P_exchange l -> l | _ -> assert false)
+    (* set the rank's sync context, so simulator events recorded within
+       attribute their messages and blocked time to this point *)
+    let span tr si iter f =
+      let t0 = Sim.time c in
+      Trace.set_sync tr ~rank:r ~sync:si.si_id;
+      Fun.protect ~finally:(fun () -> Trace.clear_sync tr ~rank:r) f;
+      record_phase tr ~rank:r ~t0 ~t1:(Sim.time c) si iter
     in
-    let do_exchange m sid transfers =
-      List.iter
-        (fun xp ->
-          let data = (iface.i_array m xp.xp_array).Value.data in
-          (* send my boundary planes towards xfer_dir, then receive the
-             matching planes from the opposite neighbor *)
-          (match xp.xp_send with
-          | Some (dest, p) ->
-              p2p_send ~dest ~tag:tag_exchange (pack p data)
-          | None -> ());
-          match xp.xp_recv with
-          | Some (src, p) ->
-              let payload = p2p_recv ~src ~tag:tag_exchange in
-              if Array.length payload <> p.pp_total then
-                failwith "Spmd: halo exchange size mismatch";
-              unpack p data payload
-          | None -> ())
-        (exchange_plan m sid transfers)
-    in
-    let pipe_plan ~recv m sid ~dim ~dir arrays =
-      match Hashtbl.find_opt plans sid with
-      | Some (P_pipe p) -> p
-      | _ ->
-          let p =
-            cached_plan ~etag ~topo ~rank:r ~sid (fun () ->
-                build_pipe_plan iface ~gi ~topo ~rank:r ~recv ~dim ~dir m
-                  arrays)
-          in
-          Hashtbl.replace plans sid p;
-          (match p with P_pipe o -> o | _ -> assert false)
-    in
-    let do_pipe ~recv m sid ~dim ~dir arrays =
-      (* recv: wait for the upstream neighbor's fresh planes before the
-         sweep; send: forward my downstream boundary after it *)
-      match pipe_plan ~recv m sid ~dim ~dir arrays with
-      | None -> ()
-      | Some (peer, per_array) ->
-          List.iter
-            (fun (name, p) ->
-              let data = (iface.i_array m name).Value.data in
-              if recv then begin
-                let payload = p2p_recv ~src:peer ~tag:tag_pipe in
-                if Array.length payload <> p.pp_total then
-                  failwith "Spmd: pipeline message size mismatch";
-                unpack p data payload
-              end
-              else p2p_send ~dest:peer ~tag:tag_pipe (pack p data))
-            per_array
-    in
-    let allgather_plan m sid arrays =
-      match Hashtbl.find_opt plans sid with
-      | Some (P_allgather p) -> p
-      | _ ->
-          let p =
-            cached_plan ~etag ~topo ~rank:r ~sid (fun () ->
-                build_allgather_plan iface ~gi ~topo ~rank:r
-                  ~nranks:nranks_total m arrays)
-          in
-          Hashtbl.replace plans sid p;
-          (match p with P_allgather l -> l | _ -> assert false)
-    in
-    let do_allgather m sid arrays =
-      (* exchange owned regions with every other rank so each rank holds
-         the full fresh array *)
-      List.iter
-        (fun (name, mine, peers) ->
-          let data = (iface.i_array m name).Value.data in
-          let payload = pack mine data in
-          for peer = 0 to nranks_total - 1 do
-            if peer <> r then p2p_send ~dest:peer ~tag:tag_gather payload
-          done;
-          for peer = 0 to nranks_total - 1 do
-            if peer <> r then begin
-              let p = peers.(peer) in
-              let pl = p2p_recv ~src:peer ~tag:tag_gather in
-              if Array.length pl <> p.pp_total then
-                failwith "Spmd: allgather size mismatch";
-              unpack p data pl
-            end
-          done)
-        (allgather_plan m sid arrays)
-    in
-    let hooks =
+    let transport =
       {
-        g_block =
-          (fun d ->
-            (block.Autocfd_partition.Block.lo.(d),
-             block.Autocfd_partition.Block.hi.(d)));
-        g_comm =
-          (fun m ~sid comm ->
-            charge ();
-            incr visits;
-            if not !live then maybe_restore m
-            else begin
-              (* an unacknowledged envelope must not survive into a
-                 collective: its sender would park where no retransmit can
-                 happen *)
-              (match comm with
-              | Ast.Allreduce_max _ | Ast.Allreduce_min _
-              | Ast.Allreduce_sum _ | Ast.Broadcast _ | Ast.Barrier ->
-                  flush ()
-              | Ast.Exchange _ | Ast.Allgather _ -> ());
-              traced m sid (fun () ->
-                  match comm with
-                  | Ast.Exchange ts -> do_exchange m sid ts
-                  | Ast.Allreduce_max v ->
-                      let x = Value.to_float (iface.i_scalar m v) in
-                      iface.i_set_scalar m v
-                        (Value.Real (Sim.allreduce c `Max x))
-                  | Ast.Allreduce_min v ->
-                      let x = Value.to_float (iface.i_scalar m v) in
-                      iface.i_set_scalar m v
-                        (Value.Real (Sim.allreduce c `Min x))
-                  | Ast.Allreduce_sum v ->
-                      let x = Value.to_float (iface.i_scalar m v) in
-                      iface.i_set_scalar m v
-                        (Value.Real (Sim.allreduce c `Sum x))
-                  | Ast.Broadcast vars ->
-                      let data =
-                        if r = 0 then
-                          Array.of_list
-                            (List.map
-                               (fun v -> Value.to_float (iface.i_scalar m v))
-                               vars)
-                        else Array.make (List.length vars) 0.0
-                      in
-                      let data = Sim.bcast c ~root:0 data in
-                      List.iteri
-                        (fun i v ->
-                          iface.i_set_scalar m v (Value.Real data.(i)))
-                        vars
-                  | Ast.Allgather arrays -> do_allgather m sid arrays
-                  | Ast.Barrier -> Sim.barrier c);
-              maybe_checkpoint m
-            end);
-        g_pipe_recv =
-          (fun m ~sid ~dim ~dir arrays ->
-            charge ();
-            incr visits;
-            (* a pipeline stream is now mid-flight: the matching send sits
-               at a LATER visit on the upstream rank, so a cut here would
-               not be consistent — no checkpoint until it closes *)
-            incr pipe_open;
-            if not !live then maybe_restore m
-            else
-              traced m sid (fun () ->
-                  do_pipe ~recv:true m sid ~dim ~dir arrays));
-        g_pipe_send =
-          (fun m ~sid ~dim ~dir arrays ->
-            charge ();
-            incr visits;
-            decr pipe_open;
-            if not !live then maybe_restore m
-            else begin
-              traced m sid (fun () ->
-                  do_pipe ~recv:false m sid ~dim ~dir arrays);
-              maybe_checkpoint m
-            end);
-        g_read =
-          (fun m n ->
-            charge ();
-            incr visits;
-            if not !live then begin
-              (* replay: every rank reads its own copy of the input list —
-                 same values the broadcast delivered, no communication *)
-              let data = iface.i_read0 m n in
-              maybe_restore m;
-              data
-            end
-            else begin
-              flush ();
-              let data =
-                if r = 0 then iface.i_read0 m n else Array.make n 0.0
-              in
-              let out = Sim.bcast c ~root:0 data in
-              maybe_checkpoint m;
-              out
-            end);
-        g_write =
-          (fun m values -> if !live && r = 0 then iface.i_write0 m values);
+        t_send = send;
+        t_recv = recv;
+        t_allreduce = Sim.allreduce c;
+        t_bcast = Sim.bcast c ~root:0;
+        t_barrier = (fun () -> Sim.barrier c);
+        t_exchange = exchange_by_messages ~send ~recv;
+        t_allgather = allgather_by_messages ~send ~recv ~rank:r ~nranks;
+        t_guard = guard;
+        t_live = (fun () -> !live);
+        t_span = Option.map span config.tracer;
       }
     in
-    let m = iface.i_spawn hooks config.input in
-    machine_ref := Some m;
+    let m =
+      iface.i_spawn
+        (rank_hooks iface transport config ~sync_tbl ~rank:r)
+        config.input
+    in
     machines.(r) <- Some m;
     iface.i_run m;
     if not !live then
       failwith
         "Spmd: restart replay never reached the checkpointed sync point \
          (control flow depends on communication results?)";
-    charge ();
+    charge m;
     flush ();
-    flops_per_rank.(r) <- iface.i_flops (get_machine ());
-    (* per-nest profile summaries: one Kernel event per executed nest,
-       spanning [0, self-time] on the virtual clock.  Emitted after the
-       run so they are summaries, not timeline slices — Metrics folds
-       them into its kernel table instead of the rank accounting *)
-    match config.tracer with
-    | None -> ()
-    | Some tr ->
-        List.iter
-          (fun (k : Compile.kernel_stat) ->
-            if k.Compile.ks_calls > 0 then
-              Trace.record tr ~rank:r ~t0:0.0
-                ~t1:(k.Compile.ks_flops *. config.flop_time)
-                (kernel_event k))
-          (iface.i_kernels (get_machine ()))
+    flops_per_rank.(r) <- iface.i_flops m;
+    Option.iter
+      (fun tr ->
+        record_kernels tr ~rank:r
+          ~secs:(fun k -> k.Compile.ks_flops *. config.flop_time)
+          (iface.i_kernels m))
+      config.tracer
   in
   Sim.run ~net:config.net ?tracer:config.tracer ?faults:config.faults
     ~nranks body
@@ -1094,7 +1089,6 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
   in
   let stats, restarts = attempts 0 in
   let machine r = Option.get machines.(r) in
-  let m0 = machine 0 in
   let gathered, scalars = gather_results iface ~gi ~topo ~nranks ~machine u in
   let resilience =
     let sum f =
@@ -1114,7 +1108,7 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
   in
   {
     stats;
-    output = !output_prefix @ iface.i_output m0;
+    output = !output_prefix @ iface.i_output (machine 0);
     gathered;
     scalars;
     flops_per_rank;
@@ -1123,81 +1117,8 @@ let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> resu
   }
 
 (* ------------------------------------------------------------------ *)
-(* Engine wiring                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let tree_iface (u : Ast.program_unit) : Machine.t iface =
-  {
-    i_spawn =
-      (fun g input ->
-        let hooks =
-          {
-            Machine.h_block = Some g.g_block;
-            h_comm = g.g_comm;
-            h_pipe_recv = g.g_pipe_recv;
-            h_pipe_send = g.g_pipe_send;
-            h_read = g.g_read;
-            h_write = g.g_write;
-          }
-        in
-        Machine.create ~hooks ~input u);
-    i_run = Machine.run;
-    i_flops = Machine.flops;
-    i_array = Machine.array;
-    i_scalar = Machine.scalar;
-    i_set_scalar = Machine.set_scalar;
-    i_scalar_bindings = Machine.scalar_bindings;
-    i_array_names = Machine.array_names;
-    i_output = Machine.output;
-    i_read0 = Machine.sequential_hooks.Machine.h_read;
-    i_write0 = Machine.sequential_hooks.Machine.h_write;
-    i_kernels = (fun _ -> []);
-  }
-
-let compiled_iface ?(fuse = false) (u : Ast.program_unit) :
-    Compile.state iface =
-  let cu = Compile.of_unit ~fuse u in
-  {
-    i_spawn =
-      (fun g input ->
-        let hooks =
-          {
-            Compile.h_block = Some g.g_block;
-            h_comm = g.g_comm;
-            h_pipe_recv = g.g_pipe_recv;
-            h_pipe_send = g.g_pipe_send;
-            h_read = g.g_read;
-            h_write = g.g_write;
-          }
-        in
-        Compile.create ~hooks ~input cu);
-    i_run = Compile.run;
-    i_flops = Compile.flops;
-    i_array = Compile.array;
-    i_scalar = Compile.scalar;
-    i_set_scalar = Compile.set_scalar;
-    i_scalar_bindings = Compile.scalar_bindings;
-    i_array_names = Compile.array_names;
-    i_output = Compile.output;
-    i_read0 = Compile.sequential_hooks.Compile.h_read;
-    i_write0 = Compile.sequential_hooks.Compile.h_write;
-    i_kernels = Compile.kernel_stats;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Domains engine: real parallel execution on OCaml 5 domains          *)
 (* ------------------------------------------------------------------ *)
-
-(* one wall-clock sync-point span, buffered per rank during the run (the
-   tracer is not thread-safe) and replayed after the domains are joined *)
-type pending_phase = {
-  pe_t0 : float;
-  pe_t1 : float;
-  pe_sync : int;
-  pe_label : string;
-  pe_loop : string option;
-  pe_iter : int option;
-}
 
 (* split an exchange plan (sorted by dim) into its dim groups *)
 let dim_groups xps =
@@ -1218,10 +1139,10 @@ let dim_groups xps =
 (* Every rank executes on its own domain; fields stay plain [float
    array]s, which the OCaml 5 shared heap makes visible to every other
    domain, so a halo exchange is a bounds-checked blit straight out of
-   the neighbour's array.  The element offsets are the PR 3 pack plans:
-   both sides of a transfer compute identical offsets (all ranks allocate
-   full-extent arrays), so the simulator's pack -> message -> unpack
-   pipeline collapses to [dst.(o) <- src.(o)] over the recv plan.
+   the neighbour's array.  The element offsets are the cached pack
+   plans: both sides of a transfer compute identical offsets (all ranks
+   allocate full-extent arrays), so the simulator's pack -> message ->
+   unpack pipeline collapses to [dst.(o) <- src.(o)] over the recv plan.
 
    Ordering protocol: a barrier opens every exchange (the neighbours'
    producing compute must be complete) and closes every dim group —
@@ -1238,35 +1159,22 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     invalid_arg "Spmd: the Domains engine does not support fault injection";
   if config.recovery <> None then
     invalid_arg "Spmd: the Domains engine does not support recovery";
-  let etag = "domains" in
   let topo = config.topo and gi = config.gi in
   let nranks = Topology.nranks topo in
   let machines = Array.make nranks None in
   let flops_per_rank = Array.make nranks 0.0 in
   let compute_wall = Array.make nranks 0.0 in
   let comm_samples : (int * float) list array = Array.make nranks [] in
-  let pending : pending_phase list array = Array.make nranks [] in
-  let sync_tbl =
-    match config.tracer with
-    | None -> Hashtbl.create 1
-    | Some _ -> sync_points u
-  in
+  (* wall-clock sync-point spans, buffered per rank during the run (the
+     tracer is not thread-safe) and replayed after the domains join *)
+  let pending = Array.make nranks [] in
+  let sync_tbl = sync_table config u in
   let body (c : Shm.comm) =
     let r = Shm.rank c in
-    let block = Topology.block topo r in
-    let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
     let last = ref 0.0 in
     let compute = ref 0.0 in
     let copy_bytes = ref 0 in
     let samples = ref [] in
-    (* close the open compute interval at a communication hook; reopen
-       it when the hook returns *)
-    let enter () =
-      let t = Shm.time c in
-      compute := !compute +. (t -. !last);
-      t
-    in
-    let leave () = last := Shm.time c in
     let peer_data name peer =
       match machines.(peer) with
       | Some m -> (iface.i_array m name).Value.data
@@ -1288,20 +1196,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       end;
       copy_bytes := !copy_bytes + (8 * p.pp_total)
     in
-    let get_plan sid build extract =
-      match Hashtbl.find_opt plans sid with
-      | Some p -> extract p
-      | None ->
-          let p = cached_plan ~etag ~topo ~rank:r ~sid build in
-          Hashtbl.replace plans sid p;
-          extract p
-    in
-    let do_exchange m sid transfers =
-      let xps =
-        get_plan sid
-          (fun () -> build_exchange_plan iface ~gi ~topo ~rank:r m transfers)
-          (function P_exchange l -> l | _ -> assert false)
-      in
+    let exchange data_of xps =
       Shm.barrier c;
       List.iter
         (fun group ->
@@ -1310,151 +1205,61 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
               match xp.xp_recv with
               | Some (src, p) ->
                   blit_in p ~src:(peer_data xp.xp_array src)
-                    ~dst:(iface.i_array m xp.xp_array).Value.data
+                    ~dst:(data_of xp.xp_array)
               | None -> ())
             group;
           Shm.barrier c)
         (dim_groups xps)
     in
-    let do_allgather m sid arrays =
-      let per_array =
-        get_plan sid
-          (fun () ->
-            build_allgather_plan iface ~gi ~topo ~rank:r ~nranks m arrays)
-          (function P_allgather l -> l | _ -> assert false)
-      in
+    let allgather data_of per_array =
       Shm.barrier c;
       List.iter
         (fun (name, _mine, peers) ->
-          let dst = (iface.i_array m name).Value.data in
+          let dst = data_of name in
           for peer = 0 to nranks - 1 do
             if peer <> r then blit_in peers.(peer) ~src:(peer_data name peer) ~dst
           done)
         per_array;
       Shm.barrier c
     in
-    let do_pipe ~recv m sid ~dim ~dir arrays =
-      let p =
-        get_plan sid
-          (fun () ->
-            build_pipe_plan iface ~gi ~topo ~rank:r ~recv ~dim ~dir m arrays)
-          (function P_pipe o -> o | _ -> assert false)
-      in
-      match p with
-      | None -> ()
-      | Some (peer, per_array) ->
-          List.iter
-            (fun (name, p) ->
-              let data = (iface.i_array m name).Value.data in
-              if recv then begin
-                let payload = Shm.recv c ~src:peer ~tag:tag_pipe in
-                if Array.length payload <> p.pp_total then
-                  failwith "Spmd: pipeline message size mismatch";
-                unpack p data payload
-              end
-              else Shm.send c ~dest:peer ~tag:tag_pipe (pack p data))
-            per_array
+    (* close the open compute interval at a communication hook; reopen
+       it when the hook returns *)
+    let guard _ kind op =
+      let t_in = Shm.time c in
+      compute := !compute +. (t_in -. !last);
+      let b0 = !copy_bytes in
+      let v = op () in
+      (match kind with
+      | H_comm (Ast.Exchange _ | Ast.Allgather _) ->
+          samples := (!copy_bytes - b0, Shm.time c -. t_in) :: !samples
+      | _ -> ());
+      last := Shm.time c;
+      Some v
     in
-    let traced m sid f =
-      match config.tracer with
-      | None -> f ()
-      | Some _ -> (
-          match Hashtbl.find_opt sync_tbl sid with
-          | None -> f ()
-          | Some si ->
-              let iter =
-                match si.si_loop with
-                | None -> None
-                | Some v -> (
-                    match iface.i_scalar m v with
-                    | Value.Int i -> Some i
-                    | Value.Real x -> Some (int_of_float x)
-                    | Value.Bool _ | Value.Str _ -> None
-                    | exception Machine.Runtime_error _ -> None)
-              in
-              let t0 = Shm.time c in
-              f ();
-              pending.(r) <-
-                {
-                  pe_t0 = t0;
-                  pe_t1 = Shm.time c;
-                  pe_sync = si.si_id;
-                  pe_label = si.si_label;
-                  pe_loop = si.si_loop;
-                  pe_iter = iter;
-                }
-                :: pending.(r))
+    let span si iter f =
+      let t0 = Shm.time c in
+      f ();
+      pending.(r) <- (t0, Shm.time c, si, iter) :: pending.(r)
     in
-    let hooks =
+    let transport =
       {
-        g_block =
-          (fun d ->
-            (block.Autocfd_partition.Block.lo.(d),
-             block.Autocfd_partition.Block.hi.(d)));
-        g_comm =
-          (fun m ~sid comm ->
-            let t_in = enter () in
-            let b0 = !copy_bytes in
-            traced m sid (fun () ->
-                match comm with
-                | Ast.Exchange ts -> do_exchange m sid ts
-                | Ast.Allreduce_max v ->
-                    let x = Value.to_float (iface.i_scalar m v) in
-                    iface.i_set_scalar m v
-                      (Value.Real (Shm.allreduce c `Max x))
-                | Ast.Allreduce_min v ->
-                    let x = Value.to_float (iface.i_scalar m v) in
-                    iface.i_set_scalar m v
-                      (Value.Real (Shm.allreduce c `Min x))
-                | Ast.Allreduce_sum v ->
-                    let x = Value.to_float (iface.i_scalar m v) in
-                    iface.i_set_scalar m v
-                      (Value.Real (Shm.allreduce c `Sum x))
-                | Ast.Broadcast vars ->
-                    let data =
-                      if r = 0 then
-                        Array.of_list
-                          (List.map
-                             (fun v -> Value.to_float (iface.i_scalar m v))
-                             vars)
-                      else Array.make (List.length vars) 0.0
-                    in
-                    let data = Shm.bcast c ~root:0 data in
-                    List.iteri
-                      (fun i v -> iface.i_set_scalar m v (Value.Real data.(i)))
-                      vars
-                | Ast.Allgather arrays -> do_allgather m sid arrays
-                | Ast.Barrier -> Shm.barrier c);
-            (match comm with
-            | Ast.Exchange _ | Ast.Allgather _ ->
-                samples :=
-                  (!copy_bytes - b0, Shm.time c -. t_in) :: !samples
-            | _ -> ());
-            leave ());
-        g_pipe_recv =
-          (fun m ~sid ~dim ~dir arrays ->
-            ignore (enter () : float);
-            traced m sid (fun () -> do_pipe ~recv:true m sid ~dim ~dir arrays);
-            leave ());
-        g_pipe_send =
-          (fun m ~sid ~dim ~dir arrays ->
-            ignore (enter () : float);
-            traced m sid (fun () ->
-                do_pipe ~recv:false m sid ~dim ~dir arrays);
-            leave ());
-        g_read =
-          (fun m n ->
-            ignore (enter () : float);
-            let data =
-              if r = 0 then iface.i_read0 m n else Array.make n 0.0
-            in
-            let out = Shm.bcast c ~root:0 data in
-            leave ();
-            out);
-        g_write = (fun m values -> if r = 0 then iface.i_write0 m values);
+        t_send = Shm.send c;
+        t_recv = Shm.recv c;
+        t_allreduce = Shm.allreduce c;
+        t_bcast = Shm.bcast c ~root:0;
+        t_barrier = (fun () -> Shm.barrier c);
+        t_exchange = exchange;
+        t_allgather = allgather;
+        t_guard = guard;
+        t_live = (fun () -> true);
+        t_span = Option.map (fun _ -> span) config.tracer;
       }
     in
-    let m = iface.i_spawn hooks config.input in
+    let m =
+      iface.i_spawn
+        (rank_hooks iface transport config ~sync_tbl ~rank:r)
+        config.input
+    in
     machines.(r) <- Some m;
     (* publish before anyone's first exchange can read a peer's array *)
     Shm.barrier c;
@@ -1493,10 +1298,8 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       Array.iteri
         (fun r pend ->
           List.iter
-            (fun pe ->
-              Trace.phase tr ~wall:true ~rank:r ~t0:pe.pe_t0 ~t1:pe.pe_t1
-                ~sync:pe.pe_sync ~label:pe.pe_label ?loop:pe.pe_loop
-                ?iter:pe.pe_iter ())
+            (fun (t0, t1, si, iter) ->
+              record_phase tr ~wall:true ~rank:r ~t0 ~t1 si iter)
             (List.rev pend))
         pending;
       Array.iteri
@@ -1515,25 +1318,17 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
         ranks;
       (* kernel summaries in measured wall seconds: the rank's compute
          wall split across nests by their flop shares *)
-      Array.iteri
-        (fun r _ ->
-          let ks = iface.i_kernels (machine r) in
-          let total =
-            List.fold_left (fun a k -> a +. k.Compile.ks_flops) 0.0 ks
-          in
-          List.iter
-            (fun (k : Compile.kernel_stat) ->
-              if k.Compile.ks_calls > 0 then begin
-                let frac =
-                  if total > 0.0 then k.Compile.ks_flops /. total else 0.0
-                in
-                Trace.record tr ~wall:true ~rank:r ~t0:0.0
-                  ~t1:(compute_wall.(r) *. frac)
-                  (kernel_event k)
-              end)
-            ks)
-        machines);
-  let m0 = machine 0 in
+      for r = 0 to nranks - 1 do
+        let ks = iface.i_kernels (machine r) in
+        let total =
+          List.fold_left (fun a k -> a +. k.Compile.ks_flops) 0.0 ks
+        in
+        record_kernels tr ~wall:true ~rank:r
+          ~secs:(fun k ->
+            compute_wall.(r)
+            *. (if total > 0.0 then k.Compile.ks_flops /. total else 0.0))
+          ks
+      done);
   let gathered, scalars = gather_results iface ~gi ~topo ~nranks ~machine u in
   let dstats =
     {
@@ -1548,7 +1343,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
   in
   {
     stats;
-    output = iface.i_output m0;
+    output = iface.i_output (machine 0);
     gathered;
     scalars;
     flops_per_rank;
@@ -1556,9 +1351,43 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     domains = Some dstats;
   }
 
-let run ?(engine = Fused) config (u : Ast.program_unit) =
+(* ------------------------------------------------------------------ *)
+(* Engine wiring                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let tree_iface (u : Ast.program_unit) : Machine.t iface =
+  {
+    i_spawn = (fun hooks input -> Machine.create ~hooks ~input u);
+    i_run = Machine.run;
+    i_flops = Machine.flops;
+    i_array = Machine.array;
+    i_scalar = Machine.scalar;
+    i_set_scalar = Machine.set_scalar;
+    i_scalar_bindings = Machine.scalar_bindings;
+    i_array_names = Machine.array_names;
+    i_output = Machine.output;
+    i_seq = Machine.sequential_hooks;
+    i_kernels = (fun _ -> []);
+  }
+
+let compiled_iface ~fuse (u : Ast.program_unit) : Compile.state iface =
+  let cu = Compile.of_unit ~fuse u in
+  {
+    i_spawn = (fun hooks input -> Compile.create ~hooks ~input cu);
+    i_run = Compile.run;
+    i_flops = Compile.flops;
+    i_array = Compile.array;
+    i_scalar = Compile.scalar;
+    i_set_scalar = Compile.set_scalar;
+    i_scalar_bindings = Compile.scalar_bindings;
+    i_array_names = Compile.array_names;
+    i_output = Compile.output;
+    i_seq = Compile.sequential_hooks;
+    i_kernels = Compile.kernel_stats;
+  }
+
+let run ?(engine = Fused) ?(fuse = true) config (u : Ast.program_unit) =
   match engine with
-  | Tree -> run_with (tree_iface u) ~etag:"tree" config u
-  | Compiled -> run_with (compiled_iface u) ~etag:"compiled" config u
-  | Fused -> run_with (compiled_iface ~fuse:true u) ~etag:"fused" config u
-  | Domains -> run_domains (compiled_iface ~fuse:true u) config u
+  | Tree -> run_sim (tree_iface u) config u
+  | Fused -> run_sim (compiled_iface ~fuse u) config u
+  | Domains -> run_domains (compiled_iface ~fuse u) config u

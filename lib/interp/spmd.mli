@@ -1,7 +1,8 @@
 (** SPMD execution: runs the transformed parallel unit on every rank of the
     simulated cluster, implementing the inserted communication statements
     as halo exchanges, pipeline messages, reductions and broadcasts over
-    {!Autocfd_mpsim.Sim}.
+    {!Autocfd_mpsim.Sim} — or, with the [Domains] engine, for real over
+    {!Autocfd_mpsim.Shm}.
 
     With a fault plan installed the executor becomes fault-tolerant:
     point-to-point traffic travels over {!Reliable} (seq-numbered,
@@ -88,28 +89,45 @@ type result = {
       (** wall-clock measurements; [Some _] iff the engine was [Domains] *)
 }
 
-type engine = Tree | Compiled | Fused | Domains
-(** Which evaluator executes each rank's unit body: the tree-walking
-    {!Machine}, the slot-resolved closure IR of {!Compile}, or the closure
-    IR with the fused-kernel tier enabled ([Compile.of_unit ~fuse:true]):
-    straight-line affine DO nests run as bounds-hoisted tight loops with
-    batched flop charging.  [Domains] runs the fused program for real: one
-    OCaml 5 domain per rank, fields in shared memory, halo exchange as
-    direct bounds-checked blits between neighbouring ranks' arrays, and
-    sense-reversing barriers in place of the simulator's virtual-clock
-    sync ({!Autocfd_mpsim.Shm}).  Results of all four are bit-identical
+type engine = Tree | Fused | Domains
+(** Which evaluator executes each rank's unit body, and on what:
+    - [Tree]: the tree-walking {!Machine} on the simulated cluster — the
+      semantic oracle the other two are tested against;
+    - [Fused]: the slot-resolved closure IR of {!Compile} on the
+      simulated cluster, with the fused-kernel tier (straight-line
+      affine DO nests run as bounds-hoisted tight loops with batched
+      flop charging) when [run]'s [fuse] is on;
+    - [Domains]: the same closure IR run for real, one OCaml 5 domain
+      per rank, fields in shared memory, halo exchange as direct
+      bounds-checked blits between neighbouring ranks' arrays, and
+      sense-reversing barriers in place of the simulator's virtual-clock
+      sync ({!Autocfd_mpsim.Shm}).
+    Results of all three, with fusion on or off, are bit-identical
     (enforced by the golden-equivalence suite and the Domains identity
     gate); [Fused] is the default.  [Domains] rejects fault plans and
     recovery (simulator-only features). *)
 
-val run : ?engine:engine -> config -> Ast.program_unit -> result
+val run :
+  ?engine:engine -> ?fuse:bool -> config -> Ast.program_unit -> result
 (** Executes the SPMD unit produced by [Transform.run] on
-    [Topology.nranks config.topo] simulated ranks.  The unit is compiled
-    (or analyzed) once and shared across ranks; halo-exchange, pipeline and
-    allgather boxes are resolved once per (rank, sync point) into flat
-    offset vectors — contiguous offset runs collapse to [Array.blit]
-    segments over a reusable payload buffer — and reused by every
-    subsequent visit.
+    [Topology.nranks config.topo] ranks.  [fuse] (default [true])
+    enables the fused-kernel tier of the closure-IR engines ([Fused],
+    [Domains]); [Tree] ignores it.  The unit is compiled (or analyzed)
+    once and shared across ranks; halo-exchange, pipeline and allgather
+    boxes are resolved once per (rank, sync point) into flat offset
+    vectors — contiguous offset runs collapse to [Array.blit] segments
+    over a reusable payload buffer — and reused by every subsequent
+    visit.
+
+    Every engine runs the same per-rank communication hooks: plan
+    lookup, the reduction/broadcast/barrier dispatch, pipeline messages,
+    the READ broadcast and the sync-point trace spans are written once
+    over a small transport record.  The transport is what differs: the
+    simulator's {!Sim}/{!Reliable} messages, virtual-clock flop charging
+    and immediate trace spans, against {!Autocfd_mpsim.Shm}'s
+    collectives, blit-based halo exchange and allgather, wall-clock
+    compute/communication split and spans buffered until the domains
+    join.  Checkpoint/restart is simulator-only.
 
     Recovery works by skip-replay: a restarted attempt re-executes the
     unit with communication suppressed, counting sync-point visits, and

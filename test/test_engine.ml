@@ -1,8 +1,9 @@
-(** Golden equivalence of the three execution engines.
+(** Golden equivalence of the execution engines.
 
-    The compiled closure-IR engine ({!Autocfd_interp.Compile}) and the
-    fused-kernel tier on top of it must be bit-identical to the
-    tree-walking interpreter ({!Autocfd_interp.Machine}) — not merely
+    The closure-IR engine ({!Autocfd_interp.Compile}; [Fused] with
+    [fuse = false]) and the fused-kernel tier on top of it must be
+    bit-identical to the tree-walking interpreter
+    ({!Autocfd_interp.Machine}) — not merely
     numerically close: gathered arrays, final scalars, WRITE output, flop
     counts and the full simulator statistics (message/byte/collective
     censuses, per-rank times) are compared with structural equality on
@@ -19,7 +20,9 @@ module R = Autocfd.Runspec
 module I = Autocfd_interp
 module Prng = Autocfd_util.Prng
 
-let engines = [ ("compiled", I.Spmd.Compiled); ("fused", I.Spmd.Fused) ]
+(* the closure IR without and with fused kernels, each against Tree *)
+let engines =
+  [ ("compiled", R.(default |> with_fuse false)); ("fused", R.default) ]
 
 let shape parts =
   String.concat "x" (Array.to_list (Array.map string_of_int parts))
@@ -45,9 +48,9 @@ let check_sequential name src =
   let t = D.load src in
   let tree = D.run_seq ~spec:(R.with_engine I.Spmd.Tree R.default) t in
   List.iter
-    (fun (ename, engine) ->
+    (fun (ename, spec) ->
       let name = name ^ "/" ^ ename in
-      let r = D.run_seq ~spec:(R.with_engine engine R.default) t in
+      let r = D.run_seq ~spec t in
       Alcotest.(check (list string))
         (name ^ ": output") tree.D.sq_output r.D.sq_output;
       Alcotest.(check (float 0.0))
@@ -60,8 +63,8 @@ let check_parallel name src parts =
   let plan = D.plan ~spec:(parts_spec parts) t in
   let tree = D.run ~spec:(R.with_engine I.Spmd.Tree R.default) plan in
   List.iter
-    (fun (ename, engine) ->
-      let r = D.run ~spec:(R.with_engine engine R.default) plan in
+    (fun (ename, spec) ->
+      let r = D.run ~spec plan in
       let ctx = Printf.sprintf "%s/%s %s" name ename (shape parts) in
       check_array_list "gathered" ctx tree.I.Spmd.gathered r.I.Spmd.gathered;
       Alcotest.(check bool)
@@ -85,12 +88,18 @@ let check_both name src partitions =
    (gathered arrays, scalars, WRITE output, flop censuses) must be
    bit-identical to the simulator, but [stats] is measured wall clock and
    is excluded from the comparison *)
-let check_domains name src parts =
+let check_domains ?(fuse = true) name src parts =
   let t = D.load src in
   let plan = D.plan ~spec:(parts_spec parts) t in
   let fused = D.run ~spec:(R.with_engine I.Spmd.Fused R.default) plan in
-  let r = D.run ~spec:(R.with_engine I.Spmd.Domains R.default) plan in
-  let ctx = Printf.sprintf "%s/domains %s" name (shape parts) in
+  let r =
+    D.run ~spec:R.(default |> with_engine I.Spmd.Domains |> with_fuse fuse) plan
+  in
+  let ctx =
+    Printf.sprintf "%s/domains%s %s" name
+      (if fuse then "" else " unfused")
+      (shape parts)
+  in
   check_array_list "gathered" ctx fused.I.Spmd.gathered r.I.Spmd.gathered;
   Alcotest.(check bool)
     (ctx ^ ": scalars") true
@@ -155,7 +164,9 @@ let test_heat2d () =
     [ [| 2; 1 |]; [| 1; 2 |]; [| 2; 2 |] ]
 
 let test_domains_heat2d () =
-  check_domains "heat2d" (read_file (heat2d_path ())) [| 2; 2 |]
+  check_domains "heat2d" (read_file (heat2d_path ())) [| 2; 2 |];
+  (* the closure IR without fused kernels, on real domains *)
+  check_domains ~fuse:false "heat2d" (read_file (heat2d_path ())) [| 2; 2 |]
 
 (* flop-charge parity on a run with nontrivial timing: the simulated
    elapsed time is derived from the flop census, so charge drift would
@@ -167,19 +178,19 @@ let test_charged_timing_identical () =
   let plan = D.plan ~spec:(parts_spec [| 2; 2 |]) t in
   let machine = Autocfd.Experiments.machine in
   let flop_time = D.calibrated_flop_time ~machine plan in
-  let run engine =
+  let run spec =
     D.run
       ~spec:
         R.(
-          default |> with_engine engine
+          spec
           |> with_net machine.Autocfd_perfmodel.Model.net
           |> with_flop_time flop_time)
       plan
   in
-  let tree = run I.Spmd.Tree in
+  let tree = run (R.with_engine I.Spmd.Tree R.default) in
   List.iter
-    (fun (ename, engine) ->
-      let r = run engine in
+    (fun (ename, spec) ->
+      let r = run spec in
       Alcotest.(check bool)
         (ename ^ ": charged stats identical") true
         (tree.I.Spmd.stats = r.I.Spmd.stats);

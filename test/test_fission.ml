@@ -5,8 +5,8 @@
     fragments (checked via the [do_fission] provenance tags on the
     distributed AST), nests the dependence analysis must keep whole must
     not split, and every fissioned program must stay bit-identical across
-    all four execution engines and against the same program with the
-    pass disabled. *)
+    every execution engine, fused kernels on and off, and against the
+    same program with the pass disabled. *)
 
 open Autocfd_fortran
 module D = Autocfd.Driver
@@ -105,8 +105,7 @@ let check_identical_runs name src =
     D.load ~spec:Autocfd.Runspec.(default |> with_fission false) src
   in
   List.iter
-    (fun (ename, engine) ->
-      let spec = R.with_engine engine R.default in
+    (fun (ename, spec) ->
       let r = D.run_seq ~spec t and r0 = D.run_seq ~spec t0 in
       Alcotest.(check (list string))
         (Printf.sprintf "%s/%s: output (fission on = off)" name ename)
@@ -115,24 +114,22 @@ let check_identical_runs name src =
         (Printf.sprintf "%s/%s: flops (fission on = off)" name ename)
         r0.D.sq_flops r.D.sq_flops)
     [
-      ("tree", I.Spmd.Tree);
-      ("compiled", I.Spmd.Compiled);
-      ("fused", I.Spmd.Fused);
+      ("tree", R.with_engine I.Spmd.Tree R.default);
+      ("compiled", R.with_fuse false R.default);
+      ("fused", R.default);
     ]
 
-(* the fissioned program across all four engines: Tree / Compiled /
-   Fused on the simulated cluster (full bit-identity including stats)
-   and the real Domains engine (program state; stats are wall clock) *)
+(* the fissioned program across every engine: Tree and Fused without and
+   with fused kernels on the simulated cluster (full bit-identity
+   including stats) and the real Domains engine (program state; stats
+   are wall clock) *)
 let check_four_engines name src parts =
   let t = D.load src in
   let plan = D.plan ~spec:(parts_spec parts) t in
-  let run engine =
-    D.run ~spec:(R.with_engine engine R.default) plan
-  in
-  let tree = run I.Spmd.Tree in
+  let tree = D.run ~spec:(R.with_engine I.Spmd.Tree R.default) plan in
   List.iter
-    (fun (ename, engine) ->
-      let r = run engine in
+    (fun (ename, spec) ->
+      let r = D.run ~spec plan in
       let ctx = Printf.sprintf "%s/%s" name ename in
       Alcotest.(check (list string))
         (ctx ^ ": output") tree.I.Spmd.output r.I.Spmd.output;
@@ -147,11 +144,15 @@ let check_four_engines name src parts =
         (tree.I.Spmd.scalars = r.I.Spmd.scalars);
       Alcotest.(check bool)
         (ctx ^ ": flops per rank") true
-        (tree.I.Spmd.flops_per_rank = r.I.Spmd.flops_per_rank))
+        (tree.I.Spmd.flops_per_rank = r.I.Spmd.flops_per_rank);
+      if spec.R.engine <> I.Spmd.Domains then
+        Alcotest.(check bool)
+          (ctx ^ ": simulator stats") true
+          (tree.I.Spmd.stats = r.I.Spmd.stats))
     [
-      ("compiled", I.Spmd.Compiled);
-      ("fused", I.Spmd.Fused);
-      ("domains", I.Spmd.Domains);
+      ("compiled", R.with_fuse false R.default);
+      ("fused", R.default);
+      ("domains", R.with_engine I.Spmd.Domains R.default);
     ]
 
 let test_mixed_split () =

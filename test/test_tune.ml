@@ -201,7 +201,23 @@ let test_runspec_backward_compat () =
   (* and re-encodes to exactly the current canonical default *)
   Alcotest.(check string) "old document re-encodes to the v-next default"
     (J.canonical (R.to_json R.default))
-    (J.canonical (R.to_json decoded))
+    (J.canonical (R.to_json decoded));
+  (* the retired "compiled" engine was the closure IR without fusion *)
+  let compiled =
+    match old with
+    | J.Obj fields ->
+        R.of_json
+          (J.Obj
+             (List.map
+                (function
+                  | "engine", _ -> ("engine", J.Str "compiled") | f -> f)
+                fields))
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "\"compiled\" decodes to the Fused engine" true
+    (compiled.R.engine = Autocfd_interp.Spmd.Fused);
+  Alcotest.(check bool) "\"compiled\" decodes to fuse = false" false
+    compiled.R.fuse
 
 let test_runspec_forward_round_trip () =
   (* a fully non-default v-next spec survives the round-trip *)
