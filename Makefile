@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make check` is the PR gate CI runs.
 
-.PHONY: all build test check bench bench-json coverage trace profile-domains fabric tune clean
+.PHONY: all build test check bench bench-json bench-pair coverage trace profile-domains fabric tune clean
 
 all: build
 
@@ -17,6 +17,31 @@ bench:
 
 bench-json:
 	dune exec bench/main.exe -- --json
+
+# the paired protocol of benchmark/README.md against revision PARENT:
+# seeds 1-10, each running every workload for 30 s on both trees, the
+# side that runs first alternating by seed, then `compare` (exits 1 on a
+# worse end-to-end metric).  PARENT's tree is exported with git archive
+# (no worktree to prune afterwards) into the git-ignored _bench_pair/,
+# which also receives the results; malloc is tuned as benchmark/run.sh
+# tunes it.  About 45 minutes on a 2-core host.
+bench-pair:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pair PARENT=<rev>" >&2; exit 2; }
+	rm -rf _bench_pair && mkdir -p _bench_pair/parent
+	git archive "$(PARENT)" | tar -x -C _bench_pair/parent
+	cd _bench_pair/parent && DUNE_CACHE=disabled dune build --root . ./benchmark/main.exe
+	DUNE_CACHE=disabled dune build ./benchmark/main.exe
+	export GLIBC_TUNABLES=glibc.malloc.trim_threshold=1073741824:glibc.malloc.mmap_threshold=33554432; \
+	for s in 1 2 3 4 5 6 7 8 9 10; do \
+	  if [ $$((s % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = parent ]; then tree=_bench_pair/parent; else tree=.; fi; \
+	    (cd $$tree && ./_build/default/benchmark/main.exe all --seed $$s \
+	      --seconds 30 --out $(CURDIR)/_bench_pair/$$side.json) || exit 1; \
+	  done; \
+	done
+	./_build/default/benchmark/main.exe compare _bench_pair/parent.json \
+	  _bench_pair/change.json
 
 # before/after loop-fission fused-kernel coverage of the bundled apps,
 # then the regression gate against the committed COVERAGE.json manifest

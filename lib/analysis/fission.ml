@@ -50,18 +50,18 @@ type split = {
 (* ------------------------------------------------------------------ *)
 
 (* per-dimension subscript form over the nest's loop variables *)
-type aff = {
+type 'k aff = {
   coeffs : int array;  (* per nest level, outer-first *)
   const : int;
-  syms : (string * int) list;  (* entry-invariant integer scalars *)
+  syms : ('k * int) list;  (* entry-invariant integer scalars *)
 }
 
-type dim = Aff of aff | Opaque_dim
+type 'k dim = Aff of 'k aff | Opaque_dim
 
 type aref = {
   ar_name : string;
   ar_write : bool;
-  ar_dims : dim array option;  (* None: whole-array conflict *)
+  ar_dims : string dim array option;  (* None: whole-array conflict *)
 }
 
 type acc = {
@@ -120,6 +120,9 @@ let dim_add a b =
 (* canonical form: syms sorted and combined, zero multipliers dropped *)
 let dim_norm = function
   | Opaque_dim -> Opaque_dim
+  | Aff { syms = []; _ } as d -> d
+  | Aff ({ syms = [ (_, 0) ]; _ } as a) -> Aff { a with syms = [] }
+  | Aff { syms = [ _ ]; _ } as d -> d
   | Aff a ->
       let tbl = Hashtbl.create 4 in
       List.iter
@@ -136,7 +139,7 @@ let dim_norm = function
 (* affine decomposition of one subscript; [Opaque_dim] when the machine's
    value cannot be written as coeffs * loop vars + const + invariant
    integer scalars *)
-let rec adec ctx (e : Ast.expr) : dim =
+let rec adec ctx (e : Ast.expr) : string dim =
   match cfold ctx e with
   | Some c -> Aff { (dim_zero ctx) with const = c }
   | None -> (
@@ -250,71 +253,96 @@ let rec stmt_acc ctx acc (s : Ast.stmt) =
 
 type dir = No_dep | Fwd | Bwd | Both
 
+(* Fold the constraint one subscript pair puts on D = Ka - Kb (per
+   level: a's loop value minus b's when the two touch one element) into
+   [d]: [`Ok], [`Disjoint] when the subscripts can never be equal, or
+   [`Unknown] when they cannot be related. *)
+let constrain d (fa : 'k aff) (fb : 'k aff) =
+  if fa.coeffs <> fb.coeffs || fa.syms <> fb.syms then `Unknown
+  else begin
+    let delta = fb.const - fa.const in
+    (* the one level the subscript moves with, if any *)
+    let lv = ref (-1) in
+    for l = 0 to Array.length fa.coeffs - 1 do
+      if fa.coeffs.(l) <> 0 then lv := if !lv = -1 then l else -2
+    done;
+    if !lv = -1 then if delta <> 0 then `Disjoint else `Ok
+    else if !lv = -2 then `Unknown
+    else
+      let l = !lv in
+      let c = fa.coeffs.(l) in
+      if delta mod c <> 0 then `Disjoint
+      else
+        match d.(l) with
+        | Some k -> if k <> delta / c then `Disjoint else `Ok
+        | None ->
+            d.(l) <- Some (delta / c);
+            `Ok
+  end
+
+(* The distance vector from the constraints [d] of a pair that may
+   touch one element ([unknown]: some dimension could not be related):
+   per level, b's loop value minus a's times the sign of that level's
+   step ([steps]), so a positive entry means b's instance runs later at
+   that level.  An entry is [None] where the subscripts leave the level
+   free or cannot be related, or where a nonzero distance meets a step of
+   unknown sign. *)
+let oriented steps d unknown =
+  Array.mapi
+    (fun l k ->
+      match k with
+      | _ when unknown -> None
+      | Some 0 -> Some 0
+      | Some k -> Option.map (fun sg -> -k * sg) steps.(l)
+      | None -> None)
+    d
+
+(* per-level distance between an instance of a reference with
+   subscripts [da] and an instance of one with [db] that touch one
+   element; [None]: they never do *)
+let dims_distance steps (da : 'k dim array) (db : 'k dim array) =
+  let d = Array.make (Array.length steps) None in
+  let rec go i unknown =
+    if i = Array.length da then Some (oriented steps d unknown)
+    else
+      match (da.(i), db.(i)) with
+      | Aff fa, Aff fb -> (
+          match constrain d fa fb with
+          | `Disjoint -> None
+          | `Unknown -> go (i + 1) true
+          | `Ok -> go (i + 1) unknown)
+      | _ -> go (i + 1) true
+  in
+  if Array.length da <> Array.length db then Some (oriented steps d true)
+  else go 0 false
+
+let distance ~steps a b =
+  let dims = Array.map (fun f -> dim_norm (Aff f)) in
+  dims_distance steps (dims a) (dims b)
+
 (* direction of the dependence between reference [a] of a lexically
    earlier statement and reference [b] of a later one.  [Fwd]: every
    conflicting pair has a's instance executing no later than b's, so
    running a's fragment first preserves order; [Bwd]: the reverse;
-   [Both]: undecided (or instances in both orders). *)
+   [Both]: undecided (or instances in both orders).  The decision is
+   lexicographic over the distance vector, outer level first. *)
 let dep_dir ctx (a : aref) (b : aref) : dir =
-  match (a.ar_dims, b.ar_dims) with
-  | None, _ | _, None -> Both
-  | Some da, Some db ->
-      if Array.length da <> Array.length db then Both
-      else begin
-        (* constraints on D = Ka - Kb, per level *)
-        let m = ctx.c_m in
-        let d = Array.make m None in
-        let disjoint = ref false in
-        let unknown = ref false in
-        Array.iteri
-          (fun i dim_a ->
-            if not !disjoint then
-              match (dim_a, db.(i)) with
-              | Opaque_dim, _ | _, Opaque_dim -> unknown := true
-              | Aff fa, Aff fb ->
-                  if fa.coeffs <> fb.coeffs || fa.syms <> fb.syms then
-                    unknown := true
-                  else begin
-                    let delta = fb.const - fa.const in
-                    let nz =
-                      Array.to_list fa.coeffs
-                      |> List.mapi (fun l c -> (l, c))
-                      |> List.filter (fun (_, c) -> c <> 0)
-                    in
-                    match nz with
-                    | [] -> if delta <> 0 then disjoint := true
-                    | [ (l, c) ] ->
-                        if delta mod c <> 0 then disjoint := true
-                        else begin
-                          let k = delta / c in
-                          match d.(l) with
-                          | Some k' when k' <> k -> disjoint := true
-                          | _ -> d.(l) <- Some k
-                        end
-                    | _ -> unknown := true
-                  end)
-          da;
-        if !disjoint then No_dep
-        else if !unknown then Both
-        else begin
-          (* lexicographic decision over levels, outer-first; an
-             unconstrained level can take either sign *)
-          let rec decide l =
-            if l >= m then Fwd (* D = 0: loop-independent, source is a *)
-            else
-              match d.(l) with
-              | None -> Both
-              | Some 0 -> decide (l + 1)
-              | Some k -> (
-                  match ctx.c_steps.(l) with
-                  | None -> Both
-                  | Some sg ->
-                      (* k * sg > 0: Ka executes after Kb, source is b *)
-                      if k * sg > 0 then Bwd else Fwd)
-          in
-          decide 0
-        end
-      end
+  match
+    match (a.ar_dims, b.ar_dims) with
+    | Some da, Some db -> dims_distance ctx.c_steps da db
+    | None, _ | _, None -> Some (Array.make ctx.c_m None)
+  with
+  | None -> No_dep
+  | Some d ->
+      let rec decide l =
+        if l >= ctx.c_m then Fwd (* D = 0: loop-independent, source is a *)
+        else
+          match d.(l) with
+          | None -> Both
+          | Some 0 -> decide (l + 1)
+          | Some k -> if k > 0 then Fwd else Bwd
+      in
+      decide 0
 
 let scalar_conflict a b =
   (not (SS.is_empty (SS.inter a.swrites (SS.union b.sreads b.swrites))))

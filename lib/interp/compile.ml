@@ -129,6 +129,10 @@ type coverage_entry = {
       (* provenance when the nest is a loop-fission fragment *)
 }
 
+(* how a fused nest runs: statement by statement over each innermost row
+   into unboxed registers, or every statement at each point *)
+type kernel_path = Row | Point
+
 type cu = {
   cu_unit : Ast.program_unit;
   sc_index : (string, int) Hashtbl.t;
@@ -141,6 +145,7 @@ type cu = {
   ar_template : Value.arr array;  (* bounds + DATA contents, copied per state *)
   mutable cu_body : state -> unit;
   mutable cu_cov : coverage_entry list;  (* field-loop nests, program order *)
+  mutable cu_paths : kernel_path option list;  (* per cu_cov entry *)
 }
 
 and state = {
@@ -164,6 +169,7 @@ and state = {
   mutable kmoved : float;  (* bytes touched by fused kernels, cumulative *)
   mutable kattr_flops : float;  (* flops already attributed to some nest *)
   mutable kattr_bytes : float;
+  mutable rows : float array;  (* row-path registers, grown on demand *)
 }
 
 let default_read st n =
@@ -235,7 +241,7 @@ type ctx = {
   x_bounds : (int * int) array array;
   x_fuse : bool;  (* attempt the fused-kernel tier on DO nests *)
   x_record : bool;  (* record coverage entries (off inside fallbacks) *)
-  x_cov : coverage_entry list ref;
+  x_cov : (coverage_entry * kernel_path option) list ref;
   x_consts : (string, Value.scalar) Hashtbl.t;
       (* PARAMETER constants never assigned in the body: foldable even
          when the mangled name's implicit type forced a dynamic slot *)
@@ -823,14 +829,13 @@ let float_store ctx i : state -> float -> unit =
 exception Unfusable of reason
 
 module Iv = Autocfd_util.Interval
+module Fission = Autocfd_analysis.Fission
 
 (* entry-invariant affine form of a subscript over the fused loop
-   variables: [sum coeff_l * var_l + const + sum mul_s * slot_s] *)
-type aff = {
-  af_coeff : int array;  (* per fused level, compile-time constant *)
-  af_const : int;
-  af_syms : (int * int) list;  (* (KInt slot, multiplier) *)
-}
+   variables: [sum coeff_l * var_l + const + sum mul_s * slot_s], with
+   per-level coefficients and (KInt slot, multiplier) symbols — the
+   form the dependence test reads *)
+type aff = int Fission.aff
 
 type fenv = {
   e_ctx : ctx;
@@ -847,22 +852,26 @@ type fenv = {
       (* scalar slots assigned by an earlier body statement: reads of
          these observe the current iteration, never the entry value, so
          they are exempt from the entry sset precheck *)
+  e_early : bool ref;
+      (* some body-assigned scalar is read before its assignment in the
+         iteration (a reduction, or a value carried to the next point) *)
 }
 
-let aff_zero env = { af_coeff = Array.make env.e_m 0; af_const = 0; af_syms = [] }
+let aff_zero env : aff =
+  { Fission.coeffs = Array.make env.e_m 0; const = 0; syms = [] }
 
 let aff_scale c a =
   {
-    af_coeff = Array.map (fun k -> c * k) a.af_coeff;
-    af_const = c * a.af_const;
-    af_syms = List.map (fun (i, mu) -> (i, c * mu)) a.af_syms;
+    Fission.coeffs = Array.map (fun k -> c * k) a.Fission.coeffs;
+    const = c * a.const;
+    syms = List.map (fun (i, mu) -> (i, c * mu)) a.syms;
   }
 
 let aff_add a b =
   {
-    af_coeff = Array.mapi (fun l k -> k + b.af_coeff.(l)) a.af_coeff;
-    af_const = a.af_const + b.af_const;
-    af_syms = a.af_syms @ b.af_syms;
+    Fission.coeffs = Array.mapi (fun l k -> k + b.Fission.coeffs.(l)) a.Fission.coeffs;
+    const = a.const + b.const;
+    syms = a.syms @ b.syms;
   }
 
 (* compile-time integer folding through never-assigned PARAMETER
@@ -903,29 +912,32 @@ let rec cfold env (e : Ast.expr) : int option =
    at entry. *)
 let rec adecomp env (e : Ast.expr) : aff * bool =
   match e with
-  | Ast.Const_int c -> ({ (aff_zero env) with af_const = c }, false)
+  | Ast.Const_int c -> ({ (aff_zero env) with Fission.const = c }, false)
   | Ast.Const_real r when Float.is_integer r ->
-      ({ (aff_zero env) with af_const = truncate r }, true)
+      ({ (aff_zero env) with Fission.const = truncate r }, true)
   | Ast.Var x -> (
       match Hashtbl.find_opt env.e_lvl x with
       | Some l ->
           let coeff = Array.make env.e_m 0 in
           coeff.(l) <- 1;
-          ({ (aff_zero env) with af_coeff = coeff }, false)
+          ({ (aff_zero env) with Fission.coeffs = coeff }, false)
       | None ->
           if Hashtbl.mem env.e_wrb x then
             raise (Unfusable Scalar_subscript)
           else (
-            match Hashtbl.find_opt env.e_ctx.x_sc x with
-            | Some i when env.e_ctx.x_kinds.(i) = KInt ->
-                env.e_reads := i :: !(env.e_reads);
-                ({ (aff_zero env) with af_syms = [ (i, 1) ] }, false)
+            (* a constant folds (so the dependence test can compare it
+               with a literal subscript); other integer scalars are
+               entry-invariant symbols *)
+            match Hashtbl.find_opt env.e_ctx.x_consts x with
+            | Some (Value.Int c) ->
+                ({ (aff_zero env) with Fission.const = c }, false)
+            | Some (Value.Real r) when Float.is_integer r ->
+                ({ (aff_zero env) with Fission.const = truncate r }, true)
             | _ -> (
-                match Hashtbl.find_opt env.e_ctx.x_consts x with
-                | Some (Value.Int c) ->
-                    ({ (aff_zero env) with af_const = c }, false)
-                | Some (Value.Real r) when Float.is_integer r ->
-                    ({ (aff_zero env) with af_const = truncate r }, true)
+                match Hashtbl.find_opt env.e_ctx.x_sc x with
+                | Some i when env.e_ctx.x_kinds.(i) = KInt ->
+                    env.e_reads := i :: !(env.e_reads);
+                    ({ (aff_zero env) with Fission.syms = [ (i, 1) ] }, false)
                 | _ -> raise (Unfusable Non_affine_subscript))))
   | Ast.Unop (Ast.Neg, a) ->
       let fa, re = adecomp env a in
@@ -960,7 +972,7 @@ let rec adecomp env (e : Ast.expr) : aff * bool =
       (* e.g. an integer division of constants: fold the whole
          subexpression (no flops — machine integer arithmetic) *)
       match cfold env e with
-      | Some c -> ({ (aff_zero env) with af_const = c }, false)
+      | Some c -> ({ (aff_zero env) with Fission.const = c }, false)
       | None -> raise (Unfusable Non_affine_subscript))
 
 (* entry-invariant, error-free integer-valued expression (loop bounds);
@@ -1061,20 +1073,45 @@ and icomp_trunc env (fl : int ref) (e : Ast.expr) : state -> int =
       | _ -> raise (Unfusable Bound_not_integer))
   | e -> fst (icomp env fl e)
 
-(* body expressions: closures over (state, ref offsets, loop var values),
-   flops counted statically into [e_flops] (the kernel never touches
-   [st.flops] per iteration) *)
-type fe =
-  | Ff of (state -> int array -> int array -> float)
-  | Fi of (state -> int array -> int array -> int)
+(* Body expressions are lowered once to a typed tree: integer and real
+   nodes apart (the machine's int/real arithmetic split is decided here),
+   flops per innermost iteration counted statically into [e_flops] (the
+   kernel never touches [st.flops] per iteration), every array reference
+   registered with its affine form.  The point path and the row path
+   are two code generators over this one tree, so they cannot disagree
+   on types, flop counts or reference ids. *)
 
-let as_ff = function
-  | Ff f -> f
-  | Fi f -> fun st offs vals -> float_of_int (f st offs vals)
+type un = Neg | Abs | Sqrt | Exp | Log | Sin | Cos | Tan | Atan
+type bin = Add | Sub | Mul | Div | Pow | Max | Min | Rem | Sign
 
-let as_fi = function
-  | Fi f -> f
-  | Ff f -> fun st offs vals -> truncate (f st offs vals)
+type fx =
+  | Fconst of float
+  | Fslot of int  (* KReal scalar slot *)
+  | Fref of int * int  (* array slot, registered reference id *)
+  | Fof_int of ix
+  | Fun of un * fx
+  | Fbin of bin * fx * fx
+
+and ix =
+  | Iconst of int
+  | Ivar of int  (* fused loop variable, by level *)
+  | Islot of int  (* KInt scalar slot *)
+  | Iof_float of fx  (* truncation *)
+  | Iop1 of (int -> int) * ix  (* integer arithmetic: error-free *)
+  | Iop2 of (int -> int -> int) * ix * ix
+
+type fe = Ff of fx | Fi of ix
+
+let rec ipow x acc n = if n = 0 then acc else ipow x (acc * x) (n - 1)
+
+let as_ff = function Ff f -> f | Fi i -> Fof_int i
+let as_fi = function Fi i -> i | Ff f -> Iof_float f
+
+(* one body statement *)
+type kst =
+  | Kstore of int * int * fx  (* array slot, written reference id, rhs *)
+  | Kreal of int * fx  (* real scratch scalar slot := rhs *)
+  | Kint of int * ix  (* integer scratch scalar slot := rhs *)
 
 let reg_ref env slot (args : Ast.expr list) : int =
   let bounds = env.e_ctx.x_bounds.(slot) in
@@ -1086,49 +1123,48 @@ let reg_ref env slot (args : Ast.expr list) : int =
   env.e_refs := (slot, affs) :: !(env.e_refs);
   id
 
+(* a scalar read.  Slots an earlier body statement assigned hold this
+   iteration's value, never the entry value: exempt from the entry sset
+   precheck.  A read of a body-assigned scalar before its assignment in
+   the iteration sees the previous iteration's value: [e_early]. *)
+let read_slot env x i =
+  if not (Hashtbl.mem env.e_wrscal i) then begin
+    env.e_reads := i :: !(env.e_reads);
+    if Hashtbl.mem env.e_wrb x then env.e_early := true
+  end
+
 let rec fcomp env (e : Ast.expr) : fe =
   match e with
-  | Ast.Const_int c -> Fi (fun _ _ _ -> c)
-  | Ast.Const_real f -> Ff (fun _ _ _ -> f)
+  | Ast.Const_int c -> Fi (Iconst c)
+  | Ast.Const_real f -> Ff (Fconst f)
   | Ast.Const_bool _ | Ast.Const_str _ ->
       raise (Unfusable Non_arith_value)
   | Ast.Var x -> (
       match Hashtbl.find_opt env.e_lvl x with
-      | Some l -> Fi (fun _ _ vals -> Array.unsafe_get vals l)
+      | Some l -> Fi (Ivar l)
       | None -> (
           match Hashtbl.find_opt env.e_ctx.x_sc x with
           | Some i when env.e_ctx.x_kinds.(i) = KInt ->
-              (* slots already assigned by an earlier body statement hold
-                 this iteration's value, never the entry value: exempt
-                 from the entry sset precheck *)
-              if not (Hashtbl.mem env.e_wrscal i) then
-                env.e_reads := i :: !(env.e_reads);
-              Fi (fun st _ _ -> Array.unsafe_get st.si i)
+              read_slot env x i;
+              Fi (Islot i)
           | Some i when env.e_ctx.x_kinds.(i) = KReal ->
-              if not (Hashtbl.mem env.e_wrscal i) then
-                env.e_reads := i :: !(env.e_reads);
-              Ff (fun st _ _ -> Array.unsafe_get st.sf i)
+              read_slot env x i;
+              Ff (Fslot i)
           | _ -> (
               match Hashtbl.find_opt env.e_ctx.x_consts x with
-              | Some (Value.Int c) -> Fi (fun _ _ _ -> c)
-              | Some (Value.Real r) -> Ff (fun _ _ _ -> r)
+              | Some (Value.Int c) -> Fi (Iconst c)
+              | Some (Value.Real r) -> Ff (Fconst r)
               | _ -> raise (Unfusable Non_arith_scalar))))
   | Ast.Ref (name, args) -> (
       match Hashtbl.find_opt env.e_ctx.x_ar name with
-      | Some slot ->
-          let id = reg_ref env slot args in
-          Ff
-            (fun st offs _ ->
-              Array.unsafe_get
-                (Array.unsafe_get st.adata slot)
-                (Array.unsafe_get offs id))
+      | Some slot -> Ff (Fref (slot, reg_ref env slot args))
       | None -> fintr env name args)
   | Ast.Unop (Ast.Neg, a) -> (
       match fcomp env a with
-      | Fi f -> Fi (fun st offs vals -> -f st offs vals)
+      | Fi f -> Fi (Iop1 (( ~- ), f))
       | Ff f ->
           incr env.e_flops;
-          Ff (fun st offs vals -> -.f st offs vals))
+          Ff (Fun (Neg, f)))
   | Ast.Unop (Ast.Lnot, _) -> raise (Unfusable Logical_in_body)
   | Ast.Binop (op, a, b) -> (
       let ca = fcomp env a in
@@ -1138,50 +1174,43 @@ let rec fcomp env (e : Ast.expr) : fe =
           match (ca, cb) with
           | Fi fa, Fi fb -> (
               match op with
-              | Ast.Add -> Fi (fun st o v -> fa st o v + fb st o v)
-              | Ast.Sub -> Fi (fun st o v -> fa st o v - fb st o v)
-              | Ast.Mul -> Fi (fun st o v -> fa st o v * fb st o v)
+              | Ast.Add -> Fi (Iop2 (( + ), fa, fb))
+              | Ast.Sub -> Fi (Iop2 (( - ), fa, fb))
+              | Ast.Mul -> Fi (Iop2 (( * ), fa, fb))
               | Ast.Div -> (
                   (* by a nonzero constant only: error-free, and OCaml's
                      [/] truncates toward zero like the machine's
                      integer division; charges no flops *)
                   match cfold env b with
-                  | Some c when c <> 0 -> Fi (fun st o v -> fa st o v / c)
+                  | Some c when c <> 0 -> Fi (Iop1 ((fun x -> x / c), fa))
                   | _ -> raise (Unfusable Int_division))
               | Ast.Pow -> (
                   match cfold env b with
-                  | Some y when y >= 0 ->
-                      Fi
-                        (fun st o v ->
-                          let x = fa st o v in
-                          let rec pow acc n =
-                            if n = 0 then acc else pow (acc * x) (n - 1)
-                          in
-                          pow 1 y)
+                  | Some y when y >= 0 -> Fi (Iop1 ((fun x -> ipow x 1 y), fa))
                   | _ -> raise (Unfusable Dynamic_exponent))
               | _ -> assert false)
           | _ ->
-              let fa = as_ff ca and fb = as_ff cb in
               incr env.e_flops;
-              let arith g = Ff (fun st o v -> g (fa st o v) (fb st o v)) in
-              (match op with
-              | Ast.Add -> arith (fun x y -> x +. y)
-              | Ast.Sub -> arith (fun x y -> x -. y)
-              | Ast.Mul -> arith (fun x y -> x *. y)
-              | Ast.Div -> arith (fun x y -> x /. y)
-              | Ast.Pow -> arith Float.pow
-              | _ -> assert false))
+              let g =
+                match op with
+                | Ast.Add -> Add
+                | Ast.Sub -> Sub
+                | Ast.Mul -> Mul
+                | Ast.Div -> Div
+                | _ -> Pow
+              in
+              Ff (Fbin (g, as_ff ca, as_ff cb)))
       | _ -> raise (Unfusable Logical_in_body))
   | Ast.Local_lo _ | Ast.Local_hi _ ->
       raise (Unfusable Local_bound_in_body)
 
 and fintr env name args : fe =
-  let f1 g =
+  let f1 u =
     match args with
     | [ a ] ->
         let f = as_ff (fcomp env a) in
         incr env.e_flops;
-        Ff (fun st o v -> g (f st o v))
+        Ff (Fun (u, f))
     | _ -> raise (Unfusable (Intrinsic_arity name))
   in
   match name with
@@ -1189,51 +1218,44 @@ and fintr env name args : fe =
       match args with
       | [ a ] -> (
           match fcomp env a with
-          | Fi f -> Fi (fun st o v -> abs (f st o v))
+          | Fi f -> Fi (Iop1 (abs, f))
           | Ff f ->
               incr env.e_flops;
-              Ff (fun st o v -> Float.abs (f st o v)))
+              Ff (Fun (Abs, f)))
       | _ -> raise (Unfusable (Intrinsic_arity "abs")))
-  | "sqrt" -> f1 Float.sqrt
-  | "exp" -> f1 Float.exp
-  | "log" -> f1 Float.log
-  | "sin" -> f1 Float.sin
-  | "cos" -> f1 Float.cos
-  | "tan" -> f1 Float.tan
-  | "atan" -> f1 Float.atan
+  | "sqrt" -> f1 Sqrt
+  | "exp" -> f1 Exp
+  | "log" -> f1 Log
+  | "sin" -> f1 Sin
+  | "cos" -> f1 Cos
+  | "tan" -> f1 Tan
+  | "atan" -> f1 Atan
   | "max" | "amax1" | "min" | "amin1" -> (
-      let g = if name = "max" || name = "amax1" then Float.max else Float.min in
+      let g = if name = "max" || name = "amax1" then Max else Min in
       match args with
       | a :: rest when rest <> [] ->
+          (* a left fold: one flop per extra argument *)
           let fa = as_ff (fcomp env a) in
-          let frest =
-            Array.of_list (List.map (fun e -> as_ff (fcomp env e)) rest)
-          in
-          env.e_flops := !(env.e_flops) + Array.length frest;
-          Ff
-            (fun st o v ->
-              let acc = ref (fa st o v) in
-              for i = 0 to Array.length frest - 1 do
-                acc := g !acc ((Array.unsafe_get frest i) st o v)
-              done;
-              !acc)
+          let frest = List.map (fun e -> as_ff (fcomp env e)) rest in
+          env.e_flops := !(env.e_flops) + List.length frest;
+          Ff (List.fold_left (fun acc f -> Fbin (g, acc, f)) fa frest)
       | _ -> raise (Unfusable (Intrinsic_arity name)))
   | "max0" | "min0" -> (
       match args with
       | [ a; b ] ->
-          let fa = as_fi (fcomp env a) and fb = as_fi (fcomp env b) in
-          let g = if name = "max0" then max else min in
-          Fi (fun st o v -> g (fa st o v) (fb st o v))
+          let fa = as_fi (fcomp env a) in
+          let fb = as_fi (fcomp env b) in
+          Fi (Iop2 ((if name = "max0" then max else min), fa, fb))
       | _ -> raise (Unfusable (Intrinsic_arity name)))
   | "mod" -> (
       match args with
       | [ a; b ] -> (
-          match (fcomp env a, fcomp env b) with
+          let ca = fcomp env a in
+          match (ca, fcomp env b) with
           | Fi _, Fi _ -> raise (Unfusable Int_mod)
           | ca, cb ->
-              let fa = as_ff ca and fb = as_ff cb in
               incr env.e_flops;
-              Ff (fun st o v -> Float.rem (fa st o v) (fb st o v)))
+              Ff (Fbin (Rem, as_ff ca, as_ff cb)))
       | _ -> raise (Unfusable (Intrinsic_arity "mod")))
   | "float" | "real" | "dble" -> (
       match args with
@@ -1246,20 +1268,15 @@ and fintr env name args : fe =
   | "sign" -> (
       match args with
       | [ a; b ] ->
-          let fa = as_ff (fcomp env a) and fb = as_ff (fcomp env b) in
+          let fa = as_ff (fcomp env a) in
+          let fb = as_ff (fcomp env b) in
           incr env.e_flops;
-          Ff
-            (fun st o v ->
-              let x = fa st o v in
-              let y = fb st o v in
-              if y >= 0.0 then Float.abs x else -.Float.abs x)
+          Ff (Fbin (Sign, fa, fb))
       | _ -> raise (Unfusable (Intrinsic_arity "sign")))
   | _ -> raise (Unfusable (Unknown_intrinsic name))
 
-(* one body assignment: rhs into an unsafe store through the target's
-   registered reference *)
-let comp_kstmt env (s : Ast.stmt) :
-    (state -> int array -> int array -> unit) option =
+(* one body assignment *)
+let comp_kstmt env (s : Ast.stmt) : kst option =
   match s.Ast.s_kind with
   | Ast.Continue -> None
   | Ast.Assign (Ast.Ref (name, args), rhs) -> (
@@ -1267,38 +1284,413 @@ let comp_kstmt env (s : Ast.stmt) :
       | None -> raise (Unfusable Undeclared_array)
       | Some slot ->
           let rf = as_ff (fcomp env rhs) in
-          let wid = reg_ref env slot args in
-          Some
-            (fun st offs vals ->
-              let v = rf st offs vals in
-              Array.unsafe_set
-                (Array.unsafe_get st.adata slot)
-                (Array.unsafe_get offs wid)
-                v))
+          Some (Kstore (slot, reg_ref env slot args, rf)))
   | Ast.Assign (Ast.Var x, rhs) -> (
-      (* iteration-local scratch scalar: backed by its own slot, written
-         each iteration exactly like the machine (the slot's exit value is
-         the last iteration's) *)
+      (* iteration-local scratch scalar: backed by its own slot, whose
+         exit value is the last iteration's, exactly like the machine *)
       if Hashtbl.mem env.e_lvl x then
         raise (Unfusable Assign_to_loop_var);
       match Hashtbl.find_opt env.e_ctx.x_sc x with
       | Some i when env.e_ctx.x_kinds.(i) = KReal ->
           let rf = as_ff (fcomp env rhs) in
           Hashtbl.replace env.e_wrscal i ();
-          Some
-            (fun st offs vals ->
-              Array.unsafe_set st.sf i (rf st offs vals);
-              Array.unsafe_set st.sset i true)
+          Some (Kreal (i, rf))
       | Some i when env.e_ctx.x_kinds.(i) = KInt ->
           let rf = as_fi (fcomp env rhs) in
           Hashtbl.replace env.e_wrscal i ();
-          Some
-            (fun st offs vals ->
-              Array.unsafe_set st.si i (rf st offs vals);
-              Array.unsafe_set st.sset i true)
+          Some (Kint (i, rf))
       | _ -> raise (Unfusable Scalar_assign))
   | Ast.Assign _ -> raise (Unfusable Bad_assign_target)
   | _ -> raise (Unfusable Non_assign_stmt)
+
+let un_fn = function
+  | Neg -> fun x -> -.x
+  | Abs -> Float.abs
+  | Sqrt -> Float.sqrt
+  | Exp -> Float.exp
+  | Log -> Float.log
+  | Sin -> Float.sin
+  | Cos -> Float.cos
+  | Tan -> Float.tan
+  | Atan -> Float.atan
+
+let bin_fn = function
+  | Add -> fun x y -> x +. y
+  | Sub -> fun x y -> x -. y
+  | Mul -> fun x y -> x *. y
+  | Div -> fun x y -> x /. y
+  | Pow -> Float.pow
+  | Max -> Float.max
+  | Min -> Float.min
+  | Rem -> Float.rem
+  | Sign -> fun x y -> if y >= 0.0 then Float.abs x else -.Float.abs x
+
+(* ---- point path: one closure per node, called once per point over
+   (state, reference offsets, loop values) ---- *)
+
+let rec pfx (e : fx) : state -> int array -> int array -> float =
+  match e with
+  | Fconst c -> fun _ _ _ -> c
+  | Fslot i -> fun st _ _ -> Array.unsafe_get st.sf i
+  | Fref (slot, id) ->
+      fun st offs _ ->
+        Array.unsafe_get
+          (Array.unsafe_get st.adata slot)
+          (Array.unsafe_get offs id)
+  | Fof_int a ->
+      let f = pix a in
+      fun st o v -> float_of_int (f st o v)
+  | Fun (Neg, a) ->
+      let f = pfx a in
+      fun st o v -> -.f st o v
+  | Fun (u, a) ->
+      let f = pfx a and g = un_fn u in
+      fun st o v -> g (f st o v)
+  | Fbin (b, x, y) -> (
+      let fa = pfx x and fb = pfx y in
+      match b with
+      | Add -> fun st o v -> fa st o v +. fb st o v
+      | Sub -> fun st o v -> fa st o v -. fb st o v
+      | Mul -> fun st o v -> fa st o v *. fb st o v
+      | Div -> fun st o v -> fa st o v /. fb st o v
+      | _ ->
+          let g = bin_fn b in
+          fun st o v -> g (fa st o v) (fb st o v))
+
+and pix (e : ix) : state -> int array -> int array -> int =
+  match e with
+  | Iconst c -> fun _ _ _ -> c
+  | Ivar l -> fun _ _ vals -> Array.unsafe_get vals l
+  | Islot i -> fun st _ _ -> Array.unsafe_get st.si i
+  | Iof_float a ->
+      let f = pfx a in
+      fun st o v -> truncate (f st o v)
+  | Iop1 (g, a) ->
+      let f = pix a in
+      fun st o v -> g (f st o v)
+  | Iop2 (g, a, b) ->
+      let fa = pix a and fb = pix b in
+      fun st o v -> g (fa st o v) (fb st o v)
+
+let pstmt = function
+  | Kstore (slot, wid, rhs) ->
+      let rf = pfx rhs in
+      fun st offs vals ->
+        let v = rf st offs vals in
+        Array.unsafe_set
+          (Array.unsafe_get st.adata slot)
+          (Array.unsafe_get offs wid)
+          v
+  | Kreal (i, rhs) ->
+      let rf = pfx rhs in
+      fun st offs vals ->
+        Array.unsafe_set st.sf i (rf st offs vals);
+        Array.unsafe_set st.sset i true
+  | Kint (i, rhs) ->
+      let rf = pix rhs in
+      fun st offs vals ->
+        Array.unsafe_set st.si i (rf st offs vals);
+        Array.unsafe_set st.sset i true
+
+(* ---- row path: every node evaluates a whole innermost row into an
+   unboxed register, one closure call per node per row ---- *)
+
+(* One innermost row, shared by a row kernel's steps.  A row longer
+   than [row_cap] points runs as consecutive pieces of at most that many,
+   which keeps every dependence a whole row keeps (pieces run in
+   iteration order) and bounds the scratch buffer.  The buffer [w_buf]
+   is the state's: register [r] is [r * w_n .. r * w_n + w_n - 1], then
+   one cell per row-invariant value from [w_inv]. *)
+let row_cap = 128
+
+type row = {
+  w_st : state;
+  w_buf : float array;
+  mutable w_n : int;  (* points in this piece of the row *)
+  w_inv : int;
+  w_offs : int array;  (* per reference: flat offset at the row's start *)
+  w_kd : int array;  (* per reference: flat offset step along the row *)
+  w_vals : int array;  (* loop values; the innermost one at the row's start *)
+  w_step : int;  (* innermost step *)
+}
+
+(* where a step reads a row: a buffer, a start and a stride *)
+type opnd =
+  | Oconst of float array  (* one element, stride 0 *)
+  | Omem of int * int  (* array slot, reference id: the reference's row *)
+  | Oreg of int  (* register, stride 1 *)
+  | Oinv of int  (* invariant cell, stride 0 *)
+
+let obuf w = function
+  | Oconst a -> a
+  | Omem (slot, _) -> Array.unsafe_get w.w_st.adata slot
+  | Oreg _ | Oinv _ -> w.w_buf
+
+let obase w = function
+  | Oconst _ -> 0
+  | Omem (_, id) -> Array.unsafe_get w.w_offs id
+  | Oreg r -> r * w.w_n
+  | Oinv k -> w.w_inv + k
+
+let ostride w = function
+  | Oconst _ | Oinv _ -> 0
+  | Omem (_, id) -> Array.unsafe_get w.w_kd id
+  | Oreg _ -> 1
+
+(* Each step writes register [d] from its operands' rows.  The common
+   operators get a loop each, so the arithmetic stays unboxed; the rest
+   share one loop with the operator matched per element. *)
+let un_step u a d w =
+  let n = w.w_n and y = w.w_buf in
+  let yd = d * n in
+  let xa = obuf w a and sa = ostride w a in
+  let ia = ref (obase w a) in
+  match u with
+  | Neg ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set y (yd + t) (-.Array.unsafe_get xa !ia);
+        ia := !ia + sa
+      done
+  | Abs ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set y (yd + t) (Float.abs (Array.unsafe_get xa !ia));
+        ia := !ia + sa
+      done
+  | _ ->
+      for t = 0 to n - 1 do
+        let x = Array.unsafe_get xa !ia in
+        Array.unsafe_set y (yd + t)
+          (match u with
+          | Sqrt -> Float.sqrt x
+          | Exp -> Float.exp x
+          | Log -> Float.log x
+          | Sin -> Float.sin x
+          | Cos -> Float.cos x
+          | Tan -> Float.tan x
+          | Atan -> Float.atan x
+          | Neg | Abs -> assert false);
+        ia := !ia + sa
+      done
+
+let bin_step b a c d w =
+  let n = w.w_n and y = w.w_buf in
+  let yd = d * n in
+  let xa = obuf w a and sa = ostride w a in
+  let xc = obuf w c and sc = ostride w c in
+  let ia = ref (obase w a) and ic = ref (obase w c) in
+  match b with
+  | Add ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set y (yd + t)
+          (Array.unsafe_get xa !ia +. Array.unsafe_get xc !ic);
+        ia := !ia + sa;
+        ic := !ic + sc
+      done
+  | Sub ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set y (yd + t)
+          (Array.unsafe_get xa !ia -. Array.unsafe_get xc !ic);
+        ia := !ia + sa;
+        ic := !ic + sc
+      done
+  | Mul ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set y (yd + t)
+          (Array.unsafe_get xa !ia *. Array.unsafe_get xc !ic);
+        ia := !ia + sa;
+        ic := !ic + sc
+      done
+  | Div ->
+      for t = 0 to n - 1 do
+        Array.unsafe_set y (yd + t)
+          (Array.unsafe_get xa !ia /. Array.unsafe_get xc !ic);
+        ia := !ia + sa;
+        ic := !ic + sc
+      done
+  | _ ->
+      for t = 0 to n - 1 do
+        let p = Array.unsafe_get xa !ia and q = Array.unsafe_get xc !ic in
+        Array.unsafe_set y (yd + t)
+          (match b with
+          | Pow -> Float.pow p q
+          | Max -> Float.max p q
+          | Min -> Float.min p q
+          | Rem -> Float.rem p q
+          | Sign -> if q >= 0.0 then Float.abs p else -.Float.abs p
+          | Add | Sub | Mul | Div -> assert false);
+        ia := !ia + sa;
+        ic := !ic + sc
+      done
+
+(* copy a row into a strided destination *)
+let move_row w src dst base stride =
+  let x = obuf w src and sx = ostride w src in
+  let ix = ref (obase w src) and o = ref base in
+  for _ = 1 to w.w_n do
+    Array.unsafe_set dst !o (Array.unsafe_get x !ix);
+    ix := !ix + sx;
+    o := !o + stride
+  done
+
+(* row values at compile time: constants and row invariants stay
+   scalar until an operand needs them *)
+type rv =
+  | Vconst of float
+  | Vinv of (row -> float)  (* evaluated once per row *)
+  | Vop of opnd
+
+type ri = Iinv of (row -> int) | Irow of (row -> int -> int)  (* per element *)
+
+(* Row code generation state.  Registers are allocated as a stack: a
+   node's register is the first its subtree took, so a statement needs
+   as many as its expression is deep.  A scratch scalar's register stays
+   allocated ([g_floor]) for the rest of the row. *)
+type rgen = {
+  mutable g_steps : (row -> unit) list;  (* newest first *)
+  mutable g_top : int;  (* next free register *)
+  mutable g_floor : int;  (* registers below hold scratch scalars *)
+  mutable g_regs : int;  (* high-water mark *)
+  mutable g_invs : int;  (* invariant cells *)
+  g_inner : int;  (* innermost level *)
+  g_scal : (int, rv) Hashtbl.t;  (* real scratch slot -> its row *)
+}
+
+let emit g s = g.g_steps <- s :: g.g_steps
+
+let reg g =
+  let r = g.g_top in
+  g.g_top <- r + 1;
+  g.g_regs <- max g.g_regs g.g_top;
+  r
+
+let opnd g = function
+  | Vop o -> o
+  | Vconst c -> Oconst [| c |]
+  | Vinv f ->
+      let k = g.g_invs in
+      g.g_invs <- k + 1;
+      emit g (fun w -> Array.unsafe_set w.w_buf (w.w_inv + k) (f w));
+      Oinv k
+
+let scalar_of = function
+  | Vconst c -> fun _ -> c
+  | Vinv f -> f
+  | Vop _ -> assert false
+
+let irow = function Iinv f -> fun w _ -> f w | Irow f -> f
+
+let rec rfx g (e : fx) : rv =
+  match e with
+  | Fconst c -> Vconst c
+  | Fslot i -> (
+      match Hashtbl.find_opt g.g_scal i with
+      | Some v -> v
+      | None -> Vinv (fun w -> Array.unsafe_get w.w_st.sf i))
+  | Fref (slot, id) -> Vop (Omem (slot, id))
+  | Fof_int a -> (
+      let mark = g.g_top in
+      match rix g a with
+      | Iinv f -> Vinv (fun w -> float_of_int (f w))
+      | Irow f ->
+          g.g_top <- mark;
+          let d = reg g in
+          emit g (fun w ->
+              let y = w.w_buf and yd = d * w.w_n in
+              for t = 0 to w.w_n - 1 do
+                Array.unsafe_set y (yd + t) (float_of_int (f w t))
+              done);
+          Vop (Oreg d))
+  | Fun (u, a) -> (
+      let mark = g.g_top in
+      match rfx g a with
+      | Vconst c -> Vconst (un_fn u c)
+      | Vinv f ->
+          let h = un_fn u in
+          Vinv (fun w -> h (f w))
+      | Vop o ->
+          g.g_top <- mark;
+          let d = reg g in
+          emit g (un_step u o d);
+          Vop (Oreg d))
+  | Fbin (b, x, y) -> (
+      let mark = g.g_top in
+      let va = rfx g x in
+      let vb = rfx g y in
+      match (va, vb) with
+      | Vconst p, Vconst q -> Vconst (bin_fn b p q)
+      | (Vconst _ | Vinv _), (Vconst _ | Vinv _) ->
+          let fa = scalar_of va and fb = scalar_of vb and h = bin_fn b in
+          Vinv (fun w -> h (fa w) (fb w))
+      | _ ->
+          let oa = opnd g va in
+          let ob = opnd g vb in
+          g.g_top <- mark;
+          let d = reg g in
+          emit g (bin_step b oa ob d);
+          Vop (Oreg d))
+
+and rix g (e : ix) : ri =
+  match e with
+  | Iconst c -> Iinv (fun _ -> c)
+  | Ivar l when l = g.g_inner ->
+      Irow (fun w t -> Array.unsafe_get w.w_vals l + (t * w.w_step))
+  | Ivar l -> Iinv (fun w -> Array.unsafe_get w.w_vals l)
+  | Islot i -> Iinv (fun w -> Array.unsafe_get w.w_st.si i)
+  | Iof_float a -> (
+      match rfx g a with
+      | Vconst c ->
+          let v = truncate c in
+          Iinv (fun _ -> v)
+      | Vinv f -> Iinv (fun w -> truncate (f w))
+      | Vop o ->
+          (* read when the consuming step runs: [o]'s register stays
+             below that step's own *)
+          Irow
+            (fun w t ->
+              truncate
+                (Array.unsafe_get (obuf w o) (obase w o + (t * ostride w o)))))
+  | Iop1 (h, a) -> (
+      match rix g a with
+      | Iinv f -> Iinv (fun w -> h (f w))
+      | Irow f -> Irow (fun w t -> h (f w t)))
+  | Iop2 (h, a, b) -> (
+      match (rix g a, rix g b) with
+      | Iinv f, Iinv f' -> Iinv (fun w -> h (f w) (f' w))
+      | ra, rb ->
+          let f = irow ra and f' = irow rb in
+          Irow (fun w t -> h (f w t) (f' w t)))
+
+(* Statements run in body order, each over the whole row: a store
+   writes its row after its right-hand side is complete, a scratch
+   scalar keeps its row in a register (or as its invariant or constant)
+   for the statements after it.  Integer scratch scalars have no row
+   registers: a nest assigning one stays on the point path. *)
+let rstmt g = function
+  | Kstore (slot, wid, rhs) ->
+      let src = opnd g (rfx g rhs) in
+      emit g (fun w ->
+          move_row w src
+            (Array.unsafe_get w.w_st.adata slot)
+            (Array.unsafe_get w.w_offs wid)
+            (Array.unsafe_get w.w_kd wid));
+      g.g_top <- g.g_floor
+  | Kreal (i, rhs) ->
+      let v =
+        match rfx g rhs with
+        | Vop (Omem _ as o) ->
+            (* later statements may store into the array *)
+            let d = reg g in
+            emit g (fun w -> move_row w o w.w_buf (d * w.w_n) 1);
+            Vop (Oreg d)
+        | Vinv _ as v -> Vop (opnd g v)
+        | v -> v
+      in
+      (match v with
+      | Vop (Oreg d) -> g.g_floor <- max g.g_floor (d + 1)
+      | _ -> ());
+      g.g_top <- g.g_floor;
+      Hashtbl.replace g.g_scal i v
+  | Kint _ -> invalid_arg "Compile.rstmt: integer scratch scalar"
 
 (* structural nest peeling *)
 type peeled =
@@ -1374,11 +1766,72 @@ type krf = {
   k_flat : int array;  (* per level: sum over dims of coeff * stride *)
 }
 
+(* Does running the body statement by statement over a row keep every
+   dependence of point order?  [refs] are the body's references in id
+   order (array slot, subscripts), [spans.(s)] the ids statement [s]
+   registered, [writes.(s)] the one it stores through (-1 for a scalar
+   assignment), [steps] each level's step sign.  For every two
+   references to one array, at least one a write, Fission's distance
+   vector must either put their instances in different rows (a nonzero
+   outer-level distance) or keep their order within the row: a later
+   statement may only touch what an earlier one touched at the same or
+   an earlier iteration, and a statement may only read what it writes
+   itself at the same or a later iteration (its whole right-hand side
+   row is read before its row is stored). *)
+let row_keeps_order ~steps (refs : (int * aff array) array) spans writes =
+  let m = Array.length steps in
+  let keeps ~same r r' =
+    match Fission.distance ~steps (snd refs.(r)) (snd refs.(r')) with
+    | None -> true
+    | Some d -> (
+        let apart = ref false in
+        for l = 0 to m - 2 do
+          match d.(l) with Some k when k <> 0 -> apart := true | _ -> ()
+        done;
+        !apart
+        ||
+        match d.(m - 1) with
+        | None -> false
+        | Some k -> if same then k <= 0 else k >= 0)
+  in
+  let ns = Array.length spans in
+  let ok = ref true in
+  for s = 0 to ns - 1 do
+    let w = writes.(s) in
+    let lo, hi = spans.(s) in
+    for r = lo to hi - 1 do
+      let slot = fst refs.(r) in
+      if w >= 0 && r <> w && fst refs.(w) = slot && not (keeps ~same:true w r)
+      then ok := false;
+      for s' = s + 1 to ns - 1 do
+        let lo', hi' = spans.(s') in
+        for r' = lo' to hi' - 1 do
+          if
+            fst refs.(r') = slot
+            && (r = w || r' = writes.(s'))
+            && not (keeps ~same:false r r')
+          then ok := false
+        done
+      done
+    done
+  done;
+  !ok
+
+(* a compiled body: per-point statement closures, or the row program *)
+type body =
+  | Point_fns of (state -> int array -> int array -> unit) array
+  | Row_prog of {
+      steps : (row -> unit) array;
+      regs : int;
+      invs : int;
+      exits : (int * opnd) array;  (* scratch slot, its row *)
+    }
+
 (* Build the kernel for a peeled nest, or raise Unfusable.  The result
-   takes the closure-IR fallback (compiled separately) and yields the
-   nest's [state -> unit]. *)
+   names the path the kernel takes; its function takes the closure-IR
+   fallback (compiled separately) and yields the nest's [state -> unit]. *)
 let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
-    (state -> unit) -> state -> unit =
+    kernel_path * ((state -> unit) -> state -> unit) =
   let m = List.length levels in
   let lvl = Hashtbl.create 8 in
   let var_stores =
@@ -1414,6 +1867,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
       e_flops = ref 0;
       e_wrb = wrb;
       e_wrscal = Hashtbl.create 8;
+      e_early = ref false;
     }
   in
   (* fpb.(l): flops the machine charges for one evaluation of level l's
@@ -1441,53 +1895,98 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
            | None -> fun _ -> 1)
          levels)
   in
-  let stmt_fns = Array.of_list (List.filter_map (comp_kstmt env) stmts) in
-  if Array.length stmt_fns = 0 then raise (Unfusable Empty_body);
+  (* each statement with the reference ids it registered *)
+  let kst, spans =
+    List.filter_map
+      (fun s ->
+        let lo = !(env.e_nrefs) in
+        Option.map (fun k -> (k, (lo, !(env.e_nrefs)))) (comp_kstmt env s))
+      stmts
+    |> List.split
+  in
+  let kst = Array.of_list kst and spans = Array.of_list spans in
+  if Array.length kst = 0 then raise (Unfusable Empty_body);
   let fpi = !(env.e_flops) in
+  let refs = Array.of_list (List.rev !(env.e_refs)) (* e_refs: newest first *) in
   let kinfo =
-    Array.of_list
-      (List.rev_map (* e_refs is newest-first; rev_map restores id order *)
-         (fun (slot, affs) ->
-           let bounds = ctx.x_bounds.(slot) in
-           let strides = strides_of bounds in
-           let base = base_of bounds strides in
-           let flat = Array.make m 0 in
-           Array.iteri
-             (fun d (a : aff) ->
-               for l = 0 to m - 1 do
-                 flat.(l) <- flat.(l) + (a.af_coeff.(l) * strides.(d))
-               done)
-             affs;
-           {
-             k_slot = slot;
-             k_bounds = bounds;
-             k_strides = strides;
-             k_base = base;
-             k_coeff = Array.map (fun a -> a.af_coeff) affs;
-             k_resid =
-               Array.map
-                 (fun (a : aff) ->
-                   match a.af_syms with
-                   | [] ->
-                       let c = a.af_const in
-                       fun _ -> c
-                   | syms ->
-                       let c = a.af_const in
-                       fun st ->
-                         List.fold_left
-                           (fun acc (i, mu) ->
-                             acc + (mu * Array.unsafe_get st.si i))
-                           c syms)
-                 affs;
-             k_flat = flat;
-           })
-         !(env.e_refs))
+    Array.map
+      (fun (slot, affs) ->
+        let bounds = ctx.x_bounds.(slot) in
+        let strides = strides_of bounds in
+        let base = base_of bounds strides in
+        let flat = Array.make m 0 in
+        Array.iteri
+          (fun d (a : aff) ->
+            for l = 0 to m - 1 do
+              flat.(l) <- flat.(l) + (a.Fission.coeffs.(l) * strides.(d))
+            done)
+          affs;
+        {
+          k_slot = slot;
+          k_bounds = bounds;
+          k_strides = strides;
+          k_base = base;
+          k_coeff = Array.map (fun (a : aff) -> a.Fission.coeffs) affs;
+          k_resid =
+            Array.map
+              (fun (a : aff) ->
+                match a.Fission.syms with
+                | [] ->
+                    let c = a.const in
+                    fun _ -> c
+                | syms ->
+                    let c = a.const in
+                    fun st ->
+                      List.fold_left
+                        (fun acc (i, mu) ->
+                          acc + (mu * Array.unsafe_get st.si i))
+                        c syms)
+              affs;
+          k_flat = flat;
+        })
+      refs
   in
   let nrefs = Array.length kinfo in
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
-  let ns = Array.length stmt_fns in
-  fun fallback st ->
+  (* the row path when it keeps every dependence of point order *)
+  let row_ok =
+    (not !(env.e_early))
+    && Array.for_all (function Kint _ -> false | _ -> true) kst
+    &&
+    let steps =
+      Array.of_list
+        (List.map
+           (fun (d : Ast.do_loop) ->
+             match d.Ast.do_step with
+             | None -> Some 1
+             | Some e -> (
+                 match cfold env e with
+                 | Some s when s <> 0 -> Some (compare s 0)
+                 | _ -> None))
+           levels)
+    in
+    row_keeps_order ~steps refs spans
+      (Array.map (function Kstore (_, w, _) -> w | Kreal _ | Kint _ -> -1) kst)
+  in
+  let body =
+    if row_ok then begin
+      let g =
+        { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
+          g_inner = m - 1; g_scal = Hashtbl.create 4 }
+      in
+      Array.iter (rstmt g) kst;
+      let exits =
+        Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal []
+      in
+      Row_prog
+        { steps = Array.of_list (List.rev g.g_steps); regs = g.g_regs;
+          invs = g.g_invs; exits = Array.of_list exits }
+    end
+    else Point_fns (Array.map pstmt kst)
+  in
+  let path = match body with Row_prog _ -> Row | Point_fns _ -> Point in
+  let kernel fallback st =
     (* any entry-read slot unset, zero step, empty trip space, or an
        unprovable subscript range: run the closure IR, which reproduces
        the machine bit for bit (including errors and partial updates) *)
@@ -1553,6 +2052,60 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             let lom = los.(m - 1) in
             let stepm = steps.(m - 1) in
             let tm = trips.(m - 1) in
+            (* one innermost row, from the offsets and loop values at its
+               start; then whatever the path does once after the nest *)
+            let run_row, finish =
+              match body with
+              | Point_fns fns ->
+                  let ns = Array.length fns in
+                  ( (fun () ->
+                      for _ = 1 to tm do
+                        for s = 0 to ns - 1 do
+                          (Array.unsafe_get fns s) st offs vals
+                        done;
+                        for r = 0 to nrefs - 1 do
+                          Array.unsafe_set offs r
+                            (Array.unsafe_get offs r + Array.unsafe_get kd r)
+                        done;
+                        vals.(m - 1) <- vals.(m - 1) + stepm
+                      done),
+                    ignore )
+              | Row_prog p ->
+                  let cap = min tm row_cap in
+                  let need = (p.regs * cap) + p.invs in
+                  if Array.length st.rows < need then
+                    st.rows <- Array.create_float need;
+                  let w =
+                    { w_st = st; w_buf = st.rows; w_n = cap;
+                      w_inv = p.regs * cap; w_offs = offs; w_kd = kd;
+                      w_vals = vals; w_step = stepm }
+                  in
+                  let nsteps = Array.length p.steps in
+                  ( (fun () ->
+                      let first = ref 0 in
+                      while !first < tm do
+                        let n = min cap (tm - !first) in
+                        w.w_n <- n;
+                        for s = 0 to nsteps - 1 do
+                          (Array.unsafe_get p.steps s) w
+                        done;
+                        first := !first + n;
+                        for r = 0 to nrefs - 1 do
+                          offs.(r) <- offs.(r) + (n * kd.(r))
+                        done;
+                        vals.(m - 1) <- vals.(m - 1) + (n * stepm)
+                      done),
+                    fun () ->
+                      (* scratch scalars leave with the last iteration's
+                         value, as on the point path *)
+                      Array.iter
+                        (fun (i, o) ->
+                          st.sf.(i) <-
+                            Array.unsafe_get (obuf w o)
+                              (obase w o + ((w.w_n - 1) * ostride w o));
+                          st.sset.(i) <- true)
+                        p.exits )
+            in
             let rec go l =
               if l = m - 1 then begin
                 for r = 0 to nrefs - 1 do
@@ -1564,16 +2117,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                   offs.(r) <- !o
                 done;
                 vals.(m - 1) <- lom;
-                for _ = 1 to tm do
-                  for s = 0 to ns - 1 do
-                    (Array.unsafe_get stmt_fns s) st offs vals
-                  done;
-                  for r = 0 to nrefs - 1 do
-                    Array.unsafe_set offs r
-                      (Array.unsafe_get offs r + Array.unsafe_get kd r)
-                  done;
-                  vals.(m - 1) <- vals.(m - 1) + stepm
-                done
+                run_row ()
               end
               else begin
                 vals.(l) <- los.(l);
@@ -1584,6 +2128,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
               end
             in
             go 0;
+            finish ();
             (* batched charge: body flops per point times the trip-space
                size, plus the machine's bound-evaluation charges (level
                l's bounds are re-evaluated once per enclosing iteration) *)
@@ -1602,17 +2147,20 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
         end
       end
     end
+  in
+  (path, kernel)
 
 (* Record one coverage entry and return its index (program order, the
    final position in cu_cov); -1 when recording is off (inside fallback
    bodies), which also disables profiling instrumentation. *)
-let record_cov ctx ~line ~vars ~fused ~frag reason =
+let record_cov ?path ctx ~line ~vars ~fused ~frag reason =
   if not ctx.x_record then -1
   else begin
     let idx = List.length !(ctx.x_cov) in
     ctx.x_cov :=
-      { cov_line = line; cov_vars = vars; cov_fused = fused;
-        cov_reason = reason; cov_frag = frag }
+      ( { cov_line = line; cov_vars = vars; cov_fused = fused;
+          cov_reason = reason; cov_frag = frag },
+        path )
       :: !(ctx.x_cov);
     idx
   end
@@ -1809,10 +2357,10 @@ and comp_do ctx ~line (d : Ast.do_loop) : state -> unit =
     | P_leaf (levels, stmts) -> (
         let vars = List.map (fun (l : Ast.do_loop) -> l.Ast.do_var) levels in
         match kernel_of ctx levels stmts with
-        | kernel ->
+        | path, kernel ->
             let idx =
-              record_cov ctx ~line ~vars ~fused:true ~frag:d.Ast.do_fission
-                Fused
+              record_cov ~path ctx ~line ~vars ~fused:true
+                ~frag:d.Ast.do_fission Fused
             in
             (* dynamic fall-back path: plain closure IR, no nested kernels *)
             profiled idx (kernel (comp_do_plain { ctx with x_fuse = false } d))
@@ -1949,6 +2497,7 @@ let compile ?(fuse = false) (u : Ast.program_unit) : cu =
       ar_template;
       cu_body = (fun _ -> assert false);
       cu_cov = [];
+      cu_paths = [];
     }
   in
   let cov = ref [] in
@@ -1989,7 +2538,9 @@ let compile ?(fuse = false) (u : Ast.program_unit) : cu =
     }
   in
   cu.cu_body <- comp_block ctx u.Ast.u_body;
-  cu.cu_cov <- List.rev !cov;
+  let cov = List.rev !cov in
+  cu.cu_cov <- List.map fst cov;
+  cu.cu_paths <- List.map snd cov;
   cu
 
 (* compiled units are pure functions of the AST (and the fuse flag):
@@ -2017,6 +2568,7 @@ let of_unit ?(fuse = false) u =
       cu
 
 let coverage cu = cu.cu_cov
+let kernel_paths cu = cu.cu_paths
 
 (* ------------------------------------------------------------------ *)
 (* Runtime state                                                       *)
@@ -2046,6 +2598,7 @@ let create ?(hooks = sequential_hooks) ?(input = []) cu =
       kmoved = 0.0;
       kattr_flops = 0.0;
       kattr_bytes = 0.0;
+      rows = [||];
     }
   in
   List.iter

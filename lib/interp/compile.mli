@@ -2,12 +2,15 @@
 
     {!compile} lowers a program unit into a closure-based IR exactly once:
     every scalar name is resolved to an integer slot in a typed bank
-    (separate unboxed [float]/[int]/[bool] banks, so the hot real-arithmetic
-    path never boxes), every array reference is lowered to a fused
-    row-major-offset computation over strides precomputed from the declared
-    bounds, and int/real arithmetic is specialized at compile time (the
-    machine's dynamic [Value.scalar] dispatch survives only for the rare
-    statically-untypeable expression).
+    (separate unboxed [float]/[int]/[bool] banks), every array reference
+    is lowered to a fused row-major-offset computation over strides
+    precomputed from the declared bounds, and int/real arithmetic is
+    specialized at compile time (the machine's dynamic [Value.scalar]
+    dispatch survives only for the rare statically-untypeable
+    expression).  The closures still return boxed floats: an OCaml
+    closure called through an unknown function boxes its float result,
+    one allocation per real-valued node per evaluation.  Only the row
+    path of the fused-kernel tier (below) keeps real arithmetic unboxed.
 
     Semantics — results, WRITE output, flop charges, runtime-error messages,
     GOTO/label behavior — are bit-identical to {!Machine} running the same
@@ -100,9 +103,11 @@ val compile : ?fuse:bool -> Ast.program_unit -> cu
     for the whole trip space with interval arithmetic, elements are
     accessed unchecked through per-reference offset deltas, and the nest's
     flops are charged as one batched [trips * flops-per-iteration] update.
-    Results, flop totals and error behavior stay bit-identical to the
-    closure IR (and hence to {!Machine}); nests the analyzer or the
-    runtime prover cannot discharge fall back to the closure IR. *)
+    Each kernel takes one of two paths, fixed at compile time (see
+    {!kernel_path}).  Results, flop totals and error behavior stay
+    bit-identical to the closure IR (and hence to {!Machine}); nests the
+    analyzer or the runtime prover cannot discharge fall back to the
+    closure IR. *)
 
 val of_unit : ?fuse:bool -> Ast.program_unit -> cu
 (** Memoized {!compile}: the same physical [program_unit] (and fuse flag)
@@ -112,6 +117,29 @@ val of_unit : ?fuse:bool -> Ast.program_unit -> cu
 val coverage : cu -> coverage_entry list
 (** Field-loop nests in program order.  Empty unless the unit was
     compiled with [~fuse:true]. *)
+
+(** How a fused kernel runs its nest.
+
+    - [Row]: statement by statement over each innermost row.  Every
+      expression node evaluates the whole row into an unboxed float
+      register in a scratch buffer owned by the {!state}; a scratch
+      scalar keeps its row in a register; each statement then stores its
+      row through the reference's offset step.  Taken only when that
+      order keeps every dependence of point order: by the distance
+      vector of {!Autocfd_analysis.Fission.distance}, no two references
+      to one array that meet within a row (no nonzero outer-level
+      distance between them) run from a statement back to an earlier
+      one, or from a statement's write to a later read of its own; no
+      body-assigned scalar is read before its assignment in the
+      iteration; and no integer scalar is assigned.
+    - [Point]: every statement at each point, one closure call per
+      expression node — reductions such as [s = max(s, ...)] and
+      recurrences such as an SOR sweep. *)
+type kernel_path = Row | Point
+
+val kernel_paths : cu -> kernel_path option list
+(** Per {!coverage} entry, in the same order: the path of the nest's
+    fused kernel, [None] for a nest that fell back to the closure IR. *)
 
 type kernel_stat = {
   ks_line : int;  (** source line of the nest's outermost DO *)

@@ -465,7 +465,11 @@ let calibrate ~compute ~comm =
       (0.0, 0.0) compute
   in
   let flop_time = if sxx > 0.0 then sxy /. sxx else 0.0 in
-  (* network: ordinary linear least squares, seconds = latency + bytes/bw *)
+  (* network: ordinary linear least squares, seconds = latency + bytes/bw.
+     Neither cost may be negative: when the fit wants one below zero,
+     that term is fixed at zero and the other refitted alone (a flat line
+     through the mean, or a line through the origin), so the prediction
+     stays the least-squares one for the terms that remain. *)
   let pts = List.filter (fun (b, _) -> b > 0) comm in
   let n = float_of_int (List.length pts) in
   let latency, slope =
@@ -479,11 +483,11 @@ let calibrate ~compute ~comm =
           (0.0, 0.0, 0.0, 0.0) pts
       in
       let det = (n *. sxx) -. (sx *. sx) in
-      if det <= 0.0 then (sy /. n, 0.0)
+      let slope = if det <= 0.0 then 0.0 else ((n *. sxy) -. (sx *. sy)) /. det in
+      if slope <= 0.0 then (sy /. n, 0.0)
       else
-        let slope = ((n *. sxy) -. (sx *. sy)) /. det in
         let icept = (sy -. (slope *. sx)) /. n in
-        (Float.max 0.0 icept, Float.max 0.0 slope)
+        if icept >= 0.0 then (icept, slope) else (0.0, Float.max 0.0 (sxy /. sxx))
   in
   let bandwidth = if slope > 0.0 then 1.0 /. slope else Float.infinity in
   let cal_compute_r2 =

@@ -115,5 +115,8 @@ val calibrate :
   compute:(float * float) list -> comm:(int * float) list -> calibration
 (** [calibrate ~compute ~comm] fits [compute = (flops, seconds)] samples to
     [seconds = flop_time * flops] and [comm = (bytes, seconds)] samples to
-    [seconds = latency + bytes / bandwidth].  Degenerate inputs (empty
-    lists, all-equal abscissae) yield zero costs rather than raising. *)
+    [seconds = latency + bytes / bandwidth].  Neither cost goes negative:
+    a falling fit keeps only the latency (the mean time, R^2 = 0), and a
+    fit whose latency would be negative is refitted through the origin.
+    Degenerate inputs (empty lists, all-equal abscissae) yield zero costs
+    rather than raising. *)

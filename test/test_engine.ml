@@ -10,8 +10,9 @@
     every bundled application program and the heat2d example, over several
     partition shapes each.  A PRNG-driven property suite additionally
     generates random affine loop nests (including deliberate fall-back
-    shapes: non-affine subscripts, reductions, zero-trip and negative-step
-    loops) and asserts the same three-way equivalence. *)
+    shapes: non-affine subscripts, IF bodies, zero-trip loops; and the
+    dependences that decide between the row and the point path of a
+    fused kernel) and asserts the same three-way equivalence. *)
 
 module D = Autocfd.Driver
 
@@ -206,9 +207,10 @@ let test_charged_timing_identical () =
 
 (* Random straight-line DO nests over fixed-shape arrays, mixing shapes
    the fused tier compiles (affine subscripts, constant and negative
-   steps) with shapes that must fall back at compile time (reductions,
-   non-affine max0 subscripts, IF bodies) or at run time (zero-trip
-   loops).  Subscripts stay in range by construction, generated
+   steps, scalar reductions) with shapes that must fall back at compile
+   time (non-affine max0 subscripts, IF bodies) or at run time
+   (zero-trip loops).  Each program also carries one row-path hazard
+   (below).  Subscripts stay in range by construction, generated
    expressions avoid division/sqrt/log and every array assignment is
    wrapped in sin/cos (so values stay bounded and NaN-free); the three
    engines must then agree bit for bit on arrays, flops and output. *)
@@ -300,7 +302,7 @@ let gen_nest rng buf =
       gen_assign rng ~vi:(Some "i") ~vj:None ~indent:"        " buf;
       add "      enddo\n"
   | 6 ->
-      (* scalar reduction: compile-time fallback *)
+      (* scalar reduction: fuses on the point path *)
       add "      do i = 2, 11\n        do j = 2, 9\n";
       if Prng.bool rng then
         add "          s1 = s1 + 0.01 * a(i,j)\n"
@@ -327,7 +329,72 @@ let gen_nest rng buf =
       gen_assign rng ~vi:(Some "i") ~vj:(Some "j") ~indent:"          " buf;
       add "        enddo\n      enddo\n"
 
-let gen_program rng =
+(* Row-path hazards: nests whose innermost loop carries (or seems to
+   carry) a dependence, each with the path the legality rule must pick.
+   Running statement by statement over a row keeps forward and anti
+   dependences and breaks the rest.  Their expressions read only [c(i)]
+   and scalars, which no hazard writes in the same row, so the path
+   depends on the listed statements alone. *)
+let hazard_kinds = 9
+
+let gen_hazard rng kind =
+  let e () =
+    let atom () =
+      match Prng.int rng 5 with
+      | 0 -> "c(i)"
+      | 1 -> "s1"
+      | 2 -> "float(j)"
+      | 3 -> "float(i)"
+      | _ -> Prng.choose rng lit_pool
+    in
+    Printf.sprintf "(%s %s %s)" (atom ())
+      (if Prng.bool rng then "+" else "*")
+      (atom ())
+  in
+  let f = Printf.sprintf in
+  let inner = "do j = 2, 9" in
+  match kind with
+  | 0 ->
+      (* self-carried flow: each point reads the previous point's write *)
+      (I.Compile.Point, inner, [ f "a(i,j) = cos(0.5 * a(i,j-1) + %s)" (e ()) ])
+  | 1 ->
+      (* backward cross-statement flow: the first statement reads what
+         the second wrote one point earlier *)
+      ( I.Compile.Point, inner,
+        [ f "b(i,j) = sin(a(i,j-1) + %s)" (e ()); f "a(i,j) = cos(%s)" (e ()) ] )
+  | 2 ->
+      (* self anti-dependence: the read precedes the write it meets *)
+      (I.Compile.Row, inner, [ f "a(i,j) = sin(a(i,j+1) + %s)" (e ()) ])
+  | 3 ->
+      (* forward anti and flow dependences across two statements *)
+      ( I.Compile.Row, inner,
+        [ f "b(i,j) = cos(a(i,j+1) * %s)" (e ()); f "a(i,j) = sin(b(i,j) + %s)" (e ()) ] )
+  | 4 ->
+      (* scratch scalar read before its assignment: the previous point's *)
+      ( I.Compile.Point, inner,
+        [ f "b(i,j) = sin(t1 + %s)" (e ()); f "t1 = cos(a(i,j) * %s)" (e ()) ] )
+  | 5 ->
+      (* scratch scalar assigned, then read *)
+      ( I.Compile.Row, inner,
+        [ f "t1 = cos(a(i,j) * %s)" (e ()); f "b(i,j) = sin(t1 + %s)" (e ()) ] )
+  | 6 ->
+      (* reduction into an array element: the innermost variable is
+         absent from the written subscripts *)
+      (I.Compile.Point, inner, [ f "c(i) = c(i) + 0.01 * sin(a(i,j) + %s)" (e ()) ])
+  | 7 ->
+      (* reversed innermost step: j+1 was written one point earlier, j-1
+         is written one point later *)
+      if Prng.bool rng then
+        (I.Compile.Point, "do j = 9, 2, -1", [ f "a(i,j) = sin(a(i,j+1) + %s)" (e ()) ])
+      else (I.Compile.Row, "do j = 9, 2, -1", [ f "a(i,j) = sin(a(i,j-1) + %s)" (e ()) ])
+  | _ ->
+      (* strided innermost step, distance one stride *)
+      if Prng.bool rng then
+        (I.Compile.Point, "do j = 4, 7, 3", [ f "a(i,j) = sin(a(i,j-3) + %s)" (e ()) ])
+      else (I.Compile.Row, "do j = 4, 7, 3", [ f "a(i,j) = sin(a(i,j+3) + %s)" (e ()) ])
+
+(* the program and the hazard's expected path and source line *)
+let gen_program rng ~hazard =
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
   add "c$acfd grid(m, n)\n";
@@ -335,10 +402,11 @@ let gen_program rng =
   add "      program prop\n";
   add "      parameter (m = 12, n = 10)\n";
   add "      real a(m,n), b(m,n), c(m)\n";
-  add "      real s1, s2\n";
+  add "      real s1, s2, t1\n";
   add "      integer i, j\n";
   add "      s1 = 0.3\n";
   add "      s2 = -0.2\n";
+  add "      t1 = 0.1\n";
   add "      do i = 1, 12\n        do j = 1, 10\n";
   add "          a(i,j) = sin(0.7*float(i) + 0.3*float(j))\n";
   add "          b(i,j) = cos(0.4*float(i) - 0.5*float(j))\n";
@@ -347,34 +415,61 @@ let gen_program rng =
   for _ = 1 to Prng.int_in rng 3 6 do
     gen_nest rng buf
   done;
-  add "      write(*,*) s1, s2, a(3,3), b(5,7), c(4)\n";
+  let path, inner, body = gen_hazard rng hazard in
+  let line = List.length (String.split_on_char '\n' (Buffer.contents buf)) in
+  add "      do i = 2, 11\n";
+  add ("        " ^ inner ^ "\n");
+  List.iter (fun s -> add ("          " ^ s ^ "\n")) body;
+  add "        enddo\n      enddo\n";
+  add "      write(*,*) s1, s2, t1, a(3,3), b(5,7), c(4)\n";
   add "      end\n";
-  Buffer.contents buf
+  (Buffer.contents buf, path, line)
 
 let test_random_nests () =
   let rng = Prng.create 0x5eed5 in
   let fused_somewhere = ref false in
   let fellback_somewhere = ref false in
-  for case = 1 to 25 do
+  let paths = ref [] in
+  for case = 1 to 27 do
     let child = Prng.split rng in
-    let src = gen_program child in
+    let src, hazard_path, hazard_line =
+      gen_program child ~hazard:(case mod hazard_kinds)
+    in
     let name = Printf.sprintf "random nest %d" case in
     (try check_sequential name src
      with e ->
        Printf.eprintf "--- failing program (%s) ---\n%s\n" name src;
        raise e);
     let t = D.load src in
-    let cov = I.Compile.coverage (I.Compile.of_unit ~fuse:true t.D.inlined) in
-    List.iter
-      (fun (ce : I.Compile.coverage_entry) ->
+    let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
+    List.iter2
+      (fun (ce : I.Compile.coverage_entry) path ->
         if ce.I.Compile.cov_fused then fused_somewhere := true
-        else fellback_somewhere := true)
-      cov
+        else fellback_somewhere := true;
+        Option.iter (fun p -> paths := p :: !paths) path;
+        if ce.I.Compile.cov_line = hazard_line then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: hazard at line %d takes the %s path" name
+               hazard_line
+               (if hazard_path = I.Compile.Row then "row" else "point"))
+            true
+            (path = Some hazard_path))
+      (I.Compile.coverage cu) (I.Compile.kernel_paths cu);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: hazard nest at line %d recorded" name hazard_line)
+      true
+      (List.exists
+         (fun (ce : I.Compile.coverage_entry) ->
+           ce.I.Compile.cov_line = hazard_line)
+         (I.Compile.coverage cu))
   done;
   Alcotest.(check bool)
     "at least one generated nest fused" true !fused_somewhere;
   Alcotest.(check bool)
-    "at least one generated nest fell back" true !fellback_somewhere
+    "at least one generated nest fell back" true !fellback_somewhere;
+  Alcotest.(check bool)
+    "both kernel paths ran" true
+    (List.mem I.Compile.Row !paths && List.mem I.Compile.Point !paths)
 
 (* the acceptance bar for the fused tier: at least 80% of each bundled
    application's field loops compile to kernels *)
@@ -415,6 +510,83 @@ let test_app_coverage () =
       ("heat2d", 3, read_file (heat2d_path ()));
     ]
 
+(* Rows longer than the row path's piece size run as several pieces: a
+   scratch scalar, a forward anti-dependence and an outer-carried flow
+   dependence across piece boundaries must stay bit-identical, and the
+   scalar must leave with the last point's value. *)
+let test_long_rows () =
+  let src =
+    {|c$acfd grid(n)
+c$acfd status(a, b)
+      program longrow
+      parameter (n = 300)
+      real a(n), b(n), c(4, n), t1
+      integer i, k
+      do i = 1, 300
+        a(i) = sin(0.01 * float(i))
+        b(i) = cos(0.02 * float(i))
+      enddo
+      do k = 1, 4
+        do i = 1, 300
+          c(k, i) = 0.1 * float(k) + 0.001 * float(i)
+        enddo
+      enddo
+      do i = 2, 299
+        t1 = a(i+1) * 0.5
+        a(i) = sin(t1 + b(i))
+        b(i) = cos(a(i) - t1)
+      enddo
+      do k = 2, 4
+        do i = 300, 2, -1
+          c(k, i) = c(k-1, i) + 0.5 * c(k, i-1)
+        enddo
+      enddo
+      write(*,*) t1, a(150), b(298), c(4, 2)
+      end
+|}
+  in
+  check_sequential "long rows" src;
+  let t = D.load src in
+  let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
+  Alcotest.(check bool)
+    "every nest takes the row path" true
+    (List.for_all (( = ) (Some I.Compile.Row)) (I.Compile.kernel_paths cu))
+
+(* The path of every bundled fused nest: a legality rule that turns too
+   conservative moves a nest to the point path and fails here, rather
+   than silently losing the row path's speed.  The point-path nests are
+   the scalar reductions and the two SOR sweeps, whose innermost loop
+   reads a value the previous point wrote. *)
+let test_kernel_paths () =
+  List.iter
+    (fun (name, expected, src) ->
+      let t = D.load src in
+      let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
+      let point =
+        List.concat
+          (List.map2
+             (fun (c : I.Compile.coverage_entry) path ->
+               match path with
+               | Some I.Compile.Point ->
+                   [ Printf.sprintf "line %d (%s)" c.I.Compile.cov_line
+                       (String.concat "," c.I.Compile.cov_vars) ]
+               | Some I.Compile.Row | None -> [])
+             (I.Compile.coverage cu) (I.Compile.kernel_paths cu))
+      in
+      Alcotest.(check (list string)) (name ^ ": point-path nests") expected point)
+    [
+      ( "aerofoil",
+        [ "line 285 (psor_i,psor_j,psor_k)"; "line 439 (forces_i,forces_k)";
+          "line 461 (cflmin_i,cflmin_j,cflmin_k)";
+          "line 483 (resid_i,resid_j,resid_k)" ],
+        Autocfd_apps.Aerofoil.source () );
+      ("sprayer", [ "line 370 (resid_i,resid_j)" ], Autocfd_apps.Sprayer.source ());
+      ( "cavity",
+        [ "line 104 (resid_i,resid_j)"; "line 137 (psisor_i,psisor_j)" ],
+        Autocfd_apps.Cavity.source () );
+      ("heat2d", [ "line 29 (i,j)" ], read_file (heat2d_path ()));
+    ]
+
 let suite =
   [
     ("sprayer engines identical", `Slow, test_sprayer);
@@ -427,4 +599,6 @@ let suite =
     ("domains heat2d identical", `Quick, test_domains_heat2d);
     ("random nests three-way identical", `Slow, test_random_nests);
     ("fused kernel coverage 100%", `Quick, test_app_coverage);
+    ("fused kernel paths pinned", `Quick, test_kernel_paths);
+    ("row path long rows", `Quick, test_long_rows);
   ]

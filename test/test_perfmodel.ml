@@ -235,6 +235,29 @@ let test_calibrate_degenerate () =
   Alcotest.(check (float 1e-12)) "degenerate line falls back to mean"
     4e-4 flat.M.cal_latency
 
+let test_calibrate_clamped_fit () =
+  (* times falling with message size: the least-squares slope is
+     negative, so the byte term is dropped and the latency refitted
+     alone — the mean time, which leaves R^2 at 0, never below *)
+  let comm = [ (1024, 5e-4); (4096, 4e-4); (16384, 2e-4); (65536, 1e-4) ] in
+  let c = M.calibrate ~compute:[] ~comm in
+  let mean = (5e-4 +. 4e-4 +. 2e-4 +. 1e-4) /. 4.0 in
+  Alcotest.(check (float 1e-15)) "latency = mean time" mean c.M.cal_latency;
+  Alcotest.(check bool) "no byte term" true
+    (c.M.cal_bandwidth = Float.infinity);
+  Alcotest.(check (float 1e-12)) "comm R^2 = 0" 0.0 c.M.cal_comm_r2;
+  (* a steep line whose intercept would be negative: refitted through
+     the origin, so the latency is 0 and the fit no worse than a flat
+     line *)
+  let steep = [ (1000, 1e-4); (2000, 3e-4); (3000, 5e-4) ] in
+  let s = M.calibrate ~compute:[] ~comm:steep in
+  Alcotest.(check (float 0.0)) "latency clamped to 0" 0.0 s.M.cal_latency;
+  let sxy = (1000. *. 1e-4) +. (2000. *. 3e-4) +. (3000. *. 5e-4) in
+  let sxx = (1000. *. 1000.) +. (2000. *. 2000.) +. (3000. *. 3000.) in
+  Alcotest.(check (float 1e-6)) "slope through the origin" (sxx /. sxy)
+    s.M.cal_bandwidth;
+  Alcotest.(check bool) "comm R^2 >= 0" true (s.M.cal_comm_r2 >= 0.0)
+
 let suite =
   [
     ("census accounting", `Quick, test_census_basic_accounting);
@@ -251,4 +274,5 @@ let suite =
     ("working set", `Quick, test_working_set);
     ("calibrate exact fit", `Quick, test_calibrate_exact_fit);
     ("calibrate degenerate inputs", `Quick, test_calibrate_degenerate);
+    ("calibrate clamped comm fit", `Quick, test_calibrate_clamped_fit);
   ]
