@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make check` is the PR gate CI runs.
 
-.PHONY: all build test check bench bench-json bench-pair coverage trace profile-domains fabric tune clean
+.PHONY: all build test check bench bench-json bench-pair bench-layers coverage trace profile-domains fabric tune clean
 
 all: build
 
@@ -42,6 +42,48 @@ bench-pair:
 	done
 	./_build/default/benchmark/main.exe compare _bench_pair/parent.json \
 	  _bench_pair/change.json
+
+# per-layer numbers of one workload against revision PARENT: traced runs
+# (--trace 1, 20 s) of seeds 1-4 on both trees, the side that runs first
+# alternating by seed, then one line per per-layer metric with the
+# median on each side and their ratio.  A time is divided by its run's
+# bench.ref_ms (the reference kernel timed in the same run) before the
+# median is taken; counts, bytes and ratios are shown as they are.
+# PARENT's tree is exported as bench-pair exports it, into the
+# git-ignored _bench_layers/, which also keeps each run's output.
+# About 4 minutes on a 2-core host.
+bench-layers:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { \
+	  echo "usage: make bench-layers PARENT=<rev> WORKLOAD=<name>" >&2; exit 2; }
+	rm -rf _bench_layers && mkdir -p _bench_layers/parent
+	git archive "$(PARENT)" | tar -x -C _bench_layers/parent
+	cd _bench_layers/parent && DUNE_CACHE=disabled dune build --root . ./benchmark/main.exe
+	DUNE_CACHE=disabled dune build ./benchmark/main.exe
+	export GLIBC_TUNABLES=glibc.malloc.trim_threshold=1073741824:glibc.malloc.mmap_threshold=33554432; \
+	for s in 1 2 3 4; do \
+	  if [ $$((s % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = parent ]; then tree=_bench_layers/parent; else tree=.; fi; \
+	    (cd $$tree && ./_build/default/benchmark/main.exe --workload $(WORKLOAD) \
+	      --seed $$s --seconds 20 --trace 1) > _bench_layers/$$side.$$s.txt || exit 1; \
+	  done; \
+	done
+	@for side in parent change; do \
+	  for f in _bench_layers/$$side.[1-4].txt; do \
+	    awk 'NF == 3 && $$1 !~ /^[{]/ { v[$$1] = $$2; u[$$1] = $$3 } \
+	      $$1 == "bench.ref_ms" { ref = $$2 } \
+	      END { for (k in v) print k, (u[k] == "ms" ? v[k] / ref : \
+	        u[k] == "s" ? 1000 * v[k] / ref : v[k]) }' $$f; \
+	  done | sort -k1,1 -k2,2g | awk ' \
+	    function flush() { if (n) print key, (n % 2 ? x[(n + 1) / 2] : (x[n / 2] + x[n / 2 + 1]) / 2) } \
+	    $$1 != key { flush(); key = $$1; n = 0 } { x[++n] = $$2 } END { flush() }' \
+	    > _bench_layers/$$side.medians; \
+	done
+	@printf '%-36s %14s %14s %9s\n' "$(WORKLOAD) (times / bench.ref_ms)" parent change ratio
+	@awk 'NR == FNR { p[$$1] = $$2; next } ($$1 in p) && (p[$$1] != 0 || $$2 != 0) { \
+	    printf "%-36s %14.6g %14.6g %9s\n", $$1, p[$$1], $$2, \
+	      (p[$$1] != 0 ? sprintf("%.3f", $$2 / p[$$1]) : "-") }' \
+	  _bench_layers/parent.medians _bench_layers/change.medians
 
 # before/after loop-fission fused-kernel coverage of the bundled apps,
 # then the regression gate against the committed COVERAGE.json manifest

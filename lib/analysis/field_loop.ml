@@ -378,22 +378,21 @@ let self_dependent s array =
 let analyze_unit gi (u : Ast.program_unit) =
   let env = Env.of_unit u in
   let ltree = Loops.build u in
-  let summarize (l : Loops.loop) =
+  let collect (l : Loops.loop) =
     let head = l.Loops.lp_stmt in
-    let loop_vars = nest_loop_vars head in
     let body =
       match head.Ast.s_kind with
       | Ast.Do d -> d.Ast.do_body
       | _ -> assert false
     in
     let ctx =
-      { gi; env; loop_vars; accesses = []; has_call = false;
-        reductions = []; stmt_seq = 0 }
+      { gi; env; loop_vars = nest_loop_vars head; accesses = [];
+        has_call = false; reductions = []; stmt_seq = 0 }
     in
     collect_block ctx body;
-    let var_dims, conflict =
-      try (var_dim_mapping ctx.accesses, false) with Conflict -> ([], true)
-    in
+    ctx
+  in
+  let summarize (l : Loops.loop) ctx (var_dims, conflict) =
     let uses = summarize_uses gi ctx.accesses in
     let opaque_status_use =
       List.exists
@@ -423,45 +422,40 @@ let analyze_unit gi (u : Ast.program_unit) =
       fs_hazard_dims = fixed_hazard_dims ctx.accesses;
     }
   in
-  (* a loop sweeps the field if its own variable maps to a grid dimension;
-     heads are sweep loops with no sweeping ancestor *)
-  let summaries = Hashtbl.create 32 in
-  let get_summary l =
-    match Hashtbl.find_opt summaries l.Loops.lp_id with
-    | Some s -> s
-    | None ->
-        let s = summarize l in
-        Hashtbl.replace summaries l.Loops.lp_id s;
-        s
+  (* a loop sweeps the field if its own variable maps to a grid
+     dimension; heads are sweep loops with no sweeping ancestor, found
+     top-down: a sweeping loop is a head, and only the direct inner loops
+     of one that does not sweep are examined *)
+  let rec heads acc (l : Loops.loop) =
+    let ctx = collect l in
+    let mapping =
+      try (var_dim_mapping ctx.accesses, false) with Conflict -> ([], true)
+    in
+    if List.mem_assoc l.Loops.lp_var (fst mapping) then
+      summarize l ctx mapping :: acc
+    else
+      List.fold_left
+        (fun acc id -> heads acc (Loops.loop ltree id))
+        acc l.Loops.lp_children
   in
-  let sweeps l =
-    let s = get_summary l in
-    List.mem_assoc l.Loops.lp_var s.fs_var_dims
-  in
-  let heads =
-    List.filter
-      (fun l ->
-        sweeps l
-        && not
-             (List.exists sweeps (Loops.enclosing_loops ltree l.Loops.lp_id)))
-      (Loops.loops ltree)
+  (* the walk is pre-order with children in program order, so [heads]
+     collects the heads in program order, newest first *)
+  let heads_in_order =
+    List.rev (List.fold_left heads [] (Loops.top_level ltree))
   in
   let serial_lines = gi.Grid_info.serial_lines in
-  let heads_in_order =
-    List.sort (fun a b -> compare a.Loops.lp_enter b.Loops.lp_enter) heads
-  in
   List.map
-    (fun l ->
-      let s = get_summary l in
+    (fun s ->
+      let line = s.fs_loop.Loops.lp_line in
       let serial =
         List.exists
           (fun dl ->
-            dl < l.Loops.lp_line
+            dl < line
             && not
                  (List.exists
-                    (fun l' ->
-                      l'.Loops.lp_line > dl
-                      && l'.Loops.lp_line < l.Loops.lp_line)
+                    (fun s' ->
+                      let l' = s'.fs_loop.Loops.lp_line in
+                      l' > dl && l' < line)
                     heads_in_order))
           serial_lines
       in

@@ -31,18 +31,22 @@ let build (u : Ast.program_unit) =
       incr counter;
       !counter
   in
-  (* [stack] is the chain of enclosing loop ids, innermost first *)
-  let rec walk_block stack depth block =
-    List.iter (walk_stmt stack depth) block
-  and walk_stmt stack depth st =
+  (* [stack] is the chain of enclosing loop ids, innermost first; [kids]
+     collects the direct inner loops of the innermost one, newest first
+     (this also catches loops hidden inside IF branches of the body) *)
+  let rec walk_block stack kids depth block =
+    List.iter (walk_stmt stack kids depth) block
+  and walk_stmt stack kids depth st =
     let enter = tick () in
     Hashtbl.replace parents st.Ast.s_id stack;
     (match st.Ast.s_kind with
     | Ast.Do d ->
-        walk_block (st.Ast.s_id :: stack) (depth + 1) d.Ast.do_body;
+        let children = ref [] in
+        walk_block (st.Ast.s_id :: stack) children (depth + 1) d.Ast.do_body;
         let exit = tick () in
         Hashtbl.replace clocks st.Ast.s_id (enter, exit);
         order := st.Ast.s_id :: !order;
+        kids := st.Ast.s_id :: !kids;
         Hashtbl.replace table st.Ast.s_id
           {
             lp_id = st.Ast.s_id;
@@ -50,35 +54,22 @@ let build (u : Ast.program_unit) =
             lp_line = st.Ast.s_line;
             lp_depth = depth;
             lp_parent = (match stack with [] -> None | p :: _ -> Some p);
-            lp_children = [];  (* filled in a second pass *)
+            lp_children = List.rev !children;
             lp_enter = enter;
             lp_exit = exit;
             lp_stmt = st;
           }
     | Ast.If (branches, els) ->
-        List.iter (fun (_, b) -> walk_block stack depth b) branches;
-        Option.iter (walk_block stack depth) els;
+        List.iter (fun (_, b) -> walk_block stack kids depth b) branches;
+        Option.iter (walk_block stack kids depth) els;
         let exit = tick () in
         Hashtbl.replace clocks st.Ast.s_id (enter, exit)
     | _ ->
         let exit = tick () in
         Hashtbl.replace clocks st.Ast.s_id (enter, exit))
   in
-  walk_block [] 0 u.Ast.u_body;
-  let order = List.rev !order in
-  (* second pass: direct inner loops, in program order (this also catches
-     loops hidden inside IF branches of the body) *)
-  List.iter
-    (fun id ->
-      let l = Hashtbl.find table id in
-      let children =
-        List.filter
-          (fun cid -> (Hashtbl.find table cid).lp_parent = Some id)
-          order
-      in
-      Hashtbl.replace table id { l with lp_children = children })
-    order;
-  { unit_ = u; table; order; clocks; parents }
+  walk_block [] (ref []) 0 u.Ast.u_body;
+  { unit_ = u; table; order = List.rev !order; clocks; parents }
 
 let unit_of t = t.unit_
 let loops t = List.map (Hashtbl.find t.table) t.order

@@ -12,6 +12,8 @@ type ctx = {
   topo : P.Topology.t;
   unit_ : Ast.program_unit;
   env : A.Env.t;
+  bounds : (string, (int * int) list) Hashtbl.t;  (* array_bounds, memoized *)
+  header : string;  (* the shared declaration header, rendered once *)
   buf : Buffer.t;
   (* generated communication subroutines, in order *)
   mutable subs : (string * (string -> unit)) list;  (* name, emitter *)
@@ -31,13 +33,28 @@ let parts ctx = P.Topology.parts ctx.topo
 
 (* declared integer bounds of an array, from the unit's declarations *)
 let array_bounds ctx name =
-  match List.find_opt (fun d -> d.Ast.d_name = name) ctx.unit_.Ast.u_decls with
-  | None -> failwith ("mpi backend: no declaration for " ^ name)
-  | Some d ->
-      List.map
-        (fun (lo, hi) ->
-          (A.Env.eval_int_exn ctx.env lo, A.Env.eval_int_exn ctx.env hi))
-        d.Ast.d_dims
+  match Hashtbl.find_opt ctx.bounds name with
+  | Some b -> b
+  | None -> (
+      match
+        List.find_opt (fun d -> d.Ast.d_name = name) ctx.unit_.Ast.u_decls
+      with
+      | None -> failwith ("mpi backend: no declaration for " ^ name)
+      | Some d ->
+          let b =
+            List.map
+              (fun (lo, hi) ->
+                (A.Env.eval_int_exn ctx.env lo, A.Env.eval_int_exn ctx.env hi))
+              d.Ast.d_dims
+          in
+          Hashtbl.replace ctx.bounds name b;
+          b)
+
+(* what [f] writes, as a string, so that text used twice renders once *)
+let render ctx f =
+  let sub = { ctx with buf = Buffer.create 1024 } in
+  f sub;
+  Buffer.contents sub.buf
 
 let status_dims ctx name =
   match A.Grid_info.find_status ctx.gi name with
@@ -92,8 +109,8 @@ let mpi_params =
    \      parameter (mpi_max = 1, mpi_min = 2, mpi_sum = 3)\n\
    \      parameter (mpi_status_size = 8)"
 
-let emit_shared_header ctx ~with_consts =
-  if with_consts && ctx.unit_.Ast.u_consts <> [] then
+let shared_header ctx =
+  if ctx.unit_.Ast.u_consts <> [] then
     line ctx
       (Printf.sprintf "      parameter (%s)"
          (String.concat ", "
@@ -162,7 +179,7 @@ let emit_init ctx =
   line ctx "";
   line ctx "c     rank to block bounds: the balanced demarcation-line split";
   line ctx "      subroutine acfdini";
-  emit_shared_header ctx ~with_consts:true;
+  Buffer.add_string ctx.buf ctx.header;
   line ctx "      integer acfdr";
   line ctx "      call mpi_comm_rank(mpi_comm_world, acfdrk, acfder)";
   line ctx "      call mpi_comm_size(mpi_comm_world, acfdnp, acfder)";
@@ -295,7 +312,7 @@ let emit_exchange_sub ctx name transfers =
   line ctx "";
   line ctx "c     combined synchronization point: aggregated halo exchange";
   line ctx (Printf.sprintf "      subroutine %s" name);
-  emit_shared_header ctx ~with_consts:true;
+  Buffer.add_string ctx.buf ctx.header;
   line ctx "      integer acfdn, acfdnb, acfdnl, acfdnh";
   let transfers =
     List.sort
@@ -334,54 +351,53 @@ let emit_exchange_sub ctx name transfers =
            (match t.Ast.xfer_dir with Ast.Dplus -> "+" | Ast.Dminus -> "-")
            t.Ast.xfer_depth);
       (* even coordinates send first, odd receive first: deadlock-free
-         with synchronous sends *)
-      let emit_send indent =
-        emit_pack ctx ~indent t.Ast.xfer_array
-          (transfer_ranges ctx ~who:`Me t.Ast.xfer_array ~dim:g
-             ~dir:t.Ast.xfer_dir ~depth:t.Ast.xfer_depth ~ext_of_dim);
-        line ctx
-          (Printf.sprintf
-             "%s      call mpi_send(acfdbf, acfdn, mpi_real8, acfdnb, %d,"
-             indent tag);
-        line ctx "     &    mpi_comm_world, acfder)"
+         with synchronous sends; each side's text renders once for both
+         orders *)
+      let send =
+        render ctx (fun ctx ->
+            line ctx (Printf.sprintf "      if (%s) then" send_guard);
+            line ctx
+              (Printf.sprintf "        acfdnb = acfdrk + (%d)" send_delta);
+            emit_pack ctx ~indent:"  " t.Ast.xfer_array
+              (transfer_ranges ctx ~who:`Me t.Ast.xfer_array ~dim:g
+                 ~dir:t.Ast.xfer_dir ~depth:t.Ast.xfer_depth ~ext_of_dim);
+            line ctx
+              (Printf.sprintf
+                 "        call mpi_send(acfdbf, acfdn, mpi_real8, acfdnb, %d,"
+                 tag);
+            line ctx "     &    mpi_comm_world, acfder)";
+            line ctx "      end if")
       in
-      let emit_recv indent =
-        emit_count ctx ~indent
-          (transfer_ranges ctx ~who:`Neighbor t.Ast.xfer_array ~dim:g
-             ~dir:t.Ast.xfer_dir ~depth:t.Ast.xfer_depth ~ext_of_dim);
-        line ctx
-          (Printf.sprintf
-             "%s      call mpi_recv(acfdbf, acfdn, mpi_real8, acfdnb, %d,"
-             indent tag);
-        line ctx "     &    mpi_comm_world, acfdst, acfder)";
-        emit_unpack ctx ~indent t.Ast.xfer_array
-          (transfer_ranges ctx ~who:`Neighbor t.Ast.xfer_array ~dim:g
-             ~dir:t.Ast.xfer_dir ~depth:t.Ast.xfer_depth ~ext_of_dim)
+      let recv =
+        render ctx (fun ctx ->
+            line ctx (Printf.sprintf "      if (%s) then" recv_guard);
+            line ctx
+              (Printf.sprintf "        acfdnb = acfdrk + (%d)" recv_delta);
+            emit_neighbor_bounds ctx g
+              (Printf.sprintf
+                 (match t.Ast.xfer_dir with
+                 | Ast.Dplus -> "%s - 1"
+                 | Ast.Dminus -> "%s + 1")
+                 (coord_var g));
+            let ranges =
+              transfer_ranges ctx ~who:`Neighbor t.Ast.xfer_array ~dim:g
+                ~dir:t.Ast.xfer_dir ~depth:t.Ast.xfer_depth ~ext_of_dim
+            in
+            emit_count ctx ~indent:"  " ranges;
+            line ctx
+              (Printf.sprintf
+                 "        call mpi_recv(acfdbf, acfdn, mpi_real8, acfdnb, %d,"
+                 tag);
+            line ctx "     &    mpi_comm_world, acfdst, acfder)";
+            emit_unpack ctx ~indent:"  " t.Ast.xfer_array ranges;
+            line ctx "      end if")
       in
       line ctx (Printf.sprintf "      if (mod(%s, 2) .eq. 0) then" (coord_var g));
-      line ctx (Printf.sprintf "      if (%s) then" send_guard);
-      line ctx (Printf.sprintf "        acfdnb = acfdrk + (%d)" send_delta);
-      emit_send "  ";
-      line ctx "      end if";
-      line ctx (Printf.sprintf "      if (%s) then" recv_guard);
-      line ctx (Printf.sprintf "        acfdnb = acfdrk + (%d)" recv_delta);
-      (match t.Ast.xfer_dir with
-      | Ast.Dplus -> emit_neighbor_bounds ctx g (Printf.sprintf "%s - 1" (coord_var g))
-      | Ast.Dminus -> emit_neighbor_bounds ctx g (Printf.sprintf "%s + 1" (coord_var g)));
-      emit_recv "  ";
-      line ctx "      end if";
+      Buffer.add_string ctx.buf send;
+      Buffer.add_string ctx.buf recv;
       line ctx "      else";
-      line ctx (Printf.sprintf "      if (%s) then" recv_guard);
-      line ctx (Printf.sprintf "        acfdnb = acfdrk + (%d)" recv_delta);
-      (match t.Ast.xfer_dir with
-      | Ast.Dplus -> emit_neighbor_bounds ctx g (Printf.sprintf "%s - 1" (coord_var g))
-      | Ast.Dminus -> emit_neighbor_bounds ctx g (Printf.sprintf "%s + 1" (coord_var g)));
-      emit_recv "  ";
-      line ctx "      end if";
-      line ctx (Printf.sprintf "      if (%s) then" send_guard);
-      line ctx (Printf.sprintf "        acfdnb = acfdrk + (%d)" send_delta);
-      emit_send "  ";
-      line ctx "      end if";
+      Buffer.add_string ctx.buf recv;
+      Buffer.add_string ctx.buf send;
       line ctx "      end if")
     transfers;
   line ctx "      return";
@@ -398,7 +414,7 @@ let emit_pipe_sub ctx name ~recv ~dim ~(dir : Ast.direction) arrays =
        (if recv then "wait (upstream halo)" else "forward (downstream)")
        dim);
   line ctx (Printf.sprintf "      subroutine %s" name);
-  emit_shared_header ctx ~with_consts:true;
+  Buffer.add_string ctx.buf ctx.header;
   line ctx "      integer acfdn, acfdnb, acfdnl, acfdnh";
   let p = parts ctx in
   let stride = rank_stride ctx dim in
@@ -459,7 +475,7 @@ let emit_gather_sub ctx name arrays =
   line ctx "";
   line ctx "c     replicated-loop input gather: every owner broadcasts";
   line ctx (Printf.sprintf "      subroutine %s" name);
-  emit_shared_header ctx ~with_consts:true;
+  Buffer.add_string ctx.buf ctx.header;
   line ctx "      integer acfdn, acfdr";
   let nd = ndims ctx in
   let p = parts ctx in
@@ -646,11 +662,14 @@ let emit ~gi ~topo (u : Ast.program_unit) =
       topo;
       unit_ = u;
       env = A.Env.of_unit u;
+      bounds = Hashtbl.create 16;
+      header = "";
       buf = Buffer.create 4096;
       subs = [];
       counter = 0;
     }
   in
+  let ctx = { ctx with header = render ctx shared_header } in
   let body = transform_block ctx u.Ast.u_body in
   (* header comment *)
   line ctx "c  Auto-CFD generated SPMD program (Fortran 77 + MPI)";
@@ -661,7 +680,7 @@ let emit ~gi ~topo (u : Ast.program_unit) =
           (Array.to_list (Array.map string_of_int (P.Topology.grid topo)))));
   line ctx "c";
   line ctx (Printf.sprintf "      program %s" u.Ast.u_name);
-  emit_shared_header ctx ~with_consts:true;
+  Buffer.add_string ctx.buf ctx.header;
   (* non-status declarations (scalars, work variables) *)
   List.iter
     (fun d ->

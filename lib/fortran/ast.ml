@@ -254,4 +254,18 @@ let intrinsics =
     "min0";
   ]
 
-let is_intrinsic name = List.mem (String.lowercase_ascii name) intrinsics
+(* case-insensitive without copying [name] *)
+let is_intrinsic =
+  (* [name] equals the lower-case [s] ignoring case, from index [i] on *)
+  let rec same_lower name s i =
+    i = String.length s
+    || Char.lowercase_ascii (String.unsafe_get name i) = String.unsafe_get s i
+       && same_lower name s (i + 1)
+  in
+  let rec mem name = function
+    | [] -> false
+    | s :: rest ->
+        (String.length s = String.length name && same_lower name s 0)
+        || mem name rest
+  in
+  fun name -> mem name intrinsics

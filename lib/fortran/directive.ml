@@ -23,23 +23,33 @@ type t = { dir_line : int; dir_kind : kind }
 
 let prefix = "$acfd"
 
+(* the characters [String.trim] removes *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* [prefix] from index [k] on matches [line] at [at + k], ignoring case *)
+let rec prefix_at line at k =
+  k = String.length prefix
+  || Char.lowercase_ascii line.[at + k] = prefix.[k]
+     && prefix_at line at (k + 1)
+
 (** [recognize line] is the directive payload when [line] is a [c$acfd]
     comment (case-insensitive, 'c', 'C' or '*' in column 1, or a '!$acfd'
     free-form comment). *)
 let recognize line =
-  let line = String.trim line in
-  let lower = String.lowercase_ascii line in
-  let matches pre = String.length lower > String.length pre
-                    && String.sub lower 0 (String.length pre) = pre in
-  if matches ("c" ^ prefix) || matches ("*" ^ prefix) || matches ("!" ^ prefix)
-  then
-    let payload =
-      String.sub line (1 + String.length prefix)
-        (String.length line - 1 - String.length prefix)
-    in
+  (* the trimmed line is [line.[i .. j-1]]; only a directive is copied *)
+  let n = String.length line in
+  let i = ref 0 and j = ref n in
+  while !i < n && is_blank line.[!i] do incr i done;
+  while !j > !i && is_blank line.[!j - 1] do decr j done;
+  let i = !i and j = !j in
+  let start = i + 1 + String.length prefix in
+  if
+    start < j
+    && (match line.[i] with 'c' | 'C' | '*' | '!' -> true | _ -> false)
+    && prefix_at line (i + 1) 0
     (* [c$acfd>] marks generated annotations, not user directives *)
-    if String.length payload > 0 && payload.[0] = '>' then None
-    else Some payload
+    && line.[start] <> '>'
+  then Some (String.sub line start (j - start))
   else None
 
 exception Parse_error of int * string

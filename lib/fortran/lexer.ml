@@ -4,6 +4,14 @@ let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 let is_ident_char c = is_alpha c || is_digit c || c = '_' || c = '$'
 
+(* [String.lowercase_ascii (String.sub s i len)] in one copy *)
+let lower_sub s i len =
+  let b = Bytes.create len in
+  for k = 0 to len - 1 do
+    Bytes.unsafe_set b k (Char.lowercase_ascii (String.unsafe_get s (i + k)))
+  done;
+  Bytes.unsafe_to_string b
+
 (* Dot-delimited operator words: .lt. .and. .true. ... *)
 let dot_words =
   [
@@ -19,7 +27,7 @@ let dot_word_at s i =
   let j = ref (i + 1) in
   while !j < n && is_alpha s.[!j] do incr j done;
   if !j < n && s.[!j] = '.' && !j > i + 1 then
-    let word = String.lowercase_ascii (String.sub s (i + 1) (!j - i - 1)) in
+    let word = lower_sub s (i + 1) (!j - i - 1) in
     match List.assoc_opt word dot_words with
     | Some tok -> Some (tok, !j - i + 1)
     | None -> None
@@ -65,9 +73,9 @@ let lex_number line s i =
     | Some k -> (Token.Int k, !j)
     | None -> Loc.errorf (Loc.make line i) "malformed integer literal %S" text
 
-let tokens_of_line line s =
+(* push the tokens of one logical line onto [out], newest first *)
+let push_tokens out line s =
   let n = String.length s in
-  let out = ref [] in
   let emit tok = out := { tok; tline = line } :: !out in
   let i = ref 0 in
   while !i < n do
@@ -81,7 +89,7 @@ let tokens_of_line line s =
     else if is_alpha c || c = '_' then begin
       let j = ref !i in
       while !j < n && is_ident_char s.[!j] do incr j done;
-      emit (Token.Ident (String.lowercase_ascii (String.sub s !i (!j - !i))));
+      emit (Token.Ident (lower_sub s !i (!j - !i)));
       i := !j
     end
     else if c = '\'' then begin
@@ -125,13 +133,14 @@ let tokens_of_line line s =
           else Loc.errorf (Loc.make line !i) "unexpected '.'"
     end
     else begin
-      let two = if !i + 1 < n then String.sub s !i 2 else "" in
-      match two with
-      | "**" -> emit Token.Power; i := !i + 2
-      | "<=" -> emit Token.Le; i := !i + 2
-      | ">=" -> emit Token.Ge; i := !i + 2
-      | "==" -> emit Token.Eq; i := !i + 2
-      | "/=" -> emit Token.Ne; i := !i + 2
+      (* NUL stands for the end of the line: no pair below ends in it *)
+      let next = if !i + 1 < n then s.[!i + 1] else '\000' in
+      match (c, next) with
+      | '*', '*' -> emit Token.Power; i := !i + 2
+      | '<', '=' -> emit Token.Le; i := !i + 2
+      | '>', '=' -> emit Token.Ge; i := !i + 2
+      | '=', '=' -> emit Token.Eq; i := !i + 2
+      | '/', '=' -> emit Token.Ne; i := !i + 2
       | _ -> (
           (match c with
           | '+' -> emit Token.Plus
@@ -148,7 +157,11 @@ let tokens_of_line line s =
           | _ -> Loc.errorf (Loc.make line !i) "unexpected character %C" c);
           incr i)
     end
-  done;
+  done
+
+let tokens_of_line line s =
+  let out = ref [] in
+  push_tokens out line s;
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
@@ -157,10 +170,18 @@ let tokens_of_line line s =
 
 type raw_line = { rline : int; rtext : string }
 
+(* index of the first character [String.trim] keeps, or the length *)
+let first_kept s =
+  let i = ref 0 in
+  while !i < String.length s && Directive.is_blank s.[!i] do incr i done;
+  !i
+
 let is_comment_line s =
   String.length s > 0
-  && (s.[0] = 'c' || s.[0] = 'C' || s.[0] = '*' || String.trim s = ""
-     || (String.trim s <> "" && (String.trim s).[0] = '!'))
+  && (s.[0] = 'c' || s.[0] = 'C' || s.[0] = '*'
+     ||
+     let i = first_kept s in
+     i = String.length s || s.[i] = '!')
 
 (* Strip a trailing '!' comment, respecting string literals. *)
 let strip_bang s =
@@ -179,8 +200,7 @@ let strip_bang s =
    columns 1-5 blank. *)
 let is_fixed_continuation s =
   String.length s >= 6
-  && (let pre = String.sub s 0 5 in
-      String.for_all (fun c -> c = ' ') pre)
+  && s.[0] = ' ' && s.[1] = ' ' && s.[2] = ' ' && s.[3] = ' ' && s.[4] = ' '
   && s.[5] <> ' ' && s.[5] <> '0'
 
 let assemble source =
@@ -206,7 +226,8 @@ let assemble source =
           if is_comment_line raw then ()
           else
             let body = strip_bang raw in
-            if String.trim body = "" then ()
+            let first = first_kept body in
+            if first = String.length body then ()
             else if is_fixed_continuation body then begin
               if Buffer.length pending = 0 then
                 Loc.errorf (Loc.make lineno 6)
@@ -216,25 +237,28 @@ let assemble source =
                 (String.sub body 6 (String.length body - 6))
             end
             else begin
-              let trimmed = String.trim body in
-              (* free-form leading '&' continuation *)
-              if String.length trimmed > 0 && trimmed.[0] = '&'
-                 && Buffer.length pending > 0
-              then begin
+              (* free-form leading '&' continuation: the rest of the
+                 trimmed line *)
+              if body.[first] = '&' && Buffer.length pending > 0 then begin
+                let last = ref (String.length body) in
+                while Directive.is_blank body.[!last - 1] do decr last done;
                 Buffer.add_char pending ' ';
-                Buffer.add_string pending
-                  (String.sub trimmed 1 (String.length trimmed - 1))
+                Buffer.add_substring pending body (first + 1)
+                  (!last - first - 1)
               end
               else begin
                 flush_pending ();
                 pending_line := lineno;
                 Buffer.add_string pending body
               end;
-              (* trailing '&' continuation: keep accumulating *)
-              let cur = Buffer.contents pending in
-              let cur = String.trim cur in
-              if String.length cur > 0 && cur.[String.length cur - 1] = '&'
-              then begin
+              (* trailing '&' continuation: keep accumulating the trimmed
+                 text before the '&' *)
+              let k = ref (Buffer.length pending - 1) in
+              while !k >= 0 && Directive.is_blank (Buffer.nth pending !k) do
+                decr k
+              done;
+              if !k >= 0 && Buffer.nth pending !k = '&' then begin
+                let cur = String.trim (Buffer.contents pending) in
                 Buffer.clear pending;
                 Buffer.add_string pending
                   (String.sub cur 0 (String.length cur - 1))
@@ -258,17 +282,14 @@ let split_label s =
 
 let tokenize source =
   let logical, directives = assemble source in
-  let toks =
-    List.concat_map
-      (fun { rline; rtext } ->
-        let label, rest = split_label rtext in
-        let lead =
-          match label with
-          | Some l -> [ { tok = Token.Label l; tline = rline } ]
-          | None -> []
-        in
-        lead @ tokens_of_line rline rest
-        @ [ { tok = Token.Newline; tline = rline } ])
-      logical
-  in
-  (toks @ [ { tok = Token.Eof; tline = 0 } ], directives)
+  let out = ref [] in
+  List.iter
+    (fun { rline; rtext } ->
+      let label, rest = split_label rtext in
+      Option.iter
+        (fun l -> out := { tok = Token.Label l; tline = rline } :: !out)
+        label;
+      push_tokens out rline rest;
+      out := { tok = Token.Newline; tline = rline } :: !out)
+    logical;
+  (List.rev ({ tok = Token.Eof; tline = 0 } :: !out), directives)

@@ -142,7 +142,7 @@ type cu = {
   sc_init : (int * Value.scalar) list;  (* PARAMETER + scalar DATA *)
   ar_index : (string, int) Hashtbl.t;
   ar_names : string array;  (* sorted *)
-  ar_template : Value.arr array;  (* bounds + DATA contents, copied per state *)
+  ar_init : Machine.array_init array;  (* bounds + DATA, allocated per state *)
   mutable cu_body : state -> unit;
   mutable cu_cov : coverage_entry list;  (* field-loop nests, program order *)
   mutable cu_paths : kernel_path option list;  (* per cu_cov entry *)
@@ -2230,6 +2230,22 @@ let comp_assign_var ctx x rhs =
                 st.sd.(i) <- Value.Bool (f st);
                 st.sset.(i) <- true))
 
+(* A closure compiled on its first call: a fused nest's fallback runs
+   only when the kernel's entry check fails, which most nests never do.
+   Domains ranks can make that first call at the same time, and forcing
+   one [Lazy.t] from two domains raises; here each compiles its own copy
+   instead, which is harmless because the closure IR is a pure function
+   of the AST. *)
+let on_first_use make =
+  let cell = Atomic.make None in
+  fun st ->
+    match Atomic.get cell with
+    | Some f -> f st
+    | None ->
+        let f = make () in
+        Atomic.set cell (Some f);
+        f st
+
 let rec comp_block ctx (block : Ast.block) : state -> unit =
   let stmts = Array.of_list block in
   let fns = Array.map (comp_stmt ctx) stmts in
@@ -2363,7 +2379,10 @@ and comp_do ctx ~line (d : Ast.do_loop) : state -> unit =
                 ~frag:d.Ast.do_fission Fused
             in
             (* dynamic fall-back path: plain closure IR, no nested kernels *)
-            profiled idx (kernel (comp_do_plain { ctx with x_fuse = false } d))
+            profiled idx
+              (kernel
+                 (on_first_use (fun () ->
+                      comp_do_plain { ctx with x_fuse = false } d)))
         | exception Unfusable reason ->
             let idx =
               if is_field_loop ctx d then
@@ -2455,22 +2474,24 @@ let kind_matches kind (v : Value.scalar) =
   | _ -> false
 
 let compile ?(fuse = false) (u : Ast.program_unit) : cu =
-  (* snapshot the machine's initial environment: PARAMETER constants,
-     declared array bounds and DATA contents, with identical semantics
-     (and identical failure modes) by construction *)
-  let tm = Machine.create u in
-  let ar_names = Array.of_list (Machine.array_names tm) in
+  (* the machine's initial environment: PARAMETER constants, declared
+     array bounds and DATA contents, with identical semantics (and
+     identical failure modes) by construction; storage waits for
+     [create] *)
+  let init = Machine.initial u in
+  let arrays = Array.of_list (Machine.init_arrays init) in
+  let ar_names = Array.map fst arrays in
+  let ar_init = Array.map snd arrays in
   let ar_index = Hashtbl.create 32 in
   Array.iteri (fun i n -> Hashtbl.replace ar_index n i) ar_names;
-  let ar_template = Array.map (Machine.array tm) ar_names in
   let sc_names =
     Array.of_list
       (collect_scalar_names u ~is_array:(Hashtbl.mem ar_index))
   in
   let sc_index = Hashtbl.create 64 in
   Array.iteri (fun i n -> Hashtbl.replace sc_index n i) sc_names;
-  let sc_types = Array.map (Machine.declared_type tm) sc_names in
-  let init_bindings = Machine.scalar_bindings tm in
+  let sc_types = Array.map (Machine.init_type init) sc_names in
+  let init_bindings = Machine.init_scalars init in
   let sc_kinds = Array.map kind_of_type sc_types in
   let sc_init = ref [] in
   Array.iteri
@@ -2494,7 +2515,7 @@ let compile ?(fuse = false) (u : Ast.program_unit) : cu =
       sc_init = List.rev !sc_init;
       ar_index;
       ar_names;
-      ar_template;
+      ar_init;
       cu_body = (fun _ -> assert false);
       cu_cov = [];
       cu_paths = [];
@@ -2530,7 +2551,7 @@ let compile ?(fuse = false) (u : Ast.program_unit) : cu =
       x_kinds = sc_kinds;
       x_types = sc_types;
       x_ar = ar_index;
-      x_bounds = Array.map (fun a -> a.Value.bounds) ar_template;
+      x_bounds = Array.map (fun a -> a.Machine.ai_bounds) ar_init;
       x_fuse = fuse;
       x_record = fuse;
       x_cov = cov;
@@ -2576,7 +2597,7 @@ let kernel_paths cu = cu.cu_paths
 
 let create ?(hooks = sequential_hooks) ?(input = []) cu =
   let n = Array.length cu.sc_names in
-  let arrs = Array.map Value.copy cu.ar_template in
+  let arrs = Array.map Machine.allocate cu.ar_init in
   let ncov = List.length cu.cu_cov in
   let st =
     {

@@ -92,9 +92,12 @@ type coverage_entry = {
 
 val compile : ?fuse:bool -> Ast.program_unit -> cu
 (** Lower the unit.  Evaluates PARAMETER constants, array bounds and DATA
-    statements through a template {!Machine} so initialization is
-    bit-identical; raises {!Machine.Runtime_error} on the same inputs
-    {!Machine.create} would.
+    statements with {!Machine.initial}, as {!Machine.create} does, so
+    initialization is bit-identical and the same inputs raise the same
+    errors ({!Machine.Runtime_error}, or [Invalid_argument] on an empty
+    dimension); no array storage is allocated here, only each array's
+    bounds and DATA contents are kept, and every {!create} allocates its
+    own.
 
     With [~fuse:true] (default [false]) the compiler additionally emits a
     fused kernel for every DO nest whose body is a straight-line sequence
@@ -107,7 +110,9 @@ val compile : ?fuse:bool -> Ast.program_unit -> cu
     {!kernel_path}).  Results, flop totals and error behavior stay
     bit-identical to the closure IR (and hence to {!Machine}); nests the
     analyzer or the runtime prover cannot discharge fall back to the
-    closure IR. *)
+    closure IR.  A fused nest's fallback closure is compiled on its first
+    call rather than here; states running at once on several domains may
+    each compile it then, which changes nothing they compute. *)
 
 val of_unit : ?fuse:bool -> Ast.program_unit -> cu
 (** Memoized {!compile}: the same physical [program_unit] (and fuse flag)
@@ -159,8 +164,8 @@ type kernel_stat = {
 val kernel_stats : state -> kernel_stat list
 
 val create : ?hooks:state Machine.hooks -> ?input:float list -> cu -> state
-(** Fresh state: arrays copied from the compiled template (bounds + DATA),
-    PARAMETER and scalar-DATA slots pre-set. *)
+(** Fresh state: storage of its own for every array, holding its DATA
+    contents (zeros elsewhere), PARAMETER and scalar-DATA slots pre-set. *)
 
 val run : state -> unit
 (** Execute the unit body.  [Machine.Stop_run] is caught internally.

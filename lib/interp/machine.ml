@@ -118,8 +118,6 @@ let scalar_bindings t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.scalars []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let declared_type t name = scalar_type t name
-
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 (* ------------------------------------------------------------------ *)
@@ -364,18 +362,32 @@ and exec t st =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(hooks = sequential_hooks) ?(input = []) (u : Ast.program_unit) =
+type array_init = { ai_bounds : (int * int) array; ai_data : float array }
+
+let allocate a =
+  let arr = Value.make_array a.ai_bounds in
+  (match Array.length a.ai_data with
+  | 0 -> ()
+  | 1 -> Value.fill arr a.ai_data.(0)
+  | n -> Array.blit a.ai_data 0 arr.Value.data 0 n);
+  arr
+
+(* a machine without array storage (its [arrays] table stays empty) and
+   the declared arrays, sorted by name *)
+type init = { env : t; decls : (string * array_init) list }
+
+let initial (u : Ast.program_unit) =
   let t =
     {
       unit_ = u;
       scalars = Hashtbl.create 64;
-      arrays = Hashtbl.create 32;
+      arrays = Hashtbl.create 1;
       dtypes = Hashtbl.create 64;
-      input;
+      input = [];
       out_rev = [];
       flops = 0.0;
       names_memo = None;
-      hooks;
+      hooks = sequential_hooks;
     }
   in
   (* PARAMETER constants become pre-set scalars *)
@@ -396,7 +408,8 @@ let create ?(hooks = sequential_hooks) ?(input = []) (u : Ast.program_unit) =
           | exception Runtime_error _ ->
               error "parameter '%s' is not a constant" name))
     u.Ast.u_consts;
-  (* declarations *)
+  (* declarations: bounds and their element counts, no storage *)
+  let shapes = Hashtbl.create 32 in
   List.iter
     (fun d ->
       Hashtbl.replace t.dtypes d.Ast.d_name d.Ast.d_type;
@@ -418,26 +431,42 @@ let create ?(hooks = sequential_hooks) ?(input = []) (u : Ast.program_unit) =
                  (l, h))
                d.Ast.d_dims)
         in
-        Hashtbl.replace t.arrays d.Ast.d_name (Value.make_array bounds)
+        Hashtbl.replace shapes d.Ast.d_name
+          ({ ai_bounds = bounds; ai_data = [||] }, Value.elements bounds)
       end)
     u.Ast.u_decls;
   (* DATA initialization *)
   List.iter
     (fun (name, values) ->
-      match Hashtbl.find_opt t.arrays name with
-      | Some a ->
+      match Hashtbl.find_opt shapes name with
+      | Some (a, n) ->
           let vs = List.map (fun e -> Value.to_float (eval t e)) values in
-          let n = Value.size a in
-          if List.length vs = 1 then Value.fill a (List.hd vs)
-          else if List.length vs = n then
-            List.iteri (fun i v -> a.Value.data.(i) <- v) vs
-          else
-            error "DATA %s: %d values for %d elements" name (List.length vs) n
+          let k = List.length vs in
+          if k = 1 || k = n then
+            Hashtbl.replace shapes name
+              ({ a with ai_data = Array.of_list vs }, n)
+          else error "DATA %s: %d values for %d elements" name k n
       | None -> (
           match values with
           | [ e ] -> set_scalar t name (eval t e)
           | _ -> error "DATA %s: scalar takes exactly one value" name))
     u.Ast.u_data;
+  let decls =
+    Hashtbl.fold (fun name (a, _) acc -> (name, a) :: acc) shapes []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  { env = t; decls }
+
+let init_arrays i = i.decls
+let init_scalars i = scalar_bindings i.env
+let init_type i name = scalar_type i.env name
+
+let create ?(hooks = sequential_hooks) ?(input = []) (u : Ast.program_unit) =
+  let i = initial u in
+  let t = { i.env with arrays = Hashtbl.create 32; input; hooks } in
+  List.iter
+    (fun (name, a) -> Hashtbl.replace t.arrays name (allocate a))
+    i.decls;
   t
 
 let run t =

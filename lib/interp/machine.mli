@@ -45,9 +45,44 @@ val sequential_hooks : t hooks
 (** Reads pop the machine's input queue; writes append to the output list;
     communication statements raise {!Runtime_error}. *)
 
+(** One declared array before it has storage. *)
+type array_init = {
+  ai_bounds : (int * int) array;  (** inclusive (lower, upper) per dimension *)
+  ai_data : float array;
+      (** DATA contents: empty for all zeros, one value for every element,
+          else one value per element in storage order *)
+}
+
+val allocate : array_init -> Value.arr
+(** Fresh storage holding the array's initial contents. *)
+
+type init
+(** A unit's initial environment without array storage: PARAMETER
+    constants, scalar DATA values, declared types, and each declared
+    array's bounds and DATA contents. *)
+
+val initial : Ast.program_unit -> init
+(** Evaluates PARAMETER constants, array bounds and DATA statements,
+    checking every array shape and DATA count, but allocates nothing:
+    {!create} allocates from it, and [Compile.compile] keeps it so that
+    each [Compile.create] allocates its own storage.
+    @raise Runtime_error when a bound is not constant or a DATA count is
+    wrong.
+    @raise Invalid_argument on an empty dimension. *)
+
+val init_arrays : init -> (string * array_init) list
+(** Declared arrays, sorted by name (the order of {!array_names}). *)
+
+val init_scalars : init -> (string * Value.scalar) list
+(** What {!scalar_bindings} is right after {!create}. *)
+
+val init_type : init -> string -> Ast.dtype
+(** The type assignments to [name] convert to: the declared type, or the
+    Fortran implicit rule (I-N integer, otherwise real). *)
+
 val create : ?hooks:t hooks -> ?input:float list -> Ast.program_unit -> t
-(** Evaluates PARAMETER constants, allocates declared arrays, applies DATA
-    statements.  @raise Runtime_error when an array bound is not constant. *)
+(** {!initial}, then storage for every declared array.  @raise
+    Runtime_error when an array bound is not constant. *)
 
 val unit_of : t -> Ast.program_unit
 val run : t -> unit
@@ -73,12 +108,8 @@ val array_names : t -> string list
 
 val scalar_bindings : t -> (string * Value.scalar) list
 (** Every currently-set scalar, sorted by name.  Right after {!create}
-    this is exactly the PARAMETER constants plus scalar DATA values — the
-    initial environment {!Compile} snapshots. *)
-
-val declared_type : t -> string -> Ast.dtype
-(** The type assignments to [name] convert to: the declared type, or the
-    Fortran implicit rule (I-N integer, otherwise real). *)
+    this is exactly the PARAMETER constants plus scalar DATA values
+    ({!init_scalars}). *)
 
 val output : t -> string list
 (** Lines written so far, oldest first. *)

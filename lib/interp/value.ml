@@ -8,23 +8,31 @@ type arr = {
   data : float array;
 }
 
+let elements bounds =
+  let size = ref 1 in
+  Array.iteri
+    (fun d (lo, hi) ->
+      if hi < lo then
+        invalid_arg
+          (Printf.sprintf "Value.make_array: empty dimension %d (%d:%d)" d lo
+             hi);
+      size := !size * (hi - lo + 1))
+    bounds;
+  !size
+
 let make_array bounds =
+  let total = elements bounds in
   let n = Array.length bounds in
   let strides = Array.make n 1 in
-  let size = ref 1 in
-  for d = 0 to n - 1 do
-    let lo, hi = bounds.(d) in
-    if hi < lo then
-      invalid_arg
-        (Printf.sprintf "Value.make_array: empty dimension %d (%d:%d)" d lo hi);
-    strides.(d) <- !size;
-    size := !size * (hi - lo + 1)
+  for d = 1 to n - 1 do
+    let lo, hi = bounds.(d - 1) in
+    strides.(d) <- strides.(d - 1) * (hi - lo + 1)
   done;
   let base = ref 0 in
   for d = 0 to n - 1 do
     base := !base + (fst bounds.(d) * strides.(d))
   done;
-  { bounds; strides; base = !base; total = !size; data = Array.make !size 0.0 }
+  { bounds; strides; base = !base; total; data = Array.make total 0.0 }
 
 let rank a = Array.length a.bounds
 let size a = a.total

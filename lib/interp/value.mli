@@ -13,6 +13,11 @@ type arr = {
   data : float array;
 }
 
+val elements : (int * int) array -> int
+(** Number of elements of an array with these bounds, without allocating.
+    @raise Invalid_argument on an empty dimension, with {!make_array}'s
+    message. *)
+
 val make_array : (int * int) array -> arr
 (** Zero-initialized, with strides, total size and the base offset
     precomputed once so element access never refolds [bounds].

@@ -157,6 +157,59 @@ let test_loop_tree () =
   Alcotest.(check bool) "m simple" true (A.Loops.is_simple t lm.A.Loops.lp_id);
   Alcotest.(check int) "top level" 2 (List.length (A.Loops.top_level t))
 
+(* Loops inside IF branches are direct inner loops of the nearest
+   enclosing DO, in program order; a loop nested in one of them is not. *)
+let test_loop_children_through_ifs () =
+  let u =
+    unit_of
+      {|
+      program t
+      integer i, j, k, it
+      real x
+      do it = 1, 3
+        do i = 1, 4
+          x = 1.0
+        end do
+        if (x .gt. 0.0) then
+          do j = 1, 4
+            do i = 1, 4
+              x = 2.0
+            end do
+          end do
+        else if (x .lt. -1.0) then
+          do k = 1, 4
+            x = 3.0
+          end do
+        else
+          do i = 1, 2
+            x = 4.0
+          end do
+        end if
+        do j = 1, 2
+          x = 5.0
+        end do
+      end do
+      end
+|}
+  in
+  let t = A.Loops.build u in
+  let lines = List.map (fun id -> (A.Loops.loop t id).A.Loops.lp_line) in
+  let by_line n =
+    List.find (fun l -> l.A.Loops.lp_line = n) (A.Loops.loops t)
+  in
+  let time = by_line 5 in
+  Alcotest.(check (list int))
+    "time loop: children in program order, through IF branches"
+    [ 6; 10; 16; 20; 24 ]
+    (lines time.A.Loops.lp_children);
+  Alcotest.(check (list int)) "loop in a THEN branch: its own child" [ 11 ]
+    (lines (by_line 10).A.Loops.lp_children);
+  Alcotest.(check (option int))
+    "ELSE IF loop's parent" (Some time.A.Loops.lp_id)
+    (by_line 16).A.Loops.lp_parent;
+  Alcotest.(check (list int)) "top level" [ 5 ]
+    (List.map (fun l -> l.A.Loops.lp_line) (A.Loops.top_level t))
+
 (* ------------------------------------------------------------------ *)
 (* Field loops: the Fig. 1 taxonomy                                    *)
 (* ------------------------------------------------------------------ *)
@@ -238,6 +291,141 @@ let test_var_dim_mapping () =
     (List.sort compare s.A.Field_loop.fs_var_dims = [ ("i", 0); ("j", 1) ]);
   Alcotest.(check (list int)) "swept dims" [ 0; 1 ]
     s.A.Field_loop.fs_swept_dims
+
+let heads_of src =
+  let p = parse src in
+  let gi = A.Grid_info.of_program p in
+  List.map
+    (fun s ->
+      ( s.A.Field_loop.fs_loop.A.Loops.lp_line,
+        List.sort compare s.A.Field_loop.fs_var_dims ))
+    (A.Field_loop.analyze_unit gi (Ast.main_unit p))
+
+let heads_t = Alcotest.(list (pair int (list (pair string int))))
+
+(* A time loop that sweeps nothing is not a head; the sweeping loops
+   inside it are, IF branches included, and loops inside a head are not. *)
+let test_heads_under_if () =
+  Alcotest.check heads_t "heads in program order"
+    [ (10, [ ("i", 0); ("j", 1) ]); (16, [ ("j", 1) ]); (20, [ ("i", 0) ]) ]
+    (heads_of
+       {|
+c$acfd grid(m, n)
+c$acfd status(v, w)
+      program t
+      parameter (m = 10, n = 8, nt = 3)
+      real v(m, n), w(m, n)
+      integer i, j, it
+      do it = 1, nt
+        if (it .gt. 1) then
+          do i = 1, m
+            do j = 1, n
+              v(i, j) = w(i, j)
+            end do
+          end do
+        else
+          do j = 1, n
+            w(1, j) = 1.0
+          end do
+        end if
+        do i = 2, m
+          w(i, 1) = v(i, 1)
+        end do
+      end do
+      end
+|})
+
+(* The outer loop's variable indexes dimension 0 of one array and
+   dimension 1 of another: no consistent mapping, so it does not sweep,
+   and the inner loop that does becomes the head. *)
+let test_heads_below_conflict () =
+  Alcotest.check heads_t "inner loop is the head"
+    [ (11, [ ("i", 0) ]) ]
+    (heads_of
+       {|
+c$acfd grid(m, n)
+c$acfd status(v, w)
+      program t
+      parameter (m = 8, n = 8)
+      real v(m, n), w(m, n)
+      integer i, k
+      do k = 1, n
+        v(k, 1) = 0.0
+        w(1, k) = 0.0
+        do i = 1, m
+          v(i, 2) = v(i, 3) + 1.0
+        end do
+      end do
+      end
+|})
+
+(* The field-loop heads of the bundled programs as loaded for a run (SPMD
+   input: inlined, fission on): statement ids counted from the unit's
+   first statement, with each head's variable -> dimension mapping. *)
+let test_bundled_heads_pinned () =
+  let read_file path =
+    let ic = open_in path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let heat2d =
+    List.find Sys.file_exists [ "../examples/heat2d.f"; "examples/heat2d.f" ]
+  in
+  List.iter
+    (fun (name, src, expected) ->
+      let t = Autocfd.Driver.load src in
+      let u = t.Autocfd.Driver.inlined in
+      let base =
+        Ast.fold_stmts (fun m st -> min m st.Ast.s_id) max_int u.Ast.u_body
+      in
+      let got =
+        List.map
+          (fun s ->
+            Printf.sprintf "%d:%s"
+              (s.A.Field_loop.fs_loop.A.Loops.lp_id - base)
+              (String.concat ","
+                 (List.map
+                    (fun (v, g) -> Printf.sprintf "%s=%d" v g)
+                    s.A.Field_loop.fs_var_dims)))
+          (A.Field_loop.analyze_unit t.Autocfd.Driver.gi u)
+      in
+      Alcotest.(check (list string)) (name ^ ": heads") expected got)
+    [
+      ( "aerofoil", Autocfd_apps.Aerofoil.source (),
+        [ "13:init_i=0,init_j=1,init_k=2"; "19:init_i=0,init_j=1,init_k=2";
+          "25:init_i=0,init_k=2"; "36:farbc_j=1,farbc_k=2";
+          "47:surfbc_i=0,surfbc_k=2"; "60:spanbc_i=0,spanbc_j=1";
+          "71:rhs_i=0,rhs_j=1,rhs_k=2"; "80:rhs_i=0,rhs_j=1,rhs_k=2";
+          "89:rhs_i=0,rhs_j=1,rhs_k=2"; "98:advanc_i=0,advanc_j=1,advanc_k=2";
+          "105:diverg_i=0,diverg_j=1,diverg_k=2";
+          "113:psor_i=0,psor_j=1,psor_k=2";
+          "124:correc_i=0,correc_j=1,correc_k=2";
+          "134:blayer_i=0,blayer_j=1,blayer_k=2"; "143:wallfn_i=0,wallfn_k=2";
+          "150:smooth_i=0,smooth_j=1,smooth_k=2";
+          "155:smooth_i=0,smooth_j=1,smooth_k=2";
+          "162:spanav_i=0,spanav_j=1,spanav_k=2";
+          "167:spanav_i=0,spanav_j=1,spanav_k=2"; "178:farbc_j=1,farbc_k=2";
+          "188:forces_i=0,forces_k=2"; "197:cflmin_i=0,cflmin_j=1,cflmin_k=2";
+          "205:resid_i=0,resid_j=1,resid_k=2" ] );
+      ( "sprayer", Autocfd_apps.Sprayer.source (),
+        [ "15:init_i=0,init_j=1"; "21:fansrc_i=0"; "31:inletbc_j=1";
+          "41:wallbc_i=0"; "48:eddyvis_i=0,eddyvis_j=1";
+          "56:vorttr_i=0,vorttr_j=1"; "63:resid_i=0,resid_j=1";
+          "69:vortup_i=0,vortup_j=1"; "75:smoothu_i=0,smoothu_j=1";
+          "79:smoothu_i=0,smoothu_j=1"; "85:deficit_i=0,deficit_j=1";
+          "89:deficit_i=0,deficit_j=1"; "96:outflow_j=1";
+          "102:psisol_i=0,psisol_j=1"; "106:psisol_i=0,psisol_j=1";
+          "115:veloc_i=0,veloc_j=1"; "120:swirl_i=0"; "123:swirl_i=0";
+          "131:droplet_i=0,droplet_j=1"; "135:droplet_i=0,droplet_j=1";
+          "138:droplet_i=0"; "144:settle_i=0,settle_j=1"; "150:fansrc_i=0" ] );
+      ( "cavity", Autocfd_apps.Cavity.source (),
+        [ "10:init_i=0,init_j=1"; "19:wallbc_i=0"; "23:wallbc_j=1";
+          "33:vort_i=0,vort_j=1"; "40:resid_i=0,resid_j=1";
+          "46:update_i=0,update_j=1"; "53:psisor_i=0,psisor_j=1" ] );
+      ( "heat2d", read_file heat2d,
+        [ "5:i=0,j=1"; "9:i=0,j=1"; "15:i=0,j=1" ] );
+    ]
 
 let test_fixed_reads_and_reductions () =
   let src =
@@ -863,9 +1051,14 @@ let suite =
     ("grid_info errors", `Quick, test_grid_info_errors);
     ("status explicit dims", `Quick, test_status_explicit_dims);
     ("loop tree defs 6.1-6.4", `Quick, test_loop_tree);
+    ( "loop children through IF branches", `Quick,
+      test_loop_children_through_ifs );
     ("fig1 A/R/C/O", `Quick, test_fig1_classification);
     ("offsets + self dependence", `Quick, test_offsets_and_self_dependence);
     ("var-dim mapping", `Quick, test_var_dim_mapping);
+    ("field-loop heads under IF", `Quick, test_heads_under_if);
+    ("field-loop heads below a conflict", `Quick, test_heads_below_conflict);
+    ("field-loop heads pinned", `Quick, test_bundled_heads_pinned);
     ("fixed reads + reductions", `Quick, test_fixed_reads_and_reductions);
     ("hazard dims", `Quick, test_hazard_dims);
     ("sldp jacobi", `Quick, test_sldp_jacobi);

@@ -587,6 +587,185 @@ let test_kernel_paths () =
       ("heat2d", [ "line 29 (i,j)" ], read_file (heat2d_path ()));
     ]
 
+let unit_of_source src =
+  Autocfd_fortran.Inline.program (Autocfd_fortran.Parser.parse src)
+
+(* The compiler keeps each array's bounds and DATA contents rather than
+   storage, but the initial environment's errors still raise from
+   [Compile.compile], with [Machine.create]'s message. *)
+let test_compile_init_errors () =
+  let outcome f =
+    match f () with
+    | () -> "no error"
+    | exception I.Machine.Runtime_error m -> "Runtime_error: " ^ m
+    | exception Invalid_argument m -> "Invalid_argument: " ^ m
+  in
+  List.iter
+    (fun (what, expected, src) ->
+      let u = unit_of_source src in
+      Alcotest.(check string)
+        (what ^ ": Machine.create") expected
+        (outcome (fun () -> ignore (I.Machine.create u)));
+      List.iter
+        (fun fuse ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: Compile.compile ~fuse:%b" what fuse)
+            expected
+            (outcome (fun () -> ignore (I.Compile.compile ~fuse u))))
+        [ false; true ])
+    [
+      ( "DATA count", "Runtime_error: DATA w: 2 values for 3 elements",
+        {|
+      program t
+      real w(3)
+      data w /1.0, 2.0/
+      end
+|} );
+      ( "non-constant bound",
+        "Runtime_error: array 'w': non-constant upper bound",
+        {|
+      program t
+      integer k
+      real w(k)
+      end
+|} );
+      ( "empty dimension",
+        "Invalid_argument: Value.make_array: empty dimension 1 (1:0)",
+        {|
+      program t
+      real w(3, 0)
+      end
+|} );
+    ]
+
+(* Every state of one compiled unit starts from the DATA contents in
+   storage of its own: a run that writes its arrays, or a write through
+   [Compile.array], leaves later states as they start. *)
+let test_compile_states_own_storage () =
+  let u =
+    unit_of_source
+      {|
+      program t
+      real w(3), z(2, 2), y(2)
+      integer i
+      data w /1.0, 2.0, 3.0/
+      data z /4*0.5/
+      do i = 1, 3
+        w(i) = w(i) * 10.0
+      end do
+      z(2, 1) = -1.0
+      y(2) = 4.0
+      end
+|}
+  in
+  let initial =
+    [ ("w", [ 1.0; 2.0; 3.0 ]); ("y", [ 0.0; 0.0 ]);
+      ("z", [ 0.5; 0.5; 0.5; 0.5 ]) ]
+  in
+  let machine = I.Machine.create u in
+  List.iter
+    (fun fuse ->
+      let cu = I.Compile.compile ~fuse u in
+      let contents what st =
+        List.iter
+          (fun (name, expected) ->
+            Alcotest.(check (list (float 0.0)))
+              (Printf.sprintf "fuse:%b %s: %s" fuse what name)
+              expected
+              (Array.to_list (I.Compile.array st name).I.Value.data))
+      in
+      let first = I.Compile.create cu in
+      contents "first state" first initial;
+      contents "as Machine.create" first
+        (List.map
+           (fun (name, _) ->
+             (name, Array.to_list (I.Machine.array machine name).I.Value.data))
+           initial);
+      I.Compile.run first;
+      let after_run =
+        [ ("w", [ 10.0; 20.0; 30.0 ]); ("y", [ 0.0; 4.0 ]);
+          ("z", [ 0.5; -1.0; 0.5; 0.5 ]) ]
+      in
+      contents "first state after its run" first after_run;
+      let second = I.Compile.create cu in
+      contents "second state" second initial;
+      (I.Compile.array second "w").I.Value.data.(0) <- 99.0;
+      (I.Compile.array second "z").I.Value.data.(3) <- 99.0;
+      contents "third state" (I.Compile.create cu) initial;
+      contents "first state after writes to the second" first after_run)
+    [ false; true ]
+
+(* A fused nest whose trip space is empty on three of four ranks (a
+   boundary layer along j, the ranks splitting j) runs its closure-IR
+   fallback there, compiled on first use.  On a fresh plan, the Domains
+   ranks make that first call together; the run must still be
+   bit-identical to the simulator's. *)
+let test_domains_first_use_fallback () =
+  let src =
+    {|c$acfd grid(m, n)
+c$acfd status(u, w)
+      program edge
+      parameter (m = 12, n = 16, nt = 4)
+      real u(m, n), w(m, n)
+      real cf
+      integer i, j, it
+      do j = 1, n
+        do i = 1, m
+          u(i, j) = 0.01 * float(i + 3 * j)
+          w(i, j) = 0.0
+        end do
+      end do
+      cf = 0.3
+      do it = 1, nt
+        do j = 2, n - 1
+          do i = 2, m - 1
+            w(i, j) = 0.25 * (u(i-1, j) + u(i+1, j) + u(i, j-1) + u(i, j+1))
+          end do
+        end do
+        do j = 2, 3
+          do i = 2, m - 1
+            w(i, j) = (1.0 - cf) * w(i, j)
+          end do
+        end do
+        do j = 2, n - 1
+          do i = 2, m - 1
+            u(i, j) = w(i, j)
+          end do
+        end do
+      end do
+      write(*,*) u(5, 5), u(6, 2)
+      end
+|}
+  in
+  let plan = D.plan ~spec:(parts_spec [| 1; 4 |]) (D.load src) in
+  let idle =
+    List.filter
+      (fun r ->
+        let b = Autocfd_partition.Topology.block plan.D.topo r in
+        let open Autocfd_partition.Block in
+        b.hi.(1) < 2 || b.lo.(1) > 3)
+      (List.init 4 Fun.id)
+  in
+  Alcotest.(check int) "ranks with an empty boundary-layer trip space" 3
+    (List.length idle);
+  let cu = I.Compile.of_unit ~fuse:true plan.D.spmd in
+  Alcotest.(check bool)
+    "the boundary-layer nest is fused" true
+    (List.exists
+       (fun (c : I.Compile.coverage_entry) ->
+         c.I.Compile.cov_line = 21 && c.I.Compile.cov_fused)
+       (I.Compile.coverage cu));
+  let r = D.run ~spec:(R.with_engine I.Spmd.Domains R.default) plan in
+  let sim = D.run ~spec:(R.with_engine I.Spmd.Fused R.default) plan in
+  let ctx = "boundary layer/domains 1x4" in
+  check_array_list "gathered" ctx sim.I.Spmd.gathered r.I.Spmd.gathered;
+  Alcotest.(check bool) (ctx ^ ": scalars") true
+    (sim.I.Spmd.scalars = r.I.Spmd.scalars);
+  Alcotest.(check bool) (ctx ^ ": flops per rank") true
+    (sim.I.Spmd.flops_per_rank = r.I.Spmd.flops_per_rank);
+  Alcotest.(check (list string)) (ctx ^ ": output") sim.I.Spmd.output
+    r.I.Spmd.output
+
 let suite =
   [
     ("sprayer engines identical", `Slow, test_sprayer);
@@ -601,4 +780,8 @@ let suite =
     ("fused kernel coverage 100%", `Quick, test_app_coverage);
     ("fused kernel paths pinned", `Quick, test_kernel_paths);
     ("row path long rows", `Quick, test_long_rows);
+    ("compile-time init errors", `Quick, test_compile_init_errors);
+    ( "compiled states own their storage", `Quick,
+      test_compile_states_own_storage );
+    ("domains first-use fallback", `Quick, test_domains_first_use_fallback);
   ]

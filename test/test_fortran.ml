@@ -94,6 +94,36 @@ let test_lex_directives () =
   Alcotest.(check bool) "dist" true
     (Directive.dist_overrides dirs = [ ("q", 2) ])
 
+(* Line forms the lexer scans in place: upper-case and indented
+   directives, a generated [c$acfd>] annotation, CRLF endings, a blank
+   line of tabs and a carriage return, free-form trailing and leading
+   '&' and fixed-form continuations, two-character operators, upper-case
+   identifiers; and the intrinsic-name check, which ignores case too. *)
+let test_lex_line_forms () =
+  let src =
+    "C$ACFD GRID(NI, NJ)\r\n   !$acfd dist(u, 2)  \r\nc$acfd> generated note\n \t\r\n\
+     \      X = A**2 &\n  & + B /= C &  \n     &  <= D\n      end\n"
+  in
+  let toks, dirs = Lexer.tokenize src in
+  Alcotest.(check (list string))
+    "tokens"
+    [ "5 x"; "5 ="; "5 a"; "5 **"; "5 2"; "5 +"; "5 b"; "5 .ne."; "5 c";
+      "5 .le."; "5 d"; "5 <newline>"; "8 end"; "8 <newline>"; "0 <eof>" ]
+    (List.map
+       (fun (t : Lexer.token) ->
+         Printf.sprintf "%d %s" t.Lexer.tline (Token.to_string t.Lexer.tok))
+       toks);
+  Alcotest.(check (list string)) "grid" [ "ni"; "nj" ] (Directive.grids dirs);
+  Alcotest.(check bool) "dist on line 2" true
+    (List.map (fun d -> d.Directive.dir_line) dirs = [ 1; 2 ]
+    && Directive.dist_overrides dirs = [ ("u", 2) ]);
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check bool) ("is_intrinsic " ^ name) expected
+        (Ast.is_intrinsic name))
+    [ ("max", true); ("MAX", true); ("Amin1", true); ("maxx", false);
+      ("ma", false); ("u", false) ]
+
 (* ------------------------------------------------------------------ *)
 (* Expression parsing                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -519,6 +549,7 @@ let suite =
     ("lex continuation", `Quick, test_lex_continuation);
     ("lex comments", `Quick, test_lex_comments);
     ("lex directives", `Quick, test_lex_directives);
+    ("lex line forms", `Quick, test_lex_line_forms);
     ("expr precedence", `Quick, test_expr_precedence);
     ("expr refs", `Quick, test_expr_refs);
     ("parse program", `Quick, test_parse_program);
