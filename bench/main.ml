@@ -765,6 +765,7 @@ let check_tune opts =
 (*      requeue, and leave a Chrome trace (fabric_trace.json)           *)
 (*   2. master with no workers at all — must degrade to the in-process  *)
 (*      pool (not hang) and still render byte-identically               *)
+(* Neither fabric pass may count a corrupt frame.                       *)
 (* ------------------------------------------------------------------ *)
 
 let check_fabric opts =
@@ -787,8 +788,6 @@ let check_fabric opts =
   let out1 = sweep_tables_string sw in
   let st = Sched.Fabric.stats fabric in
   prerr_string (Autocfd.Report.fabric_summary st);
-  let reg = Autocfd_obs.Registry.create () in
-  Sched.Fabric.observe_registry reg st;
   Sched.Cache.write_atomic ~path:"fabric_trace.json"
     (Autocfd_obs.Chrome.to_string tracer);
   Printf.eprintf "wrote fabric_trace.json\n%!";
@@ -801,6 +800,11 @@ let check_fabric opts =
     fail "FAIL: the killed worker's lease was not requeued";
   if st.Sched.Fabric.fs_degraded then
     fail "FAIL: the 3-worker pass unexpectedly degraded";
+  (* a SIGKILLed worker leaves at most a truncated frame, which is a
+     closed connection, not a corrupt one *)
+  if st.Sched.Fabric.fs_corrupt_frames > 0 then
+    fail "FAIL: the 3-worker pass saw %d corrupt frame(s)"
+      st.Sched.Fabric.fs_corrupt_frames;
   Printf.eprintf "pass 2 (fabric: no workers, short grace)...\n%!";
   let cfg2 = { Sched.Fabric.default_cfg with Sched.Fabric.fb_grace = 0.3 } in
   let fabric2 = make_fabric ~cfg:cfg2 0 in
@@ -812,6 +816,9 @@ let check_fabric opts =
     fail "FAIL: degraded sweep diverged from the serial rendering";
   if not st2.Sched.Fabric.fs_degraded then
     fail "FAIL: worker-less sweep did not report degradation";
+  if st2.Sched.Fabric.fs_corrupt_frames > 0 then
+    fail "FAIL: the worker-less pass saw %d corrupt frame(s)"
+      st2.Sched.Fabric.fs_corrupt_frames;
   Printf.printf
     "OK fabric: 3 passes byte-identical; chaos pass survived %d worker \
      death(s) with %d requeue(s) and %d retries; worker-less pass degraded \

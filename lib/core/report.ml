@@ -339,121 +339,26 @@ let fabric_summary (fs : Autocfd_sched.Fabric.stats) =
   line "";
   line
     "| requeues | retries | lease expiries | worker deaths | quarantined \
-     | stale results | corrupt frames | retransmits | dups dropped |";
-  line "|---|---|---|---|---|---|---|---|---|";
-  line "| %d | %d | %d | %d | %d | %d | %d | %d | %d |" fs.Fabric.fs_requeues
+     | stale results | corrupt frames |";
+  line "|---|---|---|---|---|---|---|";
+  line "| %d | %d | %d | %d | %d | %d | %d |" fs.Fabric.fs_requeues
     fs.Fabric.fs_retries fs.Fabric.fs_lease_expiries fs.Fabric.fs_worker_deaths
     fs.Fabric.fs_quarantined fs.Fabric.fs_stale_results
-    fs.Fabric.fs_corrupt_frames fs.Fabric.fs_retransmits
-    fs.Fabric.fs_dup_suppressed;
+    fs.Fabric.fs_corrupt_frames;
   line "";
   if fs.Fabric.fs_degraded then
     line "Degraded: at least one batch fell back to the in-process pool.";
   if fs.Fabric.fs_workers <> [] then begin
     line "### Workers";
     line "";
-    line "| worker | pid | alive | leases | done | retransmits | dups | corrupt |";
-    line "|---|---|---|---|---|---|---|---|";
+    line "| worker | pid | alive | leases | done | corrupt |";
+    line "|---|---|---|---|---|---|";
     List.iter
       (fun (w : Fabric.worker_stats) ->
-        line "| %s | %s | %s | %d | %d | %d | %d | %d |" w.Fabric.ws_id
+        line "| %s | %s | %s | %d | %d | %d |" w.Fabric.ws_id
           (match w.Fabric.ws_pid with Some p -> string_of_int p | None -> "—")
           (if w.Fabric.ws_alive then "yes" else "no")
-          w.Fabric.ws_leases w.Fabric.ws_done w.Fabric.ws_retransmits
-          w.Fabric.ws_dup_suppressed w.Fabric.ws_corrupt)
+          w.Fabric.ws_leases w.Fabric.ws_done w.Fabric.ws_corrupt)
       fs.Fabric.fs_workers
   end;
   Buffer.contents b
-
-let fabric_summary_json (fs : Autocfd_sched.Fabric.stats) =
-  let module Fabric = Autocfd_sched.Fabric in
-  let module J = Obs.Json in
-  J.Obj
-    [
-      ("schema", J.Str "autocfd-fabric/1");
-      ("requeues", J.Int fs.Fabric.fs_requeues);
-      ("retries", J.Int fs.Fabric.fs_retries);
-      ("lease_expiries", J.Int fs.Fabric.fs_lease_expiries);
-      ("worker_deaths", J.Int fs.Fabric.fs_worker_deaths);
-      ("quarantined", J.Int fs.Fabric.fs_quarantined);
-      ("stale_results", J.Int fs.Fabric.fs_stale_results);
-      ("corrupt_frames", J.Int fs.Fabric.fs_corrupt_frames);
-      ("retransmits", J.Int fs.Fabric.fs_retransmits);
-      ("dup_suppressed", J.Int fs.Fabric.fs_dup_suppressed);
-      ("degraded", J.Bool fs.Fabric.fs_degraded);
-      ("workers",
-       J.List
-         (List.map
-            (fun (w : Fabric.worker_stats) ->
-              J.Obj
-                [
-                  ("id", J.Str w.Fabric.ws_id);
-                  ("pid",
-                   match w.Fabric.ws_pid with
-                   | Some p -> J.Int p
-                   | None -> J.Null);
-                  ("alive", J.Bool w.Fabric.ws_alive);
-                  ("leases", J.Int w.Fabric.ws_leases);
-                  ("done", J.Int w.Fabric.ws_done);
-                  ("retransmits", J.Int w.Fabric.ws_retransmits);
-                  ("dup_suppressed", J.Int w.Fabric.ws_dup_suppressed);
-                  ("corrupt", J.Int w.Fabric.ws_corrupt);
-                ])
-            fs.Fabric.fs_workers));
-    ]
-
-let tune_summary results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "## Auto-tuning\n\n";
-  List.iter
-    (fun (r : Tune.result) ->
-      let w = r.Tune.tr_winner in
-      Buffer.add_string b
-        (Printf.sprintf
-           "### %s (%s grid)\n\n\
-            %d configurations evaluated, %d on the Pareto frontier.  \
-            Winner: `%s` over %d ranks (%s combining, fission %s, %s \
-            engine) at %.1f modelled seconds.\n\n"
-           r.Tune.tr_program
-           (Tune.grid_to_string r.Tune.tr_grid)
-           r.Tune.tr_total
-           (List.length r.Tune.tr_frontier)
-           (Runspec.parts_to_string w.Tune.te_parts)
-           (Array.fold_left ( * ) 1 w.Tune.te_parts)
-           (Runspec.combine_to_string w.Tune.te_spec.Runspec.combine)
-           (if w.Tune.te_spec.Runspec.fission then "on" else "off")
-           (Runspec.engine_to_string w.Tune.te_spec.Runspec.engine)
-           w.Tune.te_metrics.Tune.tm_time);
-      Buffer.add_string b
-        "| procs | partition | combine | fission | engine | time (s) | \
-         comm (KB) | mem/rank (KB) | domains wall (s) |\n\
-         |---|---|---|---|---|---|---|---|---|\n";
-      List.iter
-        (fun (e : Tune.entry) ->
-          let s = e.Tune.te_spec in
-          Buffer.add_string b
-            (Printf.sprintf "| %d | %s | %s | %s | %s | %.1f | %.0f | %.0f | %s |\n"
-               (Array.fold_left ( * ) 1 e.Tune.te_parts)
-               (Runspec.parts_to_string e.Tune.te_parts)
-               (Runspec.combine_to_string s.Runspec.combine)
-               (if s.Runspec.fission then "on" else "off")
-               (Runspec.engine_to_string s.Runspec.engine
-               ^ if s.Runspec.fuse then "" else "-nofuse")
-               e.Tune.te_metrics.Tune.tm_time
-               (e.Tune.te_metrics.Tune.tm_comm /. 1024.)
-               (e.Tune.te_metrics.Tune.tm_mem /. 1024.)
-               (match e.Tune.te_metrics.Tune.tm_wall with
-               | Some wall -> Printf.sprintf "%.3f" wall
-               | None -> "-")))
-        r.Tune.tr_frontier;
-      Buffer.add_char b '\n')
-    results;
-  Buffer.contents b
-
-let tune_summary_json results =
-  let module J = Obs.Json in
-  J.Obj
-    [
-      ("schema", J.Str "autocfd-tune/1");
-      ("programs", J.List (List.map Tune.result_to_json results));
-    ]

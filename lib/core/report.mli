@@ -38,19 +38,5 @@ val sched_summary_json :
 val fabric_summary : Autocfd_sched.Fabric.stats -> string
 (** Markdown summary of a distributed sweep's robustness counters —
     requeues, retries, lease expiries, worker deaths, quarantines,
-    stale results, frame-level corruption/retransmits/dups, degraded
-    flag — plus a per-worker table. *)
-
-val fabric_summary_json : Autocfd_sched.Fabric.stats -> Autocfd_obs.Json.t
-(** The same fabric counters as a machine-readable document (schema
-    ["autocfd-fabric/1"]). *)
-
-val tune_summary : Tune.result list -> string
-(** Markdown rendering of {!Experiments.tune_table} output: per program,
-    the winning configuration one-liner plus the full Pareto-frontier
-    table (time / comm / memory, with the measured Domains wall clock
-    where available). *)
-
-val tune_summary_json : Tune.result list -> Autocfd_obs.Json.t
-(** The same results as a machine-readable document (schema
-    ["autocfd-tune/1"]). *)
+    stale results, connections cut for a corrupt frame, degraded flag —
+    plus a per-worker table. *)

@@ -285,38 +285,6 @@ let result_to_json r =
       ("frontier", J.List (List.map entry_to_json r.tr_frontier));
     ]
 
-let result_of_json j =
-  let program =
-    match jget "program" j with
-    | J.Str s -> s
-    | _ -> fail "field \"program\": expected a string"
-  in
-  let grid =
-    match jget "grid" j with
-    | J.Str s -> (
-        match grid_of_string s with
-        | Ok g -> g
-        | Error msg -> fail msg)
-    | _ -> fail "field \"grid\": expected a string"
-  in
-  let points =
-    match jget "points" j with
-    | J.Int i -> i
-    | _ -> fail "field \"points\": expected an integer"
-  in
-  let frontier =
-    match jget "frontier" j with
-    | J.List l -> List.map entry_of_json l
-    | _ -> fail "field \"frontier\": expected a list"
-  in
-  {
-    tr_program = program;
-    tr_grid = grid;
-    tr_total = points;
-    tr_frontier = frontier;
-    tr_winner = entry_of_json (jget "winner" j);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -100,7 +100,6 @@ val make_result : program:string -> grid:grid -> entry list -> result
     [entries] is empty. *)
 
 val result_to_json : result -> Autocfd_obs.Json.t
-val result_of_json : Autocfd_obs.Json.t -> result
 
 val render : result -> string
 (** ASCII Pareto-frontier table plus a one-line winner summary. *)

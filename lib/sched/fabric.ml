@@ -1,7 +1,5 @@
 module J = Autocfd_obs.Json
 module Trace = Autocfd_obs.Trace
-module Registry = Autocfd_obs.Registry
-module Frame = Autocfd_mpsim.Frame
 
 (* ------------------------------------------------------------------ *)
 (* addresses                                                          *)
@@ -44,10 +42,6 @@ let sockaddr_of = function
 let socket_domain = function
   | Unix_path _ -> Unix.PF_UNIX
   | Tcp _ -> Unix.PF_INET
-
-let ignore_sigpipe () =
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ | Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* wire protocol                                                      *)
@@ -190,7 +184,6 @@ type t = {
 }
 
 let create ?(cfg = default_cfg) ~listen () =
-  ignore_sigpipe ();
   (match listen with
   | Unix_path p when Sys.file_exists p -> (
       (* a previous master's socket file; binding over it needs it gone *)
@@ -275,7 +268,8 @@ let accept_pending t =
 
 (* one select round: accept connections, pump readable worker
    connections; [on_msg w msg] per decoded message, [on_death w] once
-   per connection that went away *)
+   per connection that went away (EOF, a socket error or a corrupt
+   frame) *)
 let poll t ~timeout ~on_msg ~on_death =
   let conns =
     List.filter_map
@@ -297,7 +291,7 @@ let poll t ~timeout ~on_msg ~on_death =
                     match msg_of_string p with
                     | Ok m -> on_msg w m
                     | Error _ ->
-                        (* checksummed transport makes this version skew,
+                        (* checksummed frames make this version skew,
                            not line noise; drop it *)
                         ())
                   payloads
@@ -523,21 +517,11 @@ let run t ?cache ?tracer job_list =
               w.w_lease_t0 <- now_rel ();
               w.w_leases <- w.w_leases + 1;
               mark w.w_index "lease" i;
-              (match
-                 Frame.send w.w_conn
-                   (msg_to_string
-                      (Assign
-                         { ma_id = id; ma_label = arr.(i).Job.jb_label;
-                           ma_spec = spec }))
-               with
-              | () -> ()
-              | exception Frame.Closed ->
-                  w.w_alive <- false;
-                  Frame.close w.w_conn;
-                  on_death w);
-              (* the chaos hook: kill the worker right after leasing, so
-                 the CI gate reliably observes a requeue *)
-              match cfg.fb_chaos_kill with
+              (* the chaos hook: kill the worker as it takes the lease,
+                 before the assignment is sent — killed after, it can win
+                 the race and deliver the result first — so the CI gate
+                 always observes a requeue *)
+              (match cfg.fb_chaos_kill with
               | Some k when (not t.t_killed) && t.t_completions >= k -> (
                   match w.w_pid with
                   | Some pid when List.mem pid t.t_spawned ->
@@ -545,7 +529,19 @@ let run t ?cache ?tracer job_list =
                       (try Unix.kill pid Sys.sigkill
                        with Unix.Unix_error _ -> ())
                   | _ -> ())
-              | _ -> ()))
+              | _ -> ());
+              match
+                Frame.send w.w_conn
+                  (msg_to_string
+                     (Assign
+                        { ma_id = id; ma_label = arr.(i).Job.jb_label;
+                          ma_spec = spec }))
+              with
+              | () -> ()
+              | exception Frame.Closed ->
+                  w.w_alive <- false;
+                  Frame.close w.w_conn;
+                  on_death w))
       t.t_workers
   in
   let expire_leases () =
@@ -631,9 +627,6 @@ let run t ?cache ?tracer job_list =
             Float.max 0.01 !cap
           in
           poll t ~timeout ~on_msg ~on_death;
-          List.iter
-            (fun w -> if w.w_alive then Frame.tick w.w_conn)
-            t.t_workers;
           expire_leases ()
         end
       end
@@ -716,8 +709,6 @@ type worker_stats = {
   ws_alive : bool;
   ws_leases : int;
   ws_done : int;
-  ws_retransmits : int;
-  ws_dup_suppressed : int;
   ws_corrupt : int;
 }
 
@@ -739,20 +730,16 @@ let stats t =
   let workers =
     List.map
       (fun w ->
-        let cs = Frame.stats w.w_conn in
         {
           ws_id = w.w_id;
           ws_pid = w.w_pid;
           ws_alive = w.w_alive;
           ws_leases = w.w_leases;
           ws_done = w.w_done;
-          ws_retransmits = cs.Frame.cs_retransmits;
-          ws_dup_suppressed = cs.Frame.cs_dup_suppressed;
-          ws_corrupt = cs.Frame.cs_corrupt;
+          ws_corrupt = Frame.corrupt w.w_conn;
         })
       t.t_workers
   in
-  let sum f = List.fold_left (fun acc w -> acc + f w) 0 workers in
   {
     fs_workers = workers;
     fs_requeues = t.t_requeues;
@@ -761,23 +748,12 @@ let stats t =
     fs_worker_deaths = t.t_deaths;
     fs_quarantined = t.t_quarantined;
     fs_stale_results = t.t_stale;
-    fs_corrupt_frames = sum (fun w -> w.ws_corrupt);
-    fs_retransmits = sum (fun w -> w.ws_retransmits);
-    fs_dup_suppressed = sum (fun w -> w.ws_dup_suppressed);
+    fs_corrupt_frames =
+      List.fold_left (fun acc w -> acc + w.ws_corrupt) 0 workers;
+    fs_retransmits = 0;
+    fs_dup_suppressed = 0;
     fs_degraded = t.t_degraded;
   }
-
-let observe_registry reg st =
-  let inc name v =
-    Registry.inc reg ~help:"sweep fabric robustness counter" name
-      (float_of_int v)
-  in
-  inc "autocfd_fabric_retries_total" st.fs_retries;
-  inc "autocfd_fabric_requeues_total" st.fs_requeues;
-  inc "autocfd_fabric_lease_expiries_total" st.fs_lease_expiries;
-  inc "autocfd_fabric_frames_corrupt_total" st.fs_corrupt_frames;
-  inc "autocfd_fabric_worker_deaths_total" st.fs_worker_deaths;
-  inc "autocfd_fabric_quarantined_total" st.fs_quarantined
 
 let shutdown t =
   if not t.t_shutdown then begin
@@ -786,7 +762,7 @@ let shutdown t =
       (fun w ->
         if w.w_alive then begin
           (try Frame.send w.w_conn (msg_to_string Shutdown)
-           with Frame.Closed | Unix.Unix_error _ -> ());
+           with Frame.Closed -> ());
           w.w_alive <- false
         end;
         Frame.close w.w_conn)
@@ -820,8 +796,7 @@ let shutdown t =
 (* ------------------------------------------------------------------ *)
 (* worker                                                             *)
 
-let serve ~connect ?id ?(heartbeat = 1.0) ?chaos ~resolve () =
-  ignore_sigpipe ();
+let serve ~connect ?id ?(heartbeat = 1.0) ~resolve () =
   let connected =
     let fd = Unix.socket (socket_domain connect) Unix.SOCK_STREAM 0 in
     match Unix.connect fd (sockaddr_of connect) with
@@ -838,7 +813,7 @@ let serve ~connect ?id ?(heartbeat = 1.0) ?chaos ~resolve () =
   match connected with
   | Error _ as e -> e
   | Ok fd ->
-      let conn = Frame.conn ?chaos fd in
+      let conn = Frame.conn fd in
       let wid =
         match id with
         | Some s -> s
@@ -860,7 +835,7 @@ let serve ~connect ?id ?(heartbeat = 1.0) ?chaos ~resolve () =
               let id = Atomic.get current in
               if id >= 0 && not (Atomic.get stop) then
                 try Frame.send conn (msg_to_string (Heartbeat { mb_id = id }))
-                with Frame.Closed | Unix.Unix_error _ -> Atomic.set stop true
+                with Frame.Closed -> Atomic.set stop true
             done)
           ()
       in
@@ -886,20 +861,11 @@ let serve ~connect ?id ?(heartbeat = 1.0) ?chaos ~resolve () =
         | Ok Shutdown -> true
         | Ok _ | Error _ -> false
       in
+      (* a corrupt frame from the master ends the connection like the
+         master going away *)
       let rec loop () =
-        match Unix.select [ fd ] [] [] 0.25 with
-        | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-        | [], _, _ ->
-            Frame.tick conn;
-            loop ()
-        | _ -> (
-            match Frame.pump conn with
-            | exception Frame.Closed -> Ok ()  (* master went away *)
-            | payloads ->
-                if List.exists handle payloads then Ok ()
-                else begin
-                  Frame.tick conn;
-                  loop ()
-                end)
+        match Frame.pump conn with
+        | exception Frame.Closed -> Ok ()
+        | payloads -> if List.exists handle payloads then Ok () else loop ()
       in
-      finish (try loop () with Frame.Closed -> Ok ())
+      finish (loop ())

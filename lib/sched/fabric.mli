@@ -4,18 +4,19 @@
     it over {e processes} — a master listening on a Unix-domain or TCP
     socket hands out content-addressed {!Job}s and workers (spawned as
     [autocfd worker --connect ADDR], possibly on other hosts) stream back
-    result JSON.  Every byte on the wire travels in
-    {!Autocfd_mpsim.Frame} envelopes — the {!Autocfd_mpsim.Reliable}
-    discipline (sequence numbers, FNV checksums, retransmission,
-    duplicate suppression) over real file descriptors — so corrupt or
-    reordered frames are recovered, not trusted.
+    result JSON.  Every message travels as one {!Frame}: a length and an
+    FNV-64 checksum ahead of the payload.  The stream socket already
+    delivers in order and without loss, so nothing is retransmitted; a
+    frame that fails its check ends the connection, and the master
+    recovers it like a dead worker.
 
     Robustness is the point.  The life of a job:
 
     {v pending -> leased -> done
          ^          |
          |          +-- lease expires (no heartbeat) ... requeue
-         |          +-- worker dies (EOF/EPIPE) ........ requeue
+         |          +-- worker dies (EOF, socket error,
+         |          |   corrupt frame) ................. requeue
          |          +-- worker reports failure ......... retry
          +---- backoff * 2^(attempt-1) * (1 + jitter) ---+
                  (after max_attempts: quarantined) v}
@@ -112,9 +113,9 @@ type worker_stats = {
   ws_alive : bool;
   ws_leases : int;  (** jobs ever leased to it *)
   ws_done : int;  (** results it delivered *)
-  ws_retransmits : int;
-  ws_dup_suppressed : int;
-  ws_corrupt : int;  (** corrupt frames its connection absorbed *)
+  ws_corrupt : int;
+      (** corrupt frames from it: 0 or 1, since the first one cuts the
+          connection *)
 }
 
 type stats = {
@@ -125,19 +126,16 @@ type stats = {
   fs_worker_deaths : int;
   fs_quarantined : int;
   fs_stale_results : int;  (** late results for already-done jobs *)
-  fs_corrupt_frames : int;
+  fs_corrupt_frames : int;  (** connections cut for a corrupt frame *)
   fs_retransmits : int;
-  fs_dup_suppressed : int;
+      (** always 0: frames are never retransmitted; kept because the
+          [benchmark/] sweep workload reports it *)
+  fs_dup_suppressed : int;  (** always 0, like [fs_retransmits] *)
   fs_degraded : bool;  (** some batch fell back to the in-process pool *)
 }
 
 val stats : t -> stats
 (** Cumulative over the fabric's lifetime. *)
-
-val observe_registry : Autocfd_obs.Registry.t -> stats -> unit
-(** Export the robustness counters as
-    [autocfd_fabric_{retries,requeues,lease_expiries,frames_corrupt}_total]
-    (plus worker deaths and quarantines). *)
 
 val shutdown : t -> unit
 (** Send every worker a shutdown message, close all sockets, remove the
@@ -155,7 +153,7 @@ type msg =
   | Shutdown
 
 val msg_to_string : msg -> string
-(** JSON, carried as one {!Autocfd_mpsim.Frame} data payload. *)
+(** JSON, carried as one {!Frame} payload. *)
 
 val msg_of_string : string -> (msg, string) result
 
@@ -165,7 +163,6 @@ val serve :
   connect:addr ->
   ?id:string ->
   ?heartbeat:float ->
-  ?chaos:Autocfd_mpsim.Frame.chaos ->
   resolve:(Autocfd_obs.Json.t -> Autocfd_obs.Json.t) ->
   unit ->
   (unit, string) result
@@ -173,6 +170,7 @@ val serve :
     resolve each assigned spec (a background thread heartbeats while the
     job runs) and stream the result back — until the master says
     shutdown or hangs up.  An exception from [resolve] becomes a
-    {!Failure} message; the worker survives it.  [Error msg] means the
+    {!Failure} message; the worker survives it.  A corrupt frame from the
+    master ends the loop like a hang-up.  [Error msg] means the
     connection could not be established ([msg] is a one-line
     diagnostic). *)

@@ -22,7 +22,7 @@ let make ?(version = code_version) ?spec ~label ~key run =
   }
 
 (* FNV-1a, 64-bit *)
-let digest s =
+let fnv64 s =
   let offset_basis = 0xcbf29ce484222325L in
   let prime = 0x100000001b3L in
   let h = ref offset_basis in
@@ -31,6 +31,8 @@ let digest s =
       h := Int64.logxor !h (Int64.of_int (Char.code c));
       h := Int64.mul !h prime)
     s;
-  Printf.sprintf "%016Lx" !h
+  !h
+
+let digest s = Printf.sprintf "%016Lx" (fnv64 s)
 
 let cache_name job = digest (J.canonical job.jb_key)

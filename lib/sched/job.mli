@@ -41,9 +41,13 @@ val make :
     computation completely, and resolving it must produce exactly what
     [run] returns. *)
 
+val fnv64 : string -> int64
+(** FNV-1a 64-bit hash of a string; also the checksum of a fabric
+    {!Frame}. *)
+
 val digest : string -> string
-(** FNV-1a 64-bit hash of a string as 16 lowercase hex digits — used for
-    program-source digests inside keys and for cache file names. *)
+(** {!fnv64} as 16 lowercase hex digits — used for program-source
+    digests inside keys and for cache file names. *)
 
 val cache_name : t -> string
 (** The job's content address: [digest] of the canonical key text. *)

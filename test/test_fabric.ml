@@ -1,101 +1,149 @@
-(** The distributed sweep fabric: frame codec and chaos transport over
-    real sockets, the master/worker wire protocol, and the robustness
-    ladder — end-to-end distribution, graceful degradation without
-    workers, quarantine of poisoned jobs, requeue on worker death, lease
+(** The distributed sweep fabric: the frame codec (and a property test
+    of its reader against mangled input), connection errors, the
+    master/worker wire protocol, and the robustness ladder — end-to-end
+    distribution, graceful degradation without workers, quarantine of
+    poisoned jobs, requeue on worker death or a corrupt frame, lease
     expiry for silent workers, and heartbeats keeping slow jobs leased. *)
 
 module Sched = Autocfd_sched
 module Fabric = Sched.Fabric
-module Frame = Autocfd_mpsim.Frame
+module Frame = Sched.Frame
 module J = Autocfd_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* frame codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_frame_roundtrip () =
-  let r = Frame.reader () in
-  let payloads = [ ""; "x"; String.make 1000 'q'; "{\"a\":[1,2,3]}" ] in
-  List.iteri
-    (fun i p ->
-      let b = Frame.encode ~kind:Frame.Data ~seq:i p in
-      Frame.feed r b 0 (Bytes.length b))
-    payloads;
-  List.iteri
-    (fun i p ->
-      match Frame.next r with
-      | Some f ->
-          Alcotest.(check int) "seq" i f.Frame.fr_seq;
-          Alcotest.(check string) "payload" p f.Frame.fr_payload
-      | None -> Alcotest.failf "frame %d missing" i)
-    payloads;
-  Alcotest.(check bool) "drained" true (Frame.next r = None);
-  Alcotest.(check int) "nothing corrupt" 0 (Frame.reader_corrupt r)
+let encode_all payloads =
+  String.concat ""
+    (List.map (fun p -> Bytes.to_string (Frame.encode p)) payloads)
 
-let test_frame_resync_on_garbage () =
-  let r = Frame.reader () in
-  let garbage = Bytes.of_string "%%%% line noise before the frame ****" in
-  Frame.feed r garbage 0 (Bytes.length garbage);
-  let b = Frame.encode ~kind:Frame.Data ~seq:7 "survivor" in
-  Frame.feed r b 0 (Bytes.length b);
-  (match Frame.next r with
-  | Some f -> Alcotest.(check string) "payload" "survivor" f.Frame.fr_payload
-  | None -> Alcotest.fail "frame after garbage not recovered");
-  Alcotest.(check bool) "garbage counted" true (Frame.reader_corrupt r > 0)
+(* feed [stream] to a fresh reader in chunks of [sizes] bytes (cycled),
+   decoding after each chunk; the payloads decoded and the final verdict
+   ([`Need_more] once the stream is used up, or [`Corrupt]) *)
+let decode_chunked stream sizes =
+  let rec drain rd acc =
+    match Frame.next rd with
+    | Frame.Payload (p, rd) -> drain rd (p :: acc)
+    | Frame.Need_more -> `More (rd, acc)
+    | Frame.Corrupt -> `Corrupt acc
+  in
+  let rec go rd acc off = function
+    | [] -> go rd acc off sizes
+    | k :: ks -> (
+        match drain rd acc with
+        | `Corrupt acc -> (List.rev acc, `Corrupt)
+        | `More (_, acc) when off >= String.length stream ->
+            (List.rev acc, `Need_more)
+        | `More (rd, acc) ->
+            let k = min k (String.length stream - off) in
+            go (Frame.feed rd (String.sub stream off k)) acc (off + k) ks)
+  in
+  go Frame.empty [] 0 sizes
+
+let test_frame_roundtrip () =
+  let payloads = [ ""; "x"; String.make 1000 'q'; "{\"a\":[1,2,3]}" ] in
+  let got, verdict = decode_chunked (encode_all payloads) [ 1 lsl 20 ] in
+  Alcotest.(check (list string)) "payloads" payloads got;
+  Alcotest.(check bool) "drained" true (verdict = `Need_more)
 
 let test_frame_checksum_rejects () =
-  let r = Frame.reader () in
-  let b = Frame.encode ~kind:Frame.Data ~seq:0 "payload-to-mangle" in
-  (* flip one payload byte: framing survives, the checksum must not *)
-  Bytes.set b 30 (Char.chr (Char.code (Bytes.get b 30) lxor 0x40));
-  Frame.feed r b 0 (Bytes.length b);
-  Alcotest.(check bool) "mangled frame dropped" true (Frame.next r = None);
-  Alcotest.(check bool) "corruption counted" true (Frame.reader_corrupt r > 0);
-  (* an intact retransmission still gets through *)
-  let b2 = Frame.encode ~kind:Frame.Data ~seq:0 "payload-to-mangle" in
-  Frame.feed r b2 0 (Bytes.length b2);
-  match Frame.next r with
-  | Some f ->
-      Alcotest.(check string) "retransmit delivered" "payload-to-mangle"
-        f.Frame.fr_payload
-  | None -> Alcotest.fail "clean retransmission lost"
-
-(* chaos conn over a socketpair: exactly-once in-order delivery while
-   the sender's wire corrupts and duplicates fresh frames *)
-let test_conn_chaos_exactly_once () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let chaos =
-    { Frame.ch_seed = 11; ch_corrupt = 0.3; ch_duplicate = 0.3 }
+  let b = Frame.encode "payload-to-mangle" in
+  (* flip one payload byte: the length still frames it, the checksum
+     must not pass it *)
+  Bytes.set b 20 (Char.chr (Char.code (Bytes.get b 20) lxor 0x40));
+  let got, verdict =
+    decode_chunked (Bytes.to_string b ^ encode_all [ "clean" ]) [ 7 ]
   in
-  let sender = Frame.conn ~chaos ~rto:0.02 a in
-  let receiver = Frame.conn b in
-  let n = 60 in
-  let expected = List.init n (fun i -> Printf.sprintf "payload-%d" i) in
-  List.iter (Frame.send sender) expected;
-  let got = ref [] in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while
-    List.length !got < n
-    && Unix.gettimeofday () < deadline
-  do
-    (match Unix.select [ Frame.fd receiver; Frame.fd sender ] [] [] 0.02 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, _, _ ->
-        if List.memq (Frame.fd receiver) readable then
-          got := !got @ Frame.pump receiver;
-        if List.memq (Frame.fd sender) readable then
-          ignore (Frame.pump sender));
-    Frame.tick sender
-  done;
-  let rs = Frame.stats receiver and ss = Frame.stats sender in
-  Frame.close sender;
-  Frame.close receiver;
-  Alcotest.(check (list string)) "exactly once, in order" expected !got;
-  Alcotest.(check bool) "chaos corrupted frames" true (rs.Frame.cs_corrupt > 0);
-  Alcotest.(check bool) "sender retransmitted" true
-    (ss.Frame.cs_retransmits > 0);
-  Alcotest.(check bool) "receiver suppressed duplicates" true
-    (rs.Frame.cs_dup_suppressed > 0)
+  Alcotest.(check (list string)) "nothing delivered" [] got;
+  Alcotest.(check bool) "corruption verdict" true (verdict = `Corrupt);
+  (* a length above the bound is corrupt at once, rather than a wait
+     for gigabytes that will never come *)
+  let huge = Bytes.make 12 '\000' in
+  Bytes.set_int32_be huge 0 0x7fffffffl;
+  Alcotest.(check bool) "oversized length" true
+    (snd (decode_chunked (Bytes.to_string huge) [ 12 ]) = `Corrupt)
+
+(* any payloads, in any chunking, decode exactly; one flipped byte or
+   leading garbage yields a prefix of them and then corrupt or
+   need-more, never a payload that was not sent and never an exception *)
+let prop_frame_reader =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 6) (string_size ~gen:char (int_range 0 64)))
+        (list_size (int_range 1 4) (int_range 1 40))
+        (oneof
+           [
+             return `Clean;
+             map2 (fun i m -> `Flip (i, m)) nat (int_range 1 255);
+             map
+               (fun g -> `Prepend g)
+               (string_size ~gen:char (int_range 1 24));
+           ]))
+  in
+  let print (payloads, sizes, mutation) =
+    Printf.sprintf "payloads %s, chunks %s, %s"
+      QCheck.Print.(list string payloads)
+      QCheck.Print.(list int sizes)
+      (match mutation with
+      | `Clean -> "clean"
+      | `Flip (i, m) -> Printf.sprintf "flip byte %d by %d" i m
+      | `Prepend g -> Printf.sprintf "prepend %S" g)
+  in
+  let rec is_prefix got sent =
+    match (got, sent) with
+    | [], _ -> true
+    | g :: gs, s :: ss -> g = s && is_prefix gs ss
+    | _ :: _, [] -> false
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"frame reader never yields what was not sent"
+    (QCheck.make ~print gen) (fun (payloads, sizes, mutation) ->
+      let stream = encode_all payloads in
+      match mutation with
+      | `Flip (i, m) when stream <> "" ->
+          let b = Bytes.of_string stream in
+          let i = i mod Bytes.length b in
+          Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor m);
+          is_prefix (fst (decode_chunked (Bytes.to_string b) sizes)) payloads
+      | `Prepend g ->
+          is_prefix (fst (decode_chunked (g ^ stream) sizes)) payloads
+      | `Clean | `Flip _ ->
+          decode_chunked stream sizes = (payloads, `Need_more))
+
+let test_frame_conn_errors_close () =
+  (* read(2) and write(2) on a TCP socket that never connected fail with
+     ENOTCONN/EPIPE: like any socket error, that ends the connection *)
+  let c = Frame.conn (Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0) in
+  (match Frame.pump c with
+  | exception Frame.Closed -> ()
+  | _ -> Alcotest.fail "pump on an unconnected socket must raise Closed");
+  (match Frame.send c "x" with
+  | exception Frame.Closed -> ()
+  | () -> Alcotest.fail "send on an unconnected socket must raise Closed");
+  Frame.close c;
+  (* write(2) on an unconnected Unix-domain socket fails with ENOTCONN *)
+  let c = Frame.conn (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0) in
+  (match Frame.send c "x" with
+  | exception Frame.Closed -> ()
+  | () -> Alcotest.fail "send on an unconnected socket must raise Closed");
+  Frame.close c;
+  (* a peer killed mid-write leaves a truncated frame: that is EOF, not
+     corruption *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let frame = Frame.encode "cut short" in
+  ignore (Unix.write a frame 0 (Bytes.length frame - 3));
+  Unix.close a;
+  let c = Frame.conn b in
+  let rec drain got =
+    match Frame.pump c with
+    | payloads -> drain (got @ payloads)
+    | exception Frame.Closed -> got
+  in
+  Alcotest.(check (list string)) "nothing delivered" [] (drain []);
+  Alcotest.(check int) "not counted as corrupt" 0 (Frame.corrupt c);
+  Frame.close c
 
 (* ------------------------------------------------------------------ *)
 (* wire protocol codec                                                *)
@@ -207,8 +255,19 @@ let test_fabric_end_to_end () =
   let cfg = { Fabric.default_cfg with Fabric.fb_grace = 5.0 } in
   let fb = Fabric.create ~cfg ~listen:(Fabric.Unix_path (next_sock ())) () in
   let addr = Fabric.addr fb in
-  let w1 = serve_thread ~id:"alpha" addr square_spec in
-  let w2 = serve_thread ~id:"beta" addr square_spec in
+  (* the first job waits for a second one to start, which only the other
+     worker can take, so the batch cannot finish before both connect *)
+  let started = Atomic.make 0 in
+  let resolve spec =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    square_spec spec
+  in
+  let w1 = serve_thread ~id:"alpha" addr resolve in
+  let w2 = serve_thread ~id:"beta" addr resolve in
   let results, stats = Fabric.run fb (List.init 12 job) in
   expect_squares results 12;
   Alcotest.(check int) "no errors" 0 stats.Sched.Pool.ps_errors;
@@ -324,46 +383,58 @@ let fake_worker addr ~misbehave =
       Frame.send conn
         (Fabric.msg_to_string
            (Fabric.Hello { mh_worker = "saboteur"; mh_pid = 0 }));
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let assigned = ref false in
-      while (not !assigned) && Unix.gettimeofday () < deadline do
-        match Unix.select [ fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()
-        | _ -> (
-            match Frame.pump conn with
-            | exception Frame.Closed -> assigned := true
-            | payloads ->
-                List.iter
-                  (fun p ->
-                    match Fabric.msg_of_string p with
-                    | Ok (Fabric.Assign _) -> assigned := true
-                    | _ -> ())
-                  payloads)
-      done;
-      match misbehave with
-      | `Die -> Frame.close conn
-      | `Go_silent ->
+      (* read messages until [stop] picks one or the master hangs up;
+         the deadline outlasts the default 30 s lease, so a master that
+         ignored a misbehaving worker fails the test rather than being
+         rescued by this thread giving up *)
+      let await stop =
+        let found = ref None and quit = ref false in
+        let deadline = Unix.gettimeofday () +. 60.0 in
+        while (not !quit) && Unix.gettimeofday () < deadline do
+          match Unix.select [ fd ] [] [] 0.05 with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | [], _, _ -> ()
+          | _ -> (
+              match Frame.pump conn with
+              | exception Frame.Closed -> quit := true
+              | payloads ->
+                  List.iter
+                    (fun p ->
+                      match Fabric.msg_of_string p with
+                      | Ok m when stop m <> None ->
+                          found := stop m;
+                          quit := true
+                      | _ -> ())
+                    payloads)
+        done;
+        !found
+      in
+      let assigned =
+        await (function Fabric.Assign { ma_id; _ } -> Some ma_id | _ -> None)
+      in
+      let await_hangup () =
+        ignore (await (function Fabric.Shutdown -> Some () | _ -> None))
+      in
+      (match (misbehave, assigned) with
+      | `Die, _ -> ()
+      | `Go_silent, _ ->
           (* hold the socket open but never heartbeat or reply; the
-             lease must expire.  Wait for the master's shutdown. *)
-          let quit = ref false in
-          let deadline = Unix.gettimeofday () +. 10.0 in
-          while (not !quit) && Unix.gettimeofday () < deadline do
-            match Unix.select [ fd ] [] [] 0.05 with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | [], _, _ -> ()
-            | _ -> (
-                match Frame.pump conn with
-                | exception Frame.Closed -> quit := true
-                | payloads ->
-                    List.iter
-                      (fun p ->
-                        match Fabric.msg_of_string p with
-                        | Ok Fabric.Shutdown -> quit := true
-                        | _ -> ())
-                      payloads)
-          done;
-          Frame.close conn)
+             lease must expire *)
+          await_hangup ()
+      | `Corrupt, Some id ->
+          (* answer with a wrong result in a frame whose checksum does
+             not match; the master must cut the connection *)
+          let b =
+            Frame.encode
+              (Fabric.msg_to_string
+                 (Fabric.Result
+                    { mr_id = id; mr_result = J.Obj [ ("sq", J.Int (-1)) ] }))
+          in
+          Bytes.set_uint8 b 4 (Bytes.get_uint8 b 4 lxor 0xff);
+          ignore (Unix.write fd b 0 (Bytes.length b));
+          await_hangup ()
+      | `Corrupt, None -> ());
+      Frame.close conn)
     ()
 
 let test_worker_death_requeues () =
@@ -381,6 +452,28 @@ let test_worker_death_requeues () =
   let fs = Fabric.stats fb in
   Alcotest.(check bool) "death observed" true (fs.Fabric.fs_worker_deaths >= 1);
   Alcotest.(check bool) "lease requeued" true (fs.Fabric.fs_requeues >= 1);
+  Fabric.shutdown fb;
+  Thread.join saboteur;
+  Thread.join rescuer
+
+let test_corrupt_frame_requeues () =
+  let cfg =
+    { Fabric.default_cfg with Fabric.fb_grace = 5.0; fb_backoff = 0.005 }
+  in
+  let fb = Fabric.create ~cfg ~listen:(Fabric.Unix_path (next_sock ())) () in
+  let addr = Fabric.addr fb in
+  let saboteur = fake_worker addr ~misbehave:`Corrupt in
+  Thread.delay 0.1;
+  let rescuer = serve_thread ~id:"rescuer" addr square_spec in
+  let results, _ = Fabric.run fb (List.init 6 job) in
+  expect_squares results 6;
+  let fs = Fabric.stats fb in
+  Alcotest.(check int) "corrupt frame counted" 1 fs.Fabric.fs_corrupt_frames;
+  Alcotest.(check bool) "connection cut" true
+    (fs.Fabric.fs_worker_deaths >= 1);
+  Alcotest.(check bool) "lease requeued" true (fs.Fabric.fs_requeues >= 1);
+  (* at once, not after the 30 s lease *)
+  Alcotest.(check int) "no lease expired" 0 fs.Fabric.fs_lease_expiries;
   Fabric.shutdown fb;
   Thread.join saboteur;
   Thread.join rescuer
@@ -458,11 +551,12 @@ let test_cache_hits_skip_workers () =
 let suite =
   [
     ("frame codec round-trip", `Quick, test_frame_roundtrip);
-    ("frame reader resyncs on garbage", `Quick, test_frame_resync_on_garbage);
     ("frame checksum rejects mangled bytes", `Quick,
      test_frame_checksum_rejects);
-    ("chaos conn delivers exactly once", `Quick,
-     test_conn_chaos_exactly_once);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+      prop_frame_reader;
+    ("frame socket errors close the connection", `Quick,
+     test_frame_conn_errors_close);
     ("protocol messages round-trip", `Quick, test_msg_codec_roundtrip);
     ("address parsing", `Quick, test_addr_parsing);
     ("end to end over unix socket", `Quick, test_fabric_end_to_end);
@@ -472,6 +566,7 @@ let suite =
      test_speclessness_runs_on_master);
     ("poisoned job quarantined", `Quick, test_quarantine_poisoned_job);
     ("worker death requeues its lease", `Quick, test_worker_death_requeues);
+    ("corrupt frame requeues at once", `Quick, test_corrupt_frame_requeues);
     ("silent worker's lease expires", `Quick, test_lease_expiry_requeues);
     ("heartbeat keeps a slow job leased", `Quick,
      test_heartbeat_keeps_slow_job_leased);
