@@ -13,10 +13,10 @@ test:
 check: build test
 
 bench:
-	dune exec bench/main.exe -- tables
+	dune exec bin/autocfd_cli.exe -- tables
 
 bench-json:
-	dune exec bench/main.exe -- --json
+	dune exec bin/autocfd_cli.exe -- tables --json > BENCH_tables.json
 
 # the paired protocol of benchmark/README.md against revision PARENT:
 # seeds 1-10, each running every workload for 30 s on both trees, the
@@ -88,7 +88,7 @@ bench-layers:
 # before/after loop-fission fused-kernel coverage of the bundled apps,
 # then the regression gate against the committed COVERAGE.json manifest
 coverage:
-	dune exec bench/main.exe -- coverage
+	dune exec bin/autocfd_cli.exe -- coverage
 
 # profile the bundled example on 4 simulated ranks; load trace.json in
 # https://ui.perfetto.dev or chrome://tracing
@@ -106,14 +106,14 @@ profile-domains:
 # one SIGKILLed mid-sweep; tables must stay byte-identical with >= 1
 # requeue, and a worker-less master must degrade rather than hang
 fabric:
-	dune exec bench/main.exe -- fabric --check
+	dune exec bin/autocfd_cli.exe -- fabric --check
 
 # the auto-tuning gate: three byte-identical passes over the tune
 # tables (serial/no-cache, parallel cold, parallel warm with 100%
 # hits), winner must beat every hand-picked paper config, frontier
 # must be Pareto-minimal
 tune:
-	dune exec bench/main.exe -- tune --check
+	dune exec bin/autocfd_cli.exe -- tune --check
 
 clean:
 	dune clean

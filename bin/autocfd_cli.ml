@@ -2,8 +2,6 @@
 
     {v
     autocfd analyze file.f --parts 4x1x1     dependency/sync analysis report
-    autocfd analyze file.f --report          full markdown report (incl. the
-                                             measured per-rank / per-sync tables)
     autocfd parallelize file.f --parts 2x2   emit the SPMD program
     autocfd run file.f --parts 2x2 [--json]  run sequential vs simulated SPMD
     autocfd trace file.f --parts 2x2 \
@@ -20,25 +18,47 @@
                                              --prom for machine-readable and
                                              Prometheus output, --check for
                                              the >= 95% attribution gate
-    autocfd tables [1-5|all] [--json]        regenerate the paper's tables
-    autocfd tune file.f [--grid wide]        auto-search the configuration
+    autocfd report file.f [-o OUT]           full markdown report (incl. the
+                                             measured per-rank / per-sync
+                                             tables)
+    autocfd tables [1-5|validate|ablation|advisor|all]
+                                             regenerate the paper's tables;
+                                             --json for the BENCH_tables.json
+                                             document, gated against a baseline
+                                             by --check-regress; --check for
+                                             the three-pass sweep/cache gate
+    autocfd tune [file.f] [--grid wide]      auto-search the configuration
                                              space (rank count x partition
                                              shape x sync combining x fission
                                              x engine/fusion): winner plus
                                              Pareto frontier over predicted
-                                             time / comm volume / memory
-    autocfd demo [aerofoil|sprayer]          dump a bundled case study source
+                                             time / comm volume / memory; with
+                                             no FILE, both case studies
+                                             (--check: the tune gate)
+    autocfd engine [--check]                 the execution engines head to head
+    autocfd coverage                         fused-kernel coverage, gated
+                                             against COVERAGE.json
+    autocfd chaos [--check]                  seeded fault schedules vs the
+                                             reliable transport
+    autocfd fabric --check                   the distributed-sweep chaos gate
+    autocfd worker --connect ADDR            one fabric worker process
+    autocfd demo [aerofoil|sprayer|cavity]   dump a bundled case study source
 
     Every program-running verb accepts --spec FILE (a Runspec JSON
     document) as the single source of configuration; individual flags
     override single fields, and run --json echoes the resolved spec.
+    Table output goes to stdout and is byte-identical for any --jobs value
+    and for cold vs warm caches; scheduler statistics go to stderr.
     v} *)
 
 open Cmdliner
 module D = Autocfd.Driver
+module E = Autocfd.Experiments
 module A = Autocfd_analysis
 module S = Autocfd_syncopt
 module Obs = Autocfd_obs
+module Sched = Autocfd_sched
+module Loc = Autocfd_fortran.Loc
 
 let read_file path =
   let ic = open_in_bin path in
@@ -46,6 +66,21 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
+
+(* every file the CLI writes: readers see the old or the new complete
+   file, never a prefix *)
+let write_file ?(oc = stdout) path text =
+  (try Sched.Cache.write_atomic ~path text
+   with Sys_error msg -> fail "autocfd: cannot write %s: %s" path msg);
+  Printf.fprintf oc "wrote %s\n%!" path
+
+let load_json path =
+  match Obs.Json.of_string (read_file path) with
+  | doc -> doc
+  | exception Sys_error _ -> fail "cannot read %s" path
+  | exception Obs.Json.Parse_error msg -> fail "%s: malformed JSON: %s" path msg
 
 let parse_parts s =
   try
@@ -121,27 +156,25 @@ let resolve_spec ?parts ?nprocs ?(no_fission = false) ?engine spec_file =
   |> (if no_fission then Autocfd.Runspec.with_fission false else Fun.id)
   |> (engine |? Autocfd.Runspec.with_engine)
 
+(* [f ()], or one "autocfd: FILE: ..." diagnostic and exit 1 when the
+   frontend rejects FILE: a [Loc.Error] names its line, a [Failure] has
+   none *)
+let diagnosing file f =
+  try f () with
+  | Loc.Error _ as e -> fail "autocfd: %s: %s" file (Printexc.to_string e)
+  | Failure msg -> fail "autocfd: %s: %s" file msg
+
 let load_and_plan spec file =
-  let t = D.load ~spec (read_file file) in
+  let t = diagnosing file (fun () -> D.load ~spec (read_file file)) in
   (t, D.plan ~spec t)
 
 let shape parts =
   String.concat " x " (Array.to_list (Array.map string_of_int parts))
 
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
 (* ------------------------------------------------------------------ *)
 
-let analyze file spec_file parts nprocs no_fission report =
+let analyze file spec_file parts nprocs no_fission =
   let spec = resolve_spec ?parts ?nprocs ~no_fission spec_file in
-  if report then
-    let _, plan = load_and_plan spec file in
-    print_string (Autocfd.Report.markdown plan)
-  else
   let t, plan = load_and_plan spec file in
   let gi = t.D.gi in
   Format.printf "flow field: %a@." A.Grid_info.pp gi;
@@ -198,11 +231,15 @@ let parallelize file spec_file parts nprocs no_fission mpi output =
   let text = if mpi then D.mpi_source plan else D.spmd_source plan in
   match output with
   | None -> print_string text
-  | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+  | Some path -> write_file path text
+
+let open_cache ~use_cache ~cache_dir =
+  if use_cache then
+    try Some (Sched.Cache.create ~dir:cache_dir ())
+    with Sys_error msg ->
+      Printf.eprintf "autocfd: unusable cache directory: %s\n" msg;
+      exit 1
+  else None
 
 (* The run verb goes through the sweep scheduler as a single job, so a
    repeated `autocfd run` of an unchanged source is a cache hit: the
@@ -211,7 +248,6 @@ let parallelize file spec_file parts nprocs no_fission mpi output =
 let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
     cache_dir =
   let module J = Obs.Json in
-  let module Sched = Autocfd_sched in
   let source = read_file file in
   let tracer = if json then Some (Obs.Trace.create ()) else None in
   let run_spec =
@@ -232,7 +268,12 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
              ("src", J.Str (Sched.Job.digest source));
            ])
       (fun () ->
-        let t = D.load ~spec:run_spec source in
+        (* a frontend [Failure] becomes an unlocated [Loc.Error], so the
+           pool reports it as the bare message *)
+        let t =
+          try D.load ~spec:run_spec source
+          with Failure msg -> raise (Loc.Error (Loc.none, msg))
+        in
         let plan = D.plan ~spec:run_spec t in
         let seq = D.run_seq ~spec:run_spec t in
         let par = D.run ~spec:run_spec plan in
@@ -250,7 +291,7 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
                       |> with_tracer None)
                   plan
               in
-              J.Bool (Autocfd.Experiments.program_state_identical reference par)
+              J.Bool (E.program_state_identical reference par)
           | _ -> J.Null
         in
         let stats = par.Autocfd_interp.Spmd.stats in
@@ -280,30 +321,19 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
               | None -> J.Null );
           ])
   in
-  let cache =
-    if use_cache then
-      try Some (Sched.Cache.create ~dir:cache_dir ())
-      with Sys_error msg ->
-        Printf.eprintf "autocfd: unusable cache directory: %s\n" msg;
-        exit 1
-    else None
-  in
+  let cache = open_cache ~use_cache ~cache_dir in
   let results, stats = Sched.Pool.run ~jobs ?cache [ job ] in
   Printf.eprintf "scheduler: %d hit(s), %d miss(es)\n%!"
     stats.Sched.Pool.ps_hits stats.Sched.Pool.ps_misses;
   let doc =
     match results.(0) with
     | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "run failed: %s\n" msg;
-        exit 1
+    | Error msg -> fail "autocfd: %s: %s" file msg
   in
   let field name =
     match J.member name doc with
     | Some v -> v
-    | None ->
-        Printf.eprintf "corrupt run document: missing %S\n" name;
-        exit 1
+    | None -> fail "corrupt run document: missing %S" name
   in
   let str_list name =
     match field name with
@@ -418,13 +448,11 @@ let profile_cmd file spec_file parts nprocs no_fission engine top json prom
   else print_string (Autocfd.Profile.render ~top p);
   if check then begin
     let cov = Autocfd.Profile.coverage p in
-    if cov < min_cov then begin
-      Printf.eprintf
+    if cov < min_cov then
+      fail
         "FAIL: %.2f%% of compute time attributed to named nests (need >= \
-         %.2f%%)\n"
-        (100. *. cov) (100. *. min_cov);
-      exit 1
-    end
+         %.2f%%)"
+        (100. *. cov) (100. *. min_cov)
     else
       Printf.printf
         "OK: %.2f%% of compute time attributed to %d named nests\n"
@@ -438,160 +466,540 @@ let report file spec_file parts nprocs no_fission output =
   let text = Autocfd.Report.markdown plan in
   match output with
   | None -> print_string text
-  | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+  | Some path -> write_file path text
 
-(* sweep wiring shared by the tables and tune verbs: a persistent cache
-   unless disabled, plus an optional distributed fabric with [workers]
-   spawned worker processes *)
-let make_sweep ~jobs ~workers ~use_cache ~cache_dir =
-  let module Fabric = Autocfd_sched.Fabric in
-  let cache =
-    if use_cache then
-      try Some (Autocfd_sched.Cache.create ~dir:cache_dir ())
-      with Sys_error msg ->
-        Printf.eprintf "autocfd: unusable cache directory: %s\n" msg;
-        exit 1
-    else None
-  in
-  let fabric =
-    if workers <= 0 then None
-    else begin
-      let sock =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "autocfd-fabric-%d.sock" (Unix.getpid ()))
-      in
-      let fb = Fabric.create ~listen:(Fabric.Unix_path sock) () in
-      let addr = Fabric.addr_to_string (Fabric.addr fb) in
-      for _ = 1 to workers do
-        ignore
-          (Fabric.spawn_worker fb
-             ~argv:[| Sys.executable_name; "worker"; "--connect"; addr |])
-      done;
-      Some fb
-    end
-  in
-  (Autocfd.Experiments.sweep ~jobs ?cache ?fabric (), fabric)
+(* ------------------------------------------------------------------ *)
+(* The sweep behind every table-producing verb                         *)
+(* ------------------------------------------------------------------ *)
 
-let finish_sweep sw fabric =
-  let module E = Autocfd.Experiments in
-  let module Fabric = Autocfd_sched.Fabric in
+type sweep_opts = {
+  jobs : int;
+  workers : int;  (** fabric worker processes; 0 stays in-process *)
+  use_cache : bool;
+  cache_dir : string;
+}
+
+let default_cache_dir = "_autocfd_cache"
+
+(* a fabric master on a private Unix socket with [n] worker processes,
+   each re-executing this binary's [worker] verb *)
+let make_fabric ?cfg n =
+  let module Fabric = Sched.Fabric in
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "autocfd-fabric-%d.sock" (Unix.getpid ()))
+  in
+  let fb = Fabric.create ?cfg ~listen:(Fabric.Unix_path sock) () in
+  let argv =
+    [| Sys.executable_name; "worker"; "--connect";
+       Fabric.addr_to_string (Fabric.addr fb) |]
+  in
+  for _ = 1 to n do ignore (Fabric.spawn_worker fb ~argv) done;
+  fb
+
+(* [f] over one sweep; scheduler (and fabric) statistics go to stderr
+   afterwards *)
+let with_sweep o f =
+  let cache = open_cache ~use_cache:o.use_cache ~cache_dir:o.cache_dir in
+  let fabric = if o.workers > 0 then Some (make_fabric o.workers) else None in
+  let sw = E.sweep ~jobs:o.jobs ?cache ?fabric () in
+  let v = f sw in
   let stats = E.sweep_stats sw in
   if stats <> [] then
-    prerr_string
-      (Autocfd.Report.sched_summary ~stale:(E.sweep_stale sw) stats);
-  match fabric with
-  | Some fb ->
-      prerr_string (Autocfd.Report.fabric_summary (Fabric.stats fb));
-      Fabric.shutdown fb
-  | None -> ()
+    prerr_string (Autocfd.Report.sched_summary ~stale:(E.sweep_stale sw) stats);
+  Option.iter
+    (fun fb ->
+      prerr_string (Autocfd.Report.fabric_summary (Sched.Fabric.stats fb));
+      Sched.Fabric.shutdown fb)
+    fabric;
+  v
 
-let tables which json jobs workers use_cache cache_dir =
-  let module E = Autocfd.Experiments in
-  let sw, fabric = make_sweep ~jobs ~workers ~use_cache ~cache_dir in
-  (if json then print_endline (Obs.Json.pretty (E.tables_json ~sweep:sw ()))
-   else
-     let print1 () = print_string (E.render_table1 (E.table1 ~sweep:sw ())) in
-     let print2 () =
-       print_string
-         (E.render_perf ~title:"Table 2: aerofoil 99x41x13"
-            (E.table2 ~sweep:sw ()))
-     in
-     let print3 () =
-       print_string
-         (E.render_perf ~title:"Table 3: sprayer 300x100"
-            (E.table3 ~sweep:sw ()))
-     in
-     let print4 () = print_string (E.render_table4 (E.table4 ~sweep:sw ())) in
-     let print5 () = print_string (E.render_table5 (E.table5 ~sweep:sw ())) in
-     match which with
-     | "1" -> print1 ()
-     | "2" -> print2 ()
-     | "3" -> print3 ()
-     | "4" -> print4 ()
-     | "5" -> print5 ()
-     | "all" ->
-         print1 (); print_newline ();
-         print2 (); print_newline ();
-         print3 (); print_newline ();
-         print4 (); print_newline ();
-         print5 ()
-     | other -> Printf.eprintf "unknown table %S\n" other; exit 1);
-  finish_sweep sw fabric
-
-(* auto-tune one program: every point of the configuration product
-   space, dispatched as cached (and optionally distributed) jobs, pruned
-   to the Pareto frontier *)
-let tune file spec_file grid json jobs workers use_cache cache_dir =
-  let module E = Autocfd.Experiments in
-  let module T = Autocfd.Tune in
-  let sw, fabric = make_sweep ~jobs ~workers ~use_cache ~cache_dir in
-  let base = resolve_spec spec_file in
-  let source = read_file file in
-  (* wide-grid Domains points execute the program for real; narrower
-     grids are pure model predictions *)
-  let measure_source = match grid with T.Wide -> Some source | _ -> None in
-  let r =
-    E.tune_program ~grid ~base ~sweep:sw ?measure_source
-      ~program:(Filename.basename file) ~source ()
+(* a gate clears its cache first, so it takes a private directory unless
+   --cache-dir names one *)
+let gate_cache cache_dir suffix =
+  let dir =
+    if cache_dir = default_cache_dir then default_cache_dir ^ "." ^ suffix
+    else cache_dir
   in
-  (if json then print_endline (Obs.Json.pretty (T.result_to_json r))
-   else print_string (T.render r));
-  finish_sweep sw fabric
+  let cache = Sched.Cache.create ~dir () in
+  Sched.Cache.clear cache;
+  cache
+
+(* The three-pass gate of tables --check and tune --check: a serial
+   uncached pass is the reference, and two parallel passes over a cleared
+   cache, cold then warm, must render it byte for byte, the warm one
+   entirely from cache hits.  Returns the reference value, the warm
+   pass's hit count and the cold and warm wall times of [compute]. *)
+let three_passes o ~what ~suffix ~render compute =
+  let cache = gate_cache o.cache_dir suffix in
+  let pass label sweep =
+    Printf.eprintf "pass %s...\n%!" label;
+    let t0 = Unix.gettimeofday () in
+    let v = compute sweep in
+    (v, render v, Unix.gettimeofday () -. t0, E.sweep_stats sweep)
+  in
+  let parallel i temp =
+    pass
+      (Printf.sprintf "%d (parallel --jobs %d, %s cache)" i o.jobs temp)
+      (E.sweep ~jobs:o.jobs ~cache ())
+  in
+  let v0, out0, _, _ = pass "0 (serial, no cache)" (E.sweep ()) in
+  let _, out1, t_cold, _ = parallel 1 "cold" in
+  let _, out2, t_warm, stats = parallel 2 "warm" in
+  if out1 <> out0 then
+    fail "FAIL: cold parallel %s diverged from the serial rendering" what;
+  if out2 <> out0 then
+    fail "FAIL: warm-cache %s diverged from the serial rendering" what;
+  let hits, misses =
+    List.fold_left
+      (fun (h, m) (_, (s : Sched.Pool.stats)) ->
+        (h + s.Sched.Pool.ps_hits, m + s.Sched.Pool.ps_misses))
+      (0, 0) stats
+  in
+  if misses > 0 then
+    fail "FAIL: warm pass had %d cache misses (%d hits) — expected 100%% hits"
+      misses hits;
+  (v0, hits, t_cold, t_warm)
+
+(* ------------------------------------------------------------------ *)
+(* tables                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* the pooled tables, in print order: what the --check and fabric gates
+   compare across passes *)
+let pooled_tables =
+  [
+    ("1", fun sw -> E.render_table1 (E.table1 ~sweep:sw ()));
+    ( "2",
+      fun sw ->
+        E.render_perf
+          ~title:
+            "Table 2: overall performance of case study 1 (aerofoil, \
+             99 x 41 x 13; ours vs paper)"
+          (E.table2 ~sweep:sw ()) );
+    ( "3",
+      fun sw ->
+        E.render_perf
+          ~title:
+            "Table 3: overall performance of case study 2 (sprayer, \
+             300 x 100; ours vs paper)"
+          (E.table3 ~sweep:sw ()) );
+    ("4", fun sw -> E.render_table4 (E.table4 ~sweep:sw ()));
+    ("5", fun sw -> E.render_table5 (E.table5 ~sweep:sw ()));
+    ("validate", fun sw -> E.render_validation (E.validate_model ~sweep:sw ()));
+  ]
+
+let render_tables tables sw =
+  String.concat "\n" (List.map (fun (_, render) -> render sw) tables)
+
+let sweep_tables = render_tables pooled_tables
+
+let parts_spec p = Autocfd.Runspec.(default |> with_parts (Some p))
+
+(* the paper's optimal combining (Fig. 6(b)) vs the suboptimal first-fit
+   strategy (Fig. 6(c)) *)
+let ablation () =
+  let open Autocfd_util.Table in
+  let table =
+    create
+      ~title:
+        "Ablation: optimal combining (Fig. 6(b)) vs first-fit (Fig. 6(c))"
+      ~headers:
+        [ "program"; "partition"; "before"; "optimal after";
+          "first-fit after" ]
+  in
+  let run src name partitions =
+    let t = D.load src in
+    List.iter
+      (fun parts ->
+        let opt = D.plan ~spec:(parts_spec parts) t in
+        let ff =
+          D.plan
+            ~spec:
+              (Autocfd.Runspec.with_combine S.Optimizer.First_fit
+                 (parts_spec parts))
+            t
+        in
+        add_row table
+          [
+            name; shape parts;
+            cell_int opt.D.opt.S.Optimizer.before;
+            cell_int opt.D.opt.S.Optimizer.after;
+            cell_int ff.D.opt.S.Optimizer.after;
+          ])
+      partitions
+  in
+  run (Autocfd_apps.Aerofoil.source ()) "aerofoil"
+    [ [| 4; 1; 1 |]; [| 4; 4; 1 |]; [| 2; 2; 2 |] ];
+  run (Autocfd_apps.Sprayer.source ()) "sprayer" [ [| 4; 1 |]; [| 4; 4 |] ];
+  render table
+
+(* the paper's minimal-communication partition choice (§4.1) vs the
+   model-predicted best *)
+let advisor () =
+  let open Autocfd_util.Table in
+  let module M = Autocfd_perfmodel.Model in
+  let table =
+    create
+      ~title:
+        "Partition advisor: minimal-communication choice (paper 4.1) vs \
+         model-predicted best"
+      ~headers:
+        [ "program"; "procs"; "volume choice"; "model choice";
+          "volume time (s)"; "model time (s)" ]
+  in
+  let run name src nprocs_list =
+    let t = D.load src in
+    List.iter
+      (fun nprocs ->
+        let pv = D.auto_parts t ~nprocs in
+        let pm = D.auto_parts_by_model t ~nprocs in
+        let time parts =
+          let plan = D.plan ~spec:(parts_spec parts) t in
+          (M.predict_parallel E.machine ~gi:t.D.gi ~topo:plan.D.topo
+             plan.D.spmd)
+            .M.time
+        in
+        add_row table
+          [
+            name; cell_int nprocs; shape pv; shape pm;
+            cell_float ~decimals:0 (time pv);
+            cell_float ~decimals:0 (time pm);
+          ])
+      nprocs_list
+  in
+  run "aerofoil"
+    (Autocfd_apps.Aerofoil.source ~ntime:E.aerofoil_frames ())
+    [ 4; 6 ];
+  run "sprayer"
+    (Autocfd_apps.Sprayer.source ~ntime:E.sprayer_frames ())
+    [ 4; 6 ];
+  render table
+
+let all_tables =
+  pooled_tables
+  @ [ ("ablation", fun _ -> ablation ()); ("advisor", fun _ -> advisor ()) ]
+
+let check_tables o =
+  let _, hits, t_cold, t_warm =
+    three_passes o ~what:"sweep" ~suffix:"check" ~render:Fun.id sweep_tables
+  in
+  let speedup = t_cold /. t_warm in
+  if speedup < 5.0 then
+    fail "FAIL: warm pass only %.1fx faster than cold (%.2fs vs %.2fs) — \
+          expected at least 5x"
+      speedup t_warm t_cold;
+  Printf.printf
+    "OK tables: 3 passes byte-identical, warm pass %d/%d hits, %.1fx \
+     faster than cold (%.2fs vs %.2fs)\n"
+    hits hits speedup t_warm t_cold
+
+let tables which json check baseline check_regress update_baseline o =
+  if check then check_tables o
+  else if json || check_regress || update_baseline then begin
+    let doc = with_sweep o (fun sw -> E.tables_json ~sweep:sw ()) in
+    let text = Obs.Json.pretty doc ^ "\n" in
+    print_string text;
+    if update_baseline then write_file ~oc:stderr baseline text;
+    if check_regress then begin
+      let failures =
+        Autocfd.Baseline.compare_tables ~baseline:(load_json baseline)
+          ~current:doc ()
+      in
+      prerr_string (Autocfd.Baseline.render_failures failures);
+      if failures <> [] then exit 1
+    end
+  end
+  else
+    print_string
+      (with_sweep o (fun sw ->
+           match which with
+           | "all" -> render_tables all_tables sw
+           | n -> (List.assoc n all_tables) sw))
+
+(* ------------------------------------------------------------------ *)
+(* tune                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let render_tunes results =
+  String.concat "\n" (List.map Autocfd.Tune.render results)
+
+(* the tune gate: the three passes, then the tuned winner must not lose
+   to any hand-picked Table 2/3 configuration of its program, and the
+   reported frontier must contain no dominated entry *)
+let check_tune o =
+  let module T = Autocfd.Tune in
+  (* the deterministic default grid whatever --grid says: wide-grid wall
+     measurements would break byte-identity *)
+  let results, hits, _, _ =
+    three_passes o ~what:"tune" ~suffix:"tune" ~render:render_tunes
+      (fun sweep -> E.tune_table ~grid:T.Default ~sweep ())
+  in
+  let sw = E.sweep () in
+  let defaults =
+    [ ("aerofoil", E.table2 ~sweep:sw ()); ("sprayer", E.table3 ~sweep:sw ()) ]
+  in
+  List.iter
+    (fun (r : T.result) ->
+      let w = r.T.tr_winner in
+      List.iter
+        (fun (row : E.perf_row) ->
+          match row.E.pr_partition with
+          | None -> ()  (* the sequential reference row *)
+          | Some parts ->
+              if w.T.te_metrics.T.tm_time > row.E.pr_time then
+                fail
+                  "FAIL %s: tuned winner %.1f s loses to the hand-picked \
+                   %s row (%.1f s)"
+                  r.T.tr_program w.T.te_metrics.T.tm_time
+                  (Autocfd.Runspec.parts_to_string parts)
+                  row.E.pr_time)
+        (List.assoc r.T.tr_program defaults);
+      List.iter
+        (fun (e : T.entry) ->
+          if
+            List.exists
+              (fun (o : T.entry) ->
+                o != e && T.dominates o.T.te_metrics e.T.te_metrics)
+              r.T.tr_frontier
+          then
+            fail "FAIL %s: frontier contains a dominated entry (%s)"
+              r.T.tr_program
+              (Autocfd.Runspec.parts_to_string e.T.te_parts))
+        r.T.tr_frontier)
+    results;
+  List.iter
+    (fun (r : T.result) ->
+      Printf.printf
+        "OK %s: winner %s at %.1f s beats every hand-picked row; frontier \
+         of %d/%d is Pareto-minimal\n"
+        r.T.tr_program
+        (Autocfd.Runspec.parts_to_string r.T.tr_winner.T.te_parts)
+        r.T.tr_winner.T.te_metrics.T.tm_time
+        (List.length r.T.tr_frontier) r.T.tr_total)
+    results;
+  Printf.printf "OK tune: 3 passes byte-identical, warm pass %d/%d hits\n"
+    hits hits
+
+(* auto-tune one program, or both case studies when no FILE is given:
+   every point of the configuration product space, dispatched as cached
+   (and optionally distributed) jobs, pruned to the Pareto frontier *)
+let tune file spec_file grid json check o =
+  let module T = Autocfd.Tune in
+  match file with
+  | Some _ when check ->
+      `Error (true, "--check gates the bundled case studies and takes no FILE")
+  | None when spec_file <> None -> `Error (true, "--spec needs a FILE")
+  | None when check -> `Ok (check_tune o)
+  | None ->
+      let results = with_sweep o (fun sweep -> E.tune_table ~grid ~sweep ()) in
+      `Ok
+        (if json then
+           print_endline
+             (Obs.Json.pretty
+                (Obs.Json.List (List.map T.result_to_json results)))
+         else print_string (render_tunes results))
+  | Some file ->
+      let base = resolve_spec spec_file in
+      let source = read_file file in
+      (* wide-grid Domains points execute the program for real; narrower
+         grids are pure model predictions *)
+      let measure_source = match grid with T.Wide -> Some source | _ -> None in
+      let r =
+        with_sweep o (fun sweep ->
+            diagnosing file (fun () ->
+                E.tune_program ~grid ~base ~sweep ?measure_source
+                  ~program:(Filename.basename file) ~source ()))
+      in
+      `Ok
+        (if json then print_endline (Obs.Json.pretty (T.result_to_json r))
+         else print_string (T.render r))
+
+(* ------------------------------------------------------------------ *)
+(* engine, coverage, chaos                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* the committed per-nest manifest: a nest fused there must still fuse *)
+let coverage_gate path update =
+  let current = E.coverage_manifest () in
+  if update then write_file path (Obs.Json.pretty current ^ "\n")
+  else begin
+    if not (Sys.file_exists path) then
+      fail
+        "FAIL: coverage manifest %s not found (generate it with \
+         --update-coverage)"
+        path;
+    let regressions =
+      try E.check_coverage_manifest ~committed:(load_json path) ~current
+      with Obs.Json.Parse_error msg ->
+        fail "FAIL: malformed coverage manifest %s: %s" path msg
+    in
+    List.iter (Printf.eprintf "FAIL coverage: %s\n") regressions;
+    if regressions <> [] then exit 1;
+    Printf.printf "OK coverage: no fused nest regressed vs %s\n" path
+  end
+
+(* engine --check: every engine agrees bit for bit, loop fission leaves
+   program state unchanged, and fused kernels at least match the unfused
+   closure IR's speedup over the tree walker *)
+let check_engine_row (r : E.engine_row) =
+  if not r.E.er_identical then fail "FAIL %s: engines disagree" r.E.er_program;
+  if not r.E.er_domains_identical then
+    fail "FAIL %s: domains engine diverged from the simulator" r.E.er_program;
+  if r.E.er_fused_speedup < r.E.er_speedup then
+    fail "FAIL %s: fused speedup %.2f below unfused speedup %.2f"
+      r.E.er_program r.E.er_fused_speedup r.E.er_speedup;
+  (* the point of running for real: on the 3-d app, 4 domains must beat
+     the single-threaded fused simulation by 2x.  Only enforceable when
+     the host has the cores: on fewer, the domains timeslice *)
+  let cores = Domain.recommended_domain_count () in
+  if r.E.er_program = "aerofoil" then begin
+    if cores < 4 then
+      Printf.printf "SKIP %s: 2x domains floor needs >= 4 cores, host has %d\n"
+        r.E.er_program cores
+    else if r.E.er_domains_speedup < 2.0 then
+      fail "FAIL %s: domains speedup %.2fx below the 2x floor (%d cores)"
+        r.E.er_program r.E.er_domains_speedup cores
+  end;
+  if not r.E.er_fission_identical then
+    fail "FAIL %s: loop fission changed program state" r.E.er_program;
+  Printf.printf
+    "OK %s: fused %.2fx >= unfused %.2fx, domains %.2fx wall-clock, results \
+     identical\n"
+    r.E.er_program r.E.er_fused_speedup r.E.er_speedup r.E.er_domains_speedup
+
+let engine check coverage update_coverage o =
+  let rows = with_sweep o (fun sweep -> E.engine_bench ~sweep ()) in
+  print_string (E.render_engine rows);
+  print_newline ();
+  print_string (E.render_engine_coverage rows);
+  if check then List.iter check_engine_row rows;
+  if check || update_coverage then coverage_gate coverage update_coverage
+
+let coverage path update =
+  print_string (E.render_coverage_fission ());
+  coverage_gate path update
+
+(* chaos --check: every schedule is recoverable, so a divergence is a
+   transport or recovery bug; the overhead ceiling catches retransmit
+   storms and checkpoint regressions *)
+let chaos check o =
+  let rows = with_sweep o (fun sweep -> E.chaos_bench ~sweep ()) in
+  print_string (E.render_chaos rows);
+  let max_overhead = 4.0 in
+  if check then
+    List.iter
+      (fun (r : E.chaos_row) ->
+        if not r.E.ch_identical then
+          fail "FAIL %s/%s: result diverged from fault-free run" r.E.ch_program
+            r.E.ch_schedule;
+        if r.E.ch_overhead > max_overhead then
+          fail "FAIL %s/%s: overhead %.2fx above budget %.1fx" r.E.ch_program
+            r.E.ch_schedule r.E.ch_overhead max_overhead;
+        Printf.printf "OK %s/%s: identical, overhead %.2fx\n" r.E.ch_program
+          r.E.ch_schedule r.E.ch_overhead)
+      rows
+
+(* ------------------------------------------------------------------ *)
+(* fabric --check: the distributed-sweep chaos gate.  Three passes over *)
+(* the pooled tables:                                                   *)
+(*   0. serial, in-process           — the reference rendering          *)
+(*   1. master + 3 worker processes, one SIGKILLed mid-sweep — must     *)
+(*      render byte-identically, observe >= 1 worker death and >= 1     *)
+(*      requeue, and leave a Chrome trace (fabric_trace.json)           *)
+(*   2. master with no workers at all — must degrade to the in-process  *)
+(*      pool (not hang) and still render byte-identically               *)
+(* Neither fabric pass may count a corrupt frame.                       *)
+(* ------------------------------------------------------------------ *)
+
+let check_fabric cache_dir =
+  let module Fabric = Sched.Fabric in
+  Printf.eprintf "pass 0 (serial, in-process)...\n%!";
+  let out0 = sweep_tables (E.sweep ()) in
+  Printf.eprintf "pass 1 (fabric: 3 workers, 1 chaos-killed mid-sweep)...\n%!";
+  let cache = gate_cache cache_dir "fabric" in
+  let fabric =
+    make_fabric ~cfg:{ Fabric.default_cfg with Fabric.fb_chaos_kill = Some 3 } 3
+  in
+  let tracer = Obs.Trace.create () in
+  let out1 = sweep_tables (E.sweep ~cache ~tracer ~fabric ()) in
+  let st = Fabric.stats fabric in
+  prerr_string (Autocfd.Report.fabric_summary st);
+  write_file ~oc:stderr "fabric_trace.json" (Obs.Chrome.to_string tracer);
+  Fabric.shutdown fabric;
+  if out1 <> out0 then
+    fail "FAIL: fabric sweep diverged from the serial rendering";
+  if st.Fabric.fs_worker_deaths < 1 then
+    fail "FAIL: chaos kill did not register a worker death";
+  if st.Fabric.fs_requeues < 1 then
+    fail "FAIL: the killed worker's lease was not requeued";
+  if st.Fabric.fs_degraded then
+    fail "FAIL: the 3-worker pass unexpectedly degraded";
+  (* a SIGKILLed worker leaves at most a truncated frame, which is a
+     closed connection, not a corrupt one *)
+  if st.Fabric.fs_corrupt_frames > 0 then
+    fail "FAIL: the 3-worker pass saw %d corrupt frame(s)"
+      st.Fabric.fs_corrupt_frames;
+  Printf.eprintf "pass 2 (fabric: no workers, short grace)...\n%!";
+  let fabric2 =
+    make_fabric ~cfg:{ Fabric.default_cfg with Fabric.fb_grace = 0.3 } 0
+  in
+  let out2 = sweep_tables (E.sweep ~fabric:fabric2 ()) in
+  let st2 = Fabric.stats fabric2 in
+  Fabric.shutdown fabric2;
+  if out2 <> out0 then
+    fail "FAIL: degraded sweep diverged from the serial rendering";
+  if not st2.Fabric.fs_degraded then
+    fail "FAIL: worker-less sweep did not report degradation";
+  if st2.Fabric.fs_corrupt_frames > 0 then
+    fail "FAIL: the worker-less pass saw %d corrupt frame(s)"
+      st2.Fabric.fs_corrupt_frames;
+  Printf.printf
+    "OK fabric: 3 passes byte-identical; chaos pass survived %d worker \
+     death(s) with %d requeue(s) and %d retries; worker-less pass degraded \
+     to the in-process pool\n"
+    st.Fabric.fs_worker_deaths st.Fabric.fs_requeues st.Fabric.fs_retries
+
+let fabric check cache_dir =
+  if check then `Ok (check_fabric cache_dir)
+  else
+    `Error
+      (true, "fabric is the --check gate; `tables --workers N` renders the \
+              tables over the fabric")
 
 (* one fabric worker process: connect back to the master, resolve each
    assigned spec through the shared Experiments dispatcher, stream the
-   results home.  Normally spawned by the master itself (tables
-   --workers / bench --workers), but any host that can reach the socket
-   may contribute. *)
+   results home.  Normally spawned by the master itself (--workers, the
+   fabric gate), but any host that can reach the socket may
+   contribute. *)
 let worker connect id =
-  let module Fabric = Autocfd_sched.Fabric in
+  let module Fabric = Sched.Fabric in
   match Fabric.addr_of_string connect with
-  | Error msg ->
-      Printf.eprintf "autocfd worker: %s\n" msg;
-      exit 1
+  | Error msg -> fail "autocfd worker: %s" msg
   | Ok addr -> (
-      match
-        Fabric.serve ~connect:addr ?id
-          ~resolve:Autocfd.Experiments.exec_spec ()
-      with
+      match Fabric.serve ~connect:addr ?id ~resolve:E.exec_spec () with
       | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "autocfd worker: %s\n" msg;
-          exit 1)
+      | Error msg -> fail "autocfd worker: %s" msg)
 
 let demo which =
   match which with
   | "aerofoil" -> print_string (Autocfd_apps.Aerofoil.source ())
   | "sprayer" -> print_string (Autocfd_apps.Sprayer.source ())
   | "cavity" -> print_string (Autocfd_apps.Cavity.source ())
-  | other ->
-      Printf.eprintf "unknown demo %S (aerofoil|sprayer|cavity)\n" other;
-      exit 1
+  | other -> fail "unknown demo %S (aerofoil|sprayer|cavity)" other
 
 (* ------------------------------------------------------------------ *)
 
 let analyze_cmd =
-  let report =
-    Arg.(value & flag
-         & info [ "report" ]
-             ~doc:"Emit the full markdown report instead of the plain-text \
-                   summary (same output as the 'report' verb, including the \
-                   measured per-rank time breakdown and per-sync-point \
-                   traffic tables).")
-  in
   Cmd.v (Cmd.info "analyze" ~doc:"Dependency and synchronization analysis report")
     Term.(const analyze $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ report)
+          $ fission_arg)
+
+let output_arg =
+  Arg.(value & opt (some string) None
+       & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output file.")
 
 let parallelize_cmd =
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output file.")
-  in
   let mpi =
     Arg.(value & flag
          & info [ "mpi" ]
@@ -603,13 +1011,15 @@ let parallelize_cmd =
     (Cmd.info "parallelize"
        ~doc:"Transform a sequential CFD program into an SPMD program")
     Term.(const parallelize $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ mpi $ output)
+          $ fission_arg $ mpi $ output_arg)
 
 let json_flag ~what =
   Arg.(value & flag & info [ "json" ] ~doc:("Emit " ^ what ^ " as JSON."))
 
+let check_flag ~doc = Arg.(value & flag & info [ "check" ] ~doc)
+
 let jobs_arg =
-  Arg.(value & opt int (Autocfd_sched.Pool.default_jobs ())
+  Arg.(value & opt int (Sched.Pool.default_jobs ())
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Worker domains for the sweep scheduler (default: all \
                  recommended cores).")
@@ -620,9 +1030,23 @@ let no_cache_arg =
            ~doc:"Disable the persistent content-addressed result cache.")
 
 let cache_dir_arg =
-  Arg.(value & opt string "_autocfd_cache"
+  Arg.(value & opt string default_cache_dir
        & info [ "cache-dir" ] ~docv:"DIR"
            ~doc:"Result cache directory (default: _autocfd_cache).")
+
+let sweep_term =
+  let workers =
+    Arg.(value & opt int 0
+         & info [ "workers" ] ~docv:"N"
+             ~doc:"Spawn $(docv) fabric worker processes and run the sweep \
+                   over the distributed fabric (leases, retries, crash \
+                   recovery) instead of the in-process pool.  0 (default) \
+                   stays in-process.")
+  in
+  Term.(
+    const (fun jobs workers no_cache cache_dir ->
+        { jobs; workers; use_cache = not no_cache; cache_dir })
+    $ jobs_arg $ workers $ no_cache_arg $ cache_dir_arg)
 
 let engine_arg =
   let parse s =
@@ -697,13 +1121,6 @@ let profile_cmd_ =
              ~doc:"Emit the unified metrics registry in Prometheus text \
                    exposition format instead of the human-readable profile.")
   in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit nonzero unless at least $(b,--min-coverage) of the \
-                   virtual compute time is attributed to named field-loop \
-                   nests (the CI attribution gate).")
-  in
   let min_cov =
     Arg.(value & opt float 0.95
          & info [ "min-coverage" ] ~docv:"FRAC"
@@ -723,40 +1140,72 @@ let profile_cmd_ =
           $ fission_arg $ engine_arg
           $ top
           $ json_flag ~what:"the full profile document"
-          $ prom $ check $ min_cov)
+          $ prom
+          $ check_flag
+              ~doc:"Exit nonzero unless at least $(b,--min-coverage) of the \
+                    virtual compute time is attributed to named field-loop \
+                    nests (the CI attribution gate)."
+          $ min_cov)
 
 let report_cmd =
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output file.")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Emit a markdown pre-compilation report (loops, S_LDP, \
-             synchronization points, modelled performance)")
+             synchronization points, modelled performance, and the \
+             measured per-rank time breakdown and per-sync-point traffic)")
     Term.(const report $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ output)
-
-let workers_arg =
-  Arg.(value & opt int 0
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Spawn $(docv) fabric worker processes and run the sweep \
-                 over the distributed fabric (leases, retries, crash \
-                 recovery) instead of the in-process pool.  0 (default) \
-                 stays in-process.")
+          $ fission_arg $ output_arg)
 
 let tables_cmd =
   let which =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"N" ~doc:"1-5 or 'all'.")
+    let names = List.map fst all_tables @ [ "all" ] in
+    Arg.(value & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
+         & info [] ~docv:"TABLE"
+             ~doc:"1-5, validate (model vs simulator), ablation (optimal vs \
+                   first-fit combining), advisor (partition choice) or all.")
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Regenerate the paper's evaluation tables")
+  let baseline =
+    Arg.(value & opt string "BENCH_baseline.json"
+         & info [ "baseline" ] ~docv:"FILE"
+             ~doc:"Baseline document for --check-regress and \
+                   --update-baseline.")
+  in
+  let check_regress =
+    Arg.(value & flag
+         & info [ "check-regress" ]
+             ~doc:"Gate the JSON document against the $(b,--baseline): \
+                   modelled times and sync counts must not rise, speedups \
+                   must not fall, engine identity and chaos recovery must \
+                   stay true.  The report goes to stderr; exits nonzero on \
+                   any regression.")
+  in
+  let update_baseline =
+    Arg.(value & flag
+         & info [ "update-baseline" ]
+             ~doc:"(Over-)write the $(b,--baseline) with the JSON document.")
+  in
+  Cmd.v
+    (Cmd.info "tables"
+       ~doc:"Regenerate the paper's evaluation tables side by side with the \
+             published values")
     Term.(const tables $ which
-          $ json_flag ~what:"every table (1-5) plus model validation"
-          $ jobs_arg $ workers_arg
-          $ Term.app (const not) no_cache_arg
-          $ cache_dir_arg)
+          $ json_flag
+              ~what:"every table (1-5), the model validation, engine, \
+                     resilience, tune and scheduler sections"
+          $ check_flag
+              ~doc:"The three-pass gate: serial, cold parallel and warm \
+                    parallel sweeps must render the pooled tables \
+                    byte-identically, the warm pass must be 100% cache hits \
+                    and at least 5x faster than the cold one."
+          $ baseline $ check_regress $ update_baseline $ sweep_term)
 
 let tune_cmd =
+  let file =
+    Arg.(value & pos 0 (some file) None
+         & info [] ~docv:"FILE"
+             ~doc:"Fortran source to tune (default: both bundled case \
+                   studies).")
+  in
   let grid =
     let parse s =
       match Autocfd.Tune.grid_of_string s with
@@ -785,11 +1234,85 @@ let tune_cmd =
           Pareto frontier over predicted time, communication volume and \
           per-rank memory.  Each frontier row's spec is a complete \
           Runspec: feed it back with --spec to reproduce that exact run.")
-    Term.(const tune $ file_arg $ spec_arg $ grid
-          $ json_flag ~what:"the winner and Pareto frontier"
-          $ jobs_arg $ workers_arg
-          $ Term.app (const not) no_cache_arg
-          $ cache_dir_arg)
+    Term.(ret
+            (const tune $ file $ spec_arg $ grid
+             $ json_flag ~what:"the winner and Pareto frontier"
+             $ check_flag
+                 ~doc:"The tune gate over both case studies on the default \
+                       grid: serial, cold parallel and warm parallel passes \
+                       must render byte-identically with a 100%-hit warm \
+                       pass, each winner must beat every hand-picked Table \
+                       2/3 row, and each frontier must be Pareto-minimal."
+             $ sweep_term))
+
+let coverage_args =
+  let path =
+    Arg.(value & opt string "COVERAGE.json"
+         & info [ "coverage" ] ~docv:"FILE"
+             ~doc:"Coverage manifest: any nest it lists as fused must still \
+                   fuse.")
+  in
+  let update =
+    Arg.(value & flag
+         & info [ "update-coverage" ]
+             ~doc:"(Over-)write the coverage manifest instead of gating \
+                   against it.")
+  in
+  Term.(const (fun p u -> (p, u)) $ path $ update)
+
+let engine_cmd =
+  Cmd.v
+    (Cmd.info "engine"
+       ~doc:
+         "The execution engines (tree walker, closure IR with and without \
+          fused kernels, real OCaml 5 domains) timed on the wall clock on \
+          small instances of both case studies, plus per-loop kernel \
+          coverage")
+    Term.(
+      const (fun check (path, update) o -> engine check path update o)
+      $ check_flag
+          ~doc:"Exit nonzero unless every engine's results are identical, \
+                loop fission leaves program state unchanged, fused kernels \
+                at least match the unfused closure IR's speedup, and the \
+                coverage manifest gate passes."
+      $ coverage_args $ sweep_term)
+
+let coverage_cmd =
+  Cmd.v
+    (Cmd.info "coverage"
+       ~doc:
+         "Per-nest fused-kernel coverage of the bundled applications before \
+          and after the loop-fission pass, gated against the committed \
+          coverage manifest")
+    Term.(const (fun (path, update) -> coverage path update) $ coverage_args)
+
+let chaos_cmd =
+  Cmd.v
+    (Cmd.info "chaos"
+       ~doc:
+         "Seeded fault schedules (loss, duplication, corruption, jitter, \
+          stragglers, crash and restart) against the reliable transport \
+          and checkpoint/restart on both case studies")
+    Term.(const chaos
+          $ check_flag
+              ~doc:"Exit nonzero unless every schedule's result is \
+                    bit-identical to the fault-free run within a 4x \
+                    virtual-time overhead."
+          $ sweep_term)
+
+let fabric_cmd =
+  Cmd.v
+    (Cmd.info "fabric"
+       ~doc:"The distributed-sweep chaos gate (leaves fabric_trace.json)")
+    Term.(ret
+            (const fabric
+             $ check_flag
+                 ~doc:"Render the pooled tables serially, then over a master \
+                       with 3 worker processes, one SIGKILLed mid-sweep (byte \
+                       for byte, with >= 1 requeue and no corrupt frame), \
+                       then over a worker-less master that must degrade to \
+                       the in-process pool."
+             $ cache_dir_arg))
 
 let worker_cmd =
   let connect =
@@ -828,4 +1351,5 @@ let () =
   exit (Cmd.eval (Cmd.group info
                     [ analyze_cmd; parallelize_cmd; run_cmd_; trace_cmd_;
                       profile_cmd_; report_cmd; tables_cmd; tune_cmd;
+                      engine_cmd; coverage_cmd; chaos_cmd; fabric_cmd;
                       worker_cmd; demo_cmd ]))

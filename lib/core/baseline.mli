@@ -31,7 +31,7 @@ val compare_tables :
   current:Autocfd_obs.Json.t ->
   unit ->
   failure list
-(** Empty list = gate passes.  [bench --baseline FILE --check-regress]
+(** Empty list = gate passes.  [autocfd tables --json --check-regress]
     exits nonzero on a non-empty result. *)
 
 val render_failures : failure list -> string

@@ -1212,7 +1212,7 @@ let render_engine_coverage rows =
 (* ------------------------------------------------------------------ *)
 (* Committed per-nest coverage manifest (COVERAGE.json): the full-size  *)
 (* bundled applications' fused-kernel coverage, one row per field-loop  *)
-(* nest of the inlined sequential unit.  [bench engine --check] gates   *)
+(* nest of the inlined sequential unit.  [autocfd engine --check] gates *)
 (* the current build against the committed manifest so a nest that was  *)
 (* fused can never silently fall back to the closure IR again.          *)
 (* ------------------------------------------------------------------ *)

@@ -223,7 +223,7 @@ val render_coverage_fission : unit -> string
 (** Human-readable before/after loop-fission coverage of the bundled
     applications: per program, fused counts with the pass disabled and
     enabled, then one line per nest (fission fragments annotated
-    [#i/n]) — the [bench coverage] verb and CI coverage artifact. *)
+    [#i/n]) — the [autocfd coverage] verb and CI coverage artifact. *)
 
 type chaos_row = {
   ch_program : string;
@@ -288,7 +288,7 @@ val tables_json : ?sweep:sweep -> unit -> Autocfd_obs.Json.t
     statistics (key ["sched"],
     {!Report.sched_summary_json}) as one JSON document (schema
     ["autocfd-bench/1"]) — the diffable perf trajectory written to
-    [BENCH_tables.json] by [bench/main.exe --json].  All tables run
+    [BENCH_tables.json] by [autocfd tables --json].  All tables run
     through the given [sweep] (default: a fresh serial sweep).  The
     ["sched"] section is wall-clock (machine-dependent); the baseline
     gate ({!Baseline}) never gates on it. *)

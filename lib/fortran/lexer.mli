@@ -10,8 +10,7 @@ type token = { tok : Token.t; tline : int }
 val tokenize : string -> token list * Directive.t list
 (** [tokenize source] is the token stream (terminated by [Eof]) and the
     directives found in comments.
-    @raise Loc.Error on malformed input.
-    @raise Directive.Parse_error on a malformed directive. *)
+    @raise Loc.Error on malformed input, directives included. *)
 
 val tokens_of_line : int -> string -> token list
 (** Tokenize a single pre-assembled logical line (no newline/eof appended).

@@ -7,8 +7,7 @@
 
 val parse : string -> Ast.program
 (** Parse complete source text.
-    @raise Loc.Error on syntax errors.
-    @raise Directive.Parse_error on malformed [c$acfd] directives. *)
+    @raise Loc.Error on syntax errors and malformed [c$acfd] directives. *)
 
 val parse_expr_string : string -> Ast.expr
 (** Parse a single expression (used by tests). *)

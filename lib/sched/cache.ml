@@ -69,7 +69,7 @@ let lookup t job =
 let write_atomic ~path text =
   let dir = Filename.dirname path in
   let tmp, oc =
-    Filename.open_temp_file ~temp_dir:dir ~mode:[ Open_binary ]
+    Filename.open_temp_file ~temp_dir:dir ~mode:[ Open_binary ] ~perms:0o666
       (Filename.basename path) ".tmp"
   in
   (try

@@ -50,4 +50,5 @@ val clear : t -> unit
 val write_atomic : path:string -> string -> unit
 (** Write [text] to a temporary file in [path]'s directory and rename it
     over [path]: readers see either the old or the new complete file,
-    never a prefix.  Also used for [BENCH_tables.json]. *)
+    never a prefix.  The file is created as [open_out] creates one (mode
+    0o666 less the umask).  Also used for every file the CLI writes. *)

@@ -50,7 +50,6 @@ let render t =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let print t = print_string (render t)
 let cell_int = string_of_int
 let cell_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
 let cell_pct f = Printf.sprintf "%.0f%%" (f *. 100.)

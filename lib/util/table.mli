@@ -8,7 +8,6 @@ val add_row : t -> string list -> unit
 (** @raise Invalid_argument when the row width differs from the header. *)
 
 val render : t -> string
-val print : t -> unit
 
 (** Cell formatting helpers. *)
 

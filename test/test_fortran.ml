@@ -507,7 +507,6 @@ let prop_parser_total =
       match Parser.parse src with
       | _ -> true
       | exception Loc.Error _ -> true
-      | exception Directive.Parse_error _ -> true
       | exception _ -> false)
 
 
