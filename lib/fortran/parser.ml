@@ -8,10 +8,14 @@ type state = {
   (* set when a statement carrying an open DO label has been consumed; the
      enclosing DO parsers terminate on it (shared terminal labels) *)
   mutable terminated : int option;
+  (* control variables of the open DO loops with their lines, innermost
+     first *)
+  mutable do_vars : (string * int) list;
 }
 
 let make_state toks =
-  { toks = Array.of_list toks; pos = 0; do_labels = []; terminated = None }
+  { toks = Array.of_list toks; pos = 0; do_labels = []; terminated = None;
+    do_vars = [] }
 
 let peek st = st.toks.(st.pos).tok
 let peek_line st = st.toks.(st.pos).tline
@@ -455,6 +459,7 @@ and parse_inline_stmt st =
   | None -> error st "expected a statement after logical IF"
 
 and parse_do st mk =
+  let line = peek_line st in
   expect_ident st "do";
   (* optional terminal label *)
   let term_label =
@@ -463,12 +468,21 @@ and parse_do st mk =
     | _ -> None
   in
   let var = ident st in
+  (* Fortran 77 forbids redefining an active DO variable *)
+  (match List.assoc_opt var st.do_vars with
+  | Some outer ->
+      Loc.errorf (Loc.make line 0)
+        "DO variable %s is already the control variable of the enclosing \
+         DO at line %d"
+        var outer
+  | None -> ());
   expect st Token.Assign;
   let lo = parse_expr st in
   expect st Token.Comma;
   let hi = parse_expr st in
   let step = if accept st Token.Comma then Some (parse_expr st) else None in
   end_of_stmt st;
+  st.do_vars <- (var, line) :: st.do_vars;
   let body =
     match term_label with
     | None ->
@@ -493,6 +507,7 @@ and parse_do st mk =
         | _ -> ());
         body
   in
+  st.do_vars <- List.tl st.do_vars;
   mk (Do { do_var = var; do_lo = lo; do_hi = hi; do_step = step;
            do_body = body; do_sched = Sched_seq; do_fission = None })
 

@@ -129,9 +129,10 @@ type coverage_entry = {
       (* provenance when the nest is a loop-fission fragment *)
 }
 
-(* how a fused nest runs: statement by statement over each innermost row
-   into unboxed registers, or every statement at each point *)
-type kernel_path = Row | Point
+(* how a fused nest runs: statement by statement over each row along one
+   level (0 = outermost) into unboxed registers, or every statement at
+   each point *)
+type kernel_path = Row of int | Point
 
 type cu = {
   cu_unit : Ast.program_unit;
@@ -1392,10 +1393,10 @@ let pstmt = function
         Array.unsafe_set st.si i (rf st offs vals);
         Array.unsafe_set st.sset i true
 
-(* ---- row path: every node evaluates a whole innermost row into an
-   unboxed register, one closure call per node per row ---- *)
+(* ---- row path: every node evaluates a whole row into an unboxed
+   register, one closure call per node per row ---- *)
 
-(* One innermost row, shared by a row kernel's steps.  A row longer
+(* One row along the kernel's row level, shared by its steps.  A row longer
    than [row_cap] points runs as consecutive pieces of at most that many,
    which keeps every dependence a whole row keeps (pieces run in
    iteration order) and bounds the scratch buffer.  The buffer [w_buf]
@@ -1410,8 +1411,8 @@ type row = {
   w_inv : int;
   w_offs : int array;  (* per reference: flat offset at the row's start *)
   w_kd : int array;  (* per reference: flat offset step along the row *)
-  w_vals : int array;  (* loop values; the innermost one at the row's start *)
-  w_step : int;  (* innermost step *)
+  w_vals : int array;  (* loop values; the row level's at the row's start *)
+  w_step : int;  (* the row level's step *)
 }
 
 (* where a step reads a row: a buffer, a start and a stride *)
@@ -1551,7 +1552,7 @@ type rgen = {
   mutable g_floor : int;  (* registers below hold scratch scalars *)
   mutable g_regs : int;  (* high-water mark *)
   mutable g_invs : int;  (* invariant cells *)
-  g_inner : int;  (* innermost level *)
+  g_level : int;  (* the row level *)
   g_scal : (int, rv) Hashtbl.t;  (* real scratch slot -> its row *)
 }
 
@@ -1632,7 +1633,7 @@ let rec rfx g (e : fx) : rv =
 and rix g (e : ix) : ri =
   match e with
   | Iconst c -> Iinv (fun _ -> c)
-  | Ivar l when l = g.g_inner ->
+  | Ivar l when l = g.g_level ->
       Irow (fun w t -> Array.unsafe_get w.w_vals l + (t * w.w_step))
   | Ivar l -> Iinv (fun w -> Array.unsafe_get w.w_vals l)
   | Islot i -> Iinv (fun w -> Array.unsafe_get w.w_st.si i)
@@ -1766,61 +1767,100 @@ type krf = {
   k_flat : int array;  (* per level: sum over dims of coeff * stride *)
 }
 
-(* Does running the body statement by statement over a row keep every
-   dependence of point order?  [refs] are the body's references in id
-   order (array slot, subscripts), [spans.(s)] the ids statement [s]
-   registered, [writes.(s)] the one it stores through (-1 for a scalar
-   assignment), [steps] each level's step sign.  For every two
-   references to one array, at least one a write, Fission's distance
-   vector must either put their instances in different rows (a nonzero
-   outer-level distance) or keep their order within the row: a later
-   statement may only touch what an earlier one touched at the same or
-   an earlier iteration, and a statement may only read what it writes
-   itself at the same or a later iteration (its whole right-hand side
-   row is read before its row is stored). *)
-let row_keeps_order ~steps (refs : (int * aff array) array) spans writes =
+(* Which levels may a row kernel run its rows along?  [refs] are the
+   body's references in id order (array slot, subscripts), [spans.(s)]
+   the ids statement [s] registered, [writes.(s)] the one it stores
+   through (-1 for a scalar assignment), [steps] each level's step sign.
+   Every two references to one array, at least one a write, give one
+   Fission distance vector, computed once; the returned test passes a
+   level when every vector passes both checks below.
+   - Running the level innermost, the others in source order, keeps the
+     sign of the vector's leading nonzero distance.  Only instances
+     whose first nonzero distance is at the moved level can change
+     order: they then meet the levels after it first.  A [None]
+     distance may be anything.
+   - Running the body statement by statement over a row keeps every
+     dependence within the row (no nonzero distance at another level):
+     a later statement may only touch what an earlier one touched at
+     the same or an earlier iteration, and a statement may only read
+     what it writes itself at the same or a later iteration (its whole
+     right-hand side row is read before its row is stored).  A write
+     meets itself in iteration order, which storing a row keeps. *)
+type order =
+  | Self  (* a statement's write and itself *)
+  | Same_stmt  (* a statement's write, then another of its references *)
+  | Later_stmt  (* a reference, then one of a later statement *)
+
+let row_legal ~steps (refs : (int * aff array) array) spans writes =
   let m = Array.length steps in
-  let keeps ~same r r' =
+  let deps = ref [] in
+  let add order r r' =
     match Fission.distance ~steps (snd refs.(r)) (snd refs.(r')) with
-    | None -> true
-    | Some d -> (
-        let apart = ref false in
-        for l = 0 to m - 2 do
-          match d.(l) with Some k when k <> 0 -> apart := true | _ -> ()
-        done;
-        !apart
-        ||
-        match d.(m - 1) with
-        | None -> false
-        | Some k -> if same then k <= 0 else k >= 0)
+    | Some d -> deps := (order, d) :: !deps
+    | None -> ()
   in
   let ns = Array.length spans in
-  let ok = ref true in
   for s = 0 to ns - 1 do
     let w = writes.(s) in
+    if w >= 0 then add Self w w;
     let lo, hi = spans.(s) in
     for r = lo to hi - 1 do
       let slot = fst refs.(r) in
-      if w >= 0 && r <> w && fst refs.(w) = slot && not (keeps ~same:true w r)
-      then ok := false;
+      if w >= 0 && r <> w && fst refs.(w) = slot then add Same_stmt w r;
       for s' = s + 1 to ns - 1 do
         let lo', hi' = spans.(s') in
         for r' = lo' to hi' - 1 do
-          if
-            fst refs.(r') = slot
-            && (r = w || r' = writes.(s'))
-            && not (keeps ~same:false r r')
-          then ok := false
+          if fst refs.(r') = slot && (r = w || r' = writes.(s')) then
+            add Later_stmt r r'
         done
       done
     done
   done;
-  !ok
+  let keeps_lead l d =
+    match d.(l) with
+    | Some 0 -> true
+    | dl ->
+        (* the sign at [l], 0 when it may be either *)
+        let s = match dl with Some k -> compare k 0 | None -> 0 in
+        let lead = ref true in
+        for i = 0 to l - 1 do
+          match d.(i) with Some k when k <> 0 -> lead := false | _ -> ()
+        done;
+        (* the first level after [l] that may be nonzero decides *)
+        let flips = ref false and j = ref (l + 1) in
+        while !lead && !j < m do
+          match d.(!j) with
+          | Some 0 -> incr j
+          | None ->
+              flips := true;
+              j := m
+          | Some k ->
+              flips := s = 0 || compare k 0 = -s;
+              j := m
+        done;
+        not (!lead && !flips)
+  in
+  let keeps_row l (order, d) =
+    let apart = ref false in
+    for i = 0 to m - 1 do
+      match d.(i) with Some k when i <> l && k <> 0 -> apart := true | _ -> ()
+    done;
+    !apart
+    ||
+    match (order, d.(l)) with
+    | Self, _ -> true
+    | _, None -> false
+    | Same_stmt, Some k -> k <= 0
+    | Later_stmt, Some k -> k >= 0
+  in
+  fun l ->
+    List.for_all (fun (o, d) -> keeps_lead l d && keeps_row l (o, d)) !deps
 
 (* a compiled body: per-point statement closures, or the row program *)
 type body =
   | Point_fns of (state -> int array -> int array -> unit) array
   | Row_prog of {
+      level : int;  (* the rows run along this level *)
       steps : (row -> unit) array;
       regs : int;
       invs : int;
@@ -1949,43 +1989,56 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
   let nrefs = Array.length kinfo in
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
-  (* the row path when it keeps every dependence of point order *)
-  let row_ok =
-    (not !(env.e_early))
-    && Array.for_all (function Kint _ -> false | _ -> true) kst
-    &&
-    let steps =
-      Array.of_list
-        (List.map
-           (fun (d : Ast.do_loop) ->
-             match d.Ast.do_step with
-             | None -> Some 1
-             | Some e -> (
-                 match cfold env e with
-                 | Some s when s <> 0 -> Some (compare s 0)
-                 | _ -> None))
-           levels)
-    in
-    row_keeps_order ~steps refs spans
-      (Array.map (function Kstore (_, w, _) -> w | Kreal _ | Kint _ -> -1) kst)
+  (* the row path along the legal level whose references have the least
+     summed stride, the innermost of them on a tie; the point path when
+     no level keeps every dependence of point order *)
+  let row_level =
+    if !(env.e_early) || Array.exists (function Kint _ -> true | _ -> false) kst
+    then None
+    else
+      let steps =
+        Array.of_list
+          (List.map
+             (fun (d : Ast.do_loop) ->
+               match d.Ast.do_step with
+               | None -> Some 1
+               | Some e -> (
+                   match cfold env e with
+                   | Some s when s <> 0 -> Some (compare s 0)
+                   | _ -> None))
+             levels)
+      in
+      let cost =
+        Array.init m (fun l ->
+            Array.fold_left (fun c k -> c + abs k.k_flat.(l)) 0 kinfo)
+      in
+      let writes =
+        Array.map (function Kstore (_, w, _) -> w | Kreal _ | Kint _ -> -1) kst
+      in
+      (* levels innermost first: on a tie the stable sort keeps the inner *)
+      List.init m (fun l -> m - 1 - l)
+      |> List.stable_sort (fun a b -> compare cost.(a) cost.(b))
+      |> List.find_opt (row_legal ~steps refs spans writes)
   in
   let body =
-    if row_ok then begin
-      let g =
-        { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
-          g_inner = m - 1; g_scal = Hashtbl.create 4 }
-      in
-      Array.iter (rstmt g) kst;
-      let exits =
-        Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal []
-      in
-      Row_prog
-        { steps = Array.of_list (List.rev g.g_steps); regs = g.g_regs;
-          invs = g.g_invs; exits = Array.of_list exits }
-    end
-    else Point_fns (Array.map pstmt kst)
+    match row_level with
+    | Some level ->
+        let g =
+          { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
+            g_level = level; g_scal = Hashtbl.create 4 }
+        in
+        Array.iter (rstmt g) kst;
+        let exits =
+          Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal []
+        in
+        Row_prog
+          { level; steps = Array.of_list (List.rev g.g_steps);
+            regs = g.g_regs; invs = g.g_invs; exits = Array.of_list exits }
+    | None -> Point_fns (Array.map pstmt kst)
   in
-  let path = match body with Row_prog _ -> Row | Point_fns _ -> Point in
+  let path =
+    match body with Row_prog p -> Row p.level | Point_fns _ -> Point
+  in
   let kernel fallback st =
     (* any entry-read slot unset, zero step, empty trip space, or an
        unprovable subscript range: run the closure IR, which reproduces
@@ -2046,20 +2099,20 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             in
             let vals = Array.make m 0 in
             let offs = Array.make nrefs 0 in
-            let kd =
-              Array.map (fun k -> k.k_flat.(m - 1) * steps.(m - 1)) kinfo
+            (* the row level: the point path keeps the source innermost *)
+            let rl =
+              match body with Row_prog p -> p.level | Point_fns _ -> m - 1
             in
-            let lom = los.(m - 1) in
-            let stepm = steps.(m - 1) in
-            let tm = trips.(m - 1) in
-            (* one innermost row, from the offsets and loop values at its
-               start; then whatever the path does once after the nest *)
+            let kd = Array.map (fun k -> k.k_flat.(rl) * steps.(rl)) kinfo in
+            let rlo = los.(rl) and rstep = steps.(rl) and rtrips = trips.(rl) in
+            (* one row, from the offsets and loop values at its start;
+               then whatever the path does once after the nest *)
             let run_row, finish =
               match body with
               | Point_fns fns ->
                   let ns = Array.length fns in
                   ( (fun () ->
-                      for _ = 1 to tm do
+                      for _ = 1 to rtrips do
                         for s = 0 to ns - 1 do
                           (Array.unsafe_get fns s) st offs vals
                         done;
@@ -2067,24 +2120,24 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                           Array.unsafe_set offs r
                             (Array.unsafe_get offs r + Array.unsafe_get kd r)
                         done;
-                        vals.(m - 1) <- vals.(m - 1) + stepm
+                        vals.(rl) <- vals.(rl) + rstep
                       done),
                     ignore )
               | Row_prog p ->
-                  let cap = min tm row_cap in
+                  let cap = min rtrips row_cap in
                   let need = (p.regs * cap) + p.invs in
                   if Array.length st.rows < need then
                     st.rows <- Array.create_float need;
                   let w =
                     { w_st = st; w_buf = st.rows; w_n = cap;
                       w_inv = p.regs * cap; w_offs = offs; w_kd = kd;
-                      w_vals = vals; w_step = stepm }
+                      w_vals = vals; w_step = rstep }
                   in
                   let nsteps = Array.length p.steps in
                   ( (fun () ->
                       let first = ref 0 in
-                      while !first < tm do
-                        let n = min cap (tm - !first) in
+                      while !first < rtrips do
+                        let n = min cap (rtrips - !first) in
                         w.w_n <- n;
                         for s = 0 to nsteps - 1 do
                           (Array.unsafe_get p.steps s) w
@@ -2093,7 +2146,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                         for r = 0 to nrefs - 1 do
                           offs.(r) <- offs.(r) + (n * kd.(r))
                         done;
-                        vals.(m - 1) <- vals.(m - 1) + (n * stepm)
+                        vals.(rl) <- vals.(rl) + (n * rstep)
                       done),
                     fun () ->
                       (* scratch scalars leave with the last iteration's
@@ -2106,19 +2159,21 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                           st.sset.(i) <- true)
                         p.exits )
             in
+            (* the other levels in source order, then one row *)
             let rec go l =
-              if l = m - 1 then begin
+              if l = m then begin
+                vals.(rl) <- rlo;
                 for r = 0 to nrefs - 1 do
                   let k = kinfo.(r) in
-                  let o = ref (rbase.(r) + (k.k_flat.(m - 1) * lom)) in
-                  for l' = 0 to m - 2 do
+                  let o = ref rbase.(r) in
+                  for l' = 0 to m - 1 do
                     o := !o + (k.k_flat.(l') * vals.(l'))
                   done;
                   offs.(r) <- !o
                 done;
-                vals.(m - 1) <- lom;
                 run_row ()
               end
+              else if l = rl then go (l + 1)
               else begin
                 vals.(l) <- los.(l);
                 for _ = 1 to trips.(l) do

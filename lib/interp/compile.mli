@@ -125,22 +125,28 @@ val coverage : cu -> coverage_entry list
 
 (** How a fused kernel runs its nest.
 
-    - [Row]: statement by statement over each innermost row.  Every
-      expression node evaluates the whole row into an unboxed float
-      register in a scratch buffer owned by the {!state}; a scratch
-      scalar keeps its row in a register; each statement then stores its
-      row through the reference's offset step.  Taken only when that
-      order keeps every dependence of point order: by the distance
-      vector of {!Autocfd_analysis.Fission.distance}, no two references
-      to one array that meet within a row (no nonzero outer-level
-      distance between them) run from a statement back to an earlier
-      one, or from a statement's write to a later read of its own; no
-      body-assigned scalar is read before its assignment in the
-      iteration; and no integer scalar is assigned.
-    - [Point]: every statement at each point, one closure call per
-      expression node — reductions such as [s = max(s, ...)] and
-      recurrences such as an SOR sweep. *)
-type kernel_path = Row | Point
+    - [Row l]: statement by statement over each row along level [l]
+      (0 = outermost, as in [cov_vars]), the other levels walked in
+      source order.  Every expression node evaluates the whole row into
+      an unboxed float register in a scratch buffer owned by the
+      {!state}; a scratch scalar keeps its row in a register; each
+      statement then stores its row through the reference's offset
+      step.  A level is legal when, for every two references to one
+      array, at least one a write, the distance vector of
+      {!Autocfd_analysis.Fission.distance} keeps its leading nonzero
+      sign with the level moved innermost ([None] counting as any
+      distance), and no two such references that meet within a row run
+      from a statement back to an earlier one, or from a statement's
+      write to a later read of its own.  Among the legal levels the
+      nest takes the one whose references have the least summed
+      [|flat stride|], the innermost of them on a tie.  No body-assigned
+      scalar may be read before its assignment in the iteration, and no
+      integer scalar may be assigned.  Flop charges, final loop-variable
+      and scratch-scalar values are those of source order.
+    - [Point]: every statement at each point in source order, one
+      closure call per expression node — reductions such as
+      [s = max(s, ...)] and recurrences such as an SOR sweep. *)
+type kernel_path = Row of int | Point
 
 val kernel_paths : cu -> kernel_path option list
 (** Per {!coverage} entry, in the same order: the path of the nest's

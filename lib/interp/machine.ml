@@ -6,6 +6,11 @@ exception Jump of int
 
 let error fmt = Format.kasprintf (fun m -> raise (Runtime_error m)) fmt
 
+let () =
+  Printexc.register_printer (function
+    | Runtime_error m -> Some ("runtime error: " ^ m)
+    | _ -> None)
+
 type 'm hooks = {
   h_block : (int -> int * int) option;
   h_comm : 'm -> sid:int -> Ast.comm -> unit;

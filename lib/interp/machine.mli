@@ -11,7 +11,10 @@ open Autocfd_fortran
 type t
 
 exception Stop_run
+
 exception Runtime_error of string
+(** A dynamic error of the running program; [Printexc.to_string] renders
+    it as ["runtime error: msg"]. *)
 
 type 'm hooks = {
   h_block : (int -> int * int) option;

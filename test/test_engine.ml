@@ -329,13 +329,19 @@ let gen_nest rng buf =
       gen_assign rng ~vi:(Some "i") ~vj:(Some "j") ~indent:"          " buf;
       add "        enddo\n      enddo\n"
 
-(* Row-path hazards: nests whose innermost loop carries (or seems to
-   carry) a dependence, each with the path the legality rule must pick.
-   Running statement by statement over a row keeps forward and anti
-   dependences and breaks the rest.  Their expressions read only [c(i)]
-   and scalars, which no hazard writes in the same row, so the path
-   depends on the listed statements alone. *)
-let hazard_kinds = 9
+(* Row-path hazards: nests whose loops carry (or seem to carry) a
+   dependence, each with the path and row level the legality rule must
+   pick.  Rows may run along any level whose move innermost keeps every
+   dependence's leading sign; running statement by statement over a row
+   then keeps forward and anti dependences within it and breaks the
+   rest.  Of the legal levels the one with unit-stride [a(i,j)] wins.
+   Their expressions read only [c(i)] and scalars, which no hazard
+   writes in the same row, so the path depends on the listed statements
+   alone. *)
+let hazard_kinds = 13
+
+let along_i = I.Compile.Row 0
+let along_j = I.Compile.Row 1
 
 let gen_hazard rng kind =
   let e () =
@@ -352,22 +358,23 @@ let gen_hazard rng kind =
       (atom ())
   in
   let f = Printf.sprintf in
-  let inner = "do j = 2, 9" in
+  let inner = [ "do j = 2, 9" ] in
   match kind with
   | 0 ->
-      (* self-carried flow: each point reads the previous point's write *)
-      (I.Compile.Point, inner, [ f "a(i,j) = cos(0.5 * a(i,j-1) + %s)" (e ()) ])
+      (* self-carried flow along j: each point reads the previous
+         point's write, so the rows run along i *)
+      (along_i, inner, [ f "a(i,j) = cos(0.5 * a(i,j-1) + %s)" (e ()) ])
   | 1 ->
-      (* backward cross-statement flow: the first statement reads what
-         the second wrote one point earlier *)
-      ( I.Compile.Point, inner,
+      (* backward cross-statement flow along j: the first statement
+         reads what the second wrote one point earlier *)
+      ( along_i, inner,
         [ f "b(i,j) = sin(a(i,j-1) + %s)" (e ()); f "a(i,j) = cos(%s)" (e ()) ] )
   | 2 ->
       (* self anti-dependence: the read precedes the write it meets *)
-      (I.Compile.Row, inner, [ f "a(i,j) = sin(a(i,j+1) + %s)" (e ()) ])
+      (along_i, inner, [ f "a(i,j) = sin(a(i,j+1) + %s)" (e ()) ])
   | 3 ->
       (* forward anti and flow dependences across two statements *)
-      ( I.Compile.Row, inner,
+      ( along_i, inner,
         [ f "b(i,j) = cos(a(i,j+1) * %s)" (e ()); f "a(i,j) = sin(b(i,j) + %s)" (e ()) ] )
   | 4 ->
       (* scratch scalar read before its assignment: the previous point's *)
@@ -375,23 +382,39 @@ let gen_hazard rng kind =
         [ f "b(i,j) = sin(t1 + %s)" (e ()); f "t1 = cos(a(i,j) * %s)" (e ()) ] )
   | 5 ->
       (* scratch scalar assigned, then read *)
-      ( I.Compile.Row, inner,
+      ( along_i, inner,
         [ f "t1 = cos(a(i,j) * %s)" (e ()); f "b(i,j) = sin(t1 + %s)" (e ()) ] )
   | 6 ->
-      (* reduction into an array element: the innermost variable is
-         absent from the written subscripts *)
-      (I.Compile.Point, inner, [ f "c(i) = c(i) + 0.01 * sin(a(i,j) + %s)" (e ()) ])
+      (* reduction into an array element: j is absent from the written
+         subscripts, so rows along i never meet it twice *)
+      (along_i, inner, [ f "c(i) = c(i) + 0.01 * sin(a(i,j) + %s)" (e ()) ])
   | 7 ->
-      (* reversed innermost step: j+1 was written one point earlier, j-1
-         is written one point later *)
+      (* reversed j step: j+1 was written one point earlier, j-1 is
+         written one point later; either way a row along i is free *)
       if Prng.bool rng then
-        (I.Compile.Point, "do j = 9, 2, -1", [ f "a(i,j) = sin(a(i,j+1) + %s)" (e ()) ])
-      else (I.Compile.Row, "do j = 9, 2, -1", [ f "a(i,j) = sin(a(i,j-1) + %s)" (e ()) ])
+        (along_i, [ "do j = 9, 2, -1" ], [ f "a(i,j) = sin(a(i,j+1) + %s)" (e ()) ])
+      else (along_i, [ "do j = 9, 2, -1" ], [ f "a(i,j) = sin(a(i,j-1) + %s)" (e ()) ])
+  | 8 ->
+      (* strided j step, distance one stride *)
+      if Prng.bool rng then
+        (along_i, [ "do j = 4, 7, 3" ], [ f "a(i,j) = sin(a(i,j-3) + %s)" (e ()) ])
+      else (along_i, [ "do j = 4, 7, 3" ], [ f "a(i,j) = sin(a(i,j+3) + %s)" (e ()) ])
+  | 9 ->
+      (* flow carried along i: the rows stay along j *)
+      (along_j, inner, [ f "a(i,j) = cos(0.5 * a(i-1,j) + %s)" (e ()) ])
+  | 10 ->
+      (* distance (1, -1): running i innermost would read a(i-1,j+1)
+         before it is written *)
+      (along_j, inner, [ f "a(i,j) = cos(0.5 * a(i-1,j+1) + %s)" (e ()) ])
+  | 11 ->
+      (* flow carried along both levels: no row keeps it *)
+      ( I.Compile.Point, inner,
+        [ f "a(i,j) = 0.5 * (a(i-1,j) + a(i,j-1)) + 0.1 * sin(%s)" (e ()) ] )
   | _ ->
-      (* strided innermost step, distance one stride *)
-      if Prng.bool rng then
-        (I.Compile.Point, "do j = 4, 7, 3", [ f "a(i,j) = sin(a(i,j-3) + %s)" (e ()) ])
-      else (I.Compile.Row, "do j = 4, 7, 3", [ f "a(i,j) = sin(a(i,j+3) + %s)" (e ()) ])
+      (* three levels, flow carried along the outer and the inner one:
+         only the middle level may carry the rows *)
+      ( I.Compile.Row 1, [ "do j = 2, 9"; "do k = 2, 4" ],
+        [ f "q(i,j,k) = sin(q(i-1,j,k) + 0.5 * q(i,j,k-1) + %s)" (e ()) ] )
 
 (* the program and the hazard's expected path and source line *)
 let gen_program rng ~hazard =
@@ -401,9 +424,9 @@ let gen_program rng ~hazard =
   add "c$acfd status(a, b)\n";
   add "      program prop\n";
   add "      parameter (m = 12, n = 10)\n";
-  add "      real a(m,n), b(m,n), c(m)\n";
+  add "      real a(m,n), b(m,n), c(m), q(m,n,4)\n";
   add "      real s1, s2, t1\n";
-  add "      integer i, j\n";
+  add "      integer i, j, k\n";
   add "      s1 = 0.3\n";
   add "      s2 = -0.2\n";
   add "      t1 = 0.1\n";
@@ -412,25 +435,37 @@ let gen_program rng ~hazard =
   add "          b(i,j) = cos(0.4*float(i) - 0.5*float(j))\n";
   add "        enddo\n      enddo\n";
   add "      do i = 1, 12\n        c(i) = 0.1*float(i)\n      enddo\n";
+  add "      do i = 1, 12\n        do j = 1, 10\n          do k = 1, 4\n";
+  add "            q(i,j,k) = cos(0.3*float(i) - 0.2*float(j*k))\n";
+  add "          enddo\n        enddo\n      enddo\n";
   for _ = 1 to Prng.int_in rng 3 6 do
     gen_nest rng buf
   done;
   let path, inner, body = gen_hazard rng hazard in
   let line = List.length (String.split_on_char '\n' (Buffer.contents buf)) in
   add "      do i = 2, 11\n";
-  add ("        " ^ inner ^ "\n");
-  List.iter (fun s -> add ("          " ^ s ^ "\n")) body;
-  add "        enddo\n      enddo\n";
-  add "      write(*,*) s1, s2, t1, a(3,3), b(5,7), c(4)\n";
+  let indent n = String.make (6 + (2 * n)) ' ' in
+  List.iteri (fun n h -> add (indent (n + 1) ^ h ^ "\n")) inner;
+  let depth = List.length inner + 1 in
+  List.iter (fun s -> add (indent depth ^ s ^ "\n")) body;
+  for n = depth - 1 downto 0 do
+    add (indent n ^ "enddo\n")
+  done;
+  add "      write(*,*) s1, s2, t1, a(3,3), b(5,7), c(4), q(7,6,4)\n";
   add "      end\n";
   (Buffer.contents buf, path, line)
+
+let path_name = function
+  | Some (I.Compile.Row l) -> Printf.sprintf "rows along level %d" l
+  | Some I.Compile.Point -> "point"
+  | None -> "closure IR"
 
 let test_random_nests () =
   let rng = Prng.create 0x5eed5 in
   let fused_somewhere = ref false in
   let fellback_somewhere = ref false in
   let paths = ref [] in
-  for case = 1 to 27 do
+  for case = 1 to 3 * hazard_kinds do
     let child = Prng.split rng in
     let src, hazard_path, hazard_line =
       gen_program child ~hazard:(case mod hazard_kinds)
@@ -448,12 +483,9 @@ let test_random_nests () =
         else fellback_somewhere := true;
         Option.iter (fun p -> paths := p :: !paths) path;
         if ce.I.Compile.cov_line = hazard_line then
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: hazard at line %d takes the %s path" name
-               hazard_line
-               (if hazard_path = I.Compile.Row then "row" else "point"))
-            true
-            (path = Some hazard_path))
+          Alcotest.(check string)
+            (Printf.sprintf "%s: path of the hazard at line %d" name hazard_line)
+            (path_name (Some hazard_path)) (path_name path))
       (I.Compile.coverage cu) (I.Compile.kernel_paths cu);
     Alcotest.(check bool)
       (Printf.sprintf "%s: hazard nest at line %d recorded" name hazard_line)
@@ -469,7 +501,8 @@ let test_random_nests () =
     "at least one generated nest fell back" true !fellback_somewhere;
   Alcotest.(check bool)
     "both kernel paths ran" true
-    (List.mem I.Compile.Row !paths && List.mem I.Compile.Point !paths)
+    (List.mem along_i !paths && List.mem along_j !paths
+    && List.mem I.Compile.Point !paths)
 
 (* the acceptance bar for the fused tier: at least 80% of each bundled
    application's field loops compile to kernels *)
@@ -548,43 +581,107 @@ c$acfd status(a, b)
   check_sequential "long rows" src;
   let t = D.load src in
   let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
-  Alcotest.(check bool)
-    "every nest takes the row path" true
-    (List.for_all (( = ) (Some I.Compile.Row)) (I.Compile.kernel_paths cu))
+  (* the (k, i) initialization runs its rows along the unit-stride k;
+     the recurrence carried along k keeps its 300-point rows along i *)
+  Alcotest.(check (list string))
+    "every nest takes the row path"
+    (List.map
+       (fun l -> path_name (Some (I.Compile.Row l)))
+       [ 0; 0; 0; 1 ])
+    (List.map path_name (I.Compile.kernel_paths cu))
 
 (* The path of every bundled fused nest: a legality rule that turns too
-   conservative moves a nest to the point path and fails here, rather
-   than silently losing the row path's speed.  The point-path nests are
-   the scalar reductions and the two SOR sweeps, whose innermost loop
-   reads a value the previous point wrote. *)
+   conservative moves a nest to the point path, or its rows off the
+   unit-stride level, and fails here rather than silently losing the
+   row path's speed.  The point-path nests are the scalar reductions and
+   the two SOR sweeps, which read values the previous point wrote along
+   every level.  Every row nest runs along the level of its arrays' first
+   subscript, wherever that level sits in the source nest. *)
 let test_kernel_paths () =
   List.iter
-    (fun (name, expected, src) ->
+    (fun (name, expected_point, expected_rows, src) ->
       let t = D.load src in
       let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
-      let point =
-        List.concat
-          (List.map2
-             (fun (c : I.Compile.coverage_entry) path ->
-               match path with
-               | Some I.Compile.Point ->
-                   [ Printf.sprintf "line %d (%s)" c.I.Compile.cov_line
-                       (String.concat "," c.I.Compile.cov_vars) ]
-               | Some I.Compile.Row | None -> [])
-             (I.Compile.coverage cu) (I.Compile.kernel_paths cu))
+      let nests =
+        List.map2
+          (fun (c : I.Compile.coverage_entry) path ->
+            let vars = c.I.Compile.cov_vars in
+            (Printf.sprintf "line %d (%s)" c.I.Compile.cov_line
+               (String.concat "," vars), vars, path))
+          (I.Compile.coverage cu) (I.Compile.kernel_paths cu)
       in
-      Alcotest.(check (list string)) (name ^ ": point-path nests") expected point)
+      let point =
+        List.filter_map
+          (function n, _, Some I.Compile.Point -> Some n | _ -> None)
+          nests
+      in
+      let rows =
+        List.filter_map
+          (function
+            | n, vars, Some (I.Compile.Row l) ->
+                Some (n ^ " -> " ^ List.nth vars l)
+            | _ -> None)
+          nests
+      in
+      Alcotest.(check (list string)) (name ^ ": point-path nests") expected_point point;
+      Alcotest.(check (list string)) (name ^ ": row levels") expected_rows rows)
     [
       ( "aerofoil",
         [ "line 285 (psor_i,psor_j,psor_k)"; "line 439 (forces_i,forces_k)";
           "line 461 (cflmin_i,cflmin_j,cflmin_k)";
           "line 483 (resid_i,resid_j,resid_k)" ],
+        [ "line 56 (init_i,init_j,init_k) -> init_i";
+          "line 65 (init_i,init_j,init_k,init_m) -> init_i";
+          "line 72 (init_i,init_k) -> init_i";
+          "line 93 (farbc_j,farbc_k) -> farbc_j";
+          "line 117 (surfbc_i,surfbc_k) -> surfbc_i";
+          "line 140 (spanbc_i,spanbc_j) -> spanbc_i";
+          "line 166 (rhs_i,rhs_j,rhs_k) -> rhs_i";
+          "line 186 (rhs_i,rhs_j,rhs_k) -> rhs_i";
+          "line 206 (rhs_i,rhs_j,rhs_k) -> rhs_i";
+          "line 240 (advanc_i,advanc_j,advanc_k) -> advanc_i";
+          "line 261 (diverg_i,diverg_j,diverg_k) -> diverg_i";
+          "line 306 (correc_i,correc_j,correc_k) -> correc_i";
+          "line 331 (blayer_j,blayer_i,blayer_k) -> blayer_k";
+          "line 387 (wallfn_i,wallfn_k) -> wallfn_i";
+          "line 358 (smooth_i,smooth_j,smooth_k) -> smooth_i";
+          "line 365 (smooth_i,smooth_j,smooth_k) -> smooth_i";
+          "line 409 (spanav_i,spanav_j,spanav_k) -> spanav_i";
+          "line 415 (spanav_i,spanav_j,spanav_k) -> spanav_i";
+          "line 93 (farbc_j,farbc_k) -> farbc_j" ],
         Autocfd_apps.Aerofoil.source () );
-      ("sprayer", [ "line 370 (resid_i,resid_j)" ], Autocfd_apps.Sprayer.source ());
+      ( "sprayer",
+        [ "line 370 (resid_i,resid_j)" ],
+        [ "line 53 (init_i,init_j) -> init_i"; "line 78 (fansrc_i) -> fansrc_i";
+          "line 96 (inletbc_j) -> inletbc_j"; "line 117 (wallbc_i) -> wallbc_i";
+          "line 139 (eddyvis_i,eddyvis_j) -> eddyvis_i";
+          "line 158 (vorttr_i,vorttr_j) -> vorttr_i";
+          "line 180 (vortup_i,vortup_j) -> vortup_i";
+          "line 239 (smoothu_i,smoothu_j) -> smoothu_i";
+          "line 244 (smoothu_i,smoothu_j) -> smoothu_i";
+          "line 347 (deficit_i,deficit_j) -> deficit_i";
+          "line 352 (deficit_i,deficit_j) -> deficit_i";
+          "line 261 (outflow_j) -> outflow_j";
+          "line 197 (psisol_i,psisol_j) -> psisol_i";
+          "line 202 (psisol_i,psisol_j) -> psisol_i";
+          "line 219 (veloc_i,veloc_j) -> veloc_i"; "line 279 (swirl_i) -> swirl_i";
+          "line 283 (swirl_i) -> swirl_i";
+          "line 301 (droplet_i,droplet_j) -> droplet_i";
+          "line 309 (droplet_i,droplet_j) -> droplet_i";
+          "line 313 (droplet_i) -> droplet_i";
+          "line 329 (settle_i,settle_j) -> settle_i";
+          "line 78 (fansrc_i) -> fansrc_i" ],
+        Autocfd_apps.Sprayer.source () );
       ( "cavity",
         [ "line 104 (resid_i,resid_j)"; "line 137 (psisor_i,psisor_j)" ],
+        [ "line 40 (init_i,init_j) -> init_i"; "line 59 (wallbc_i) -> wallbc_i";
+          "line 63 (wallbc_j) -> wallbc_j"; "line 81 (vort_i,vort_j) -> vort_i";
+          "line 119 (update_i,update_j) -> update_i" ],
         Autocfd_apps.Cavity.source () );
-      ("heat2d", [ "line 29 (i,j)" ], read_file (heat2d_path ()));
+      ( "heat2d",
+        [ "line 29 (i,j)" ],
+        [ "line 18 (i,j) -> i"; "line 24 (i,j) -> i" ],
+        read_file (heat2d_path ()) );
     ]
 
 let unit_of_source src =

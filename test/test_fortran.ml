@@ -210,6 +210,43 @@ let test_shared_do_label () =
       | _ -> Alcotest.fail "inner body should end with 10 continue")
   | _ -> Alcotest.fail "expected nested DO with shared label"
 
+(* Fortran 77 forbids a DO that redefines an enclosing DO's variable,
+   through an IF block too; reusing the variable once the loop has
+   closed is fine. *)
+let test_do_var_reuse () =
+  let nested =
+    {|
+      program t
+      integer i
+      do 10 i = 1, 3
+        if (i .gt. 1) then
+          do 20 i = 1, 2
+ 20       continue
+        endif
+ 10   continue
+      end
+|}
+  in
+  (match parse nested with
+  | _ -> Alcotest.fail "a DO reusing its enclosing DO's variable parsed"
+  | exception Loc.Error (loc, msg) ->
+      Alcotest.(check int) "the inner DO's line" 6 loc.Loc.line;
+      Alcotest.(check string) "names the enclosing DO"
+        "DO variable i is already the control variable of the enclosing DO \
+         at line 4"
+        msg);
+  ignore
+    (parse
+       {|
+      program t
+      integer i
+      do i = 1, 3
+      enddo
+      do 10 i = 1, 2
+ 10   continue
+      end
+|})
+
 let test_if_chain () =
   let src =
     {|
@@ -553,6 +590,7 @@ let suite =
     ("expr refs", `Quick, test_expr_refs);
     ("parse program", `Quick, test_parse_program);
     ("shared DO label", `Quick, test_shared_do_label);
+    ("DO variable reuse", `Quick, test_do_var_reuse);
     ("if chain", `Quick, test_if_chain);
     ("logical if + goto", `Quick, test_logical_if_and_goto);
     ("common + data", `Quick, test_common_and_data);
