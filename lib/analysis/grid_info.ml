@@ -27,9 +27,17 @@ let find_decl program name =
   in
   List.find_map in_unit units
 
-let resolve_status program grid (name, explicit) =
+(* every name a directive kind lists, with its directive's line *)
+let located pick dirs =
+  List.concat_map
+    (fun (d : Directive.t) ->
+      List.map (fun x -> (d.Directive.dir_line, x)) (pick d.Directive.dir_kind))
+    dirs
+
+let resolve_status program grid (line, (name, explicit)) =
+  let fail fmt = Loc.errorf (Loc.make line 0) fmt in
   match find_decl program name with
-  | None -> failwith (Printf.sprintf "status array '%s' is not declared" name)
+  | None -> fail "status array '%s' is not declared" name
   | Some decl ->
       let rank = List.length decl.Ast.d_dims in
       let owner =
@@ -50,9 +58,7 @@ let resolve_status program grid (name, explicit) =
         match explicit with
         | Some k ->
             if k > rank then
-              failwith
-                (Printf.sprintf "status(%s:%d): array has only %d dimensions"
-                   name k rank);
+              fail "status(%s:%d): array has only %d dimensions" name k rank;
             Array.init rank (fun i -> if i < k then Some i else None)
         | None ->
             (* match declared extents against grid extents, in order *)
@@ -70,16 +76,16 @@ let resolve_status program grid (name, explicit) =
                  extents)
       in
       if not (Array.exists Option.is_some sa_dims) then
-        failwith
-          (Printf.sprintf
-             "status array '%s': no dimension matches the grid extents \
-              (declare it over the grid parameters or use status(%s:k))"
-             name name);
+        fail
+          "status array '%s': no dimension matches the grid extents (declare \
+           it over the grid parameters or use status(%s:k))"
+          name name;
       { sa_name = name; sa_rank = rank; sa_dims }
 
 let of_program (program : Ast.program) =
   let dirs = program.Ast.p_directives in
-  let grid_names = Directive.grids dirs in
+  let grid_dirs = located (function Directive.Grid g -> g | _ -> []) dirs in
+  let grid_names = List.map snd grid_dirs in
   if grid_names = [] then
     failwith "missing directive: c$acfd grid(...) is required";
   let main =
@@ -91,16 +97,17 @@ let of_program (program : Ast.program) =
   let grid =
     Array.of_list
       (List.map
-         (fun n ->
+         (fun (line, n) ->
            match Env.lookup env n with
            | Some v -> v
            | None ->
-               failwith
-                 (Printf.sprintf
-                    "grid extent '%s' is not a PARAMETER of the main unit" n))
-         grid_names)
+               Loc.errorf (Loc.make line 0)
+                 "grid extent '%s' is not a PARAMETER of the main unit" n)
+         grid_dirs)
   in
-  let status_specs = Directive.status_arrays dirs in
+  let status_specs =
+    located (function Directive.Status s -> s | _ -> []) dirs
+  in
   if status_specs = [] then
     failwith "missing directive: c$acfd status(...) is required";
   let status = List.map (resolve_status program grid) status_specs in

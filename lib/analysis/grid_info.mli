@@ -22,8 +22,12 @@ type t = {
 }
 
 val of_program : Ast.program -> t
-(** @raise Failure when a directive names an unknown parameter or an
-    undeclared array. *)
+(** @raise Loc.Error at the directive's line when a [grid] directive names
+    something that is not a PARAMETER of the main unit, or a [status]
+    directive names an undeclared array, a status dimension count beyond
+    the array's rank, or an array with no grid dimension.
+    @raise Failure when the [grid] or [status] directive, or the main
+    unit, is missing. *)
 
 val ndims : t -> int
 val is_status : t -> string -> bool

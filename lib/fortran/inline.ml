@@ -31,10 +31,11 @@ let fresh_label st =
   st.next_label <- l + 1;
   l
 
-let find_subroutine st name =
+let find_subroutine st ~line name =
   match Ast.find_unit st.program name with
   | Some u -> u
-  | None -> failwith (Printf.sprintf "inline: subroutine '%s' not found" name)
+  | None ->
+      Loc.errorf (Loc.make line 0) "inline: subroutine '%s' not found" name
 
 (* Renaming environment for one unit expansion. *)
 type env = {
@@ -126,11 +127,11 @@ and expand_stmt st path env stmt =
   | Continue -> mk Continue
   | Call (name, args) ->
       let args = List.map re args in
-      let callee = find_subroutine st name in
+      let callee = find_subroutine st ~line name in
       if List.mem (String.lowercase_ascii name) path then
-        failwith (Printf.sprintf "inline: recursion through '%s'" name);
+        Loc.errorf (Loc.make line 0) "inline: recursion through '%s'" name;
       let body =
-        expand_call st (String.lowercase_ascii name :: path) callee args
+        expand_call st ~line (String.lowercase_ascii name :: path) callee args
       in
       (* keep the call site's label on a leading CONTINUE *)
       (match label with
@@ -150,16 +151,17 @@ and expand_stmt st path env stmt =
   | Pipeline_recv r -> mk (Pipeline_recv r)
   | Pipeline_send s_ -> mk (Pipeline_send s_)
 
-and expand_call st path callee args =
+(* errors in binding the callee to the CALL at [line] name that line *)
+and expand_call st ~line path callee args =
+  let fail fmt = Loc.errorf (Loc.make line 0) fmt in
   let params =
     match callee.u_kind with
     | Subroutine ps -> ps
-    | Main -> failwith "inline: cannot call the main program"
+    | Main -> fail "inline: cannot call the main program"
   in
   if List.length params <> List.length args then
-    failwith
-      (Printf.sprintf "inline: call to '%s' passes %d args for %d parameters"
-         callee.u_name (List.length args) (List.length params));
+    fail "inline: call to '%s' passes %d args for %d parameters"
+      callee.u_name (List.length args) (List.length params);
   let env =
     {
       rename = Hashtbl.create 16;
@@ -186,9 +188,7 @@ and expand_call st path callee args =
           ()
       | Some canonical ->
           if List.length canonical <> List.length members then
-            failwith
-              (Printf.sprintf
-                 "inline: COMMON /%s/ has inconsistent member counts" blk);
+            fail "inline: COMMON /%s/ has inconsistent member counts" blk;
           List.iter2
             (fun canon m ->
               if m <> canon then Hashtbl.replace env.rename m (Var canon))

@@ -16,5 +16,7 @@
     receive a variable. *)
 
 val program : Ast.program -> Ast.program_unit
-(** @raise Failure on recursion, a missing subroutine, or an
-    unsupported argument binding. *)
+(** @raise Loc.Error at the CALL's line on recursion, a missing
+    subroutine, an argument-count mismatch, a CALL of the main program or
+    a COMMON block whose member count differs from its first declaration.
+    @raise Failure on an unsupported argument binding. *)

@@ -130,9 +130,9 @@ type coverage_entry = {
 }
 
 (* how a fused nest runs: statement by statement over each row along one
-   level (0 = outermost) into unboxed registers, or every statement at
-   each point *)
-type kernel_path = Row of int | Point
+   level (0 = outermost) or along the anti-diagonal of two levels into
+   unboxed registers, or every statement at each point *)
+type kernel_path = Row of int | Diag of int * int | Point
 
 type cu = {
   cu_unit : Ast.program_unit;
@@ -854,8 +854,9 @@ type fenv = {
          these observe the current iteration, never the entry value, so
          they are exempt from the entry sset precheck *)
   e_early : bool ref;
-      (* some body-assigned scalar is read before its assignment in the
-         iteration (a reduction, or a value carried to the next point) *)
+      (* some body-assigned scalar other than a fold's accumulator is read
+         before its assignment in the iteration (a value carried to the
+         next point) *)
 }
 
 let aff_zero env : aff =
@@ -1113,6 +1114,7 @@ type kst =
   | Kstore of int * int * fx  (* array slot, written reference id, rhs *)
   | Kreal of int * fx  (* real scratch scalar slot := rhs *)
   | Kint of int * ix  (* integer scratch scalar slot := rhs *)
+  | Kfold of int * bin * fx  (* real slot := slot op rhs: Add Sub Mul Max Min *)
 
 let reg_ref env slot (args : Ast.expr list) : int =
   let bounds = env.e_ctx.x_bounds.(slot) in
@@ -1276,8 +1278,28 @@ and fintr env name args : fe =
       | _ -> raise (Unfusable (Intrinsic_arity "sign")))
   | _ -> raise (Unfusable (Unknown_intrinsic name))
 
-(* one body assignment *)
-let comp_kstmt env (s : Ast.stmt) : kst option =
+(* [s = s + e], [s - e], [s * e], [max(s, e)] or [min(s, e)] (also
+   [amax1]/[amin1]): the accumulator, its operator and [e] *)
+let fold_shape ctx (s : Ast.stmt) =
+  match s.Ast.s_kind with
+  | Ast.Assign
+      (Ast.Var x, Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul) as op), Ast.Var y, e))
+    when x = y ->
+      Some (x, (match op with Ast.Add -> Add | Ast.Sub -> Sub | _ -> Mul), e)
+  | Ast.Assign
+      ( Ast.Var x,
+        Ast.Ref ((("max" | "amax1" | "min" | "amin1") as f), [ Ast.Var y; e ]) )
+    when x = y && not (Hashtbl.mem ctx.x_ar f) ->
+      Some (x, (if f = "max" || f = "amax1" then Max else Min), e)
+  | _ -> None
+
+let mentions x e =
+  Ast.fold_exprs
+    (fun acc e -> acc || match e with Ast.Var y -> y = x | _ -> false)
+    false e
+
+(* one body assignment; [fold]: the statement is a fold (see [kernel_of]) *)
+let comp_kstmt env fold (s : Ast.stmt) : kst option =
   match s.Ast.s_kind with
   | Ast.Continue -> None
   | Ast.Assign (Ast.Ref (name, args), rhs) -> (
@@ -1292,10 +1314,20 @@ let comp_kstmt env (s : Ast.stmt) : kst option =
       if Hashtbl.mem env.e_lvl x then
         raise (Unfusable Assign_to_loop_var);
       match Hashtbl.find_opt env.e_ctx.x_sc x with
-      | Some i when env.e_ctx.x_kinds.(i) = KReal ->
-          let rf = as_ff (fcomp env rhs) in
-          Hashtbl.replace env.e_wrscal i ();
-          Some (Kreal (i, rf))
+      | Some i when env.e_ctx.x_kinds.(i) = KReal -> (
+          match fold with
+          | Some (_, op, e) ->
+              (* the operator's flop, as on the right-hand side; the
+                 accumulator's entry value is an entry read *)
+              let rf = as_ff (fcomp env e) in
+              incr env.e_flops;
+              env.e_reads := i :: !(env.e_reads);
+              Hashtbl.replace env.e_wrscal i ();
+              Some (Kfold (i, op, rf))
+          | None ->
+              let rf = as_ff (fcomp env rhs) in
+              Hashtbl.replace env.e_wrscal i ();
+              Some (Kreal (i, rf)))
       | Some i when env.e_ctx.x_kinds.(i) = KInt ->
           let rf = as_fi (fcomp env rhs) in
           Hashtbl.replace env.e_wrscal i ();
@@ -1392,16 +1424,20 @@ let pstmt = function
       fun st offs vals ->
         Array.unsafe_set st.si i (rf st offs vals);
         Array.unsafe_set st.sset i true
+  | Kfold (i, op, rhs) ->
+      let rf = pfx (Fbin (op, Fslot i, rhs)) in
+      fun st offs vals -> Array.unsafe_set st.sf i (rf st offs vals)
 
 (* ---- row path: every node evaluates a whole row into an unboxed
    register, one closure call per node per row ---- *)
 
-(* One row along the kernel's row level, shared by its steps.  A row longer
-   than [row_cap] points runs as consecutive pieces of at most that many,
-   which keeps every dependence a whole row keeps (pieces run in
-   iteration order) and bounds the scratch buffer.  The buffer [w_buf]
-   is the state's: register [r] is [r * w_n .. r * w_n + w_n - 1], then
-   one cell per row-invariant value from [w_inv]. *)
+(* One row of the kernel, along its row level or its diagonal, shared by
+   its steps.  A row longer than [row_cap] points runs as consecutive
+   pieces of at most that many, which keeps every dependence a whole row
+   keeps (pieces run in row order) and bounds the scratch buffer.  The
+   buffer [w_buf] is the state's: register [r] is
+   [r * w_n .. r * w_n + w_n - 1], then one cell per row-invariant value
+   from [w_inv]. *)
 let row_cap = 128
 
 type row = {
@@ -1411,8 +1447,8 @@ type row = {
   w_inv : int;
   w_offs : int array;  (* per reference: flat offset at the row's start *)
   w_kd : int array;  (* per reference: flat offset step along the row *)
-  w_vals : int array;  (* loop values; the row level's at the row's start *)
-  w_step : int;  (* the row level's step *)
+  w_vals : int array;  (* loop values at the row's start *)
+  w_lstep : int array;  (* per level: its loop value's step along the row *)
 }
 
 (* where a step reads a row: a buffer, a start and a stride *)
@@ -1533,6 +1569,42 @@ let move_row w src dst base stride =
     o := !o + stride
   done
 
+(* fold a row into real slot [i] point by point in row order: the point
+   path's operations in its order *)
+let fold_step b i src w =
+  let x = obuf w src and sx = ostride w src in
+  let ix = ref (obase w src) in
+  let sf = w.w_st.sf in
+  let acc = ref (Array.unsafe_get sf i) in
+  (match b with
+  | Add ->
+      for _ = 1 to w.w_n do
+        acc := !acc +. Array.unsafe_get x !ix;
+        ix := !ix + sx
+      done
+  | Sub ->
+      for _ = 1 to w.w_n do
+        acc := !acc -. Array.unsafe_get x !ix;
+        ix := !ix + sx
+      done
+  | Mul ->
+      for _ = 1 to w.w_n do
+        acc := !acc *. Array.unsafe_get x !ix;
+        ix := !ix + sx
+      done
+  | Max ->
+      for _ = 1 to w.w_n do
+        acc := Float.max !acc (Array.unsafe_get x !ix);
+        ix := !ix + sx
+      done
+  | Min ->
+      for _ = 1 to w.w_n do
+        acc := Float.min !acc (Array.unsafe_get x !ix);
+        ix := !ix + sx
+      done
+  | Div | Pow | Rem | Sign -> assert false);
+  Array.unsafe_set sf i !acc
+
 (* row values at compile time: constants and row invariants stay
    scalar until an operand needs them *)
 type rv =
@@ -1552,7 +1624,7 @@ type rgen = {
   mutable g_floor : int;  (* registers below hold scratch scalars *)
   mutable g_regs : int;  (* high-water mark *)
   mutable g_invs : int;  (* invariant cells *)
-  g_level : int;  (* the row level *)
+  g_along : bool array;  (* per level: does its loop value move along a row *)
   g_scal : (int, rv) Hashtbl.t;  (* real scratch slot -> its row *)
 }
 
@@ -1633,8 +1705,10 @@ let rec rfx g (e : fx) : rv =
 and rix g (e : ix) : ri =
   match e with
   | Iconst c -> Iinv (fun _ -> c)
-  | Ivar l when l = g.g_level ->
-      Irow (fun w t -> Array.unsafe_get w.w_vals l + (t * w.w_step))
+  | Ivar l when g.g_along.(l) ->
+      Irow
+        (fun w t ->
+          Array.unsafe_get w.w_vals l + (t * Array.unsafe_get w.w_lstep l))
   | Ivar l -> Iinv (fun w -> Array.unsafe_get w.w_vals l)
   | Islot i -> Iinv (fun w -> Array.unsafe_get w.w_st.si i)
   | Iof_float a -> (
@@ -1664,9 +1738,14 @@ and rix g (e : ix) : ri =
 (* Statements run in body order, each over the whole row: a store
    writes its row after its right-hand side is complete, a scratch
    scalar keeps its row in a register (or as its invariant or constant)
-   for the statements after it.  Integer scratch scalars have no row
-   registers: a nest assigning one stays on the point path. *)
+   for the statements after it, and a fold folds its row into its
+   accumulator's slot.  Integer scratch scalars have no row registers: a
+   nest assigning one stays on the point path. *)
 let rstmt g = function
+  | Kfold (i, op, rhs) ->
+      let src = opnd g (rfx g rhs) in
+      emit g (fold_step op i src);
+      g.g_top <- g.g_floor
   | Kstore (slot, wid, rhs) ->
       let src = opnd g (rfx g rhs) in
       emit g (fun w ->
@@ -1767,25 +1846,36 @@ type krf = {
   k_flat : int array;  (* per level: sum over dims of coeff * stride *)
 }
 
-(* Which levels may a row kernel run its rows along?  [refs] are the
-   body's references in id order (array slot, subscripts), [spans.(s)]
-   the ids statement [s] registered, [writes.(s)] the one it stores
-   through (-1 for a scalar assignment), [steps] each level's step sign.
-   Every two references to one array, at least one a write, give one
-   Fission distance vector, computed once; the returned test passes a
-   level when every vector passes both checks below.
-   - Running the level innermost, the others in source order, keeps the
-     sign of the vector's leading nonzero distance.  Only instances
-     whose first nonzero distance is at the moved level can change
-     order: they then meet the levels after it first.  A [None]
-     distance may be anything.
+(* Which rows may a row kernel run?  [refs] are the body's references in
+   id order (array slot, subscripts), [spans.(s)] the ids statement [s]
+   registered, [writes.(s)] the one it stores through (-1 for a scalar
+   assignment), [steps] each level's step when it is a constant.  Every
+   two references to one array, at least one a write, give one Fission
+   distance vector, computed once; the two returned tests, one for a row
+   along a level and one for a diagonal row of two levels, pass when
+   every vector passes the checks below.
+   - Rows along a level: running the level innermost, the others in
+     source order, keeps the sign of the vector's leading nonzero
+     distance.  Only instances whose first nonzero distance is at the
+     moved level can change order: they then meet the levels after it
+     first.  A [None] distance may be anything.
+   - Diagonal rows of levels [a < b]: each point of a row raises [a]'s
+     normalized index by one and lowers [b]'s by one, and the walk runs
+     the other levels in source order with the wavefront [n_a + n_b] in
+     [a]'s place.  Two instances then run in the order of the vector's
+     walk-order vector, [d] with [d_a + d_b] in [a]'s place (counted in
+     steps of each level) and [d_b] removed, which must lead with [d]'s
+     sign.  Every distance, and the steps of [a] and [b], must be
+     known.
    - Running the body statement by statement over a row keeps every
-     dependence within the row (no nonzero distance at another level):
-     a later statement may only touch what an earlier one touched at
-     the same or an earlier iteration, and a statement may only read
-     what it writes itself at the same or a later iteration (its whole
-     right-hand side row is read before its row is stored).  A write
-     meets itself in iteration order, which storing a row keeps. *)
+     dependence within the row (no nonzero distance at another level,
+     or a walk-order vector of zeros) when a later statement only
+     touches what an earlier one touched at the same or an earlier
+     point, and a statement only reads what it writes itself at the same
+     or a later point (its whole right-hand side row is read before its
+     row is stored).  The row offset is the distance at the level, or at
+     [a] on a diagonal.  A write meets itself in row order, which
+     storing a row keeps. *)
 type order =
   | Self  (* a statement's write and itself *)
   | Same_stmt  (* a statement's write, then another of its references *)
@@ -1793,9 +1883,10 @@ type order =
 
 let row_legal ~steps (refs : (int * aff array) array) spans writes =
   let m = Array.length steps in
+  let signs = Array.map (Option.map (fun s -> compare s 0)) steps in
   let deps = ref [] in
   let add order r r' =
-    match Fission.distance ~steps (snd refs.(r)) (snd refs.(r')) with
+    match Fission.distance ~steps:signs (snd refs.(r)) (snd refs.(r')) with
     | Some d -> deps := (order, d) :: !deps
     | None -> ()
   in
@@ -1840,27 +1931,48 @@ let row_legal ~steps (refs : (int * aff array) array) spans writes =
         done;
         not (!lead && !flips)
   in
-  let keeps_row l (order, d) =
-    let apart = ref false in
-    for i = 0 to m - 1 do
-      match d.(i) with Some k when i <> l && k <> 0 -> apart := true | _ -> ()
-    done;
-    !apart
-    ||
-    match (order, d.(l)) with
+  let in_row order k =
+    match (order, k) with
     | Self, _ -> true
     | _, None -> false
     | Same_stmt, Some k -> k <= 0
     | Later_stmt, Some k -> k >= 0
   in
-  fun l ->
-    List.for_all (fun (o, d) -> keeps_lead l d && keeps_row l (o, d)) !deps
+  let keeps_row l (order, d) =
+    let apart = ref false in
+    for i = 0 to m - 1 do
+      match d.(i) with Some k when i <> l && k <> 0 -> apart := true | _ -> ()
+    done;
+    !apart || in_row order d.(l)
+  in
+  (* the wavefront distance counts steps (a distance is in loop-value
+     units, a multiple of the step when the instances exist); scanning
+     inward leaves the leading signs of [d] and of its walk-order
+     vector *)
+  let keeps_walk (a, b) (order, d) =
+    match (d.(a), d.(b), steps.(a), steps.(b)) with
+    | Some da, Some db, Some sa, Some sb ->
+        let wave = (da / abs sa) + (db / abs sb) in
+        let known = ref true and lead = ref 0 and walk = ref 0 in
+        for l = m - 1 downto 0 do
+          match d.(l) with
+          | None -> known := false
+          | Some k ->
+              if k <> 0 then lead := compare k 0;
+              let c = if l = a then wave else if l = b then 0 else k in
+              if c <> 0 then walk := compare c 0
+        done;
+        !known && if !walk = 0 then in_row order d.(a) else !walk = !lead
+    | _ -> false
+  in
+  ( (fun l ->
+      List.for_all (fun (o, d) -> keeps_lead l d && keeps_row l (o, d)) !deps),
+    fun pair -> List.for_all (keeps_walk pair) !deps )
 
 (* a compiled body: per-point statement closures, or the row program *)
 type body =
   | Point_fns of (state -> int array -> int array -> unit) array
   | Row_prog of {
-      level : int;  (* the rows run along this level *)
       steps : (row -> unit) array;
       regs : int;
       invs : int;
@@ -1935,12 +2047,27 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
            | None -> fun _ -> 1)
          levels)
   in
+  (* a fold's accumulator is assigned by its statement alone and read by
+     no other statement; a fold whose [e] reads it too is an early read,
+     which keeps the point path *)
+  let fold_of s =
+    match fold_shape ctx s with
+    | Some (x, _, _) as f
+      when List.for_all
+             (fun s' ->
+               s' == s || not (List.exists (mentions x) (Ast.stmt_exprs s')))
+             stmts ->
+        f
+    | _ -> None
+  in
   (* each statement with the reference ids it registered *)
   let kst, spans =
     List.filter_map
       (fun s ->
         let lo = !(env.e_nrefs) in
-        Option.map (fun k -> (k, (lo, !(env.e_nrefs)))) (comp_kstmt env s))
+        Option.map
+          (fun k -> (k, (lo, !(env.e_nrefs))))
+          (comp_kstmt env (fold_of s) s))
       stmts
     |> List.split
   in
@@ -1990,11 +2117,15 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
   (* the row path along the legal level whose references have the least
-     summed stride, the innermost of them on a tie; the point path when
-     no level keeps every dependence of point order *)
-  let row_level =
+     summed stride, the innermost of them on a tie; a nest with a fold
+     tries only the source innermost level, where folding rows performs
+     the point path's operations in its order.  With no level legal and
+     no fold, the legal diagonal of least summed stride, the outer pair
+     on a tie; the point path when nothing keeps every dependence of
+     point order *)
+  let path =
     if !(env.e_early) || Array.exists (function Kint _ -> true | _ -> false) kst
-    then None
+    then Point
     else
       let steps =
         Array.of_list
@@ -2004,40 +2135,65 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                | None -> Some 1
                | Some e -> (
                    match cfold env e with
-                   | Some s when s <> 0 -> Some (compare s 0)
+                   | Some s when s <> 0 -> Some s
                    | _ -> None))
              levels)
       in
-      let cost =
-        Array.init m (fun l ->
-            Array.fold_left (fun c k -> c + abs k.k_flat.(l)) 0 kinfo)
-      in
+      let cost f = Array.fold_left (fun c k -> c + abs (f k.k_flat)) 0 kinfo in
       let writes =
-        Array.map (function Kstore (_, w, _) -> w | Kreal _ | Kint _ -> -1) kst
+        Array.map
+          (function Kstore (_, w, _) -> w | Kreal _ | Kint _ | Kfold _ -> -1)
+          kst
       in
+      let level_ok, diag_ok = row_legal ~steps refs spans writes in
+      let fold = Array.exists (function Kfold _ -> true | _ -> false) kst in
+      let by_cost c = List.stable_sort (fun x y -> compare (c x) (c y)) in
       (* levels innermost first: on a tie the stable sort keeps the inner *)
-      List.init m (fun l -> m - 1 - l)
-      |> List.stable_sort (fun a b -> compare cost.(a) cost.(b))
-      |> List.find_opt (row_legal ~steps refs spans writes)
+      let levels =
+        if fold then [ m - 1 ]
+        else
+          by_cost
+            (fun l -> cost (fun fl -> fl.(l)))
+            (List.init m (fun l -> m - 1 - l))
+      in
+      match List.find_opt level_ok levels with
+      | Some l -> Row l
+      | None when fold -> Point
+      | None -> (
+          let step l = Option.value ~default:1 steps.(l) in
+          let pairs =
+            List.concat_map
+              (fun a -> List.init (m - 1 - a) (fun k -> (a, a + 1 + k)))
+              (List.init m Fun.id)
+          in
+          by_cost
+            (fun (a, b) -> cost (fun fl -> (fl.(a) * step a) - (fl.(b) * step b)))
+            pairs
+          |> List.find_opt diag_ok
+          |> function Some (a, b) -> Diag (a, b) | None -> Point)
   in
   let body =
-    match row_level with
-    | Some level ->
+    match path with
+    | Point -> Point_fns (Array.map pstmt kst)
+    | Row _ | Diag _ ->
+        let along = Array.make m false in
+        (match path with
+        | Row l -> along.(l) <- true
+        | Diag (a, b) ->
+            along.(a) <- true;
+            along.(b) <- true
+        | Point -> ());
         let g =
           { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
-            g_level = level; g_scal = Hashtbl.create 4 }
+            g_along = along; g_scal = Hashtbl.create 4 }
         in
         Array.iter (rstmt g) kst;
         let exits =
           Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal []
         in
         Row_prog
-          { level; steps = Array.of_list (List.rev g.g_steps);
+          { steps = Array.of_list (List.rev g.g_steps);
             regs = g.g_regs; invs = g.g_invs; exits = Array.of_list exits }
-    | None -> Point_fns (Array.map pstmt kst)
-  in
-  let path =
-    match body with Row_prog p -> Row p.level | Point_fns _ -> Point
   in
   let kernel fallback st =
     (* any entry-read slot unset, zero step, empty trip space, or an
@@ -2099,20 +2255,38 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             in
             let vals = Array.make m 0 in
             let offs = Array.make nrefs 0 in
-            (* the row level: the point path keeps the source innermost *)
-            let rl =
-              match body with Row_prog p -> p.level | Point_fns _ -> m - 1
+            (* a row moves level [ra], and on a diagonal also [rb] (-1
+               otherwise); the point path keeps the source innermost *)
+            let ra, rb =
+              match path with
+              | Row l -> (l, -1)
+              | Diag (a, b) -> (a, b)
+              | Point -> (m - 1, -1)
             in
-            let kd = Array.map (fun k -> k.k_flat.(rl) * steps.(rl)) kinfo in
-            let rlo = los.(rl) and rstep = steps.(rl) and rtrips = trips.(rl) in
-            (* one row, from the offsets and loop values at its start;
-               then whatever the path does once after the nest *)
+            let lstep = Array.make m 0 in
+            lstep.(ra) <- steps.(ra);
+            if rb >= 0 then lstep.(rb) <- -steps.(rb);
+            let kd =
+              Array.map
+                (fun k ->
+                  let d = ref 0 in
+                  for l = 0 to m - 1 do
+                    d := !d + (k.k_flat.(l) * lstep.(l))
+                  done;
+                  !d)
+                kinfo
+            in
+            let ta = trips.(ra) and tb = if rb >= 0 then trips.(rb) else 0 in
+            (* a diagonal's longest row is its shorter side *)
+            let longest = if rb < 0 then ta else min ta tb in
+            (* one row of [len] points, from the offsets and loop values at
+               its start; then whatever the path does once after the nest *)
             let run_row, finish =
               match body with
               | Point_fns fns ->
-                  let ns = Array.length fns in
-                  ( (fun () ->
-                      for _ = 1 to rtrips do
+                  let ns = Array.length fns and rstep = steps.(ra) in
+                  ( (fun len ->
+                      for _ = 1 to len do
                         for s = 0 to ns - 1 do
                           (Array.unsafe_get fns s) st offs vals
                         done;
@@ -2120,24 +2294,24 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                           Array.unsafe_set offs r
                             (Array.unsafe_get offs r + Array.unsafe_get kd r)
                         done;
-                        vals.(rl) <- vals.(rl) + rstep
+                        vals.(ra) <- vals.(ra) + rstep
                       done),
                     ignore )
               | Row_prog p ->
-                  let cap = min rtrips row_cap in
+                  let cap = min longest row_cap in
                   let need = (p.regs * cap) + p.invs in
                   if Array.length st.rows < need then
                     st.rows <- Array.create_float need;
                   let w =
                     { w_st = st; w_buf = st.rows; w_n = cap;
                       w_inv = p.regs * cap; w_offs = offs; w_kd = kd;
-                      w_vals = vals; w_step = rstep }
+                      w_vals = vals; w_lstep = lstep }
                   in
                   let nsteps = Array.length p.steps in
-                  ( (fun () ->
+                  ( (fun len ->
                       let first = ref 0 in
-                      while !first < rtrips do
-                        let n = min cap (rtrips - !first) in
+                      while !first < len do
+                        let n = min cap (len - !first) in
                         w.w_n <- n;
                         for s = 0 to nsteps - 1 do
                           (Array.unsafe_get p.steps s) w
@@ -2146,11 +2320,13 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                         for r = 0 to nrefs - 1 do
                           offs.(r) <- offs.(r) + (n * kd.(r))
                         done;
-                        vals.(rl) <- vals.(rl) + (n * rstep)
+                        vals.(ra) <- vals.(ra) + (n * lstep.(ra));
+                        if rb >= 0 then vals.(rb) <- vals.(rb) + (n * lstep.(rb))
                       done),
                     fun () ->
                       (* scratch scalars leave with the last iteration's
-                         value, as on the point path *)
+                         value, as on the point path: the last row ends
+                         at the last point in source order *)
                       Array.iter
                         (fun (i, o) ->
                           st.sf.(i) <-
@@ -2159,21 +2335,40 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                           st.sset.(i) <- true)
                         p.exits )
             in
-            (* the other levels in source order, then one row *)
+            (* the row from the loop values at its start *)
+            let row len =
+              for r = 0 to nrefs - 1 do
+                let k = kinfo.(r) in
+                let o = ref rbase.(r) in
+                for l' = 0 to m - 1 do
+                  o := !o + (k.k_flat.(l') * vals.(l'))
+                done;
+                offs.(r) <- !o
+              done;
+              run_row len
+            in
+            (* the other levels in source order, on a diagonal with the
+               wavefront [n_a + n_b] in [ra]'s place, then one row *)
+            let wave = ref 0 in
             let rec go l =
               if l = m then begin
-                vals.(rl) <- rlo;
-                for r = 0 to nrefs - 1 do
-                  let k = kinfo.(r) in
-                  let o = ref rbase.(r) in
-                  for l' = 0 to m - 1 do
-                    o := !o + (k.k_flat.(l') * vals.(l'))
-                  done;
-                  offs.(r) <- !o
-                done;
-                run_row ()
+                if rb < 0 then begin
+                  vals.(ra) <- los.(ra);
+                  row ta
+                end
+                else begin
+                  let na = max 0 (!wave - tb + 1) in
+                  vals.(ra) <- los.(ra) + (na * steps.(ra));
+                  vals.(rb) <- los.(rb) + ((!wave - na) * steps.(rb));
+                  row (min (ta - 1) !wave - na + 1)
+                end
               end
-              else if l = rl then go (l + 1)
+              else if l = ra && rb >= 0 then
+                for n = 0 to ta + tb - 2 do
+                  wave := n;
+                  go (l + 1)
+                done
+              else if l = ra || l = rb then go (l + 1)
               else begin
                 vals.(l) <- los.(l);
                 for _ = 1 to trips.(l) do

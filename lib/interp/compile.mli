@@ -131,22 +131,42 @@ val coverage : cu -> coverage_entry list
       an unboxed float register in a scratch buffer owned by the
       {!state}; a scratch scalar keeps its row in a register; each
       statement then stores its row through the reference's offset
-      step.  A level is legal when, for every two references to one
-      array, at least one a write, the distance vector of
+      step.  A fold ([s = s + e], [s - e], [s * e], [s = max(s, e)] or
+      [min(s, e)], whose real accumulator [s] no other statement
+      assigns or reads and [e] does not read) folds its row into [s]
+      in row order.  A level is legal when, for every two references to
+      one array, at least one a write, the distance vector of
       {!Autocfd_analysis.Fission.distance} keeps its leading nonzero
       sign with the level moved innermost ([None] counting as any
       distance), and no two such references that meet within a row run
       from a statement back to an earlier one, or from a statement's
       write to a later read of its own.  Among the legal levels the
       nest takes the one whose references have the least summed
-      [|flat stride|], the innermost of them on a tie.  No body-assigned
-      scalar may be read before its assignment in the iteration, and no
-      integer scalar may be assigned.  Flop charges, final loop-variable
-      and scratch-scalar values are those of source order.
+      [|flat stride|], the innermost of them on a tie; a nest with a
+      fold tries only the source innermost level, so that folding
+      performs the point path's operations in its order.  No
+      body-assigned scalar but a fold's accumulator may be read before
+      its assignment in the iteration, and no integer scalar may be
+      assigned.  Flop charges, final loop-variable and scratch-scalar
+      values are those of source order.
+    - [Diag (a, b)]: as [Row], over rows along the anti-diagonal of
+      levels [a < b]: each point raises [a]'s normalized index by one
+      and lowers [b]'s by one, and the other levels are walked in
+      source order with the wavefront [n_a + n_b] in [a]'s place.  Tried
+      only when no single level is legal and the body has no fold.  The
+      pair is legal when every distance and both levels' steps are
+      known and each vector's walk-order vector ([d] with [d_a + d_b],
+      counted in steps, in [a]'s place and [d_b] removed) leads with the
+      vector's own sign, or is zero and keeps the within-row rule at row
+      offset [d_a]; among the legal pairs the nest takes the one of
+      least summed [|row stride|], the outer on a tie.  SOR sweeps take
+      this path.
     - [Point]: every statement at each point in source order, one
-      closure call per expression node — reductions such as
-      [s = max(s, ...)] and recurrences such as an SOR sweep. *)
-type kernel_path = Row of int | Point
+      closure call per expression node, for a nest no row keeps: one
+      that reads a scratch scalar before assigning it, assigns an
+      integer scalar, or carries a dependence no level or diagonal
+      keeps.  No bundled nest takes it. *)
+type kernel_path = Row of int | Diag of int * int | Point
 
 val kernel_paths : cu -> kernel_path option list
 (** Per {!coverage} entry, in the same order: the path of the nest's

@@ -81,10 +81,20 @@ let test_grid_info_errors () =
     "c$acfd grid(n)\nc$acfd status(zz)\n      program t\n\
      \      parameter (n = 4)\n      end\n"
   in
-  Alcotest.(check bool) "undeclared status array" true
-    (match A.Grid_info.of_program (parse bad_array) with
-    | exception Failure _ -> true
-    | _ -> false)
+  (* a directive error names the directive's line *)
+  let located src =
+    match A.Grid_info.of_program (parse src) with
+    | _ -> "no error"
+    | exception Loc.Error (loc, msg) ->
+        Printf.sprintf "line %d: %s" loc.Loc.line msg
+  in
+  Alcotest.(check string) "undeclared status array"
+    "line 2: status array 'zz' is not declared" (located bad_array);
+  Alcotest.(check string) "grid extent not a PARAMETER"
+    "line 1: grid extent 'm' is not a PARAMETER of the main unit"
+    (located
+       "c$acfd grid(m)\nc$acfd status(u)\n      program t\n\
+        \      real u(4)\n      end\n")
 
 let test_status_explicit_dims () =
   let src =

@@ -302,7 +302,7 @@ let gen_nest rng buf =
       gen_assign rng ~vi:(Some "i") ~vj:None ~indent:"        " buf;
       add "      enddo\n"
   | 6 ->
-      (* scalar reduction: fuses on the point path *)
+      (* scalar fold: rows along the source innermost j *)
       add "      do i = 2, 11\n        do j = 2, 9\n";
       if Prng.bool rng then
         add "          s1 = s1 + 0.01 * a(i,j)\n"
@@ -330,18 +330,23 @@ let gen_nest rng buf =
       add "        enddo\n      enddo\n"
 
 (* Row-path hazards: nests whose loops carry (or seem to carry) a
-   dependence, each with the path and row level the legality rule must
-   pick.  Rows may run along any level whose move innermost keeps every
-   dependence's leading sign; running statement by statement over a row
-   then keeps forward and anti dependences within it and breaks the
-   rest.  Of the legal levels the one with unit-stride [a(i,j)] wins.
-   Their expressions read only [c(i)] and scalars, which no hazard
-   writes in the same row, so the path depends on the listed statements
-   alone. *)
-let hazard_kinds = 13
+   dependence, or that fold into a scalar, each with the path and row
+   level the legality rule must pick.  Rows may run along any level
+   whose move innermost keeps every dependence's leading sign; running
+   statement by statement over a row then keeps forward and anti
+   dependences within it and breaks the rest.  Of the legal levels the
+   one with unit-stride [a(i,j)] wins.  With no level legal, rows may
+   run along the anti-diagonal of two levels whose walk order keeps
+   every dependence.  A fold runs along the source innermost level.
+   Their expressions read only [c(i)], [s1], [float(i)], [float(j)] and
+   literals; only kind 18 writes one of them, [c(i)], whose unknown
+   distances already keep it on the point path, so the path depends on
+   the listed statements alone. *)
+let hazard_kinds = 25
 
 let along_i = I.Compile.Row 0
 let along_j = I.Compile.Row 1
+let diagonal = I.Compile.Diag (0, 1)
 
 let gen_hazard rng kind =
   let e () =
@@ -407,14 +412,80 @@ let gen_hazard rng kind =
          before it is written *)
       (along_j, inner, [ f "a(i,j) = cos(0.5 * a(i-1,j+1) + %s)" (e ()) ])
   | 11 ->
-      (* flow carried along both levels: no row keeps it *)
-      ( I.Compile.Point, inner,
+      (* flow carried along both levels: no single level keeps it, the
+         anti-diagonals of (i, j) do *)
+      ( diagonal, inner,
         [ f "a(i,j) = 0.5 * (a(i-1,j) + a(i,j-1)) + 0.1 * sin(%s)" (e ()) ] )
-  | _ ->
+  | 12 ->
       (* three levels, flow carried along the outer and the inner one:
          only the middle level may carry the rows *)
       ( I.Compile.Row 1, [ "do j = 2, 9"; "do k = 2, 4" ],
         [ f "q(i,j,k) = sin(q(i-1,j,k) + 0.5 * q(i,j,k-1) + %s)" (e ()) ] )
+  | 13 ->
+      (* a three-level Gauss-Seidel sweep: flow along every level; the
+         (i, j) diagonal has the least stride *)
+      ( diagonal, [ "do j = 2, 9"; "do k = 2, 4" ],
+        [ f "q(i,j,k) = 0.3 * (q(i-1,j,k) + q(i,j-1,k) + q(i,j,k-1)) + 0.1 * sin(%s)"
+            (e ()) ] )
+  | 14 ->
+      (* the sweep under a reversed j step: j+1 was written one point
+         earlier *)
+      ( diagonal, [ "do j = 9, 2, -1" ],
+        [ f "a(i,j) = 0.5 * (a(i-1,j) + a(i,j+1)) + 0.1 * sin(%s)" (e ()) ] )
+  | 15 ->
+      (* the (1, -1) flow lands inside one diagonal row, read after it
+         is written: nothing keeps it *)
+      ( I.Compile.Point, inner,
+        [ f "a(i,j) = 0.5 * (a(i-1,j+1) + a(i,j-1)) + 0.1 * sin(%s)" (e ()) ] )
+  | 16 ->
+      (* the (1, -2) flow's walk-order vector (-1) runs against it *)
+      ( I.Compile.Point, [ "do j = 2, 8" ],
+        [ f "a(i,j) = 0.5 * (a(i-1,j+2) + a(i,j-1)) + 0.1 * sin(%s)" (e ()) ] )
+  | 17 ->
+      (* a transposed read has no known distance: no diagonal *)
+      ( I.Compile.Point, inner,
+        [ f "a(i,j) = 0.4 * (a(i-1,j) + a(i,j-1) + a(j+2,i-1)) + 0.1 * sin(%s)"
+            (e ()) ] )
+  | 18 ->
+      (* c(i) is written at every j: the (-1, any) distance to its read
+         is not known, and a diagonal would read c(i-1) before its last
+         write *)
+      ( I.Compile.Point, inner,
+        [ "a(i,j) = 0.5 * (a(i-1,j) + a(i,j-1)) + 0.1 * c(i-1)";
+          f "c(i) = 0.5 * a(i,j) + 0.01 * %s" (e ()) ] )
+  | 19 ->
+      (* j steps by 2: the (0, 2, -1) flow is one step along j and one
+         back along k, so it lands inside one (j, k) diagonal row;
+         counted in loop values it would seem to cross rows *)
+      ( I.Compile.Point, [ "do j = 4, 8, 2"; "do k = 2, 3" ],
+        [ f
+            "q(i,j,k) = 0.25 * (q(i-1,j,k) + q(i-1,j+2,k) + q(i,j-2,k+1) \
+             + q(i,j,k-1)) + 0.1 * sin(%s)"
+            (e ()) ] )
+  | 20 ->
+      (* the sweep with j stepping by 2: a(i,j-2) is one step back *)
+      ( diagonal, [ "do j = 3, 9, 2" ],
+        [ f "a(i,j) = 0.5 * (a(i-1,j) + a(i,j-2)) + 0.1 * sin(%s)" (e ()) ] )
+  | 21 ->
+      (* a sum or product fold: rows along the source innermost j *)
+      ( along_j, inner,
+        [ (match Prng.int rng 3 with
+          | 0 -> f "s2 = s2 + 0.01 * sin(a(i,j) + %s)" (e ())
+          | 1 -> f "s2 = s2 - 0.01 * cos(b(i,j) * %s)" (e ())
+          | _ -> f "s2 = s2 * (1.0 + 0.001 * sin(a(i,j) + %s))" (e ())) ] )
+  | 22 ->
+      (* a max or min fold after a scratch scalar *)
+      ( along_j, inner,
+        [ f "t1 = sin(a(i,j) + %s)" (e ());
+          (if Prng.bool rng then "s2 = max(s2, b(i,j) * t1)"
+           else "s2 = amin1(s2, b(i,j) + t1)") ] )
+  | 23 ->
+      (* the folded expression reads the accumulator: an early read *)
+      (I.Compile.Point, inner, [ f "s2 = s2 + 0.01 * s2 * sin(a(i,j) + %s)" (e ()) ])
+  | _ ->
+      (* another statement reads the accumulator: no fold *)
+      ( I.Compile.Point, inner,
+        [ "s2 = s2 + 0.01 * a(i,j)"; f "b(i,j) = sin(s2 + %s)" (e ()) ] )
 
 (* the program and the hazard's expected path and source line *)
 let gen_program rng ~hazard =
@@ -457,6 +528,8 @@ let gen_program rng ~hazard =
 
 let path_name = function
   | Some (I.Compile.Row l) -> Printf.sprintf "rows along level %d" l
+  | Some (I.Compile.Diag (a, b)) ->
+      Printf.sprintf "diagonal rows of levels %d and %d" a b
   | Some I.Compile.Point -> "point"
   | None -> "closure IR"
 
@@ -500,8 +573,9 @@ let test_random_nests () =
   Alcotest.(check bool)
     "at least one generated nest fell back" true !fellback_somewhere;
   Alcotest.(check bool)
-    "both kernel paths ran" true
+    "every kernel path ran" true
     (List.mem along_i !paths && List.mem along_j !paths
+    && List.mem diagonal !paths
     && List.mem I.Compile.Point !paths)
 
 (* the acceptance bar for the fused tier: at least 80% of each bundled
@@ -543,18 +617,22 @@ let test_app_coverage () =
       ("heat2d", 3, read_file (heat2d_path ()));
     ]
 
+let unit_of_source src =
+  Autocfd_fortran.Inline.program (Autocfd_fortran.Parser.parse src)
+
 (* Rows longer than the row path's piece size run as several pieces: a
-   scratch scalar, a forward anti-dependence and an outer-carried flow
-   dependence across piece boundaries must stay bit-identical, and the
-   scalar must leave with the last point's value. *)
+   scratch scalar, a forward anti-dependence, an outer-carried flow
+   dependence, a diagonal row of a Gauss-Seidel sweep and a fold across
+   piece boundaries must stay bit-identical, and the scalars must leave
+   with the last point's value. *)
 let test_long_rows () =
   let src =
     {|c$acfd grid(n)
 c$acfd status(a, b)
       program longrow
       parameter (n = 300)
-      real a(n), b(n), c(4, n), t1
-      integer i, k
+      real a(n), b(n), c(4, n), g(140, 130), t1, s1
+      integer i, j, k
       do i = 1, 300
         a(i) = sin(0.01 * float(i))
         b(i) = cos(0.02 * float(i))
@@ -574,7 +652,22 @@ c$acfd status(a, b)
           c(k, i) = c(k-1, i) + 0.5 * c(k, i-1)
         enddo
       enddo
-      write(*,*) t1, a(150), b(298), c(4, 2)
+      do j = 1, 130
+        do i = 1, 140
+          g(i, j) = 0.01 * float(i) - 0.02 * float(j)
+        enddo
+      enddo
+      do i = 2, 140
+        do j = 2, 130
+          t1 = 0.5 * (g(i-1, j) + g(i, j-1))
+          g(i, j) = t1 + 0.001 * float(i - j)
+        enddo
+      enddo
+      s1 = 0.25
+      do i = 1, 300
+        s1 = s1 + a(i) * b(i)
+      enddo
+      write(*,*) t1, s1, a(150), b(298), c(4, 2), g(140, 130), g(70, 65)
       end
 |}
   in
@@ -582,21 +675,59 @@ c$acfd status(a, b)
   let t = D.load src in
   let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
   (* the (k, i) initialization runs its rows along the unit-stride k;
-     the recurrence carried along k keeps its 300-point rows along i *)
+     the recurrence carried along k keeps its 300-point rows along i;
+     the sweep's anti-diagonals reach 129 points *)
   Alcotest.(check (list string))
     "every nest takes the row path"
     (List.map
-       (fun l -> path_name (Some (I.Compile.Row l)))
-       [ 0; 0; 0; 1 ])
-    (List.map path_name (I.Compile.kernel_paths cu))
+       (fun p -> path_name (Some p))
+       I.Compile.[ Row 0; Row 0; Row 0; Row 1; Row 1; Diag (0, 1); Row 0 ])
+    (List.map path_name (I.Compile.kernel_paths cu));
+  (* an accumulator unset at entry: the kernel takes the closure-IR
+     fallback, which raises the machine's error *)
+  let unset =
+    unit_of_source
+      {|
+      program unset
+      real a(300), s
+      integer i
+      do i = 1, 300
+        a(i) = 0.5 * float(i)
+      enddo
+      do i = 1, 300
+        s = s + a(i)
+      enddo
+      end
+|}
+  in
+  let outcome run =
+    match run () with
+    | () -> "no error"
+    | exception I.Machine.Runtime_error m -> "Runtime_error: " ^ m
+  in
+  let cu = I.Compile.compile ~fuse:true unset in
+  Alcotest.(check (list string))
+    "unset accumulator: the fold still compiles to rows"
+    [ path_name (Some (I.Compile.Row 0)); path_name (Some (I.Compile.Row 0)) ]
+    (List.map path_name (I.Compile.kernel_paths cu));
+  Alcotest.(check string)
+    "unset accumulator: the machine's error"
+    "Runtime_error: variable 's' used before being set"
+    (outcome (fun () -> I.Machine.run (I.Machine.create unset)));
+  Alcotest.(check string)
+    "unset accumulator: the fused kernel's error"
+    "Runtime_error: variable 's' used before being set"
+    (outcome (fun () -> I.Compile.run (I.Compile.create cu)))
 
 (* The path of every bundled fused nest: a legality rule that turns too
    conservative moves a nest to the point path, or its rows off the
    unit-stride level, and fails here rather than silently losing the
-   row path's speed.  The point-path nests are the scalar reductions and
-   the two SOR sweeps, which read values the previous point wrote along
-   every level.  Every row nest runs along the level of its arrays' first
-   subscript, wherever that level sits in the source nest. *)
+   row path's speed.  No bundled nest runs on the point path.  Every row
+   nest runs along the level of its arrays' first subscript, wherever
+   that level sits in the source nest, except the folds, which run along
+   the source innermost level; the two SOR sweeps, which read values the
+   previous point wrote along every level, run along the (i, j)
+   anti-diagonals. *)
 let test_kernel_paths () =
   List.iter
     (fun (name, expected_point, expected_rows, src) ->
@@ -620,16 +751,17 @@ let test_kernel_paths () =
           (function
             | n, vars, Some (I.Compile.Row l) ->
                 Some (n ^ " -> " ^ List.nth vars l)
+            | n, vars, Some (I.Compile.Diag (a, b)) ->
+                Some
+                  (Printf.sprintf "%s -> diagonal %s,%s" n (List.nth vars a)
+                     (List.nth vars b))
             | _ -> None)
           nests
       in
       Alcotest.(check (list string)) (name ^ ": point-path nests") expected_point point;
       Alcotest.(check (list string)) (name ^ ": row levels") expected_rows rows)
     [
-      ( "aerofoil",
-        [ "line 285 (psor_i,psor_j,psor_k)"; "line 439 (forces_i,forces_k)";
-          "line 461 (cflmin_i,cflmin_j,cflmin_k)";
-          "line 483 (resid_i,resid_j,resid_k)" ],
+      ( "aerofoil", [],
         [ "line 56 (init_i,init_j,init_k) -> init_i";
           "line 65 (init_i,init_j,init_k,init_m) -> init_i";
           "line 72 (init_i,init_k) -> init_i";
@@ -641,6 +773,7 @@ let test_kernel_paths () =
           "line 206 (rhs_i,rhs_j,rhs_k) -> rhs_i";
           "line 240 (advanc_i,advanc_j,advanc_k) -> advanc_i";
           "line 261 (diverg_i,diverg_j,diverg_k) -> diverg_i";
+          "line 285 (psor_i,psor_j,psor_k) -> diagonal psor_i,psor_j";
           "line 306 (correc_i,correc_j,correc_k) -> correc_i";
           "line 331 (blayer_j,blayer_i,blayer_k) -> blayer_k";
           "line 387 (wallfn_i,wallfn_k) -> wallfn_i";
@@ -648,14 +781,17 @@ let test_kernel_paths () =
           "line 365 (smooth_i,smooth_j,smooth_k) -> smooth_i";
           "line 409 (spanav_i,spanav_j,spanav_k) -> spanav_i";
           "line 415 (spanav_i,spanav_j,spanav_k) -> spanav_i";
-          "line 93 (farbc_j,farbc_k) -> farbc_j" ],
+          "line 93 (farbc_j,farbc_k) -> farbc_j";
+          "line 439 (forces_i,forces_k) -> forces_k";
+          "line 461 (cflmin_i,cflmin_j,cflmin_k) -> cflmin_k";
+          "line 483 (resid_i,resid_j,resid_k) -> resid_k" ],
         Autocfd_apps.Aerofoil.source () );
-      ( "sprayer",
-        [ "line 370 (resid_i,resid_j)" ],
+      ( "sprayer", [],
         [ "line 53 (init_i,init_j) -> init_i"; "line 78 (fansrc_i) -> fansrc_i";
           "line 96 (inletbc_j) -> inletbc_j"; "line 117 (wallbc_i) -> wallbc_i";
           "line 139 (eddyvis_i,eddyvis_j) -> eddyvis_i";
           "line 158 (vorttr_i,vorttr_j) -> vorttr_i";
+          "line 370 (resid_i,resid_j) -> resid_j";
           "line 180 (vortup_i,vortup_j) -> vortup_i";
           "line 239 (smoothu_i,smoothu_j) -> smoothu_i";
           "line 244 (smoothu_i,smoothu_j) -> smoothu_i";
@@ -672,20 +808,17 @@ let test_kernel_paths () =
           "line 329 (settle_i,settle_j) -> settle_i";
           "line 78 (fansrc_i) -> fansrc_i" ],
         Autocfd_apps.Sprayer.source () );
-      ( "cavity",
-        [ "line 104 (resid_i,resid_j)"; "line 137 (psisor_i,psisor_j)" ],
+      ( "cavity", [],
         [ "line 40 (init_i,init_j) -> init_i"; "line 59 (wallbc_i) -> wallbc_i";
           "line 63 (wallbc_j) -> wallbc_j"; "line 81 (vort_i,vort_j) -> vort_i";
-          "line 119 (update_i,update_j) -> update_i" ],
+          "line 104 (resid_i,resid_j) -> resid_j";
+          "line 119 (update_i,update_j) -> update_i";
+          "line 137 (psisor_i,psisor_j) -> diagonal psisor_i,psisor_j" ],
         Autocfd_apps.Cavity.source () );
-      ( "heat2d",
-        [ "line 29 (i,j)" ],
-        [ "line 18 (i,j) -> i"; "line 24 (i,j) -> i" ],
+      ( "heat2d", [],
+        [ "line 18 (i,j) -> i"; "line 24 (i,j) -> i"; "line 29 (i,j) -> j" ],
         read_file (heat2d_path ()) );
     ]
-
-let unit_of_source src =
-  Autocfd_fortran.Inline.program (Autocfd_fortran.Parser.parse src)
 
 (* The compiler keeps each array's bounds and DATA contents rather than
    storage, but the initial environment's errors still raise from

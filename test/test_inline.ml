@@ -233,11 +233,17 @@ let test_early_return () =
   Alcotest.(check (list string)) "early return taken" [ "1" ]
     (Autocfd_interp.Machine.output m)
 
+(* an inlining error names the line of the CALL it comes from *)
+let located_error src =
+  match inline src with
+  | _ -> "no error"
+  | exception Loc.Error (loc, msg) -> Printf.sprintf "line %d: %s" loc.Loc.line msg
+
 let test_recursion_rejected () =
-  Alcotest.(check bool) "recursion detected" true
-    (match
-       inline
-         {|
+  Alcotest.(check string) "recursion detected at the closing CALL"
+    "line 10: inline: recursion through 'a'"
+    (located_error
+       {|
       program t
       call a
       end
@@ -249,16 +255,24 @@ let test_recursion_rejected () =
       call a
       return
       end
-|}
-     with
-    | exception Failure _ -> true
-    | _ -> false)
+|})
 
 let test_missing_subroutine () =
-  Alcotest.(check bool) "missing callee" true
-    (match inline "      program t\n      call nope\n      end\n" with
-    | exception Failure _ -> true
-    | _ -> false)
+  Alcotest.(check string) "missing callee at its CALL"
+    "line 2: inline: subroutine 'nope' not found"
+    (located_error "      program t\n      call nope\n      end\n");
+  Alcotest.(check string) "argument count at its CALL"
+    "line 3: inline: call to 'one' passes 2 args for 1 parameters"
+    (located_error
+       {|
+      program t
+      call one(1.0, 2.0)
+      end
+      subroutine one(x)
+      real x
+      return
+      end
+|})
 
 let test_expression_argument () =
   let m =
