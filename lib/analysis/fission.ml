@@ -464,9 +464,10 @@ let fusable_stmt ctx (s : Ast.stmt) : bool =
       && List.for_all (fun a -> adec ctx a <> Opaque_dim) args
       && fusable_expr ctx rhs
   | Ast.Assign (Ast.Var x, rhs) ->
+      (* the fused tier's rows have no integer registers *)
       (match type_of_scalar ctx x with
-      | Ast.Integer | Ast.Real | Ast.Double -> true
-      | Ast.Logical -> false)
+      | Ast.Real | Ast.Double -> true
+      | Ast.Integer | Ast.Logical -> false)
       && fusable_expr ctx rhs
   | _ -> false
 

@@ -322,24 +322,8 @@ let exec_spec spec =
   | "validate" ->
       let t = Driver.load (source ()) in
       let plan = Driver.plan ~spec:(parts_spec (parts ())) t in
-      let points_per_rank =
-        let g = P.Topology.grid plan.Driver.topo
-        and p = P.Topology.parts plan.Driver.topo in
-        Array.to_list
-          (Array.mapi (fun d _ -> (g.(d) + p.(d) - 1) / p.(d)) g)
-        |> List.fold_left ( * ) 1
-      in
-      let ws = M.working_set_bytes ~gi:t.Driver.gi ~points_per_rank in
-      let flop_time =
-        M.memory_slowdown machine ws /. machine.M.flop_rate
-      in
       let par =
-        Driver.run
-          ~spec:
-            Runspec.(
-              default |> with_net machine.M.net
-              |> with_flop_time flop_time)
-          plan
+        Driver.run ~spec:Runspec.(default |> with_machine (Some machine)) plan
       in
       let simulated =
         par.Autocfd_interp.Spmd.stats.Autocfd_mpsim.Sim.elapsed
@@ -480,11 +464,9 @@ let exec_spec spec =
       let t = Driver.load (source ()) in
       let plan = Driver.plan ~spec:(parts_spec (parts ())) t in
       let net = machine.M.net in
-      let flop_time = Driver.calibrated_flop_time ~machine plan in
       let base =
         Runspec.(
-          default |> with_engine engine |> with_net net
-          |> with_flop_time flop_time)
+          default |> with_engine engine |> with_machine (Some machine))
       in
       let clean = Driver.run ~spec:base plan in
       let clean_elapsed =
@@ -1179,6 +1161,24 @@ let render_engine rows =
     rows;
   render t
 
+(* one coverage row: line, loop variables (with the fission fragment)
+   and whether the nest fused or why it fell back *)
+let nest_line (c : Autocfd_interp.Compile.coverage_entry) =
+  let frag =
+    match c.Autocfd_interp.Compile.cov_frag with
+    | None -> ""
+    | Some f ->
+        Printf.sprintf " #%d/%d" f.Autocfd_fortran.Ast.fi_frag
+          f.Autocfd_fortran.Ast.fi_nfrags
+  in
+  Printf.sprintf "  line %-4d do %-24s %s\n" c.Autocfd_interp.Compile.cov_line
+    (String.concat "," c.Autocfd_interp.Compile.cov_vars ^ frag)
+    (if c.Autocfd_interp.Compile.cov_fused then "fused"
+     else
+       "fallback: "
+       ^ Autocfd_interp.Compile.reason_to_string
+           c.Autocfd_interp.Compile.cov_reason)
+
 let render_engine_coverage rows =
   let b = Buffer.create 1024 in
   List.iter
@@ -1186,25 +1186,7 @@ let render_engine_coverage rows =
       Buffer.add_string b
         (Printf.sprintf "%s (%s): field-loop kernel coverage\n" r.er_program
            (shape r.er_parts));
-      List.iter
-        (fun (c : Autocfd_interp.Compile.coverage_entry) ->
-          let frag =
-            match c.Autocfd_interp.Compile.cov_frag with
-            | None -> ""
-            | Some f ->
-                Printf.sprintf " #%d/%d" f.Autocfd_fortran.Ast.fi_frag
-                  f.Autocfd_fortran.Ast.fi_nfrags
-          in
-          Buffer.add_string b
-            (Printf.sprintf "  line %-4d do %-24s %s\n"
-               c.Autocfd_interp.Compile.cov_line
-               (String.concat "," c.Autocfd_interp.Compile.cov_vars ^ frag)
-               (if c.Autocfd_interp.Compile.cov_fused then "fused"
-                else
-                  "fallback: "
-                  ^ Autocfd_interp.Compile.reason_to_string
-                      c.Autocfd_interp.Compile.cov_reason)))
-        r.er_coverage;
+      List.iter (fun c -> Buffer.add_string b (nest_line c)) r.er_coverage;
       Buffer.add_char b '\n')
     rows;
   Buffer.contents b
@@ -1304,24 +1286,7 @@ let render_coverage_fission () =
         (Printf.sprintf
            "%s: fused %d/%d without fission -> %d/%d with fission\n" name bf
            bt af at);
-      let describe (c : Autocfd_interp.Compile.coverage_entry) =
-        let frag =
-          match c.Autocfd_interp.Compile.cov_frag with
-          | None -> ""
-          | Some f ->
-              Printf.sprintf " #%d/%d" f.Autocfd_fortran.Ast.fi_frag
-                f.Autocfd_fortran.Ast.fi_nfrags
-        in
-        Printf.sprintf "  line %-4d do %-24s %s\n"
-          c.Autocfd_interp.Compile.cov_line
-          (String.concat "," c.Autocfd_interp.Compile.cov_vars ^ frag)
-          (if c.Autocfd_interp.Compile.cov_fused then "fused"
-           else
-             "fallback: "
-             ^ Autocfd_interp.Compile.reason_to_string
-                 c.Autocfd_interp.Compile.cov_reason)
-      in
-      List.iter (fun c -> Buffer.add_string b (describe c)) after;
+      List.iter (fun c -> Buffer.add_string b (nest_line c)) after;
       Buffer.add_char b '\n')
     (coverage_apps ());
   Buffer.contents b

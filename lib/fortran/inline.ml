@@ -39,6 +39,7 @@ let find_subroutine st ~line name =
 
 (* Renaming environment for one unit expansion. *)
 type env = {
+  call_line : int;  (* the CALL's line: argument-binding errors name it *)
   (* variable -> replacement expression *)
   rename : (string, expr) Hashtbl.t;
   label_map : (int, int) Hashtbl.t;
@@ -59,9 +60,8 @@ let rec rewrite_expr env (e : expr) =
         match lookup_var env x with
         | Some (Var y) -> Ref (y, args)
         | Some _ ->
-            failwith
-              (Printf.sprintf
-                 "inline: array dummy '%s' bound to a non-variable" x)
+            Loc.errorf (Loc.make env.call_line 0)
+              "inline: array dummy '%s' bound to a non-variable" x
         | None -> Ref (x, args))
   | Unop (op, a) -> Unop (op, rewrite_expr env a)
   | Binop (op, a, b) -> Binop (op, rewrite_expr env a, rewrite_expr env b)
@@ -81,9 +81,8 @@ let rewrite_lhs env (e : expr) =
       | Some (Var y) -> Var y
       | Some _ when Hashtbl.mem env.assigned_dummies_ok x -> assert false
       | Some _ ->
-          failwith
-            (Printf.sprintf
-               "inline: dummy '%s' is assigned but bound to an expression" x)
+          Loc.errorf (Loc.make env.call_line 0)
+            "inline: dummy '%s' is assigned but bound to an expression" x
       | None -> e)
   | Ref _ -> rewrite_expr env e
   | _ -> failwith "inline: bad assignment target"
@@ -109,7 +108,9 @@ and expand_stmt st path env stmt =
       let var =
         match lookup_var env d.do_var with
         | Some (Var y) -> y
-        | Some _ -> failwith "inline: DO variable bound to an expression"
+        | Some _ ->
+            Loc.errorf (Loc.make env.call_line 0)
+              "inline: DO variable bound to an expression"
         | None -> d.do_var
       in
       mk
@@ -164,6 +165,7 @@ and expand_call st ~line path callee args =
       callee.u_name (List.length args) (List.length params);
   let env =
     {
+      call_line = line;
       rename = Hashtbl.create 16;
       label_map = Hashtbl.create 16;
       assigned_dummies_ok = Hashtbl.create 8;
@@ -297,8 +299,10 @@ let program (p : Ast.program) =
   List.iter
     (fun (n, _) -> Hashtbl.replace st.seen_decls ("const:" ^ n) ())
     main.u_consts;
+  (* the main unit binds no dummies: no argument-binding error arises *)
   let env =
     {
+      call_line = 0;
       rename = Hashtbl.create 1;
       label_map = Hashtbl.create 1;
       assigned_dummies_ok = Hashtbl.create 1;

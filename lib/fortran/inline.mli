@@ -17,6 +17,7 @@
 
 val program : Ast.program -> Ast.program_unit
 (** @raise Loc.Error at the CALL's line on recursion, a missing
-    subroutine, an argument-count mismatch, a CALL of the main program or
-    a COMMON block whose member count differs from its first declaration.
-    @raise Failure on an unsupported argument binding. *)
+    subroutine, an argument-count mismatch, a CALL of the main program, a
+    COMMON block whose member count differs from its first declaration or
+    an unsupported argument binding (an array or DO-variable dummy bound
+    to a non-variable, an assigned dummy bound to an expression). *)

@@ -47,6 +47,9 @@ type reason =
   | Io_in_body
   | Comm_in_body
   | Control_in_body
+  | Carried_scalar  (* a body-assigned scalar read before its assignment *)
+  | Int_scalar_assign
+  | No_row_order  (* no level or diagonal keeps the dependences *)
   | Other of string
 
 (* the historical prose, kept verbatim so rendered coverage tables and
@@ -83,6 +86,9 @@ let reason_to_string = function
   | Io_in_body -> "I/O in loop body"
   | Comm_in_body -> "communication in loop body"
   | Control_in_body -> "control flow in loop body"
+  | Carried_scalar -> "scalar read before its assignment in body"
+  | Int_scalar_assign -> "integer scalar assignment in body"
+  | No_row_order -> "no row level or diagonal keeps the dependences"
   | Other s -> s
 
 let reason_of_string s =
@@ -95,6 +101,7 @@ let reason_of_string s =
       Assign_to_loop_var; Scalar_assign; Bad_assign_target; Non_assign_stmt;
       Duplicate_loop_var; Loop_var_not_int; Loop_var_no_slot; Empty_body;
       If_in_body; Goto_in_body; Io_in_body; Comm_in_body; Control_in_body;
+      Carried_scalar; Int_scalar_assign; No_row_order;
     ]
   in
   match List.find_opt (fun r -> reason_to_string r = s) fixed with
@@ -131,8 +138,8 @@ type coverage_entry = {
 
 (* how a fused nest runs: statement by statement over each row along one
    level (0 = outermost) or along the anti-diagonal of two levels into
-   unboxed registers, or every statement at each point *)
-type kernel_path = Row of int | Diag of int * int | Point
+   unboxed registers *)
+type kernel_path = Row of int | Diag of int * int
 
 type cu = {
   cu_unit : Ast.program_unit;
@@ -853,10 +860,6 @@ type fenv = {
       (* scalar slots assigned by an earlier body statement: reads of
          these observe the current iteration, never the entry value, so
          they are exempt from the entry sset precheck *)
-  e_early : bool ref;
-      (* some body-assigned scalar other than a fold's accumulator is read
-         before its assignment in the iteration (a value carried to the
-         next point) *)
 }
 
 let aff_zero env : aff =
@@ -1079,9 +1082,8 @@ and icomp_trunc env (fl : int ref) (e : Ast.expr) : state -> int =
    nodes apart (the machine's int/real arithmetic split is decided here),
    flops per innermost iteration counted statically into [e_flops] (the
    kernel never touches [st.flops] per iteration), every array reference
-   registered with its affine form.  The point path and the row path
-   are two code generators over this one tree, so they cannot disagree
-   on types, flop counts or reference ids. *)
+   registered with its affine form.  The row code generator reads this
+   tree alone, so types, flop counts and reference ids are fixed here. *)
 
 type un = Neg | Abs | Sqrt | Exp | Log | Sin | Cos | Tan | Atan
 type bin = Add | Sub | Mul | Div | Pow | Max | Min | Rem | Sign
@@ -1113,7 +1115,6 @@ let as_fi = function Fi i -> i | Ff f -> Iof_float f
 type kst =
   | Kstore of int * int * fx  (* array slot, written reference id, rhs *)
   | Kreal of int * fx  (* real scratch scalar slot := rhs *)
-  | Kint of int * ix  (* integer scratch scalar slot := rhs *)
   | Kfold of int * bin * fx  (* real slot := slot op rhs: Add Sub Mul Max Min *)
 
 let reg_ref env slot (args : Ast.expr list) : int =
@@ -1129,11 +1130,11 @@ let reg_ref env slot (args : Ast.expr list) : int =
 (* a scalar read.  Slots an earlier body statement assigned hold this
    iteration's value, never the entry value: exempt from the entry sset
    precheck.  A read of a body-assigned scalar before its assignment in
-   the iteration sees the previous iteration's value: [e_early]. *)
+   the iteration sees the previous point's value, which no row keeps. *)
 let read_slot env x i =
   if not (Hashtbl.mem env.e_wrscal i) then begin
-    env.e_reads := i :: !(env.e_reads);
-    if Hashtbl.mem env.e_wrb x then env.e_early := true
+    if Hashtbl.mem env.e_wrb x then raise (Unfusable Carried_scalar);
+    env.e_reads := i :: !(env.e_reads)
   end
 
 let rec fcomp env (e : Ast.expr) : fe =
@@ -1329,9 +1330,8 @@ let comp_kstmt env fold (s : Ast.stmt) : kst option =
               Hashtbl.replace env.e_wrscal i ();
               Some (Kreal (i, rf)))
       | Some i when env.e_ctx.x_kinds.(i) = KInt ->
-          let rf = as_fi (fcomp env rhs) in
-          Hashtbl.replace env.e_wrscal i ();
-          Some (Kint (i, rf))
+          (* rows have no integer registers *)
+          raise (Unfusable Int_scalar_assign)
       | _ -> raise (Unfusable Scalar_assign))
   | Ast.Assign _ -> raise (Unfusable Bad_assign_target)
   | _ -> raise (Unfusable Non_assign_stmt)
@@ -1357,76 +1357,6 @@ let bin_fn = function
   | Min -> Float.min
   | Rem -> Float.rem
   | Sign -> fun x y -> if y >= 0.0 then Float.abs x else -.Float.abs x
-
-(* ---- point path: one closure per node, called once per point over
-   (state, reference offsets, loop values) ---- *)
-
-let rec pfx (e : fx) : state -> int array -> int array -> float =
-  match e with
-  | Fconst c -> fun _ _ _ -> c
-  | Fslot i -> fun st _ _ -> Array.unsafe_get st.sf i
-  | Fref (slot, id) ->
-      fun st offs _ ->
-        Array.unsafe_get
-          (Array.unsafe_get st.adata slot)
-          (Array.unsafe_get offs id)
-  | Fof_int a ->
-      let f = pix a in
-      fun st o v -> float_of_int (f st o v)
-  | Fun (Neg, a) ->
-      let f = pfx a in
-      fun st o v -> -.f st o v
-  | Fun (u, a) ->
-      let f = pfx a and g = un_fn u in
-      fun st o v -> g (f st o v)
-  | Fbin (b, x, y) -> (
-      let fa = pfx x and fb = pfx y in
-      match b with
-      | Add -> fun st o v -> fa st o v +. fb st o v
-      | Sub -> fun st o v -> fa st o v -. fb st o v
-      | Mul -> fun st o v -> fa st o v *. fb st o v
-      | Div -> fun st o v -> fa st o v /. fb st o v
-      | _ ->
-          let g = bin_fn b in
-          fun st o v -> g (fa st o v) (fb st o v))
-
-and pix (e : ix) : state -> int array -> int array -> int =
-  match e with
-  | Iconst c -> fun _ _ _ -> c
-  | Ivar l -> fun _ _ vals -> Array.unsafe_get vals l
-  | Islot i -> fun st _ _ -> Array.unsafe_get st.si i
-  | Iof_float a ->
-      let f = pfx a in
-      fun st o v -> truncate (f st o v)
-  | Iop1 (g, a) ->
-      let f = pix a in
-      fun st o v -> g (f st o v)
-  | Iop2 (g, a, b) ->
-      let fa = pix a and fb = pix b in
-      fun st o v -> g (fa st o v) (fb st o v)
-
-let pstmt = function
-  | Kstore (slot, wid, rhs) ->
-      let rf = pfx rhs in
-      fun st offs vals ->
-        let v = rf st offs vals in
-        Array.unsafe_set
-          (Array.unsafe_get st.adata slot)
-          (Array.unsafe_get offs wid)
-          v
-  | Kreal (i, rhs) ->
-      let rf = pfx rhs in
-      fun st offs vals ->
-        Array.unsafe_set st.sf i (rf st offs vals);
-        Array.unsafe_set st.sset i true
-  | Kint (i, rhs) ->
-      let rf = pix rhs in
-      fun st offs vals ->
-        Array.unsafe_set st.si i (rf st offs vals);
-        Array.unsafe_set st.sset i true
-  | Kfold (i, op, rhs) ->
-      let rf = pfx (Fbin (op, Fslot i, rhs)) in
-      fun st offs vals -> Array.unsafe_set st.sf i (rf st offs vals)
 
 (* ---- row path: every node evaluates a whole row into an unboxed
    register, one closure call per node per row ---- *)
@@ -1569,8 +1499,9 @@ let move_row w src dst base stride =
     o := !o + stride
   done
 
-(* fold a row into real slot [i] point by point in row order: the point
-   path's operations in its order *)
+(* fold a row into real slot [i] point by point in row order, which is
+   source order: a nest with a fold runs its rows along the source
+   innermost level *)
 let fold_step b i src w =
   let x = obuf w src and sx = ostride w src in
   let ix = ref (obase w src) in
@@ -1739,8 +1670,7 @@ and rix g (e : ix) : ri =
    writes its row after its right-hand side is complete, a scratch
    scalar keeps its row in a register (or as its invariant or constant)
    for the statements after it, and a fold folds its row into its
-   accumulator's slot.  Integer scratch scalars have no row registers: a
-   nest assigning one stays on the point path. *)
+   accumulator's slot. *)
 let rstmt g = function
   | Kfold (i, op, rhs) ->
       let src = opnd g (rfx g rhs) in
@@ -1770,7 +1700,6 @@ let rstmt g = function
       | _ -> ());
       g.g_top <- g.g_floor;
       Hashtbl.replace g.g_scal i v
-  | Kint _ -> invalid_arg "Compile.rstmt: integer scratch scalar"
 
 (* structural nest peeling *)
 type peeled =
@@ -1969,16 +1898,6 @@ let row_legal ~steps (refs : (int * aff array) array) spans writes =
       List.for_all (fun (o, d) -> keeps_lead l d && keeps_row l (o, d)) !deps),
     fun pair -> List.for_all (keeps_walk pair) !deps )
 
-(* a compiled body: per-point statement closures, or the row program *)
-type body =
-  | Point_fns of (state -> int array -> int array -> unit) array
-  | Row_prog of {
-      steps : (row -> unit) array;
-      regs : int;
-      invs : int;
-      exits : (int * opnd) array;  (* scratch slot, its row *)
-    }
-
 (* Build the kernel for a peeled nest, or raise Unfusable.  The result
    names the path the kernel takes; its function takes the closure-IR
    fallback (compiled separately) and yields the nest's [state -> unit]. *)
@@ -2019,7 +1938,6 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
       e_flops = ref 0;
       e_wrb = wrb;
       e_wrscal = Hashtbl.create 8;
-      e_early = ref false;
     }
   in
   (* fpb.(l): flops the machine charges for one evaluation of level l's
@@ -2048,8 +1966,8 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
          levels)
   in
   (* a fold's accumulator is assigned by its statement alone and read by
-     no other statement; a fold whose [e] reads it too is an early read,
-     which keeps the point path *)
+     no other statement; a fold whose [e] reads it too reads the previous
+     point's value ([Carried_scalar]) *)
   let fold_of s =
     match fold_shape ctx s with
     | Some (x, _, _) as f
@@ -2116,85 +2034,72 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
   let nrefs = Array.length kinfo in
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
-  (* the row path along the legal level whose references have the least
-     summed stride, the innermost of them on a tie; a nest with a fold
-     tries only the source innermost level, where folding rows performs
-     the point path's operations in its order.  With no level legal and
-     no fold, the legal diagonal of least summed stride, the outer pair
-     on a tie; the point path when nothing keeps every dependence of
-     point order *)
+  (* rows along the legal level whose references have the least summed
+     stride, the innermost of them on a tie; a nest with a fold tries only
+     the source innermost level, where folding rows performs source
+     order's operations in its order.  With no level legal and no fold,
+     the legal diagonal of least summed stride, the outer pair on a tie;
+     with none, the closure IR *)
   let path =
-    if !(env.e_early) || Array.exists (function Kint _ -> true | _ -> false) kst
-    then Point
-    else
-      let steps =
-        Array.of_list
-          (List.map
-             (fun (d : Ast.do_loop) ->
-               match d.Ast.do_step with
-               | None -> Some 1
-               | Some e -> (
-                   match cfold env e with
-                   | Some s when s <> 0 -> Some s
-                   | _ -> None))
-             levels)
-      in
-      let cost f = Array.fold_left (fun c k -> c + abs (f k.k_flat)) 0 kinfo in
-      let writes =
-        Array.map
-          (function Kstore (_, w, _) -> w | Kreal _ | Kint _ | Kfold _ -> -1)
-          kst
-      in
-      let level_ok, diag_ok = row_legal ~steps refs spans writes in
-      let fold = Array.exists (function Kfold _ -> true | _ -> false) kst in
-      let by_cost c = List.stable_sort (fun x y -> compare (c x) (c y)) in
-      (* levels innermost first: on a tie the stable sort keeps the inner *)
-      let levels =
-        if fold then [ m - 1 ]
-        else
-          by_cost
-            (fun l -> cost (fun fl -> fl.(l)))
-            (List.init m (fun l -> m - 1 - l))
-      in
-      match List.find_opt level_ok levels with
-      | Some l -> Row l
-      | None when fold -> Point
-      | None -> (
-          let step l = Option.value ~default:1 steps.(l) in
-          let pairs =
-            List.concat_map
-              (fun a -> List.init (m - 1 - a) (fun k -> (a, a + 1 + k)))
-              (List.init m Fun.id)
-          in
-          by_cost
-            (fun (a, b) -> cost (fun fl -> (fl.(a) * step a) - (fl.(b) * step b)))
-            pairs
-          |> List.find_opt diag_ok
-          |> function Some (a, b) -> Diag (a, b) | None -> Point)
-  in
-  let body =
-    match path with
-    | Point -> Point_fns (Array.map pstmt kst)
-    | Row _ | Diag _ ->
-        let along = Array.make m false in
-        (match path with
-        | Row l -> along.(l) <- true
-        | Diag (a, b) ->
-            along.(a) <- true;
-            along.(b) <- true
-        | Point -> ());
-        let g =
-          { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
-            g_along = along; g_scal = Hashtbl.create 4 }
+    let steps =
+      Array.of_list
+        (List.map
+           (fun (d : Ast.do_loop) ->
+             match d.Ast.do_step with
+             | None -> Some 1
+             | Some e -> (
+                 match cfold env e with
+                 | Some s when s <> 0 -> Some s
+                 | _ -> None))
+           levels)
+    in
+    let cost f = Array.fold_left (fun c k -> c + abs (f k.k_flat)) 0 kinfo in
+    let writes =
+      Array.map (function Kstore (_, w, _) -> w | Kreal _ | Kfold _ -> -1) kst
+    in
+    let level_ok, diag_ok = row_legal ~steps refs spans writes in
+    let fold = Array.exists (function Kfold _ -> true | _ -> false) kst in
+    let by_cost c = List.stable_sort (fun x y -> compare (c x) (c y)) in
+    (* levels innermost first: on a tie the stable sort keeps the inner *)
+    let levels =
+      if fold then [ m - 1 ]
+      else
+        by_cost
+          (fun l -> cost (fun fl -> fl.(l)))
+          (List.init m (fun l -> m - 1 - l))
+    in
+    match List.find_opt level_ok levels with
+    | Some l -> Row l
+    | None when fold -> raise (Unfusable No_row_order)
+    | None -> (
+        let step l = Option.value ~default:1 steps.(l) in
+        let pairs =
+          List.concat_map
+            (fun a -> List.init (m - 1 - a) (fun k -> (a, a + 1 + k)))
+            (List.init m Fun.id)
         in
-        Array.iter (rstmt g) kst;
-        let exits =
-          Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal []
-        in
-        Row_prog
-          { steps = Array.of_list (List.rev g.g_steps);
-            regs = g.g_regs; invs = g.g_invs; exits = Array.of_list exits }
+        by_cost
+          (fun (a, b) -> cost (fun fl -> (fl.(a) * step a) - (fl.(b) * step b)))
+          pairs
+        |> List.find_opt diag_ok
+        |> function
+        | Some (a, b) -> Diag (a, b)
+        | None -> raise (Unfusable No_row_order))
   in
+  (* a row moves level [ra], and on a diagonal also [rb] (-1 otherwise) *)
+  let ra, rb = match path with Row l -> (l, -1) | Diag (a, b) -> (a, b) in
+  let g =
+    { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
+      g_along = Array.init m (fun l -> l = ra || l = rb);
+      g_scal = Hashtbl.create 4 }
+  in
+  Array.iter (rstmt g) kst;
+  (* scratch slots and their rows *)
+  let exits =
+    Array.of_list (Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal [])
+  in
+  let rsteps = Array.of_list (List.rev g.g_steps) in
+  let nsteps = Array.length rsteps and regs = g.g_regs and invs = g.g_invs in
   let kernel fallback st =
     (* any entry-read slot unset, zero step, empty trip space, or an
        unprovable subscript range: run the closure IR, which reproduces
@@ -2255,14 +2160,6 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             in
             let vals = Array.make m 0 in
             let offs = Array.make nrefs 0 in
-            (* a row moves level [ra], and on a diagonal also [rb] (-1
-               otherwise); the point path keeps the source innermost *)
-            let ra, rb =
-              match path with
-              | Row l -> (l, -1)
-              | Diag (a, b) -> (a, b)
-              | Point -> (m - 1, -1)
-            in
             let lstep = Array.make m 0 in
             lstep.(ra) <- steps.(ra);
             if rb >= 0 then lstep.(rb) <- -steps.(rb);
@@ -2278,64 +2175,16 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             in
             let ta = trips.(ra) and tb = if rb >= 0 then trips.(rb) else 0 in
             (* a diagonal's longest row is its shorter side *)
-            let longest = if rb < 0 then ta else min ta tb in
-            (* one row of [len] points, from the offsets and loop values at
-               its start; then whatever the path does once after the nest *)
-            let run_row, finish =
-              match body with
-              | Point_fns fns ->
-                  let ns = Array.length fns and rstep = steps.(ra) in
-                  ( (fun len ->
-                      for _ = 1 to len do
-                        for s = 0 to ns - 1 do
-                          (Array.unsafe_get fns s) st offs vals
-                        done;
-                        for r = 0 to nrefs - 1 do
-                          Array.unsafe_set offs r
-                            (Array.unsafe_get offs r + Array.unsafe_get kd r)
-                        done;
-                        vals.(ra) <- vals.(ra) + rstep
-                      done),
-                    ignore )
-              | Row_prog p ->
-                  let cap = min longest row_cap in
-                  let need = (p.regs * cap) + p.invs in
-                  if Array.length st.rows < need then
-                    st.rows <- Array.create_float need;
-                  let w =
-                    { w_st = st; w_buf = st.rows; w_n = cap;
-                      w_inv = p.regs * cap; w_offs = offs; w_kd = kd;
-                      w_vals = vals; w_lstep = lstep }
-                  in
-                  let nsteps = Array.length p.steps in
-                  ( (fun len ->
-                      let first = ref 0 in
-                      while !first < len do
-                        let n = min cap (len - !first) in
-                        w.w_n <- n;
-                        for s = 0 to nsteps - 1 do
-                          (Array.unsafe_get p.steps s) w
-                        done;
-                        first := !first + n;
-                        for r = 0 to nrefs - 1 do
-                          offs.(r) <- offs.(r) + (n * kd.(r))
-                        done;
-                        vals.(ra) <- vals.(ra) + (n * lstep.(ra));
-                        if rb >= 0 then vals.(rb) <- vals.(rb) + (n * lstep.(rb))
-                      done),
-                    fun () ->
-                      (* scratch scalars leave with the last iteration's
-                         value, as on the point path: the last row ends
-                         at the last point in source order *)
-                      Array.iter
-                        (fun (i, o) ->
-                          st.sf.(i) <-
-                            Array.unsafe_get (obuf w o)
-                              (obase w o + ((w.w_n - 1) * ostride w o));
-                          st.sset.(i) <- true)
-                        p.exits )
+            let cap = min (if rb < 0 then ta else min ta tb) row_cap in
+            let need = (regs * cap) + invs in
+            if Array.length st.rows < need then
+              st.rows <- Array.create_float need;
+            let w =
+              { w_st = st; w_buf = st.rows; w_n = cap; w_inv = regs * cap;
+                w_offs = offs; w_kd = kd; w_vals = vals; w_lstep = lstep }
             in
-            (* the row from the loop values at its start *)
+            (* the row of [len] points from the loop values at its start,
+               in pieces of at most [cap] *)
             let row len =
               for r = 0 to nrefs - 1 do
                 let k = kinfo.(r) in
@@ -2345,7 +2194,20 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                 done;
                 offs.(r) <- !o
               done;
-              run_row len
+              let first = ref 0 in
+              while !first < len do
+                let n = min cap (len - !first) in
+                w.w_n <- n;
+                for s = 0 to nsteps - 1 do
+                  (Array.unsafe_get rsteps s) w
+                done;
+                first := !first + n;
+                for r = 0 to nrefs - 1 do
+                  offs.(r) <- offs.(r) + (n * kd.(r))
+                done;
+                vals.(ra) <- vals.(ra) + (n * lstep.(ra));
+                if rb >= 0 then vals.(rb) <- vals.(rb) + (n * lstep.(rb))
+              done
             in
             (* the other levels in source order, on a diagonal with the
                wavefront [n_a + n_b] in [ra]'s place, then one row *)
@@ -2378,7 +2240,15 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
               end
             in
             go 0;
-            finish ();
+            (* scratch scalars leave with the last iteration's value: the
+               last row ends at the last point in source order *)
+            Array.iter
+              (fun (i, o) ->
+                st.sf.(i) <-
+                  Array.unsafe_get (obuf w o)
+                    (obase w o + ((w.w_n - 1) * ostride w o));
+                st.sset.(i) <- true)
+              exits;
             (* batched charge: body flops per point times the trip-space
                size, plus the machine's bound-evaluation charges (level
                l's bounds are re-evaluated once per enclosing iteration) *)
@@ -2897,7 +2767,6 @@ type kernel_stat = {
   ks_line : int;
   ks_vars : string list;
   ks_fused : bool;
-  ks_reason : reason;
   ks_frag : Ast.fission_tag option;
   ks_calls : int;
   ks_flops : float;
@@ -2911,7 +2780,6 @@ let kernel_stats st =
         ks_line = c.cov_line;
         ks_vars = c.cov_vars;
         ks_fused = c.cov_fused;
-        ks_reason = c.cov_reason;
         ks_frag = c.cov_frag;
         ks_calls = st.kcalls.(i);
         ks_flops = st.kflops.(i);

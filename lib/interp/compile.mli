@@ -66,6 +66,13 @@ type reason =
   | Io_in_body
   | Comm_in_body
   | Control_in_body
+  | Carried_scalar
+      (** a scalar the body assigns is read before its assignment in the
+          iteration (a fold's accumulator excepted): it carries the
+          previous point's value, which no row keeps *)
+  | Int_scalar_assign  (** an integer scalar assigned in the body *)
+  | No_row_order
+      (** no row level or diagonal keeps the nest's dependences *)
   | Other of string
 
 val reason_to_string : reason -> string
@@ -144,11 +151,9 @@ val coverage : cu -> coverage_entry list
       nest takes the one whose references have the least summed
       [|flat stride|], the innermost of them on a tie; a nest with a
       fold tries only the source innermost level, so that folding
-      performs the point path's operations in its order.  No
-      body-assigned scalar but a fold's accumulator may be read before
-      its assignment in the iteration, and no integer scalar may be
-      assigned.  Flop charges, final loop-variable and scratch-scalar
-      values are those of source order.
+      performs source order's operations in its order.  Flop charges,
+      final loop-variable and scratch-scalar values are those of source
+      order.
     - [Diag (a, b)]: as [Row], over rows along the anti-diagonal of
       levels [a < b]: each point raises [a]'s normalized index by one
       and lowers [b]'s by one, and the other levels are walked in
@@ -161,12 +166,11 @@ val coverage : cu -> coverage_entry list
       offset [d_a]; among the legal pairs the nest takes the one of
       least summed [|row stride|], the outer on a tie.  SOR sweeps take
       this path.
-    - [Point]: every statement at each point in source order, one
-      closure call per expression node, for a nest no row keeps: one
-      that reads a scratch scalar before assigning it, assigns an
-      integer scalar, or carries a dependence no level or diagonal
-      keeps.  No bundled nest takes it. *)
-type kernel_path = Row of int | Diag of int * int | Point
+
+    A nest the rows cannot run is not fused: it stays on the closure IR
+    with reason [Carried_scalar], [Int_scalar_assign] or
+    [No_row_order]. *)
+type kernel_path = Row of int | Diag of int * int
 
 val kernel_paths : cu -> kernel_path option list
 (** Per {!coverage} entry, in the same order: the path of the nest's
@@ -176,7 +180,6 @@ type kernel_stat = {
   ks_line : int;  (** source line of the nest's outermost DO *)
   ks_vars : string list;  (** loop variables, outermost first *)
   ks_fused : bool;
-  ks_reason : reason;  (** [Fused], or why the nest fell back *)
   ks_frag : Ast.fission_tag option;  (** loop-fission provenance *)
   ks_calls : int;  (** nest executions on this state *)
   ks_flops : float;  (** self flops (inner profiled nests excluded) *)

@@ -11,8 +11,9 @@
     partition shapes each.  A PRNG-driven property suite additionally
     generates random affine loop nests (including deliberate fall-back
     shapes: non-affine subscripts, IF bodies, zero-trip loops; and the
-    dependences that decide between the row and the point path of a
-    fused kernel) and asserts the same three-way equivalence. *)
+    dependences that decide whether a fused kernel runs as rows or the
+    nest stays on the closure IR) and asserts the same three-way
+    equivalence. *)
 
 module D = Autocfd.Driver
 
@@ -337,16 +338,22 @@ let gen_nest rng buf =
    dependences within it and breaks the rest.  Of the legal levels the
    one with unit-stride [a(i,j)] wins.  With no level legal, rows may
    run along the anti-diagonal of two levels whose walk order keeps
-   every dependence.  A fold runs along the source innermost level.
+   every dependence.  A fold runs along the source innermost level.  A
+   nest no row keeps stays on the closure IR, and the reason is pinned.
    Their expressions read only [c(i)], [s1], [float(i)], [float(j)] and
    literals; only kind 18 writes one of them, [c(i)], whose unknown
-   distances already keep it on the point path, so the path depends on
-   the listed statements alone. *)
-let hazard_kinds = 25
+   distances already keep it off the rows, so the outcome depends on the
+   listed statements alone. *)
+let hazard_kinds = 26
 
-let along_i = I.Compile.Row 0
-let along_j = I.Compile.Row 1
-let diagonal = I.Compile.Diag (0, 1)
+(* a nest's outcome: [Ok] its rows, [Error] why it stays on the closure
+   IR *)
+let along_i = Ok (I.Compile.Row 0)
+let along_j = Ok (I.Compile.Row 1)
+let diagonal = Ok (I.Compile.Diag (0, 1))
+let carried = Error I.Compile.Carried_scalar
+let int_assign = Error I.Compile.Int_scalar_assign
+let unordered = Error I.Compile.No_row_order
 
 let gen_hazard rng kind =
   let e () =
@@ -383,7 +390,7 @@ let gen_hazard rng kind =
         [ f "b(i,j) = cos(a(i,j+1) * %s)" (e ()); f "a(i,j) = sin(b(i,j) + %s)" (e ()) ] )
   | 4 ->
       (* scratch scalar read before its assignment: the previous point's *)
-      ( I.Compile.Point, inner,
+      ( carried, inner,
         [ f "b(i,j) = sin(t1 + %s)" (e ()); f "t1 = cos(a(i,j) * %s)" (e ()) ] )
   | 5 ->
       (* scratch scalar assigned, then read *)
@@ -419,7 +426,7 @@ let gen_hazard rng kind =
   | 12 ->
       (* three levels, flow carried along the outer and the inner one:
          only the middle level may carry the rows *)
-      ( I.Compile.Row 1, [ "do j = 2, 9"; "do k = 2, 4" ],
+      ( Ok (I.Compile.Row 1), [ "do j = 2, 9"; "do k = 2, 4" ],
         [ f "q(i,j,k) = sin(q(i-1,j,k) + 0.5 * q(i,j,k-1) + %s)" (e ()) ] )
   | 13 ->
       (* a three-level Gauss-Seidel sweep: flow along every level; the
@@ -435,29 +442,29 @@ let gen_hazard rng kind =
   | 15 ->
       (* the (1, -1) flow lands inside one diagonal row, read after it
          is written: nothing keeps it *)
-      ( I.Compile.Point, inner,
+      ( unordered, inner,
         [ f "a(i,j) = 0.5 * (a(i-1,j+1) + a(i,j-1)) + 0.1 * sin(%s)" (e ()) ] )
   | 16 ->
       (* the (1, -2) flow's walk-order vector (-1) runs against it *)
-      ( I.Compile.Point, [ "do j = 2, 8" ],
+      ( unordered, [ "do j = 2, 8" ],
         [ f "a(i,j) = 0.5 * (a(i-1,j+2) + a(i,j-1)) + 0.1 * sin(%s)" (e ()) ] )
   | 17 ->
       (* a transposed read has no known distance: no diagonal *)
-      ( I.Compile.Point, inner,
+      ( unordered, inner,
         [ f "a(i,j) = 0.4 * (a(i-1,j) + a(i,j-1) + a(j+2,i-1)) + 0.1 * sin(%s)"
             (e ()) ] )
   | 18 ->
       (* c(i) is written at every j: the (-1, any) distance to its read
          is not known, and a diagonal would read c(i-1) before its last
          write *)
-      ( I.Compile.Point, inner,
+      ( unordered, inner,
         [ "a(i,j) = 0.5 * (a(i-1,j) + a(i,j-1)) + 0.1 * c(i-1)";
           f "c(i) = 0.5 * a(i,j) + 0.01 * %s" (e ()) ] )
   | 19 ->
       (* j steps by 2: the (0, 2, -1) flow is one step along j and one
          back along k, so it lands inside one (j, k) diagonal row;
          counted in loop values it would seem to cross rows *)
-      ( I.Compile.Point, [ "do j = 4, 8, 2"; "do k = 2, 3" ],
+      ( unordered, [ "do j = 4, 8, 2"; "do k = 2, 3" ],
         [ f
             "q(i,j,k) = 0.25 * (q(i-1,j,k) + q(i-1,j+2,k) + q(i,j-2,k+1) \
              + q(i,j,k-1)) + 0.1 * sin(%s)"
@@ -480,14 +487,21 @@ let gen_hazard rng kind =
           (if Prng.bool rng then "s2 = max(s2, b(i,j) * t1)"
            else "s2 = amin1(s2, b(i,j) + t1)") ] )
   | 23 ->
-      (* the folded expression reads the accumulator: an early read *)
-      (I.Compile.Point, inner, [ f "s2 = s2 + 0.01 * s2 * sin(a(i,j) + %s)" (e ()) ])
-  | _ ->
+      (* the folded expression reads the accumulator: the previous
+         point's value.  The array store makes the nest a field loop, so
+         its fallback is recorded. *)
+      ( carried, inner,
+        [ f "s2 = s2 + 0.01 * s2 * sin(a(i,j) + %s)" (e ()); "b(i,j) = 0.5 * a(i,j)" ] )
+  | 24 ->
       (* another statement reads the accumulator: no fold *)
-      ( I.Compile.Point, inner,
+      ( carried, inner,
         [ "s2 = s2 + 0.01 * a(i,j)"; f "b(i,j) = sin(s2 + %s)" (e ()) ] )
+  | _ ->
+      (* an integer scratch scalar: rows have no integer registers *)
+      ( int_assign, inner,
+        [ "k = i + j"; f "b(i,j) = sin(0.1 * float(k) + %s)" (e ()) ] )
 
-(* the program and the hazard's expected path and source line *)
+(* the program and the hazard's expected outcome and source line *)
 let gen_program rng ~hazard =
   let buf = Buffer.create 1024 in
   let add = Buffer.add_string buf in
@@ -512,7 +526,7 @@ let gen_program rng ~hazard =
   for _ = 1 to Prng.int_in rng 3 6 do
     gen_nest rng buf
   done;
-  let path, inner, body = gen_hazard rng hazard in
+  let outcome, inner, body = gen_hazard rng hazard in
   let line = List.length (String.split_on_char '\n' (Buffer.contents buf)) in
   add "      do i = 2, 11\n";
   let indent n = String.make (6 + (2 * n)) ' ' in
@@ -524,23 +538,30 @@ let gen_program rng ~hazard =
   done;
   add "      write(*,*) s1, s2, t1, a(3,3), b(5,7), c(4), q(7,6,4)\n";
   add "      end\n";
-  (Buffer.contents buf, path, line)
+  (Buffer.contents buf, outcome, line)
 
 let path_name = function
   | Some (I.Compile.Row l) -> Printf.sprintf "rows along level %d" l
   | Some (I.Compile.Diag (a, b)) ->
       Printf.sprintf "diagonal rows of levels %d and %d" a b
-  | Some I.Compile.Point -> "point"
   | None -> "closure IR"
+
+let outcome_name = function
+  | Ok p -> path_name (Some p)
+  | Error r -> "closure IR: " ^ I.Compile.reason_to_string r
+
+let outcome_of (ce : I.Compile.coverage_entry) = function
+  | Some p -> Ok p
+  | None -> Error ce.I.Compile.cov_reason
 
 let test_random_nests () =
   let rng = Prng.create 0x5eed5 in
   let fused_somewhere = ref false in
   let fellback_somewhere = ref false in
-  let paths = ref [] in
+  let outcomes = ref [] in
   for case = 1 to 3 * hazard_kinds do
     let child = Prng.split rng in
-    let src, hazard_path, hazard_line =
+    let src, hazard_outcome, hazard_line =
       gen_program child ~hazard:(case mod hazard_kinds)
     in
     let name = Printf.sprintf "random nest %d" case in
@@ -554,11 +575,12 @@ let test_random_nests () =
       (fun (ce : I.Compile.coverage_entry) path ->
         if ce.I.Compile.cov_fused then fused_somewhere := true
         else fellback_somewhere := true;
-        Option.iter (fun p -> paths := p :: !paths) path;
+        let outcome = outcome_of ce path in
+        outcomes := outcome :: !outcomes;
         if ce.I.Compile.cov_line = hazard_line then
           Alcotest.(check string)
-            (Printf.sprintf "%s: path of the hazard at line %d" name hazard_line)
-            (path_name (Some hazard_path)) (path_name path))
+            (Printf.sprintf "%s: outcome of the hazard at line %d" name hazard_line)
+            (outcome_name hazard_outcome) (outcome_name outcome))
       (I.Compile.coverage cu) (I.Compile.kernel_paths cu);
     Alcotest.(check bool)
       (Printf.sprintf "%s: hazard nest at line %d recorded" name hazard_line)
@@ -573,10 +595,10 @@ let test_random_nests () =
   Alcotest.(check bool)
     "at least one generated nest fell back" true !fellback_somewhere;
   Alcotest.(check bool)
-    "every kernel path ran" true
-    (List.mem along_i !paths && List.mem along_j !paths
-    && List.mem diagonal !paths
-    && List.mem I.Compile.Point !paths)
+    "every outcome ran" true
+    (List.for_all
+       (fun o -> List.mem o !outcomes)
+       [ along_i; along_j; diagonal; carried; int_assign; unordered ])
 
 (* the acceptance bar for the fused tier: at least 80% of each bundled
    application's field loops compile to kernels *)
@@ -615,6 +637,47 @@ let test_app_coverage () =
       ("aerofoil", 23, Autocfd_apps.Aerofoil.source ());
       ("cavity", 7, Autocfd_apps.Cavity.source ());
       ("heat2d", 3, read_file (heat2d_path ()));
+    ]
+
+(* The same bar on what the ranks run: every field-loop nest of each
+   bundled program's SPMD unit fuses, over every feasible 2- and 4-rank
+   partition, fission on and off *)
+let test_spmd_coverage () =
+  let module T = Autocfd_partition.Topology in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun fission ->
+          let spec = R.with_fission fission R.default in
+          let t = D.load ~spec src in
+          let grid = t.D.gi.Autocfd_analysis.Grid_info.grid in
+          List.concat_map (fun n -> T.factorizations n (Array.length grid)) [ 2; 4 ]
+          |> List.iter (fun parts ->
+                 match T.create ~grid ~parts with
+                 | exception Invalid_argument _ -> ()
+                 | _ ->
+                     let plan = D.plan ~spec:(R.with_parts (Some parts) spec) t in
+                     let cov =
+                       I.Compile.coverage (I.Compile.compile ~fuse:true plan.D.spmd)
+                     in
+                     Alcotest.(check (list string))
+                       (Printf.sprintf "%s %s fission %b: fallbacks" name
+                          (shape parts) fission)
+                       []
+                       (List.filter_map
+                          (fun (c : I.Compile.coverage_entry) ->
+                            if c.I.Compile.cov_fused then None
+                            else
+                              Some
+                                (Printf.sprintf "line %d: %s" c.I.Compile.cov_line
+                                   (I.Compile.reason_to_string c.I.Compile.cov_reason)))
+                          cov)))
+        [ true; false ])
+    [
+      ("sprayer", Autocfd_apps.Sprayer.source ());
+      ("aerofoil", Autocfd_apps.Aerofoil.source ());
+      ("cavity", Autocfd_apps.Cavity.source ());
+      ("heat2d", read_file (heat2d_path ()));
     ]
 
 let unit_of_source src =
@@ -720,9 +783,9 @@ c$acfd status(a, b)
     (outcome (fun () -> I.Compile.run (I.Compile.create cu)))
 
 (* The path of every bundled fused nest: a legality rule that turns too
-   conservative moves a nest to the point path, or its rows off the
+   conservative moves a nest to the closure IR, or its rows off the
    unit-stride level, and fails here rather than silently losing the
-   row path's speed.  No bundled nest runs on the point path.  Every row
+   row path's speed.  No bundled nest falls back.  Every row
    nest runs along the level of its arrays' first subscript, wherever
    that level sits in the source nest, except the folds, which run along
    the source innermost level; the two SOR sweeps, which read values the
@@ -730,7 +793,7 @@ c$acfd status(a, b)
    anti-diagonals. *)
 let test_kernel_paths () =
   List.iter
-    (fun (name, expected_point, expected_rows, src) ->
+    (fun (name, expected_fallback, expected_rows, src) ->
       let t = D.load src in
       let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
       let nests =
@@ -738,27 +801,27 @@ let test_kernel_paths () =
           (fun (c : I.Compile.coverage_entry) path ->
             let vars = c.I.Compile.cov_vars in
             (Printf.sprintf "line %d (%s)" c.I.Compile.cov_line
-               (String.concat "," vars), vars, path))
+               (String.concat "," vars), vars, outcome_of c path))
           (I.Compile.coverage cu) (I.Compile.kernel_paths cu)
       in
-      let point =
+      let fallback =
         List.filter_map
-          (function n, _, Some I.Compile.Point -> Some n | _ -> None)
+          (function n, _, (Error _ as o) -> Some (n ^ " -> " ^ outcome_name o) | _ -> None)
           nests
       in
       let rows =
         List.filter_map
           (function
-            | n, vars, Some (I.Compile.Row l) ->
+            | n, vars, Ok (I.Compile.Row l) ->
                 Some (n ^ " -> " ^ List.nth vars l)
-            | n, vars, Some (I.Compile.Diag (a, b)) ->
+            | n, vars, Ok (I.Compile.Diag (a, b)) ->
                 Some
                   (Printf.sprintf "%s -> diagonal %s,%s" n (List.nth vars a)
                      (List.nth vars b))
             | _ -> None)
           nests
       in
-      Alcotest.(check (list string)) (name ^ ": point-path nests") expected_point point;
+      Alcotest.(check (list string)) (name ^ ": fallback nests") expected_fallback fallback;
       Alcotest.(check (list string)) (name ^ ": row levels") expected_rows rows)
     [
       ( "aerofoil", [],
@@ -1008,6 +1071,7 @@ let suite =
     ("domains heat2d identical", `Quick, test_domains_heat2d);
     ("random nests three-way identical", `Slow, test_random_nests);
     ("fused kernel coverage 100%", `Quick, test_app_coverage);
+    ("spmd kernel coverage 100%", `Quick, test_spmd_coverage);
     ("fused kernel paths pinned", `Quick, test_kernel_paths);
     ("row path long rows", `Quick, test_long_rows);
     ("compile-time init errors", `Quick, test_compile_init_errors);

@@ -86,6 +86,18 @@ let backward_src =
    20 continue
 |}
 
+(* an integer scratch scalar keeps its fragment {k, b} off the fused
+   tier, so splitting the IF residue off would buy nothing *)
+let int_scalar_src =
+  program
+    {|      do 20 j = 2, n - 1
+      do 20 i = 2, n - 1
+      k = i + 2*j
+      b(i,j) = 0.5*float(k) + a(i,j)
+      if (a(i,j) .gt. 1.0) c(i,j) = c(i,j) + 1.0
+   20 continue
+|}
+
 (* every fission fragment of [line], in body order, via the provenance
    tags the pass leaves on the outermost DO of each fragment *)
 let frags_of_line unit line =
@@ -202,6 +214,10 @@ let test_scalar_stays_together () =
   Alcotest.(check int) "def and use of t stay in one fragment" 2
     (List.hd t.D.splits).F.sp_nfrags
 
+let test_int_scalar_unsplit () =
+  let t = D.load int_scalar_src in
+  Alcotest.(check int) "no nest split" 0 (List.length t.D.splits)
+
 let test_backward_split () =
   let t = D.load backward_src in
   Alcotest.(check int) "anti-dependence still splits" 1
@@ -246,6 +262,9 @@ let test_reason_round_trip () =
       I.Compile.If_in_body;
       I.Compile.Goto_in_body;
       I.Compile.Io_in_body;
+      I.Compile.Carried_scalar;
+      I.Compile.Int_scalar_assign;
+      I.Compile.No_row_order;
       I.Compile.Other "something new";
     ]
 
@@ -264,6 +283,7 @@ let suite =
     ("loop-carried cycle stays together", `Quick, test_cycle_stays_together);
     ("scalar temporary stays together", `Quick, test_scalar_stays_together);
     ("anti-dependence ordering", `Quick, test_backward_split);
+    ("integer scratch nest stays whole", `Quick, test_int_scalar_unsplit);
     ("fission on/off bit-identical", `Quick, test_identical);
     ("four engines bit-identical", `Quick, test_four_engines);
     ("reason constructors round-trip", `Quick, test_reason_round_trip);

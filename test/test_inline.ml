@@ -297,10 +297,10 @@ let test_expression_argument () =
     (Autocfd_interp.Machine.output m)
 
 let test_assign_to_expression_dummy_rejected () =
-  Alcotest.(check bool) "cannot assign an expression dummy" true
-    (match
-       inline
-         {|
+  Alcotest.(check string) "cannot assign an expression dummy, at its CALL"
+    "line 3: inline: dummy 'v' is assigned but bound to an expression"
+    (located_error
+       {|
       program t
       call bad(1.0 + 2.0)
       end
@@ -309,10 +309,7 @@ let test_assign_to_expression_dummy_rejected () =
       v = 0.0
       return
       end
-|}
-     with
-    | exception Failure _ -> true
-    | _ -> false)
+|})
 
 let suite =
   [
