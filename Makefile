@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make check` is the PR gate CI runs.
 
-.PHONY: all build test check bench bench-json bench-pair bench-layers coverage trace profile-domains fabric tune clean
+.PHONY: all build test check bench bench-json bench-pair bench-layers coverage trace profile-domains fabric tune loc clean
 
 all: build
 
@@ -114,6 +114,13 @@ fabric:
 # must be Pareto-minimal
 tune:
 	dune exec bin/autocfd_cli.exe -- tune --check
+
+# the line counts every PR reports: lib/**/*.ml{,i}, bin/*.ml and
+# test/**/*.ml, one wc -l total each
+loc:
+	@printf 'lib  %7d\n' "$$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
+	@printf 'bin  %7d\n' "$$(cat bin/*.ml | wc -l)"
+	@printf 'test %7d\n' "$$(find test -name '*.ml' | xargs cat | wc -l)"
 
 clean:
 	dune clean

@@ -743,17 +743,16 @@ let check_tune o =
     (fun (r : T.result) ->
       let w = r.T.tr_winner in
       List.iter
-        (fun (row : E.perf_row) ->
-          match row.E.pr_partition with
-          | None -> ()  (* the sequential reference row *)
-          | Some parts ->
-              if w.T.te_metrics.T.tm_time > row.E.pr_time then
-                fail
-                  "FAIL %s: tuned winner %.1f s loses to the hand-picked \
-                   %s row (%.1f s)"
-                  r.T.tr_program w.T.te_metrics.T.tm_time
-                  (Autocfd.Runspec.parts_to_string parts)
-                  row.E.pr_time)
+        (fun row ->
+          match Obs.Json.member "partition" row with
+          | Some (Obs.Json.Str parts)
+            when w.T.te_metrics.T.tm_time > E.jf "time" row ->
+              fail
+                "FAIL %s: tuned winner %.1f s loses to the hand-picked %s \
+                 row (%.1f s)"
+                r.T.tr_program w.T.te_metrics.T.tm_time parts
+                (E.jf "time" row)
+          | _ -> ()  (* a faster winner, or the sequential reference row *))
         (List.assoc r.T.tr_program defaults);
       List.iter
         (fun (e : T.entry) ->
@@ -842,31 +841,34 @@ let coverage_gate path update =
 (* engine --check: every engine agrees bit for bit, loop fission leaves
    program state unchanged, and fused kernels at least match the unfused
    closure IR's speedup over the tree walker *)
-let check_engine_row (r : E.engine_row) =
-  if not r.E.er_identical then fail "FAIL %s: engines disagree" r.E.er_program;
-  if not r.E.er_domains_identical then
-    fail "FAIL %s: domains engine diverged from the simulator" r.E.er_program;
-  if r.E.er_fused_speedup < r.E.er_speedup then
-    fail "FAIL %s: fused speedup %.2f below unfused speedup %.2f"
-      r.E.er_program r.E.er_fused_speedup r.E.er_speedup;
+let check_engine_row r =
+  let program = E.js "program" r in
+  let speedup = E.jf "speedup" r and fused_speedup = E.jf "fused_speedup" r in
+  let domains_speedup = E.jf "domains_speedup" r in
+  if not (E.jb "identical" r) then fail "FAIL %s: engines disagree" program;
+  if not (E.jb "domains_identical" r) then
+    fail "FAIL %s: domains engine diverged from the simulator" program;
+  if fused_speedup < speedup then
+    fail "FAIL %s: fused speedup %.2f below unfused speedup %.2f" program
+      fused_speedup speedup;
   (* the point of running for real: on the 3-d app, 4 domains must beat
      the single-threaded fused simulation by 2x.  Only enforceable when
      the host has the cores: on fewer, the domains timeslice *)
   let cores = Domain.recommended_domain_count () in
-  if r.E.er_program = "aerofoil" then begin
+  if program = "aerofoil" then begin
     if cores < 4 then
       Printf.printf "SKIP %s: 2x domains floor needs >= 4 cores, host has %d\n"
-        r.E.er_program cores
-    else if r.E.er_domains_speedup < 2.0 then
+        program cores
+    else if domains_speedup < 2.0 then
       fail "FAIL %s: domains speedup %.2fx below the 2x floor (%d cores)"
-        r.E.er_program r.E.er_domains_speedup cores
+        program domains_speedup cores
   end;
-  if not r.E.er_fission_identical then
-    fail "FAIL %s: loop fission changed program state" r.E.er_program;
+  if not (E.jb "fission_identical" r) then
+    fail "FAIL %s: loop fission changed program state" program;
   Printf.printf
     "OK %s: fused %.2fx >= unfused %.2fx, domains %.2fx wall-clock, results \
      identical\n"
-    r.E.er_program r.E.er_fused_speedup r.E.er_speedup r.E.er_domains_speedup
+    program fused_speedup speedup domains_speedup
 
 let engine check coverage update_coverage o =
   let rows = with_sweep o (fun sweep -> E.engine_bench ~sweep ()) in
@@ -889,15 +891,17 @@ let chaos check o =
   let max_overhead = 4.0 in
   if check then
     List.iter
-      (fun (r : E.chaos_row) ->
-        if not r.E.ch_identical then
-          fail "FAIL %s/%s: result diverged from fault-free run" r.E.ch_program
-            r.E.ch_schedule;
-        if r.E.ch_overhead > max_overhead then
-          fail "FAIL %s/%s: overhead %.2fx above budget %.1fx" r.E.ch_program
-            r.E.ch_schedule r.E.ch_overhead max_overhead;
-        Printf.printf "OK %s/%s: identical, overhead %.2fx\n" r.E.ch_program
-          r.E.ch_schedule r.E.ch_overhead)
+      (fun r ->
+        let program = E.js "program" r and schedule = E.js "schedule" r in
+        let overhead = E.jf "overhead" r in
+        if not (E.jb "identical" r) then
+          fail "FAIL %s/%s: result diverged from fault-free run" program
+            schedule;
+        if overhead > max_overhead then
+          fail "FAIL %s/%s: overhead %.2fx above budget %.1fx" program schedule
+            overhead max_overhead;
+        Printf.printf "OK %s/%s: identical, overhead %.2fx\n" program schedule
+          overhead)
       rows
 
 (* ------------------------------------------------------------------ *)

@@ -476,6 +476,49 @@ let writes_array ctx (s : Ast.stmt) =
   | Ast.Assign (Ast.Ref (name, _), _) -> Hashtbl.mem ctx.c_arrays name
   | _ -> false
 
+(* [s = s op e] or [s = max(s, e)]-like: the accumulator and [e] (the
+   shapes [Compile.fold_shape] takes) *)
+let fold_operand ctx (s : Ast.stmt) =
+  match s.Ast.s_kind with
+  | Ast.Assign
+      (Ast.Var x, Ast.Binop ((Ast.Add | Ast.Sub | Ast.Mul), Ast.Var y, e))
+    when x = y ->
+      Some (x, e)
+  | Ast.Assign
+      ( Ast.Var x,
+        Ast.Ref ((("max" | "amax1" | "min" | "amin1") as f), [ Ast.Var y; e ]) )
+    when x = y && not (Hashtbl.mem ctx.c_arrays f) ->
+      Some (x, e)
+  | _ -> None
+
+(* per statement: does it read a body-assigned scalar before the body
+   assigns it?  That read sees the previous point's value, which no row
+   keeps, so the statement's fragment would fall back with
+   [Carried_scalar].  A fold's accumulator that no other statement
+   mentions is exempt, as the fused tier allows. *)
+let early_reads ctx stmts (accs : acc array) =
+  let mentioned_once x =
+    Array.fold_left
+      (fun n a -> if SS.mem x a.sreads || SS.mem x a.swrites then n + 1 else n)
+      0 accs
+    = 1
+  in
+  let assigned = ref SS.empty in
+  Array.mapi
+    (fun i s ->
+      let reads =
+        match fold_operand ctx s with
+        | Some (x, e) when mentioned_once x ->
+            let a = fresh_acc () in
+            expr_acc ctx a e;
+            a.sreads
+        | _ -> accs.(i).sreads
+      in
+      let early = not (SS.subset (SS.inter reads ctx.c_wrb) !assigned) in
+      assigned := SS.union !assigned accs.(i).swrites;
+      early)
+    stmts
+
 (* ------------------------------------------------------------------ *)
 (* SCC grouping (Tarjan) + stable topological order                    *)
 (* ------------------------------------------------------------------ *)
@@ -797,7 +840,10 @@ let try_fission ue (st : Ast.stmt) (d : Ast.do_loop) :
           (* profitability: at least one all-fusable fragment that writes
              an array, and at least one residue statement — otherwise
              splitting only duplicates loop overhead *)
-          let fus = Array.map (fusable_stmt ctx) stmts in
+          let early = early_reads ctx stmts accs in
+          let fus =
+            Array.mapi (fun i s -> fusable_stmt ctx s && not early.(i)) stmts
+          in
           let promising =
             List.exists
               (fun g ->

@@ -1,6 +1,4 @@
-module A = Autocfd_analysis
 module S = Autocfd_syncopt
-module P = Autocfd_partition
 module M = Autocfd_perfmodel.Model
 module Apps = Autocfd_apps
 module Sched = Autocfd_sched
@@ -64,11 +62,11 @@ let run_jobs sw ~table jobs =
           failwith (Printf.sprintf "%s: %s" job.Sched.Job.jb_label msg))
     jobs
 
-(* decoding helpers over job-result JSON *)
+(* field readers over job results and table rows *)
 let jfield name j =
   match J.member name j with
   | Some v -> v
-  | None -> raise (J.Parse_error ("missing result field " ^ name))
+  | None -> raise (J.Parse_error ("missing field " ^ name))
 
 let jf name j = J.to_float_exn (jfield name j)
 
@@ -92,10 +90,7 @@ let jl name j =
   | J.List l -> l
   | _ -> raise (J.Parse_error ("field " ^ name ^ ": expected list"))
 
-let parts_key p =
-  J.Str (String.concat "x" (Array.to_list (Array.map string_of_int p)))
-
-let machine_key = ("machine", Runspec.machine_to_json machine)
+let parts_key p = J.Str (Runspec.parts_to_string p)
 
 (* the runspec naming "plan this explicit shape" (all other knobs at
    their defaults) — the bridge from the tables' partition columns to
@@ -179,10 +174,6 @@ let coverage_to_json cov =
 let coverage_of_json j =
   List.map
     (fun c ->
-      (* frag/nfrags absent on rows serialized before the fission pass *)
-      let opt_i name =
-        match J.member name c with Some (J.Int i) -> i | _ -> 0
-      in
       {
         Autocfd_interp.Compile.cov_line = ji "line" c;
         cov_vars =
@@ -194,11 +185,13 @@ let coverage_of_json j =
         cov_fused = jb "fused" c;
         cov_reason = Autocfd_interp.Compile.reason_of_string (js "reason" c);
         cov_frag =
-          (match (opt_i "frag", opt_i "nfrags") with
+          (match (ji "frag" c, ji "nfrags" c) with
           | 0, _ | _, 0 -> None
           | f, n -> Some { Autocfd_fortran.Ast.fi_frag = f; fi_nfrags = n });
       })
-    (jl "coverage" (J.Obj [ ("coverage", j) ]))
+    (match j with
+    | J.List l -> l
+    | _ -> raise (J.Parse_error "coverage: expected list"))
 
 (* Six seeded schedules per program, scaled to the fault-free run: message
    loss alone, duplication+corruption, timing perturbations (jitter and a
@@ -239,10 +232,7 @@ let chaos_schedules ~seed ~clean_elapsed ~net =
   ]
 
 let schedule_labels =
-  [
-    "loss 3%"; "dup+corrupt 2%"; "jitter+slow link"; "straggler";
-    "crash+restart"; "kitchen sink";
-  ]
+  List.map fst (chaos_schedules ~seed:0 ~clean_elapsed:1.0 ~net:machine.M.net)
 
 let resilience_to_json (rs : Autocfd_interp.Spmd.resilience)
     (c : Fault.counters) =
@@ -279,12 +269,7 @@ let time_run f =
 
 let exec_spec spec =
   let source () = js "source" spec in
-  let parts () =
-    let s = js "partition" spec in
-    try
-      Array.of_list (List.map int_of_string (String.split_on_char 'x' s))
-    with Failure _ -> raise (J.Parse_error ("bad partition " ^ s))
-  in
+  let parts () = Runspec.parts_of_string (js "partition" spec) in
   match js "kind" spec with
   | "plan-sync" ->
       let t = Driver.load (source ()) in
@@ -459,15 +444,11 @@ let exec_spec spec =
         ]
   | "chaos" ->
       let seed = ji "seed" spec in
-      let engine = Runspec.engine_of_string (js "engine" spec) in
       let idx = ji "schedule" spec in
       let t = Driver.load (source ()) in
       let plan = Driver.plan ~spec:(parts_spec (parts ())) t in
       let net = machine.M.net in
-      let base =
-        Runspec.(
-          default |> with_engine engine |> with_machine (Some machine))
-      in
+      let base = Runspec.(default |> with_machine (Some machine)) in
       let clean = Driver.run ~spec:base plan in
       let clean_elapsed =
         clean.Autocfd_interp.Spmd.stats.Autocfd_mpsim.Sim.elapsed
@@ -506,25 +487,85 @@ let exec_spec spec =
         (Tune.eval ?measure_source ~machine ~source:(source ()) rspec)
   | other -> raise (J.Parse_error ("unknown job spec kind: " ^ other))
 
-let job ~table ~label ~params ~spec =
+(* ------------------------------------------------------------------ *)
+(* Tables as rows.  A table is a list of cases — a job spec plus the    *)
+(* row fields execution does not produce (identity and the paper's     *)
+(* figures) — and a list of columns.  A row is one JSON object: those  *)
+(* fields, the job's result and any field derived across rows.  The    *)
+(* columns render it and tables_json writes it unchanged.              *)
+(* ------------------------------------------------------------------ *)
+
+type row = J.t
+
+let fields = function
+  | J.Obj l -> l
+  | _ -> raise (J.Parse_error "expected a JSON object")
+
+let extend row extra = J.Obj (fields row @ extra)
+let machine_json = Runspec.machine_to_json machine
+
+(* The sweep job of one spec.  Its cache key is the spec itself with
+   every program text replaced by its digest, plus the table and the
+   machine: whatever the spec says, the key says too. *)
+let job ~table ~label spec =
+  let digested =
+    List.map
+      (function
+        | (("source" | "large_source" | "measure_source") as k), J.Str text ->
+            (k, J.Str (Sched.Job.digest text))
+        | kv -> kv)
+      (fields spec)
+  in
   Sched.Job.make
     ~label:(table ^ ":" ^ label)
-    ~key:(J.Obj [ ("table", J.Str table); ("params", params) ])
+    ~key:
+      (J.Obj (("table", J.Str table) :: ("machine", machine_json) :: digested))
     ~spec
     (fun () -> exec_spec spec)
+
+let job_spec kind source rest =
+  J.Obj (("kind", J.Str kind) :: ("source", J.Str source) :: rest)
+
+(* cases are (job label, the row's own fields, job spec); rows come back
+   in case order *)
+let run_rows sw ~table cases =
+  let jobs = List.map (fun (label, _, spec) -> job ~table ~label spec) cases in
+  List.map2
+    (fun (_, own, _) result -> J.Obj (own @ fields result))
+    cases (run_jobs sw ~table jobs)
+
+(* columns are (header, cell of a row) pairs *)
+let render_rows ~title columns rows =
+  let open Autocfd_util.Table in
+  let t = create ~title ~headers:(List.map fst columns) in
+  List.iter
+    (fun r -> add_row t (List.map (fun (_, cell) -> cell r) columns))
+    rows;
+  render t
+
+(* cells of one field; a null field renders as "-" *)
+let or_dash cell name r =
+  match jfield name r with J.Null -> "-" | _ -> cell name r
+
+let count name r = Autocfd_util.Table.cell_int (ji name r)
+
+let num ?decimals name =
+  or_dash (fun n r -> Autocfd_util.Table.cell_float ?decimals (jf n r)) name
+
+let pct name = or_dash (fun n r -> Autocfd_util.Table.cell_pct (jf n r)) name
+
+(* "4x1x1" as "4 x 1 x 1" *)
+let dims name =
+  or_dash
+    (fun n r -> String.concat " x " (String.split_on_char 'x' (js n r)))
+    name
+
+let yes_no names r = if List.for_all (fun n -> jb n r) names then "yes" else "NO"
+let procs parts = Array.fold_left ( * ) 1 parts
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type t1_row = {
-  t1_program : string;
-  t1_partition : int array;
-  t1_before : int;
-  t1_after : int;
-  t1_paper_before : int;
-  t1_paper_after : int;
-}
 
 let paper_table1 =
   [
@@ -540,124 +581,88 @@ let paper_table1 =
   ]
 
 let table1 ?sweep () =
-  let sw = fresh_sweep sweep in
-  let jobs =
-    List.map
-      (fun (prog, parts, _, _) ->
-        let source =
-          if prog = "aerofoil" then Apps.Aerofoil.source ()
-          else Apps.Sprayer.source ()
-        in
-        job ~table:"table1"
-          ~label:(prog ^ " " ^ shape parts)
-          ~params:
-            (J.Obj
-               [
-                 ("program", J.Str prog);
-                 ("partition", parts_key parts);
-                 ("src", J.Str (Sched.Job.digest source));
-               ])
-          ~spec:
-            (J.Obj
-               [
-                 ("kind", J.Str "plan-sync");
-                 ("source", J.Str source);
-                 ("partition", parts_key parts);
-               ]))
-      paper_table1
-  in
-  List.map2
-    (fun (prog, parts, pb, pa) r ->
-      {
-        t1_program = prog;
-        t1_partition = parts;
-        t1_before = ji "before" r;
-        t1_after = ji "after" r;
-        t1_paper_before = pb;
-        t1_paper_after = pa;
-      })
-    paper_table1
-    (run_jobs sw ~table:"table1" jobs)
+  run_rows (fresh_sweep sweep) ~table:"table1"
+    (List.map
+       (fun (prog, parts, pb, pa) ->
+         let source =
+           if prog = "aerofoil" then Apps.Aerofoil.source ()
+           else Apps.Sprayer.source ()
+         in
+         ( prog ^ " " ^ shape parts,
+           [
+             ("program", J.Str prog); ("partition", parts_key parts);
+             ("paper_before", J.Int pb); ("paper_after", J.Int pa);
+           ],
+           job_spec "plan-sync" source [ ("partition", parts_key parts) ] ))
+       paper_table1)
+
+let reduction before after r =
+  let b = ji before r in
+  Autocfd_util.Table.cell_pct
+    (float_of_int (b - ji after r) /. float_of_int (max 1 b))
+
+let render_table1 =
+  render_rows
+    ~title:
+      "Table 1: improvement by synchronization optimizations (ours vs paper)"
+    [
+      ("program", js "program"); ("partition", dims "partition");
+      ("before", count "before"); ("after", count "after");
+      ("reduction", reduction "before" "after");
+      ("paper before", count "paper_before");
+      ("paper after", count "paper_after");
+      ("paper reduction", reduction "paper_before" "paper_after");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Timing tables                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type perf_row = {
-  pr_procs : int;
-  pr_partition : int array option;
-  pr_time : float;
-  pr_speedup : float option;
-  pr_efficiency : float option;
-  pr_paper_time : float;
-  pr_paper_speedup : float option;
-}
-
-let seq_time_job ~table source =
-  job ~table ~label:"sequential"
-    ~params:
-      (J.Obj
+(* the sequential row, then one row per partition with its speedup and
+   efficiency over the sequential row *)
+let perf_rows sw ~table source ~paper_seq cases =
+  match
+    run_rows sw ~table
+      (( "sequential",
          [
-           machine_key;
-           ("kind", J.Str "sequential");
-           ("src", J.Str (Sched.Job.digest source));
-         ])
-    ~spec:
-      (J.Obj [ ("kind", J.Str "predict-seq"); ("source", J.Str source) ])
-
-let par_time_job ~table source parts =
-  job ~table ~label:(shape parts)
-    ~params:
-      (J.Obj
-         [
-           machine_key;
-           ("kind", J.Str "parallel");
-           ("partition", parts_key parts);
-           ("src", J.Str (Sched.Job.digest source));
-         ])
-    ~spec:
-      (J.Obj
-         [
-           ("kind", J.Str "predict-par");
-           ("source", J.Str source);
-           ("partition", parts_key parts);
-         ])
-
-let perf_rows sw ~table source ~paper_seq rows =
-  let jobs =
-    seq_time_job ~table source
-    :: List.map (fun (parts, _, _) -> par_time_job ~table source parts) rows
-  in
-  match run_jobs sw ~table jobs with
+           ("procs", J.Int 1); ("partition", J.Null);
+           ("paper_time", J.Float paper_seq); ("paper_speedup", J.Null);
+         ],
+         job_spec "predict-seq" source [] )
+      :: List.map
+           (fun (parts, paper_time, paper_speedup) ->
+             ( shape parts,
+               [
+                 ("procs", J.Int (procs parts)); ("partition", parts_key parts);
+                 ("paper_time", J.Float paper_time);
+                 ("paper_speedup", J.Float paper_speedup);
+               ],
+               job_spec "predict-par" source [ ("partition", parts_key parts) ]
+             ))
+           cases)
+  with
   | [] -> assert false
   | seq :: pars ->
       let t1 = jf "time" seq in
-      { pr_procs = 1; pr_partition = None; pr_time = t1; pr_speedup = None;
-        pr_efficiency = None; pr_paper_time = paper_seq;
-        pr_paper_speedup = None }
-      :: List.map2
-           (fun (parts, paper_time, paper_speedup) r ->
-             let tp = jf "time" r in
-             let p = Array.fold_left ( * ) 1 parts in
-             {
-               pr_procs = p;
-               pr_partition = Some parts;
-               pr_time = tp;
-               pr_speedup = Some (t1 /. tp);
-               pr_efficiency = Some (t1 /. tp /. float_of_int p);
-               pr_paper_time = paper_time;
-               pr_paper_speedup = paper_speedup;
-             })
-           rows pars
+      extend seq [ ("speedup", J.Null); ("efficiency", J.Null) ]
+      :: List.map
+           (fun r ->
+             let s = t1 /. jf "time" r in
+             extend r
+               [
+                 ("speedup", J.Float s);
+                 ("efficiency", J.Float (s /. float_of_int (ji "procs" r)));
+               ])
+           pars
 
 let table2 ?sweep () =
   perf_rows (fresh_sweep sweep) ~table:"table2"
     (Apps.Aerofoil.source ~ntime:aerofoil_frames ())
     ~paper_seq:1970.
     [
-      ([| 2; 1; 1 |], 1760., Some 1.12);
-      ([| 4; 1; 1 |], 2341., Some 0.84);
-      ([| 3; 2; 1 |], 1093., Some 1.80);
+      ([| 2; 1; 1 |], 1760., 1.12);
+      ([| 4; 1; 1 |], 2341., 0.84);
+      ([| 3; 2; 1 |], 1093., 1.80);
     ]
 
 let table3 ?sweep () =
@@ -665,25 +670,24 @@ let table3 ?sweep () =
     (Apps.Sprayer.source ~ntime:sprayer_frames ())
     ~paper_seq:362.
     [
-      ([| 2; 1 |], 254., Some 1.43);
-      ([| 3; 1 |], 184., Some 1.97);
-      ([| 2; 2 |], 130., Some 2.78);
+      ([| 2; 1 |], 254., 1.43);
+      ([| 3; 1 |], 184., 1.97);
+      ([| 2; 2 |], 130., 2.78);
+    ]
+
+let render_perf ~title =
+  render_rows ~title
+    [
+      ("procs", count "procs"); ("partition", dims "partition");
+      ("time (s)", num ~decimals:0 "time"); ("speedup", num "speedup");
+      ("efficiency", pct "efficiency");
+      ("paper time (s)", num ~decimals:0 "paper_time");
+      ("paper speedup", num "paper_speedup");
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: scaling with grid density                                  *)
 (* ------------------------------------------------------------------ *)
-
-type t4_row = {
-  t4_grid : int * int;
-  t4_t1 : float;
-  t4_t2 : float;
-  t4_speedup : float;
-  t4_efficiency : float;
-  t4_paper_t1 : float;
-  t4_paper_t2 : float;
-  t4_paper_speedup : float;
-}
 
 let paper_table4 =
   [
@@ -697,178 +701,127 @@ let paper_table4 =
   ]
 
 let table4 ?sweep () =
-  let sw = fresh_sweep sweep in
-  let parts = [| 2; 1 |] in
-  let jobs =
-    List.map
-      (fun ((ni, nj), _, _, _) ->
-        let source = Apps.Sprayer.source ~ni ~nj ~ntime:sprayer_frames () in
-        job ~table:"table4"
-          ~label:(Printf.sprintf "%dx%d" ni nj)
-          ~params:
-            (J.Obj
-               [
-                 machine_key;
-                 ("grid", J.Str (Printf.sprintf "%dx%d" ni nj));
-                 ("partition", parts_key parts);
-                 ("src", J.Str (Sched.Job.digest source));
-               ])
-          ~spec:
-            (J.Obj
-               [
-                 ("kind", J.Str "predict-both");
-                 ("source", J.Str source);
-                 ("partition", parts_key parts);
-               ]))
-      paper_table4
-  in
-  List.map2
-    (fun ((ni, nj), p1, p2, ps) r ->
-      let t1 = jf "t1" r and t2 = jf "t2" r in
-      {
-        t4_grid = (ni, nj);
-        t4_t1 = t1;
-        t4_t2 = t2;
-        t4_speedup = t1 /. t2;
-        t4_efficiency = t1 /. t2 /. 2.0;
-        t4_paper_t1 = p1;
-        t4_paper_t2 = p2;
-        t4_paper_speedup = ps;
-      })
-    paper_table4
-    (run_jobs sw ~table:"table4" jobs)
+  List.map
+    (fun r ->
+      let s = jf "t1" r /. jf "t2" r in
+      extend r [ ("speedup", J.Float s); ("efficiency", J.Float (s /. 2.0)) ])
+    (run_rows (fresh_sweep sweep) ~table:"table4"
+       (List.map
+          (fun ((ni, nj), p1, p2, ps) ->
+            let grid = Printf.sprintf "%dx%d" ni nj in
+            ( grid,
+              [
+                ("grid", J.Str grid); ("paper_t1", J.Float p1);
+                ("paper_t2", J.Float p2); ("paper_speedup", J.Float ps);
+              ],
+              job_spec "predict-both"
+                (Apps.Sprayer.source ~ni ~nj ~ntime:sprayer_frames ())
+                [ ("partition", parts_key [| 2; 1 |]) ] ))
+          paper_table4))
+
+let render_table4 =
+  render_rows
+    ~title:
+      "Table 4: sprayer scaling with grid density, 2 x 1 partition (ours vs \
+       paper)"
+    [
+      ("grid", dims "grid"); ("T1 (s)", num ~decimals:0 "t1");
+      ("T2 (s)", num ~decimals:0 "t2"); ("speedup", num "speedup");
+      ("efficiency", pct "efficiency");
+      ("paper T1", num ~decimals:0 "paper_t1");
+      ("paper T2", num ~decimals:0 "paper_t2");
+      ("paper speedup", num "paper_speedup");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: superlinear speedup                                        *)
 (* ------------------------------------------------------------------ *)
 
-type t5_row = {
-  t5_procs : int;
-  t5_partition : int array;
-  t5_time : float;
-  t5_eff_over_2 : float;
-  t5_paper_time : float;
-  t5_paper_eff : float;
-}
-
+(* every row's efficiency over the first (2-processor) row *)
 let table5 ?sweep () =
-  let sw = fresh_sweep sweep in
   let source = Apps.Sprayer.source ~ni:800 ~nj:300 ~ntime:sprayer_frames () in
   let rows =
-    [
-      ([| 2; 1 |], 2095., 1.00);
-      ([| 3; 1 |], 1249., 1.12);
-      ([| 2; 2 |], 1012., 1.04);
-    ]
+    run_rows (fresh_sweep sweep) ~table:"table5"
+      (List.map
+         (fun (parts, paper_time, paper_eff) ->
+           ( shape parts,
+             [
+               ("procs", J.Int (procs parts)); ("partition", parts_key parts);
+               ("paper_time", J.Float paper_time);
+               ("paper_eff", J.Float paper_eff);
+             ],
+             job_spec "predict-par" source [ ("partition", parts_key parts) ]
+           ))
+         [
+           ([| 2; 1 |], 2095., 1.00);
+           ([| 3; 1 |], 1249., 1.12);
+           ([| 2; 2 |], 1012., 1.04);
+         ])
   in
-  let jobs =
-    List.map
-      (fun (parts, _, _) -> par_time_job ~table:"table5" source parts)
-      rows
-  in
-  let times =
-    List.map2
-      (fun (parts, pt, pe) r -> (parts, jf "time" r, pt, pe))
-      rows
-      (run_jobs sw ~table:"table5" jobs)
-  in
-  let t2 =
-    match times with (_, t2, _, _) :: _ -> t2 | [] -> assert false
-  in
+  let t2 = jf "time" (List.hd rows) in
   List.map
-    (fun (parts, tp, pt, pe) ->
-      let p = Array.fold_left ( * ) 1 parts in
-      {
-        t5_procs = p;
-        t5_partition = parts;
-        t5_time = tp;
-        t5_eff_over_2 = t2 *. 2.0 /. (tp *. float_of_int p);
-        t5_paper_time = pt;
-        t5_paper_eff = pe;
-      })
-    times
+    (fun r ->
+      extend r
+        [
+          ( "eff_over_2",
+            J.Float (t2 *. 2.0 /. (jf "time" r *. float_of_int (ji "procs" r)))
+          );
+        ])
+    rows
+
+let render_table5 =
+  render_rows
+    ~title:"Table 5: sprayer superlinear speedup at 800 x 300 (ours vs paper)"
+    [
+      ("procs", count "procs"); ("partition", dims "partition");
+      ("time (s)", num ~decimals:0 "time");
+      ("efficiency over 2-proc", pct "eff_over_2");
+      ("paper time (s)", num ~decimals:0 "paper_time");
+      ("paper efficiency", pct "paper_eff");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Model vs simulation cross-validation                                 *)
 (* ------------------------------------------------------------------ *)
 
-type validation_row = {
-  vr_grid : int * int;
-  vr_parts : int array;
-  vr_simulated : float;
-  vr_modelled : float;
-  vr_ratio : float;
-}
+type validation_row = { vr_row : row; vr_ratio : float }
 
 let validate_model ?sweep () =
-  let sw = fresh_sweep sweep in
-  let cases =
+  run_rows (fresh_sweep sweep) ~table:"validation"
+    (List.map
+       (fun ((ni, nj), parts) ->
+         let grid = Printf.sprintf "%dx%d" ni nj in
+         ( Printf.sprintf "%s %s" grid (shape parts),
+           [ ("grid", J.Str grid); ("partition", parts_key parts) ],
+           job_spec "validate"
+             (Apps.Sprayer.source ~ni ~nj ~ntime:4 ~npsi:3 ())
+             [ ("partition", parts_key parts) ] ))
+       [
+         ((30, 16), [| 2; 1 |]);
+         ((30, 16), [| 2; 2 |]);
+         ((40, 20), [| 2; 1 |]);
+         ((40, 20), [| 4; 1 |]);
+         ((50, 24), [| 2; 2 |]);
+       ])
+  |> List.map (fun r ->
+         let ratio = jf "modelled" r /. jf "simulated" r in
+         { vr_row = extend r [ ("ratio", J.Float ratio) ]; vr_ratio = ratio })
+
+let render_validation vrs =
+  render_rows
+    ~title:
+      "Model validation: execution-driven simulated time vs analytic \
+       prediction (sprayer, 4 frames)"
     [
-      ((30, 16), [| 2; 1 |]);
-      ((30, 16), [| 2; 2 |]);
-      ((40, 20), [| 2; 1 |]);
-      ((40, 20), [| 4; 1 |]);
-      ((50, 24), [| 2; 2 |]);
+      ("grid", dims "grid"); ("partition", dims "partition");
+      ("simulated (s)", num ~decimals:3 "simulated");
+      ("modelled (s)", num ~decimals:3 "modelled"); ("ratio", num "ratio");
     ]
-  in
-  let jobs =
-    List.map
-      (fun ((ni, nj), parts) ->
-        let source = Apps.Sprayer.source ~ni ~nj ~ntime:4 ~npsi:3 () in
-        job ~table:"validation"
-          ~label:(Printf.sprintf "%dx%d %s" ni nj (shape parts))
-          ~params:
-            (J.Obj
-               [
-                 machine_key;
-                 ("grid", J.Str (Printf.sprintf "%dx%d" ni nj));
-                 ("partition", parts_key parts);
-                 ("src", J.Str (Sched.Job.digest source));
-               ])
-          ~spec:
-            (J.Obj
-               [
-                 ("kind", J.Str "validate");
-                 ("source", J.Str source);
-                 ("partition", parts_key parts);
-               ]))
-      cases
-  in
-  List.map2
-    (fun ((ni, nj), parts) r ->
-      let simulated = jf "simulated" r and modelled = jf "modelled" r in
-      {
-        vr_grid = (ni, nj);
-        vr_parts = parts;
-        vr_simulated = simulated;
-        vr_modelled = modelled;
-        vr_ratio = modelled /. simulated;
-      })
-    cases
-    (run_jobs sw ~table:"validation" jobs)
+    (List.map (fun v -> v.vr_row) vrs)
 
 (* ------------------------------------------------------------------ *)
 (* Execution-engine benchmark: tree-walking vs compiled vs fused       *)
 (* ------------------------------------------------------------------ *)
-
-type engine_row = {
-  er_program : string;
-  er_parts : int array;
-  er_tree_s : float;
-  er_compiled_s : float;
-  er_fused_s : float;
-  er_speedup : float;
-  er_fused_speedup : float;
-  er_identical : bool;
-  er_coverage : Autocfd_interp.Compile.coverage_entry list;
-  er_nofission_fused_s : float;
-  er_fission_identical : bool;
-  er_nofission_coverage : Autocfd_interp.Compile.coverage_entry list;
-  er_domains_s : float;
-  er_domains_speedup : float;
-  er_domains_identical : bool;
-  er_calibration : M.calibration;
-}
 
 (* (name, small source, large source, partition): the small instance keeps
    the tree-walking column affordable; the large one gives the Domains
@@ -885,238 +838,6 @@ let engine_cases =
       [| 2; 2 |] );
   ]
 
-let engine_bench ?sweep () =
-  let sw = fresh_sweep sweep in
-  let jobs =
-    List.map
-      (fun (name, source, large_source, parts) ->
-        let source = source () in
-        let large_source = large_source () in
-        job ~table:"engine" ~label:name
-          ~params:
-            (J.Obj
-               [
-                 ("program", J.Str name);
-                 ("partition", parts_key parts);
-                 ("src", J.Str (Sched.Job.digest source));
-                 ("large_src", J.Str (Sched.Job.digest large_source));
-                 (* row-schema version: bumped when the measured columns
-                    change so stale cached rows are not replayed *)
-                 ("columns", J.Str "v4-wall");
-               ])
-          ~spec:
-            (J.Obj
-               [
-                 ("kind", J.Str "engine-bench");
-                 ("source", J.Str source);
-                 ("large_source", J.Str large_source);
-                 ("partition", parts_key parts);
-               ]))
-      engine_cases
-  in
-  List.map2
-    (fun (name, _, _, parts) r ->
-      let tree_s = jf "tree_s" r in
-      let compiled_s = jf "compiled_s" r in
-      let fused_s = jf "fused_s" r in
-      let fused_wall_s = jf "fused_wall_s" r in
-      let domains_s = jf "domains_s" r in
-      {
-        er_program = name;
-        er_parts = parts;
-        er_tree_s = tree_s;
-        er_compiled_s = compiled_s;
-        er_fused_s = fused_s;
-        er_speedup = tree_s /. compiled_s;
-        er_fused_speedup = tree_s /. fused_s;
-        er_identical = jb "identical" r;
-        er_coverage = coverage_of_json (jfield "coverage" r);
-        er_nofission_fused_s = jf "nofission_fused_s" r;
-        er_fission_identical = jb "fission_identical" r;
-        er_nofission_coverage =
-          coverage_of_json (jfield "nofission_coverage" r);
-        er_domains_s = domains_s;
-        er_domains_speedup = fused_wall_s /. domains_s;
-        er_domains_identical = jb "domains_identical" r;
-        er_calibration =
-          {
-            M.cal_flop_time = jf "cal_flop_time" r;
-            cal_latency = jf "cal_latency" r;
-            cal_bandwidth =
-              (let b = jf "cal_bandwidth" r in
-               if b = 0.0 then Float.infinity else b);
-            cal_compute_r2 = jf "cal_compute_r2" r;
-            cal_comm_r2 = jf "cal_comm_r2" r;
-          };
-      })
-    engine_cases
-    (run_jobs sw ~table:"engine" jobs)
-
-(* ------------------------------------------------------------------ *)
-(* Chaos benchmark: fault injection + reliable transport + recovery    *)
-(* ------------------------------------------------------------------ *)
-
-type chaos_row = {
-  ch_program : string;
-  ch_schedule : string;
-  ch_identical : bool;
-      (** gathered arrays, WRITE output and final scalars bit-equal to
-          the fault-free run *)
-  ch_overhead : float;  (** faulty / fault-free virtual elapsed time *)
-  ch_resilience : Autocfd_interp.Spmd.resilience;
-  ch_counters : Fault.counters;
-}
-
-let chaos_case ?(seed = 42) ?(engine = Autocfd_interp.Spmd.Fused) sw name
-    source parts =
-  let jobs =
-    List.mapi
-      (fun idx label ->
-        job ~table:"chaos"
-          ~label:(Printf.sprintf "%s %s" name label)
-          ~params:
-            (J.Obj
-               [
-                 machine_key;
-                 ("program", J.Str name);
-                 ("partition", parts_key parts);
-                 ("schedule", J.Str label);
-                 ("seed", J.Int seed);
-                 ("engine", J.Str (Runspec.engine_to_string engine));
-                 ("src", J.Str (Sched.Job.digest source));
-               ])
-          ~spec:
-            (J.Obj
-               [
-                 ("kind", J.Str "chaos");
-                 ("source", J.Str source);
-                 ("partition", parts_key parts);
-                 ("seed", J.Int seed);
-                 ("engine", J.Str (Runspec.engine_to_string engine));
-                 ("schedule", J.Int idx);
-               ]))
-      schedule_labels
-  in
-  List.map2
-    (fun label r ->
-      {
-        ch_program = name;
-        ch_schedule = label;
-        ch_identical = jb "identical" r;
-        ch_overhead = jf "overhead" r;
-        ch_resilience =
-          {
-            Autocfd_interp.Spmd.rs_restarts = ji "restarts" r;
-            rs_checkpoints = ji "checkpoints" r;
-            rs_restores = ji "restores" r;
-            rs_retransmits = ji "retransmits" r;
-            rs_dup_suppressed = ji "dup_suppressed" r;
-            rs_checksum_failures = ji "checksum_failures" r;
-          };
-        ch_counters =
-          {
-            Fault.fc_drops = ji "drops" r;
-            fc_duplicates = ji "duplicates" r;
-            fc_corruptions = ji "corruptions" r;
-            (* absent in cached rows written before the reorder knob *)
-            fc_reorders =
-              (match J.member "reorders" r with
-              | Some (J.Int n) -> n
-              | _ -> 0);
-            fc_stalls = ji "stalls" r;
-            fc_crashes = ji "crashes" r;
-          };
-      })
-    schedule_labels
-    (run_jobs sw ~table:"chaos" jobs)
-
-let chaos_bench ?seed ?sweep () =
-  let sw = fresh_sweep sweep in
-  chaos_case ?seed sw "sprayer"
-    (Apps.Sprayer.source ~ni:40 ~nj:20 ~ntime:3 ())
-    [| 2; 2 |]
-  @ chaos_case ?seed sw "aerofoil"
-      (Apps.Aerofoil.source ~ni:16 ~nj:10 ~nk:6 ~ntime:2 ())
-      [| 2; 2; 1 |]
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let render_table1 rows =
-  let open Autocfd_util.Table in
-  let t =
-    create
-      ~title:
-        "Table 1: improvement by synchronization optimizations \
-         (ours vs paper)"
-      ~headers:
-        [ "program"; "partition"; "before"; "after"; "reduction";
-          "paper before"; "paper after"; "paper reduction" ]
-  in
-  List.iter
-    (fun r ->
-      let pct b a =
-        cell_pct (float_of_int (b - a) /. float_of_int (max 1 b))
-      in
-      add_row t
-        [
-          r.t1_program; shape r.t1_partition; cell_int r.t1_before;
-          cell_int r.t1_after; pct r.t1_before r.t1_after;
-          cell_int r.t1_paper_before; cell_int r.t1_paper_after;
-          pct r.t1_paper_before r.t1_paper_after;
-        ])
-    rows;
-  render t
-
-let render_perf ~title rows =
-  let open Autocfd_util.Table in
-  let t =
-    create ~title
-      ~headers:
-        [ "procs"; "partition"; "time (s)"; "speedup"; "efficiency";
-          "paper time (s)"; "paper speedup" ]
-  in
-  List.iter
-    (fun r ->
-      add_row t
-        [
-          cell_int r.pr_procs;
-          (match r.pr_partition with Some p -> shape p | None -> "-");
-          cell_float ~decimals:0 r.pr_time;
-          (match r.pr_speedup with Some s -> cell_float s | None -> "-");
-          (match r.pr_efficiency with Some e -> cell_pct e | None -> "-");
-          cell_float ~decimals:0 r.pr_paper_time;
-          (match r.pr_paper_speedup with
-          | Some s -> cell_float s
-          | None -> "-");
-        ])
-    rows;
-  render t
-
-let render_validation rows =
-  let open Autocfd_util.Table in
-  let t =
-    create
-      ~title:
-        "Model validation: execution-driven simulated time vs analytic \
-         prediction (sprayer, 4 frames)"
-      ~headers:[ "grid"; "partition"; "simulated (s)"; "modelled (s)"; "ratio" ]
-  in
-  List.iter
-    (fun r ->
-      let ni, nj = r.vr_grid in
-      add_row t
-        [
-          Printf.sprintf "%d x %d" ni nj;
-          shape r.vr_parts;
-          cell_float ~decimals:3 r.vr_simulated;
-          cell_float ~decimals:3 r.vr_modelled;
-          cell_float r.vr_ratio;
-        ])
-    rows;
-  render t
-
 let coverage_counts cov =
   ( List.length
       (List.filter
@@ -1125,41 +846,57 @@ let coverage_counts cov =
          cov),
     List.length cov )
 
-let render_engine rows =
-  let open Autocfd_util.Table in
-  let t =
-    create
-      ~title:
-        "Execution engine: tree-walking interpreter vs compiled closure IR \
-         vs fused kernels vs real OCaml 5 domains (identical results)"
-      ~headers:
-        [ "program"; "partition"; "tree (s)"; "compiled (s)"; "fused (s)";
-          "no-fission fused (s)"; "domains (s)"; "speedup"; "fused speedup";
-          "domains speedup"; "loops fused (pre->post fission)"; "identical" ]
-  in
-  List.iter
-    (fun r ->
-      let fused, total = coverage_counts r.er_coverage in
-      let nf_fused, nf_total = coverage_counts r.er_nofission_coverage in
-      add_row t
-        [
-          r.er_program; shape r.er_parts;
-          cell_float ~decimals:3 r.er_tree_s;
-          cell_float ~decimals:3 r.er_compiled_s;
-          cell_float ~decimals:3 r.er_fused_s;
-          cell_float ~decimals:3 r.er_nofission_fused_s;
-          cell_float ~decimals:3 r.er_domains_s;
-          cell_float r.er_speedup;
-          cell_float r.er_fused_speedup;
-          cell_float r.er_domains_speedup;
-          Printf.sprintf "%d/%d -> %d/%d" nf_fused nf_total fused total;
-          (if r.er_identical && r.er_domains_identical
-              && r.er_fission_identical
-           then "yes"
-           else "NO");
-        ])
-    rows;
-  render t
+let engine_bench ?sweep () =
+  run_rows (fresh_sweep sweep) ~table:"engine"
+    (List.map
+       (fun (name, source, large_source, parts) ->
+         ( name,
+           [ ("program", J.Str name); ("partition", parts_key parts) ],
+           job_spec "engine-bench" (source ())
+             [
+               ("large_source", J.Str (large_source ()));
+               ("partition", parts_key parts);
+             ] ))
+       engine_cases)
+  |> List.map (fun r ->
+         let loops field =
+           coverage_counts (coverage_of_json (jfield field r))
+         in
+         let fused, total = loops "coverage" in
+         let nf_fused, nf_total = loops "nofission_coverage" in
+         let tree_s = jf "tree_s" r in
+         extend r
+           [
+             ("speedup", J.Float (tree_s /. jf "compiled_s" r));
+             ("fused_speedup", J.Float (tree_s /. jf "fused_s" r));
+             ("domains_speedup", J.Float (jf "fused_wall_s" r /. jf "domains_s" r));
+             ("loops_fused", J.Int fused); ("loops_total", J.Int total);
+             ("loops_fused_nofission", J.Int nf_fused);
+             ("loops_total_nofission", J.Int nf_total);
+           ])
+
+let render_engine =
+  render_rows
+    ~title:
+      "Execution engine: tree-walking interpreter vs compiled closure IR vs \
+       fused kernels vs real OCaml 5 domains (identical results)"
+    [
+      ("program", js "program"); ("partition", dims "partition");
+      ("tree (s)", num ~decimals:3 "tree_s");
+      ("compiled (s)", num ~decimals:3 "compiled_s");
+      ("fused (s)", num ~decimals:3 "fused_s");
+      ("no-fission fused (s)", num ~decimals:3 "nofission_fused_s");
+      ("domains (s)", num ~decimals:3 "domains_s");
+      ("speedup", num "speedup"); ("fused speedup", num "fused_speedup");
+      ("domains speedup", num "domains_speedup");
+      ( "loops fused (pre->post fission)",
+        fun r ->
+          Printf.sprintf "%d/%d -> %d/%d" (ji "loops_fused_nofission" r)
+            (ji "loops_total_nofission" r) (ji "loops_fused" r)
+            (ji "loops_total" r) );
+      ( "identical",
+        yes_no [ "identical"; "domains_identical"; "fission_identical" ] );
+    ]
 
 (* one coverage row: line, loop variables (with the fission fragment)
    and whether the nest fused or why it fell back *)
@@ -1184,9 +921,11 @@ let render_engine_coverage rows =
   List.iter
     (fun r ->
       Buffer.add_string b
-        (Printf.sprintf "%s (%s): field-loop kernel coverage\n" r.er_program
-           (shape r.er_parts));
-      List.iter (fun c -> Buffer.add_string b (nest_line c)) r.er_coverage;
+        (Printf.sprintf "%s (%s): field-loop kernel coverage\n"
+           (js "program" r) (dims "partition" r));
+      List.iter
+        (fun c -> Buffer.add_string b (nest_line c))
+        (coverage_of_json (jfield "coverage" r));
       Buffer.add_char b '\n')
     rows;
   Buffer.contents b
@@ -1291,92 +1030,53 @@ let render_coverage_fission () =
     (coverage_apps ());
   Buffer.contents b
 
-let render_chaos rows =
-  let open Autocfd_util.Table in
-  let t =
-    create
-      ~title:
-        "Chaos: seeded fault schedules vs reliable transport + \
-         checkpoint/restart (result must stay bit-identical)"
-      ~headers:
-        [ "program"; "schedule"; "identical"; "overhead"; "injected";
-          "retransmits"; "dups dropped"; "cksum fails"; "ckpts";
-          "restarts" ]
-  in
-  List.iter
-    (fun r ->
-      let c = r.ch_counters and rs = r.ch_resilience in
-      let injected =
-        c.Fault.fc_drops + c.Fault.fc_duplicates + c.Fault.fc_corruptions
-        + c.Fault.fc_stalls + c.Fault.fc_crashes
-      in
-      add_row t
-        [
-          r.ch_program; r.ch_schedule;
-          (if r.ch_identical then "yes" else "NO");
-          cell_float ~decimals:2 r.ch_overhead;
-          cell_int injected;
-          cell_int rs.Autocfd_interp.Spmd.rs_retransmits;
-          cell_int rs.Autocfd_interp.Spmd.rs_dup_suppressed;
-          cell_int rs.Autocfd_interp.Spmd.rs_checksum_failures;
-          cell_int rs.Autocfd_interp.Spmd.rs_checkpoints;
-          cell_int rs.Autocfd_interp.Spmd.rs_restarts;
-        ])
-    rows;
-  render t
-
-let render_table4 rows =
-  let open Autocfd_util.Table in
-  let t =
-    create
-      ~title:
-        "Table 4: sprayer scaling with grid density, 2 x 1 partition \
-         (ours vs paper)"
-      ~headers:
-        [ "grid"; "T1 (s)"; "T2 (s)"; "speedup"; "efficiency";
-          "paper T1"; "paper T2"; "paper speedup" ]
-  in
-  List.iter
-    (fun r ->
-      let ni, nj = r.t4_grid in
-      add_row t
-        [
-          Printf.sprintf "%d x %d" ni nj;
-          cell_float ~decimals:0 r.t4_t1;
-          cell_float ~decimals:0 r.t4_t2;
-          cell_float r.t4_speedup;
-          cell_pct r.t4_efficiency;
-          cell_float ~decimals:0 r.t4_paper_t1;
-          cell_float ~decimals:0 r.t4_paper_t2;
-          cell_float r.t4_paper_speedup;
-        ])
-    rows;
-  render t
-
-let render_table5 rows =
-  let open Autocfd_util.Table in
-  let t =
-    create
-      ~title:
-        "Table 5: sprayer superlinear speedup at 800 x 300 (ours vs paper)"
-      ~headers:
-        [ "procs"; "partition"; "time (s)"; "efficiency over 2-proc";
-          "paper time (s)"; "paper efficiency" ]
-  in
-  List.iter
-    (fun r ->
-      add_row t
-        [
-          cell_int r.t5_procs; shape r.t5_partition;
-          cell_float ~decimals:0 r.t5_time; cell_pct r.t5_eff_over_2;
-          cell_float ~decimals:0 r.t5_paper_time; cell_pct r.t5_paper_eff;
-        ])
-    rows;
-  render t
-
 (* ------------------------------------------------------------------ *)
-(* Machine-readable rendering (BENCH_tables.json)                      *)
+(* Chaos benchmark: fault injection + reliable transport + recovery    *)
 (* ------------------------------------------------------------------ *)
+
+let chaos_case ~seed sw name source parts =
+  run_rows sw ~table:"chaos"
+    (List.mapi
+       (fun idx label ->
+         ( Printf.sprintf "%s %s" name label,
+           [ ("program", J.Str name); ("schedule", J.Str label) ],
+           job_spec "chaos" source
+             [
+               ("partition", parts_key parts); ("seed", J.Int seed);
+               ("schedule", J.Int idx);
+             ] ))
+       schedule_labels)
+
+let chaos_bench ?(seed = 42) ?sweep () =
+  let sw = fresh_sweep sweep in
+  chaos_case ~seed sw "sprayer"
+    (Apps.Sprayer.source ~ni:40 ~nj:20 ~ntime:3 ())
+    [| 2; 2 |]
+  @ chaos_case ~seed sw "aerofoil"
+      (Apps.Aerofoil.source ~ni:16 ~nj:10 ~nk:6 ~ntime:2 ())
+      [| 2; 2; 1 |]
+
+let render_chaos =
+  render_rows
+    ~title:
+      "Chaos: seeded fault schedules vs reliable transport + \
+       checkpoint/restart (result must stay bit-identical)"
+    [
+      ("program", js "program"); ("schedule", js "schedule");
+      ("identical", yes_no [ "identical" ]);
+      ("overhead", num ~decimals:2 "overhead");
+      ( "injected",
+        fun r ->
+          Autocfd_util.Table.cell_int
+            (List.fold_left
+               (fun n f -> n + ji f r)
+               0
+               [ "drops"; "duplicates"; "corruptions"; "stalls"; "crashes" ]) );
+      ("retransmits", count "retransmits");
+      ("dups dropped", count "dup_suppressed");
+      ("cksum fails", count "checksum_failures");
+      ("ckpts", count "checkpoints"); ("restarts", count "restarts");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Auto-tuning                                                         *)
@@ -1395,57 +1095,31 @@ let tune_cases =
       (fun () -> Apps.Sprayer.source ~ni:80 ~nj:40 ~ntime:4 ()) );
   ]
 
-(* one search point = one cached job; the serialized runspec IS the
-   run-describing half of the key, so tune results survive cache reuse
-   across grids and verbs and a warm re-tune is pure hits *)
-let tune_point_job ~program ~source ?measure_source rspec =
-  let spec_json = Runspec.to_json rspec in
-  job ~table:"tune"
-    ~label:
-      (Printf.sprintf "%s %s" program
-         (match rspec.Runspec.parts with
-         | Some p -> Runspec.parts_to_string p
-         | None -> Printf.sprintf "auto/%d" rspec.Runspec.nprocs))
-    ~params:
-      (J.Obj
-         ([
-            machine_key;
-            ("program", J.Str program);
-            ("spec", spec_json);
-            ("src", J.Str (Sched.Job.digest source));
-          ]
-         @
-         match measure_source with
-         | Some m -> [ ("measure_src", J.Str (Sched.Job.digest m)) ]
-         | None -> []))
-    ~spec:
-      (J.Obj
-         ([
-            ("kind", J.Str "tune");
-            ("source", J.Str source);
-            ("spec", spec_json);
-          ]
-         @
-         match measure_source with
-         | Some m -> [ ("measure_source", J.Str m) ]
-         | None -> []))
-
+(* one search point = one cached job whose spec carries the serialized
+   runspec, so tune results survive cache reuse across grids and verbs
+   and a warm re-tune is pure hits *)
 let tune_program ?(grid = Tune.Default) ?base ?sweep ?measure_source
     ~program ~source () =
   let sw = fresh_sweep sweep in
-  let t = Driver.load source in
   let jobs =
     List.map
       (fun rspec ->
         (* the measurement instance only enters the job (and its cache
            key) for points that will actually execute it *)
-        let measure_source =
-          match rspec.Runspec.engine with
-          | Autocfd_interp.Spmd.Domains -> measure_source
-          | _ -> None
+        let measure =
+          match (rspec.Runspec.engine, measure_source) with
+          | Autocfd_interp.Spmd.Domains, Some m ->
+              [ ("measure_source", J.Str m) ]
+          | _ -> []
         in
-        tune_point_job ~program ~source ?measure_source rspec)
-      (Tune.points ?base grid t)
+        job ~table:"tune"
+          ~label:
+            (Printf.sprintf "%s %s" program
+               (match rspec.Runspec.parts with
+               | Some p -> Runspec.parts_to_string p
+               | None -> Printf.sprintf "auto/%d" rspec.Runspec.nprocs))
+          (job_spec "tune" source (("spec", Runspec.to_json rspec) :: measure)))
+      (Tune.points ?base grid (Driver.load source))
   in
   Tune.make_result ~program ~grid
     (List.map Tune.entry_of_json (run_jobs sw ~table:"tune" jobs))
@@ -1463,162 +1137,33 @@ let tune_table ?(grid = Tune.Default) ?sweep () =
         ~source:(source ()) ())
     tune_cases
 
+(* ------------------------------------------------------------------ *)
+(* Machine-readable rendering (BENCH_tables.json)                      *)
+(* ------------------------------------------------------------------ *)
+
 let tables_json ?sweep () =
   let sw = fresh_sweep sweep in
-  let parts_json p =
-    J.Str (String.concat "x" (Array.to_list (Array.map string_of_int p)))
-  in
-  let opt f = function Some v -> f v | None -> J.Null in
-  let t1 =
+  (* run in document order, so "sched" lists every table's batches *)
+  let sections =
     List.map
-      (fun r ->
-        J.Obj
-          [
-            ("program", J.Str r.t1_program);
-            ("partition", parts_json r.t1_partition);
-            ("before", J.Int r.t1_before);
-            ("after", J.Int r.t1_after);
-            ("paper_before", J.Int r.t1_paper_before);
-            ("paper_after", J.Int r.t1_paper_after);
-          ])
-      (table1 ~sweep:sw ())
-  in
-  let perf rows =
-    List.map
-      (fun r ->
-        J.Obj
-          [
-            ("procs", J.Int r.pr_procs);
-            ("partition", opt parts_json r.pr_partition);
-            ("time", J.Float r.pr_time);
-            ("speedup", opt (fun s -> J.Float s) r.pr_speedup);
-            ("efficiency", opt (fun e -> J.Float e) r.pr_efficiency);
-            ("paper_time", J.Float r.pr_paper_time);
-            ("paper_speedup", opt (fun s -> J.Float s) r.pr_paper_speedup);
-          ])
-      rows
-  in
-  let t4 =
-    List.map
-      (fun r ->
-        let ni, nj = r.t4_grid in
-        J.Obj
-          [
-            ("grid", J.Str (Printf.sprintf "%dx%d" ni nj));
-            ("t1", J.Float r.t4_t1);
-            ("t2", J.Float r.t4_t2);
-            ("speedup", J.Float r.t4_speedup);
-            ("efficiency", J.Float r.t4_efficiency);
-            ("paper_t1", J.Float r.t4_paper_t1);
-            ("paper_t2", J.Float r.t4_paper_t2);
-            ("paper_speedup", J.Float r.t4_paper_speedup);
-          ])
-      (table4 ~sweep:sw ())
-  in
-  let t5 =
-    List.map
-      (fun r ->
-        J.Obj
-          [
-            ("procs", J.Int r.t5_procs);
-            ("partition", parts_json r.t5_partition);
-            ("time", J.Float r.t5_time);
-            ("eff_over_2", J.Float r.t5_eff_over_2);
-            ("paper_time", J.Float r.t5_paper_time);
-            ("paper_eff", J.Float r.t5_paper_eff);
-          ])
-      (table5 ~sweep:sw ())
-  in
-  let validation =
-    List.map
-      (fun r ->
-        let ni, nj = r.vr_grid in
-        J.Obj
-          [
-            ("grid", J.Str (Printf.sprintf "%dx%d" ni nj));
-            ("partition", parts_json r.vr_parts);
-            ("simulated", J.Float r.vr_simulated);
-            ("modelled", J.Float r.vr_modelled);
-            ("ratio", J.Float r.vr_ratio);
-          ])
-      (validate_model ~sweep:sw ())
-  in
-  let engine =
-    List.map
-      (fun r ->
-        J.Obj
-          [
-            ("program", J.Str r.er_program);
-            ("partition", parts_json r.er_parts);
-            ("tree_s", J.Float r.er_tree_s);
-            ("compiled_s", J.Float r.er_compiled_s);
-            ("fused_s", J.Float r.er_fused_s);
-            ("domains_s", J.Float r.er_domains_s);
-            ("speedup", J.Float r.er_speedup);
-            ("fused_speedup", J.Float r.er_fused_speedup);
-            ("domains_speedup", J.Float r.er_domains_speedup);
-            ( "loops_fused",
-              J.Int (fst (coverage_counts r.er_coverage)) );
-            ( "loops_total",
-              J.Int (snd (coverage_counts r.er_coverage)) );
-            ("nofission_fused_s", J.Float r.er_nofission_fused_s);
-            ( "loops_fused_nofission",
-              J.Int (fst (coverage_counts r.er_nofission_coverage)) );
-            ( "loops_total_nofission",
-              J.Int (snd (coverage_counts r.er_nofission_coverage)) );
-            ("identical", J.Bool r.er_identical);
-            ("domains_identical", J.Bool r.er_domains_identical);
-            ("fission_identical", J.Bool r.er_fission_identical);
-            ("cal_flop_time", J.Float r.er_calibration.M.cal_flop_time);
-            ("cal_latency", J.Float r.er_calibration.M.cal_latency);
-            ( "cal_bandwidth",
-              J.Float
-                (if Float.is_finite r.er_calibration.M.cal_bandwidth then
-                   r.er_calibration.M.cal_bandwidth
-                 else 0.0) );
-          ])
-      (engine_bench ~sweep:sw ())
-  in
-  let resilience =
-    List.map
-      (fun r ->
-        let c = r.ch_counters and rs = r.ch_resilience in
-        J.Obj
-          [
-            ("program", J.Str r.ch_program);
-            ("schedule", J.Str r.ch_schedule);
-            ("identical", J.Bool r.ch_identical);
-            ("overhead", J.Float r.ch_overhead);
-            ("drops", J.Int c.Fault.fc_drops);
-            ("duplicates", J.Int c.Fault.fc_duplicates);
-            ("corruptions", J.Int c.Fault.fc_corruptions);
-            ("stalls", J.Int c.Fault.fc_stalls);
-            ("crashes", J.Int c.Fault.fc_crashes);
-            ("retransmits", J.Int rs.Autocfd_interp.Spmd.rs_retransmits);
-            ( "dup_suppressed",
-              J.Int rs.Autocfd_interp.Spmd.rs_dup_suppressed );
-            ( "checksum_failures",
-              J.Int rs.Autocfd_interp.Spmd.rs_checksum_failures );
-            ("checkpoints", J.Int rs.Autocfd_interp.Spmd.rs_checkpoints);
-            ("restores", J.Int rs.Autocfd_interp.Spmd.rs_restores);
-            ("restarts", J.Int rs.Autocfd_interp.Spmd.rs_restarts);
-          ])
-      (chaos_bench ~sweep:sw ())
-  in
-  let tune =
-    List.map Tune.result_to_json (tune_table ~sweep:sw ())
+      (fun (name, rows) -> (name, J.List (rows ())))
+      [
+        ("table1", fun () -> table1 ~sweep:sw ());
+        ("table2", fun () -> table2 ~sweep:sw ());
+        ("table3", fun () -> table3 ~sweep:sw ());
+        ("table4", fun () -> table4 ~sweep:sw ());
+        ("table5", fun () -> table5 ~sweep:sw ());
+        ( "validation",
+          fun () -> List.map (fun v -> v.vr_row) (validate_model ~sweep:sw ()) );
+        ("engine", fun () -> engine_bench ~sweep:sw ());
+        ("resilience", fun () -> chaos_bench ~sweep:sw ());
+        ( "tune",
+          fun () -> List.map Tune.result_to_json (tune_table ~sweep:sw ()) );
+      ]
   in
   J.Obj
-    [
-      ("schema", J.Str "autocfd-bench/1");
-      ("table1", J.List t1);
-      ("table2", J.List (perf (table2 ~sweep:sw ())));
-      ("table3", J.List (perf (table3 ~sweep:sw ())));
-      ("table4", J.List t4);
-      ("table5", J.List t5);
-      ("validation", J.List validation);
-      ("engine", J.List engine);
-      ("resilience", J.List resilience);
-      ("tune", J.List tune);
-      ("sched", Report.sched_summary_json ~stale:(sweep_stale sw) (sweep_stats sw));
-    ]
+    ((("schema", J.Str "autocfd-bench/1") :: sections)
+    @ [
+        ( "sched",
+          Report.sched_summary_json ~stale:(sweep_stale sw) (sweep_stats sw) );
+      ])

@@ -1705,7 +1705,9 @@ let rstmt g = function
 type peeled =
   | P_leaf of Ast.do_loop list * Ast.stmt list  (* levels outer-first *)
   | P_descend  (* nested DOs mixed with other structure: recurse, no entry *)
-  | P_bad of reason  (* innermost body holds a non-fusable statement *)
+  | P_bad of Ast.do_loop list * reason
+      (* levels outer-first; the innermost body holds a non-fusable
+         statement *)
 
 let peel (d : Ast.do_loop) : peeled =
   let rec go acc d =
@@ -1730,13 +1732,13 @@ let peel (d : Ast.do_loop) : peeled =
             body
         then P_leaf (List.rev acc, body)
         else
-          P_bad
-            (match
-               List.find_opt
-                 (fun s ->
-                   match s.Ast.s_kind with Ast.Assign _ -> false | _ -> true)
-                 body
-             with
+          let reason =
+            match
+              List.find_opt
+                (fun s ->
+                  match s.Ast.s_kind with Ast.Assign _ -> false | _ -> true)
+                body
+            with
             | Some { Ast.s_kind = Ast.If _; _ } -> If_in_body
             | Some { Ast.s_kind = Ast.Goto _; _ } -> Goto_in_body
             | Some { Ast.s_kind = (Ast.Read _ | Ast.Write _); _ } ->
@@ -1748,7 +1750,9 @@ let peel (d : Ast.do_loop) : peeled =
                   _;
                 } ->
                 Comm_in_body
-            | _ -> Control_in_body)
+            | _ -> Control_in_body
+          in
+          P_bad (List.rev acc, reason)
   in
   go [] d
 
@@ -2477,19 +2481,25 @@ and comp_read_target ctx (item : Ast.expr) : state -> float -> unit =
   | _ -> fun _ _ -> error "invalid assignment target"
 
 and comp_do ctx ~line (d : Ast.do_loop) : state -> unit =
+  (* a nest the fused tier does not take: one coverage entry under all
+     its perfect levels' variables (when it is a field loop), then the
+     plain closure IR.  Inner sub-nests may still fuse (e.g. triangular
+     bounds); they just don't get coverage entries of their own *)
+  let fallback levels reason =
+    let idx =
+      if is_field_loop ctx d then
+        record_cov ctx ~line
+          ~vars:(List.map (fun (l : Ast.do_loop) -> l.Ast.do_var) levels)
+          ~fused:false ~frag:d.Ast.do_fission reason
+      else -1
+    in
+    profiled idx (comp_do_plain { ctx with x_record = false } d)
+  in
   if not ctx.x_fuse then comp_do_plain ctx d
   else
     match peel d with
     | P_descend -> comp_do_plain ctx d
-    | P_bad reason ->
-        if is_field_loop ctx d then begin
-          let idx =
-            record_cov ctx ~line ~vars:[ d.Ast.do_var ] ~fused:false
-              ~frag:d.Ast.do_fission reason
-          in
-          profiled idx (comp_do_plain ctx d)
-        end
-        else comp_do_plain ctx d
+    | P_bad (levels, reason) -> fallback levels reason
     | P_leaf (levels, stmts) -> (
         let vars = List.map (fun (l : Ast.do_loop) -> l.Ast.do_var) levels in
         match kernel_of ctx levels stmts with
@@ -2503,16 +2513,7 @@ and comp_do ctx ~line (d : Ast.do_loop) : state -> unit =
               (kernel
                  (on_first_use (fun () ->
                       comp_do_plain { ctx with x_fuse = false } d)))
-        | exception Unfusable reason ->
-            let idx =
-              if is_field_loop ctx d then
-                record_cov ctx ~line ~vars ~fused:false
-                  ~frag:d.Ast.do_fission reason
-              else -1
-            in
-            (* inner sub-nests may still fuse (e.g. triangular bounds);
-               they just don't get their own coverage entries *)
-            profiled idx (comp_do_plain { ctx with x_record = false } d))
+        | exception Unfusable reason -> fallback levels reason)
 
 and comp_do_plain ctx (d : Ast.do_loop) : state -> unit =
   let flo = as_int (comp ctx d.Ast.do_lo) in

@@ -130,11 +130,8 @@ let msg_of_string s =
 type cfg = {
   fb_grace : float;
   fb_lease : float;
-  fb_heartbeat : float;
   fb_max_attempts : int;
   fb_backoff : float;
-  fb_backoff_mult : float;
-  fb_fallback_jobs : int option;
   fb_chaos_kill : int option;
 }
 
@@ -142,11 +139,8 @@ let default_cfg =
   {
     fb_grace = 5.0;
     fb_lease = 30.0;
-    fb_heartbeat = 1.0;
     fb_max_attempts = 3;
     fb_backoff = 0.05;
-    fb_backoff_mult = 2.0;
-    fb_fallback_jobs = None;
     fb_chaos_kill = None;
   }
 
@@ -308,7 +302,7 @@ let jitter01 i k =
 
 let backoff_delay cfg ~index ~attempt =
   cfg.fb_backoff
-  *. (cfg.fb_backoff_mult ** float_of_int (max 0 (attempt - 1)))
+  *. (2.0 ** float_of_int (max 0 (attempt - 1)))
   *. (1.0 +. jitter01 index attempt)
 
 type jstate = Pending | Leased | Done
@@ -592,7 +586,7 @@ let run t ?cache ?tracer job_list =
     degrade
       (Printf.sprintf "no worker connected within the %.1fs grace window"
          cfg.fb_grace);
-    Pool.run ?jobs:cfg.fb_fallback_jobs ?cache ?tracer job_list
+    Pool.run ?cache ?tracer job_list
   end
   else begin
     (* main loop *)

@@ -60,13 +60,9 @@ exception Fabric_error of string
 type cfg = {
   fb_grace : float;  (** seconds to wait for a first worker (default 5) *)
   fb_lease : float;  (** job lease seconds, heartbeat-extended (30) *)
-  fb_heartbeat : float;  (** worker heartbeat period hint (1) *)
   fb_max_attempts : int;  (** attempts before quarantine (3) *)
-  fb_backoff : float;  (** base retry delay seconds (0.05) *)
-  fb_backoff_mult : float;  (** exponential backoff multiplier (2) *)
-  fb_fallback_jobs : int option;
-      (** domain count for the degraded in-process pool (None: pool
-          default) *)
+  fb_backoff : float;
+      (** base retry delay seconds (0.05), doubled per further attempt *)
   fb_chaos_kill : int option;
       (** fault-injection hook for the CI chaos gate: after this many
           worker-completed jobs, SIGKILL the next spawned worker right
@@ -171,6 +167,7 @@ val serve :
     job runs) and stream the result back — until the master says
     shutdown or hangs up.  An exception from [resolve] becomes a
     {!Failure} message; the worker survives it.  A corrupt frame from the
-    master ends the loop like a hang-up.  [Error msg] means the
+    master ends the loop like a hang-up.  [heartbeat] is the heartbeat
+    period in seconds (default 1).  [Error msg] means the
     connection could not be established ([msg] is a one-line
     diagnostic). *)

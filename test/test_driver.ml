@@ -92,12 +92,9 @@ let test_table1_rows () =
   Alcotest.(check int) "nine rows like the paper" 9 (List.length rows);
   List.iter
     (fun r ->
-      Alcotest.(check bool) "after < before" true
-        (r.E.t1_after < r.E.t1_before);
-      let pct =
-        float_of_int (r.E.t1_before - r.E.t1_after)
-        /. float_of_int r.E.t1_before
-      in
+      let before = E.ji "before" r and after = E.ji "after" r in
+      Alcotest.(check bool) "after < before" true (after < before);
+      let pct = float_of_int (before - after) /. float_of_int before in
       Alcotest.(check bool) "reduction at least 80%" true (pct >= 0.80))
     rows
 

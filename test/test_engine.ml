@@ -488,9 +488,10 @@ let gen_hazard rng kind =
            else "s2 = amin1(s2, b(i,j) + t1)") ] )
   | 23 ->
       (* the folded expression reads the accumulator: the previous
-         point's value.  The array store makes the nest a field loop, so
-         its fallback is recorded. *)
-      ( carried, inner,
+         point's value, which no row keeps.  Loop fission splits the
+         fold off (no field loop, so no coverage entry) and the array
+         store's fragment runs as rows. *)
+      ( along_i, inner,
         [ f "s2 = s2 + 0.01 * s2 * sin(a(i,j) + %s)" (e ()); "b(i,j) = 0.5 * a(i,j)" ] )
   | 24 ->
       (* another statement reads the accumulator: no fold *)
@@ -781,6 +782,42 @@ c$acfd status(a, b)
     "unset accumulator: the fused kernel's error"
     "Runtime_error: variable 's' used before being set"
     (outcome (fun () -> I.Compile.run (I.Compile.create cu)))
+
+(* A field-loop nest whose innermost body holds an IF falls back as one
+   nest: a single coverage entry under all its levels' variables, none
+   for the inner DO *)
+let test_if_nest_counted_once () =
+  let cu =
+    I.Compile.compile ~fuse:true
+      (unit_of_source
+         {|
+      program ifnest
+      real a(8, 6), c(8, 6)
+      integer i, j
+      do j = 1, 6
+        do i = 1, 8
+          a(i, j) = 0.1 * float(i + j)
+          c(i, j) = 0.0
+        enddo
+      enddo
+      do j = 1, 6
+        do i = 1, 8
+          if (a(i, j) .gt. 0.5) c(i, j) = c(i, j) + 1.0
+        enddo
+      enddo
+      end
+|})
+  in
+  Alcotest.(check (list string))
+    "one entry per nest"
+    [ "line 5 do j,i: fused"; "line 11 do j,i: IF in loop body" ]
+    (List.map
+       (fun (c : I.Compile.coverage_entry) ->
+         Printf.sprintf "line %d do %s: %s" c.I.Compile.cov_line
+           (String.concat "," c.I.Compile.cov_vars)
+           (if c.I.Compile.cov_fused then "fused"
+            else I.Compile.reason_to_string c.I.Compile.cov_reason))
+       (I.Compile.coverage cu))
 
 (* The path of every bundled fused nest: a legality rule that turns too
    conservative moves a nest to the closure IR, or its rows off the
@@ -1074,6 +1111,7 @@ let suite =
     ("spmd kernel coverage 100%", `Quick, test_spmd_coverage);
     ("fused kernel paths pinned", `Quick, test_kernel_paths);
     ("row path long rows", `Quick, test_long_rows);
+    ("IF-bodied nest counted once", `Quick, test_if_nest_counted_once);
     ("compile-time init errors", `Quick, test_compile_init_errors);
     ( "compiled states own their storage", `Quick,
       test_compile_states_own_storage );

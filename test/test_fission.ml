@@ -98,6 +98,33 @@ let int_scalar_src =
    20 continue
 |}
 
+(* [t] is read before the body assigns it: that read sees the previous
+   point's value, so the {b, t} fragment would stay on the closure IR
+   and splitting the IF residue off would buy nothing *)
+let early_read_src =
+  program
+    {|      t = 0.0
+      do 20 j = 2, n - 1
+      do 20 i = 2, n - 1
+      b(i,j) = 0.5*t + a(i,j)
+      t = a(i,j)*0.25
+      if (a(i,j) .gt. 1.1) c(i,j) = c(i,j) + 1.0
+   20 continue
+|}
+
+(* a fold reads its own accumulator before assigning it, and still
+   fuses: it is no residue, so there is nothing to split off *)
+let fold_src =
+  program
+    {|      s = 0.0
+      do 20 j = 2, n - 1
+      do 20 i = 2, n - 1
+      b(i,j) = a(i,j) * 2.0
+      s = s + a(i,j)
+   20 continue
+      write (*,*) s
+|}
+
 (* every fission fragment of [line], in body order, via the provenance
    tags the pass leaves on the outermost DO of each fragment *)
 let frags_of_line unit line =
@@ -218,6 +245,13 @@ let test_int_scalar_unsplit () =
   let t = D.load int_scalar_src in
   Alcotest.(check int) "no nest split" 0 (List.length t.D.splits)
 
+let test_scalar_reads_unsplit () =
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check int) (name ^ ": no nest split") 0
+        (List.length (D.load src).D.splits))
+    [ ("early read", early_read_src); ("fold", fold_src) ]
+
 let test_backward_split () =
   let t = D.load backward_src in
   Alcotest.(check int) "anti-dependence still splits" 1
@@ -284,6 +318,7 @@ let suite =
     ("scalar temporary stays together", `Quick, test_scalar_stays_together);
     ("anti-dependence ordering", `Quick, test_backward_split);
     ("integer scratch nest stays whole", `Quick, test_int_scalar_unsplit);
+    ("scalar-read nests stay whole", `Quick, test_scalar_reads_unsplit);
     ("fission on/off bit-identical", `Quick, test_identical);
     ("four engines bit-identical", `Quick, test_four_engines);
     ("reason constructors round-trip", `Quick, test_reason_round_trip);

@@ -118,7 +118,7 @@ let test_table2_shape () =
   let rows = Autocfd.Experiments.table2 () in
   match rows with
   | [ _; p2; p4; p6 ] ->
-      let s r = Option.get r.Autocfd.Experiments.pr_speedup in
+      let s = Autocfd.Experiments.jf "speedup" in
       Alcotest.(check bool) "speedup at 2 procs is modest (< 1.5)" true
         (s p2 < 1.5);
       Alcotest.(check bool) "dip at 4 procs" true (s p4 < s p2);
@@ -131,7 +131,7 @@ let test_table3_shape () =
   let rows = Autocfd.Experiments.table3 () in
   match rows with
   | [ _; p2; p3; p4 ] ->
-      let s r = Option.get r.Autocfd.Experiments.pr_speedup in
+      let s = Autocfd.Experiments.jf "speedup" in
       Alcotest.(check bool) "monotone speedups" true
         (s p2 < s p3 && s p3 < s p4);
       Alcotest.(check bool) "2-proc speedup in [1.4, 2.0]" true
@@ -141,7 +141,7 @@ let test_table3_shape () =
 let test_table4_shape () =
   (* efficiency rises with grid density and saturates *)
   let rows = Autocfd.Experiments.table4 () in
-  let effs = List.map (fun r -> r.Autocfd.Experiments.t4_efficiency) rows in
+  let effs = List.map (Autocfd.Experiments.jf "efficiency") rows in
   let rec monotone = function
     | a :: b :: rest -> a <= b +. 0.02 && monotone (b :: rest)
     | _ -> true
@@ -156,9 +156,9 @@ let test_table5_superlinear () =
   match rows with
   | [ p2; p3; _p4 ] ->
       Alcotest.(check (float 1e-6)) "baseline 100%" 1.0
-        p2.Autocfd.Experiments.t5_eff_over_2;
+        (Autocfd.Experiments.jf "eff_over_2" p2);
       Alcotest.(check bool) "3 procs superlinear over 2" true
-        (p3.Autocfd.Experiments.t5_eff_over_2 > 1.0)
+        (Autocfd.Experiments.jf "eff_over_2" p3 > 1.0)
   | _ -> Alcotest.fail "expected 3 rows"
 
 let test_table5_needs_memory_knee () =

@@ -67,6 +67,41 @@ let test_table_rows_deterministic () =
   let parallel = render (E.sweep ~jobs:4 ()) in
   Alcotest.(check string) "table1 rows identical" serial parallel
 
+(* a table job's cache key is its spec with the program text replaced
+   by its digest: no source text in the key, a different cache file for
+   one changed source byte, and the full source still in the spec a
+   fabric worker resolves *)
+let test_table_job_key () =
+  let source = Autocfd_apps.Sprayer.source ~ni:30 ~nj:16 ~ntime:4 () in
+  let spec src =
+    J.Obj
+      [ ("kind", J.Str "predict-par"); ("source", J.Str src);
+        ("partition", J.Str "2x1") ]
+  in
+  let a = E.job ~table:"table3" ~label:"2 x 1" (spec source) in
+  let key = J.canonical a.Sched.Job.jb_key in
+  let contains needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length key && (String.sub key i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "no program text in the key" false
+    (contains "c$acfd grid(ni, nj)");
+  Alcotest.(check bool) "the source digest is" true
+    (contains (Sched.Job.digest source));
+  let changed = Bytes.of_string source in
+  Bytes.set changed (Bytes.length changed - 2) 'D';
+  let b = E.job ~table:"table3" ~label:"2 x 1" (spec (Bytes.to_string changed)) in
+  Alcotest.(check bool) "one changed source byte, another cache file" true
+    (Sched.Job.cache_name a <> Sched.Job.cache_name b);
+  Alcotest.(check string) "same spec, same cache file" (Sched.Job.cache_name a)
+    (Sched.Job.cache_name (E.job ~table:"table3" ~label:"x" (spec source)));
+  Alcotest.(check (option string)) "the spec carries the full source"
+    (Some source)
+    (Option.map (E.js "source") a.Sched.Job.jb_spec)
+
 (* ------------------------------------------------------------------ *)
 (* Cache: hits are bit-identical, misses on any key ingredient change  *)
 (* ------------------------------------------------------------------ *)
@@ -381,6 +416,7 @@ let suite =
     ("machinery failure propagates", `Quick,
      test_machinery_failure_propagates);
     ("table1 rows deterministic", `Quick, test_table_rows_deterministic);
+    ("table job key derived from its spec", `Quick, test_table_job_key);
     ("cache hit bit-identical", `Quick, test_cache_hit_identical);
     ("cache invalidation", `Quick, test_cache_invalidation);
     ("cache lookup checks stored key", `Quick, test_cache_lookup_checks_key);
