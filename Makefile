@@ -18,30 +18,41 @@ bench:
 bench-json:
 	dune exec bin/autocfd_cli.exe -- tables --json > BENCH_tables.json
 
+# export revision PARENT and the change into $(1)/parent and $(1)/change
+# and build the benchmark in each, so both sides build and run the same
+# way from sibling directories (the sweep workload keeps its cache and
+# fabric socket under the working directory).  The change is the working
+# tree as `git stash create` records it, or HEAD when the tree is clean:
+# new files must be `git add`ed first.  git archive leaves no worktree
+# to prune afterwards.
+define export_sides
+	rm -rf $(1) && mkdir -p $(1)/parent $(1)/change
+	git archive "$(PARENT)" | tar -x -C $(1)/parent
+	rev=$$(git stash create) && git archive "$${rev:-HEAD}" | tar -x -C $(1)/change
+	for side in parent change; do \
+	  (cd $(1)/$$side && DUNE_CACHE=disabled dune build --root . ./benchmark/main.exe) || exit 1; \
+	done
+endef
+
 # the paired protocol of benchmark/README.md against revision PARENT:
 # seeds 1-10, each running every workload for 30 s on both trees, the
 # side that runs first alternating by seed, then `compare` (exits 1 on a
-# worse end-to-end metric).  PARENT's tree is exported with git archive
-# (no worktree to prune afterwards) into the git-ignored _bench_pair/,
-# which also receives the results; malloc is tuned as benchmark/run.sh
-# tunes it.  About 45 minutes on a 2-core host.
+# worse end-to-end metric).  Both trees are exported into the
+# git-ignored _bench_pair/, which also receives the results; malloc is
+# tuned as benchmark/run.sh tunes it.  About 45 minutes on a 2-core host.
 bench-pair:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pair PARENT=<rev>" >&2; exit 2; }
-	rm -rf _bench_pair && mkdir -p _bench_pair/parent
-	git archive "$(PARENT)" | tar -x -C _bench_pair/parent
-	cd _bench_pair/parent && DUNE_CACHE=disabled dune build --root . ./benchmark/main.exe
-	DUNE_CACHE=disabled dune build ./benchmark/main.exe
+	$(call export_sides,_bench_pair)
 	export GLIBC_TUNABLES=glibc.malloc.trim_threshold=1073741824:glibc.malloc.mmap_threshold=33554432; \
 	for s in 1 2 3 4 5 6 7 8 9 10; do \
 	  if [ $$((s % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
 	  for side in $$order; do \
-	    if [ $$side = parent ]; then tree=_bench_pair/parent; else tree=.; fi; \
-	    (cd $$tree && ./_build/default/benchmark/main.exe all --seed $$s \
+	    (cd _bench_pair/$$side && ./_build/default/benchmark/main.exe all --seed $$s \
 	      --seconds 30 --out $(CURDIR)/_bench_pair/$$side.json) || exit 1; \
 	  done; \
 	done
-	./_build/default/benchmark/main.exe compare _bench_pair/parent.json \
-	  _bench_pair/change.json
+	_bench_pair/change/_build/default/benchmark/main.exe compare \
+	  _bench_pair/parent.json _bench_pair/change.json
 
 # per-layer numbers of one workload against revision PARENT: traced runs
 # (--trace 1, 20 s) of seeds 1-4 on both trees, the side that runs first
@@ -49,22 +60,18 @@ bench-pair:
 # median on each side and their ratio.  A time is divided by its run's
 # bench.ref_ms (the reference kernel timed in the same run) before the
 # median is taken; counts, bytes and ratios are shown as they are.
-# PARENT's tree is exported as bench-pair exports it, into the
+# Both trees are exported as bench-pair exports them, into the
 # git-ignored _bench_layers/, which also keeps each run's output.
 # About 4 minutes on a 2-core host.
 bench-layers:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { \
 	  echo "usage: make bench-layers PARENT=<rev> WORKLOAD=<name>" >&2; exit 2; }
-	rm -rf _bench_layers && mkdir -p _bench_layers/parent
-	git archive "$(PARENT)" | tar -x -C _bench_layers/parent
-	cd _bench_layers/parent && DUNE_CACHE=disabled dune build --root . ./benchmark/main.exe
-	DUNE_CACHE=disabled dune build ./benchmark/main.exe
+	$(call export_sides,_bench_layers)
 	export GLIBC_TUNABLES=glibc.malloc.trim_threshold=1073741824:glibc.malloc.mmap_threshold=33554432; \
 	for s in 1 2 3 4; do \
 	  if [ $$((s % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
 	  for side in $$order; do \
-	    if [ $$side = parent ]; then tree=_bench_layers/parent; else tree=.; fi; \
-	    (cd $$tree && ./_build/default/benchmark/main.exe --workload $(WORKLOAD) \
+	    (cd _bench_layers/$$side && ./_build/default/benchmark/main.exe --workload $(WORKLOAD) \
 	      --seed $$s --seconds 20 --trace 1) > _bench_layers/$$side.$$s.txt || exit 1; \
 	  done; \
 	done

@@ -421,9 +421,11 @@ let trace_cmd file spec_file parts nprocs no_fission engine out metrics_out =
   | None -> ());
   let stats = result.Autocfd_interp.Spmd.stats in
   Printf.printf
-    "%d ranks, %d trace events; %.3f s simulated (%d messages, %d bytes)\n"
+    "%d ranks, %d trace events; %.3f s %s (%d messages, %d bytes)\n"
     (Obs.Trace.nranks tracer) (Obs.Trace.length tracer)
-    stats.Autocfd_mpsim.Sim.elapsed stats.Autocfd_mpsim.Sim.messages
+    stats.Autocfd_mpsim.Sim.elapsed
+    (if m.Obs.Metrics.wall then "wall clock" else "simulated")
+    stats.Autocfd_mpsim.Sim.messages
     stats.Autocfd_mpsim.Sim.bytes;
   Array.iter
     (fun (r : Obs.Metrics.rank_row) ->
@@ -1122,8 +1124,9 @@ let profile_cmd_ =
   let prom =
     Arg.(value & flag
          & info [ "prom" ]
-             ~doc:"Emit the unified metrics registry in Prometheus text \
-                   exposition format instead of the human-readable profile.")
+             ~doc:"Emit the run's metrics and the pool's stats in \
+                   Prometheus text exposition format instead of the \
+                   human-readable profile.")
   in
   let min_cov =
     Arg.(value & opt float 0.95
@@ -1139,7 +1142,7 @@ let profile_cmd_ =
           with share of total compute and flop/byte throughput), \
           per-sync-point latency histograms and scheduler utilization.  \
           --json emits the full machine-readable profile, --prom the \
-          unified metrics registry in Prometheus text format.")
+          same metrics in Prometheus text format.")
     Term.(const profile_cmd $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
           $ fission_arg $ engine_arg
           $ top

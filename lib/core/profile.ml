@@ -10,7 +10,6 @@ module J = Obs.Json
 
 type t = {
   pf_label : string;
-  pf_trace : Obs.Trace.t;
   pf_metrics : Obs.Metrics.t;
   pf_pool : Sched.Pool.stats;
   pf_flops : float;
@@ -45,7 +44,6 @@ let run ?(spec = Runspec.default) ?(label = "profile") plan =
   | Error msg -> failwith ("profile: " ^ msg));
   {
     pf_label = label;
-    pf_trace = tracer;
     pf_metrics = Obs.Metrics.of_trace tracer;
     pf_pool = stats;
     pf_flops = !flops;
@@ -72,39 +70,17 @@ let coverage p =
   else if p.pf_flops > 0.0 then attributed_flops p /. p.pf_flops
   else 1.0
 
-(* per-execution phase durations, grouped by sync id in ascending order *)
-let sync_durations p =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Obs.Trace.event) ->
-      match e.Obs.Trace.ev_kind with
-      | Obs.Trace.Phase _ ->
-          let prev =
-            Option.value ~default:[] (Hashtbl.find_opt tbl e.Obs.Trace.ev_sync)
-          in
-          Hashtbl.replace tbl e.Obs.Trace.ev_sync
-            ((e.Obs.Trace.ev_t1 -. e.Obs.Trace.ev_t0) :: prev)
-      | _ -> ())
-    (Obs.Trace.events p.pf_trace);
-  Hashtbl.fold (fun sync ds acc -> (sync, List.rev ds) :: acc) tbl []
-  |> List.sort compare
+(* a sync point's mean execution latency and its nonzero latency buckets,
+   each as (upper bound, or None for the +Inf overflow; count) *)
+let mean (s : Obs.Metrics.sync_row) =
+  s.Obs.Metrics.sr_phase_time /. float_of_int (max 1 s.Obs.Metrics.sr_executions)
 
-let latency_bounds = Obs.Registry.seconds_buckets
-
-(* counts.(i) = observations in (bounds.(i-1), bounds.(i)]; the trailing
-   slot is the +Inf overflow — same "le" semantics as {!Obs.Registry} *)
-let bucketize ds =
-  let n = Array.length latency_bounds in
-  let counts = Array.make (n + 1) 0 in
-  List.iter
-    (fun v ->
-      let rec find i =
-        if i >= n then n else if v <= latency_bounds.(i) then i else find (i + 1)
-      in
-      let i = find 0 in
-      counts.(i) <- counts.(i) + 1)
-    ds;
-  counts
+let latency_buckets (s : Obs.Metrics.sync_row) =
+  let bounds = Obs.Registry.seconds_buckets in
+  Array.to_list s.Obs.Metrics.sr_latency
+  |> List.mapi (fun i c ->
+         ((if i < Array.length bounds then Some bounds.(i) else None), c))
+  |> List.filter (fun (_, c) -> c > 0)
 
 let fmt_si v =
   if v = 0.0 then "0"
@@ -217,8 +193,9 @@ let render ?(top = 10) p =
   let compute = compute_seconds p in
   let nranks = Array.length m.Obs.Metrics.ranks in
   pr "# profile: %s\n\n" p.pf_label;
-  pr "ranks %d, simulated elapsed %s; compute %s, messages %d, bytes %d\n\n"
+  pr "ranks %d, %s elapsed %s; compute %s, messages %d, bytes %d\n\n"
     nranks
+    (if m.Obs.Metrics.wall then "wall-clock" else "simulated")
     (fmt_seconds m.Obs.Metrics.elapsed)
     (fmt_seconds compute) m.Obs.Metrics.messages m.Obs.Metrics.bytes;
   (* -- hot nests ---------------------------------------------------- *)
@@ -229,12 +206,14 @@ let render ?(top = 10) p =
   pr "| nest | line | fused | calls | self | %% compute | flop/s | B/s |\n";
   pr "|---|---|---|---|---|---|---|---|\n";
   let row name (k : Obs.Metrics.kernel_row) =
+    (* a run that charged no virtual compute has no share to show *)
     let share =
-      if compute > 0.0 then 100.0 *. k.Obs.Metrics.kr_self /. compute
-      else 0.0
+      if compute > 0.0 then
+        Printf.sprintf "%5.1f%%" (100.0 *. k.Obs.Metrics.kr_self /. compute)
+      else "-"
     in
     let rate den v = if den > 0.0 then fmt_si (v /. den) else "-" in
-    pr "| %s | %d | %s | %d | %s | %5.1f%% | %s | %s |\n" name
+    pr "| %s | %d | %s | %d | %s | %s | %s | %s |\n" name
       k.Obs.Metrics.kr_line
       (if k.Obs.Metrics.kr_fused then "yes" else "no")
       k.Obs.Metrics.kr_calls
@@ -258,42 +237,24 @@ let render ?(top = 10) p =
   pr "\nattributed: %.1f%% of compute time across %d named nests\n\n"
     (100.0 *. coverage p) (List.length groups);
   (* -- per-sync latency --------------------------------------------- *)
-  let durs = sync_durations p in
-  if durs <> [] then begin
+  if m.Obs.Metrics.syncs <> [] then begin
     pr "## sync-point latency\n\n";
     List.iter
-      (fun (sync, ds) ->
-        let label =
-          match
-            List.find_opt
-              (fun (s : Obs.Metrics.sync_row) -> s.Obs.Metrics.sr_id = sync)
-              m.Obs.Metrics.syncs
-          with
-          | Some s -> s.Obs.Metrics.sr_label
-          | None -> Printf.sprintf "sync %d" sync
-        in
-        let n = List.length ds in
-        let total = List.fold_left ( +. ) 0.0 ds in
-        let mx = List.fold_left Float.max 0.0 ds in
-        pr "sync %d %s — %d executions, mean %s, max %s\n" sync label n
-          (fmt_seconds (if n > 0 then total /. float_of_int n else 0.0))
-          (fmt_seconds mx);
-        let counts = bucketize ds in
-        let peak = Array.fold_left max 1 counts in
-        Array.iteri
-          (fun i c ->
-            if c > 0 then begin
-              let le =
-                if i < Array.length latency_bounds then
-                  "<= " ^ fmt_seconds latency_bounds.(i)
-                else "   +Inf"
-              in
-              let bar = String.make (max 1 (c * 24 / peak)) '#' in
-              pr "  %-12s %6d  %s\n" le c bar
-            end)
-          counts;
+      (fun (s : Obs.Metrics.sync_row) ->
+        pr "sync %d %s — %d executions, mean %s, max %s\n" s.Obs.Metrics.sr_id
+          s.Obs.Metrics.sr_label s.Obs.Metrics.sr_executions
+          (fmt_seconds (mean s)) (fmt_seconds s.Obs.Metrics.sr_max);
+        let buckets = latency_buckets s in
+        let peak = List.fold_left (fun a (_, c) -> max a c) 1 buckets in
+        List.iter
+          (fun (le, c) ->
+            let le =
+              match le with Some v -> "<= " ^ fmt_seconds v | None -> "   +Inf"
+            in
+            pr "  %-12s %6d  %s\n" le c (String.make (max 1 (c * 24 / peak)) '#'))
+          buckets;
         pr "\n")
-      durs
+      m.Obs.Metrics.syncs
   end;
   (* -- pool --------------------------------------------------------- *)
   pr "%s" (Report.sched_summary [ (p.pf_label, p.pf_pool) ]);
@@ -309,8 +270,8 @@ let kernel_json compute (k : Obs.Metrics.kernel_row) =
     ("bytes", J.Float k.Obs.Metrics.kr_bytes);
     ("self_seconds", J.Float k.Obs.Metrics.kr_self);
     ( "share",
-      J.Float
-        (if compute > 0.0 then k.Obs.Metrics.kr_self /. compute else 0.0) );
+      if compute > 0.0 then J.Float (k.Obs.Metrics.kr_self /. compute)
+      else J.Null );
     ( "flops_per_second",
       if k.Obs.Metrics.kr_self > 0.0 then
         J.Float (k.Obs.Metrics.kr_flops /. k.Obs.Metrics.kr_self)
@@ -336,45 +297,24 @@ let nest_json compute g =
                  frags) );
         ])
 
-let sync_json m (sync, ds) =
-  let label =
-    match
-      List.find_opt
-        (fun (s : Obs.Metrics.sync_row) -> s.Obs.Metrics.sr_id = sync)
-        m.Obs.Metrics.syncs
-    with
-    | Some s -> s.Obs.Metrics.sr_label
-    | None -> Printf.sprintf "sync %d" sync
-  in
-  let n = List.length ds in
-  let total = List.fold_left ( +. ) 0.0 ds in
-  let counts = bucketize ds in
-  let buckets =
-    List.filter_map Fun.id
-      (Array.to_list
-         (Array.mapi
-            (fun i c ->
-              if c = 0 then None
-              else
-                Some
-                  (J.Obj
-                     [
-                       ( "le",
-                         if i < Array.length latency_bounds then
-                           J.Float latency_bounds.(i)
-                         else J.Null );
-                       ("count", J.Int c);
-                     ]))
-            counts))
-  in
+let sync_json (s : Obs.Metrics.sync_row) =
   J.Obj
     [
-      ("sync", J.Int sync);
-      ("label", J.Str label);
-      ("executions", J.Int n);
-      ("mean", J.Float (if n > 0 then total /. float_of_int n else 0.0));
-      ("max", J.Float (List.fold_left Float.max 0.0 ds));
-      ("buckets", J.List buckets);
+      ("sync", J.Int s.Obs.Metrics.sr_id);
+      ("label", J.Str s.Obs.Metrics.sr_label);
+      ("executions", J.Int s.Obs.Metrics.sr_executions);
+      ("mean", J.Float (mean s));
+      ("max", J.Float s.Obs.Metrics.sr_max);
+      ( "buckets",
+        J.List
+          (List.map
+             (fun (le, c) ->
+               J.Obj
+                 [
+                   ("le", match le with Some v -> J.Float v | None -> J.Null);
+                   ("count", J.Int c);
+                 ])
+             (latency_buckets s)) );
     ]
 
 let to_json ?(top = 10) p =
@@ -389,36 +329,65 @@ let to_json ?(top = 10) p =
       ("attributed_seconds", J.Float (attributed_seconds p));
       ("coverage", J.Float (coverage p));
       ("nests", J.List (List.map (nest_json compute) (hot_nests ~top p)));
-      ("sync_latency", J.List (List.map (sync_json m) (sync_durations p)));
+      ("sync_latency", J.List (List.map sync_json m.Obs.Metrics.syncs));
       ("sched", Report.sched_summary_json [ (p.pf_label, p.pf_pool) ]);
       ("metrics", Obs.Metrics.to_json m);
     ]
 
-let registry p =
-  let reg = Obs.Registry.create () in
-  Obs.Registry.observe_trace reg p.pf_trace;
+(* the trace's families, then the pool's: cache probes, job outcomes and
+   times, queue waits and per-worker busy seconds and utilization *)
+let to_prometheus p =
+  let module R = Obs.Registry in
+  let module Pool = Sched.Pool in
   let s = p.pf_pool in
-  let probe outcome v =
-    Obs.Registry.inc reg "autocfd_pool_cache_probes_total" (float_of_int v)
-      ~labels:[ ("outcome", outcome) ]
-      ~help:"sweep-pool cache probes by outcome (hit / miss / corrupt)"
+  let fam name help samples = { R.name; help; samples } in
+  let outcomes l =
+    List.map (fun (k, c) -> ([ ("outcome", k) ], float_of_int c)) l
   in
-  probe "hit" s.Sched.Pool.ps_hits;
-  probe "miss" s.Sched.Pool.ps_misses;
-  probe "corrupt" s.Sched.Pool.ps_corrupt;
-  List.iter
-    (fun (e : Sched.Pool.event) ->
-      Obs.Registry.observe reg "autocfd_sched_queue_wait_seconds"
-        e.Sched.Pool.pe_t0
-        ~help:"wall-clock delay between pool start and job pickup")
-    s.Sched.Pool.ps_events;
-  Array.iteri
-    (fun w _ ->
-      Obs.Registry.set reg "autocfd_pool_utilization"
-        (Sched.Pool.utilization s w)
-        ~labels:[ ("worker", string_of_int w) ]
-        ~help:"per-worker busy fraction of the batch elapsed")
-    s.Sched.Pool.ps_busy;
-  reg
-
-let to_prometheus p = Obs.Registry.to_prometheus (registry p)
+  let workers keep f =
+    List.init (Array.length s.Pool.ps_busy) Fun.id
+    |> List.filter keep
+    |> List.map (fun w -> ([ ("worker", string_of_int w) ], f w))
+  in
+  let hist f =
+    let vs = List.map f s.Pool.ps_events in
+    let counts = Array.make (Array.length R.seconds_buckets + 1) 0 in
+    List.iter
+      (fun v ->
+        let i = R.bucket R.seconds_buckets v in
+        counts.(i) <- counts.(i) + 1)
+      vs;
+    R.Histogram
+      [ ([], { R.bounds = R.seconds_buckets; counts;
+               sum = List.fold_left ( +. ) 0.0 vs }) ]
+  in
+  Obs.Metrics.to_prometheus p.pf_metrics
+  ^ R.to_prometheus
+      [
+        fam "autocfd_pool_cache_probes_total"
+          "sweep-pool cache probes by outcome (hit / miss / corrupt)"
+          (R.Counter
+             (outcomes
+                [ ("corrupt", s.Pool.ps_corrupt); ("hit", s.Pool.ps_hits);
+                  ("miss", s.Pool.ps_misses) ]));
+        fam "autocfd_pool_utilization"
+          "per-worker busy fraction of the batch elapsed"
+          (R.Gauge (workers (fun _ -> true) (Pool.utilization s)));
+        fam "autocfd_sched_jobs_total" "sweep jobs by outcome (run / hit / error)"
+          (R.Counter
+             (outcomes
+                (List.filter
+                   (fun (_, c) -> c > 0)
+                   [ ("error", s.Pool.ps_errors); ("hit", s.Pool.ps_hits);
+                     ("run", s.Pool.ps_misses - s.Pool.ps_errors) ])));
+        fam "autocfd_sched_job_seconds"
+          "wall-clock job handling time in the sweep pool"
+          (hist (fun e -> e.Pool.pe_t1 -. e.Pool.pe_t0));
+        fam "autocfd_sched_busy_seconds_total"
+          "wall-clock busy seconds per pool worker"
+          (R.Counter
+             (workers (fun w -> s.Pool.ps_ran.(w) > 0) (fun w -> s.Pool.ps_busy.(w))));
+        fam "autocfd_sched_queue_wait_seconds"
+          "wall-clock delay between pool start and job pickup"
+          (hist (fun e -> e.Pool.pe_t0));
+      ]

@@ -1,16 +1,15 @@
 (** Kernel-level profiler over one traced run.
 
     [run] executes a plan as a single uncached job through the sweep pool
-    with a shared tracer, so the simulator's virtual-clock events and the
-    scheduler's wall-clock events land in one trace; the derived profile
-    attributes virtual compute time to named field-loop nests (the
-    {!Autocfd_obs.Trace.Kernel} summaries emitted by the fused engine) and
-    renders the [autocfd profile] verb's output: hot-nest table,
-    per-sync-point latency histograms and pool utilization. *)
+    and folds the run's trace once, into {!Autocfd_obs.Metrics.t}; every
+    output here renders those rows plus the pool's stats: the
+    [autocfd profile] verb's hot-nest table (virtual compute time
+    attributed to named field-loop nests by the fused engine's
+    {!Autocfd_obs.Trace.Kernel} summaries), per-sync-point latency
+    histograms and pool utilization, as text, JSON or Prometheus text. *)
 
 type t = {
   pf_label : string;
-  pf_trace : Autocfd_obs.Trace.t;
   pf_metrics : Autocfd_obs.Metrics.t;
   pf_pool : Autocfd_sched.Pool.stats;
   pf_flops : float;  (** total executed flops, summed over ranks *)
@@ -61,17 +60,17 @@ val hot_nests : ?top:int -> t -> nest_group list
 val render : ?top:int -> t -> string
 (** Human-readable profile: run summary, hot-nest table (self time, share
     of compute, flop and byte throughput), per-sync-point latency
-    histograms (log₂ buckets) and the scheduler utilization table. *)
+    histograms (log₂ buckets) and the scheduler utilization table.  A
+    Domains run is labelled wall-clock, and its nests show no share of
+    compute: it charges no virtual compute. *)
 
 val to_json : ?top:int -> t -> Autocfd_obs.Json.t
 (** Machine-readable profile (schema ["autocfd-profile/1"]): the same
     sections plus the full embedded metrics document. *)
 
-val registry : t -> Autocfd_obs.Registry.t
-(** A metrics registry fed from the trace ({!Autocfd_obs.Registry.observe_trace})
-    plus the pool's stats: cache-probe outcome counters (hit / miss /
-    corruption-miss), a queue-wait histogram and per-worker utilization
-    gauges. *)
-
 val to_prometheus : t -> string
-(** [Registry.to_prometheus (registry t)] — the [profile --prom] body. *)
+(** The [profile --prom] body: {!Autocfd_obs.Metrics.to_prometheus} of
+    the run's metrics, then the pool's families from its stats (cache
+    probe outcomes including corruption misses, job outcomes, job-time
+    and queue-wait histograms, per-worker busy seconds and utilization
+    gauges). *)

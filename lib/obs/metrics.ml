@@ -16,6 +16,8 @@ type sync_row = {
   sr_comm_time : float;
   sr_blocked_time : float;
   sr_phase_time : float;
+  sr_max : float;
+  sr_latency : int array;
 }
 
 type kind_row = {
@@ -23,6 +25,7 @@ type kind_row = {
   kb_events : int;
   kb_bytes : int;
   kb_time : float;
+  kb_sizes : int array;
 }
 
 type kernel_row = {
@@ -37,15 +40,11 @@ type kernel_row = {
   kr_self : float;
 }
 
-type sched_worker = { sw_worker : int; sw_jobs : int; sw_busy : float }
-
-type sched_stats = {
-  sc_jobs : int;
-  sc_run : int;
-  sc_hits : int;
-  sc_errors : int;
-  sc_elapsed : float;
-  sc_workers : sched_worker list;
+type wait_row = {
+  wr_kind : string;
+  wr_rank : int;
+  wr_seconds : float;
+  wr_hist : int array;
 }
 
 type t = {
@@ -56,44 +55,27 @@ type t = {
   bytes : int;
   by_kind : kind_row list;
   kernels : kernel_row list;
-  sched : sched_stats option;
-  faults : int;
+  collectives : (string * int) list;
+  waits : wait_row list;
+  faults : (string * int) list;
   retransmits : int;
   checkpoints : int;
   restores : int;
+  checkpoint_bytes : int;
+  wall : bool;
 }
 
-type sync_acc = {
-  mutable a_label : string;
-  mutable a_loop : string option;
-  mutable a_executions : int;
-  mutable a_messages : int;
-  mutable a_bytes : int;
-  mutable a_comm : float;
-  mutable a_blocked : float;
-  mutable a_phase : float;
-}
+(* [f] applied to the row under [key], made by [init] on first use *)
+let update tbl key init f =
+  Hashtbl.replace tbl key
+    (f (match Hashtbl.find_opt tbl key with Some r -> r | None -> init ()))
 
-type kind_acc = {
-  mutable ka_events : int;
-  mutable ka_bytes : int;
-  mutable ka_time : float;
-}
+let rows tbl cmp = List.sort cmp (Hashtbl.fold (fun _ r acc -> r :: acc) tbl [])
+let counts bounds = Array.make (Array.length bounds + 1) 0
 
-type kernel_acc = {
-  mutable na_fused : bool;
-  mutable na_frag : int;
-  mutable na_nfrags : int;
-  mutable na_calls : int;
-  mutable na_flops : float;
-  mutable na_bytes : float;
-  mutable na_self : float;
-}
-
-type sched_acc = {
-  mutable wa_jobs : int;
-  mutable wa_busy : float;
-}
+let observe hist bounds v =
+  let i = Registry.bucket bounds v in
+  hist.(i) <- hist.(i) + 1
 
 let of_trace tr =
   let n = Trace.nranks tr in
@@ -101,46 +83,43 @@ let of_trace tr =
   and comm = Array.make n 0.0
   and blocked = Array.make n 0.0
   and finish = Array.make n 0.0 in
-  let messages = ref 0 and bytes = ref 0 in
-  let faults = ref 0 and retransmits = ref 0 in
-  let checkpoints = ref 0 and restores = ref 0 in
-  let syncs : (int, sync_acc) Hashtbl.t = Hashtbl.create 16 in
-  let kinds : (string, kind_acc) Hashtbl.t = Hashtbl.create 8 in
+  let add a r v = if r >= 0 && r < n then a.(r) <- a.(r) +. v in
+  let messages = ref 0 and bytes = ref 0 and retransmits = ref 0 in
+  let checkpoints = ref 0 and restores = ref 0 and checkpoint_bytes = ref 0 in
+  let wall = ref false in
+  let syncs = Hashtbl.create 16 and kinds = Hashtbl.create 8 in
+  let kernels = Hashtbl.create 16 and waits = Hashtbl.create 8 in
+  let collectives = Hashtbl.create 4 and faults = Hashtbl.create 4 in
   let kind_order = ref [] in
-  let kernels : (int * string, kernel_acc) Hashtbl.t = Hashtbl.create 16 in
-  let sched_workers : (int, sched_acc) Hashtbl.t = Hashtbl.create 8 in
-  let sched_run = ref 0 and sched_hits = ref 0 and sched_errors = ref 0 in
-  let sched_seen = ref false and sched_elapsed = ref 0.0 in
-  let acc id =
-    match Hashtbl.find_opt syncs id with
-    | Some a -> a
-    | None ->
-        let a =
-          { a_label = ""; a_loop = None; a_executions = 0; a_messages = 0;
-            a_bytes = 0; a_comm = 0.0; a_blocked = 0.0; a_phase = 0.0 }
-        in
-        Hashtbl.replace syncs id a;
-        a
-  in
-  let kacc kind =
-    match Hashtbl.find_opt kinds kind with
-    | Some a -> a
-    | None ->
-        let a = { ka_events = 0; ka_bytes = 0; ka_time = 0.0 } in
-        Hashtbl.replace kinds kind a;
-        kind_order := kind :: !kind_order;
-        a
-  in
+  let count tbl k = update tbl k (fun () -> (k, 0)) (fun (k, c) -> (k, c + 1)) in
   let by_kind ~kind ~b dur =
-    let a = kacc kind in
-    a.ka_events <- a.ka_events + 1;
-    a.ka_bytes <- a.ka_bytes + b;
-    a.ka_time <- a.ka_time +. dur
+    update kinds kind
+      (fun () ->
+        kind_order := kind :: !kind_order;
+        { kb_kind = kind; kb_events = 0; kb_bytes = 0; kb_time = 0.0;
+          kb_sizes = counts Registry.bytes_buckets })
+      (fun k ->
+        observe k.kb_sizes Registry.bytes_buckets (float_of_int b);
+        { k with kb_events = k.kb_events + 1; kb_bytes = k.kb_bytes + b;
+                 kb_time = k.kb_time +. dur })
   in
   List.iter
     (fun (e : Trace.event) ->
       let r = e.Trace.ev_rank in
       let dur = e.Trace.ev_t1 -. e.Trace.ev_t0 in
+      (* [f] applied to the row of the sync point the event is inside *)
+      let sync f =
+        let id = e.Trace.ev_sync in
+        if id >= 0 then
+          update syncs id
+            (fun () ->
+              { sr_id = id; sr_label = ""; sr_loop = None; sr_executions = 0;
+                sr_messages = 0; sr_bytes = 0; sr_comm_time = 0.0;
+                sr_blocked_time = 0.0; sr_phase_time = 0.0; sr_max = 0.0;
+                sr_latency = counts Registry.seconds_buckets })
+            f
+      in
+      wall := !wall || e.Trace.ev_wall;
       (* kernel and sched events are summaries / wall-clock lanes: they do
          not extend a rank's virtual finish time *)
       (match e.Trace.ev_kind with
@@ -148,182 +127,112 @@ let of_trace tr =
       | _ ->
           if r >= 0 && r < n then
             finish.(r) <- Float.max finish.(r) e.Trace.ev_t1);
-      let tagged = e.Trace.ev_sync >= 0 in
       match e.Trace.ev_kind with
-      | Trace.Compute -> if r >= 0 && r < n then compute.(r) <- compute.(r) +. dur
-      | Trace.Send { bytes = b; _ } ->
-          if r >= 0 && r < n then comm.(r) <- comm.(r) +. dur;
+      | Trace.Compute -> add compute r dur
+      | (Trace.Send { bytes = b; _ } | Trace.Collective { bytes = b; _ }) as k
+        ->
+          (* a send, or one rank's participation in a collective: each
+             counts as a message and carries its payload *)
+          let kind =
+            match k with
+            | Trace.Collective { op; _ } ->
+                count collectives op;
+                "collective"
+            | _ -> "send"
+          in
+          add comm r dur;
           incr messages;
           bytes := !bytes + b;
-          by_kind ~kind:"send" ~b dur;
-          if tagged then begin
-            let a = acc e.Trace.ev_sync in
-            a.a_messages <- a.a_messages + 1;
-            a.a_bytes <- a.a_bytes + b;
-            a.a_comm <- a.a_comm +. dur
-          end
+          by_kind ~kind ~b dur;
+          sync (fun s ->
+              { s with sr_messages = s.sr_messages + 1;
+                       sr_bytes = s.sr_bytes + b;
+                       sr_comm_time = s.sr_comm_time +. dur })
       | Trace.Recv { bytes = b; _ } ->
           (* wire bytes are counted at origination (send / collective);
              recv rows appear only in the per-kind breakdown *)
-          if r >= 0 && r < n then comm.(r) <- comm.(r) +. dur;
+          add comm r dur;
           by_kind ~kind:"recv" ~b dur;
-          if tagged then begin
-            let a = acc e.Trace.ev_sync in
-            a.a_comm <- a.a_comm +. dur
-          end
-      | Trace.Collective { bytes = b; _ } ->
-          (* one participation per rank: each counts as a message and
-             carries the collective's payload *)
-          if r >= 0 && r < n then comm.(r) <- comm.(r) +. dur;
-          incr messages;
-          bytes := !bytes + b;
-          by_kind ~kind:"collective" ~b dur;
-          if tagged then begin
-            let a = acc e.Trace.ev_sync in
-            a.a_messages <- a.a_messages + 1;
-            a.a_bytes <- a.a_bytes + b;
-            a.a_comm <- a.a_comm +. dur
-          end
-      | Trace.Blocked _ ->
-          if r >= 0 && r < n then blocked.(r) <- blocked.(r) +. dur;
-          if tagged then begin
-            let a = acc e.Trace.ev_sync in
-            a.a_blocked <- a.a_blocked +. dur
-          end
+          sync (fun s -> { s with sr_comm_time = s.sr_comm_time +. dur })
+      | Trace.Blocked { tag; _ } ->
+          add blocked r dur;
+          sync (fun s -> { s with sr_blocked_time = s.sr_blocked_time +. dur });
+          if e.Trace.ev_wall then
+            (* a Domains-engine wait: tag -1 marks a barrier or
+               collective, anything else a point-to-point receive *)
+            let kind = if tag < 0 then "barrier" else "recv" in
+            update waits (kind, r)
+              (fun () ->
+                { wr_kind = kind; wr_rank = r; wr_seconds = 0.0;
+                  wr_hist = counts Registry.seconds_buckets })
+              (fun w ->
+                observe w.wr_hist Registry.seconds_buckets dur;
+                { w with wr_seconds = w.wr_seconds +. dur })
       | Trace.Phase { label; loop; _ } ->
-          if tagged then begin
-            let a = acc e.Trace.ev_sync in
-            a.a_label <- label;
-            (match loop with Some _ -> a.a_loop <- loop | None -> ());
-            a.a_executions <- a.a_executions + 1;
-            a.a_phase <- a.a_phase +. dur
-          end
-      | Trace.Fault _ ->
+          sync (fun s ->
+              observe s.sr_latency Registry.seconds_buckets dur;
+              { s with sr_label = label;
+                       sr_loop = (if loop = None then s.sr_loop else loop);
+                       sr_executions = s.sr_executions + 1;
+                       sr_phase_time = s.sr_phase_time +. dur;
+                       sr_max = Float.max s.sr_max dur })
+      | Trace.Fault { what; _ } ->
           (* stall faults carry their pause as duration: idle time *)
-          incr faults;
-          if r >= 0 && r < n then blocked.(r) <- blocked.(r) +. dur
+          count faults what;
+          add blocked r dur
       | Trace.Retransmit _ -> incr retransmits
-      | Trace.Checkpoint { save; _ } ->
+      | Trace.Checkpoint { save; bytes = b } ->
           (* snapshot/restore cost is charged like communication (the
              coordinated state movement of the recovery layer) *)
           if save then incr checkpoints else incr restores;
-          if r >= 0 && r < n then comm.(r) <- comm.(r) +. dur
-      | Trace.Sched { what; _ } ->
-          (* sweep-scheduler events live on wall-clock, not the virtual
-             clock: they get their own section instead of polluting the
-             per-rank virtual-time accounting *)
-          sched_seen := true;
-          sched_elapsed := Float.max !sched_elapsed e.Trace.ev_t1;
-          (match what with
-          | "hit" -> incr sched_hits
-          | "error" -> incr sched_errors
-          | _ -> incr sched_run);
-          let a =
-            match Hashtbl.find_opt sched_workers r with
-            | Some a -> a
-            | None ->
-                let a = { wa_jobs = 0; wa_busy = 0.0 } in
-                Hashtbl.replace sched_workers r a;
-                a
-          in
-          a.wa_jobs <- a.wa_jobs + 1;
-          a.wa_busy <- a.wa_busy +. dur
+          checkpoint_bytes := !checkpoint_bytes + b;
+          add comm r dur
+      | Trace.Sched _ ->
+          (* sweep-scheduler events are the pool's wall-clock lanes: its
+             stats, not this fold, account for them *)
+          ()
       | Trace.Kernel { name; line; fused; frag; nfrags; calls; flops;
                        bytes = kb } ->
-          let key = (line, name) in
-          let a =
-            match Hashtbl.find_opt kernels key with
-            | Some a -> a
-            | None ->
-                let a =
-                  { na_fused = fused; na_frag = frag; na_nfrags = nfrags;
-                    na_calls = 0; na_flops = 0.0;
-                    na_bytes = 0.0; na_self = 0.0 }
-                in
-                Hashtbl.replace kernels key a;
-                a
-          in
-          a.na_fused <- a.na_fused && fused;
-          a.na_calls <- a.na_calls + calls;
-          a.na_flops <- a.na_flops +. flops;
-          a.na_bytes <- a.na_bytes +. kb;
-          a.na_self <- a.na_self +. dur)
+          update kernels (line, name)
+            (fun () ->
+              { kr_name = name; kr_line = line; kr_fused = fused;
+                kr_frag = frag; kr_nfrags = nfrags; kr_calls = 0;
+                kr_flops = 0.0; kr_bytes = 0.0; kr_self = 0.0 })
+            (fun k ->
+              { k with kr_fused = k.kr_fused && fused;
+                       kr_calls = k.kr_calls + calls;
+                       kr_flops = k.kr_flops +. flops;
+                       kr_bytes = k.kr_bytes +. kb;
+                       kr_self = k.kr_self +. dur }))
     (Trace.events tr);
-  let ranks =
-    Array.init n (fun r ->
-        { rr_rank = r; rr_compute = compute.(r); rr_comm = comm.(r);
-          rr_blocked = blocked.(r); rr_finish = finish.(r) })
-  in
-  let syncs =
-    Hashtbl.fold
-      (fun id (a : sync_acc) rows ->
-        { sr_id = id; sr_label = a.a_label; sr_loop = a.a_loop;
-          sr_executions = a.a_executions; sr_messages = a.a_messages;
-          sr_bytes = a.a_bytes; sr_comm_time = a.a_comm;
-          sr_blocked_time = a.a_blocked; sr_phase_time = a.a_phase }
-        :: rows)
-      syncs []
-    |> List.sort (fun a b -> compare a.sr_id b.sr_id)
-  in
-  let by_kind =
-    List.rev_map
-      (fun kind ->
-        let a = Hashtbl.find kinds kind in
-        { kb_kind = kind; kb_events = a.ka_events; kb_bytes = a.ka_bytes;
-          kb_time = a.ka_time })
-      !kind_order
-  in
-  let kernel_rows =
-    Hashtbl.fold
-      (fun (line, name) (a : kernel_acc) rows ->
-        { kr_name = name; kr_line = line; kr_fused = a.na_fused;
-          kr_frag = a.na_frag; kr_nfrags = a.na_nfrags;
-          kr_calls = a.na_calls; kr_flops = a.na_flops;
-          kr_bytes = a.na_bytes; kr_self = a.na_self }
-        :: rows)
-      kernels []
-    |> List.sort (fun a b ->
-           match compare b.kr_self a.kr_self with
-           | 0 -> (
-               match compare b.kr_flops a.kr_flops with
-               | 0 -> compare a.kr_line b.kr_line
-               | c -> c)
-           | c -> c)
-  in
-  let sched =
-    if not !sched_seen then None
-    else
-      let workers =
-        Hashtbl.fold
-          (fun w (a : sched_acc) rows ->
-            { sw_worker = w; sw_jobs = a.wa_jobs; sw_busy = a.wa_busy }
-            :: rows)
-          sched_workers []
-        |> List.sort (fun a b -> compare a.sw_worker b.sw_worker)
-      in
-      Some
-        {
-          sc_jobs = !sched_run + !sched_hits + !sched_errors;
-          sc_run = !sched_run;
-          sc_hits = !sched_hits;
-          sc_errors = !sched_errors;
-          sc_elapsed = !sched_elapsed;
-          sc_workers = workers;
-        }
-  in
   {
-    ranks;
-    syncs;
+    ranks =
+      Array.init n (fun r ->
+          { rr_rank = r; rr_compute = compute.(r); rr_comm = comm.(r);
+            rr_blocked = blocked.(r); rr_finish = finish.(r) });
+    syncs = rows syncs (fun a b -> compare a.sr_id b.sr_id);
     elapsed = Array.fold_left Float.max 0.0 finish;
     messages = !messages;
     bytes = !bytes;
-    by_kind;
-    kernels = kernel_rows;
-    sched;
-    faults = !faults;
+    by_kind = List.rev_map (Hashtbl.find kinds) !kind_order;
+    kernels =
+      rows kernels (fun a b ->
+          match compare b.kr_self a.kr_self with
+          | 0 -> (
+              match compare b.kr_flops a.kr_flops with
+              | 0 -> compare a.kr_line b.kr_line
+              | c -> c)
+          | c -> c);
+    collectives = rows collectives compare;
+    waits =
+      rows waits (fun a b ->
+          compare (a.wr_kind, a.wr_rank) (b.wr_kind, b.wr_rank));
+    faults = rows faults compare;
     retransmits = !retransmits;
     checkpoints = !checkpoints;
     restores = !restores;
+    checkpoint_bytes = !checkpoint_bytes;
+    wall = !wall;
   }
 
 let to_json m =
@@ -375,34 +284,13 @@ let to_json m =
         ("self_time", Json.Float k.kr_self);
       ]
   in
-  let sched_json (s : sched_stats) =
-    Json.Obj
-      [
-        ("jobs", Json.Int s.sc_jobs);
-        ("run", Json.Int s.sc_run);
-        ("hits", Json.Int s.sc_hits);
-        ("errors", Json.Int s.sc_errors);
-        ("elapsed_wall", Json.Float s.sc_elapsed);
-        ("workers",
-         Json.List
-           (List.map
-              (fun w ->
-                Json.Obj
-                  [
-                    ("worker", Json.Int w.sw_worker);
-                    ("jobs", Json.Int w.sw_jobs);
-                    ("busy_wall", Json.Float w.sw_busy);
-                  ])
-              s.sc_workers));
-      ]
-  in
   Json.Obj
     [
-      ("schema", Json.Str "autocfd-metrics/2");
+      ("schema", Json.Str "autocfd-metrics/3");
       ("elapsed", Json.Float m.elapsed);
       ("messages", Json.Int m.messages);
       ("bytes", Json.Int m.bytes);
-      ("faults", Json.Int m.faults);
+      ("faults", Json.Int (List.fold_left (fun a (_, c) -> a + c) 0 m.faults));
       ("retransmits", Json.Int m.retransmits);
       ("checkpoints", Json.Int m.checkpoints);
       ("restores", Json.Int m.restores);
@@ -410,6 +298,107 @@ let to_json m =
       ("ranks", Json.List (List.map rank_json (Array.to_list m.ranks)));
       ("sync_points", Json.List (List.map sync_json m.syncs));
       ("kernels", Json.List (List.map kernel_json m.kernels));
-      ("sched",
-       match m.sched with Some s -> sched_json s | None -> Json.Null);
+    ]
+
+let to_prometheus m =
+  let module R = Registry in
+  let fam name help samples = { R.name; help; samples } in
+  let sum f l = List.fold_left (fun a x -> a +. f x) 0.0 l in
+  let int_series label l =
+    List.map (fun (k, c) -> ([ (label, k) ], float_of_int c)) l
+  in
+  let hist bounds counts sum = { R.bounds; counts; sum } in
+  let kinds = List.sort (fun a b -> compare a.kb_kind b.kb_kind) m.by_kind in
+  (* originated traffic: the recv row carries comm seconds only *)
+  let sent = List.filter (fun k -> k.kb_kind <> "recv") kinds in
+  let per_kind rows f = List.map (fun k -> ([ ("kind", k.kb_kind) ], f k)) rows in
+  let kernels = List.sort (fun a b -> compare a.kr_name b.kr_name) m.kernels in
+  let per_kernel f = List.map (fun k -> ([ ("kernel", k.kr_name) ], f k)) kernels in
+  let per_sync f =
+    List.map
+      (fun s -> ([ ("id", string_of_int s.sr_id); ("sync", s.sr_label) ], f s))
+      m.syncs
+  in
+  (* the virtual-clock totals of a simulated run; a Domains run's waits
+     and kernel seconds are wall-clock families of their own *)
+  let ranks = Array.to_list m.ranks in
+  let series_if cond v = if cond then [ ([], v) ] else [] in
+  let wait_kinds = List.sort_uniq compare (List.map (fun w -> w.wr_kind) m.waits) in
+  R.to_prometheus
+    [
+      fam "autocfd_compute_seconds_total" "virtual compute seconds across ranks"
+        (R.Counter (series_if (not m.wall) (sum (fun r -> r.rr_compute) ranks)));
+      fam "autocfd_blocked_seconds_total"
+        "virtual blocked-idle seconds across ranks"
+        (R.Counter (series_if (not m.wall) (sum (fun r -> r.rr_blocked) ranks)));
+      fam "autocfd_messages_total"
+        "messages originated (p2p sends and collective participations)"
+        (R.Counter (per_kind sent (fun k -> float_of_int k.kb_events)));
+      fam "autocfd_comm_bytes_total"
+        "payload bytes originated, by communication kind"
+        (R.Counter (per_kind sent (fun k -> float_of_int k.kb_bytes)));
+      fam "autocfd_comm_seconds_total" "virtual communication seconds, by kind"
+        (R.Counter (per_kind kinds (fun k -> k.kb_time)));
+      fam "autocfd_message_bytes" "message size distribution"
+        (R.Histogram
+           (per_kind sent (fun k ->
+                hist R.bytes_buckets k.kb_sizes (float_of_int k.kb_bytes))));
+      fam "autocfd_collectives_total"
+        "per-rank collective participations, by operation"
+        (R.Counter (int_series "op" m.collectives));
+      fam "autocfd_sync_executions_total"
+        "phase entries per combined synchronization point"
+        (R.Counter (per_sync (fun s -> float_of_int s.sr_executions)));
+      fam "autocfd_sync_latency_seconds"
+        "per-execution latency of each combined sync point"
+        (R.Histogram
+           (per_sync (fun s ->
+                hist R.seconds_buckets s.sr_latency s.sr_phase_time)));
+      fam "autocfd_domains_wait_seconds_total"
+        "wall-clock seconds Domains-engine ranks spent blocked"
+        (R.Counter
+           (List.map
+              (fun kind ->
+                ( [ ("kind", kind) ],
+                  sum (fun w -> w.wr_seconds)
+                    (List.filter (fun w -> w.wr_kind = kind) m.waits) ))
+              wait_kinds));
+      fam "autocfd_domains_barrier_wait_seconds"
+        "per-rank wall-clock wait distribution of the Domains engine"
+        (R.Histogram
+           (List.map
+              (fun w ->
+                ( [ ("kind", w.wr_kind); ("rank", string_of_int w.wr_rank) ],
+                  hist R.seconds_buckets w.wr_hist w.wr_seconds ))
+              m.waits));
+      fam "autocfd_faults_total" "injected fault events"
+        (R.Counter (int_series "what" m.faults));
+      fam "autocfd_retransmits_total" "reliable-transport retransmissions"
+        (R.Counter
+           (series_if (m.retransmits > 0) (float_of_int m.retransmits)));
+      fam "autocfd_checkpoints_total" "recovery-layer snapshots and restores"
+        (R.Counter
+           (int_series "op"
+              (List.filter
+                 (fun (_, c) -> c > 0)
+                 [ ("restore", m.restores); ("save", m.checkpoints) ])));
+      fam "autocfd_checkpoint_bytes_total" "bytes moved by the recovery layer"
+        (R.Counter
+           (series_if
+              (m.checkpoints + m.restores > 0)
+              (float_of_int m.checkpoint_bytes)));
+      fam "autocfd_kernel_calls_total" "field-loop nest executions"
+        (R.Counter (per_kernel (fun k -> float_of_int k.kr_calls)));
+      fam "autocfd_kernel_flops_total" "self flops per field-loop nest"
+        (R.Counter (per_kernel (fun k -> k.kr_flops)));
+      fam "autocfd_kernel_bytes_total"
+        "bytes moved by the fused kernel tier per nest"
+        (R.Counter (per_kernel (fun k -> k.kr_bytes)));
+      (if m.wall then
+         fam "autocfd_domains_kernel_seconds_total"
+           "measured wall-clock self seconds per nest (Domains engine)"
+       else
+         fam "autocfd_kernel_self_seconds_total"
+           "virtual self compute seconds per field-loop nest")
+        (R.Counter (per_kernel (fun k -> k.kr_self)));
     ]

@@ -1,9 +1,16 @@
-(** Derived metrics of one traced run: where did every simulated second go
-    (per rank: compute / communication / blocked-idle), which combined
-    synchronization point is responsible for every message, byte and
-    blocked second, which field-loop nest is responsible for every
-    compute second, and — for sweep traces — what the scheduler's worker
-    domains did on the wall clock. *)
+(** Derived metrics of one traced run — the one fold of a trace into
+    numbers: where did every simulated second go (per rank: compute /
+    communication / blocked-idle), which combined synchronization point is
+    responsible for every message, byte and blocked second and how long
+    each of its executions took, which field-loop nest is responsible for
+    every compute second, and how long the ranks of a Domains run waited.
+    The JSON document, the Prometheus exposition, the report's measured
+    tables and the [profile] text all render one [t].
+
+    Sweep-scheduler events ({!Trace.Sched}) are not folded: the pool's
+    own stats ([Autocfd_sched.Pool.stats]) are the account of pool
+    activity.  Histograms are bucket counts on a {!Registry} ladder,
+    bucketed by {!Registry.bucket}. *)
 
 type rank_row = {
   rr_rank : int;
@@ -23,6 +30,9 @@ type sync_row = {
   sr_comm_time : float;  (** summed over ranks *)
   sr_blocked_time : float;  (** summed over ranks *)
   sr_phase_time : float;  (** total rank-seconds inside the phase *)
+  sr_max : float;  (** the longest single execution *)
+  sr_latency : int array;
+      (** per-execution latencies on {!Registry.seconds_buckets} *)
 }
 
 type kind_row = {
@@ -30,6 +40,7 @@ type kind_row = {
   kb_events : int;
   kb_bytes : int;
   kb_time : float;  (** comm seconds attributed to this kind *)
+  kb_sizes : int array;  (** event payload sizes on {!Registry.bytes_buckets} *)
 }
 (** Per-kind communication breakdown.  The top-level [messages]/[bytes]
     totals count sends and per-rank collective participations; recv rows
@@ -45,28 +56,19 @@ type kernel_row = {
   kr_calls : int;  (** nest executions, summed over ranks *)
   kr_flops : float;  (** self flops (excluding inner profiled nests) *)
   kr_bytes : float;  (** bytes moved by the fused kernel tier (0 = unknown) *)
-  kr_self : float;  (** self virtual-compute seconds, summed over ranks *)
+  kr_self : float;  (** self compute seconds, summed over ranks *)
 }
 (** One field-loop nest, aggregated over every {!Trace.Kernel} summary
     event (i.e. over ranks).  Sorted by descending self time. *)
 
-type sched_worker = {
-  sw_worker : int;
-  sw_jobs : int;
-  sw_busy : float;  (** wall-clock seconds handling jobs *)
+type wait_row = {
+  wr_kind : string;  (** ["barrier"] (barriers, collectives) or ["recv"] *)
+  wr_rank : int;
+  wr_seconds : float;  (** summed *)
+  wr_hist : int array;  (** wait lengths on {!Registry.seconds_buckets} *)
 }
-
-type sched_stats = {
-  sc_jobs : int;
-  sc_run : int;
-  sc_hits : int;  (** served from the result cache *)
-  sc_errors : int;
-  sc_elapsed : float;  (** wall-clock span of the recorded sweep events *)
-  sc_workers : sched_worker list;  (** ascending worker id *)
-}
-(** Wall-clock section for {!Trace.Sched} events.  Kept separate from the
-    virtual-clock rank rows: a sweep trace measures the host machine, not
-    the simulated cluster. *)
+(** One Domains-engine rank's waits of one kind: the {!Trace.Blocked}
+    events timed on the host wall clock. *)
 
 type t = {
   ranks : rank_row array;
@@ -76,14 +78,35 @@ type t = {
   bytes : int;  (** payload bytes of the above *)
   by_kind : kind_row list;  (** in first-appearance order *)
   kernels : kernel_row list;  (** descending self time *)
-  sched : sched_stats option;  (** [None] when the trace has no sweep events *)
-  faults : int;  (** injected fault events (loss/corrupt/dup/stall/crash) *)
+  collectives : (string * int) list;
+      (** per-rank collective participations by operation, ascending *)
+  waits : wait_row list;  (** ascending kind, then rank *)
+  faults : (string * int) list;
+      (** injected fault events (loss/corrupt/duplicate/stall/crash) by
+          kind, ascending *)
   retransmits : int;  (** reliable-transport retransmissions *)
   checkpoints : int;  (** recovery-layer snapshots taken (across ranks) *)
   restores : int;  (** recovery-layer snapshot restores (across ranks) *)
+  checkpoint_bytes : int;  (** bytes moved by snapshots and restores *)
+  wall : bool;
+      (** the run was timed on the host wall clock (the Domains engine):
+          [elapsed] and the rank, sync and kernel seconds are measured,
+          not simulated *)
 }
 
 val of_trace : Trace.t -> t
 
 val to_json : t -> Json.t
-(** Compact machine-readable document (schema version ["autocfd-metrics/2"]). *)
+(** Compact machine-readable document (schema ["autocfd-metrics/3"]):
+    the totals and the kind, rank, sync-point and kernel rows.  The
+    histograms and the per-operation, per-fault and wait counts are
+    rendered by {!to_prometheus}. *)
+
+val to_prometheus : t -> string
+(** The rows as Prometheus text exposition: virtual compute and blocked
+    seconds (simulated runs), per-kind message, byte and comm-second
+    counters with message-size histograms, collectives by operation,
+    per-sync-point execution counters and latency histograms labelled
+    by sync id and label, fault, retransmit and checkpoint counters,
+    per-nest kernel counters, and the Domains engine's wall-clock waits
+    and kernel seconds. *)

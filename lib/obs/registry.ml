@@ -1,37 +1,6 @@
-type kind = Counter | Gauge | Histogram
-
-type hist = {
-  hg_bounds : float array;  (* ascending bucket upper bounds (inclusive) *)
-  hg_counts : int array;  (* length = bounds + 1; last slot = +Inf overflow *)
-  mutable hg_sum : float;
-  mutable hg_count : int;
-}
-
-type cell = {
-  cl_labels : (string * string) list;  (* sorted by label name *)
-  mutable cl_value : float;
-  cl_hist : hist option;
-}
-
-type family = {
-  fm_name : string;
-  mutable fm_help : string;
-  fm_kind : kind;
-  fm_cells : (string, cell) Hashtbl.t;  (* keyed by canonical label text *)
-}
-
-type t = { fams : (string, family) Hashtbl.t }
-
-let create () = { fams = Hashtbl.create 32 }
-
-let kind_name = function
-  | Counter -> "counter"
-  | Gauge -> "gauge"
-  | Histogram -> "histogram"
-
-(* ------------------------------------------------------------------ *)
-(* Buckets                                                             *)
-(* ------------------------------------------------------------------ *)
+(* Prometheus text exposition: log2 bucket ladders, the text rendering of
+   metric families and its parser.  The data lives in [Metrics]; this
+   module only renders and reads text. *)
 
 let log_buckets ~lo ~hi =
   if not (lo > 0.0 && hi > lo) then
@@ -45,104 +14,21 @@ let seconds_buckets = log_buckets ~lo:1e-6 ~hi:16.0
 (* 64 B .. 16 MiB *)
 let bytes_buckets = log_buckets ~lo:64.0 ~hi:16777216.0
 
-(* ------------------------------------------------------------------ *)
-(* Cells                                                               *)
-(* ------------------------------------------------------------------ *)
+(* first bucket whose upper bound is >= v ("le" semantics); the last
+   slot catches values above every bound *)
+let bucket bounds v =
+  let n = Array.length bounds in
+  let rec find i = if i >= n || v <= bounds.(i) then i else find (i + 1) in
+  find 0
 
-let canon_labels labels =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+type hist = { bounds : float array; counts : int array; sum : float }
 
-let label_key labels =
-  String.concat "\x00"
-    (List.concat_map (fun (k, v) -> [ k; v ]) labels)
+type samples =
+  | Counter of ((string * string) list * float) list
+  | Gauge of ((string * string) list * float) list
+  | Histogram of ((string * string) list * hist) list
 
-let family t ~kind ~help name =
-  match Hashtbl.find_opt t.fams name with
-  | Some f ->
-      if f.fm_kind <> kind then
-        invalid_arg
-          (Printf.sprintf "Registry: %s is a %s, not a %s" name
-             (kind_name f.fm_kind) (kind_name kind));
-      if f.fm_help = "" then f.fm_help <- help;
-      f
-  | None ->
-      let f =
-        { fm_name = name; fm_help = help; fm_kind = kind;
-          fm_cells = Hashtbl.create 4 }
-      in
-      Hashtbl.replace t.fams name f;
-      f
-
-let cell f ~labels ~mk =
-  let labels = canon_labels labels in
-  let key = label_key labels in
-  match Hashtbl.find_opt f.fm_cells key with
-  | Some c -> c
-  | None ->
-      let c = mk labels in
-      Hashtbl.replace f.fm_cells key c;
-      c
-
-let scalar_cell labels = { cl_labels = labels; cl_value = 0.0; cl_hist = None }
-
-let inc t ?(help = "") ?(labels = []) name v =
-  let f = family t ~kind:Counter ~help name in
-  let c = cell f ~labels ~mk:scalar_cell in
-  c.cl_value <- c.cl_value +. v
-
-let set t ?(help = "") ?(labels = []) name v =
-  let f = family t ~kind:Gauge ~help name in
-  let c = cell f ~labels ~mk:scalar_cell in
-  c.cl_value <- v
-
-let observe t ?(help = "") ?(labels = []) ?(buckets = seconds_buckets) name v =
-  let f = family t ~kind:Histogram ~help name in
-  let c =
-    cell f ~labels ~mk:(fun labels ->
-        { cl_labels = labels; cl_value = 0.0;
-          cl_hist =
-            Some
-              { hg_bounds = Array.copy buckets;
-                hg_counts = Array.make (Array.length buckets + 1) 0;
-                hg_sum = 0.0; hg_count = 0 } })
-  in
-  let h = Option.get c.cl_hist in
-  let nb = Array.length h.hg_bounds in
-  (* first bucket whose upper bound is >= v ("le" semantics); the last
-     slot catches values above every bound *)
-  let rec find i = if i >= nb || v <= h.hg_bounds.(i) then i else find (i + 1) in
-  let i = find 0 in
-  h.hg_counts.(i) <- h.hg_counts.(i) + 1;
-  h.hg_sum <- h.hg_sum +. v;
-  h.hg_count <- h.hg_count + 1
-
-(* ------------------------------------------------------------------ *)
-(* Inspection                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let find_cell t ?(labels = []) name =
-  match Hashtbl.find_opt t.fams name with
-  | None -> None
-  | Some f -> Hashtbl.find_opt f.fm_cells (label_key (canon_labels labels))
-
-let value t ?labels name =
-  match find_cell t ?labels name with
-  | Some { cl_hist = None; cl_value; _ } -> Some cl_value
-  | _ -> None
-
-let hist_counts t ?labels name =
-  match find_cell t ?labels name with
-  | Some { cl_hist = Some h; _ } ->
-      Some (Array.copy h.hg_bounds, Array.copy h.hg_counts, h.hg_sum, h.hg_count)
-  | _ -> None
-
-let sorted_families t =
-  Hashtbl.fold (fun _ f acc -> f :: acc) t.fams []
-  |> List.sort (fun a b -> String.compare a.fm_name b.fm_name)
-
-let sorted_cells f =
-  Hashtbl.fold (fun _ c acc -> c :: acc) f.fm_cells []
-  |> List.sort (fun a b -> compare a.cl_labels b.cl_labels)
+type family = { name : string; help : string; samples : samples }
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                               *)
@@ -178,7 +64,7 @@ let label_text labels =
            labels)
     ^ "}"
 
-let to_prometheus t =
+let to_prometheus families =
   let b = Buffer.create 4096 in
   let sample name labels v =
     Buffer.add_string b name;
@@ -189,32 +75,37 @@ let to_prometheus t =
   in
   List.iter
     (fun f ->
-      if f.fm_help <> "" then
-        Buffer.add_string b
-          (Printf.sprintf "# HELP %s %s\n" f.fm_name f.fm_help);
-      Buffer.add_string b
-        (Printf.sprintf "# TYPE %s %s\n" f.fm_name (kind_name f.fm_kind));
-      List.iter
-        (fun c ->
-          match c.cl_hist with
-          | None -> sample f.fm_name c.cl_labels c.cl_value
-          | Some h ->
+      let header kind =
+        Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" f.name f.help f.name
+          kind
+      in
+      let scalars kind series =
+        header kind;
+        List.iter (fun (labels, v) -> sample f.name labels v) series
+      in
+      match f.samples with
+      | Counter [] | Gauge [] | Histogram [] -> ()
+      | Counter series -> scalars "counter" series
+      | Gauge series -> scalars "gauge" series
+      | Histogram series ->
+          header "histogram";
+          List.iter
+            (fun (labels, h) ->
               let cum = ref 0 in
               Array.iteri
-                (fun i bound ->
-                  cum := !cum + h.hg_counts.(i);
-                  sample (f.fm_name ^ "_bucket")
-                    (c.cl_labels @ [ ("le", float_text bound) ])
+                (fun i c ->
+                  cum := !cum + c;
+                  let le =
+                    if i < Array.length h.bounds then float_text h.bounds.(i)
+                    else "+Inf"
+                  in
+                  sample (f.name ^ "_bucket") (labels @ [ ("le", le) ])
                     (float_of_int !cum))
-                h.hg_bounds;
-              sample (f.fm_name ^ "_bucket")
-                (c.cl_labels @ [ ("le", "+Inf") ])
-                (float_of_int h.hg_count);
-              sample (f.fm_name ^ "_sum") c.cl_labels h.hg_sum;
-              sample (f.fm_name ^ "_count") c.cl_labels
-                (float_of_int h.hg_count))
-        (sorted_cells f))
-    (sorted_families t);
+                h.counts;
+              sample (f.name ^ "_sum") labels h.sum;
+              sample (f.name ^ "_count") labels (float_of_int !cum))
+            series)
+    (List.stable_sort (fun a b -> String.compare a.name b.name) families);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
@@ -318,155 +209,3 @@ let parse_prometheus text =
                    Some
                      { s_name = name; s_labels = [];
                        s_value = parse_value rest }))
-
-(* ------------------------------------------------------------------ *)
-(* JSON export                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let to_json t =
-  let cell_json (c : cell) =
-    let labels =
-      Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) c.cl_labels)
-    in
-    match c.cl_hist with
-    | None -> Json.Obj [ ("labels", labels); ("value", Json.Float c.cl_value) ]
-    | Some h ->
-        Json.Obj
-          [
-            ("labels", labels);
-            ("buckets",
-             Json.List
-               (List.init (Array.length h.hg_bounds) (fun i ->
-                    Json.Obj
-                      [
-                        ("le", Json.Float h.hg_bounds.(i));
-                        ("count", Json.Int h.hg_counts.(i));
-                      ])
-               @ [
-                   Json.Obj
-                     [
-                       ("le", Json.Null);  (* +Inf overflow slot *)
-                       ("count",
-                        Json.Int h.hg_counts.(Array.length h.hg_bounds));
-                     ];
-                 ]));
-            ("sum", Json.Float h.hg_sum);
-            ("count", Json.Int h.hg_count);
-          ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "autocfd-registry/1");
-      ("metrics",
-       Json.List
-         (List.map
-            (fun f ->
-              Json.Obj
-                [
-                  ("name", Json.Str f.fm_name);
-                  ("type", Json.Str (kind_name f.fm_kind));
-                  ("help", Json.Str f.fm_help);
-                  ("series", Json.List (List.map cell_json (sorted_cells f)));
-                ])
-            (sorted_families t)));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Trace feeding                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let observe_trace t tr =
-  let soi = string_of_int in
-  List.iter
-    (fun (e : Trace.event) ->
-      let dur = e.Trace.ev_t1 -. e.Trace.ev_t0 in
-      match e.Trace.ev_kind with
-      | Trace.Compute ->
-          inc t "autocfd_compute_seconds_total" dur
-            ~help:"virtual compute seconds across ranks"
-      | Trace.Send { bytes; _ } ->
-          inc t "autocfd_messages_total" 1.0 ~labels:[ ("kind", "send") ]
-            ~help:"messages originated (p2p sends and collective participations)";
-          inc t "autocfd_comm_bytes_total" (float_of_int bytes)
-            ~labels:[ ("kind", "send") ]
-            ~help:"payload bytes originated, by communication kind";
-          inc t "autocfd_comm_seconds_total" dur ~labels:[ ("kind", "send") ]
-            ~help:"virtual communication seconds, by kind";
-          observe t "autocfd_message_bytes" (float_of_int bytes)
-            ~labels:[ ("kind", "send") ] ~buckets:bytes_buckets
-            ~help:"message size distribution"
-      | Trace.Recv { bytes = _; _ } ->
-          inc t "autocfd_comm_seconds_total" dur ~labels:[ ("kind", "recv") ]
-            ~help:"virtual communication seconds, by kind"
-      | Trace.Blocked { tag; _ } when e.Trace.ev_wall ->
-          (* real Domains-engine waits, measured on the host wall clock:
-             tag = -1 marks a barrier/collective, anything else a
-             point-to-point receive *)
-          let kind = if tag < 0 then "barrier" else "recv" in
-          inc t "autocfd_domains_wait_seconds_total" dur
-            ~labels:[ ("kind", kind) ]
-            ~help:"wall-clock seconds Domains-engine ranks spent blocked";
-          observe t "autocfd_domains_barrier_wait_seconds" dur
-            ~labels:[ ("kind", kind); ("rank", soi e.Trace.ev_rank) ]
-            ~help:
-              "per-rank wall-clock wait distribution of the Domains engine"
-      | Trace.Blocked _ ->
-          inc t "autocfd_blocked_seconds_total" dur
-            ~help:"virtual blocked-idle seconds across ranks"
-      | Trace.Collective { op; bytes } ->
-          inc t "autocfd_messages_total" 1.0 ~labels:[ ("kind", "collective") ]
-            ~help:"messages originated (p2p sends and collective participations)";
-          inc t "autocfd_comm_bytes_total" (float_of_int bytes)
-            ~labels:[ ("kind", "collective") ]
-            ~help:"payload bytes originated, by communication kind";
-          inc t "autocfd_comm_seconds_total" dur
-            ~labels:[ ("kind", "collective") ]
-            ~help:"virtual communication seconds, by kind";
-          inc t "autocfd_collectives_total" 1.0 ~labels:[ ("op", op) ]
-            ~help:"per-rank collective participations, by operation";
-          observe t "autocfd_message_bytes" (float_of_int bytes)
-            ~labels:[ ("kind", "collective") ] ~buckets:bytes_buckets
-            ~help:"message size distribution"
-      | Trace.Phase { label; _ } ->
-          inc t "autocfd_sync_executions_total" 1.0
-            ~labels:[ ("sync", label) ]
-            ~help:"phase entries per combined synchronization point";
-          observe t "autocfd_sync_latency_seconds" dur
-            ~labels:[ ("sync", label) ]
-            ~help:"per-execution latency of each combined sync point"
-      | Trace.Fault { what; _ } ->
-          inc t "autocfd_faults_total" 1.0 ~labels:[ ("what", what) ]
-            ~help:"injected fault events"
-      | Trace.Retransmit _ ->
-          inc t "autocfd_retransmits_total" 1.0
-            ~help:"reliable-transport retransmissions"
-      | Trace.Checkpoint { save; bytes } ->
-          inc t "autocfd_checkpoints_total" 1.0
-            ~labels:[ ("op", (if save then "save" else "restore")) ]
-            ~help:"recovery-layer snapshots and restores";
-          inc t "autocfd_checkpoint_bytes_total" (float_of_int bytes)
-            ~help:"bytes moved by the recovery layer"
-      | Trace.Sched { what; _ } ->
-          inc t "autocfd_sched_jobs_total" 1.0 ~labels:[ ("outcome", what) ]
-            ~help:"sweep jobs by outcome (run / hit / error)";
-          observe t "autocfd_sched_job_seconds" dur
-            ~help:"wall-clock job handling time in the sweep pool";
-          inc t "autocfd_sched_busy_seconds_total" dur
-            ~labels:[ ("worker", soi e.Trace.ev_rank) ]
-            ~help:"wall-clock busy seconds per pool worker"
-      | Trace.Kernel { name; calls; flops; bytes; _ } ->
-          let labels = [ ("kernel", name) ] in
-          inc t "autocfd_kernel_calls_total" (float_of_int calls) ~labels
-            ~help:"field-loop nest executions";
-          inc t "autocfd_kernel_flops_total" flops ~labels
-            ~help:"self flops per field-loop nest";
-          inc t "autocfd_kernel_bytes_total" bytes ~labels
-            ~help:"bytes moved by the fused kernel tier per nest";
-          if e.Trace.ev_wall then
-            inc t "autocfd_domains_kernel_seconds_total" dur ~labels
-              ~help:
-                "measured wall-clock self seconds per nest (Domains engine)"
-          else
-            inc t "autocfd_kernel_self_seconds_total" dur ~labels
-              ~help:"virtual self compute seconds per field-loop nest")
-    (Trace.events tr)

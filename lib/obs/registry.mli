@@ -1,41 +1,11 @@
-(** Unified metrics registry: named counters, gauges and log-bucketed
-    histograms with Prometheus-text and JSON exporters.
+(** Prometheus text exposition: the log₂ bucket ladders every histogram
+    of {!Metrics} is counted on, the text rendering of metric families,
+    and a parser for that text.
 
-    A metric is identified by its name plus a (sorted) label set; the
-    first use of a name fixes its kind (and, for histograms, its bucket
-    bounds).  Exports are deterministic: families sorted by name, series
-    by label set — independent of insertion order.
-
-    The registry itself is a passive container; {!observe_trace} feeds it
-    from a {!Trace} (interp kernel summaries, mpsim message sizes and
-    sync-point latencies, fault/retransmit/checkpoint counters, sweep
-    scheduler events), and callers with richer sources (e.g. the sweep
-    pool's stats record) add their own series on top. *)
-
-type t
-
-val create : unit -> t
-
-val inc : t -> ?help:string -> ?labels:(string * string) list -> string -> float -> unit
-(** Add to a counter (creating it at 0).
-    @raise Invalid_argument if [name] exists with a different kind. *)
-
-val set : t -> ?help:string -> ?labels:(string * string) list -> string -> float -> unit
-(** Set a gauge. *)
-
-val observe :
-  t ->
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?buckets:float array ->
-  string ->
-  float ->
-  unit
-(** Record one observation in a histogram.  [buckets] (ascending upper
-    bounds, "le" semantics: an observation lands in the first bucket
-    whose bound is [>=] the value; above every bound it lands in the
-    implicit [+Inf] slot) applies on first creation only; defaults to
-    {!seconds_buckets}. *)
+    The registry holds no data of its own: {!Metrics.to_prometheus}
+    writes families from the rows of one {!Metrics.t}, and callers with
+    other sources (the sweep pool's stats) render theirs with the same
+    {!to_prometheus}. *)
 
 val log_buckets : lo:float -> hi:float -> float array
 (** Powers-of-two bounds [lo, 2lo, 4lo, ...] up to and including the
@@ -48,26 +18,33 @@ val seconds_buckets : float array
 val bytes_buckets : float array
 (** [log_buckets ~lo:64.0 ~hi:16777216.0] — 64 B to 16 MiB. *)
 
-val value : t -> ?labels:(string * string) list -> string -> float option
-(** Current value of a counter or gauge series, if it exists. *)
+val bucket : float array -> float -> int
+(** [bucket bounds v] is the slot an observation [v] is counted in:
+    the first bound [>= v] ("le" semantics, so a value exactly on a
+    bound lands in that bound's bucket), or [Array.length bounds], the
+    [+Inf] overflow slot, above every bound.  Histogram counts therefore
+    have one slot more than their bounds. *)
 
-val hist_counts :
-  t ->
-  ?labels:(string * string) list ->
-  string ->
-  (float array * int array * float * int) option
-(** [(bounds, per-bucket counts, sum, count)] of a histogram series; the
-    counts array has one extra trailing slot for the [+Inf] overflow. *)
+type hist = {
+  bounds : float array;  (** ascending upper bounds *)
+  counts : int array;  (** per-bucket (non-cumulative) counts, see {!bucket} *)
+  sum : float;  (** sum of the observations *)
+}
 
-val to_prometheus : t -> string
-(** Prometheus text exposition format: [# HELP]/[# TYPE] headers, one
+type samples =
+  | Counter of ((string * string) list * float) list
+  | Gauge of ((string * string) list * float) list
+  | Histogram of ((string * string) list * hist) list
+      (** series, each a label set and its value, in output order *)
+
+type family = { name : string; help : string; samples : samples }
+
+val to_prometheus : family list -> string
+(** Prometheus text exposition format, families sorted by name and
+    their series in the order given: [# HELP]/[# TYPE] headers, one
     sample line per series, histograms expanded into cumulative
-    [_bucket{le="..."}] samples plus [_sum] and [_count]. *)
-
-val to_json : t -> Json.t
-(** Schema ["autocfd-registry/1"]: metric families with kind, help and
-    series (histogram series carry per-bucket — non-cumulative — counts,
-    with a [le = null] overflow slot). *)
+    [_bucket{le="..."}] samples plus [_sum] and [_count].  A family with
+    no series is left out. *)
 
 type sample = {
   s_name : string;
@@ -83,10 +60,3 @@ val parse_prometheus : string -> sample list
     under those suffixed names).  Used by the round-trip tests and by
     tooling that scrapes [profile --prom] output.
     @raise Parse_error on malformed input. *)
-
-val observe_trace : t -> Trace.t -> unit
-(** Fold every trace event into the registry: compute/blocked seconds,
-    per-kind message counters and size histograms, per-sync-point latency
-    histograms, fault/retransmit/checkpoint counters, sweep-scheduler job
-    counters and per-worker busy seconds, and per-nest kernel counters
-    from {!Trace.Kernel} summaries. *)

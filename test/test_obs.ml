@@ -321,148 +321,198 @@ let test_kernel_attribution () =
     (compute > 0.0 && self /. compute >= 0.95)
 
 (* ------------------------------------------------------------------ *)
-(* Sched events: wall-clock section of Metrics + scheduler Chrome lane  *)
+(* Sched events: the pool's stats + the scheduler Chrome lane          *)
 (* ------------------------------------------------------------------ *)
 
 let test_sched_events_surface () =
-  let module Sched = Autocfd_sched in
+  let module Pool = Autocfd_sched.Pool in
   let tracer = Obs.Trace.create () in
   let jobs =
     List.init 3 (fun i ->
-        Sched.Job.make
+        Autocfd_sched.Job.make
           ~label:(Printf.sprintf "job%d" i)
           ~key:(J.Obj [ ("i", J.Int i) ])
           (fun () -> J.Int (i * i)))
   in
-  let _results, stats = Sched.Pool.run ~jobs:2 ~tracer jobs in
-  let m = Obs.Metrics.of_trace tracer in
-  (match m.Obs.Metrics.sched with
-  | None -> Alcotest.fail "sched section missing"
-  | Some sc ->
-      Alcotest.(check int) "jobs counted" 3 sc.Obs.Metrics.sc_jobs;
-      Alcotest.(check int) "all ran (no cache)" 3 sc.Obs.Metrics.sc_run;
-      Alcotest.(check int) "no errors" 0 sc.Obs.Metrics.sc_errors;
-      (* only workers that handled at least one job appear as lanes *)
-      let lanes = List.length sc.Obs.Metrics.sc_workers in
-      Alcotest.(check bool) "worker lanes bounded by the pool" true
-        (lanes >= 1 && lanes <= Array.length stats.Sched.Pool.ps_busy);
-      Alcotest.(check int) "lane jobs sum to the batch"
-        sc.Obs.Metrics.sc_jobs
-        (List.fold_left
-           (fun a w -> a + w.Obs.Metrics.sw_jobs)
-           0 sc.Obs.Metrics.sc_workers));
+  let _results, stats = Pool.run ~jobs:2 ~tracer jobs in
+  (* the pool's stats are the one account of the batch *)
+  Alcotest.(check int) "jobs counted" 3 stats.Pool.ps_jobs;
+  Alcotest.(check int) "all ran (no cache)" 3 stats.Pool.ps_misses;
+  Alcotest.(check int) "no hits" 0 stats.Pool.ps_hits;
+  Alcotest.(check int) "no errors" 0 stats.Pool.ps_errors;
+  Alcotest.(check int) "one event per job" 3 (List.length stats.Pool.ps_events);
+  Alcotest.(check int) "worker jobs sum to the batch" 3
+    (Array.fold_left ( + ) 0 stats.Pool.ps_ran);
   (* sched events must not pollute the virtual-clock rank accounting:
      the prepared rank rows exist but stay all-zero *)
+  let m = Obs.Metrics.of_trace tracer in
   Array.iter
     (fun (r : Obs.Metrics.rank_row) ->
       Alcotest.(check (float 0.0)) "virtual clock untouched" 0.0
         r.Obs.Metrics.rr_finish)
     m.Obs.Metrics.ranks;
-  (* the Chrome export renders them on the scheduler pid, not pid 0 *)
+  (* the Chrome export renders one span per job on the scheduler pid *)
   let doc = J.of_string (Obs.Chrome.to_string tracer) in
   let evs =
     match J.member "traceEvents" doc with
     | Some (J.List l) -> l
     | _ -> Alcotest.fail "traceEvents missing"
   in
-  Alcotest.(check bool) "scheduler lane populated" true
-    (List.exists
-       (fun e ->
-         J.member "pid" e = Some (J.Int 1)
-         && J.member "ph" e = Some (J.Str "X"))
-       evs)
+  Alcotest.(check int) "scheduler lane holds every job" 3
+    (List.length
+       (List.filter
+          (fun e ->
+            J.member "pid" e = Some (J.Int 1)
+            && J.member "ph" e = Some (J.Str "X"))
+          evs))
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                    *)
+(* Prometheus exposition of the metrics rows                           *)
 (* ------------------------------------------------------------------ *)
-
-let test_registry_counters_gauges () =
-  let module R = Obs.Registry in
-  let reg = R.create () in
-  R.inc reg "requests_total" 1.0 ~labels:[ ("kind", "a") ];
-  R.inc reg "requests_total" 2.0 ~labels:[ ("kind", "a") ];
-  R.inc reg "requests_total" 5.0 ~labels:[ ("kind", "b") ];
-  R.set reg "temperature" 20.0;
-  R.set reg "temperature" 21.5;
-  Alcotest.(check (option (float 0.0))) "counter accumulates" (Some 3.0)
-    (R.value reg "requests_total" ~labels:[ ("kind", "a") ]);
-  Alcotest.(check (option (float 0.0))) "labels separate series" (Some 5.0)
-    (R.value reg "requests_total" ~labels:[ ("kind", "b") ]);
-  Alcotest.(check (option (float 0.0))) "gauge overwrites" (Some 21.5)
-    (R.value reg "temperature");
-  Alcotest.(check (option (float 0.0))) "label order is canonical"
-    (Some 3.0)
-    (R.value reg "requests_total" ~labels:[ ("kind", "a") ]);
-  Alcotest.(check bool) "kind conflict rejected" true
-    (match R.set reg "requests_total" 1.0 with
-    | exception Invalid_argument _ -> true
-    | () -> false)
 
 let test_registry_histogram_boundaries () =
   let module R = Obs.Registry in
-  let reg = R.create () in
-  let buckets = [| 1.0; 2.0; 4.0 |] in
-  (* "le" semantics: a value exactly on a bound lands in that bucket *)
-  List.iter
-    (fun v -> R.observe reg "h" v ~buckets)
-    [ 0.5; 1.0; 1.5; 2.0; 4.0; 4.1 ];
-  (match R.hist_counts reg "h" with
-  | None -> Alcotest.fail "histogram missing"
-  | Some (bounds, counts, sum, count) ->
-      Alcotest.(check bool) "bounds kept" true (bounds = buckets);
-      Alcotest.(check bool) "per-bucket counts" true
-        (counts = [| 2; 2; 1; 1 |]);
-      Alcotest.(check int) "total count" 6 count;
-      Alcotest.(check (float 1e-9)) "sum" 13.1 sum);
+  (* "le" semantics: a value exactly on a bound lands in that bucket;
+     above every bound it lands in the overflow slot *)
+  Alcotest.(check (list int)) "bucket slots" [ 0; 0; 1; 1; 2; 3 ]
+    (List.map (R.bucket [| 1.0; 2.0; 4.0 |]) [ 0.5; 1.0; 1.5; 2.0; 4.0; 4.1 ]);
   (* log_buckets: powers of two from lo up to the first bound >= hi *)
   let lb = R.log_buckets ~lo:1.0 ~hi:10.0 in
-  Alcotest.(check bool) "log buckets" true (lb = [| 1.0; 2.0; 4.0; 8.0; 16.0 |])
+  Alcotest.(check bool) "log buckets" true (lb = [| 1.0; 2.0; 4.0; 8.0; 16.0 |]);
+  (* the ladders the metrics rows are counted on *)
+  let nsec = Array.length R.seconds_buckets in
+  Alcotest.(check int) "1 us is the first seconds bucket" 0
+    (R.bucket R.seconds_buckets 1e-6);
+  Alcotest.(check int) "a minute overflows" nsec
+    (R.bucket R.seconds_buckets 60.0);
+  Alcotest.(check int) "65 B lands in the 128 B bucket" 1
+    (R.bucket R.bytes_buckets 65.0)
+
+(* the values of the [name] samples of parsed exposition text whose
+   labels are [labels] (with [~extra], include them), in text order *)
+let samples_of samples ?(extra = false) name labels =
+  List.filter_map
+    (fun (s : Obs.Registry.sample) ->
+      let ls = s.Obs.Registry.s_labels in
+      if
+        s.Obs.Registry.s_name = name
+        && if extra then List.for_all (fun l -> List.mem l ls) labels
+           else ls = labels
+      then Some s.Obs.Registry.s_value
+      else None)
+    samples
+
+let cumulative counts =
+  snd
+    (List.fold_left_map
+       (fun acc c -> (acc + c, float_of_int (acc + c)))
+       0 (Array.to_list counts))
 
 let test_prometheus_roundtrip () =
   let module R = Obs.Registry in
-  let reg = R.create () in
-  R.inc reg "jobs_total" 7.0 ~labels:[ ("outcome", "run") ]
-    ~help:"jobs by outcome";
-  R.inc reg "jobs_total" 2.0 ~labels:[ ("outcome", "hit \"quoted\"") ];
-  R.set reg "pool_utilization" 0.75 ~labels:[ ("worker", "0") ];
-  List.iter
-    (fun v -> R.observe reg "latency_seconds" v ~buckets:[| 0.1; 1.0 |])
-    [ 0.05; 0.5; 5.0 ];
-  let samples = R.parse_prometheus (R.to_prometheus reg) in
-  let find name labels =
-    match
-      List.find_opt
-        (fun (s : R.sample) -> s.R.s_name = name && s.R.s_labels = labels)
-        samples
-    with
-    | Some s -> s.R.s_value
-    | None -> Alcotest.failf "sample %s not found" name
-  in
-  Alcotest.(check (float 0.0)) "counter" 7.0
-    (find "jobs_total" [ ("outcome", "run") ]);
-  Alcotest.(check (float 0.0)) "escaped label value" 2.0
-    (find "jobs_total" [ ("outcome", "hit \"quoted\"") ]);
-  Alcotest.(check (float 0.0)) "gauge" 0.75
-    (find "pool_utilization" [ ("worker", "0") ]);
-  (* histogram: cumulative buckets + sum + count *)
-  Alcotest.(check (float 0.0)) "le=0.1" 1.0
-    (find "latency_seconds_bucket" [ ("le", "0.1") ]);
-  Alcotest.(check (float 0.0)) "le=1 is cumulative" 2.0
-    (find "latency_seconds_bucket" [ ("le", "1") ]);
-  Alcotest.(check (float 0.0)) "le=+Inf sees all" 3.0
-    (find "latency_seconds_bucket" [ ("le", "+Inf") ]);
-  Alcotest.(check (float 0.0)) "count" 3.0 (find "latency_seconds_count" []);
-  Alcotest.(check (float 1e-9)) "sum" 5.55 (find "latency_seconds_sum" []);
-  (* a registry fed from a real trace also round-trips *)
   let tracer = Obs.Trace.create () in
   let _ = ring_body (Some tracer) in
-  let reg2 = R.create () in
-  R.observe_trace reg2 tracer;
-  let samples2 = R.parse_prometheus (R.to_prometheus reg2) in
-  Alcotest.(check bool) "trace-fed registry parses back" true
+  (* a sync label the text format must escape *)
+  let label = "hit \"quoted\" back\\slash\nnewline" in
+  Obs.Trace.phase tracer ~rank:0 ~t0:0.0 ~t1:0.5 ~sync:7 ~label ();
+  let m = Obs.Metrics.of_trace tracer in
+  let samples = R.parse_prometheus (Obs.Metrics.to_prometheus m) in
+  let one name labels =
+    match samples_of samples name labels with
+    | [ v ] -> v
+    | l -> Alcotest.failf "%s: %d samples" name (List.length l)
+  in
+  Alcotest.(check (float 0.0)) "counter" 3.0
+    (one "autocfd_messages_total" [ ("kind", "send") ]);
+  Alcotest.(check (float 0.0)) "escaped label value" 1.0
+    (one "autocfd_sync_executions_total" [ ("id", "7"); ("sync", label) ]);
+  (* histogram: cumulative buckets ending at +Inf, sum and count *)
+  let send =
+    List.find (fun k -> k.Obs.Metrics.kb_kind = "send") m.Obs.Metrics.by_kind
+  in
+  let buckets =
+    samples_of samples ~extra:true "autocfd_message_bytes_bucket"
+      [ ("kind", "send") ]
+  in
+  Alcotest.(check (list (float 0.0))) "cumulative buckets"
+    (cumulative send.Obs.Metrics.kb_sizes) buckets;
+  Alcotest.(check (float 0.0)) "le=512 is empty" 0.0
+    (one "autocfd_message_bytes_bucket" [ ("kind", "send"); ("le", "512") ]);
+  Alcotest.(check (float 0.0)) "le=+Inf sees all" 3.0
+    (one "autocfd_message_bytes_bucket" [ ("kind", "send"); ("le", "+Inf") ]);
+  Alcotest.(check (float 0.0)) "count" 3.0
+    (one "autocfd_message_bytes_count" [ ("kind", "send") ]);
+  Alcotest.(check (float 0.0)) "sum"
+    (float_of_int send.Obs.Metrics.kb_bytes)
+    (one "autocfd_message_bytes_sum" [ ("kind", "send") ])
+
+let heat2d_plan () =
+  let path =
+    List.find Sys.file_exists [ "../examples/heat2d.f"; "examples/heat2d.f" ]
+  in
+  let src = In_channel.with_open_bin path In_channel.input_all in
+  let spec =
+    Autocfd.Runspec.(
+      parts_spec [| 2; 2 |]
+      |> with_machine (Some Autocfd_perfmodel.Model.pentium_cluster))
+  in
+  (spec, D.plan ~spec (D.load src))
+
+(* examples/heat2d.f combines its syncs into three points, two of which
+   exchange the same halo: one series each, keyed by id *)
+let test_prometheus_series_per_sync_id () =
+  let spec, plan = heat2d_plan () in
+  let p = Autocfd.Profile.run ~spec plan in
+  let samples =
+    Obs.Registry.parse_prometheus (Autocfd.Profile.to_prometheus p)
+  in
+  let syncs = p.Autocfd.Profile.pf_metrics.Obs.Metrics.syncs in
+  Alcotest.(check (list (float 0.0))) "one execution series per sync id"
+    [ 4.0; 160.0; 160.0 ]
+    (samples_of samples ~extra:true "autocfd_sync_executions_total" []);
+  List.iter
+    (fun (s : Obs.Metrics.sync_row) ->
+      let labels =
+        [ ("id", string_of_int s.Obs.Metrics.sr_id);
+          ("sync", s.Obs.Metrics.sr_label) ]
+      in
+      let series name = samples_of samples name labels in
+      Alcotest.(check (list (float 0.0))) "executions"
+        [ float_of_int s.Obs.Metrics.sr_executions ]
+        (series "autocfd_sync_executions_total");
+      Alcotest.(check (list (float 0.0))) "latency count"
+        [ float_of_int s.Obs.Metrics.sr_executions ]
+        (series "autocfd_sync_latency_seconds_count");
+      Alcotest.(check (list (float 0.0))) "latency sum"
+        [ s.Obs.Metrics.sr_phase_time ]
+        (series "autocfd_sync_latency_seconds_sum");
+      Alcotest.(check (list (float 0.0))) "latency buckets"
+        (cumulative s.Obs.Metrics.sr_latency)
+        (samples_of samples ~extra:true "autocfd_sync_latency_seconds_bucket"
+           labels))
+    syncs
+
+(* a Domains run is measured on the wall clock and charges no virtual
+   compute: the profile says so instead of printing 0% shares *)
+let test_domains_profile_wall_clock () =
+  let spec, plan = heat2d_plan () in
+  let spec = Autocfd.Runspec.with_engine Autocfd_interp.Spmd.Domains spec in
+  let p = Autocfd.Profile.run ~spec plan in
+  let text = Autocfd.Profile.render p in
+  let lines = String.split_on_char '\n' text in
+  Alcotest.(check bool) "elapsed labelled wall-clock" true
     (List.exists
-       (fun (s : R.sample) -> s.R.s_name = "autocfd_compute_seconds_total")
-       samples2)
+       (fun l -> String.starts_with ~prefix:"ranks 4, wall-clock elapsed " l)
+       lines);
+  let nests =
+    List.filter (fun l -> String.starts_with ~prefix:"| L" l) lines
+  in
+  Alcotest.(check int) "three nests" 3 (List.length nests);
+  List.iter
+    (fun l ->
+      Alcotest.(check string) ("no share of compute: " ^ l) "-"
+        (String.trim (List.nth (String.split_on_char '|' l) 6)))
+    nests
 
 let suite =
   [
@@ -478,9 +528,12 @@ let suite =
     ("chrome name escaping", `Quick, test_chrome_name_escaping);
     ("kernel attribution", `Quick, test_kernel_attribution);
     ("sched events surface", `Quick, test_sched_events_surface);
-    ("registry counters and gauges", `Quick, test_registry_counters_gauges);
     ( "registry histogram boundaries",
       `Quick,
       test_registry_histogram_boundaries );
     ("prometheus roundtrip", `Quick, test_prometheus_roundtrip);
+    ( "prometheus series per sync id",
+      `Quick,
+      test_prometheus_series_per_sync_id );
+    ("domains profile wall clock", `Quick, test_domains_profile_wall_clock);
   ]
