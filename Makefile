@@ -92,8 +92,8 @@ bench-layers:
 	      (p[$$1] != 0 ? sprintf("%.3f", $$2 / p[$$1]) : "-") }' \
 	  _bench_layers/parent.medians _bench_layers/change.medians
 
-# before/after loop-fission fused-kernel coverage of the bundled apps,
-# then the regression gate against the committed COVERAGE.json manifest
+# before/after loop-fission fused-kernel coverage of the bundled apps
+# (pinned by test/golden/coverage.t and test_engine under `dune runtest`)
 coverage:
 	dune exec bin/autocfd_cli.exe -- coverage
 

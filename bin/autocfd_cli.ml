@@ -30,14 +30,15 @@
     autocfd tune [file.f] [--grid wide]      auto-search the configuration
                                              space (rank count x partition
                                              shape x sync combining x fission
-                                             x engine/fusion): winner plus
+                                             x engine): winner plus
                                              Pareto frontier over predicted
                                              time / comm volume / memory; with
                                              no FILE, both case studies
                                              (--check: the tune gate)
-    autocfd engine [--check]                 the execution engines head to head
-    autocfd coverage                         fused-kernel coverage, gated
-                                             against COVERAGE.json
+    autocfd engine [--check]                 fused kernels on the simulator vs
+                                             on real OCaml 5 domains
+    autocfd coverage                         fused-kernel coverage before and
+                                             after loop fission
     autocfd chaos [--check]                  seeded fault schedules vs the
                                              reliable transport
     autocfd fabric --check                   the distributed-sweep chaos gate
@@ -129,7 +130,7 @@ let spec_arg =
        & info [ "spec" ] ~docv:"FILE"
            ~doc:"Runspec JSON file: the single source of configuration \
                  (engine, partition shape or rank count, sync combining, \
-                 fission, fusion, faults...).  Command-line flags override \
+                 fission, faults...).  Command-line flags override \
                  individual fields.  `run --json` echoes the resolved \
                  spec, so any run's output names the spec that reproduces \
                  it.")
@@ -820,39 +821,13 @@ let tune file spec_file grid json check o =
 (* engine, coverage, chaos                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* the committed per-nest manifest: a nest fused there must still fuse *)
-let coverage_gate path update =
-  let current = E.coverage_manifest () in
-  if update then write_file path (Obs.Json.pretty current ^ "\n")
-  else begin
-    if not (Sys.file_exists path) then
-      fail
-        "FAIL: coverage manifest %s not found (generate it with \
-         --update-coverage)"
-        path;
-    let regressions =
-      try E.check_coverage_manifest ~committed:(load_json path) ~current
-      with Obs.Json.Parse_error msg ->
-        fail "FAIL: malformed coverage manifest %s: %s" path msg
-    in
-    List.iter (Printf.eprintf "FAIL coverage: %s\n") regressions;
-    if regressions <> [] then exit 1;
-    Printf.printf "OK coverage: no fused nest regressed vs %s\n" path
-  end
-
-(* engine --check: every engine agrees bit for bit, loop fission leaves
-   program state unchanged, and fused kernels at least match the unfused
-   closure IR's speedup over the tree walker *)
+(* engine --check: real domains agree with the simulator bit for bit,
+   and loop fission leaves program state unchanged *)
 let check_engine_row r =
   let program = E.js "program" r in
-  let speedup = E.jf "speedup" r and fused_speedup = E.jf "fused_speedup" r in
   let domains_speedup = E.jf "domains_speedup" r in
-  if not (E.jb "identical" r) then fail "FAIL %s: engines disagree" program;
   if not (E.jb "domains_identical" r) then
     fail "FAIL %s: domains engine diverged from the simulator" program;
-  if fused_speedup < speedup then
-    fail "FAIL %s: fused speedup %.2f below unfused speedup %.2f" program
-      fused_speedup speedup;
   (* the point of running for real: on the 3-d app, 4 domains must beat
      the single-threaded fused simulation by 2x.  Only enforceable when
      the host has the cores: on fewer, the domains timeslice *)
@@ -867,22 +842,17 @@ let check_engine_row r =
   end;
   if not (E.jb "fission_identical" r) then
     fail "FAIL %s: loop fission changed program state" program;
-  Printf.printf
-    "OK %s: fused %.2fx >= unfused %.2fx, domains %.2fx wall-clock, results \
-     identical\n"
-    program fused_speedup speedup domains_speedup
+  Printf.printf "OK %s: domains %.2fx wall-clock, results identical\n" program
+    domains_speedup
 
-let engine check coverage update_coverage o =
+let engine check o =
   let rows = with_sweep o (fun sweep -> E.engine_bench ~sweep ()) in
   print_string (E.render_engine rows);
   print_newline ();
   print_string (E.render_engine_coverage rows);
-  if check then List.iter check_engine_row rows;
-  if check || update_coverage then coverage_gate coverage update_coverage
+  if check then List.iter check_engine_row rows
 
-let coverage path update =
-  print_string (E.render_coverage_fission ());
-  coverage_gate path update
+let coverage () = print_string (E.render_coverage_fission ())
 
 (* chaos --check: every schedule is recoverable, so a divergence is a
    transport or recovery bug; the overhead ceiling catches retransmit
@@ -1059,19 +1029,18 @@ let engine_arg =
     match Autocfd.Runspec.engine_of_string s with
     | e -> Ok e
     | exception Obs.Json.Parse_error _ ->
-        Error (`Msg (Printf.sprintf "bad engine %S (tree|fused|domains)" s))
+        Error (`Msg (Printf.sprintf "bad engine %S (fused|domains)" s))
   in
   let print ppf e =
     Format.pp_print_string ppf (Autocfd.Runspec.engine_to_string e)
   in
   Arg.(value & opt (some (conv (parse, print))) None
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: tree (the reference tree walker), fused \
-                 (default, or whatever --spec says: the compiled closure IR \
-                 with fused kernels unless the spec sets \"fuse\": false) \
-                 or domains (the same closure IR run for real, one OCaml 5 \
-                 domain per rank in shared memory).  The fused and domains \
-                 engines emit per-nest kernel summaries.")
+           ~doc:"Execution engine: fused (default, or whatever --spec \
+                 says: the fused kernels on the simulated cluster) or \
+                 domains (the same kernels run for real, one OCaml 5 domain \
+                 per rank in shared memory).  Both emit per-nest kernel \
+                 summaries.")
 
 let run_cmd_ =
   Cmd.v
@@ -1227,7 +1196,7 @@ let tune_cmd =
              ~doc:"Search-space width: narrow (single smoke-test point), \
                    default (every rank count and feasible partition shape \
                    x sync-combining strategy) or wide (adds odd rank \
-                   counts, fission/fusion ablations and the real Domains \
+                   counts, the fission ablation and the real Domains \
                    engine with measured wall clock).")
   in
   Cmd.v
@@ -1235,7 +1204,7 @@ let tune_cmd =
        ~doc:
          "Auto-search the full configuration space of a program: every \
           rank count, feasible partition shape, synchronization-combining \
-          strategy (and on the wide grid: fission/fusion ablations and \
+          strategy (and on the wide grid: the fission ablation and \
           the real Domains engine) is one cached job through the sweep \
           scheduler; the result is the winning configuration plus the \
           Pareto frontier over predicted time, communication volume and \
@@ -1252,46 +1221,29 @@ let tune_cmd =
                        2/3 row, and each frontier must be Pareto-minimal."
              $ sweep_term))
 
-let coverage_args =
-  let path =
-    Arg.(value & opt string "COVERAGE.json"
-         & info [ "coverage" ] ~docv:"FILE"
-             ~doc:"Coverage manifest: any nest it lists as fused must still \
-                   fuse.")
-  in
-  let update =
-    Arg.(value & flag
-         & info [ "update-coverage" ]
-             ~doc:"(Over-)write the coverage manifest instead of gating \
-                   against it.")
-  in
-  Term.(const (fun p u -> (p, u)) $ path $ update)
-
 let engine_cmd =
   Cmd.v
     (Cmd.info "engine"
        ~doc:
-         "The execution engines (tree walker, closure IR with and without \
-          fused kernels, real OCaml 5 domains) timed on the wall clock on \
-          small instances of both case studies, plus per-loop kernel \
+         "The fused kernels on the simulated cluster and on real OCaml 5 \
+          domains, with and without loop fission, timed on the wall clock \
+          on small instances of both case studies, plus per-loop kernel \
           coverage")
     Term.(
-      const (fun check (path, update) o -> engine check path update o)
+      const engine
       $ check_flag
-          ~doc:"Exit nonzero unless every engine's results are identical, \
-                loop fission leaves program state unchanged, fused kernels \
-                at least match the unfused closure IR's speedup, and the \
-                coverage manifest gate passes."
-      $ coverage_args $ sweep_term)
+          ~doc:"Exit nonzero unless the domains engine's program state is \
+                identical to the simulator's and loop fission leaves \
+                program state unchanged."
+      $ sweep_term)
 
 let coverage_cmd =
   Cmd.v
     (Cmd.info "coverage"
        ~doc:
          "Per-nest fused-kernel coverage of the bundled applications before \
-          and after the loop-fission pass, gated against the committed \
-          coverage manifest")
-    Term.(const (fun (path, update) -> coverage path update) $ coverage_args)
+          and after the loop-fission pass")
+    Term.(const coverage $ const ())
 
 let chaos_cmd =
   Cmd.v

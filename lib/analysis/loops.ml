@@ -74,7 +74,6 @@ let build (u : Ast.program_unit) =
 let unit_of t = t.unit_
 let loops t = List.map (Hashtbl.find t.table) t.order
 let loop t id = Hashtbl.find t.table id
-let find_loop t id = Hashtbl.find_opt t.table id
 let clock t id = Hashtbl.find t.clocks id
 
 let enclosing_loops t id =

@@ -26,8 +26,6 @@ val loops : t -> loop list
 val loop : t -> int -> loop
 (** @raise Not_found for a statement id that is not a DO loop. *)
 
-val find_loop : t -> int -> loop option
-
 val clock : t -> int -> int * int
 (** [(enter, exit)] clock span of any statement. *)
 

@@ -10,11 +10,11 @@
    Fields fall into two noise classes.  Modelled tables (1-5), the model
    validation and the resilience overheads are computed on the virtual
    clock — deterministic given the code — so they gate with the tight
-   [tolerance].  The engine benchmark's speedups are ratios of host
-   wall-clock measurements and vary run to run and machine to machine, so
-   they gate with the generous [wall_tolerance].  Absolute wall-clock
-   seconds (engine [tree_s]/[compiled_s]/[fused_s], sweep elapsed) are
-   never gated at all — a committed baseline crosses machines. *)
+   [tolerance].  The engine benchmark's speedup is a ratio of host
+   wall-clock measurements and varies run to run and machine to machine,
+   so it gates with the generous [wall_tolerance].  Absolute wall-clock
+   seconds (engine [fused_s]/[domains_s], sweep elapsed) are never gated
+   at all — a committed baseline crosses machines. *)
 
 module J = Autocfd_obs.Json
 
@@ -77,11 +77,8 @@ let gated_tables =
     ( "engine",
       [ "program"; "partition" ],
       [
-        r "speedup" Higher_better Wallclock;
-        r "fused_speedup" Higher_better Wallclock;
         r "domains_speedup" Higher_better Wallclock;
         r "loops_fused" Higher_better Deterministic;
-        r "identical" Must_be_true Deterministic;
         r "domains_identical" Must_be_true Deterministic;
       ] );
     ( "resilience",

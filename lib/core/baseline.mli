@@ -11,11 +11,12 @@
 
     Two noise classes, two tolerances: virtual-clock numbers (tables 1-5,
     validation, resilience overhead) are deterministic and gate with the
-    tight [tolerance] (default 5%); the engine benchmark's speedups are
-    host wall-clock ratios and gate with the generous [wall_tolerance]
-    (default 50%).  Absolute wall-clock seconds are never gated — a
-    committed baseline crosses machines.  Rows or tables added since the
-    baseline pass silently; rows or tables that {e disappeared} fail. *)
+    tight [tolerance] (default 5%); the engine benchmark's Domains
+    speedup is a host wall-clock ratio and gates with the generous
+    [wall_tolerance] (default 50%).  Absolute wall-clock seconds are
+    never gated — a committed baseline crosses machines.  Rows or tables
+    added since the baseline pass silently; rows or tables that
+    {e disappeared} fail. *)
 
 type failure = {
   bf_table : string;  (** e.g. ["table2"] *)

@@ -176,56 +176,37 @@ let calibrated_flop_time ?(machine = Autocfd_perfmodel.Model.pentium_cluster)
   PM.memory_slowdown machine ws /. machine.PM.flop_rate
 
 let run_seq ?(spec = Runspec.default) t =
-  match spec.Runspec.engine with
-  | I.Spmd.Tree ->
-      let m = I.Machine.create ~input:spec.Runspec.input t.inlined in
-      I.Machine.run m;
-      {
-        sq_output = I.Machine.output m;
-        sq_arrays =
-          List.map
-            (fun n -> (n, I.Machine.array m n))
-            (I.Machine.array_names m);
-        sq_flops = I.Machine.flops m;
-      }
-  | I.Spmd.Fused | I.Spmd.Domains ->
-      (* Domains differs from Fused only in how ranks execute; the
-         sequential reference is the same closure IR *)
-      let st =
-        I.Compile.create ~input:spec.Runspec.input
-          (I.Compile.of_unit ~fuse:spec.Runspec.fuse t.inlined)
-      in
-      I.Compile.run st;
-      {
-        sq_output = I.Compile.output st;
-        sq_arrays =
-          List.map
-            (fun n -> (n, I.Compile.array st n))
-            (I.Compile.array_names st);
-        sq_flops = I.Compile.flops st;
-      }
+  let st =
+    I.Compile.create ~input:spec.Runspec.input (I.Compile.of_unit t.inlined)
+  in
+  I.Compile.run st;
+  {
+    sq_output = I.Compile.output st;
+    sq_arrays =
+      List.map (fun n -> (n, I.Compile.array st n)) (I.Compile.array_names st);
+    sq_flops = I.Compile.flops st;
+  }
 
-let run ?(spec = Runspec.default) plan =
+let config ?(spec = Runspec.default) plan =
   let net, flop_time =
     match spec.Runspec.machine with
     | Some m ->
         (m.Autocfd_perfmodel.Model.net, calibrated_flop_time ~machine:m plan)
     | None -> (spec.Runspec.net, spec.Runspec.flop_time)
   in
-  let config =
-    {
-      I.Spmd.gi = plan.source.gi;
-      topo = plan.topo;
-      net;
-      flop_time;
-      input = spec.Runspec.input;
-      tracer = spec.Runspec.tracer;
-      faults = spec.Runspec.faults;
-      recovery = spec.Runspec.recovery;
-    }
-  in
-  I.Spmd.run ~engine:spec.Runspec.engine ~fuse:spec.Runspec.fuse config
-    plan.spmd
+  {
+    I.Spmd.gi = plan.source.gi;
+    topo = plan.topo;
+    net;
+    flop_time;
+    input = spec.Runspec.input;
+    tracer = spec.Runspec.tracer;
+    faults = spec.Runspec.faults;
+    recovery = spec.Runspec.recovery;
+  }
+
+let run ?(spec = Runspec.default) plan =
+  I.Spmd.run ~engine:spec.Runspec.engine (config ~spec plan) plan.spmd
 
 let max_divergence seq par =
   List.filter_map

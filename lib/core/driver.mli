@@ -81,26 +81,27 @@ type seq_result = {
 }
 
 val run_seq : ?spec:Runspec.t -> t -> seq_result
-(** Executes the inlined sequential unit.  Only [spec.engine] and
-    [spec.fuse] (the evaluator: the tree walker for [Tree], the closure
-    IR for [Fused] and [Domains], with fused kernels unless [fuse] is
-    false; results are bit-identical across all of them) and
-    [spec.input] (READ data) apply; the cluster-side fields are
+(** Executes the inlined sequential unit with fused kernels.  Only
+    [spec.input] (READ data) applies; the cluster-side fields are
     ignored. *)
+
+val config : ?spec:Runspec.t -> plan -> Autocfd_interp.Spmd.config
+(** The executor configuration {!run} passes to
+    {!Autocfd_interp.Spmd.run}.  With [spec.machine] set, the machine's
+    network and the plan-calibrated per-flop charge override
+    [spec.net]/[spec.flop_time]. *)
 
 val run : ?spec:Runspec.t -> plan -> Autocfd_interp.Spmd.result
 (** Executes the SPMD unit under one {!Runspec.t} (default
     {!Runspec.default}: fused engine, fast network, zero flop cost,
-    nothing optional).  [spec.engine] and [spec.fuse] pick the engine
-    and whether it uses fused kernels ({!Autocfd_interp.Spmd.run}):
-    [Tree] and [Fused] run on the simulated cluster, [Domains] for real
-    on OCaml 5 domains.  With [spec.machine] set, the
-    machine's network and the plan-calibrated per-flop charge override
-    [spec.net]/[spec.flop_time] — add a tracer to get what the old
-    [run_traced] produced.  [spec.faults] installs a deterministic fault
-    schedule (messages then travel over the reliable transport);
-    [spec.recovery] additionally enables coordinated checkpoint/restart —
-    see {!Autocfd_interp.Spmd.run}. *)
+    nothing optional).  [spec.engine] picks where the fused kernels run
+    ({!Autocfd_interp.Spmd.run}): [Fused] on the simulated cluster,
+    [Domains] for real on OCaml 5 domains.  The executor configuration
+    is {!config}'s; add a tracer to get what the old [run_traced]
+    produced.  [spec.faults] installs a deterministic fault schedule
+    (messages then travel over the reliable transport); [spec.recovery]
+    additionally enables coordinated checkpoint/restart — see
+    {!Autocfd_interp.Spmd.run}. *)
 
 val calibrated_flop_time :
   ?machine:Autocfd_perfmodel.Model.machine -> plan -> float

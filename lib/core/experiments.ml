@@ -129,11 +129,6 @@ let program_state_identical (a : Autocfd_interp.Spmd.result)
   && a.Autocfd_interp.Spmd.flops_per_rank = b.Autocfd_interp.Spmd.flops_per_rank
   && a.Autocfd_interp.Spmd.output = b.Autocfd_interp.Spmd.output
 
-let results_identical (a : Autocfd_interp.Spmd.result)
-    (b : Autocfd_interp.Spmd.result) =
-  program_state_identical a b
-  && a.Autocfd_interp.Spmd.stats = b.Autocfd_interp.Spmd.stats
-
 (* the resilience claim: same science out, faults or no faults *)
 let state_identical (a : Autocfd_interp.Spmd.result)
     (b : Autocfd_interp.Spmd.result) =
@@ -330,21 +325,11 @@ let exec_spec spec =
       let parts = parts () in
       let t = Driver.load source in
       let plan = Driver.plan ~spec:(parts_spec parts) t in
-      let run ?(fuse = true) engine () =
-        Driver.run
-          ~spec:Runspec.(default |> with_engine engine |> with_fuse fuse)
-          plan
+      let run engine () =
+        Driver.run ~spec:(Runspec.with_engine engine Runspec.default) plan
       in
-      let tree = run Autocfd_interp.Spmd.Tree in
-      let compiled = run ~fuse:false Autocfd_interp.Spmd.Fused in
       let fused = run Autocfd_interp.Spmd.Fused in
-      let reference = tree () in
-      let identical =
-        results_identical reference (compiled ())
-        && results_identical reference (fused ())
-      in
-      let tree_s = time_run tree in
-      let compiled_s = time_run compiled in
+      let reference = fused () in
       let fused_s = time_run fused in
       (* fused vs domains: the same program at the large size, where
          per-barrier compute dominates domain spawn/wakeup cost.  The
@@ -393,7 +378,7 @@ let exec_spec spec =
       in
       let coverage =
         Autocfd_interp.Compile.coverage
-          (Autocfd_interp.Compile.of_unit ~fuse:true plan.Driver.spmd)
+          (Autocfd_interp.Compile.of_unit plan.Driver.spmd)
       in
       (* the same program with the loop-fission pass disabled: the
          before side of the fission before/after coverage and
@@ -416,20 +401,16 @@ let exec_spec spec =
       let nofission_fused_s = time_run nof_fused in
       let nofission_coverage =
         Autocfd_interp.Compile.coverage
-          (Autocfd_interp.Compile.of_unit ~fuse:true
-             plan_nof.Driver.spmd)
+          (Autocfd_interp.Compile.of_unit plan_nof.Driver.spmd)
       in
       J.Obj
         [
-          ("tree_s", J.Float tree_s);
           ("nofission_fused_s", J.Float nofission_fused_s);
           ("fission_identical", J.Bool fission_identical);
           ("nofission_coverage", coverage_to_json nofission_coverage);
-          ("compiled_s", J.Float compiled_s);
           ("fused_s", J.Float fused_s);
           ("fused_wall_s", J.Float fused_wall_s);
           ("domains_s", J.Float domains_s);
-          ("identical", J.Bool identical);
           ("domains_identical", J.Bool domains_identical);
           ("cal_flop_time", J.Float cal.M.cal_flop_time);
           ("cal_latency", J.Float cal.M.cal_latency);
@@ -864,11 +845,8 @@ let engine_bench ?sweep () =
          in
          let fused, total = loops "coverage" in
          let nf_fused, nf_total = loops "nofission_coverage" in
-         let tree_s = jf "tree_s" r in
          extend r
            [
-             ("speedup", J.Float (tree_s /. jf "compiled_s" r));
-             ("fused_speedup", J.Float (tree_s /. jf "fused_s" r));
              ("domains_speedup", J.Float (jf "fused_wall_s" r /. jf "domains_s" r));
              ("loops_fused", J.Int fused); ("loops_total", J.Int total);
              ("loops_fused_nofission", J.Int nf_fused);
@@ -878,24 +856,20 @@ let engine_bench ?sweep () =
 let render_engine =
   render_rows
     ~title:
-      "Execution engine: tree-walking interpreter vs compiled closure IR vs \
-       fused kernels vs real OCaml 5 domains (identical results)"
+      "Execution engine: fused kernels on the simulator vs on real OCaml 5 \
+       domains (identical results)"
     [
       ("program", js "program"); ("partition", dims "partition");
-      ("tree (s)", num ~decimals:3 "tree_s");
-      ("compiled (s)", num ~decimals:3 "compiled_s");
       ("fused (s)", num ~decimals:3 "fused_s");
       ("no-fission fused (s)", num ~decimals:3 "nofission_fused_s");
       ("domains (s)", num ~decimals:3 "domains_s");
-      ("speedup", num "speedup"); ("fused speedup", num "fused_speedup");
       ("domains speedup", num "domains_speedup");
       ( "loops fused (pre->post fission)",
         fun r ->
           Printf.sprintf "%d/%d -> %d/%d" (ji "loops_fused_nofission" r)
             (ji "loops_total_nofission" r) (ji "loops_fused" r)
             (ji "loops_total" r) );
-      ( "identical",
-        yes_no [ "identical"; "domains_identical"; "fission_identical" ] );
+      ("identical", yes_no [ "domains_identical"; "fission_identical" ]);
     ]
 
 (* one coverage row: line, loop variables (with the fission fragment)
@@ -931,11 +905,9 @@ let render_engine_coverage rows =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Committed per-nest coverage manifest (COVERAGE.json): the full-size  *)
-(* bundled applications' fused-kernel coverage, one row per field-loop  *)
-(* nest of the inlined sequential unit.  [autocfd engine --check] gates *)
-(* the current build against the committed manifest so a nest that was  *)
-(* fused can never silently fall back to the closure IR again.          *)
+(* Per-nest fused-kernel coverage of the full-size bundled applications *)
+(* before and after loop fission, one row per field-loop nest of the    *)
+(* inlined sequential unit ([autocfd coverage])                         *)
 (* ------------------------------------------------------------------ *)
 
 let coverage_apps () =
@@ -948,70 +920,7 @@ let coverage_apps () =
 let app_coverage ?(fission = true) src =
   let t = Driver.load ~spec:(Runspec.with_fission fission Runspec.default) src in
   Autocfd_interp.Compile.coverage
-    (Autocfd_interp.Compile.of_unit ~fuse:true t.Driver.inlined)
-
-let coverage_manifest () =
-  J.Obj
-    [
-      ("schema", J.Str "autocfd-coverage/1");
-      ( "programs",
-        J.List
-          (List.map
-             (fun (name, src) ->
-               let cov = app_coverage src in
-               let fused, total = coverage_counts cov in
-               J.Obj
-                 [
-                   ("program", J.Str name);
-                   ("fused", J.Int fused);
-                   ("total", J.Int total);
-                   ("nests", coverage_to_json cov);
-                 ])
-             (coverage_apps ())) );
-    ]
-
-let manifest_programs j =
-  match J.member "programs" j with
-  | Some (J.List ps) ->
-      List.map
-        (fun p -> (js "program" p, coverage_of_json (jfield "nests" p)))
-        ps
-  | _ -> raise (J.Parse_error "coverage manifest: missing programs list")
-
-let check_coverage_manifest ~committed ~current =
-  let cur = manifest_programs current in
-  List.concat_map
-    (fun (name, bnests) ->
-      match List.assoc_opt name cur with
-      | None ->
-          [ Printf.sprintf "%s: program missing from current coverage" name ]
-      | Some cnests ->
-          let key (c : Autocfd_interp.Compile.coverage_entry) =
-            ( c.Autocfd_interp.Compile.cov_line,
-              c.Autocfd_interp.Compile.cov_vars,
-              c.Autocfd_interp.Compile.cov_frag )
-          in
-          List.filter_map
-            (fun (b : Autocfd_interp.Compile.coverage_entry) ->
-              if not b.Autocfd_interp.Compile.cov_fused then None
-              else
-                let where =
-                  Printf.sprintf "%s: line %d do %s" name
-                    b.Autocfd_interp.Compile.cov_line
-                    (String.concat "," b.Autocfd_interp.Compile.cov_vars)
-                in
-                match List.find_opt (fun c -> key c = key b) cnests with
-                | Some c when c.Autocfd_interp.Compile.cov_fused -> None
-                | Some c ->
-                    Some
-                      (Printf.sprintf "%s was fused, now falls back (%s)"
-                         where
-                         (Autocfd_interp.Compile.reason_to_string
-                            c.Autocfd_interp.Compile.cov_reason))
-                | None ->
-                    Some (Printf.sprintf "%s: fused nest disappeared" where))
-            bnests)
-    (manifest_programs committed)
+    (Autocfd_interp.Compile.of_unit t.Driver.inlined)
 
 let render_coverage_fission () =
   let b = Buffer.create 4096 in

@@ -133,19 +133,18 @@ val validate_model : ?sweep:sweep -> unit -> validation_row list
 val render_validation : validation_row list -> string
 
 val engine_bench : ?sweep:sweep -> unit -> row list
-(** Head-to-head of the three execution engines, [Fused] with and
-    without fused kernels, on a small aerofoil and sprayer instance:
-    each case is executed on the simulated cluster with every engine
-    (and for real on OCaml 5 domains), results are checked for
-    bit-identity, then each is timed on the wall clock over repeated
-    runs.  Row fields: [program], [partition]; mean wall-clock seconds
-    [tree_s], [compiled_s] (closure IR, [fuse = false]), [fused_s],
-    [nofission_fused_s] (fission off) and, on a larger instance,
-    [fused_wall_s] and [domains_s]; [speedup] (tree / compiled),
-    [fused_speedup] (tree / fused), [domains_speedup] (fused / domains
-    on the larger instance); the bit-identity flags [identical] (every
-    simulated engine), [domains_identical] (program state against the
-    simulator) and [fission_identical] (fission on vs off); [coverage]
+(** The fused kernels on the simulated cluster ([Fused]) against the
+    same kernels on real OCaml 5 domains ([Domains]), on a small
+    aerofoil and sprayer instance: each case is executed on both
+    engines and with loop fission off, program state is checked for
+    bit-identity against the fused simulation, then each is timed on
+    the wall clock over repeated runs.  Row fields: [program],
+    [partition]; mean wall-clock seconds [fused_s], [nofission_fused_s]
+    (fission off) and, on a larger instance, [fused_wall_s] and
+    [domains_s]; [domains_speedup] (fused / domains on the larger
+    instance); the bit-identity flags [domains_identical] (program
+    state against the simulator) and [fission_identical] (fission on vs
+    off); [coverage]
     and [nofission_coverage] ({!coverage_to_json}) with their
     [loops_fused]/[loops_total] counts ([_nofission] suffixed for the
     latter); and the model primitives fitted from the Domains run,
@@ -170,20 +169,6 @@ val coverage_of_json :
   Autocfd_obs.Json.t -> Autocfd_interp.Compile.coverage_entry list
 (** Inverse of {!coverage_to_json}.
     @raise Autocfd_obs.Json.Parse_error on malformed rows. *)
-
-val coverage_manifest : unit -> Autocfd_obs.Json.t
-(** Per-nest fused-kernel coverage of the full-size bundled applications
-    (sequential inlined unit, loop fission on) — the document committed
-    as [COVERAGE.json] (schema ["autocfd-coverage/1"]). *)
-
-val check_coverage_manifest :
-  committed:Autocfd_obs.Json.t -> current:Autocfd_obs.Json.t -> string list
-(** Coverage regressions of [current] against the [committed] manifest:
-    one message per nest that was fused in the committed manifest but is
-    now missing or falls back to the closure IR, and per program that
-    disappeared entirely.  Empty means the gate passes; new nests and
-    newly-fused nests are never regressions.
-    @raise Autocfd_obs.Json.Parse_error on a malformed manifest. *)
 
 val render_coverage_fission : unit -> string
 (** Human-readable before/after loop-fission coverage of the bundled

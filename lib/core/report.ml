@@ -86,7 +86,7 @@ let rec markdown (plan : Driver.plan) =
   line "";
   let cov =
     Autocfd_interp.Compile.coverage
-      (Autocfd_interp.Compile.of_unit ~fuse:true plan.Driver.spmd)
+      (Autocfd_interp.Compile.of_unit plan.Driver.spmd)
   in
   let fused =
     List.length

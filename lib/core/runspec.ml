@@ -17,7 +17,6 @@ type t = {
   parts : int array option;
   combine : S.Optimizer.combine_strategy;
   fission : bool;
-  fuse : bool;
 }
 
 let default =
@@ -34,7 +33,6 @@ let default =
     parts = None;
     combine = S.Optimizer.Optimal;
     fission = true;
-    fuse = true;
   }
 
 let with_engine engine t = { t with engine }
@@ -49,7 +47,6 @@ let with_nprocs nprocs t = { t with nprocs }
 let with_parts parts t = { t with parts }
 let with_combine combine t = { t with combine }
 let with_fission fission t = { t with fission }
-let with_fuse fuse t = { t with fuse }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical JSON codec                                                *)
@@ -58,15 +55,13 @@ let with_fuse fuse t = { t with fuse }
 let fail msg = raise (J.Parse_error ("Runspec.of_json: " ^ msg))
 
 let engine_to_string = function
-  | I.Spmd.Tree -> "tree"
   | I.Spmd.Fused -> "fused"
   | I.Spmd.Domains -> "domains"
 
 let engine_of_string = function
-  | "tree" -> I.Spmd.Tree
   | "fused" -> I.Spmd.Fused
   | "domains" -> I.Spmd.Domains
-  | s -> fail (Printf.sprintf "unknown engine %S (tree|fused|domains)" s)
+  | s -> fail (Printf.sprintf "unknown engine %S (fused|domains)" s)
 
 let net_to_json (n : M.Netmodel.t) =
   J.Obj
@@ -266,7 +261,6 @@ let to_json t =
       ("parts", opt (fun p -> J.Str (parts_to_string p)) t.parts);
       ("combine", J.Str (combine_to_string t.combine));
       ("fission", J.Bool t.fission);
-      ("fuse", J.Bool t.fuse);
     ]
 
 let opt_of name f j =
@@ -288,15 +282,8 @@ let get_bool_or name fallback j =
     j
 
 let of_json j =
-  (* documents written before the engine and the fuse knob merged name
-     the unfused closure IR "compiled" *)
-  let engine, fuse =
-    match get_string "engine" j with
-    | "compiled" -> (I.Spmd.Fused, false)
-    | s -> (engine_of_string s, get_bool_or "fuse" default.fuse j)
-  in
   {
-    engine;
+    engine = engine_of_string (get_string "engine" j);
     net = net_of_json (get "net" j);
     flop_time = get_float "flop_time" j;
     machine = opt_of "machine" machine_of_json j;
@@ -326,5 +313,4 @@ let of_json j =
           | _ -> fail "field \"combine\": expected a string")
         j;
     fission = get_bool_or "fission" default.fission j;
-    fuse;
   }

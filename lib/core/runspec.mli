@@ -8,9 +8,9 @@
     be built once, passed around, compared, and serialized.
 
     Since the tune work the record also carries the {e plan-time} knobs
-    — [nprocs], [parts], [combine], [fission], [fuse] — so one value
-    names a complete point in the configuration search space: how the
-    program is partitioned and restructured as well as how it runs.
+    — [nprocs], [parts], [combine], [fission] — so one value names a
+    complete point in the configuration search space: how the program
+    is partitioned and restructured as well as how it runs.
     {!Autocfd_core.Tune} enumerates the product space as a list of
     runspecs; the serialized form is the tune job key, the cache key and
     the reproduction recipe all at once.
@@ -22,8 +22,8 @@
     [of_json (to_json s)] re-renders to the same JSON text (round-trip
     tested).  Decoding is backward compatible: the plan-time fields are
     absent in documents written by the pre-tune codec and decode to
-    their [default] values, and the retired ["compiled"] engine decodes
-    to [Fused] with [fuse = false].  The one lossy field is [tracer]: a live
+    their [default] values, and an unknown key (such as the retired
+    ["fuse"]) is ignored.  The one lossy field is [tracer]: a live
     tracer cannot be serialized, so it encodes as the boolean ["traced"]
     and decodes to a fresh empty tracer when true. *)
 
@@ -47,17 +47,13 @@ type t = {
   combine : Autocfd_syncopt.Optimizer.combine_strategy;
       (** sync-combining strategy; default [Optimal] (paper Fig. 6(b)) *)
   fission : bool;  (** run the loop-fission pass at load; default [true] *)
-  fuse : bool;
-      (** allow fused kernels; [false] runs the closure-IR engines
-          ([Fused], [Domains]) without the fused-kernel tier ([Tree] has
-          none); default [true] *)
 }
 
 val default : t
 (** Fused engine, fast network, zero flop cost, no machine, no input, no
     tracer, no faults, no recovery — exactly what the argument defaults
     of the old entry points added up to — plus auto-partitioning over 4
-    ranks, optimal sync combining, fission and fusion on. *)
+    ranks, optimal sync combining and fission on. *)
 
 val with_engine : Autocfd_interp.Spmd.engine -> t -> t
 val with_net : Autocfd_mpsim.Netmodel.t -> t -> t
@@ -71,9 +67,8 @@ val with_nprocs : int -> t -> t
 val with_parts : int array option -> t -> t
 val with_combine : Autocfd_syncopt.Optimizer.combine_strategy -> t -> t
 val with_fission : bool -> t -> t
-val with_fuse : bool -> t -> t
 (** Functional setters, argument-first so they pipe:
-    [Runspec.(default |> with_engine Tree |> with_input [ 2.5 ])]. *)
+    [Runspec.(default |> with_engine Domains |> with_input [ 2.5 ])]. *)
 
 val parts_to_string : int array -> string
 val parts_of_string : string -> int array
@@ -87,11 +82,10 @@ val combine_of_string : string -> Autocfd_syncopt.Optimizer.combine_strategy
 
 val engine_to_string : Autocfd_interp.Spmd.engine -> string
 val engine_of_string : string -> Autocfd_interp.Spmd.engine
-(** ["tree"] / ["fused"] / ["domains"]; the one codec for engine names
-    (specs, job keys, the CLI's [--engine]).  [engine_of_string] raises
-    {!Autocfd_obs.Json.Parse_error} on any other name.  {!of_json}
-    additionally decodes the ["compiled"] engine of older documents as
-    [Fused] with [fuse = false]. *)
+(** ["fused"] / ["domains"]; the one codec for engine names (specs, job
+    keys, the CLI's [--engine]).  [engine_of_string] raises
+    {!Autocfd_obs.Json.Parse_error} on any other name, the retired tree
+    and compiled engine names included. *)
 
 val to_json : t -> Autocfd_obs.Json.t
 (** Stable canonical encoding; fixed field set, deterministic rendering

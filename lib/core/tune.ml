@@ -22,14 +22,12 @@ let grid_of_string = function
   | "wide" -> Ok Wide
   | s -> Error (Printf.sprintf "unknown tune grid %S (narrow|default|wide)" s)
 
-(* one value list per orthogonal axis; engine and fuse are enumerated as
-   pairs because [fuse] only matters to the closure-IR engines, and the
-   wide grid measures Domains in its fused form only *)
+(* one value list per orthogonal axis *)
 type axes = {
   ax_nprocs : int list;
   ax_combine : S.Optimizer.combine_strategy list;
   ax_fission : bool list;
-  ax_exec : (I.Spmd.engine * bool) list;  (* (engine, fuse) *)
+  ax_engine : I.Spmd.engine list;
 }
 
 let axes = function
@@ -38,25 +36,21 @@ let axes = function
         ax_nprocs = [ 4 ];
         ax_combine = [ S.Optimizer.Optimal ];
         ax_fission = [ true ];
-        ax_exec = [ (I.Spmd.Fused, true) ];
+        ax_engine = [ I.Spmd.Fused ];
       }
   | Default ->
       {
         ax_nprocs = [ 2; 3; 4; 6 ];
         ax_combine = [ S.Optimizer.Optimal; S.Optimizer.First_fit ];
         ax_fission = [ true ];
-        ax_exec = [ (I.Spmd.Fused, true) ];
+        ax_engine = [ I.Spmd.Fused ];
       }
   | Wide ->
       {
         ax_nprocs = [ 2; 3; 4; 5; 6; 8 ];
         ax_combine = [ S.Optimizer.Optimal; S.Optimizer.First_fit ];
         ax_fission = [ true; false ];
-        ax_exec =
-          [
-            (I.Spmd.Fused, true); (I.Spmd.Fused, false);
-            (I.Spmd.Domains, true);
-          ];
+        ax_engine = [ I.Spmd.Fused; I.Spmd.Domains ];
       }
 
 let feasible_shapes t nprocs =
@@ -78,12 +72,12 @@ let points ?(base = Runspec.default) grid t =
               List.concat_map
                 (fun fission ->
                   List.map
-                    (fun (engine, fuse) ->
+                    (fun engine ->
                       Runspec.(
                         base |> with_nprocs nprocs |> with_parts (Some parts)
                         |> with_combine combine |> with_fission fission
-                        |> with_engine engine |> with_fuse fuse))
-                    ax.ax_exec)
+                        |> with_engine engine))
+                    ax.ax_engine)
                 ax.ax_fission)
             ax.ax_combine)
         (feasible_shapes t nprocs))
@@ -201,14 +195,11 @@ let spec_key e = J.canonical (Runspec.to_json e.te_spec)
 let triple m = (m.tm_time, m.tm_comm, m.tm_mem)
 
 (* exact metric ties resolve toward the paper's default knobs (optimal
-   combining, fission and fusion on) before the canonical spec JSON, so
-   a tied winner reads as the least surprising configuration *)
+   combining, fission on) before the canonical spec JSON, so a tied
+   winner reads as the least surprising configuration *)
 let tiebreak e =
   let s = e.te_spec in
-  ( s.Runspec.combine <> S.Optimizer.Optimal,
-    not s.Runspec.fission,
-    not s.Runspec.fuse,
-    spec_key e )
+  (s.Runspec.combine <> S.Optimizer.Optimal, not s.Runspec.fission, spec_key e)
 
 let compare_entry a b =
   compare
@@ -297,8 +288,7 @@ let entry_row e =
     Runspec.parts_to_string e.te_parts;
     Runspec.combine_to_string s.Runspec.combine;
     (if s.Runspec.fission then "on" else "off");
-    Runspec.engine_to_string s.Runspec.engine
-    ^ (if s.Runspec.fuse then "" else "-nofuse");
+    Runspec.engine_to_string s.Runspec.engine;
     cell_float ~decimals:1 e.te_metrics.tm_time;
     cell_float ~decimals:0 (e.te_metrics.tm_comm /. 1024.);
     cell_float ~decimals:0 (e.te_metrics.tm_mem /. 1024.);

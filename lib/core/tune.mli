@@ -3,8 +3,8 @@
     ComPar-style auto-tuning for the Auto-CFD pipeline: enumerate the
     product space of every plan- and run-time knob a {!Runspec.t} can
     express — rank count, partition shape (all feasible factorizations),
-    sync-combining strategy, loop fission, execution engine and kernel
-    fusion — evaluate each point under the calibrated performance model
+    sync-combining strategy, loop fission and execution engine —
+    evaluate each point under the calibrated performance model
     ({!Autocfd_perfmodel.Model}), and report the winner plus the Pareto
     frontier over (predicted time, per-rank communication volume,
     per-rank working set).
@@ -20,8 +20,8 @@
 (** How wide to open each axis. [Narrow] is a smoke-test single point;
     [Default] covers every hand-picked configuration in the paper's
     Table 2/3 reproductions (so the tuned winner can only match or beat
-    them); [Wide] adds odd rank counts, first-fit-only regressions,
-    fission/fusion ablations and the real Domains engine. *)
+    them); [Wide] adds odd rank counts, first-fit-only regressions, the
+    fission ablation and the real Domains engine. *)
 type grid = Narrow | Default | Wide
 
 val grid_to_string : grid -> string
@@ -77,8 +77,8 @@ val dominates : metrics -> metrics -> bool
 val frontier : entry list -> entry list
 (** The non-dominated entries, in the deterministic report order:
     ascending time, then comm, then mem; exact metric ties resolve
-    toward the paper's default knobs (optimal combining, fission and
-    fusion on) and finally the canonical spec JSON.  Entries with
+    toward the paper's default knobs (optimal combining, fission on) and
+    finally the canonical spec JSON.  Entries with
     exactly equal metrics collapse to one representative, preferring one
     that has a measured wall clock. *)
 

@@ -2594,7 +2594,7 @@ let kind_matches kind (v : Value.scalar) =
   | KInt, Value.Int _ | KReal, Value.Real _ | KBool, Value.Bool _ -> true
   | _ -> false
 
-let compile ?(fuse = false) (u : Ast.program_unit) : cu =
+let compile ?(fuse = true) (u : Ast.program_unit) : cu =
   (* the machine's initial environment: PARAMETER constants, declared
      array bounds and DATA contents, with identical semantics (and
      identical failure modes) by construction; storage waits for
@@ -2692,7 +2692,7 @@ let memo : (Ast.program_unit * bool * cu) list ref = ref []
 let memo_limit = 16
 let memo_lock = Mutex.create ()
 
-let of_unit ?(fuse = false) u =
+let of_unit ?(fuse = true) u =
   let hit =
     Mutex.protect memo_lock (fun () ->
         List.find_opt (fun (u', f, _) -> u' == u && f = fuse) !memo)

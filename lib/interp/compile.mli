@@ -106,7 +106,7 @@ val compile : ?fuse:bool -> Ast.program_unit -> cu
     bounds and DATA contents are kept, and every {!create} allocates its
     own.
 
-    With [~fuse:true] (default [false]) the compiler additionally emits a
+    With [~fuse:true] (the default) the compiler additionally emits a
     fused kernel for every DO nest whose body is a straight-line sequence
     of assignments to declared array elements over affine subscripts:
     bounds are evaluated once at entry, every subscript is proven in-range
@@ -119,7 +119,9 @@ val compile : ?fuse:bool -> Ast.program_unit -> cu
     analyzer or the runtime prover cannot discharge fall back to the
     closure IR.  A fused nest's fallback closure is compiled on its first
     call rather than here; states running at once on several domains may
-    each compile it then, which changes nothing they compute. *)
+    each compile it then, which changes nothing they compute.
+    [~fuse:false] is the tests' seam: the closure IR alone, the
+    reference the fused kernels are checked against. *)
 
 val of_unit : ?fuse:bool -> Ast.program_unit -> cu
 (** Memoized {!compile}: the same physical [program_unit] (and fuse flag)

@@ -81,7 +81,7 @@ let snapshot_bytes s =
   * (List.length s.ck_scalars
     + List.fold_left (fun acc (_, a) -> acc + Array.length a) 0 s.ck_arrays)
 
-type engine = Tree | Fused | Domains
+type engine = Fused | Domains
 
 let tag_exchange = 3
 let tag_pipe = 5
@@ -1165,14 +1165,22 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
   let flops_per_rank = Array.make nranks 0.0 in
   let compute_wall = Array.make nranks 0.0 in
   let comm_samples : (int * float) list array = Array.make nranks [] in
-  (* wall-clock sync-point spans, buffered per rank during the run (the
-     tracer is not thread-safe) and replayed after the domains join *)
+  (* wall-clock sync-point spans and compute intervals, buffered per rank
+     during the run (the tracer is not thread-safe) and replayed after
+     the domains join *)
+  let tracing = config.tracer <> None in
   let pending = Array.make nranks [] in
+  let computing = Array.make nranks [] in
   let sync_tbl = sync_table config u in
   let body (c : Shm.comm) =
     let r = Shm.rank c in
     let last = ref 0.0 in
     let compute = ref 0.0 in
+    (* the compute interval from the last hook's exit to [t] *)
+    let close_compute t =
+      compute := !compute +. (t -. !last);
+      if tracing then computing.(r) <- (!last, t) :: computing.(r)
+    in
     let copy_bytes = ref 0 in
     let samples = ref [] in
     let peer_data name peer =
@@ -1223,10 +1231,12 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       Shm.barrier c
     in
     (* close the open compute interval at a communication hook; reopen
-       it when the hook returns *)
+       it when the hook returns.  Time inside the hook (halo blits,
+       collective arithmetic) beyond its waits is neither compute nor
+       comm *)
     let guard _ kind op =
       let t_in = Shm.time c in
-      compute := !compute +. (t_in -. !last);
+      close_compute t_in;
       let b0 = !copy_bytes in
       let v = op () in
       (match kind with
@@ -1265,8 +1275,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     Shm.barrier c;
     last := Shm.time c;
     iface.i_run m;
-    let t_end = Shm.time c in
-    compute := !compute +. (t_end -. !last);
+    close_compute (Shm.time c);
     compute_wall.(r) <- !compute;
     comm_samples.(r) <- List.rev !samples;
     flops_per_rank.(r) <- iface.i_flops m
@@ -1303,6 +1312,13 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
             (List.rev pend))
         pending;
       Array.iteri
+        (fun r spans ->
+          List.iter
+            (fun (t0, t1) ->
+              Trace.record tr ~wall:true ~rank:r ~t0 ~t1 Trace.Compute)
+            (List.rev spans))
+        computing;
+      Array.iteri
         (fun r rs ->
           List.iter
             (fun (w : Shm.wait) ->
@@ -1317,17 +1333,15 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
             rs.Shm.rs_waits)
         ranks;
       (* kernel summaries in measured wall seconds: the rank's compute
-         wall split across nests by their flop shares *)
+         wall split across nests by their shares of all the rank's flops,
+         so compute spent outside every nest stays unattributed *)
       for r = 0 to nranks - 1 do
-        let ks = iface.i_kernels (machine r) in
-        let total =
-          List.fold_left (fun a k -> a +. k.Compile.ks_flops) 0.0 ks
-        in
+        let total = flops_per_rank.(r) in
         record_kernels tr ~wall:true ~rank:r
           ~secs:(fun k ->
             compute_wall.(r)
             *. (if total > 0.0 then k.Compile.ks_flops /. total else 0.0))
-          ks
+          (iface.i_kernels (machine r))
       done);
   let gathered, scalars = gather_results iface ~gi ~topo ~nranks ~machine u in
   let dstats =
@@ -1388,6 +1402,7 @@ let compiled_iface ~fuse (u : Ast.program_unit) : Compile.state iface =
 
 let run ?(engine = Fused) ?(fuse = true) config (u : Ast.program_unit) =
   match engine with
-  | Tree -> run_sim (tree_iface u) config u
   | Fused -> run_sim (compiled_iface ~fuse u) config u
   | Domains -> run_domains (compiled_iface ~fuse u) config u
+
+let run_tree config (u : Ast.program_unit) = run_sim (tree_iface u) config u

@@ -89,30 +89,26 @@ type result = {
       (** wall-clock measurements; [Some _] iff the engine was [Domains] *)
 }
 
-type engine = Tree | Fused | Domains
-(** Which evaluator executes each rank's unit body, and on what:
-    - [Tree]: the tree-walking {!Machine} on the simulated cluster — the
-      semantic oracle the other two are tested against;
-    - [Fused]: the slot-resolved closure IR of {!Compile} on the
-      simulated cluster, with the fused-kernel tier (straight-line
-      affine DO nests run as bounds-hoisted tight loops with batched
-      flop charging) when [run]'s [fuse] is on;
-    - [Domains]: the same closure IR run for real, one OCaml 5 domain
-      per rank, fields in shared memory, halo exchange as direct
-      bounds-checked blits between neighbouring ranks' arrays, and
-      sense-reversing barriers in place of the simulator's virtual-clock
-      sync ({!Autocfd_mpsim.Shm}).
-    Results of all three, with fusion on or off, are bit-identical
-    (enforced by the golden-equivalence suite and the Domains identity
-    gate); [Fused] is the default.  [Domains] rejects fault plans and
-    recovery (simulator-only features). *)
+type engine = Fused | Domains
+(** Where the fused kernels of {!Compile} (straight-line affine DO nests
+    run as bounds-hoisted tight loops with batched flop charging, the
+    rest on its slot-resolved closure IR) execute each rank's unit body:
+    - [Fused]: on the simulated cluster;
+    - [Domains]: for real, one OCaml 5 domain per rank, fields in shared
+      memory, halo exchange as direct bounds-checked blits between
+      neighbouring ranks' arrays, and sense-reversing barriers in place
+      of the simulator's virtual-clock sync ({!Autocfd_mpsim.Shm}).
+    Both are bit-identical to the tree-walking {!Machine} ({!run_tree},
+    the semantic oracle of the golden-equivalence suite); [Fused] is the
+    default.  [Domains] rejects fault plans and recovery (simulator-only
+    features). *)
 
 val run :
   ?engine:engine -> ?fuse:bool -> config -> Ast.program_unit -> result
 (** Executes the SPMD unit produced by [Transform.run] on
-    [Topology.nranks config.topo] ranks.  [fuse] (default [true])
-    enables the fused-kernel tier of the closure-IR engines ([Fused],
-    [Domains]); [Tree] ignores it.  The unit is compiled (or analyzed)
+    [Topology.nranks config.topo] ranks.  [fuse] (default [true]) is the
+    tests' seam: [false] runs the closure IR without fused kernels, the
+    reference the fused tier is checked against.  The unit is compiled
     once and shared across ranks; halo-exchange, pipeline and allgather
     boxes are resolved once per (rank, sync point) into flat offset
     vectors — contiguous offset runs collapse to [Array.blit] segments
@@ -127,7 +123,11 @@ val run :
     and immediate trace spans, against {!Autocfd_mpsim.Shm}'s
     collectives, blit-based halo exchange and allgather, wall-clock
     compute/communication split and spans buffered until the domains
-    join.  Checkpoint/restart is simulator-only.
+    join.  A traced [Domains] run records each rank's compute intervals
+    (from one hook's exit to the next hook's entry, and from the last
+    hook to the end of the body) as wall-clock [Compute] events; time
+    spent copying inside a hook is neither compute nor wait.
+    Checkpoint/restart is simulator-only.
 
     Recovery works by skip-replay: a restarted attempt re-executes the
     unit with communication suppressed, counting sync-point visits, and
@@ -142,3 +142,8 @@ val run :
     @raise Sim.Deadlock / [Machine.Runtime_error] on malformed programs.
     @raise Sim.Timeout when a crash or unrecoverable loss persists past
     [rc_max_restarts] (or immediately without [recovery]). *)
+
+val run_tree : config -> Ast.program_unit -> result
+(** {!run} on the tree-walking {!Machine}, on the simulated cluster: the
+    semantic oracle the fused kernels are tested against, bit-identical
+    to them in every field of [result].  No production path runs it. *)

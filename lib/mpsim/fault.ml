@@ -103,13 +103,6 @@ let counters p =
     fc_crashes = p.p_crashes;
   }
 
-let crashed_ranks p =
-  let out = ref [] in
-  List.iteri
-    (fun i c -> if p.p_crash_fired.(i) then out := c.cr_rank :: !out)
-    p.p_spec.fs_crashes;
-  List.sort_uniq compare !out
-
 let any_fired p =
   p.p_drops + p.p_duplicates + p.p_corruptions + p.p_reorders + p.p_stalls
   + p.p_crashes

@@ -82,9 +82,6 @@ type counters = {
 val counters : plan -> counters
 (** Cumulative over every run (and restart) of the plan. *)
 
-val crashed_ranks : plan -> int list
-(** Ranks whose crash trigger has fired, ascending. *)
-
 val any_fired : plan -> bool
 (** Has any fault (of any kind) been injected yet? *)
 

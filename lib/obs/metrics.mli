@@ -14,7 +14,9 @@
 
 type rank_row = {
   rr_rank : int;
-  rr_compute : float;  (** seconds charged by [Sim.advance] *)
+  rr_compute : float;
+      (** seconds charged by [Sim.advance], or on a wall-clock Domains
+          run, measured outside communication hooks *)
   rr_comm : float;  (** send/recv overheads + collective costs *)
   rr_blocked : float;  (** idle waiting on messages or collectives *)
   rr_finish : float;  (** the rank's final virtual time *)

@@ -10,8 +10,9 @@ type t = {
 (* bump when a code change invalidates previously cached results *)
 (* /2: the Runspec JSON codec grew plan-time fields (nprocs, parts,
    combine, fission, fuse), changing the content of every spec-keyed
-   result *)
-let code_version = "autocfd-sched/2"
+   result.  /3: the codec dropped [fuse] and the engine rows their tree
+   and closure-IR fields *)
+let code_version = "autocfd-sched/3"
 
 let make ?(version = code_version) ?spec ~label ~key run =
   {

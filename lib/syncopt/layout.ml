@@ -13,7 +13,6 @@ type binfo = {
   bi_stmts : Ast.stmt array;
   bi_parent : (block_id * int) option;
   bi_slots : int array;  (* clock per insertion slot, length n+1 *)
-  bi_loop : int option;  (* innermost enclosing DO statement id *)
 }
 
 type t = {
@@ -29,7 +28,7 @@ let of_unit (u : Ast.program_unit) =
     let c = ref 0 in
     fun () -> incr c; !c
   in
-  let rec walk_block ~owner ~parent ~loop stmts =
+  let rec walk_block ~owner ~parent stmts =
     let id = !nblocks in
     incr nblocks;
     (* reserve the slot *)
@@ -40,40 +39,39 @@ let of_unit (u : Ast.program_unit) =
       (fun i st ->
         slots.(i) <- tick ();
         Hashtbl.replace coords st.Ast.s_id (id, i);
-        walk_stmt ~block:id ~index:i ~loop st)
+        walk_stmt ~block:id ~index:i st)
       arr;
     slots.(Array.length arr) <- tick ();
     let info =
       { bi_owner = owner; bi_stmts = arr; bi_parent = parent;
-        bi_slots = slots; bi_loop = loop }
+        bi_slots = slots }
     in
     blocks :=
       List.map (fun (i, b) -> if i = id then (i, Some info) else (i, b))
         !blocks;
     id
-  and walk_stmt ~block ~index ~loop st =
+  and walk_stmt ~block ~index st =
     match st.Ast.s_kind with
     | Ast.Do d ->
         ignore
           (walk_block ~owner:(Loop_body st.Ast.s_id)
-             ~parent:(Some (block, index)) ~loop:(Some st.Ast.s_id)
-             d.Ast.do_body)
+             ~parent:(Some (block, index)) d.Ast.do_body)
     | Ast.If (branches, els) ->
         List.iteri
           (fun bi (_, b) ->
             ignore
               (walk_block ~owner:(Branch (st.Ast.s_id, bi))
-                 ~parent:(Some (block, index)) ~loop b))
+                 ~parent:(Some (block, index)) b))
           branches;
         Option.iter
           (fun b ->
             ignore
               (walk_block ~owner:(Else st.Ast.s_id)
-                 ~parent:(Some (block, index)) ~loop b))
+                 ~parent:(Some (block, index)) b))
           els
     | _ -> ()
   in
-  ignore (walk_block ~owner:Top ~parent:None ~loop:None u.Ast.u_body);
+  ignore (walk_block ~owner:Top ~parent:None u.Ast.u_body);
   let n = !nblocks in
   let arr = Array.make n None in
   List.iter (fun (i, b) -> arr.(i) <- b) !blocks;
@@ -92,4 +90,3 @@ let stmts t id = t.blocks.(id).bi_stmts
 let parent t id = t.blocks.(id).bi_parent
 let coord t sid = Hashtbl.find t.coords sid
 let slot_clock t id i = t.blocks.(id).bi_slots.(i)
-let enclosing_loop t id = t.blocks.(id).bi_loop

@@ -32,7 +32,3 @@ val coord : t -> int -> block_id * int
 val slot_clock : t -> block_id -> int -> int
 (** Monotone clock value of a slot, used for sorting and reporting: the
     clock of the gap before statement [i] (or after the last). *)
-
-val enclosing_loop : t -> block_id -> int option
-(** Statement id of the innermost DO whose body (transitively, through IF
-    branches) contains this block. *)

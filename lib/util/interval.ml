@@ -23,9 +23,6 @@ let affine ~mul ~add t =
   if mul >= 0 then { lo = (mul * t.lo) + add; hi = (mul * t.hi) + add }
   else { lo = (mul * t.hi) + add; hi = (mul * t.lo) + add }
 
-let compare_start a b =
-  match compare a.lo b.lo with 0 -> compare a.hi b.hi | c -> c
-
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let pp ppf t = Format.fprintf ppf "[%d, %d]" t.lo t.hi
 let to_string t = Format.asprintf "%a" pp t

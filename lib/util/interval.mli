@@ -33,9 +33,6 @@ val affine : mul:int -> add:int -> t -> t
     when [mul] is negative).  Used by the fused-kernel bounds prover to
     fold affine subscripts over loop trip spaces. *)
 
-val compare_start : t -> t -> int
-(** Order by [lo], ties broken by [hi]. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

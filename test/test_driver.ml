@@ -187,10 +187,9 @@ let test_baseline_gate () =
                 [
                   ("program", J.Str "aerofoil");
                   ("partition", J.Str "2x2x1");
-                  ("speedup", J.Float 8.0);
-                  ("fused_speedup", J.Float 15.0);
+                  ("domains_speedup", J.Float 1.5);
                   ("loops_fused", J.Int 21);
-                  ("identical", J.Bool identical);
+                  ("domains_identical", J.Bool identical);
                 ];
             ] );
       ]

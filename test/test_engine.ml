@@ -1,9 +1,9 @@
 (** Golden equivalence of the execution engines.
 
-    The closure-IR engine ({!Autocfd_interp.Compile}; [Fused] with
-    [fuse = false]) and the fused-kernel tier on top of it must be
-    bit-identical to the tree-walking interpreter
-    ({!Autocfd_interp.Machine}) — not merely
+    The closure IR ({!Autocfd_interp.Compile} with [~fuse:false]) and the
+    fused-kernel tier on top of it must be bit-identical to the
+    tree-walking interpreter ({!Autocfd_interp.Machine}; both references
+    are reached through {!Oracle}) — not merely
     numerically close: gathered arrays, final scalars, WRITE output, flop
     counts and the full simulator statistics (message/byte/collective
     censuses, per-rank times) are compared with structural equality on
@@ -22,9 +22,13 @@ module R = Autocfd.Runspec
 module I = Autocfd_interp
 module Prng = Autocfd_util.Prng
 
-(* the closure IR without and with fused kernels, each against Tree *)
+(* the closure IR without and with fused kernels, each against the tree
+   walker: (name, sequential run, SPMD run under a spec) *)
 let engines =
-  [ ("compiled", R.(default |> with_fuse false)); ("fused", R.default) ]
+  [
+    ("compiled", Oracle.seq_unfused, fun s p -> Oracle.run_unfused ~spec:s p);
+    ("fused", D.run_seq ?spec:None, fun spec plan -> D.run ~spec plan);
+  ]
 
 let shape parts =
   String.concat "x" (Array.to_list (Array.map string_of_int parts))
@@ -48,11 +52,11 @@ let check_array_list what name (a : (string * I.Value.arr) list)
 
 let check_sequential name src =
   let t = D.load src in
-  let tree = D.run_seq ~spec:(R.with_engine I.Spmd.Tree R.default) t in
+  let tree = Oracle.seq_tree t in
   List.iter
-    (fun (ename, spec) ->
+    (fun (ename, seq, _) ->
       let name = name ^ "/" ^ ename in
-      let r = D.run_seq ~spec t in
+      let r = seq t in
       Alcotest.(check (list string))
         (name ^ ": output") tree.D.sq_output r.D.sq_output;
       Alcotest.(check (float 0.0))
@@ -63,10 +67,10 @@ let check_sequential name src =
 let check_parallel name src parts =
   let t = D.load src in
   let plan = D.plan ~spec:(parts_spec parts) t in
-  let tree = D.run ~spec:(R.with_engine I.Spmd.Tree R.default) plan in
+  let tree = Oracle.run_tree plan in
   List.iter
-    (fun (ename, spec) ->
-      let r = D.run ~spec plan in
+    (fun (ename, _, run) ->
+      let r = run R.default plan in
       let ctx = Printf.sprintf "%s/%s %s" name ename (shape parts) in
       check_array_list "gathered" ctx tree.I.Spmd.gathered r.I.Spmd.gathered;
       Alcotest.(check bool)
@@ -95,7 +99,8 @@ let check_domains ?(fuse = true) name src parts =
   let plan = D.plan ~spec:(parts_spec parts) t in
   let fused = D.run ~spec:(R.with_engine I.Spmd.Fused R.default) plan in
   let r =
-    D.run ~spec:R.(default |> with_engine I.Spmd.Domains |> with_fuse fuse) plan
+    if fuse then D.run ~spec:(R.with_engine I.Spmd.Domains R.default) plan
+    else Oracle.run_unfused ~engine:I.Spmd.Domains plan
   in
   let ctx =
     Printf.sprintf "%s/domains%s %s" name
@@ -180,19 +185,16 @@ let test_charged_timing_identical () =
   let plan = D.plan ~spec:(parts_spec [| 2; 2 |]) t in
   let machine = Autocfd.Experiments.machine in
   let flop_time = D.calibrated_flop_time ~machine plan in
-  let run spec =
-    D.run
-      ~spec:
-        R.(
-          spec
-          |> with_net machine.Autocfd_perfmodel.Model.net
-          |> with_flop_time flop_time)
-      plan
+  let spec =
+    R.(
+      default
+      |> with_net machine.Autocfd_perfmodel.Model.net
+      |> with_flop_time flop_time)
   in
-  let tree = run (R.with_engine I.Spmd.Tree R.default) in
+  let tree = Oracle.run_tree ~spec plan in
   List.iter
-    (fun (ename, spec) ->
-      let r = run spec in
+    (fun (ename, _, run) ->
+      let r = run spec plan in
       Alcotest.(check bool)
         (ename ^ ": charged stats identical") true
         (tree.I.Spmd.stats = r.I.Spmd.stats);

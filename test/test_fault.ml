@@ -386,18 +386,20 @@ let same_state (a : I.Spmd.result) (b : I.Spmd.result) =
   && a.I.Spmd.scalars = b.I.Spmd.scalars
   && a.I.Spmd.output = b.I.Spmd.output
 
-let recovery_case ~engine spec =
+let fused spec plan = D.run ~spec plan
+let tree spec plan = Oracle.run_tree ~spec plan
+
+let recovery_case ~run spec =
   let t = D.load jacobi_src in
   let plan = D.plan ~spec:(parts_spec [| 2; 2 |]) t in
-  let clean = D.run ~spec:(R.with_engine engine R.default) plan in
+  let clean = run R.default plan in
   let faults = Fault.make spec in
   let faulty =
-    D.run
-      ~spec:
-        R.(
-          default |> with_engine engine
-          |> with_faults (Some faults)
-          |> with_recovery (Some I.Spmd.default_recovery))
+    run
+      R.(
+        default
+        |> with_faults (Some faults)
+        |> with_recovery (Some I.Spmd.default_recovery))
       plan
   in
   (clean, faulty, faults)
@@ -408,7 +410,7 @@ let crash_spec =
     ()
 
 let test_crash_recovery_fused () =
-  let clean, faulty, _ = recovery_case ~engine:I.Spmd.Fused crash_spec in
+  let clean, faulty, _ = recovery_case ~run:fused crash_spec in
   Alcotest.(check bool) "restarted" true
     (faulty.I.Spmd.resilience.I.Spmd.rs_restarts = 1);
   Alcotest.(check bool) "checkpointed" true
@@ -417,7 +419,7 @@ let test_crash_recovery_fused () =
     (same_state clean faulty)
 
 let test_crash_recovery_tree () =
-  let clean, faulty, _ = recovery_case ~engine:I.Spmd.Tree crash_spec in
+  let clean, faulty, _ = recovery_case ~run:tree crash_spec in
   Alcotest.(check bool) "bit-identical on the tree engine too" true
     (same_state clean faulty && faulty.I.Spmd.resilience.I.Spmd.rs_restarts = 1)
 
@@ -468,15 +470,15 @@ c$acfd status(u, w)
   let t = D.load src in
   let plan = D.plan ~spec:(parts_spec [| 2; 1 |]) t in
   List.iter
-    (fun engine ->
-      match D.run ~spec:(R.with_engine engine R.default) plan with
+    (fun run ->
+      match run R.default plan with
       | exception Sim.Rank_failure (r, I.Machine.Runtime_error _) ->
           Alcotest.(check int) "failure on the owning rank" 1 r
       | exception e ->
           Alcotest.failf "expected Rank_failure(Runtime_error), got %s"
             (Printexc.to_string e)
       | _ -> Alcotest.fail "expected a failure")
-    [ I.Spmd.Tree; I.Spmd.Fused ]
+    [ tree; fused ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos property suite: randomized recoverable schedules              *)

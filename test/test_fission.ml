@@ -144,8 +144,8 @@ let check_identical_runs name src =
     D.load ~spec:Autocfd.Runspec.(default |> with_fission false) src
   in
   List.iter
-    (fun (ename, spec) ->
-      let r = D.run_seq ~spec t and r0 = D.run_seq ~spec t0 in
+    (fun (ename, seq) ->
+      let r = seq t and r0 = seq t0 in
       Alcotest.(check (list string))
         (Printf.sprintf "%s/%s: output (fission on = off)" name ename)
         r0.D.sq_output r.D.sq_output;
@@ -153,22 +153,22 @@ let check_identical_runs name src =
         (Printf.sprintf "%s/%s: flops (fission on = off)" name ename)
         r0.D.sq_flops r.D.sq_flops)
     [
-      ("tree", R.with_engine I.Spmd.Tree R.default);
-      ("compiled", R.with_fuse false R.default);
-      ("fused", R.default);
+      ("tree", Oracle.seq_tree);
+      ("compiled", Oracle.seq_unfused);
+      ("fused", D.run_seq ?spec:None);
     ]
 
-(* the fissioned program across every engine: Tree and Fused without and
-   with fused kernels on the simulated cluster (full bit-identity
-   including stats) and the real Domains engine (program state; stats
-   are wall clock) *)
+(* the fissioned program across every engine: the closure IR without and
+   with fused kernels on the simulated cluster against the tree walker
+   (full bit-identity including stats) and the real Domains engine
+   (program state; stats are wall clock) *)
 let check_four_engines name src parts =
   let t = D.load src in
   let plan = D.plan ~spec:(parts_spec parts) t in
-  let tree = D.run ~spec:(R.with_engine I.Spmd.Tree R.default) plan in
+  let tree = Oracle.run_tree plan in
   List.iter
-    (fun (ename, spec) ->
-      let r = D.run ~spec plan in
+    (fun (ename, run) ->
+      let r = run plan in
       let ctx = Printf.sprintf "%s/%s" name ename in
       Alcotest.(check (list string))
         (ctx ^ ": output") tree.I.Spmd.output r.I.Spmd.output;
@@ -184,14 +184,14 @@ let check_four_engines name src parts =
       Alcotest.(check bool)
         (ctx ^ ": flops per rank") true
         (tree.I.Spmd.flops_per_rank = r.I.Spmd.flops_per_rank);
-      if spec.R.engine <> I.Spmd.Domains then
+      if ename <> "domains" then
         Alcotest.(check bool)
           (ctx ^ ": simulator stats") true
           (tree.I.Spmd.stats = r.I.Spmd.stats))
     [
-      ("compiled", R.with_fuse false R.default);
-      ("fused", R.default);
-      ("domains", R.with_engine I.Spmd.Domains R.default);
+      ("compiled", Oracle.run_unfused ?engine:None ?spec:None);
+      ("fused", D.run ?spec:None);
+      ("domains", D.run ~spec:(R.with_engine I.Spmd.Domains R.default));
     ]
 
 let test_mixed_split () =

@@ -178,7 +178,7 @@ let test_entry_json_round_trip () =
 (* Runspec codec compatibility across versions                         *)
 (* ------------------------------------------------------------------ *)
 
-let plan_time_fields = [ "nprocs"; "parts"; "combine"; "fission"; "fuse" ]
+let plan_time_fields = [ "nprocs"; "parts"; "combine"; "fission" ]
 
 let strip_plan_time = function
   | J.Obj fields ->
@@ -197,27 +197,26 @@ let test_runspec_backward_compat () =
     (decoded.R.combine = Autocfd_syncopt.Optimizer.Optimal);
   Alcotest.(check bool) "absent fission decodes to true" true
     decoded.R.fission;
-  Alcotest.(check bool) "absent fuse decodes to true" true decoded.R.fuse;
   (* and re-encodes to exactly the current canonical default *)
   Alcotest.(check string) "old document re-encodes to the v-next default"
     (J.canonical (R.to_json R.default))
     (J.canonical (R.to_json decoded));
-  (* the retired "compiled" engine was the closure IR without fusion *)
-  let compiled =
-    match old with
-    | J.Obj fields ->
-        R.of_json
-          (J.Obj
-             (List.map
-                (function
-                  | "engine", _ -> ("engine", J.Str "compiled") | f -> f)
-                fields))
-    | _ -> assert false
+  let fields = match old with J.Obj fields -> fields | _ -> assert false in
+  (* the retired "fuse" key is ignored like any unknown key *)
+  let stray = R.of_json (J.Obj (("fuse", J.Bool false) :: fields)) in
+  Alcotest.(check string) "a stray \"fuse\" key is ignored"
+    (J.canonical (R.to_json R.default)) (J.canonical (R.to_json stray));
+  (* the retired engine names are errors, not aliases *)
+  let engine name =
+    J.Obj (List.map (function "engine", _ -> ("engine", J.Str name) | f -> f) fields)
   in
-  Alcotest.(check bool) "\"compiled\" decodes to the Fused engine" true
-    (compiled.R.engine = Autocfd_interp.Spmd.Fused);
-  Alcotest.(check bool) "\"compiled\" decodes to fuse = false" false
-    compiled.R.fuse
+  List.iter
+    (fun name ->
+      Alcotest.check_raises (name ^ " is no engine")
+        (J.Parse_error
+           ("Runspec.of_json: unknown engine \"" ^ name ^ "\" (fused|domains)"))
+        (fun () -> ignore (R.of_json (engine name))))
+    [ "tree"; "compiled" ]
 
 let test_runspec_forward_round_trip () =
   (* a fully non-default v-next spec survives the round-trip *)
@@ -228,14 +227,15 @@ let test_runspec_forward_round_trip () =
       |> with_nprocs 6
       |> with_parts (Some [| 3; 2; 1 |])
       |> with_combine Autocfd_syncopt.Optimizer.First_fit
-      |> with_fission false |> with_fuse false)
+      |> with_fission false)
   in
   let spec' = R.of_json (R.to_json spec) in
   Alcotest.(check string) "v-next spec canonical round-trip"
     (J.canonical (R.to_json spec))
     (J.canonical (R.to_json spec'));
   Alcotest.(check bool) "parts decoded" true (spec'.R.parts = Some [| 3; 2; 1 |]);
-  Alcotest.(check bool) "fuse decoded" true (spec'.R.fuse = false)
+  Alcotest.(check bool) "engine decoded" true
+    (spec'.R.engine = Autocfd_interp.Spmd.Domains)
 
 let test_parts_string_codec () =
   Alcotest.(check string) "parts_to_string" "3x2x1"
