@@ -166,28 +166,6 @@ let coverage_to_json cov =
            ])
        cov)
 
-let coverage_of_json j =
-  List.map
-    (fun c ->
-      {
-        Autocfd_interp.Compile.cov_line = ji "line" c;
-        cov_vars =
-          List.map
-            (function
-              | J.Str s -> s
-              | _ -> raise (J.Parse_error "coverage var: expected string"))
-            (jl "vars" c);
-        cov_fused = jb "fused" c;
-        cov_reason = Autocfd_interp.Compile.reason_of_string (js "reason" c);
-        cov_frag =
-          (match (ji "frag" c, ji "nfrags" c) with
-          | 0, _ | _, 0 -> None
-          | f, n -> Some { Autocfd_fortran.Ast.fi_frag = f; fi_nfrags = n });
-      })
-    (match j with
-    | J.List l -> l
-    | _ -> raise (J.Parse_error "coverage: expected list"))
-
 (* Six seeded schedules per program, scaled to the fault-free run: message
    loss alone, duplication+corruption, timing perturbations (jitter and a
    degraded link), a transient straggler, a hard crash mid-run, and all of
@@ -819,13 +797,15 @@ let engine_cases =
       [| 2; 2 |] );
   ]
 
+(* the nests of a coverage list as {!coverage_to_json} writes it, and
+   how many of them fused *)
+let nests = function
+  | J.List l -> l
+  | _ -> raise (J.Parse_error "coverage: expected list")
+
 let coverage_counts cov =
-  ( List.length
-      (List.filter
-         (fun (c : Autocfd_interp.Compile.coverage_entry) ->
-           c.Autocfd_interp.Compile.cov_fused)
-         cov),
-    List.length cov )
+  let l = nests cov in
+  (List.length (List.filter (jb "fused") l), List.length l)
 
 let engine_bench ?sweep () =
   run_rows (fresh_sweep sweep) ~table:"engine"
@@ -840,9 +820,7 @@ let engine_bench ?sweep () =
              ] ))
        engine_cases)
   |> List.map (fun r ->
-         let loops field =
-           coverage_counts (coverage_of_json (jfield field r))
-         in
+         let loops field = coverage_counts (jfield field r) in
          let fused, total = loops "coverage" in
          let nf_fused, nf_total = loops "nofission_coverage" in
          extend r
@@ -872,23 +850,26 @@ let render_engine =
       ("identical", yes_no [ "domains_identical"; "fission_identical" ]);
     ]
 
-(* one coverage row: line, loop variables (with the fission fragment)
-   and whether the nest fused or why it fell back *)
-let nest_line (c : Autocfd_interp.Compile.coverage_entry) =
+(* one coverage row, a nest of {!coverage_to_json}: line, loop variables
+   (with the fission fragment) and whether the nest fused or why it fell
+   back *)
+let nest_line c =
   let frag =
-    match c.Autocfd_interp.Compile.cov_frag with
-    | None -> ""
-    | Some f ->
-        Printf.sprintf " #%d/%d" f.Autocfd_fortran.Ast.fi_frag
-          f.Autocfd_fortran.Ast.fi_nfrags
+    if ji "nfrags" c = 0 then ""
+    else Printf.sprintf " #%d/%d" (ji "frag" c) (ji "nfrags" c)
   in
-  Printf.sprintf "  line %-4d do %-24s %s\n" c.Autocfd_interp.Compile.cov_line
-    (String.concat "," c.Autocfd_interp.Compile.cov_vars ^ frag)
-    (if c.Autocfd_interp.Compile.cov_fused then "fused"
-     else
-       "fallback: "
-       ^ Autocfd_interp.Compile.reason_to_string
-           c.Autocfd_interp.Compile.cov_reason)
+  Printf.sprintf "  line %-4d do %-24s %s\n" (ji "line" c)
+    (String.concat ","
+       (List.map
+          (function
+            | J.Str v -> v
+            | _ -> raise (J.Parse_error "coverage var: expected string"))
+          (jl "vars" c))
+    ^ frag)
+    (if jb "fused" c then "fused" else "fallback: " ^ js "reason" c)
+
+let nest_lines b cov =
+  List.iter (fun c -> Buffer.add_string b (nest_line c)) (nests cov)
 
 let render_engine_coverage rows =
   let b = Buffer.create 1024 in
@@ -897,9 +878,7 @@ let render_engine_coverage rows =
       Buffer.add_string b
         (Printf.sprintf "%s (%s): field-loop kernel coverage\n"
            (js "program" r) (dims "partition" r));
-      List.iter
-        (fun c -> Buffer.add_string b (nest_line c))
-        (coverage_of_json (jfield "coverage" r));
+      nest_lines b (jfield "coverage" r);
       Buffer.add_char b '\n')
     rows;
   Buffer.contents b
@@ -926,15 +905,15 @@ let render_coverage_fission () =
   let b = Buffer.create 4096 in
   List.iter
     (fun (name, src) ->
-      let before = app_coverage ~fission:false src in
-      let after = app_coverage src in
+      let before = coverage_to_json (app_coverage ~fission:false src) in
+      let after = coverage_to_json (app_coverage src) in
       let bf, bt = coverage_counts before in
       let af, at = coverage_counts after in
       Buffer.add_string b
         (Printf.sprintf
            "%s: fused %d/%d without fission -> %d/%d with fission\n" name bf
            bt af at);
-      List.iter (fun c -> Buffer.add_string b (nest_line c)) after;
+      nest_lines b after;
       Buffer.add_char b '\n')
     (coverage_apps ());
   Buffer.contents b

@@ -165,11 +165,6 @@ val coverage_to_json :
 (** Serialize per-nest coverage rows (line, vars, fused, reason prose,
     loop-fission provenance as [frag]/[nfrags] ints, 0 = unsplit). *)
 
-val coverage_of_json :
-  Autocfd_obs.Json.t -> Autocfd_interp.Compile.coverage_entry list
-(** Inverse of {!coverage_to_json}.
-    @raise Autocfd_obs.Json.Parse_error on malformed rows. *)
-
 val render_coverage_fission : unit -> string
 (** Human-readable before/after loop-fission coverage of the bundled
     applications: per program, fused counts with the pass disabled and

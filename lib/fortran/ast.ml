@@ -160,8 +160,6 @@ let mk_stmt ?label ?(line = 0) kind =
   let id = 1 + Atomic.fetch_and_add stmt_counter 1 in
   { s_id = id; s_label = label; s_line = line; s_kind = kind }
 
-let reset_ids () = Atomic.set stmt_counter 0
-
 (** [fold_stmts f acc block] folds [f] over every statement in pre-order,
     descending into loop bodies and branches. *)
 let rec fold_stmts f acc block =

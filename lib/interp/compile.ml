@@ -14,8 +14,7 @@ type slot_kind = KInt | KReal | KBool | KDyn
 
 (* Why a field-loop nest did or did not compile to a fused kernel.  A
    closed variant so coverage reports group fallback causes
-   deterministically and tests can match constructors; [Other] only
-   appears when parsing a reason string this build does not know. *)
+   deterministically and tests can match constructors. *)
 type reason =
   | Fused
   | Scalar_subscript  (* subscript reads a scalar the body assigns *)
@@ -50,7 +49,6 @@ type reason =
   | Carried_scalar  (* a body-assigned scalar read before its assignment *)
   | Int_scalar_assign
   | No_row_order  (* no level or diagonal keeps the dependences *)
-  | Other of string
 
 (* the historical prose, kept verbatim so rendered coverage tables and
    serialized rows are stable across the string->variant change *)
@@ -89,40 +87,6 @@ let reason_to_string = function
   | Carried_scalar -> "scalar read before its assignment in body"
   | Int_scalar_assign -> "integer scalar assignment in body"
   | No_row_order -> "no row level or diagonal keeps the dependences"
-  | Other s -> s
-
-let reason_of_string s =
-  let fixed =
-    [
-      Fused; Scalar_subscript; Non_affine_subscript; Bound_loop_var;
-      Bound_written_scalar; Bound_not_integer; Rank_mismatch; Non_arith_value;
-      Non_arith_scalar; Logical_in_body; Int_division; Int_mod;
-      Dynamic_exponent; Local_bound_in_body; Undeclared_array;
-      Assign_to_loop_var; Scalar_assign; Bad_assign_target; Non_assign_stmt;
-      Duplicate_loop_var; Loop_var_not_int; Loop_var_no_slot; Empty_body;
-      If_in_body; Goto_in_body; Io_in_body; Comm_in_body; Control_in_body;
-      Carried_scalar; Int_scalar_assign; No_row_order;
-    ]
-  in
-  match List.find_opt (fun r -> reason_to_string r = s) fixed with
-  | Some r -> r
-  | None ->
-      let strip ~prefix ~suffix s =
-        let lp = String.length prefix and ls = String.length suffix in
-        let n = String.length s in
-        if
-          n > lp + ls
-          && String.sub s 0 lp = prefix
-          && String.sub s (n - ls) ls = suffix
-        then Some (String.sub s lp (n - lp - ls))
-        else None
-      in
-      (match strip ~prefix:"intrinsic " ~suffix:" arity" s with
-      | Some name -> Intrinsic_arity name
-      | None -> (
-          match strip ~prefix:"unsupported intrinsic " ~suffix:"" s with
-          | Some name -> Unknown_intrinsic name
-          | None -> Other s))
 
 (* Static fusibility of one field-loop nest (a DO whose nest writes at
    least one declared array element): either it compiled to a fused

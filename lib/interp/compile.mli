@@ -32,9 +32,7 @@ val sequential_hooks : state Machine.hooks
 (** Same behavior as {!Machine.sequential_hooks}. *)
 
 (** Why a field-loop nest did or did not compile to a fused kernel — a
-    closed variant so tests and reports can match on constructors.
-    [Other] appears only when {!reason_of_string} meets prose this build
-    does not produce. *)
+    closed variant so tests and reports can match on constructors. *)
 type reason =
   | Fused
   | Scalar_subscript
@@ -73,15 +71,11 @@ type reason =
   | Int_scalar_assign  (** an integer scalar assigned in the body *)
   | No_row_order
       (** no row level or diagonal keeps the nest's dependences *)
-  | Other of string
 
 val reason_to_string : reason -> string
 (** Stable human-readable prose (["fused"], ["IF in loop body"], ...);
     exactly what older builds stored as raw strings, so serialized
     coverage rows are unchanged. *)
-
-val reason_of_string : string -> reason
-(** Inverse of {!reason_to_string}; unknown prose maps to [Other]. *)
 
 type coverage_entry = {
   cov_line : int;  (** source line of the nest's outermost DO *)

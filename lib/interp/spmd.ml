@@ -195,73 +195,53 @@ let iter_box ranges f =
 let box_size ranges =
   Array.fold_left (fun acc (lo, hi) -> acc * max 0 (hi - lo + 1)) 1 ranges
 
-(* The array-dim ranges of the planes a given OWNER rank sends for one
-   transfer.  [ext] extends already-refreshed lower grid dimensions so that
-   diagonal (corner) stencil points are carried (sequenced exchange). *)
-let plane_ranges gi topo ~owner_rank (arr : Value.arr)
-    (xfer : Ast.transfer) ~ext_of_dim =
-  let sa =
-    match GI.find_status gi xfer.Ast.xfer_array with
-    | Some sa -> sa
-    | None -> invalid_arg ("Spmd: transfer of non-status " ^ xfer.Ast.xfer_array)
-  in
-  let block = Topology.block topo owner_rank in
-  Array.init (Value.rank arr) (fun k ->
-      let alo, ahi = arr.Value.bounds.(k) in
-      match sa.GI.sa_dims.(k) with
-      | None -> (alo, ahi) (* packed dimension: full extent *)
-      | Some g when g = xfer.Ast.xfer_dim ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          let lo, hi =
-            match xfer.Ast.xfer_dir with
-            | Ast.Dplus -> (max blo (bhi - xfer.Ast.xfer_depth + 1), bhi)
-            | Ast.Dminus -> (blo, min bhi (blo + xfer.Ast.xfer_depth - 1))
-          in
-          (max alo lo, min ahi hi)
-      | Some g ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          let ext = if g < xfer.Ast.xfer_dim then ext_of_dim g else 0 in
-          (max alo (blo - ext), min ahi (bhi + ext)))
+(* The one owned-box rule: the box of status array [name] that rank
+   [owner] holds, with packed dimensions whole and each grid dimension
+   [g] shaped from the owner's block range by [shape g], both clipped to
+   the array's bounds.  Exchange and pipeline planes, allgather regions
+   and the final gather all read it. *)
+let owned_box gi topo ~owner (arr : Value.arr) name shape =
+  match GI.find_status gi name with
+  | None -> invalid_arg ("Spmd: communication of non-status array " ^ name)
+  | Some sa ->
+      let b = Topology.block topo owner in
+      Array.init (Value.rank arr) (fun k ->
+          let alo, ahi = arr.Value.bounds.(k) in
+          match sa.GI.sa_dims.(k) with
+          | None -> (alo, ahi)
+          | Some g ->
+              let lo, hi =
+                shape g
+                  ( b.Autocfd_partition.Block.lo.(g),
+                    b.Autocfd_partition.Block.hi.(g) )
+              in
+              (max alo lo, min ahi hi))
 
-(* ranges of the pipeline payload planes sent by [owner_rank]: the owned
-   boundary planes of the sweep dimension over the owned ranges of the
-   other status dimensions *)
-let pipe_ranges gi topo ~owner_rank (arr : Value.arr) ~dim ~dir ~depth array_name =
-  let sa =
-    match GI.find_status gi array_name with
-    | Some sa -> sa
-    | None -> invalid_arg ("Spmd: pipeline of non-status " ^ array_name)
-  in
-  let block = Topology.block topo owner_rank in
-  Array.init (Value.rank arr) (fun k ->
-      let alo, ahi = arr.Value.bounds.(k) in
-      match sa.GI.sa_dims.(k) with
-      | None -> (alo, ahi)
-      | Some g when g = dim ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          let lo, hi =
-            match dir with
-            | Ast.Dplus -> (max blo (bhi - depth + 1), bhi)
-            | Ast.Dminus -> (blo, min bhi (blo + depth - 1))
-          in
-          (max alo lo, min ahi hi)
-      | Some g ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          (max alo blo, min ahi bhi))
+let whole_block _ range = range
+
+(* a shaping for {!owned_box}: the [depth] boundary planes on the [dir]
+   side of grid dimension [dim]; each lower grid dimension [g] extended
+   by [ext g] so that diagonal (corner) stencil points are carried
+   (sequenced exchange) *)
+let boundary_planes ~dim ~dir ~depth ~ext g (lo, hi) =
+  if g = dim then
+    match dir with
+    | Ast.Dplus -> (max lo (hi - depth + 1), hi)
+    | Ast.Dminus -> (lo, min hi (lo + depth - 1))
+  else
+    let e = if g < dim then ext g else 0 in
+    (lo - e, hi + e)
 
 (* ------------------------------------------------------------------ *)
-(* Cached message plans                                                *)
+(* Message plans                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Everything a sync point's boxes depend on — grid info, topology, array
    bounds, the statement's transfer list — is fixed for the whole run, so
-   the element offsets each message packs from / unpacks into are computed
-   once per (rank, sync point) and every subsequent visit is a tight copy
-   over a flat offset vector instead of an n-dimensional index walk. *)
+   each rank computes the element offsets a message packs from / unpacks
+   into at the sync point's first visit, and every later visit is a tight
+   copy over a flat offset vector instead of an n-dimensional index
+   walk. *)
 
 let offsets_of arr ranges =
   let out = Array.make (box_size ranges) 0 in
@@ -271,7 +251,7 @@ let offsets_of arr ranges =
       incr i);
   out
 
-(* A cached pack/unpack plan: the flat element offsets in payload order,
+(* A pack/unpack plan: the flat element offsets in payload order,
    compressed into maximal contiguous runs.  When runs are long enough
    (boundary planes along the fastest-varying dimension are fully
    contiguous) packing becomes a few [Array.blit]s into a reusable payload
@@ -364,76 +344,6 @@ type plan =
          peer rank; my own entry unused) *)
 
 (* ------------------------------------------------------------------ *)
-(* Process-wide plan cache                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A plan depends only on (sync point, rank, grid, partition) —
-   sync-point ids are process-unique, so the id pins down the program
-   unit too, and every engine allocates the same full-extent arrays, so
-   the offsets are the same whichever engine builds them.  Caching
-   process-wide means switching engines on the same unit within one
-   process (exactly what the bit-equivalence harness does) plans each
-   sync point once instead of once per run.  The cached offset/segment
-   vectors are immutable and safe to share across domains; [pp_buf] is
-   private to a run, so every lookup re-arms the plan with fresh
-   buffers. *)
-let plan_cache : (int * int * int list * int list, plan) Hashtbl.t =
-  Hashtbl.create 256
-
-let plan_cache_mutex = Mutex.create ()
-
-(* far above any real sweep's working set; reset wholesale rather than
-   tracking LRU order for a cache this cheap to refill *)
-let plan_cache_cap = 4096
-
-let refresh_pack p = { p with pp_buf = Array.make (Array.length p.pp_buf) 0.0 }
-
-let refresh_plan = function
-  | P_exchange l ->
-      P_exchange
-        (List.map
-           (fun xp ->
-             {
-               xp with
-               xp_send =
-                 Option.map (fun (d, p) -> (d, refresh_pack p)) xp.xp_send;
-               xp_recv =
-                 Option.map (fun (s, p) -> (s, refresh_pack p)) xp.xp_recv;
-             })
-           l)
-  | P_pipe o ->
-      P_pipe
-        (Option.map
-           (fun (peer, per_array) ->
-             (peer, List.map (fun (n, p) -> (n, refresh_pack p)) per_array))
-           o)
-  | P_allgather l ->
-      P_allgather
-        (List.map
-           (fun (n, mine, peers) ->
-             (n, refresh_pack mine, Array.map refresh_pack peers))
-           l)
-
-let cached_plan ~topo ~rank ~sid build =
-  let key =
-    ( sid,
-      rank,
-      Array.to_list (Topology.grid topo),
-      Array.to_list (Topology.parts topo) )
-  in
-  match
-    Mutex.protect plan_cache_mutex (fun () -> Hashtbl.find_opt plan_cache key)
-  with
-  | Some p -> refresh_plan p
-  | None ->
-      let p = build () in
-      Mutex.protect plan_cache_mutex (fun () ->
-          if Hashtbl.length plan_cache >= plan_cache_cap then
-            Hashtbl.reset plan_cache;
-          Hashtbl.replace plan_cache key p);
-      refresh_plan p
-
-(* ------------------------------------------------------------------ *)
 (* Engine-generic execution                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -494,84 +404,58 @@ let build_exchange_plan ~gi ~topo ~rank array (transfers : Ast.transfer list)
   P_exchange
     (List.map
        (fun (xfer : Ast.transfer) ->
-         let arr = array xfer.Ast.xfer_array in
-         let send =
-           match topo_neighbor topo ~rank xfer.Ast.xfer_dim xfer.Ast.xfer_dir with
-           | Some dest ->
-               Some
-                 ( dest,
-                   plan_of arr
-                     (plane_ranges gi topo ~owner_rank:rank arr xfer
-                        ~ext_of_dim) )
-           | None -> None
+         let name = xfer.Ast.xfer_array and dim = xfer.Ast.xfer_dim in
+         let dir = xfer.Ast.xfer_dir and arr = array name in
+         let planes owner =
+           plan_of arr
+             (owned_box gi topo ~owner arr name
+                (boundary_planes ~dim ~dir ~depth:xfer.Ast.xfer_depth
+                   ~ext:ext_of_dim))
          in
-         let recv =
-           match
-             topo_neighbor topo ~rank xfer.Ast.xfer_dim
-               (opposite_dir xfer.Ast.xfer_dir)
-           with
-           | Some src ->
-               Some
-                 ( src,
-                   plan_of arr
-                     (plane_ranges gi topo ~owner_rank:src arr xfer
-                        ~ext_of_dim) )
-           | None -> None
-         in
+         let neighbor d = topo_neighbor topo ~rank dim d in
+         (* my planes go towards [dir]; the opposite neighbour's come in *)
          {
-           xp_array = xfer.Ast.xfer_array;
-           xp_dim = xfer.Ast.xfer_dim;
-           xp_send = send;
-           xp_recv = recv;
+           xp_array = name;
+           xp_dim = dim;
+           xp_send =
+             Option.map (fun dest -> (dest, planes rank)) (neighbor dir);
+           xp_recv =
+             Option.map
+               (fun src -> (src, planes src))
+               (neighbor (opposite_dir dir));
          })
        transfers)
 
 let build_pipe_plan ~gi ~topo ~rank ~recv ~dim ~dir array arrays =
   let peer_dir = if recv then opposite_dir dir else dir in
   P_pipe
-    (match topo_neighbor topo ~rank dim peer_dir with
-    | None -> None
-    | Some peer ->
-        Some
-          ( peer,
-            List.map
-              (fun (name, depth) ->
-                let arr = array name in
-                let owner = if recv then peer else rank in
-                ( name,
-                  plan_of arr
-                    (pipe_ranges gi topo ~owner_rank:owner arr ~dim ~dir
-                       ~depth name) ))
-              arrays ))
+    (Option.map
+       (fun peer ->
+         let owner = if recv then peer else rank in
+         ( peer,
+           List.map
+             (fun (name, depth) ->
+               let arr = array name in
+               ( name,
+                 plan_of arr
+                   (owned_box gi topo ~owner arr name
+                      (boundary_planes ~dim ~dir ~depth ~ext:(fun _ -> 0))) ))
+             arrays ))
+       (topo_neighbor topo ~rank dim peer_dir))
 
 let build_allgather_plan ~gi ~topo ~rank ~nranks array arrays =
-  let owned_offsets owner arr name =
-    let sa =
-      match GI.find_status gi name with
-      | Some sa -> sa
-      | None -> invalid_arg ("Spmd: allgather of non-status " ^ name)
-    in
-    let b = Topology.block topo owner in
-    plan_of arr
-      (Array.init (Value.rank arr) (fun k ->
-           let alo, ahi = arr.Value.bounds.(k) in
-           match sa.GI.sa_dims.(k) with
-           | None -> (alo, ahi)
-           | Some g ->
-               ( max alo b.Autocfd_partition.Block.lo.(g),
-                 min ahi b.Autocfd_partition.Block.hi.(g) )))
-  in
   P_allgather
     (List.map
        (fun name ->
          let arr = array name in
-         let mine = owned_offsets rank arr name in
+         let owned owner =
+           plan_of arr (owned_box gi topo ~owner arr name whole_block)
+         in
          let peers =
            Array.init nranks (fun peer ->
-               if peer = rank then plan_of_offsets [||]
-               else owned_offsets peer arr name)
+               if peer = rank then plan_of_offsets [||] else owned peer)
          in
-         (name, mine, peers))
+         (name, owned rank, peers))
        arrays)
 
 (* assemble the final global state from the per-rank machines: status
@@ -593,21 +477,12 @@ let gather_results :
         let a0 = iface.i_array m0 name in
         match GI.find_status gi name with
         | None -> (name, Value.copy a0)
-        | Some sa ->
+        | Some _ ->
             let out = Value.copy a0 in
             for r = 0 to nranks - 1 do
               let src = iface.i_array (machine r) name in
-              let block = Topology.block topo r in
-              let ranges =
-                Array.init (Value.rank src) (fun k ->
-                    let alo, ahi = src.Value.bounds.(k) in
-                    match sa.GI.sa_dims.(k) with
-                    | None -> (alo, ahi)
-                    | Some g ->
-                        ( max alo block.Autocfd_partition.Block.lo.(g),
-                          min ahi block.Autocfd_partition.Block.hi.(g) ))
-              in
-              iter_box ranges (fun idx -> Value.set out idx (Value.get src idx))
+              iter_box (owned_box gi topo ~owner:r src name whole_block)
+                (fun idx -> Value.set out idx (Value.get src idx))
             done;
             (name, out))
       (iface.i_array_names m0)
@@ -705,12 +580,13 @@ let rank_hooks :
   let gi = config.gi and topo = config.topo in
   let nranks = Topology.nranks topo in
   let block = Topology.block topo rank in
+  (* each sync point's plan, built at its first visit in this run *)
   let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
   let plan sid build =
     match Hashtbl.find_opt plans sid with
     | Some p -> p
     | None ->
-        let p = cached_plan ~topo ~rank ~sid build in
+        let p = build () in
         Hashtbl.replace plans sid p;
         p
   in
@@ -1139,7 +1015,7 @@ let dim_groups xps =
 (* Every rank executes on its own domain; fields stay plain [float
    array]s, which the OCaml 5 shared heap makes visible to every other
    domain, so a halo exchange is a bounds-checked blit straight out of
-   the neighbour's array.  The element offsets are the cached pack
+   the neighbour's array.  The element offsets are the rank's pack
    plans: both sides of a transfer compute identical offsets (all ranks
    allocate full-extent arrays), so the simulator's pack -> message ->
    unpack pipeline collapses to [dst.(o) <- src.(o)] over the recv plan.
@@ -1165,12 +1041,15 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
   let flops_per_rank = Array.make nranks 0.0 in
   let compute_wall = Array.make nranks 0.0 in
   let comm_samples : (int * float) list array = Array.make nranks [] in
-  (* wall-clock sync-point spans and compute intervals, buffered per rank
-     during the run (the tracer is not thread-safe) and replayed after
-     the domains join *)
+  (* wall-clock sync-point spans, compute intervals and hook intervals
+     (entry, exit, sync id, bytes copied), buffered per rank during the
+     run (the tracer is not thread-safe) and replayed after the domains
+     join; [started] is when each rank's first compute interval opens *)
   let tracing = config.tracer <> None in
   let pending = Array.make nranks [] in
   let computing = Array.make nranks [] in
+  let hooked = Array.make nranks [] in
+  let started = Array.make nranks 0.0 in
   let sync_tbl = sync_table config u in
   let body (c : Shm.comm) =
     let r = Shm.rank c in
@@ -1231,23 +1110,27 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       Shm.barrier c
     in
     (* close the open compute interval at a communication hook; reopen
-       it when the hook returns.  Time inside the hook (halo blits,
-       collective arithmetic) beyond its waits is neither compute nor
-       comm *)
+       it when the hook returns.  The span of a traced hook names its
+       sync point *)
+    let sync = ref (-1) in
     let guard _ kind op =
       let t_in = Shm.time c in
       close_compute t_in;
       let b0 = !copy_bytes in
+      sync := -1;
       let v = op () in
+      let t_out = Shm.time c and bytes = !copy_bytes - b0 in
       (match kind with
       | H_comm (Ast.Exchange _ | Ast.Allgather _) ->
-          samples := (!copy_bytes - b0, Shm.time c -. t_in) :: !samples
+          samples := (bytes, t_out -. t_in) :: !samples
       | _ -> ());
-      last := Shm.time c;
+      if tracing then hooked.(r) <- (t_in, t_out, !sync, bytes) :: hooked.(r);
+      last := t_out;
       Some v
     in
     let span si iter f =
       let t0 = Shm.time c in
+      sync := si.si_id;
       f ();
       pending.(r) <- (t0, Shm.time c, si, iter) :: pending.(r)
     in
@@ -1274,6 +1157,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     (* publish before anyone's first exchange can read a peer's array *)
     Shm.barrier c;
     last := Shm.time c;
+    started.(r) <- !last;
     iface.i_run m;
     close_compute (Shm.time c);
     compute_wall.(r) <- !compute;
@@ -1318,19 +1202,52 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
               Trace.record tr ~wall:true ~rank:r ~t0 ~t1 Trace.Compute)
             (List.rev spans))
         computing;
+      (* each rank's start-up (domain start, [Compile.create], the
+         publish barrier) is blocked time; a hook's interval splits into
+         its waits (blocked) and the rest (comm: blits straight out of a
+         peer's array, collective arithmetic), all on its sync point,
+         the hook's copied bytes on its first comm piece *)
       Array.iteri
         (fun r rs ->
-          List.iter
-            (fun (w : Shm.wait) ->
-              if w.Shm.w_dur > 0.0 then
-                Trace.record tr ~wall:true ~rank:r ~t0:w.Shm.w_start
-                  ~t1:(w.Shm.w_start +. w.Shm.w_dur)
+          let record ~t0 ~t1 kind =
+            Trace.record tr ~wall:true ~rank:r ~t0 ~t1 kind
+          in
+          record ~t0:0.0 ~t1:started.(r)
+            (Trace.Blocked { src = -1; tag = -1 });
+          let comm t0 t1 bytes =
+            if t1 > t0 || bytes > 0 then
+              record ~t0 ~t1 (Trace.Recv { src = -1; tag = -1; bytes })
+          in
+          (* the hook [t, t_out]'s waits, the head of [waits], and the
+             comm pieces between them; returns the later waits *)
+          let rec split t t_out bytes = function
+            | (w : Shm.wait) :: rest when w.Shm.w_start < t_out ->
+                comm t w.Shm.w_start bytes;
+                let t1 = w.Shm.w_start +. w.Shm.w_dur in
+                record ~t0:w.Shm.w_start ~t1
                   (Trace.Blocked
                      {
                        src = -1;
                        tag = (if w.Shm.w_barrier then -1 else tag_pipe);
-                     }))
-            rs.Shm.rs_waits)
+                     });
+                split t1 t_out 0 rest
+            | waits ->
+                comm t t_out bytes;
+                waits
+          in
+          ignore
+            (List.fold_left
+               (fun waits (t_in, t_out, sync, bytes) ->
+                 if sync >= 0 then Trace.set_sync tr ~rank:r ~sync;
+                 let later = split t_in t_out bytes waits in
+                 Trace.clear_sync tr ~rank:r;
+                 later)
+               (List.filter
+                  (fun (w : Shm.wait) ->
+                    w.Shm.w_dur > 0.0 && w.Shm.w_start >= started.(r))
+                  rs.Shm.rs_waits)
+               (List.rev hooked.(r))
+              : Shm.wait list))
         ranks;
       (* kernel summaries in measured wall seconds: the rank's compute
          wall split across nests by their shares of all the rank's flops,

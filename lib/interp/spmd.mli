@@ -109,11 +109,13 @@ val run :
     [Topology.nranks config.topo] ranks.  [fuse] (default [true]) is the
     tests' seam: [false] runs the closure IR without fused kernels, the
     reference the fused tier is checked against.  The unit is compiled
-    once and shared across ranks; halo-exchange, pipeline and allgather
-    boxes are resolved once per (rank, sync point) into flat offset
-    vectors — contiguous offset runs collapse to [Array.blit] segments
-    over a reusable payload buffer — and reused by every subsequent
-    visit.
+    once and shared across ranks; each rank resolves a sync point's
+    halo-exchange, pipeline or allgather boxes (one owned-box rule: the
+    owner's block, packed dimensions whole, grid dimensions clipped to
+    the array) into flat offset vectors at the point's first visit in
+    the run — contiguous offset runs collapse to [Array.blit] segments
+    over a reusable payload buffer — and reuses them at every later
+    visit of that run.
 
     Every engine runs the same per-rank communication hooks: plan
     lookup, the reduction/broadcast/barrier dispatch, pipeline messages,
@@ -123,11 +125,15 @@ val run :
     and immediate trace spans, against {!Autocfd_mpsim.Shm}'s
     collectives, blit-based halo exchange and allgather, wall-clock
     compute/communication split and spans buffered until the domains
-    join.  A traced [Domains] run records each rank's compute intervals
-    (from one hook's exit to the next hook's entry, and from the last
-    hook to the end of the body) as wall-clock [Compute] events; time
-    spent copying inside a hook is neither compute nor wait.
-    Checkpoint/restart is simulator-only.
+    join.  A traced [Domains] run partitions each rank's wall clock:
+    its start-up (domain start, [Compile.create], the publish barrier)
+    is one [Blocked] event; its compute intervals (from one hook's exit
+    to the next hook's entry, and from the last hook to the end of the
+    body) are [Compute] events; each hook's waits are [Blocked] and the
+    rest of the hook (halo and allgather blits, collective arithmetic)
+    is comm, recorded as [Recv] events with the bytes the hook copied,
+    both on the hook's sync point.  Checkpoint/restart is
+    simulator-only.
 
     Recovery works by skip-replay: a restarted attempt re-executes the
     unit with communication suppressed, counting sync-point visits, and

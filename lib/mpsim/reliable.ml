@@ -1,30 +1,24 @@
 module Trace = Autocfd_obs.Trace
 
-type cfg = {
-  rt_timeout : float;
-  rt_backoff : float;
-  rt_max_retries : int;
-  rt_flush_retries : int;
-  rt_ack_tag_base : int;
-}
+(* fruitless receive rounds before falling back to a blocking wait *)
+let max_retries = 20
+
+(* ack-wait rounds in [flush] before the acks are abandoned *)
+let flush_retries = 4
+
+(* acks for data tag [t] travel on [t + ack_tag_base], far above the
+   executor's data tags *)
+let ack_tag_base = 1 lsl 20
 
 (* Deadlines fire only when the whole simulation would otherwise stall,
    so a short timeout costs nothing while data flows and a long one only
-   inflates the virtual clock of a rank that was stuck anyway: default to
-   a single MTU flight time with no backoff. *)
-let default_cfg ~net =
-  let mtu_flight =
-    net.Netmodel.latency
+   inflates the virtual clock of a rank that was stuck anyway: every
+   round waits one MTU flight time. *)
+let round_timeout net =
+  Float.max 1e-9
+    (net.Netmodel.latency
     +. (1500.0 /. net.Netmodel.bandwidth)
-    +. net.Netmodel.send_overhead +. net.Netmodel.recv_overhead
-  in
-  {
-    rt_timeout = Float.max 1e-9 mtu_flight;
-    rt_backoff = 1.0;
-    rt_max_retries = 20;
-    rt_flush_retries = 4;
-    rt_ack_tag_base = 1 lsl 20;
-  }
+    +. net.Netmodel.send_overhead +. net.Netmodel.recv_overhead)
 
 type stats = {
   rl_retransmits : int;
@@ -35,7 +29,7 @@ type stats = {
 
 type t = {
   c : Sim.comm;
-  cfg : cfg;
+  timeout : float;
   send_seq : (int * int, int ref) Hashtbl.t;  (* (dest, tag) -> next seq *)
   unacked : (int * int * int, float array) Hashtbl.t;
       (* (dest, tag, seq) -> envelope as sent *)
@@ -48,15 +42,10 @@ type t = {
   mutable n_acks : int;
 }
 
-let create ?cfg c =
-  let cfg =
-    match cfg with Some v -> v | None -> default_cfg ~net:(Sim.net_of c)
-  in
-  if cfg.rt_backoff < 1.0 then invalid_arg "Reliable.create: backoff < 1";
-  if cfg.rt_timeout <= 0.0 then invalid_arg "Reliable.create: timeout <= 0";
+let create c =
   {
     c;
-    cfg;
+    timeout = round_timeout (Sim.net_of c);
     send_seq = Hashtbl.create 8;
     unacked = Hashtbl.create 16;
     recv_next = Hashtbl.create 8;
@@ -83,7 +72,7 @@ let counter tbl key =
       Hashtbl.replace tbl key r;
       r
 
-let ack_tag t tag = tag + t.cfg.rt_ack_tag_base
+let ack_tag tag = tag + ack_tag_base
 
 (* FNV-1a over the sequence number and the payload's IEEE bit patterns,
    truncated to 53 bits so the checksum is an exact integer-valued float
@@ -125,7 +114,7 @@ let drain_acks t =
   List.iter
     (fun (d, tg) ->
       let rec go () =
-        match Sim.try_recv t.c ~src:d ~tag:(ack_tag t tg) with
+        match Sim.try_recv t.c ~src:d ~tag:(ack_tag tg) with
         | Some env ->
             process_ack t ~dest:d ~tag:tg env;
             go ()
@@ -168,7 +157,7 @@ let send_ack t ~src ~tag ~seq =
   let env = Array.make 2 0.0 in
   env.(0) <- float_of_int seq;
   env.(1) <- checksum_env ~seq env ~off:2;
-  Sim.send t.c ~dest:src ~tag:(ack_tag t tag) env
+  Sim.send t.c ~dest:src ~tag:(ack_tag tag) env
 
 let process_data t ~src ~tag env =
   match decode env with
@@ -202,7 +191,7 @@ let recv t ~src ~tag =
     match take_buffered t ~src ~tag with
     | Some p -> p
     | None ->
-        if attempt > t.cfg.rt_max_retries then begin
+        if attempt > max_retries then begin
           (* retries exhausted: one last retransmit, then hand the
              watchdog to the scheduler — a dead peer becomes
              Sim.Timeout with full per-rank diagnostics *)
@@ -212,11 +201,7 @@ let recv t ~src ~tag =
           go attempt
         end
         else begin
-          let deadline =
-            Sim.time t.c
-            +. (t.cfg.rt_timeout
-               *. (t.cfg.rt_backoff ** float_of_int attempt))
-          in
+          let deadline = Sim.time t.c +. t.timeout in
           match Sim.recv_deadline t.c ~src ~tag ~deadline with
           | Some env ->
               process_data t ~src ~tag env;
@@ -237,7 +222,7 @@ let flush t =
   let rec go attempt =
     drain_acks t;
     if Hashtbl.length t.unacked > 0 then begin
-      if attempt > t.cfg.rt_flush_retries then begin
+      if attempt > flush_retries then begin
         (* a final volley for receivers that have not reached their recv
            yet, then give up on the acks *)
         retransmit_all t;
@@ -256,13 +241,9 @@ let flush t =
         | None -> ()
         | Some (dest, tag) -> (
             let before = Hashtbl.length t.unacked in
-            let deadline =
-              Sim.time t.c
-              +. (t.cfg.rt_timeout
-                 *. (t.cfg.rt_backoff ** float_of_int attempt))
-            in
+            let deadline = Sim.time t.c +. t.timeout in
             match
-              Sim.recv_deadline t.c ~src:dest ~tag:(ack_tag t tag) ~deadline
+              Sim.recv_deadline t.c ~src:dest ~tag:(ack_tag tag) ~deadline
             with
             | Some env ->
                 process_ack t ~dest ~tag env;

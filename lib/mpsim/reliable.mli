@@ -2,16 +2,17 @@
 
     One {!t} per rank per run.  Every payload travels inside a
     seq-numbered, checksummed envelope; the receiver acknowledges each
-    envelope on a dedicated ack tag and suppresses duplicates; the sender
-    buffers unacknowledged envelopes and retransmits them (all of them,
-    selective-repeat style) whenever one of its own receive deadlines
-    expires, with exponential backoff on the deadline.  Corrupted
-    envelopes fail their checksum and are dropped — indistinguishable
-    from loss, and recovered the same way.
+    envelope on a dedicated ack tag (data tag + 2{^20}) and suppresses
+    duplicates; the sender buffers unacknowledged envelopes and
+    retransmits them (all of them, selective-repeat style) whenever one
+    of its own receive deadlines expires.  Corrupted envelopes fail their
+    checksum and are dropped — indistinguishable from loss, and recovered
+    the same way.
 
     The per-rank watchdog comes from {!Sim.recv_deadline}: deadlines fire
     only when the whole simulation would otherwise stall, so retries cost
-    nothing while data flows.  After [rt_max_retries] fruitless rounds an
+    nothing while data flows, and every round waits the same timeout, one
+    MTU flight time on the run's network.  After 20 fruitless rounds an
     endpoint falls back to an unbounded blocking wait; if the peer is
     truly gone (crashed, or an unrecoverable loss rate), the simulator
     raises {!Sim.Timeout} with per-rank diagnostics.
@@ -21,28 +22,9 @@
     at the end of the rank's work so no envelope is abandoned while its
     sender parks somewhere a retransmit cannot happen. *)
 
-type cfg = {
-  rt_timeout : float;  (** initial receive deadline, virtual seconds *)
-  rt_backoff : float;  (** deadline multiplier per fruitless round, >= 1 *)
-  rt_max_retries : int;  (** rounds before falling back to a blocking wait *)
-  rt_flush_retries : int;
-      (** ack-wait rounds in {!flush} before abandoning (the peer may
-          legitimately never re-ack: it only acks when it touches the
-          stream, and it may already be parked in a collective) *)
-  rt_ack_tag_base : int;  (** acks for data tag [t] travel on [t + base] *)
-}
-
-val default_cfg : net:Netmodel.t -> cfg
-(** Timeout of one MTU flight time with no backoff — deadlines fire only
-    when the simulation would otherwise stall, so short constant timeouts
-    are free while data flows and keep the virtual-clock cost of each
-    fruitless round small; a couple dozen retries, a handful of flush
-    rounds, ack tags far above the simulator's data tags. *)
-
 type t
 
-val create : ?cfg:cfg -> Sim.comm -> t
-(** [cfg] defaults to [default_cfg ~net:(Sim.net_of c)]. *)
+val create : Sim.comm -> t
 
 val send : t -> dest:int -> tag:int -> float array -> unit
 (** Envelope, buffer as unacknowledged, send eagerly. *)
@@ -54,7 +36,11 @@ val recv : t -> src:int -> tag:int -> float array
 
 val flush : t -> unit
 (** Block until every envelope this endpoint sent has been acknowledged,
-    retransmitting as needed. *)
+    retransmitting as needed, for at most 4 fruitless rounds: the peer
+    may legitimately never re-ack (it only acks when it touches the
+    stream, and it may already be parked in a collective), so the
+    remaining envelopes then get one last retransmit and are
+    abandoned. *)
 
 type stats = {
   rl_retransmits : int;

@@ -10,12 +10,17 @@ let red_op_name = function `Max -> "max" | `Min -> "min" | `Sum -> "sum"
 
 type message = { arrival : float; data : float array }
 
+(* a collective call: every rank must make the same kind of call; the
+   result reaches each rank as a float array (empty for a barrier, the
+   combined value for an allreduce) *)
+type coll =
+  | C_barrier
+  | C_allreduce of red_op * float
+  | C_bcast of int * float array option  (* root, root's payload *)
+
 type _ Effect.t +=
-  | E_recv : int * int -> float array Effect.t
   | E_recv_t : int * int * float -> float array option Effect.t
-  | E_barrier : unit Effect.t
-  | E_allreduce : red_op * float -> float Effect.t
-  | E_bcast : int * float array option -> float array Effect.t
+  | E_coll : coll -> float array Effect.t
   | E_halt : unit Effect.t
 
 type status =
@@ -23,14 +28,11 @@ type status =
   | Running  (** transient, while its continuation is on the OCaml stack *)
   | Done
   | Crashed  (** halted by an injected fault; its fiber was abandoned *)
-  | W_recv of int * int * (float array, unit) Effect.Deep.continuation
   | W_recv_t of
       int * int * float * (float array option, unit) Effect.Deep.continuation
-      (** like [W_recv] plus a deadline after which [None] is delivered *)
-  | W_barrier of (unit, unit) Effect.Deep.continuation
-  | W_allred of red_op * float * (float, unit) Effect.Deep.continuation
-  | W_bcast of
-      int * float array option * (float array, unit) Effect.Deep.continuation
+      (** a receive on (src, tag); [None] is delivered after the deadline,
+          which is [infinity] for a blocking {!recv} *)
+  | W_coll of coll * (float array, unit) Effect.Deep.continuation
 
 type state = {
   n : int;
@@ -176,7 +178,7 @@ let send c ~dest ~tag data =
 let recv c ~src ~tag =
   if src < 0 || src >= c.st.n then invalid_arg "Sim.recv: bad source";
   op_check c ~is_op:true;
-  Effect.perform (E_recv (src, tag))
+  Option.get (Effect.perform (E_recv_t (src, tag, infinity)))
 
 let recv_deadline c ~src ~tag ~deadline =
   if src < 0 || src >= c.st.n then invalid_arg "Sim.recv_deadline: bad source";
@@ -243,17 +245,15 @@ let sendrecv c ~dest ~send_tag data ~src ~recv_tag =
   send c ~dest ~tag:send_tag data;
   recv c ~src ~tag:recv_tag
 
-let barrier c =
+let collective c coll =
   op_check c ~is_op:true;
-  Effect.perform E_barrier
+  Effect.perform (E_coll coll)
 
-let allreduce c op v =
-  op_check c ~is_op:true;
-  Effect.perform (E_allreduce (op, v))
+let barrier c = ignore (collective c C_barrier : float array)
+let allreduce c op v = (collective c (C_allreduce (op, v))).(0)
 
 let bcast c ~root data =
-  op_check c ~is_op:true;
-  Effect.perform (E_bcast (root, if c.id = root then Some data else None))
+  collective c (C_bcast (root, if c.id = root then Some data else None))
 
 type stats = {
   elapsed : float;
@@ -301,25 +301,14 @@ let run ?(net = Netmodel.fast) ?tracer ?faults ~nranks body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | E_recv (src, tag) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  st.status.(i) <- W_recv (src, tag, k))
           | E_recv_t (src, tag, deadline) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   st.status.(i) <- W_recv_t (src, tag, deadline, k))
-          | E_barrier ->
-              Some (fun (k : (a, unit) continuation) ->
-                  st.status.(i) <- W_barrier k)
-          | E_allreduce (op, v) ->
+          | E_coll coll ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  st.status.(i) <- W_allred (op, v, k))
-          | E_bcast (root, data) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  st.status.(i) <- W_bcast (root, data, k))
+                  st.status.(i) <- W_coll (coll, k))
           | E_halt ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -366,13 +355,6 @@ let run ?(net = Netmodel.fast) ?tracer ?faults ~nranks body =
   in
   let try_deliver i =
     match st.status.(i) with
-    | W_recv (src, tag, k) -> (
-        match Hashtbl.find_opt st.mailboxes (i, src, tag) with
-        | Some q when not (Queue.is_empty q) ->
-            let msg = Queue.pop q in
-            deliver i ~src ~tag msg (Effect.Deep.continue k);
-            true
-        | _ -> false)
     | W_recv_t (src, tag, deadline, k) -> (
         match Hashtbl.find_opt st.mailboxes (i, src, tag) with
         | Some q when not (Queue.is_empty q) ->
@@ -421,19 +403,19 @@ let run ?(net = Netmodel.fast) ?tracer ?faults ~nranks body =
           | Running -> "running"
           | Done -> "done"
           | Crashed -> Printf.sprintf "crashed at t=%.9g" st.times.(i)
-          | W_recv (src, tag, _) ->
+          | W_recv_t (src, tag, deadline, _) when deadline = infinity ->
               Printf.sprintf "blocked on recv(src=%d, tag=%d) at t=%.9g" src
                 tag st.times.(i)
           | W_recv_t (src, tag, deadline, _) ->
               Printf.sprintf
                 "blocked on recv(src=%d, tag=%d, deadline=%.9g) at t=%.9g" src
                 tag deadline st.times.(i)
-          | W_barrier _ ->
+          | W_coll (C_barrier, _) ->
               Printf.sprintf "blocked in barrier at t=%.9g" st.times.(i)
-          | W_allred (op, _, _) ->
+          | W_coll (C_allreduce (op, _), _) ->
               Printf.sprintf "blocked in allreduce(%s) at t=%.9g"
                 (red_op_name op) st.times.(i)
-          | W_bcast (root, _, _) ->
+          | W_coll (C_bcast (root, _), _) ->
               Printf.sprintf "blocked in bcast(root=%d) at t=%.9g" root
                 st.times.(i)
         in
@@ -441,92 +423,86 @@ let run ?(net = Netmodel.fast) ?tracer ?faults ~nranks body =
       st.status;
     Buffer.contents b
   in
-  (* resolve a collective when every rank has arrived at a compatible one *)
+  (* resolve a collective when every rank has arrived at one of the same
+     kind; mismatched operations or roots are a programming error *)
   let try_collective () =
-    let all pred = Array.for_all pred st.status in
-    if all (function W_barrier _ -> true | _ -> false) then begin
-      collective_advance ~op:"barrier" ~bytes:8
-        ~cost:(collective_cost st ~bytes:8);
-      let ks =
-        Array.map
-          (function W_barrier k -> k | _ -> assert false)
-          st.status
-      in
-      Array.iteri (fun i _ -> st.status.(i) <- Running) ks;
-      Array.iter (fun k -> Effect.Deep.continue k ()) ks;
-      true
-    end
-    else if all (function W_allred _ -> true | _ -> false) then begin
-      let op0 =
-        match st.status.(0) with W_allred (op, _, _) -> op | _ -> assert false
-      in
-      let compatible =
-        all (function W_allred (op, _, _) -> op = op0 | _ -> false)
-      in
-      if not compatible then
-        raise
-          (Deadlock ("allreduce with mismatched operations: " ^ describe ()));
-      let combine a b =
-        match op0 with
-        | `Max -> Float.max a b
-        | `Min -> Float.min a b
-        | `Sum -> a +. b
-      in
-      let value =
-        Array.fold_left
-          (fun acc s ->
-            match s with
-            | W_allred (_, v, _) -> (
-                match acc with None -> Some v | Some a -> Some (combine a v))
-            | _ -> acc)
-          None st.status
-      in
-      let value = Option.get value in
-      collective_advance ~op:"allreduce" ~bytes:8
-        ~cost:(2.0 *. collective_cost st ~bytes:8);
-      let ks =
-        Array.map
-          (function W_allred (_, _, k) -> k | _ -> assert false)
-          st.status
-      in
-      Array.iteri (fun i _ -> st.status.(i) <- Running) ks;
-      Array.iter (fun k -> Effect.Deep.continue k value) ks;
-      true
-    end
-    else if all (function W_bcast _ -> true | _ -> false) then begin
-      let root0 =
-        match st.status.(0) with W_bcast (r, _, _) -> r | _ -> assert false
-      in
-      if not (all (function W_bcast (r, _, _) -> r = root0 | _ -> false)) then
-        raise (Deadlock ("bcast with mismatched roots: " ^ describe ()));
-      let data =
-        match st.status.(root0) with
-        | W_bcast (_, Some d, _) -> d
-        | _ -> raise (Deadlock ("bcast root provided no data: " ^ describe ()))
-      in
-      let bytes = 8 * Array.length data in
-      collective_advance ~op:"bcast" ~bytes
-        ~cost:(collective_cost st ~bytes);
-      let ks =
-        Array.map
-          (function W_bcast (_, _, k) -> k | _ -> assert false)
-          st.status
-      in
-      Array.iteri (fun i _ -> st.status.(i) <- Running) ks;
-      Array.iter (fun k -> Effect.Deep.continue k (Array.copy data)) ks;
-      true
-    end
-    else false
+    let kind = function
+      | C_barrier -> 0
+      | C_allreduce _ -> 1
+      | C_bcast _ -> 2
+    in
+    match st.status.(0) with
+    | W_coll (c0, _)
+      when Array.for_all
+             (function W_coll (c, _) -> kind c = kind c0 | _ -> false)
+             st.status ->
+        let colls =
+          Array.map (function W_coll (c, _) -> c | _ -> c0) st.status
+        in
+        let op, bytes, cost, result =
+          match c0 with
+          | C_barrier -> ("barrier", 8, collective_cost st ~bytes:8, [||])
+          | C_allreduce (op0, _) ->
+              let mismatch () =
+                Deadlock
+                  ("allreduce with mismatched operations: " ^ describe ())
+              in
+              let vs =
+                Array.map
+                  (function
+                    | C_allreduce (op, v) when op = op0 -> v
+                    | _ -> raise (mismatch ()))
+                  colls
+              in
+              let combine a b =
+                match op0 with
+                | `Max -> Float.max a b
+                | `Min -> Float.min a b
+                | `Sum -> a +. b
+              in
+              let value = ref vs.(0) in
+              for i = 1 to st.n - 1 do
+                value := combine !value vs.(i)
+              done;
+              ( "allreduce", 8, 2.0 *. collective_cost st ~bytes:8,
+                [| !value |] )
+          | C_bcast (root0, _) ->
+              if
+                Array.exists
+                  (function C_bcast (r, _) -> r <> root0 | _ -> true)
+                  colls
+              then
+                raise
+                  (Deadlock ("bcast with mismatched roots: " ^ describe ()));
+              let data =
+                match colls.(root0) with
+                | C_bcast (_, Some d) -> d
+                | _ ->
+                    raise
+                      (Deadlock ("bcast root provided no data: " ^ describe ()))
+              in
+              let bytes = 8 * Array.length data in
+              ("bcast", bytes, collective_cost st ~bytes, data)
+        in
+        collective_advance ~op ~bytes ~cost;
+        let ks =
+          Array.map (function W_coll (_, k) -> k | _ -> assert false) st.status
+        in
+        Array.fill st.status 0 st.n Running;
+        Array.iter (fun k -> Effect.Deep.continue k (Array.copy result)) ks;
+        true
+    | _ -> false
   in
   let all_done () = Array.for_all (fun s -> s = Done) st.status in
   (* when nothing else can move, let the earliest-deadline watchdog fire
-     (lowest rank on ties, so scheduling stays deterministic) *)
+     (lowest rank on ties, so scheduling stays deterministic); a blocking
+     receive's infinite deadline never fires *)
   let fire_earliest_deadline () =
     let best = ref None in
     Array.iteri
       (fun i s ->
         match s with
-        | W_recv_t (_, _, d, _) -> (
+        | W_recv_t (_, _, d, _) when d < infinity -> (
             match !best with
             | Some (_, bd) when bd <= d -> ()
             | _ -> best := Some (i, d))

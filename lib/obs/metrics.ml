@@ -150,10 +150,16 @@ let of_trace tr =
                        sr_comm_time = s.sr_comm_time +. dur })
       | Trace.Recv { bytes = b; _ } ->
           (* wire bytes are counted at origination (send / collective);
-             recv rows appear only in the per-kind breakdown *)
+             recv rows appear only in the per-kind breakdown.  A Domains
+             copy (wall clock) has no sender: its bytes count where they
+             land *)
+          let landed = if e.Trace.ev_wall then b else 0 in
           add comm r dur;
+          bytes := !bytes + landed;
           by_kind ~kind:"recv" ~b dur;
-          sync (fun s -> { s with sr_comm_time = s.sr_comm_time +. dur })
+          sync (fun s ->
+              { s with sr_bytes = s.sr_bytes + landed;
+                       sr_comm_time = s.sr_comm_time +. dur })
       | Trace.Blocked { tag; _ } ->
           add blocked r dur;
           sync (fun s -> { s with sr_blocked_time = s.sr_blocked_time +. dur });

@@ -47,7 +47,9 @@ type kind_row = {
 (** Per-kind communication breakdown.  The top-level [messages]/[bytes]
     totals count sends and per-rank collective participations; recv rows
     appear here only (their wire bytes were already counted at the
-    sending side). *)
+    sending side), except a Domains run's wall-clock recv rows: a copy
+    out of a peer's array has no sender, so its bytes count in [bytes]
+    and on its sync row. *)
 
 type kernel_row = {
   kr_name : string;
@@ -77,7 +79,7 @@ type t = {
   syncs : sync_row list;  (** ascending sync-point id; executed points only *)
   elapsed : float;
   messages : int;  (** sends + per-rank collective participations *)
-  bytes : int;  (** payload bytes of the above *)
+  bytes : int;  (** payload bytes of the above (and of Domains copies) *)
   by_kind : kind_row list;  (** in first-appearance order *)
   kernels : kernel_row list;  (** descending self time *)
   collectives : (string * int) list;

@@ -469,15 +469,12 @@ let run t ?cache ?tracer job_list =
   in
   let exec_local i =
     (* a cache miss with no spec, or degraded-mode work: run it here,
-       with Pool's error-isolation semantics *)
+       with Pool's error-isolation semantics ([complete] stores it) *)
     attempts.(i) <- attempts.(i) + 1;
     owner.(i) <- -1;
     let t0 = now_rel () in
-    match arr.(i).Job.jb_run () with
-    | v -> complete i ~worker:0 ~t0 (Ok v) Pool.Ran
-    | exception e ->
-        let msg = Printexc.to_string e in
-        complete i ~worker:0 ~t0 (Error msg) (Pool.Failed msg)
+    let outcome, res = Pool.execute arr.(i) in
+    complete i ~worker:0 ~t0 res outcome
   in
   let ready_workers () =
     List.filter (fun w -> w.w_alive && w.w_ready) t.t_workers
@@ -625,73 +622,21 @@ let run t ?cache ?tracer job_list =
         end
       end
     done;
-    let elapsed = now_rel () in
     let nw = max 1 (List.length t.t_workers) in
-    let busy = Array.make nw 0.0 in
-    let ran = Array.make nw 0 in
-    let ordered =
-      Array.to_list events |> List.filter_map Fun.id
-      |> List.sort (fun a b ->
-             match compare a.Pool.pe_t0 b.Pool.pe_t0 with
-             | 0 -> compare a.Pool.pe_index b.Pool.pe_index
-             | c -> c)
+    let stats =
+      Pool.batch_stats ?cache ?tracer ~workers:nw ~corrupt0
+        ~elapsed:(now_rel ()) events
     in
-    List.iter
-      (fun e ->
-        let w = e.Pool.pe_worker in
-        if w >= 0 && w < nw then begin
-          busy.(w) <- busy.(w) +. (e.Pool.pe_t1 -. e.Pool.pe_t0);
-          ran.(w) <- ran.(w) + 1
-        end)
-      ordered;
-    let hits =
-      List.length
-        (List.filter (fun e -> e.Pool.pe_outcome = Pool.Hit) ordered)
-    in
-    let errors =
-      List.length
-        (List.filter
-           (fun e ->
-             match e.Pool.pe_outcome with Pool.Failed _ -> true | _ -> false)
-           ordered)
-    in
-    (match tracer with
-    | None -> ()
-    | Some tr ->
-        Trace.prepare tr ~nranks:nw;
-        List.iter
-          (fun e ->
-            let what =
-              match e.Pool.pe_outcome with
-              | Pool.Ran -> "run"
-              | Pool.Hit -> "hit"
-              | Pool.Failed _ -> "error"
-            in
-            Trace.record tr ~rank:e.Pool.pe_worker ~t0:e.Pool.pe_t0
-              ~t1:e.Pool.pe_t1
-              (Trace.Sched { what; job = e.Pool.pe_label }))
-          ordered;
+    Option.iter
+      (fun tr ->
         List.iter
           (fun (w, tm, what, label) ->
             let rank = if w >= 0 && w < nw then w else 0 in
             Trace.record tr ~rank ~t0:tm ~t1:tm
               (Trace.Sched { what; job = label }))
-          (List.rev !lifecycle));
-    ( results,
-      {
-        Pool.ps_jobs = n;
-        ps_hits = hits;
-        ps_misses = n - hits;
-        ps_errors = errors;
-        ps_corrupt =
-          (match cache with
-          | Some c -> Cache.corruption_misses c - corrupt0
-          | None -> 0);
-        ps_elapsed = elapsed;
-        ps_busy = busy;
-        ps_ran = ran;
-        ps_events = ordered;
-      } )
+          (List.rev !lifecycle))
+      tracer;
+    (results, stats)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -54,6 +54,70 @@ let take q =
       in
       wait ())
 
+let execute ?cache job =
+  match Option.bind cache (fun c -> Cache.lookup c job) with
+  | Some v -> (Hit, Ok v)
+  | None -> (
+      match job.Job.jb_run () with
+      | v ->
+          Option.iter (fun c -> Cache.store c job v) cache;
+          (Ran, Ok v)
+      | exception e ->
+          let msg = Printexc.to_string e in
+          (Failed msg, Error msg))
+
+let batch_stats ?cache ?tracer ~workers ~corrupt0 ~elapsed events =
+  let ordered =
+    Array.to_list events |> List.filter_map Fun.id
+    |> List.sort (fun a b ->
+           match compare a.pe_t0 b.pe_t0 with
+           | 0 -> compare a.pe_index b.pe_index
+           | c -> c)
+  in
+  let busy = Array.make workers 0.0 and ran = Array.make workers 0 in
+  List.iter
+    (fun e ->
+      let w = e.pe_worker in
+      if w >= 0 && w < workers then begin
+        busy.(w) <- busy.(w) +. (e.pe_t1 -. e.pe_t0);
+        ran.(w) <- ran.(w) + 1
+      end)
+    ordered;
+  let count p = List.length (List.filter (fun e -> p e.pe_outcome) ordered) in
+  let hits = count (fun o -> o = Hit) in
+  (* Trace is not thread-safe: the events are recorded here, from the
+     calling domain, after the batch *)
+  (match tracer with
+  | None -> ()
+  | Some tr ->
+      Trace.prepare tr ~nranks:workers;
+      List.iter
+        (fun e ->
+          let what =
+            match e.pe_outcome with
+            | Ran -> "run"
+            | Hit -> "hit"
+            | Failed _ -> "error"
+          in
+          Trace.record tr ~rank:e.pe_worker ~t0:e.pe_t0 ~t1:e.pe_t1
+            (Trace.Sched { what; job = e.pe_label }))
+        ordered);
+  let n = Array.length events in
+  {
+    ps_jobs = n;
+    ps_hits = hits;
+    ps_misses = n - hits;
+    ps_errors = count (function Failed _ -> true | _ -> false);
+    ps_corrupt =
+      (match cache with
+      | Some c -> Cache.corruption_misses c - corrupt0
+      | None -> 0);
+    ps_elapsed = elapsed;
+    ps_busy = busy;
+    ps_ran = ran;
+    ps_events = ordered;
+  }
+
 let run ?jobs ?cache ?tracer job_list =
   let njobs =
     match jobs with Some n -> max 1 n | None -> default_jobs ()
@@ -61,11 +125,10 @@ let run ?jobs ?cache ?tracer job_list =
   let arr = Array.of_list job_list in
   let n = Array.length arr in
   let nworkers = max 1 (min njobs (max 1 n)) in
+  (* each slot is written only by the worker that took its job, and read
+     after every worker domain has been joined *)
   let results = Array.make n (Error "job not run") in
   let events = Array.make n None in
-  let busy = Array.make nworkers 0.0 in
-  let ran = Array.make nworkers 0 in
-  let merge_lock = Mutex.create () in
   let corrupt0 =
     match cache with Some c -> Cache.corruption_misses c | None -> 0
   in
@@ -74,35 +137,18 @@ let run ?jobs ?cache ?tracer job_list =
   let exec w i =
     let job = arr.(i) in
     let t0 = now () in
-    let outcome, res =
-      match
-        match cache with Some c -> Cache.lookup c job | None -> None
-      with
-      | Some v -> (Hit, Ok v)
-      | None -> (
-          match job.Job.jb_run () with
-          | v ->
-              (match cache with Some c -> Cache.store c job v | None -> ());
-              (Ran, Ok v)
-          | exception e ->
-              let msg = Printexc.to_string e in
-              (Failed msg, Error msg))
-    in
-    let t1 = now () in
-    Mutex.protect merge_lock (fun () ->
-        results.(i) <- res;
-        events.(i) <-
-          Some
-            {
-              pe_worker = w;
-              pe_index = i;
-              pe_label = job.Job.jb_label;
-              pe_t0 = t0;
-              pe_t1 = t1;
-              pe_outcome = outcome;
-            };
-        busy.(w) <- busy.(w) +. (t1 -. t0);
-        ran.(w) <- ran.(w) + 1)
+    let outcome, res = execute ?cache job in
+    results.(i) <- res;
+    events.(i) <-
+      Some
+        {
+          pe_worker = w;
+          pe_index = i;
+          pe_label = job.Job.jb_label;
+          pe_t0 = t0;
+          pe_t1 = now ();
+          pe_outcome = outcome;
+        }
   in
   let q =
     {
@@ -154,51 +200,5 @@ let run ?jobs ?cache ?tracer job_list =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());
   let elapsed = now () in
-  let ordered =
-    Array.to_list events |> List.filter_map Fun.id
-    |> List.sort (fun a b ->
-           match compare a.pe_t0 b.pe_t0 with
-           | 0 -> compare a.pe_index b.pe_index
-           | c -> c)
-  in
-  let hits =
-    List.length (List.filter (fun e -> e.pe_outcome = Hit) ordered)
-  in
-  let errors =
-    List.length
-      (List.filter
-         (fun e -> match e.pe_outcome with Failed _ -> true | _ -> false)
-         ordered)
-  in
-  (* record scheduler events from the calling domain only, after the
-     join: Trace is not thread-safe and sweep events do not need to be *)
-  (match tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.prepare tr ~nranks:nworkers;
-      List.iter
-        (fun e ->
-          let what =
-            match e.pe_outcome with
-            | Ran -> "run"
-            | Hit -> "hit"
-            | Failed _ -> "error"
-          in
-          Trace.record tr ~rank:e.pe_worker ~t0:e.pe_t0 ~t1:e.pe_t1
-            (Trace.Sched { what; job = e.pe_label }))
-        ordered);
   ( results,
-    {
-      ps_jobs = n;
-      ps_hits = hits;
-      ps_misses = n - hits;
-      ps_errors = errors;
-      ps_corrupt =
-        (match cache with
-        | Some c -> Cache.corruption_misses c - corrupt0
-        | None -> 0);
-      ps_elapsed = elapsed;
-      ps_busy = busy;
-      ps_ran = ran;
-      ps_events = ordered;
-    } )
+    batch_stats ?cache ?tracer ~workers:nworkers ~corrupt0 ~elapsed events )

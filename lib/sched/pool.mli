@@ -53,6 +53,30 @@ val utilization : stats -> int -> float
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default worker count. *)
 
+val execute :
+  ?cache:Cache.t -> Job.t -> outcome * (Autocfd_obs.Json.t, string) result
+(** Run one job with the pool's error isolation: [Hit] when [cache]
+    holds its result, otherwise the thunk's result ([Ran], stored in
+    [cache] when one is given) or its exception's printable form
+    ([Failed]).  A failing cache store raises. *)
+
+val batch_stats :
+  ?cache:Cache.t ->
+  ?tracer:Autocfd_obs.Trace.t ->
+  workers:int ->
+  corrupt0:int ->
+  elapsed:float ->
+  event option array ->
+  stats
+(** The account of one batch from its completion events, one slot per
+    submitted job: events in wall-clock order, per-worker busy seconds
+    and jobs handled (events on a worker outside [0 .. workers-1] count
+    in neither), hits, misses and errors, and [cache]'s corruption
+    misses beyond [corrupt0].  With [tracer], sizes it to [workers]
+    lanes and records one {!Autocfd_obs.Trace.Sched} event per job, in
+    that order.  Both {!run} and the socket fabric account their batches
+    through it. *)
+
 val run :
   ?jobs:int ->
   ?cache:Cache.t ->

@@ -273,44 +273,6 @@ let test_four_engines () =
   check_four_engines "mixed" mixed_src [| 2; 1 |];
   check_four_engines "backward" backward_src [| 1; 2 |]
 
-let test_reason_round_trip () =
-  List.iter
-    (fun (r : I.Compile.reason) ->
-      Alcotest.(check string)
-        ("reason survives to_string/of_string: "
-        ^ I.Compile.reason_to_string r)
-        (I.Compile.reason_to_string r)
-        (I.Compile.reason_to_string
-           (I.Compile.reason_of_string (I.Compile.reason_to_string r))))
-    [
-      I.Compile.Fused;
-      I.Compile.Scalar_subscript;
-      I.Compile.Non_affine_subscript;
-      I.Compile.Bound_loop_var;
-      I.Compile.Bound_written_scalar;
-      I.Compile.Bound_not_integer;
-      I.Compile.Int_division;
-      I.Compile.Intrinsic_arity "min";
-      I.Compile.Unknown_intrinsic "foo";
-      I.Compile.Scalar_assign;
-      I.Compile.If_in_body;
-      I.Compile.Goto_in_body;
-      I.Compile.Io_in_body;
-      I.Compile.Carried_scalar;
-      I.Compile.Int_scalar_assign;
-      I.Compile.No_row_order;
-      I.Compile.Other "something new";
-    ]
-
-let test_coverage_json_round_trip () =
-  let t = D.load mixed_src in
-  let cov = I.Compile.coverage (I.Compile.of_unit ~fuse:true t.D.inlined) in
-  Alcotest.(check bool) "has fission fragments" true
-    (List.exists (fun c -> c.I.Compile.cov_frag <> None) cov);
-  let cov' = E.coverage_of_json (E.coverage_to_json cov) in
-  Alcotest.(check bool) "coverage rows survive JSON round-trip" true
-    (cov = cov')
-
 let suite =
   [
     ("mixed nest splits with provenance", `Quick, test_mixed_split);
@@ -321,6 +283,4 @@ let suite =
     ("scalar-read nests stay whole", `Quick, test_scalar_reads_unsplit);
     ("fission on/off bit-identical", `Quick, test_identical);
     ("four engines bit-identical", `Quick, test_four_engines);
-    ("reason constructors round-trip", `Quick, test_reason_round_trip);
-    ("coverage JSON round-trip", `Quick, test_coverage_json_round_trip);
   ]

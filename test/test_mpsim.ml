@@ -373,6 +373,38 @@ let test_mismatched_allreduce_named () =
         [ "mismatched operations"; "allreduce(sum)"; "allreduce(max)" ]
   | _ -> Alcotest.fail "expected Deadlock"
 
+let test_mismatched_bcast_roots_named () =
+  match
+    run ~nranks:2 (fun c ->
+        ignore (Sim.bcast c ~root:(Sim.rank c) [| 1.0 |]))
+  with
+  | exception Sim.Deadlock msg ->
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) ("message mentions " ^ needle) true
+            (contains msg needle))
+        [ "mismatched roots"; "bcast(root=0)"; "bcast(root=1)" ]
+  | _ -> Alcotest.fail "expected Deadlock"
+
+let test_deadline_beside_blocking_recv () =
+  (* nothing is sent: rank 1's finite deadline fires with None, then rank
+     0's blocking receive is reported without any deadline *)
+  let timed_out = ref false in
+  match
+    run ~nranks:2 (fun c ->
+        if Sim.rank c = 0 then ignore (Sim.recv c ~src:1 ~tag:4)
+        else
+          timed_out :=
+            Sim.recv_deadline c ~src:0 ~tag:5 ~deadline:2.0 = None)
+  with
+  | exception Sim.Deadlock msg ->
+      Alcotest.(check bool) "deadline fired with None" true !timed_out;
+      Alcotest.(check bool) "blocking recv named" true
+        (contains msg "rank 0: blocked on recv(src=1, tag=4) at t=0;");
+      Alcotest.(check bool) "no deadline shown" false
+        (contains msg "deadline")
+  | _ -> Alcotest.fail "expected Deadlock"
+
 let test_wait_error_names_request () =
   (* the double-completion message must say which request: kind + peer *)
   match
@@ -436,6 +468,10 @@ let suite =
     ("deadlock names stuck ranks", `Quick, test_deadlock_names_stuck_ranks);
     ("deadlock names collectives", `Quick, test_deadlock_names_collectives);
     ("mismatched allreduce named", `Quick, test_mismatched_allreduce_named);
+    ( "mismatched bcast roots named", `Quick,
+      test_mismatched_bcast_roots_named );
+    ( "deadline beside blocking recv", `Quick,
+      test_deadline_beside_blocking_recv );
     ("wait error names request", `Quick, test_wait_error_names_request);
     ( "waitall duplicate request rejected", `Quick,
       test_waitall_duplicate_request_rejected );

@@ -494,7 +494,8 @@ let test_prometheus_series_per_sync_id () =
 
 (* a Domains run is measured on the wall clock: the profile says so, each
    rank row's compute is the wall time the engine measured outside its
-   communication hooks, and the named nests account for it *)
+   communication hooks, the named nests account for it, and start-up,
+   compute, hook copies (comm) and waits add up to the rank's finish *)
 let test_domains_profile_wall_clock () =
   let spec, plan = heat2d_plan () in
   let spec = Autocfd.Runspec.with_engine Autocfd_interp.Spmd.Domains spec in
@@ -531,7 +532,17 @@ let test_domains_profile_wall_clock () =
         (row.Obs.Metrics.rr_compute > 0.0);
       Alcotest.(check (float (1e-9 *. measured)))
         (Printf.sprintf "rank %d compute = ds_compute" i)
-        measured row.Obs.Metrics.rr_compute)
+        measured row.Obs.Metrics.rr_compute;
+      let finish = row.Obs.Metrics.rr_finish in
+      let sum =
+        row.Obs.Metrics.rr_compute +. row.Obs.Metrics.rr_comm
+        +. row.Obs.Metrics.rr_blocked
+      in
+      Alcotest.(check (float (0.02 *. finish)))
+        (Printf.sprintf "rank %d buckets add up to finish" i)
+        finish sum;
+      Alcotest.(check bool) (Printf.sprintf "rank %d comm > 0" i) true
+        (row.Obs.Metrics.rr_comm > 0.0))
     (Obs.Metrics.of_trace tr).Obs.Metrics.ranks
 
 let suite =
