@@ -13,9 +13,9 @@
     autocfd profile file.f --parts 2x2       kernel-level profile: hot-nest
                                              table (top-N by self time, share
                                              of compute, flop throughput),
-                                             per-sync-point latency histograms
-                                             and pool utilization; --json /
-                                             --prom for machine-readable and
+                                             per-sync-point latency histograms;
+                                             --json / --prom for
+                                             machine-readable and
                                              Prometheus output, --check for
                                              the >= 95% attribution gate
     autocfd report file.f [-o OUT]           full markdown report (incl. the
@@ -24,9 +24,8 @@
     autocfd tables [1-5|validate|ablation|advisor|all]
                                              regenerate the paper's tables;
                                              --json for the BENCH_tables.json
-                                             document, gated against a baseline
-                                             by --check-regress; --check for
-                                             the three-pass sweep/cache gate
+                                             document; --check for the
+                                             three-pass sweep/cache gate
     autocfd tune [file.f] [--grid wide]      auto-search the configuration
                                              space (rank count x partition
                                              shape x sync combining x fission
@@ -76,12 +75,6 @@ let write_file ?(oc = stdout) path text =
   (try Sched.Cache.write_atomic ~path text
    with Sys_error msg -> fail "autocfd: cannot write %s: %s" path msg);
   Printf.fprintf oc "wrote %s\n%!" path
-
-let load_json path =
-  match Obs.Json.of_string (read_file path) with
-  | doc -> doc
-  | exception Sys_error _ -> fail "cannot read %s" path
-  | exception Obs.Json.Parse_error msg -> fail "%s: malformed JSON: %s" path msg
 
 let parse_parts s =
   try
@@ -406,6 +399,14 @@ let with_default_machine spec =
       Autocfd.Runspec.with_machine
         (Some Autocfd_perfmodel.Model.pentium_cluster) spec
 
+(* one traced run through [Profile.run]: a run that fails is one
+   "autocfd: FILE: msg" diagnostic and exit 1, as for [run] *)
+let profile_run spec file =
+  let _, plan = load_and_plan spec file in
+  let label = Printf.sprintf "profile %s" (Filename.basename file) in
+  try Autocfd.Profile.run ~spec ~label plan
+  with e -> fail "autocfd: %s: %s" file (Printexc.to_string e)
+
 let trace_cmd file spec_file parts nprocs no_fission engine out metrics_out =
   let tracer = Obs.Trace.create () in
   let spec =
@@ -413,14 +414,13 @@ let trace_cmd file spec_file parts nprocs no_fission engine out metrics_out =
     |> with_default_machine
     |> Autocfd.Runspec.with_tracer (Some tracer)
   in
-  let _, plan = load_and_plan spec file in
-  let result = D.run ~spec plan in
+  let p = profile_run spec file in
   write_file out (Obs.Chrome.to_string tracer);
-  let m = Obs.Metrics.of_trace tracer in
+  let m = p.Autocfd.Profile.pf_metrics in
   (match metrics_out with
   | Some path -> write_file path (Obs.Json.pretty (Obs.Metrics.to_json m))
   | None -> ());
-  let stats = result.Autocfd_interp.Spmd.stats in
+  let stats = p.Autocfd.Profile.pf_result.Autocfd_interp.Spmd.stats in
   Printf.printf
     "%d ranks, %d trace events; %.3f s %s (%d messages, %d bytes)\n"
     (Obs.Trace.nranks tracer) (Obs.Trace.length tracer)
@@ -442,12 +442,11 @@ let profile_cmd file spec_file parts nprocs no_fission engine top json prom
     resolve_spec ?parts ?nprocs ~no_fission ?engine spec_file
     |> with_default_machine
   in
-  let _, plan = load_and_plan spec file in
-  let label = Printf.sprintf "profile %s" (Filename.basename file) in
-  let p = Autocfd.Profile.run ~spec ~label plan in
+  let p = profile_run spec file in
   if json then
     print_endline (Obs.Json.pretty (Autocfd.Profile.to_json ~top p))
-  else if prom then print_string (Autocfd.Profile.to_prometheus p)
+  else if prom then
+    print_string (Obs.Metrics.to_prometheus p.Autocfd.Profile.pf_metrics)
   else print_string (Autocfd.Profile.render ~top p);
   if check then begin
     let cov = Autocfd.Profile.coverage p in
@@ -697,22 +696,12 @@ let check_tables o =
      faster than cold (%.2fs vs %.2fs)\n"
     hits hits speedup t_warm t_cold
 
-let tables which json check baseline check_regress update_baseline o =
+let tables which json check o =
   if check then check_tables o
-  else if json || check_regress || update_baseline then begin
-    let doc = with_sweep o (fun sw -> E.tables_json ~sweep:sw ()) in
-    let text = Obs.Json.pretty doc ^ "\n" in
-    print_string text;
-    if update_baseline then write_file ~oc:stderr baseline text;
-    if check_regress then begin
-      let failures =
-        Autocfd.Baseline.compare_tables ~baseline:(load_json baseline)
-          ~current:doc ()
-      in
-      prerr_string (Autocfd.Baseline.render_failures failures);
-      if failures <> [] then exit 1
-    end
-  end
+  else if json then
+    print_string
+      (Obs.Json.pretty (with_sweep o (fun sw -> E.tables_json ~sweep:sw ()))
+      ^ "\n")
   else
     print_string
       (with_sweep o (fun sw ->
@@ -804,9 +793,11 @@ let tune file spec_file grid json check o =
   | Some file ->
       let base = resolve_spec spec_file in
       let source = read_file file in
-      (* wide-grid Domains points execute the program for real; narrower
-         grids are pure model predictions *)
-      let measure_source = match grid with T.Wide -> Some source | _ -> None in
+      (* wide-grid Domains points execute the program for real; the
+         default grid is pure model predictions *)
+      let measure_source =
+        match grid with T.Wide -> Some source | T.Default -> None
+      in
       let r =
         with_sweep o (fun sweep ->
             diagnosing file (fun () ->
@@ -1093,9 +1084,8 @@ let profile_cmd_ =
   let prom =
     Arg.(value & flag
          & info [ "prom" ]
-             ~doc:"Emit the run's metrics and the pool's stats in \
-                   Prometheus text exposition format instead of the \
-                   human-readable profile.")
+             ~doc:"Emit the run's metrics in Prometheus text exposition \
+                   format instead of the human-readable profile.")
   in
   let min_cov =
     Arg.(value & opt float 0.95
@@ -1106,12 +1096,11 @@ let profile_cmd_ =
     (Cmd.info "profile"
        ~doc:
          "Kernel-level profile of the program on the simulated reference \
-          cluster: run it through the sweep pool with tracing enabled, then \
-          print the hot-nest table (top-N field-loop nests by self time, \
-          with share of total compute and flop/byte throughput), \
-          per-sync-point latency histograms and scheduler utilization.  \
-          --json emits the full machine-readable profile, --prom the \
-          same metrics in Prometheus text format.")
+          cluster: run it once with tracing enabled, then print the \
+          hot-nest table (top-N field-loop nests by self time, with share \
+          of total compute and flop/byte throughput) and per-sync-point \
+          latency histograms.  --json emits the full machine-readable \
+          profile, --prom the same metrics in Prometheus text format.")
     Term.(const profile_cmd $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
           $ fission_arg $ engine_arg
           $ top
@@ -1140,26 +1129,6 @@ let tables_cmd =
              ~doc:"1-5, validate (model vs simulator), ablation (optimal vs \
                    first-fit combining), advisor (partition choice) or all.")
   in
-  let baseline =
-    Arg.(value & opt string "BENCH_baseline.json"
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Baseline document for --check-regress and \
-                   --update-baseline.")
-  in
-  let check_regress =
-    Arg.(value & flag
-         & info [ "check-regress" ]
-             ~doc:"Gate the JSON document against the $(b,--baseline): \
-                   modelled times and sync counts must not rise, speedups \
-                   must not fall, engine identity and chaos recovery must \
-                   stay true.  The report goes to stderr; exits nonzero on \
-                   any regression.")
-  in
-  let update_baseline =
-    Arg.(value & flag
-         & info [ "update-baseline" ]
-             ~doc:"(Over-)write the $(b,--baseline) with the JSON document.")
-  in
   Cmd.v
     (Cmd.info "tables"
        ~doc:"Regenerate the paper's evaluation tables side by side with the \
@@ -1173,7 +1142,7 @@ let tables_cmd =
                     parallel sweeps must render the pooled tables \
                     byte-identically, the warm pass must be 100% cache hits \
                     and at least 5x faster than the cold one."
-          $ baseline $ check_regress $ update_baseline $ sweep_term)
+          $ sweep_term)
 
 let tune_cmd =
   let file =
@@ -1193,11 +1162,10 @@ let tune_cmd =
     in
     Arg.(value & opt (conv (parse, print)) Autocfd.Tune.Default
          & info [ "grid" ] ~docv:"GRID"
-             ~doc:"Search-space width: narrow (single smoke-test point), \
-                   default (every rank count and feasible partition shape \
-                   x sync-combining strategy) or wide (adds odd rank \
-                   counts, the fission ablation and the real Domains \
-                   engine with measured wall clock).")
+             ~doc:"Search-space width: default (every rank count and \
+                   feasible partition shape x sync-combining strategy) or \
+                   wide (adds odd rank counts, the fission ablation and \
+                   the real Domains engine with measured wall clock).")
   in
   Cmd.v
     (Cmd.info "tune"

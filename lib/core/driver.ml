@@ -162,10 +162,9 @@ type seq_result = {
   sq_flops : float;
 }
 
-(* per-flop charge matching the reference machine under the plan's per-rank
-   working set (same calibration as the model-validation experiments) *)
-let calibrated_flop_time ?(machine = Autocfd_perfmodel.Model.pentium_cluster)
-    plan =
+(* per-flop charge of [machine] under the plan's per-rank working set
+   (same calibration as the model-validation experiments) *)
+let calibrated_flop_time machine plan =
   let module PM = Autocfd_perfmodel.Model in
   let points_per_rank =
     let g = P.Topology.grid plan.topo and p = P.Topology.parts plan.topo in
@@ -191,8 +190,8 @@ let config ?(spec = Runspec.default) plan =
   let net, flop_time =
     match spec.Runspec.machine with
     | Some m ->
-        (m.Autocfd_perfmodel.Model.net, calibrated_flop_time ~machine:m plan)
-    | None -> (spec.Runspec.net, spec.Runspec.flop_time)
+        (m.Autocfd_perfmodel.Model.net, calibrated_flop_time m plan)
+    | None -> (Autocfd_mpsim.Netmodel.fast, 0.0)
   in
   {
     I.Spmd.gi = plan.source.gi;

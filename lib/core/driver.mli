@@ -87,9 +87,10 @@ val run_seq : ?spec:Runspec.t -> t -> seq_result
 
 val config : ?spec:Runspec.t -> plan -> Autocfd_interp.Spmd.config
 (** The executor configuration {!run} passes to
-    {!Autocfd_interp.Spmd.run}.  With [spec.machine] set, the machine's
-    network and the plan-calibrated per-flop charge override
-    [spec.net]/[spec.flop_time]. *)
+    {!Autocfd_interp.Spmd.run}.  With [spec.machine] set, the run
+    charges the machine's network and the plan-calibrated per-flop cost;
+    without, the fast network ({!Autocfd_mpsim.Netmodel.fast}) and free
+    flops. *)
 
 val run : ?spec:Runspec.t -> plan -> Autocfd_interp.Spmd.result
 (** Executes the SPMD unit under one {!Runspec.t} (default
@@ -102,13 +103,6 @@ val run : ?spec:Runspec.t -> plan -> Autocfd_interp.Spmd.result
     (messages then travel over the reliable transport); [spec.recovery]
     additionally enables coordinated checkpoint/restart — see
     {!Autocfd_interp.Spmd.run}. *)
-
-val calibrated_flop_time :
-  ?machine:Autocfd_perfmodel.Model.machine -> plan -> float
-(** Seconds per floating-point operation on the reference machine, with
-    the memory-pressure slowdown for the plan's per-rank working set
-    applied (the calibration the model-validation experiments use; this
-    is what [Runspec.machine] applies automatically). *)
 
 val max_divergence :
   seq_result -> Autocfd_interp.Spmd.result -> (string * float) list

@@ -208,8 +208,8 @@ val tune_program :
 val tune_table : ?grid:Tune.grid -> ?sweep:sweep -> unit -> Tune.result list
 (** {!tune_program} over both paper case studies on their frame-scaled
     sources (so tuned times line up with the Table 2/3 rows).  Wall
-    measurement is confined to the [Wide] grid; [Narrow] and [Default]
-    results are fully deterministic and byte-reproducible. *)
+    measurement is confined to the [Wide] grid; [Default] results are
+    fully deterministic and byte-reproducible. *)
 
 val machine : Autocfd_perfmodel.Model.machine
 (** The calibrated cluster model used by every timing table. *)
@@ -229,5 +229,4 @@ val tables_json : ?sweep:sweep -> unit -> Autocfd_obs.Json.t
     (schema ["autocfd-bench/1"]) — the diffable perf trajectory written
     to [BENCH_tables.json] by [autocfd tables --json].  All tables run
     through the given [sweep] (default: a fresh serial sweep).  The
-    ["sched"] section is wall-clock (machine-dependent); the baseline
-    gate ({!Baseline}) never gates on it. *)
+    ["sched"] section is wall-clock (machine-dependent). *)

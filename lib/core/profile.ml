@@ -1,18 +1,16 @@
 (* Kernel-level profiler: run one plan traced, attribute virtual compute
-   time to named field-loop nests, and render the hot-nest table,
-   per-sync-point latency histograms and pool utilization that the
-   [autocfd profile] verb prints. *)
+   time to named field-loop nests, and render the hot-nest table and
+   per-sync-point latency histograms that the [autocfd profile] verb
+   prints. *)
 
 module Obs = Autocfd_obs
-module Sched = Autocfd_sched
 module I = Autocfd_interp
 module J = Obs.Json
 
 type t = {
   pf_label : string;
+  pf_result : I.Spmd.result;
   pf_metrics : Obs.Metrics.t;
-  pf_pool : Sched.Pool.stats;
-  pf_flops : float;
 }
 
 let run ?(spec = Runspec.default) ?(label = "profile") plan =
@@ -21,32 +19,11 @@ let run ?(spec = Runspec.default) ?(label = "profile") plan =
     | Some tr -> tr
     | None -> Obs.Trace.create ()
   in
-  let spec = Runspec.with_tracer (Some tracer) spec in
-  let flops = ref 0.0 in
-  let job =
-    Sched.Job.make ~label
-      (* the serialized spec is the whole configuration point — run-time
-         knobs and the plan-time knobs the plan was built under — so the
-         key names exactly what this profile measured *)
-      ~key:(J.Obj [ ("profile", J.Str label); ("spec", Runspec.to_json spec) ])
-      (fun () ->
-        let r = Driver.run ~spec plan in
-        flops :=
-          Array.fold_left ( +. ) 0.0 r.I.Spmd.flops_per_rank;
-        J.Obj [ ("elapsed", J.Float r.I.Spmd.stats.Autocfd_mpsim.Sim.elapsed) ])
-  in
-  (* one uncached job through the pool, sharing the run's tracer, so the
-     scheduler's wall-clock events land in the same trace as the
-     simulator's virtual-clock events *)
-  let results, stats = Sched.Pool.run ~jobs:1 ~tracer [ job ] in
-  (match results.(0) with
-  | Ok _ -> ()
-  | Error msg -> failwith ("profile: " ^ msg));
+  let result = Driver.run ~spec:(Runspec.with_tracer (Some tracer) spec) plan in
   {
     pf_label = label;
+    pf_result = result;
     pf_metrics = Obs.Metrics.of_trace tracer;
-    pf_pool = stats;
-    pf_flops = !flops;
   }
 
 let compute_seconds p =
@@ -67,8 +44,9 @@ let attributed_flops p =
 let coverage p =
   let c = compute_seconds p in
   if c > 0.0 then attributed_seconds p /. c
-  else if p.pf_flops > 0.0 then attributed_flops p /. p.pf_flops
-  else 1.0
+  else
+    let flops = Array.fold_left ( +. ) 0.0 p.pf_result.I.Spmd.flops_per_rank in
+    if flops > 0.0 then attributed_flops p /. flops else 1.0
 
 (* a sync point's mean execution latency and its nonzero latency buckets,
    each as (upper bound, or None for the +Inf overflow; count) *)
@@ -256,8 +234,6 @@ let render ?(top = 10) p =
         pr "\n")
       m.Obs.Metrics.syncs
   end;
-  (* -- pool --------------------------------------------------------- *)
-  pr "%s" (Report.sched_summary [ (p.pf_label, p.pf_pool) ]);
   Buffer.contents b
 
 let kernel_json compute (k : Obs.Metrics.kernel_row) =
@@ -330,64 +306,5 @@ let to_json ?(top = 10) p =
       ("coverage", J.Float (coverage p));
       ("nests", J.List (List.map (nest_json compute) (hot_nests ~top p)));
       ("sync_latency", J.List (List.map sync_json m.Obs.Metrics.syncs));
-      ("sched", Report.sched_summary_json [ (p.pf_label, p.pf_pool) ]);
       ("metrics", Obs.Metrics.to_json m);
     ]
-
-(* the trace's families, then the pool's: cache probes, job outcomes and
-   times, queue waits and per-worker busy seconds and utilization *)
-let to_prometheus p =
-  let module R = Obs.Registry in
-  let module Pool = Sched.Pool in
-  let s = p.pf_pool in
-  let fam name help samples = { R.name; help; samples } in
-  let outcomes l =
-    List.map (fun (k, c) -> ([ ("outcome", k) ], float_of_int c)) l
-  in
-  let workers keep f =
-    List.init (Array.length s.Pool.ps_busy) Fun.id
-    |> List.filter keep
-    |> List.map (fun w -> ([ ("worker", string_of_int w) ], f w))
-  in
-  let hist f =
-    let vs = List.map f s.Pool.ps_events in
-    let counts = Array.make (Array.length R.seconds_buckets + 1) 0 in
-    List.iter
-      (fun v ->
-        let i = R.bucket R.seconds_buckets v in
-        counts.(i) <- counts.(i) + 1)
-      vs;
-    R.Histogram
-      [ ([], { R.bounds = R.seconds_buckets; counts;
-               sum = List.fold_left ( +. ) 0.0 vs }) ]
-  in
-  Obs.Metrics.to_prometheus p.pf_metrics
-  ^ R.to_prometheus
-      [
-        fam "autocfd_pool_cache_probes_total"
-          "sweep-pool cache probes by outcome (hit / miss / corrupt)"
-          (R.Counter
-             (outcomes
-                [ ("corrupt", s.Pool.ps_corrupt); ("hit", s.Pool.ps_hits);
-                  ("miss", s.Pool.ps_misses) ]));
-        fam "autocfd_pool_utilization"
-          "per-worker busy fraction of the batch elapsed"
-          (R.Gauge (workers (fun _ -> true) (Pool.utilization s)));
-        fam "autocfd_sched_jobs_total" "sweep jobs by outcome (run / hit / error)"
-          (R.Counter
-             (outcomes
-                (List.filter
-                   (fun (_, c) -> c > 0)
-                   [ ("error", s.Pool.ps_errors); ("hit", s.Pool.ps_hits);
-                     ("run", s.Pool.ps_misses - s.Pool.ps_errors) ])));
-        fam "autocfd_sched_job_seconds"
-          "wall-clock job handling time in the sweep pool"
-          (hist (fun e -> e.Pool.pe_t1 -. e.Pool.pe_t0));
-        fam "autocfd_sched_busy_seconds_total"
-          "wall-clock busy seconds per pool worker"
-          (R.Counter
-             (workers (fun w -> s.Pool.ps_ran.(w) > 0) (fun w -> s.Pool.ps_busy.(w))));
-        fam "autocfd_sched_queue_wait_seconds"
-          "wall-clock delay between pool start and job pickup"
-          (hist (fun e -> e.Pool.pe_t0));
-      ]

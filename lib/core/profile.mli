@@ -1,29 +1,27 @@
 (** Kernel-level profiler over one traced run.
 
-    [run] executes a plan as a single uncached job through the sweep pool
-    and folds the run's trace once, into {!Autocfd_obs.Metrics.t}; every
-    output here renders those rows plus the pool's stats: the
-    [autocfd profile] verb's hot-nest table (virtual compute time
+    [run] executes a plan once, traced, and folds the run's trace once,
+    into {!Autocfd_obs.Metrics.t}; every output here renders those rows:
+    the [autocfd profile] verb's hot-nest table (virtual compute time
     attributed to named field-loop nests by the fused engine's
-    {!Autocfd_obs.Trace.Kernel} summaries), per-sync-point latency
-    histograms and pool utilization, as text, JSON or Prometheus text. *)
+    {!Autocfd_obs.Trace.Kernel} summaries) and per-sync-point latency
+    histograms, as text or JSON.  The [trace] and [report] verbs reach
+    their run through [run] as well. *)
 
 type t = {
   pf_label : string;
+  pf_result : Autocfd_interp.Spmd.result;
   pf_metrics : Autocfd_obs.Metrics.t;
-  pf_pool : Autocfd_sched.Pool.stats;
-  pf_flops : float;  (** total executed flops, summed over ranks *)
 }
 
 val run : ?spec:Runspec.t -> ?label:string -> Driver.plan -> t
 (** Run the plan under [spec] (default {!Runspec.default}; its tracer is
-    reused when set, otherwise a fresh one is created) and derive the
-    profile.  Pass a spec with [machine] set to profile against the
-    calibrated reference cluster rather than zero-cost flops.  Pass the
-    {e same} spec the plan was built with ({!Driver.plan}): the spec is
-    one value naming the whole configuration point, and the profile job
-    key serializes it as the record of what was measured.
-    @raise Failure if the underlying run raises. *)
+    reused when set, otherwise a fresh one is created) and fold the
+    trace.  Pass a spec with [machine] set to profile against the
+    calibrated reference cluster rather than zero-cost flops, and the
+    {e same} spec the plan was built with ({!Driver.plan}).
+    @raise Autocfd_mpsim.Sim.Rank_failure (or any other exception of
+    {!Driver.run}) if the run fails. *)
 
 val compute_seconds : t -> float
 (** Total virtual compute seconds, summed over ranks. *)
@@ -59,18 +57,10 @@ val hot_nests : ?top:int -> t -> nest_group list
 
 val render : ?top:int -> t -> string
 (** Human-readable profile: run summary, hot-nest table (self time, share
-    of compute, flop and byte throughput), per-sync-point latency
-    histograms (log₂ buckets) and the scheduler utilization table.  A
-    Domains run is labelled wall-clock, and its nests show no share of
-    compute: it charges no virtual compute. *)
+    of compute, flop and byte throughput) and per-sync-point latency
+    histograms (log₂ buckets).  A Domains run is labelled wall-clock, and
+    its nests' shares are of the measured compute. *)
 
 val to_json : ?top:int -> t -> Autocfd_obs.Json.t
 (** Machine-readable profile (schema ["autocfd-profile/1"]): the same
     sections plus the full embedded metrics document. *)
-
-val to_prometheus : t -> string
-(** The [profile --prom] body: {!Autocfd_obs.Metrics.to_prometheus} of
-    the run's metrics, then the pool's families from its stats (cache
-    probe outcomes including corruption misses, job outcomes, job-time
-    and queue-wait histograms, per-worker busy seconds and utilization
-    gauges). *)

@@ -186,26 +186,17 @@ and measured_section b (plan : Driver.plan) =
   in
   line "## Measured execution (simulated cluster)";
   line "";
-  let run_traced plan =
-    let tracer = Obs.Trace.create () in
-    let result =
-      Driver.run
-        ~spec:
-          Runspec.(
-            default
-            |> with_machine (Some M.pentium_cluster)
-            |> with_tracer (Some tracer))
-        plan
-    in
-    (result, tracer)
-  in
-  match run_traced plan with
+  match
+    Profile.run
+      ~spec:Runspec.(default |> with_machine (Some M.pentium_cluster))
+      plan
+  with
   | exception e ->
       line "_not measured: execution failed (%s)_"
         (Printexc.to_string e)
-  | result, tracer ->
-      let stats = result.Autocfd_interp.Spmd.stats in
-      let m = Obs.Metrics.of_trace tracer in
+  | p ->
+      let stats = p.Profile.pf_result.Autocfd_interp.Spmd.stats in
+      let m = p.Profile.pf_metrics in
       line
         "Execution-driven timing (calibrated per-flop charge + network \
          model): **%.2f s** simulated wall clock, %d messages, %d bytes, \

@@ -8,6 +8,10 @@
     tooling built on top of the pre-compiler. *)
 
 val markdown : Driver.plan -> string
+(** The full report.  Its measured section is one {!Profile.run} of the
+    plan on the reference cluster
+    ({!Autocfd_perfmodel.Model.pentium_cluster}), or a note naming the
+    exception when that run fails. *)
 
 val loop_census : Driver.plan -> (string * int) list
 (** (classification label, count) summary over the field-loop heads:

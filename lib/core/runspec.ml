@@ -6,8 +6,6 @@ module J = Autocfd_obs.Json
 
 type t = {
   engine : I.Spmd.engine;
-  net : M.Netmodel.t;
-  flop_time : float;
   machine : PM.machine option;
   input : float list;
   tracer : Autocfd_obs.Trace.t option;
@@ -22,8 +20,6 @@ type t = {
 let default =
   {
     engine = I.Spmd.Fused;
-    net = M.Netmodel.fast;
-    flop_time = 0.0;
     machine = None;
     input = [];
     tracer = None;
@@ -36,8 +32,6 @@ let default =
   }
 
 let with_engine engine t = { t with engine }
-let with_net net t = { t with net }
-let with_flop_time flop_time t = { t with flop_time }
 let with_machine machine t = { t with machine }
 let with_input input t = { t with input }
 let with_tracer tracer t = { t with tracer }
@@ -246,22 +240,34 @@ let parts_of_string s =
 
 let opt f = function Some v -> f v | None -> J.Null
 
+(* [net] and [flop_time] are retired: [machine] is the one cost setting.
+   A spec document still carries them at the values every spec had
+   before (the fast network, free flops), so spec documents, cache keys
+   and tune JSON keep their bytes; [of_json] accepts those values only,
+   since any other would silently change what the spec names *)
+let retired =
+  [
+    ( "net",
+      net_to_json M.Netmodel.fast,
+      fun v -> net_of_json v = M.Netmodel.fast );
+    ("flop_time", J.Float 0.0, fun v -> J.to_float_exn v = 0.0);
+  ]
+
 let to_json t =
   J.Obj
-    [
-      ("engine", J.Str (engine_to_string t.engine));
-      ("net", net_to_json t.net);
-      ("flop_time", J.Float t.flop_time);
-      ("machine", opt machine_to_json t.machine);
-      ("input", J.List (List.map (fun f -> J.Float f) t.input));
-      ("traced", J.Bool (t.tracer <> None));
-      ("faults", opt faults_to_json t.faults);
-      ("recovery", opt recovery_to_json t.recovery);
-      ("nprocs", J.Int t.nprocs);
-      ("parts", opt (fun p -> J.Str (parts_to_string p)) t.parts);
-      ("combine", J.Str (combine_to_string t.combine));
-      ("fission", J.Bool t.fission);
-    ]
+    ((("engine", J.Str (engine_to_string t.engine))
+     :: List.map (fun (name, v, _) -> (name, v)) retired)
+    @ [
+        ("machine", opt machine_to_json t.machine);
+        ("input", J.List (List.map (fun f -> J.Float f) t.input));
+        ("traced", J.Bool (t.tracer <> None));
+        ("faults", opt faults_to_json t.faults);
+        ("recovery", opt recovery_to_json t.recovery);
+        ("nprocs", J.Int t.nprocs);
+        ("parts", opt (fun p -> J.Str (parts_to_string p)) t.parts);
+        ("combine", J.Str (combine_to_string t.combine));
+        ("fission", J.Bool t.fission);
+      ])
 
 let opt_of name f j =
   match get name j with J.Null -> None | v -> Some (f v)
@@ -282,10 +288,19 @@ let get_bool_or name fallback j =
     j
 
 let of_json j =
+  List.iter
+    (fun (name, _, is_default) ->
+      match J.member name j with
+      | Some v when not (is_default v) ->
+          fail
+            (Printf.sprintf
+               "field %S is retired: set \"machine\" to charge a network \
+                and per-flop cost"
+               name)
+      | _ -> ())
+    retired;
   {
     engine = engine_of_string (get_string "engine" j);
-    net = net_of_json (get "net" j);
-    flop_time = get_float "flop_time" j;
     machine = opt_of "machine" machine_of_json j;
     input = List.map J.to_float_exn (get_list "input" j);
     tracer =

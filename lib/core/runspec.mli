@@ -22,19 +22,21 @@
     [of_json (to_json s)] re-renders to the same JSON text (round-trip
     tested).  Decoding is backward compatible: the plan-time fields are
     absent in documents written by the pre-tune codec and decode to
-    their [default] values, and an unknown key (such as the retired
-    ["fuse"]) is ignored.  The one lossy field is [tracer]: a live
-    tracer cannot be serialized, so it encodes as the boolean ["traced"]
-    and decodes to a fresh empty tracer when true. *)
+    their [default] values, an unknown key (such as the retired
+    ["fuse"]) is ignored, and the retired ["net"] and ["flop_time"]
+    are written and accepted at their one old value (the fast network,
+    [0]), so every spec document keeps its bytes.  The one lossy field
+    is [tracer]: a live tracer cannot be serialized, so it encodes as
+    the boolean ["traced"] and decodes to a fresh empty tracer when
+    true. *)
 
 type t = {
   engine : Autocfd_interp.Spmd.engine;  (** default [Fused] *)
-  net : Autocfd_mpsim.Netmodel.t;  (** default [Netmodel.fast] *)
-  flop_time : float;  (** seconds per flop; default [0.0] (correctness) *)
   machine : Autocfd_perfmodel.Model.machine option;
-      (** when set, overrides [net] and [flop_time] with the machine's
-          network and the plan-calibrated per-flop charge (what the old
-          [run_traced] did); default [None] *)
+      (** the one cost setting: when set, the run charges the machine's
+          network and the plan-calibrated per-flop cost; default [None],
+          the fast network ({!Autocfd_mpsim.Netmodel.fast}) and free
+          flops (a correctness run) *)
   input : float list;  (** data served to READ statements *)
   tracer : Autocfd_obs.Trace.t option;
   faults : Autocfd_mpsim.Fault.plan option;
@@ -56,8 +58,6 @@ val default : t
     ranks, optimal sync combining and fission on. *)
 
 val with_engine : Autocfd_interp.Spmd.engine -> t -> t
-val with_net : Autocfd_mpsim.Netmodel.t -> t -> t
-val with_flop_time : float -> t -> t
 val with_machine : Autocfd_perfmodel.Model.machine option -> t -> t
 val with_input : float list -> t -> t
 val with_tracer : Autocfd_obs.Trace.t option -> t -> t
@@ -92,9 +92,11 @@ val to_json : t -> Autocfd_obs.Json.t
     through {!Autocfd_obs.Json.canonical}. *)
 
 val of_json : Autocfd_obs.Json.t -> t
-(** @raise Autocfd_obs.Json.Parse_error on a malformed document. *)
+(** @raise Autocfd_obs.Json.Parse_error on a malformed document, and on
+    a retired ["net"] or ["flop_time"] field holding anything but its
+    old default (the fast network, [0]): such a spec is spelled with
+    ["machine"] now. *)
 
-val net_to_json : Autocfd_mpsim.Netmodel.t -> Autocfd_obs.Json.t
 val machine_to_json : Autocfd_perfmodel.Model.machine -> Autocfd_obs.Json.t
-(** Exposed for sweep cache keys that mention a machine or network
-    outside a full runspec. *)
+(** Exposed for sweep cache keys that mention a machine outside a full
+    runspec. *)

@@ -9,18 +9,14 @@ module J = Autocfd_obs.Json
 (* Grids                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type grid = Narrow | Default | Wide
+type grid = Default | Wide
 
-let grid_to_string = function
-  | Narrow -> "narrow"
-  | Default -> "default"
-  | Wide -> "wide"
+let grid_to_string = function Default -> "default" | Wide -> "wide"
 
 let grid_of_string = function
-  | "narrow" -> Ok Narrow
   | "default" -> Ok Default
   | "wide" -> Ok Wide
-  | s -> Error (Printf.sprintf "unknown tune grid %S (narrow|default|wide)" s)
+  | s -> Error (Printf.sprintf "unknown tune grid %S (default|wide)" s)
 
 (* one value list per orthogonal axis *)
 type axes = {
@@ -31,13 +27,6 @@ type axes = {
 }
 
 let axes = function
-  | Narrow ->
-      {
-        ax_nprocs = [ 4 ];
-        ax_combine = [ S.Optimizer.Optimal ];
-        ax_fission = [ true ];
-        ax_engine = [ I.Spmd.Fused ];
-      }
   | Default ->
       {
         ax_nprocs = [ 2; 3; 4; 6 ];

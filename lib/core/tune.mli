@@ -17,16 +17,16 @@
     one nondeterministic quantity — real Domains-engine wall clock — is
     measured only on the wide grid and excluded from dominance. *)
 
-(** How wide to open each axis. [Narrow] is a smoke-test single point;
-    [Default] covers every hand-picked configuration in the paper's
-    Table 2/3 reproductions (so the tuned winner can only match or beat
-    them); [Wide] adds odd rank counts, first-fit-only regressions, the
-    fission ablation and the real Domains engine. *)
-type grid = Narrow | Default | Wide
+(** How wide to open each axis. [Default] covers every hand-picked
+    configuration in the paper's Table 2/3 reproductions (so the tuned
+    winner can only match or beat them); [Wide] adds odd rank counts,
+    first-fit-only regressions, the fission ablation and the real
+    Domains engine. *)
+type grid = Default | Wide
 
 val grid_to_string : grid -> string
 val grid_of_string : string -> (grid, string) result
-(** ["narrow"] / ["default"] / ["wide"]. *)
+(** ["default"] / ["wide"]. *)
 
 val points : ?base:Runspec.t -> grid -> Driver.t -> Runspec.t list
 (** All search points for [grid] on a loaded program: the cartesian

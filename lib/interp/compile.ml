@@ -2723,9 +2723,7 @@ let run st =
   | Machine.Stop_run -> ()
   | Jump l -> error "jump to unknown label %d" l
 
-let unit_of st = st.cu.cu_unit
 let flops st = st.flops
-let reset_flops st = st.flops <- 0.0
 let output st = List.rev st.out_rev
 
 type kernel_stat = {
@@ -2790,7 +2788,6 @@ let array st name =
   | Some i -> st.arrs.(i)
   | None -> error "array '%s' is not declared" name
 
-let has_array st name = Hashtbl.mem st.cu.ar_index name
 let array_names st = Array.to_list st.cu.ar_names
 
 let scalar_bindings st =

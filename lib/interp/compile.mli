@@ -198,15 +198,11 @@ val run : state -> unit
 
 (** Environment access, mirroring the {!Machine} accessors: *)
 
-val unit_of : state -> Ast.program_unit
 val flops : state -> float
-val reset_flops : state -> unit
 val output : state -> string list
 val scalar : state -> string -> Value.scalar
-val scalar_opt : state -> string -> Value.scalar option
 val set_scalar : state -> string -> Value.scalar -> unit
 val array : state -> string -> Value.arr
-val has_array : state -> string -> bool
 
 val array_names : state -> string list
 (** Sorted, same order as {!Machine.array_names}. *)

@@ -72,9 +72,7 @@ let sequential_hooks_with ~read ~write =
 let sequential_hooks =
   sequential_hooks_with ~read:default_read ~write:default_write
 
-let unit_of t = t.unit_
 let flops t = t.flops
-let reset_flops t = t.flops <- 0.0
 let output t = List.rev t.out_rev
 
 (* implicit typing: I-N integer, otherwise real *)
@@ -105,8 +103,6 @@ let array t name =
   match Hashtbl.find_opt t.arrays name with
   | Some a -> a
   | None -> error "array '%s' is not declared" name
-
-let has_array t name = Hashtbl.mem t.arrays name
 
 let array_names t =
   match t.names_memo with

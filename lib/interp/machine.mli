@@ -87,7 +87,6 @@ val create : ?hooks:t hooks -> ?input:float list -> Ast.program_unit -> t
 (** {!initial}, then storage for every declared array.  @raise
     Runtime_error when an array bound is not constant. *)
 
-val unit_of : t -> Ast.program_unit
 val run : t -> unit
 (** Executes the unit body.  [Stop_run] (from STOP) is caught internally.
     @raise Runtime_error on dynamic errors (with context). *)
@@ -96,14 +95,11 @@ val flops : t -> float
 (** Floating-point operations executed so far (used by the execution-driven
     time model). *)
 
-val reset_flops : t -> unit
-
 (** Environment access (tests, drivers, hooks): *)
 
 val scalar : t -> string -> Value.scalar
 val set_scalar : t -> string -> Value.scalar -> unit
 val array : t -> string -> Value.arr
-val has_array : t -> string -> bool
 
 val array_names : t -> string list
 (** Sorted; memoized after the first call (declarations are fixed once the
@@ -119,8 +115,6 @@ val output : t -> string list
 
 val eval : t -> Ast.expr -> Value.scalar
 (** Evaluate an expression in the current environment. *)
-
-val exec_block : t -> Ast.block -> unit
 
 val trip_count : lo:int -> hi:int -> step:int -> int
 (** Number of iterations of [DO var = lo, hi, step]: the body runs exactly

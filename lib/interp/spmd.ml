@@ -1041,6 +1041,11 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
   let flops_per_rank = Array.make nranks 0.0 in
   let compute_wall = Array.make nranks 0.0 in
   let comm_samples : (int * float) list array = Array.make nranks [] in
+  (* per rank, what the simulator counts: each halo or allgather copy
+     is one message (sent by its source, received by the copying rank)
+     of the bytes copied, and each collective hook one collective *)
+  let sent = Array.make nranks 0 and received = Array.make nranks 0 in
+  let copied = Array.make nranks 0 and colls = Array.make nranks 0 in
   (* wall-clock sync-point spans, compute intervals and hook intervals
      (entry, exit, sync id, bytes copied), buffered per rank during the
      run (the tracer is not thread-safe) and replayed after the domains
@@ -1060,7 +1065,8 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       compute := !compute +. (t -. !last);
       if tracing then computing.(r) <- (!last, t) :: computing.(r)
     in
-    let copy_bytes = ref 0 in
+    let copy_bytes = ref 0 and nsent = ref 0 and nreceived = ref 0 in
+    let ncolls = ref 0 in
     let samples = ref [] in
     let peer_data name peer =
       match machines.(peer) with
@@ -1081,6 +1087,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
           dst.(o) <- src.(o)
         done
       end;
+      incr nreceived;
       copy_bytes := !copy_bytes + (8 * p.pp_total)
     in
     let exchange data_of xps =
@@ -1089,6 +1096,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
         (fun group ->
           List.iter
             (fun xp ->
+              if Option.is_some xp.xp_send then incr nsent;
               match xp.xp_recv with
               | Some (src, p) ->
                   blit_in p ~src:(peer_data xp.xp_array src)
@@ -1100,6 +1108,7 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     in
     let allgather data_of per_array =
       Shm.barrier c;
+      nsent := !nsent + ((nranks - 1) * List.length per_array);
       List.iter
         (fun (name, _mine, peers) ->
           let dst = data_of name in
@@ -1138,9 +1147,11 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       {
         t_send = Shm.send c;
         t_recv = Shm.recv c;
-        t_allreduce = Shm.allreduce c;
-        t_bcast = Shm.bcast c ~root:0;
-        t_barrier = (fun () -> Shm.barrier c);
+        (* one collective per allreduce, bcast or barrier hook, as the
+           simulator counts them: an exchange's barriers are not *)
+        t_allreduce = (fun op v -> incr ncolls; Shm.allreduce c op v);
+        t_bcast = (fun d -> incr ncolls; Shm.bcast c ~root:0 d);
+        t_barrier = (fun () -> incr ncolls; Shm.barrier c);
         t_exchange = exchange;
         t_allgather = allgather;
         t_guard = guard;
@@ -1162,6 +1173,10 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     close_compute (Shm.time c);
     compute_wall.(r) <- !compute;
     comm_samples.(r) <- List.rev !samples;
+    sent.(r) <- !nsent;
+    received.(r) <- !nreceived;
+    copied.(r) <- !copy_bytes;
+    colls.(r) <- !ncolls;
     flops_per_rank.(r) <- iface.i_flops m
   in
   let shm =
@@ -1169,16 +1184,19 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
     with Shm.Rank_failure (r, e) -> raise (Sim.Rank_failure (r, e))
   in
   let ranks = shm.Shm.ranks in
-  let sum_i f = Array.fold_left (fun acc rs -> acc + f rs) 0 ranks in
+  (* the mailbox (pipeline) traffic plus the copies *)
+  let per_rank f extra = Array.mapi (fun r rs -> f rs + extra.(r)) ranks in
+  let total = Array.fold_left ( + ) 0 in
+  let rank_sends = per_rank (fun rs -> rs.Shm.rs_sends) sent in
   let stats =
     {
       Sim.elapsed = shm.Shm.elapsed;
       rank_times = Array.map (fun rs -> rs.Shm.rs_wall) ranks;
-      messages = sum_i (fun rs -> rs.Shm.rs_sends);
-      bytes = sum_i (fun rs -> rs.Shm.rs_bytes);
-      collectives = ranks.(0).Shm.rs_collectives;
-      rank_sends = Array.map (fun rs -> rs.Shm.rs_sends) ranks;
-      rank_recvs = Array.map (fun rs -> rs.Shm.rs_recvs) ranks;
+      messages = total rank_sends;
+      bytes = total (per_rank (fun rs -> rs.Shm.rs_bytes) copied);
+      collectives = colls.(0);
+      rank_sends;
+      rank_recvs = per_rank (fun rs -> rs.Shm.rs_recvs) received;
       rank_blocked =
         Array.map (fun rs -> rs.Shm.rs_barrier_wait +. rs.Shm.rs_recv_wait) ranks;
     }

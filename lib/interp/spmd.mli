@@ -56,9 +56,6 @@ type resilience = {
   rs_checksum_failures : int;  (** corrupted envelopes discarded *)
 }
 
-val no_resilience : resilience
-(** the all-zero record a fault-free run reports *)
-
 type domain_stats = {
   ds_wall : float;  (** whole-run wall-clock seconds (spawn to join) *)
   ds_rank_wall : float array;  (** per-rank wall seconds inside the body *)

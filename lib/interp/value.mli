@@ -43,9 +43,6 @@ val to_int : scalar -> int
 val to_bool : scalar -> bool
 val pp_scalar : Format.formatter -> scalar -> unit
 
-val same_shape : arr -> arr -> bool
-(** Rank and every per-dimension bound pair agree. *)
-
 val max_abs_diff : arr -> arr -> float
 (** Largest pointwise difference.
     @raise Invalid_argument if shapes differ (ranks or any dimension's

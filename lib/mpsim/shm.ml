@@ -29,7 +29,6 @@ type comm = {
   mutable c_sends : int;
   mutable c_recvs : int;
   mutable c_bytes : int;
-  mutable c_collectives : int;
   mutable c_waits : wait list;  (* reversed: newest first *)
 }
 
@@ -41,7 +40,6 @@ type rank_stats = {
   rs_sends : int;
   rs_recvs : int;
   rs_bytes : int;
-  rs_collectives : int;
   rs_waits : wait list;
 }
 
@@ -73,7 +71,6 @@ let record_wait c ~t_start ~dur ~barrier =
 let barrier c =
   let sh = c.sh in
   c.c_barrier_calls <- c.c_barrier_calls + 1;
-  c.c_collectives <- c.c_collectives + 1;
   with_lock sh (fun () ->
       check_poison sh;
       let s = sh.bar_sense in
@@ -168,7 +165,6 @@ let stats_of ~wall c =
     rs_sends = c.c_sends;
     rs_recvs = c.c_recvs;
     rs_bytes = c.c_bytes;
-    rs_collectives = c.c_collectives;
     rs_waits = List.rev c.c_waits;
   }
 
@@ -199,7 +195,6 @@ let run ~nranks body =
           c_sends = 0;
           c_recvs = 0;
           c_bytes = 0;
-          c_collectives = 0;
           c_waits = [];
         })
   in

@@ -73,7 +73,6 @@ type rank_stats = {
   rs_sends : int;
   rs_recvs : int;
   rs_bytes : int;  (** mailbox payload bytes sent *)
-  rs_collectives : int;  (** barriers + allreduces + bcasts entered *)
   rs_waits : wait list;  (** every measured blocking wait, in time order *)
 }
 

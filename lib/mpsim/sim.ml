@@ -4,6 +4,12 @@ exception Deadlock of string
 exception Timeout of string
 exception Rank_failure of int * exn
 
+let () =
+  Printexc.register_printer (function
+    | Rank_failure (r, e) ->
+        Some (Printf.sprintf "rank %d: %s" r (Printexc.to_string e))
+    | _ -> None)
+
 type red_op = [ `Max | `Min | `Sum ]
 
 let red_op_name = function `Max -> "max" | `Min -> "min" | `Sum -> "sum"

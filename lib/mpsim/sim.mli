@@ -145,3 +145,5 @@ val run :
     fates while one-shot crash triggers persist across attempts. *)
 
 exception Rank_failure of int * exn
+(** A rank's body raised: the rank and its exception.  [Printexc]
+    prints it as ["rank N: "] followed by the inner exception. *)

@@ -325,25 +325,27 @@ let to_prometheus m =
       (fun s -> ([ ("id", string_of_int s.sr_id); ("sync", s.sr_label) ], f s))
       m.syncs
   in
-  (* the virtual-clock totals of a simulated run; a Domains run's waits
-     and kernel seconds are wall-clock families of their own *)
+  (* every seconds family names the run's clock in its HELP *)
+  let clock = if m.wall then "wall-clock" else "virtual" in
   let ranks = Array.to_list m.ranks in
   let series_if cond v = if cond then [ ([], v) ] else [] in
   let wait_kinds = List.sort_uniq compare (List.map (fun w -> w.wr_kind) m.waits) in
   R.to_prometheus
     [
-      fam "autocfd_compute_seconds_total" "virtual compute seconds across ranks"
-        (R.Counter (series_if (not m.wall) (sum (fun r -> r.rr_compute) ranks)));
+      fam "autocfd_compute_seconds_total"
+        (clock ^ " compute seconds across ranks")
+        (R.Counter [ ([], sum (fun r -> r.rr_compute) ranks) ]);
       fam "autocfd_blocked_seconds_total"
-        "virtual blocked-idle seconds across ranks"
-        (R.Counter (series_if (not m.wall) (sum (fun r -> r.rr_blocked) ranks)));
+        (clock ^ " blocked-idle seconds across ranks")
+        (R.Counter [ ([], sum (fun r -> r.rr_blocked) ranks) ]);
       fam "autocfd_messages_total"
         "messages originated (p2p sends and collective participations)"
         (R.Counter (per_kind sent (fun k -> float_of_int k.kb_events)));
       fam "autocfd_comm_bytes_total"
         "payload bytes originated, by communication kind"
         (R.Counter (per_kind sent (fun k -> float_of_int k.kb_bytes)));
-      fam "autocfd_comm_seconds_total" "virtual communication seconds, by kind"
+      fam "autocfd_comm_seconds_total"
+        (clock ^ " communication seconds, by kind")
         (R.Counter (per_kind kinds (fun k -> k.kb_time)));
       fam "autocfd_message_bytes" "message size distribution"
         (R.Histogram
@@ -400,11 +402,7 @@ let to_prometheus m =
       fam "autocfd_kernel_bytes_total"
         "bytes moved by the fused kernel tier per nest"
         (R.Counter (per_kernel (fun k -> k.kr_bytes)));
-      (if m.wall then
-         fam "autocfd_domains_kernel_seconds_total"
-           "measured wall-clock self seconds per nest (Domains engine)"
-       else
-         fam "autocfd_kernel_self_seconds_total"
-           "virtual self compute seconds per field-loop nest")
+      fam "autocfd_kernel_self_seconds_total"
+        (clock ^ " self compute seconds per field-loop nest")
         (R.Counter (per_kernel (fun k -> k.kr_self)));
     ]

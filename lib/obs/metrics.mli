@@ -107,10 +107,11 @@ val to_json : t -> Json.t
     rendered by {!to_prometheus}. *)
 
 val to_prometheus : t -> string
-(** The rows as Prometheus text exposition: virtual compute and blocked
-    seconds (simulated runs), per-kind message, byte and comm-second
-    counters with message-size histograms, collectives by operation,
-    per-sync-point execution counters and latency histograms labelled
-    by sync id and label, fault, retransmit and checkpoint counters,
-    per-nest kernel counters, and the Domains engine's wall-clock waits
-    and kernel seconds. *)
+(** The rows as Prometheus text exposition: compute and blocked seconds,
+    per-kind message, byte and comm-second counters with message-size
+    histograms, collectives by operation, per-sync-point execution
+    counters and latency histograms labelled by sync id and label,
+    fault, retransmit and checkpoint counters, per-nest kernel counters
+    and self seconds, and the Domains engine's waits.  The HELP text of
+    every seconds family names the run's clock: ["virtual"] on the
+    simulator, ["wall-clock"] when [wall]. *)

@@ -22,9 +22,6 @@ type group = {
 val optimal : layout:Layout.t -> Region.t list -> group list
 val first_fit : layout:Layout.t -> Region.t list -> group list
 
-val transfers_of_regions : Region.t list -> Autocfd_fortran.Ast.transfer list
-(** Union of the halo traffic of all pairs in a group. *)
-
 val minimum_stabbing_count : (int * int) list -> int
 (** Textbook minimum point-stabbing size of a set of integer intervals;
     exposed so tests can cross-check [optimal] against brute force. *)

@@ -78,8 +78,7 @@ let test_run_parallel_with_timing () =
       ~spec:
         Autocfd.Runspec.(
           default
-          |> with_net Autocfd_mpsim.Netmodel.ethernet_100
-          |> with_flop_time 1e-8)
+          |> with_machine (Some Autocfd_perfmodel.Model.pentium_cluster))
       plan
   in
   Alcotest.(check bool) "virtual time advanced" true
@@ -160,61 +159,6 @@ let test_infeasible_partition () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-
-let test_baseline_gate () =
-  let module B = Autocfd.Baseline in
-  let module J = Autocfd_obs.Json in
-  let doc time speedup identical =
-    J.Obj
-      [
-        ("schema", J.Str "autocfd-bench/1");
-        ( "table2",
-          J.List
-            [
-              J.Obj
-                [
-                  ("procs", J.Int 4);
-                  ("partition", J.Str "4x1x1");
-                  ("time", J.Float time);
-                  ("speedup", J.Float speedup);
-                  ("efficiency", J.Null);
-                ];
-            ] );
-        ( "engine",
-          J.List
-            [
-              J.Obj
-                [
-                  ("program", J.Str "aerofoil");
-                  ("partition", J.Str "2x2x1");
-                  ("domains_speedup", J.Float 1.5);
-                  ("loops_fused", J.Int 21);
-                  ("domains_identical", J.Bool identical);
-                ];
-            ] );
-      ]
-  in
-  let base = doc 100.0 3.0 true in
-  let gate ?tolerance current =
-    B.compare_tables ?tolerance ~baseline:base ~current ()
-  in
-  Alcotest.(check int) "identical docs pass" 0 (List.length (gate base));
-  Alcotest.(check int) "within tolerance passes" 0
-    (List.length (gate (doc 104.0 2.9 true)));
-  Alcotest.(check int) "slower time fails" 1
-    (List.length (gate (doc 110.0 3.0 true)));
-  Alcotest.(check int) "lower speedup fails" 1
-    (List.length (gate (doc 100.0 2.0 true)));
-  Alcotest.(check int) "identity flip fails" 1
-    (List.length (gate (doc 100.0 3.0 false)));
-  Alcotest.(check int) "tolerance is configurable" 0
-    (List.length (gate ~tolerance:0.2 (doc 110.0 3.0 true)));
-  (* a vanished row is itself a failure *)
-  let empty = J.Obj [ ("table2", J.List []); ("engine", J.List []) ] in
-  Alcotest.(check int) "missing rows fail" 2 (List.length (gate empty));
-  Alcotest.(check bool) "failures render" true
-    (String.length (B.render_failures (gate empty)) > 0)
-
 let suite =
   [
     ("load", `Quick, test_load);
@@ -227,7 +171,6 @@ let suite =
     ("report markdown", `Quick, test_report_markdown);
     ("load diagnostics", `Quick, test_load_diagnostics);
     ("infeasible partition", `Quick, test_infeasible_partition);
-    ("baseline gate", `Quick, test_baseline_gate);
     ("table 1 rows", `Slow, test_table1_rows);
     ("renderers", `Slow, test_renderers_nonempty);
   ]

@@ -116,6 +116,12 @@ let check_domains ?(fuse = true) name src parts =
     (fused.I.Spmd.flops_per_rank = r.I.Spmd.flops_per_rank);
   Alcotest.(check (list string))
     (ctx ^ ": output") fused.I.Spmd.output r.I.Spmd.output;
+  let counts (s : Autocfd_mpsim.Sim.stats) =
+    Autocfd_mpsim.Sim.[ s.messages; s.bytes; s.collectives ]
+  in
+  Alcotest.(check (list int))
+    (ctx ^ ": messages, bytes, collectives")
+    (counts fused.I.Spmd.stats) (counts r.I.Spmd.stats);
   match r.I.Spmd.domains with
   | None -> Alcotest.fail (ctx ^ ": missing domain_stats")
   | Some ds ->
@@ -183,14 +189,7 @@ let test_charged_timing_identical () =
     D.load (Autocfd_apps.Sprayer.source ~ni:30 ~nj:16 ~ntime:4 ~npsi:3 ())
   in
   let plan = D.plan ~spec:(parts_spec [| 2; 2 |]) t in
-  let machine = Autocfd.Experiments.machine in
-  let flop_time = D.calibrated_flop_time ~machine plan in
-  let spec =
-    R.(
-      default
-      |> with_net machine.Autocfd_perfmodel.Model.net
-      |> with_flop_time flop_time)
-  in
+  let spec = R.(default |> with_machine (Some Autocfd.Experiments.machine)) in
   let tree = Oracle.run_tree ~spec plan in
   List.iter
     (fun (ename, _, run) ->

@@ -464,7 +464,8 @@ let test_prometheus_series_per_sync_id () =
   let spec, plan = heat2d_plan () in
   let p = Autocfd.Profile.run ~spec plan in
   let samples =
-    Obs.Registry.parse_prometheus (Autocfd.Profile.to_prometheus p)
+    Obs.Registry.parse_prometheus
+      (Obs.Metrics.to_prometheus p.Autocfd.Profile.pf_metrics)
   in
   let syncs = p.Autocfd.Profile.pf_metrics.Obs.Metrics.syncs in
   Alcotest.(check (list (float 0.0))) "one execution series per sync id"
@@ -512,6 +513,21 @@ let test_domains_profile_wall_clock () =
   Alcotest.(check int) "three nests" 3 (List.length nests);
   Alcotest.(check bool) "nests attribute >= 95% of compute" true
     (Autocfd.Profile.coverage p >= 0.95);
+  (* every seconds family names the wall clock *)
+  let help =
+    String.split_on_char '\n'
+      (Obs.Metrics.to_prometheus p.Autocfd.Profile.pf_metrics)
+    |> List.filter (String.starts_with ~prefix:"# HELP ")
+  in
+  Alcotest.(check (list string)) "no HELP line says virtual" []
+    (List.filter
+       (fun l -> List.mem "virtual" (String.split_on_char ' ' l))
+       help);
+  Alcotest.(check bool) "comm HELP says wall-clock" true
+    (List.mem
+       "# HELP autocfd_comm_seconds_total wall-clock communication seconds, \
+        by kind"
+       help);
   (* compute spent outside every nest stays unattributed *)
   let tail = "      write(*,*) errmax\n      end\n" in
   let head = String.sub heat 0 (String.length heat - String.length tail) in
@@ -522,9 +538,7 @@ let test_domains_profile_wall_clock () =
   let bp = Autocfd.Profile.run ~spec (D.plan ~spec (D.load busy)) in
   Alcotest.(check bool) "scalar work outside nests unattributed" true
     (Autocfd.Profile.coverage bp < 0.5);
-  let tr = Obs.Trace.create () in
-  let r = D.run ~spec:(Autocfd.Runspec.with_tracer (Some tr) spec) plan in
-  let ds = Option.get r.Autocfd_interp.Spmd.domains in
+  let ds = Option.get p.Autocfd.Profile.pf_result.Autocfd_interp.Spmd.domains in
   Array.iteri
     (fun i (row : Obs.Metrics.rank_row) ->
       let measured = ds.Autocfd_interp.Spmd.ds_compute.(i) in
@@ -543,7 +557,7 @@ let test_domains_profile_wall_clock () =
         finish sum;
       Alcotest.(check bool) (Printf.sprintf "rank %d comm > 0" i) true
         (row.Obs.Metrics.rr_comm > 0.0))
-    (Obs.Metrics.of_trace tr).Obs.Metrics.ranks
+    p.Autocfd.Profile.pf_metrics.Obs.Metrics.ranks
 
 let suite =
   [

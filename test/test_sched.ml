@@ -301,8 +301,7 @@ let test_runspec_roundtrip () =
       R.default;
       R.(
         default |> with_engine I.Spmd.Domains
-        |> with_net M.Netmodel.ethernet_100
-        |> with_flop_time 1e-8
+        |> with_machine (Some Autocfd_perfmodel.Model.pentium_cluster)
         |> with_input [ 1.5; 2.5 ]);
       R.(
         default

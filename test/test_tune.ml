@@ -206,17 +206,23 @@ let test_runspec_backward_compat () =
   let stray = R.of_json (J.Obj (("fuse", J.Bool false) :: fields)) in
   Alcotest.(check string) "a stray \"fuse\" key is ignored"
     (J.canonical (R.to_json R.default)) (J.canonical (R.to_json stray));
-  (* the retired engine names are errors, not aliases *)
-  let engine name =
-    J.Obj (List.map (function "engine", _ -> ("engine", J.Str name) | f -> f) fields)
+  let replace key v =
+    J.Obj (List.map (fun (n, x) -> if n = key then (n, v) else (n, x)) fields)
   in
+  (* the retired engine names are errors, not aliases *)
   List.iter
     (fun name ->
       Alcotest.check_raises (name ^ " is no engine")
         (J.Parse_error
            ("Runspec.of_json: unknown engine \"" ^ name ^ "\" (fused|domains)"))
-        (fun () -> ignore (R.of_json (engine name))))
-    [ "tree"; "compiled" ]
+        (fun () -> ignore (R.of_json (replace "engine" (J.Str name)))))
+    [ "tree"; "compiled" ];
+  (* a retired cost field decodes at its old default only *)
+  Alcotest.check_raises "a charged flop_time is an error naming machine"
+    (J.Parse_error
+       "Runspec.of_json: field \"flop_time\" is retired: set \"machine\" to \
+        charge a network and per-flop cost")
+    (fun () -> ignore (R.of_json (replace "flop_time" (J.Float 1e-8))))
 
 let test_runspec_forward_round_trip () =
   (* a fully non-default v-next spec survives the round-trip *)
