@@ -123,9 +123,13 @@ tune:
 	dune exec bin/autocfd_cli.exe -- tune --check
 
 # the line counts every PR reports: lib/**/*.ml{,i}, bin/*.ml and
-# test/**/*.ml, one wc -l total each
+# test/**/*.ml, one wc -l total each, and lib's total by library
+# directory
 loc:
 	@printf 'lib  %7d\n' "$$(find lib -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"
+	@for d in lib/*/; do \
+	  printf '  %-14s %7d\n' "$${d%/}" "$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 	@printf 'bin  %7d\n' "$$(cat bin/*.ml | wc -l)"
 	@printf 'test %7d\n' "$$(find test -name '*.ml' | xargs cat | wc -l)"
 

@@ -77,24 +77,16 @@ let write_file ?(oc = stdout) path text =
   Printf.fprintf oc "wrote %s\n%!" path
 
 let parse_parts s =
-  try
-    let parts =
-      String.split_on_char 'x' (String.lowercase_ascii s)
-      |> List.map String.trim |> List.map int_of_string |> Array.of_list
-    in
-    if Array.length parts = 0 || Array.exists (fun p -> p < 1) parts then
-      failwith "bad";
-    Ok parts
-  with _ ->
-    Error (`Msg (Printf.sprintf "bad partition spec %S (expected e.g. 4x1x1)" s))
+  match Autocfd.Runspec.parts_of_string s with
+  | parts -> Ok parts
+  | exception Obs.Json.Parse_error _ ->
+      Error (`Msg (Printf.sprintf "bad partition spec %S (expected e.g. 4x1x1)" s))
 
 let parts_conv =
   Arg.conv
     ( parse_parts,
       fun ppf parts ->
-        Format.pp_print_string ppf
-          (String.concat "x" (Array.to_list (Array.map string_of_int parts)))
-    )
+        Format.pp_print_string ppf (Autocfd.Runspec.parts_to_string parts) )
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -158,12 +150,23 @@ let diagnosing file f =
   | Loc.Error _ as e -> fail "autocfd: %s: %s" file (Printexc.to_string e)
   | Failure msg -> fail "autocfd: %s: %s" file msg
 
-let load_and_plan spec file =
-  let t = diagnosing file (fun () -> D.load ~spec (read_file file)) in
-  (t, D.plan ~spec t)
+(* the program and its plan under [spec], or [Loc.Error] for input the
+   pre-compiler rejects: a frontend [Failure] becomes an unlocated one,
+   and so does a partition the grid cannot take ([D.plan]'s
+   [Invalid_argument]) *)
+let load_and_plan_source spec source =
+  let t =
+    try D.load ~spec source
+    with Failure msg -> raise (Loc.Error (Loc.none, msg))
+  in
+  match D.plan ~spec t with
+  | plan -> (t, plan)
+  | exception Invalid_argument msg -> raise (Loc.Error (Loc.none, msg))
 
-let shape parts =
-  String.concat " x " (Array.to_list (Array.map string_of_int parts))
+let load_and_plan spec file =
+  diagnosing file (fun () -> load_and_plan_source spec (read_file file))
+
+let shape = Autocfd_partition.Topology.shape_to_string
 
 (* ------------------------------------------------------------------ *)
 
@@ -262,13 +265,9 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
              ("src", J.Str (Sched.Job.digest source));
            ])
       (fun () ->
-        (* a frontend [Failure] becomes an unlocated [Loc.Error], so the
-           pool reports it as the bare message *)
-        let t =
-          try D.load ~spec:run_spec source
-          with Failure msg -> raise (Loc.Error (Loc.none, msg))
-        in
-        let plan = D.plan ~spec:run_spec t in
+        (* a rejected input raises [Loc.Error], which the pool reports as
+           the bare message *)
+        let t, plan = load_and_plan_source run_spec source in
         let seq = D.run_seq ~spec:run_spec t in
         let par = D.run ~spec:run_spec plan in
         (* a Domains run is additionally held to bit-identity against
@@ -390,15 +389,6 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
    end);
   if (not equivalent) || bit_identical = Some false then exit 1
 
-(* trace and profile charge the reference machine's calibrated costs
-   unless the spec already names a machine *)
-let with_default_machine spec =
-  match spec.Autocfd.Runspec.machine with
-  | Some _ -> spec
-  | None ->
-      Autocfd.Runspec.with_machine
-        (Some Autocfd_perfmodel.Model.pentium_cluster) spec
-
 (* one traced run through [Profile.run]: a run that fails is one
    "autocfd: FILE: msg" diagnostic and exit 1, as for [run] *)
 let profile_run spec file =
@@ -411,7 +401,6 @@ let trace_cmd file spec_file parts nprocs no_fission engine out metrics_out =
   let tracer = Obs.Trace.create () in
   let spec =
     resolve_spec ?parts ?nprocs ~no_fission ?engine spec_file
-    |> with_default_machine
     |> Autocfd.Runspec.with_tracer (Some tracer)
   in
   let p = profile_run spec file in
@@ -438,10 +427,7 @@ let trace_cmd file spec_file parts nprocs no_fission engine out metrics_out =
 
 let profile_cmd file spec_file parts nprocs no_fission engine top json prom
     check min_cov =
-  let spec =
-    resolve_spec ?parts ?nprocs ~no_fission ?engine spec_file
-    |> with_default_machine
-  in
+  let spec = resolve_spec ?parts ?nprocs ~no_fission ?engine spec_file in
   let p = profile_run spec file in
   if json then
     print_endline (Obs.Json.pretty (Autocfd.Profile.to_json ~top p))
@@ -465,7 +451,7 @@ let profile_cmd file spec_file parts nprocs no_fission engine top json prom
 let report file spec_file parts nprocs no_fission output =
   let spec = resolve_spec ?parts ?nprocs ~no_fission spec_file in
   let _, plan = load_and_plan spec file in
-  let text = Autocfd.Report.markdown plan in
+  let text = Autocfd.Report.markdown ~spec plan in
   match output with
   | None -> print_string text
   | Some path -> write_file path text

@@ -67,7 +67,3 @@ val self_dependent : summary -> string -> bool
 
 val analyze_unit : Grid_info.t -> Ast.program_unit -> summary list
 (** Field-loop heads of a unit, in program order. *)
-
-val index_kind_of_expr :
-  Env.t -> loop_vars:string list -> Ast.expr -> index_kind
-(** Exposed for tests. *)

@@ -48,16 +48,12 @@ val compute :
 (** [compute gi topo loops summaries] builds S_LDP for one (inlined)
     program unit. *)
 
-val non_self : t -> pair list
 val self_pairs : t -> pair list
 
 val eliminate_redundant : t -> pair list
 (** Drops a pair when another assignment to the same data executes between
     the pair's endpoints (the classical redundant-synchronization
     elimination the paper contrasts with); keeps [Self] pairs out. *)
-
-val pair_dims : pair -> int list
-(** Cut dimensions a pair crosses (union over its arrays). *)
 
 val count_before : t -> int
 (** Synchronization points before optimization — one per (pair, crossed

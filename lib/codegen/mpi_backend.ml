@@ -675,9 +675,8 @@ let emit ~gi ~topo (u : Ast.program_unit) =
   line ctx "c  Auto-CFD generated SPMD program (Fortran 77 + MPI)";
   line ctx
     (Printf.sprintf "c  partition: %s over grid %s"
-       (Format.asprintf "%a" P.Topology.pp_shape (P.Topology.parts topo))
-       (String.concat " x "
-          (Array.to_list (Array.map string_of_int (P.Topology.grid topo)))));
+       (P.Topology.shape_to_string (P.Topology.parts topo))
+       (P.Topology.shape_to_string (P.Topology.grid topo)));
   line ctx "c";
   line ctx (Printf.sprintf "      program %s" u.Ast.u_name);
   Buffer.add_string ctx.buf ctx.header;

@@ -142,9 +142,8 @@ let spmd_source plan =
     Printf.sprintf
       "c  Auto-CFD generated SPMD program\nc  partition: %s over grid %s\n\
        c  synchronization points: %d before optimization, %d after\nc\n"
-      (Format.asprintf "%a" P.Topology.pp_shape (P.Topology.parts plan.topo))
-      (String.concat " x "
-         (Array.to_list (Array.map string_of_int (P.Topology.grid plan.topo))))
+      (P.Topology.shape_to_string (P.Topology.parts plan.topo))
+      (P.Topology.shape_to_string (P.Topology.grid plan.topo))
       plan.opt.S.Optimizer.before plan.opt.S.Optimizer.after
   in
   let display = { plan.spmd with Ast.u_decls = resized_decls plan } in

@@ -11,8 +11,7 @@ let machine = M.pentium_cluster
 let aerofoil_frames = 3000
 let sprayer_frames = 1500
 
-let shape parts =
-  String.concat " x " (Array.to_list (Array.map string_of_int parts))
+let shape = Autocfd_partition.Topology.shape_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Sweep infrastructure: every table enumerates its rows as jobs       *)

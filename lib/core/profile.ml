@@ -19,7 +19,16 @@ let run ?(spec = Runspec.default) ?(label = "profile") plan =
     | Some tr -> tr
     | None -> Obs.Trace.create ()
   in
-  let result = Driver.run ~spec:(Runspec.with_tracer (Some tracer) spec) plan in
+  let machine =
+    Option.value spec.Runspec.machine
+      ~default:Autocfd_perfmodel.Model.pentium_cluster
+  in
+  let spec =
+    spec
+    |> Runspec.with_machine (Some machine)
+    |> Runspec.with_tracer (Some tracer)
+  in
+  let result = Driver.run ~spec plan in
   {
     pf_label = label;
     pf_result = result;
@@ -170,12 +179,15 @@ let render ?(top = 10) p =
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let compute = compute_seconds p in
   let nranks = Array.length m.Obs.Metrics.ranks in
+  (* the run's own counts, as run, trace and report print them *)
+  let stats = p.pf_result.I.Spmd.stats in
   pr "# profile: %s\n\n" p.pf_label;
   pr "ranks %d, %s elapsed %s; compute %s, messages %d, bytes %d\n\n"
     nranks
     (if m.Obs.Metrics.wall then "wall-clock" else "simulated")
     (fmt_seconds m.Obs.Metrics.elapsed)
-    (fmt_seconds compute) m.Obs.Metrics.messages m.Obs.Metrics.bytes;
+    (fmt_seconds compute) stats.Autocfd_mpsim.Sim.messages
+    stats.Autocfd_mpsim.Sim.bytes;
   (* -- hot nests ---------------------------------------------------- *)
   let groups = nest_groups p in
   let shown = hot_nests ~top p in

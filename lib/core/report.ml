@@ -22,10 +22,7 @@ let loop_census (plan : Driver.plan) =
       Option.map (fun v -> (k, v)) (Hashtbl.find_opt counts k))
     [ "block"; "pipeline"; "serial" ]
 
-let shape parts =
-  String.concat " x " (Array.to_list (Array.map string_of_int parts))
-
-let rec markdown (plan : Driver.plan) =
+let rec markdown ?(spec = Runspec.default) (plan : Driver.plan) =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let gi = plan.Driver.source.Driver.gi in
@@ -35,15 +32,15 @@ let rec markdown (plan : Driver.plan) =
   line "## Problem";
   line "";
   line "- flow field: `%s` (%s points)"
-    (String.concat " x "
-       (Array.to_list (Array.map string_of_int (P.Topology.grid topo))))
+    (P.Topology.shape_to_string (P.Topology.grid topo))
     (string_of_int (Array.fold_left ( * ) 1 (P.Topology.grid topo)));
   line "- status arrays: %s"
     (String.concat ", "
        (List.map
           (fun (sa : A.Grid_info.status_array) -> "`" ^ sa.A.Grid_info.sa_name ^ "`")
           gi.A.Grid_info.status));
-  line "- partition: `%s` (%d subtasks)" (shape (P.Topology.parts topo))
+  line "- partition: `%s` (%d subtasks)"
+    (P.Topology.shape_to_string (P.Topology.parts topo))
     (P.Topology.nranks topo);
   line "";
   line "## Field loops";
@@ -177,20 +174,25 @@ let rec markdown (plan : Driver.plan) =
   line "| per-rank working set | %.2f MB |" (pred.M.working_set /. 1e6);
   line "| memory slowdown factor | %.2f |" pred.M.slowdown;
   line "";
-  measured_section b plan;
+  measured_section b spec plan;
   Buffer.contents b
 
-and measured_section b (plan : Driver.plan) =
+and measured_section b spec (plan : Driver.plan) =
   let line fmt =
     Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt
   in
-  line "## Measured execution (simulated cluster)";
+  let where, how, clock =
+    match spec.Runspec.engine with
+    | Autocfd_interp.Spmd.Fused ->
+        ( "simulated cluster",
+          "calibrated per-flop charge + network model",
+          "simulated wall clock" )
+    | Autocfd_interp.Spmd.Domains ->
+        ("OCaml 5 domains", "one domain per rank", "wall clock")
+  in
+  line "## Measured execution (%s)" where;
   line "";
-  match
-    Profile.run
-      ~spec:Runspec.(default |> with_machine (Some M.pentium_cluster))
-      plan
-  with
+  match Profile.run ~spec plan with
   | exception e ->
       line "_not measured: execution failed (%s)_"
         (Printexc.to_string e)
@@ -198,11 +200,11 @@ and measured_section b (plan : Driver.plan) =
       let stats = p.Profile.pf_result.Autocfd_interp.Spmd.stats in
       let m = p.Profile.pf_metrics in
       line
-        "Execution-driven timing (calibrated per-flop charge + network \
-         model): **%.2f s** simulated wall clock, %d messages, %d bytes, \
-         %d collectives."
-        stats.Autocfd_mpsim.Sim.elapsed stats.Autocfd_mpsim.Sim.messages
-        stats.Autocfd_mpsim.Sim.bytes stats.Autocfd_mpsim.Sim.collectives;
+        "Execution-driven timing (%s): **%.2f s** %s, %d messages, %d \
+         bytes, %d collectives."
+        how stats.Autocfd_mpsim.Sim.elapsed clock
+        stats.Autocfd_mpsim.Sim.messages stats.Autocfd_mpsim.Sim.bytes
+        stats.Autocfd_mpsim.Sim.collectives;
       line "";
       line "### Per-rank time breakdown";
       line "";

@@ -7,11 +7,12 @@
     Rendered by [autocfd analyze --report] and usable as library API for
     tooling built on top of the pre-compiler. *)
 
-val markdown : Driver.plan -> string
+val markdown : ?spec:Runspec.t -> Driver.plan -> string
 (** The full report.  Its measured section is one {!Profile.run} of the
-    plan on the reference cluster
-    ({!Autocfd_perfmodel.Model.pentium_cluster}), or a note naming the
-    exception when that run fails. *)
+    plan under [spec] (default {!Runspec.default}), on the simulated
+    cluster or on real domains as [spec.engine] says, or a note naming
+    the exception when that run fails.  Pass the spec the plan was built
+    with. *)
 
 val loop_census : Driver.plan -> (string * int) list
 (** (classification label, count) summary over the field-loop heads:

@@ -235,8 +235,13 @@ let parts_to_string p =
   String.concat "x" (Array.to_list (Array.map string_of_int p))
 
 let parts_of_string s =
-  try Array.of_list (List.map int_of_string (String.split_on_char 'x' s))
-  with Failure _ -> fail (Printf.sprintf "bad partition shape %S" s)
+  let part p =
+    match int_of_string_opt (String.trim p) with
+    | Some n when n >= 1 -> n
+    | _ -> fail (Printf.sprintf "bad partition shape %S" s)
+  in
+  Array.of_list
+    (List.map part (String.split_on_char 'x' (String.lowercase_ascii s)))
 
 let opt f = function Some v -> f v | None -> J.Null
 

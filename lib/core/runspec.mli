@@ -73,8 +73,9 @@ val with_fission : bool -> t -> t
 val parts_to_string : int array -> string
 val parts_of_string : string -> int array
 (** The ["2x2x1"] shape syntax shared by the JSON codec and the CLI.
-    [parts_of_string] raises {!Autocfd_obs.Json.Parse_error} on a
-    malformed shape. *)
+    [parts_of_string] ignores case and blanks around a part, and raises
+    {!Autocfd_obs.Json.Parse_error} on a malformed shape: an empty part,
+    or one that is not a positive integer. *)
 
 val combine_to_string : Autocfd_syncopt.Optimizer.combine_strategy -> string
 val combine_of_string : string -> Autocfd_syncopt.Optimizer.combine_strategy

@@ -222,7 +222,7 @@ type ctx = {
 let unset_var x : 'a = error "variable '%s' used before being set" x
 
 (* ------------------------------------------------------------------ *)
-(* Array references: precomputed strides, fused offsets                *)
+(* Array layout: the strides and base offset fused kernels index by    *)
 (* ------------------------------------------------------------------ *)
 
 let strides_of bounds =
@@ -240,59 +240,6 @@ let base_of bounds strides =
   let b = ref 0 in
   Array.iteri (fun d (lo, _) -> b := !b + (lo * strides.(d))) bounds;
   !b
-
-let idx_str idx =
-  String.concat "," (Array.to_list (Array.map string_of_int idx))
-
-(* mirror Machine's wrapped Value.linear_index failure on a read *)
-let fail_ref name bounds idx : 'a =
-  let n = Array.length bounds in
-  if Array.length idx <> n then
-    error "%s(%s): Value.linear_index: %d subscripts for rank %d" name
-      (idx_str idx) (Array.length idx) n
-  else begin
-    let msg = ref "" in
-    (try
-       Array.iteri
-         (fun d i ->
-           let lo, hi = bounds.(d) in
-           if i < lo || i > hi then begin
-             msg :=
-               Printf.sprintf
-                 "Value.linear_index: subscript %d out of bounds %d:%d in \
-                  dim %d"
-                 i lo hi d;
-             raise Exit
-           end)
-         idx
-     with Exit -> ());
-    error "%s(%s): %s" name (idx_str idx) !msg
-  end
-
-(* mirror Machine.assign's wrapped failure on a write (no index list) *)
-let fail_set name bounds idx : 'a =
-  let n = Array.length bounds in
-  if Array.length idx <> n then
-    error "%s: Value.linear_index: %d subscripts for rank %d" name
-      (Array.length idx) n
-  else begin
-    let msg = ref "" in
-    (try
-       Array.iteri
-         (fun d i ->
-           let lo, hi = bounds.(d) in
-           if i < lo || i > hi then begin
-             msg :=
-               Printf.sprintf
-                 "Value.linear_index: subscript %d out of bounds %d:%d in \
-                  dim %d"
-                 i lo hi d;
-             raise Exit
-           end)
-         idx
-     with Exit -> ());
-    error "%s: %s" name !msg
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation                                              *)
@@ -361,119 +308,31 @@ and comp_var ctx x =
       | KDyn -> D (fun st -> if st.sset.(i) then st.sd.(i) else unset_var x))
 
 and comp_ref ctx name args =
-  let slot = Hashtbl.find ctx.x_ar name in
-  let bounds = ctx.x_bounds.(slot) in
-  let rank = Array.length bounds in
-  let idxf = Array.of_list (List.map (fun a -> as_int (comp ctx a)) args) in
-  if Array.length idxf <> rank then
-    F
-      (fun st ->
-        let idx = Array.map (fun f -> f st) idxf in
-        fail_ref name bounds idx)
-  else begin
-    let strides = strides_of bounds in
-    let base = base_of bounds strides in
-    match idxf with
-    | [| f1 |] ->
-        let lo1, hi1 = bounds.(0) in
-        F
-          (fun st ->
-            let i1 = f1 st in
-            if i1 < lo1 || i1 > hi1 then fail_ref name bounds [| i1 |]
-            else st.adata.(slot).(i1 - lo1))
-    | [| f1; f2 |] ->
-        let lo1, hi1 = bounds.(0) and lo2, hi2 = bounds.(1) in
-        let s2 = strides.(1) in
-        F
-          (fun st ->
-            let i1 = f1 st in
-            let i2 = f2 st in
-            if i1 < lo1 || i1 > hi1 || i2 < lo2 || i2 > hi2 then
-              fail_ref name bounds [| i1; i2 |]
-            else st.adata.(slot).(i1 + (i2 * s2) - base))
-    | [| f1; f2; f3 |] ->
-        let lo1, hi1 = bounds.(0)
-        and lo2, hi2 = bounds.(1)
-        and lo3, hi3 = bounds.(2) in
-        let s2 = strides.(1) and s3 = strides.(2) in
-        F
-          (fun st ->
-            let i1 = f1 st in
-            let i2 = f2 st in
-            let i3 = f3 st in
-            if
-              i1 < lo1 || i1 > hi1 || i2 < lo2 || i2 > hi2 || i3 < lo3
-              || i3 > hi3
-            then fail_ref name bounds [| i1; i2; i3 |]
-            else st.adata.(slot).(i1 + (i2 * s2) + (i3 * s3) - base))
-    | _ ->
-        F
-          (fun st ->
-            let idx = Array.map (fun f -> f st) idxf in
-            let off = ref (-base) in
-            Array.iteri
-              (fun d i ->
-                let lo, hi = bounds.(d) in
-                if i < lo || i > hi then fail_ref name bounds idx;
-                off := !off + (i * strides.(d)))
-              idx;
-            st.adata.(slot).(!off))
-  end
+  let slot, off = comp_offset ctx ~read:true name args in
+  F (fun st -> st.adata.(slot).(off st))
 
 (* the (state -> float -> unit) store side of an array element *)
 and comp_ref_set ctx name args : state -> float -> unit =
+  let slot, off = comp_offset ctx ~read:false name args in
+  fun st v -> st.adata.(slot).(off st) <- v
+
+(* an element's array slot and data offset, as Machine computes it: every
+   subscript evaluated left to right, then Value.linear_index checks them
+   against the bounds.  A failure reads as Machine's: the subscripts are
+   listed on a read ("u(2,31): ...") but not on a write ("u: ...") *)
+and comp_offset ctx ~read name args : int * (state -> int) =
   let slot = Hashtbl.find ctx.x_ar name in
-  let bounds = ctx.x_bounds.(slot) in
-  let rank = Array.length bounds in
   let idxf = Array.of_list (List.map (fun a -> as_int (comp ctx a)) args) in
-  if Array.length idxf <> rank then fun st _ ->
-    let idx = Array.map (fun f -> f st) idxf in
-    fail_set name bounds idx
-  else begin
-    let strides = strides_of bounds in
-    let base = base_of bounds strides in
-    match idxf with
-    | [| f1 |] ->
-        let lo1, hi1 = bounds.(0) in
-        fun st v ->
-          let i1 = f1 st in
-          if i1 < lo1 || i1 > hi1 then fail_set name bounds [| i1 |]
-          else st.adata.(slot).(i1 - lo1) <- v
-    | [| f1; f2 |] ->
-        let lo1, hi1 = bounds.(0) and lo2, hi2 = bounds.(1) in
-        let s2 = strides.(1) in
-        fun st v ->
-          let i1 = f1 st in
-          let i2 = f2 st in
-          if i1 < lo1 || i1 > hi1 || i2 < lo2 || i2 > hi2 then
-            fail_set name bounds [| i1; i2 |]
-          else st.adata.(slot).(i1 + (i2 * s2) - base) <- v
-    | [| f1; f2; f3 |] ->
-        let lo1, hi1 = bounds.(0)
-        and lo2, hi2 = bounds.(1)
-        and lo3, hi3 = bounds.(2) in
-        let s2 = strides.(1) and s3 = strides.(2) in
-        fun st v ->
-          let i1 = f1 st in
-          let i2 = f2 st in
-          let i3 = f3 st in
-          if
-            i1 < lo1 || i1 > hi1 || i2 < lo2 || i2 > hi2 || i3 < lo3
-            || i3 > hi3
-          then fail_set name bounds [| i1; i2; i3 |]
-          else st.adata.(slot).(i1 + (i2 * s2) + (i3 * s3) - base) <- v
-    | _ ->
-        fun st v ->
-          let idx = Array.map (fun f -> f st) idxf in
-          let off = ref (-base) in
-          Array.iteri
-            (fun d i ->
-              let lo, hi = bounds.(d) in
-              if i < lo || i > hi then fail_set name bounds idx;
-              off := !off + (i * strides.(d)))
-            idx;
-          st.adata.(slot).(!off) <- v
-  end
+  ( slot,
+    fun st ->
+      let idx = Array.map (fun f -> f st) idxf in
+      try Value.linear_index st.arrs.(slot) idx
+      with Invalid_argument m ->
+        if read then
+          error "%s(%s): %s" name
+            (String.concat "," (Array.to_list (Array.map string_of_int idx)))
+            m
+        else error "%s: %s" name m )
 
 and comp_binop ctx op a b =
   let ca = comp ctx a and cb = comp ctx b in

@@ -3,8 +3,8 @@
     {!compile} lowers a program unit into a closure-based IR exactly once:
     every scalar name is resolved to an integer slot in a typed bank
     (separate unboxed [float]/[int]/[bool] banks), every array reference
-    is lowered to a fused row-major-offset computation over strides
-    precomputed from the declared bounds, and int/real arithmetic is
+    takes its offset and bounds check from {!Value.linear_index}, as the
+    machine does, and int/real arithmetic is
     specialized at compile time (the machine's dynamic [Value.scalar]
     dispatch survives only for the rare statically-untypeable
     expression).  The closures still return boxed floats: an OCaml

@@ -45,7 +45,6 @@ let no_resilience =
 
 type domain_stats = {
   ds_wall : float;
-  ds_rank_wall : float array;
   ds_compute : float array;
   ds_barrier_wait : float array;
   ds_barrier_calls : int;
@@ -1282,7 +1281,6 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
   let dstats =
     {
       ds_wall = shm.Shm.elapsed;
-      ds_rank_wall = Array.map (fun rs -> rs.Shm.rs_wall) ranks;
       ds_compute = Array.copy compute_wall;
       ds_barrier_wait = Array.map (fun rs -> rs.Shm.rs_barrier_wait) ranks;
       ds_barrier_calls = ranks.(0).Shm.rs_barrier_calls;

@@ -58,7 +58,6 @@ type resilience = {
 
 type domain_stats = {
   ds_wall : float;  (** whole-run wall-clock seconds (spawn to join) *)
-  ds_rank_wall : float array;  (** per-rank wall seconds inside the body *)
   ds_compute : float array;
       (** per-rank wall seconds spent outside communication hooks *)
   ds_barrier_wait : float array;

@@ -216,41 +216,6 @@ let try_recv c ~src ~tag =
       else None
   | _ -> None
 
-type request =
-  | R_send of { dest : int; tag : int; mutable done_ : bool }
-  | R_recv of { src : int; tag : int; mutable done_ : bool }
-
-let isend c ~dest ~tag data =
-  send c ~dest ~tag data;
-  R_send { dest; tag; done_ = false }
-
-let irecv _c ~src ~tag = R_recv { src; tag; done_ = false }
-
-let wait c req =
-  match req with
-  | R_send r ->
-      if r.done_ then
-        invalid_arg
-          (Printf.sprintf
-             "Sim.wait: send(dest=%d, tag=%d) request already completed"
-             r.dest r.tag);
-      r.done_ <- true;
-      [||]
-  | R_recv r ->
-      if r.done_ then
-        invalid_arg
-          (Printf.sprintf
-             "Sim.wait: recv(src=%d, tag=%d) request already completed" r.src
-             r.tag);
-      r.done_ <- true;
-      recv c ~src:r.src ~tag:r.tag
-
-let waitall c reqs = List.map (wait c) reqs
-
-let sendrecv c ~dest ~send_tag data ~src ~recv_tag =
-  send c ~dest ~tag:send_tag data;
-  recv c ~src ~tag:recv_tag
-
 let collective c coll =
   op_check c ~is_op:true;
   Effect.perform (E_coll coll)

@@ -54,33 +54,6 @@ val try_recv : comm -> src:int -> tag:int -> float array option
     blocks and never advances the clock except the receive overhead of
     an actual delivery. *)
 
-type request
-(** Handle of a nonblocking operation. *)
-
-val isend : comm -> dest:int -> tag:int -> float array -> request
-(** Nonblocking (eager-buffered) send: completes locally at once; the
-    matching {!wait} is free.  Provided for overlap-structured programs. *)
-
-val irecv : comm -> src:int -> tag:int -> request
-(** Post a receive; the message is matched and consumed at {!wait} time,
-    so computation issued between [irecv] and [wait] overlaps the
-    message's flight time on the virtual clock. *)
-
-val wait : comm -> request -> float array
-(** Complete a nonblocking operation: [[||]] for sends, the payload for
-    receives.  @raise Invalid_argument if the request was already
-    completed; the message names the request's kind and peer, e.g.
-    ["Sim.wait: recv(src=2, tag=7) request already completed"]. *)
-
-val waitall : comm -> request list -> float array list
-
-val sendrecv :
-  comm ->
-  dest:int -> send_tag:int -> float array ->
-  src:int -> recv_tag:int ->
-  float array
-(** Combined exchange: buffered send then blocking receive. *)
-
 val barrier : comm -> unit
 
 val allreduce : comm -> [ `Max | `Min | `Sum ] -> float -> float

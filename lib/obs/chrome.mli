@@ -22,5 +22,4 @@
     The scheduler, kernel and domains lanes are emitted only when the
     trace holds such events. *)
 
-val json : Trace.t -> Json.t
 val to_string : Trace.t -> string

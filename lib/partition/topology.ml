@@ -24,7 +24,9 @@ let split n k =
 
 let create ~grid ~parts =
   if Array.length grid <> Array.length parts then
-    invalid_arg "Topology.create: grid/parts rank mismatch";
+    invalid_arg
+      (Printf.sprintf "Topology.create: %d part counts for a %d-d grid"
+         (Array.length parts) (Array.length grid));
   Array.iteri
     (fun d k ->
       if k < 1 then invalid_arg "Topology.create: part count < 1";
@@ -104,9 +106,6 @@ let fold_ranks t f acc =
 let max_block_points t =
   fold_ranks t (fun acc r -> max acc (Block.points (block t r))) 0
 
-let min_block_points t =
-  fold_ranks t (fun acc r -> min acc (Block.points (block t r))) max_int
-
 let comm_points_rank t ~depth rank =
   let b = block t rank in
   let c = coords_of_rank t rank in
@@ -124,9 +123,6 @@ let comm_points_rank t ~depth rank =
 
 let comm_points_per_rank t ~depth =
   fold_ranks t (fun acc r -> max acc (comm_points_rank t ~depth r)) 0
-
-let total_comm_points t ~depth =
-  fold_ranks t (fun acc r -> acc + comm_points_rank t ~depth r) 0
 
 let factorizations p nd =
   let rec go p nd =
@@ -153,7 +149,10 @@ let search ~grid ~nprocs ~depth =
       (factorizations nprocs nd)
   in
   match candidates with
-  | [] -> invalid_arg "Topology.search: no feasible partition"
+  | [] ->
+      invalid_arg
+        (Printf.sprintf "Topology.search: no feasible partition of %d ranks"
+           nprocs)
   | first :: _ ->
       let score shape =
         let t = create ~grid ~parts:shape in
@@ -163,6 +162,5 @@ let search ~grid ~nprocs ~depth =
         (fun best shape -> if score shape < score best then shape else best)
         first candidates
 
-let pp_shape ppf shape =
-  Format.pp_print_string ppf
-    (String.concat " x " (Array.to_list (Array.map string_of_int shape)))
+let shape_to_string shape =
+  String.concat " x " (Array.to_list (Array.map string_of_int shape))

@@ -40,17 +40,12 @@ val is_cut : t -> int -> bool
 val cut_dims : t -> int list
 
 val max_block_points : t -> int
-val min_block_points : t -> int
 
 val comm_points_per_rank : t -> depth:int array -> int
 (** Worst-case number of grid points a single rank communicates per
     exchange: for every cut dimension, [depth.(d)] planes per face, two
     faces for interior ranks.  This is the quantity the paper's §6.2
     partitioning discussion reasons about. *)
-
-val total_comm_points : t -> depth:int array -> int
-(** Sum over all ranks and faces (each demarcation counted from both
-    sides). *)
 
 val factorizations : int -> int -> int array list
 (** [factorizations p ndims] enumerates all ordered factorizations of [p]
@@ -60,7 +55,10 @@ val factorizations : int -> int -> int array list
 val search : grid:int array -> nprocs:int -> depth:int array -> int array
 (** The partition shape minimizing [comm_points_per_rank], ties broken by
     better load balance then lexicographic order — the automatic choice the
-    pre-compiler makes when the user does not fix a partition. *)
+    pre-compiler makes when the user does not fix a partition.
+    @raise Invalid_argument when no shape of [nprocs] ranks fits the
+    grid. *)
 
-val pp_shape : Format.formatter -> int array -> unit
-(** Prints "4 x 1 x 1" in the paper's table style. *)
+val shape_to_string : int array -> string
+(** "4 x 1 x 1", the paper's table style, for partition shapes and grid
+    extents alike. *)

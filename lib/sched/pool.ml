@@ -31,29 +31,6 @@ let utilization stats w =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* the work queue: submission indices, handed out under [lock].  With a
-   fixed job list the condition variable never blocks a worker for long,
-   but it keeps the queue correct if a future revision feeds the pool
-   incrementally. *)
-type queue = {
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  pending : int Queue.t;
-  mutable closed : bool;
-}
-
-let take q =
-  Mutex.protect q.lock (fun () ->
-      let rec wait () =
-        if not (Queue.is_empty q.pending) then Some (Queue.pop q.pending)
-        else if q.closed then None
-        else begin
-          Condition.wait q.nonempty q.lock;
-          wait ()
-        end
-      in
-      wait ())
-
 let execute ?cache job =
   match Option.bind cache (fun c -> Cache.lookup c job) with
   | Some v -> (Hit, Ok v)
@@ -150,29 +127,15 @@ let run ?jobs ?cache ?tracer job_list =
           pe_outcome = outcome;
         }
   in
-  let q =
-    {
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      pending = Queue.create ();
-      closed = false;
-    }
-  in
-  Mutex.protect q.lock (fun () ->
-      for i = 0 to n - 1 do
-        Queue.push i q.pending
-      done;
-      q.closed <- true;
-      Condition.broadcast q.nonempty);
-  let worker w () =
-    let rec loop () =
-      match take q with
-      | Some i ->
-          exec w i;
-          loop ()
-      | None -> ()
-    in
-    loop ()
+  (* the next unclaimed submission index: workers take jobs in
+     submission order until the list runs out *)
+  let next = Atomic.make 0 in
+  let rec worker w () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      exec w i;
+      worker w ()
+    end
   in
   (* exceptions from job thunks are captured per-slot in [exec]; anything
      escaping a worker here is pool machinery failing (e.g. the cache

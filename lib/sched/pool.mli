@@ -1,10 +1,10 @@
 (** Deterministic multicore job pool for experiment sweeps.
 
-    Jobs are pulled from a shared work queue (guarded by a mutex and
-    condition variable) by [jobs] OCaml 5 worker domains and their
-    results merged back {e in submission order}, so any downstream
-    rendering of the merged results is bit-identical to a serial run —
-    parallelism changes wall-clock, never output.  With a {!Cache}
+    [jobs] OCaml 5 worker domains take jobs in submission order from
+    one shared atomic index, and their results are merged back {e in
+    submission order}, so any downstream rendering of the merged results
+    is bit-identical to a serial run — parallelism changes wall-clock,
+    never output.  With a {!Cache}
     attached, each job first probes the cache and only runs on a miss
     (storing the result on completion); a fully warm sweep touches no
     simulation at all.

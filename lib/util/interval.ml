@@ -10,13 +10,6 @@ let hi t = t.hi
 let length t = t.hi - t.lo + 1
 let mem x t = t.lo <= x && x <= t.hi
 let contains outer inner = outer.lo <= inner.lo && inner.hi <= outer.hi
-let intersects a b = a.lo <= b.hi && b.lo <= a.hi
-
-let inter a b =
-  if intersects a b then Some { lo = max a.lo b.lo; hi = min a.hi b.hi }
-  else None
-
-let hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 let sum a b = { lo = a.lo + b.lo; hi = a.hi + b.hi }
 
 let affine ~mul ~add t =

@@ -16,14 +16,6 @@ val mem : int -> t -> bool
 val contains : t -> t -> bool
 (** [contains outer inner] is true when [inner] lies entirely in [outer]. *)
 
-val intersects : t -> t -> bool
-
-val inter : t -> t -> t option
-(** Intersection, [None] when disjoint. *)
-
-val hull : t -> t -> t
-(** Smallest interval covering both. *)
-
 val sum : t -> t -> t
 (** Minkowski sum: the exact range of [x + y] for [x] in the first
     interval and [y] in the second. *)

@@ -128,7 +128,7 @@ let check_domains ?(fuse = true) name src parts =
       let nranks = Autocfd_partition.Topology.nranks plan.D.topo in
       Alcotest.(check int)
         (ctx ^ ": per-rank wall array") nranks
-        (Array.length ds.I.Spmd.ds_rank_wall);
+        (Array.length r.I.Spmd.stats.Autocfd_mpsim.Sim.rank_times);
       Alcotest.(check bool)
         (ctx ^ ": nonzero wall clock") true (ds.I.Spmd.ds_wall > 0.0)
 

@@ -198,80 +198,6 @@ let test_pipeline_pattern () =
     [ (0, 1.); (1, 2.); (2, 3.); (3, 4.); (4, 5.) ]
     (List.rev !order)
 
-let test_nonblocking_roundtrip () =
-  let got = ref [||] in
-  let _ =
-    run ~nranks:2 (fun c ->
-        if Sim.rank c = 0 then begin
-          let r = Sim.isend c ~dest:1 ~tag:4 [| 3.0; 4.0 |] in
-          Alcotest.(check bool) "isend completes" true (Sim.wait c r = [||])
-        end
-        else begin
-          let r = Sim.irecv c ~src:0 ~tag:4 in
-          got := Sim.wait c r
-        end)
-  in
-  Alcotest.(check bool) "payload" true (!got = [| 3.0; 4.0 |])
-
-let test_wait_twice_rejected () =
-  Alcotest.(check bool) "double wait" true
-    (match
-       run ~nranks:2 (fun c ->
-           if Sim.rank c = 0 then Sim.send c ~dest:1 ~tag:0 [| 1.0 |]
-           else begin
-             let r = Sim.irecv c ~src:0 ~tag:0 in
-             ignore (Sim.wait c r);
-             ignore (Sim.wait c r)
-           end)
-     with
-    | exception Sim.Rank_failure (1, Invalid_argument _) -> true
-    | _ -> false)
-
-let test_irecv_overlaps_compute () =
-  (* computation issued between irecv and wait overlaps the message
-     flight on the virtual clock *)
-  let net =
-    { Netmodel.latency = 1.0; bandwidth = infinity; send_overhead = 0.;
-      recv_overhead = 0. }
-  in
-  let blocking = ref 0.0 and overlapped = ref 0.0 in
-  let _ =
-    run ~net ~nranks:2 (fun c ->
-        if Sim.rank c = 0 then Sim.send c ~dest:1 ~tag:0 [| 1.0 |]
-        else begin
-          ignore (Sim.recv c ~src:0 ~tag:0);
-          Sim.advance c 1.0;
-          blocking := Sim.time c
-        end)
-  in
-  let _ =
-    run ~net ~nranks:2 (fun c ->
-        if Sim.rank c = 0 then Sim.send c ~dest:1 ~tag:0 [| 1.0 |]
-        else begin
-          let r = Sim.irecv c ~src:0 ~tag:0 in
-          Sim.advance c 1.0;
-          ignore (Sim.wait c r);
-          overlapped := Sim.time c
-        end)
-  in
-  (* blocking: wait 1s for the message then compute 1s = 2s;
-     overlapped: compute during the flight = 1s *)
-  Alcotest.(check bool) "overlap saves time" true (!overlapped < !blocking)
-
-let test_sendrecv () =
-  let ok = ref true in
-  let _ =
-    run ~nranks:2 (fun c ->
-        let r = Sim.rank c in
-        let peer = 1 - r in
-        let got =
-          Sim.sendrecv c ~dest:peer ~send_tag:9 [| float_of_int r |] ~src:peer
-            ~recv_tag:9
-        in
-        if got <> [| float_of_int peer |] then ok := false)
-  in
-  Alcotest.(check bool) "pairwise swap" true !ok
-
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i =
@@ -405,44 +331,6 @@ let test_deadline_beside_blocking_recv () =
         (contains msg "deadline")
   | _ -> Alcotest.fail "expected Deadlock"
 
-let test_wait_error_names_request () =
-  (* the double-completion message must say which request: kind + peer *)
-  match
-    run ~nranks:2 (fun c ->
-        if Sim.rank c = 0 then Sim.send c ~dest:1 ~tag:6 [| 1.0 |]
-        else begin
-          let r = Sim.irecv c ~src:0 ~tag:6 in
-          ignore (Sim.wait c r);
-          ignore (Sim.wait c r)
-        end)
-  with
-  | exception Sim.Rank_failure (1, Invalid_argument msg) ->
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool) ("message mentions " ^ needle) true
-            (contains msg needle))
-        [ "recv(src=0, tag=6)"; "already completed" ]
-  | _ -> Alcotest.fail "expected Invalid_argument on rank 1"
-
-let test_waitall_duplicate_request_rejected () =
-  (* a request listed twice in a waitall is a double completion too, and
-     gets the same self-describing error *)
-  match
-    run ~nranks:2 (fun c ->
-        if Sim.rank c = 1 then ignore (Sim.recv c ~src:0 ~tag:3)
-        else begin
-          let r = Sim.isend c ~dest:1 ~tag:3 [| 2.0 |] in
-          ignore (Sim.waitall c [ r; r ])
-        end)
-  with
-  | exception Sim.Rank_failure (0, Invalid_argument msg) ->
-      List.iter
-        (fun needle ->
-          Alcotest.(check bool) ("message mentions " ^ needle) true
-            (contains msg needle))
-        [ "send(dest=1, tag=3)"; "already completed" ]
-  | _ -> Alcotest.fail "expected Invalid_argument on rank 0"
-
 let suite =
   [
     ("send/recv", `Quick, test_send_recv);
@@ -459,10 +347,6 @@ let suite =
     ("rank failure", `Quick, test_rank_failure_propagates);
     ("determinism", `Quick, test_determinism);
     ("pipeline pattern", `Quick, test_pipeline_pattern);
-    ("nonblocking roundtrip", `Quick, test_nonblocking_roundtrip);
-    ("wait twice rejected", `Quick, test_wait_twice_rejected);
-    ("irecv overlaps compute", `Quick, test_irecv_overlaps_compute);
-    ("sendrecv", `Quick, test_sendrecv);
     ("per-rank counts conserved", `Quick, test_per_rank_counts_conserved);
     ("blocked time attributed", `Quick, test_blocked_time_attributed);
     ("deadlock names stuck ranks", `Quick, test_deadlock_names_stuck_ranks);
@@ -472,7 +356,4 @@ let suite =
       test_mismatched_bcast_roots_named );
     ( "deadline beside blocking recv", `Quick,
       test_deadline_beside_blocking_recv );
-    ("wait error names request", `Quick, test_wait_error_names_request);
-    ( "waitall duplicate request rejected", `Quick,
-      test_waitall_duplicate_request_rejected );
   ]

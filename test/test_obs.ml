@@ -507,6 +507,11 @@ let test_domains_profile_wall_clock () =
     (List.exists
        (fun l -> String.starts_with ~prefix:"ranks 4, wall-clock elapsed " l)
        lines);
+  (* the header counts the run's halo copies, as run and trace do *)
+  Alcotest.(check bool) "header counts the run's messages" true
+    (List.exists
+       (fun l -> String.ends_with ~suffix:", messages 328, bytes 60352" l)
+       lines);
   let nests =
     List.filter (fun l -> String.starts_with ~prefix:"| L" l) lines
   in

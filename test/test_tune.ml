@@ -250,7 +250,12 @@ let test_parts_string_codec () =
     (R.parts_of_string "3x2x1" = [| 3; 2; 1 |]);
   Alcotest.check_raises "malformed shape raises"
     (J.Parse_error "Runspec.of_json: bad partition shape \"3xtwo\"")
-    (fun () -> ignore (R.parts_of_string "3xtwo"))
+    (fun () -> ignore (R.parts_of_string "3xtwo"));
+  Alcotest.check_raises "non-positive part raises"
+    (J.Parse_error "Runspec.of_json: bad partition shape \"0x2\"")
+    (fun () -> ignore (R.parts_of_string "0x2"));
+  Alcotest.(check bool) "case and blanks ignored, as on the CLI" true
+    (R.parts_of_string " 3 X 2" = [| 3; 2 |])
 
 let suite =
   [

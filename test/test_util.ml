@@ -14,18 +14,7 @@ let test_interval_basics () =
     (fun () -> ignore (Interval.make 5 4))
 
 let test_interval_set_ops () =
-  let a = Interval.make 1 5 and b = Interval.make 4 9 and c = Interval.make 7 9 in
-  Alcotest.(check bool) "intersects" true (Interval.intersects a b);
-  Alcotest.(check bool) "disjoint" false (Interval.intersects a c);
-  (match Interval.inter a b with
-  | Some i ->
-      Alcotest.(check int) "inter lo" 4 (Interval.lo i);
-      Alcotest.(check int) "inter hi" 5 (Interval.hi i)
-  | None -> Alcotest.fail "expected intersection");
-  Alcotest.(check bool) "inter none" true (Interval.inter a c = None);
-  let h = Interval.hull a c in
-  Alcotest.(check int) "hull lo" 1 (Interval.lo h);
-  Alcotest.(check int) "hull hi" 9 (Interval.hi h);
+  let a = Interval.make 1 5 in
   Alcotest.(check bool) "contains" true
     (Interval.contains (Interval.make 0 10) a)
 
@@ -44,33 +33,6 @@ let test_interval_arith () =
   let z = Interval.affine ~mul:0 ~add:4 a in
   Alcotest.(check int) "zero mul lo" 4 (Interval.lo z);
   Alcotest.(check int) "zero mul hi" 4 (Interval.hi z)
-
-let gen_interval =
-  QCheck.Gen.(
-    let* lo = int_range (-50) 50 in
-    let* len = int_range 0 30 in
-    return (Interval.make lo (lo + len)))
-
-let arb_interval = QCheck.make ~print:Interval.to_string gen_interval
-
-let prop_inter_comm =
-  QCheck.Test.make ~count:300 ~name:"interval intersection is commutative"
-    (QCheck.pair arb_interval arb_interval) (fun (a, b) ->
-      Interval.inter a b = Interval.inter b a)
-
-let prop_inter_subset =
-  QCheck.Test.make ~count:300
-    ~name:"intersection is contained in both operands"
-    (QCheck.pair arb_interval arb_interval) (fun (a, b) ->
-      match Interval.inter a b with
-      | None -> not (Interval.intersects a b)
-      | Some i -> Interval.contains a i && Interval.contains b i)
-
-let prop_hull_superset =
-  QCheck.Test.make ~count:300 ~name:"hull contains both operands"
-    (QCheck.pair arb_interval arb_interval) (fun (a, b) ->
-      let h = Interval.hull a b in
-      Interval.contains h a && Interval.contains h b)
 
 let test_prng_deterministic () =
   let a = Prng.create 42 and b = Prng.create 42 in
@@ -131,9 +93,6 @@ let suite =
     ("interval basics", `Quick, test_interval_basics);
     ("interval set ops", `Quick, test_interval_set_ops);
     ("interval sum/affine", `Quick, test_interval_arith);
-    QCheck_alcotest.to_alcotest prop_inter_comm;
-    QCheck_alcotest.to_alcotest prop_inter_subset;
-    QCheck_alcotest.to_alcotest prop_hull_superset;
     ("prng deterministic", `Quick, test_prng_deterministic);
     ("prng split", `Quick, test_prng_split_independent);
     ("prng bounds", `Quick, test_prng_bounds);
