@@ -65,9 +65,10 @@ type domain_stats = {
   ds_barrier_calls : int;  (** barrier entries per rank (identical) *)
   ds_flops : float array;  (** per-rank flop counts (same as simulator) *)
   ds_comm_samples : (int * float) list;
-      (** (bytes moved, wall seconds) per halo-exchange / allgather
-          episode on rank 0 — calibration input for
-          {!Autocfd_perfmodel.Model.calibrate} *)
+      (** (bytes copied, wall seconds) per halo-exchange / allgather
+          hook, each rank's hooks in program order, rank after rank; the
+          seconds exclude the hook's waits — calibration input
+          for {!Autocfd_perfmodel.Model.calibrate} *)
 }
 (** Measured wall-clock profile of a [Domains] run; the simulated-time
     fields of [stats] are synthesized from these measurements. *)
@@ -92,12 +93,31 @@ type engine = Fused | Domains
     - [Fused]: on the simulated cluster;
     - [Domains]: for real, one OCaml 5 domain per rank, fields in shared
       memory, halo exchange as direct bounds-checked blits between
-      neighbouring ranks' arrays, and sense-reversing barriers in place
-      of the simulator's virtual-clock sync ({!Autocfd_mpsim.Shm}).
+      neighbouring ranks' arrays, and polling-then-sleeping barriers in
+      place of the simulator's virtual-clock sync
+      ({!Autocfd_mpsim.Shm}).
     Both are bit-identical to the tree-walking {!Machine} ({!run_tree},
     the semantic oracle of the golden-equivalence suite); [Fused] is the
     default.  [Domains] rejects fault plans and recovery (simulator-only
     features). *)
+
+type runs = private { run_len : int; run_starts : int array }
+(** A box of one array as contiguous runs of elements, in column-major
+    order (dimension 0 fastest): run [k] starts at offset
+    [run_starts.(k)] of the array's data, and every run is [run_len]
+    elements long, the box's extent in dimension 0.  An empty box has no
+    runs. *)
+
+val box_runs : Value.arr -> (int * int) array -> runs
+(** [box_runs arr box] is the inclusive box [box] (one [(lo, hi)] per
+    dimension of [arr]) as runs, with offsets from [arr]'s strides and
+    base.  @raise Invalid_argument when a nonempty box leaves [arr]'s
+    bounds. *)
+
+val blit_runs : runs -> src:float array -> dst:float array -> unit
+(** Copies the elements of the runs from [src] into the same offsets of
+    [dst]: [Array.blit] per run, or an element loop for runs too short
+    for a blit to pay. *)
 
 val run :
   ?engine:engine -> ?fuse:bool -> config -> Ast.program_unit -> result
@@ -108,10 +128,11 @@ val run :
     once and shared across ranks; each rank resolves a sync point's
     halo-exchange, pipeline or allgather boxes (one owned-box rule: the
     owner's block, packed dimensions whole, grid dimensions clipped to
-    the array) into flat offset vectors at the point's first visit in
-    the run — contiguous offset runs collapse to [Array.blit] segments
-    over a reusable payload buffer — and reuses them at every later
-    visit of that run.
+    the array) into {!runs} at the point's first visit in the run, with
+    a reusable payload buffer, and reuses them at every later visit of
+    that run.  Packing, unpacking, the [Domains] blits and the final
+    gather of the status arrays all copy runs; a payload holds its
+    box's elements in column-major order.
 
     Every engine runs the same per-rank communication hooks: plan
     lookup, the reduction/broadcast/barrier dispatch, pipeline messages,

@@ -1,5 +1,6 @@
-(** Closed integer intervals [lo, hi], used for synchronization regions
-    expressed as program-line ranges. *)
+(** Closed integer intervals [lo, hi]: the value ranges over which the
+    fused-kernel bounds prover ([Compile] in the interpreter library)
+    folds affine subscripts. *)
 
 type t = private { lo : int; hi : int }
 
@@ -9,12 +10,6 @@ val make : int -> int -> t
 
 val lo : t -> int
 val hi : t -> int
-val length : t -> int
-(** Number of integer points covered. *)
-
-val mem : int -> t -> bool
-val contains : t -> t -> bool
-(** [contains outer inner] is true when [inner] lies entirely in [outer]. *)
 
 val sum : t -> t -> t
 (** Minkowski sum: the exact range of [x + y] for [x] in the first
@@ -24,7 +19,3 @@ val affine : mul:int -> add:int -> t -> t
 (** Exact image of the interval under [x -> mul*x + add] (endpoints swap
     when [mul] is negative).  Used by the fused-kernel bounds prover to
     fold affine subscripts over loop trip spaces. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -1,6 +1,7 @@
 (** Tests for the simulated message-passing cluster: point-to-point
     semantics, collectives, virtual time, determinism and deadlock
-    detection. *)
+    detection; and for {!Shm}, the Domains engine's runtime, run
+    directly on real domains. *)
 
 open Autocfd_mpsim
 
@@ -331,6 +332,172 @@ let test_deadline_beside_blocking_recv () =
         (contains msg "deadline")
   | _ -> Alcotest.fail "expected Deadlock"
 
+(* ------------------------------------------------------------------ *)
+(* Shm: the Domains engine's runtime, on real domains                   *)
+(* ------------------------------------------------------------------ *)
+
+(* more ranks than cores: every barrier wait sleeps at once (on a host
+   with more than 7 cores the 8 ranks poll instead) *)
+let oversubscribed = min 8 (Domain.recommended_domain_count () + 1)
+
+(* [f ()] on a thread, failing the test when it has not returned within
+   [secs], so a lost wake-up fails instead of hanging the suite *)
+let within secs f =
+  let result = Atomic.make None in
+  let (_ : Thread.t) =
+    Thread.create
+      (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "no result within %.0f s" secs;
+        Thread.delay 0.001;
+        wait ()
+  in
+  wait ()
+
+(* generation [g] writes row [g mod 2]: a rank rewrites a row only after
+   passing the next barrier, which its peers reach after their reads *)
+let shm_barrier_generations nranks () =
+  let gens = 1000 in
+  let rows = Array.make_matrix 2 nranks (-1) in
+  let stale = Atomic.make 0 in
+  let stats =
+    within 60.0 (fun () ->
+        Shm.run ~nranks (fun c ->
+            let r = Shm.rank c in
+            for g = 0 to gens - 1 do
+              let row = rows.(g land 1) in
+              row.(r) <- g;
+              Shm.barrier c;
+              if Array.exists (fun v -> v <> g) row then Atomic.incr stale
+            done))
+  in
+  Alcotest.(check int) "every rank sees every peer's write" 0
+    (Atomic.get stale);
+  Array.iter
+    (fun (rs : Shm.rank_stats) ->
+      Alcotest.(check int) "barrier calls" gens rs.Shm.rs_barrier_calls)
+    stats.Shm.ranks
+
+(* a rank that raises, at once or after its peers are asleep, wakes
+   every peer waiting in a barrier or a receive *)
+let shm_rank_failure nranks () =
+  let failing = nranks - 1 in
+  List.iter
+    (fun (what, wait) ->
+      List.iter
+        (fun delay ->
+          match
+            within 10.0 (fun () ->
+                Shm.run ~nranks (fun c ->
+                    if Shm.rank c = failing then begin
+                      Unix.sleepf delay;
+                      failwith "boom"
+                    end
+                    else wait c))
+          with
+          | exception Shm.Rank_failure (r, Failure msg) ->
+              Alcotest.(check int) (what ^ ": failing rank") failing r;
+              Alcotest.(check string) (what ^ ": original exception") "boom"
+                msg
+          | _ -> Alcotest.failf "%s: expected Rank_failure" what)
+        [ 0.0; 0.02 ])
+    [
+      ("barrier", Shm.barrier);
+      ("recv", fun c -> ignore (Shm.recv c ~src:failing ~tag:1));
+    ]
+
+(* rank order gives (1e16 + 1) - 1e16 + 1 = 1, the reverse order 0 *)
+let test_shm_allreduce_rank_order () =
+  let vals = [| 1e16; 1.0; -1e16; 1.0 |] in
+  let nranks = Array.length vals in
+  let bits = Int64.bits_of_float in
+  let fold f = Array.fold_left f vals.(0) (Array.sub vals 1 (nranks - 1)) in
+  let reversed =
+    Array.fold_right (fun v acc -> acc +. v) (Array.sub vals 0 (nranks - 1))
+      vals.(nranks - 1)
+  in
+  Alcotest.(check bool) "the sum depends on the order" true
+    (bits (fold ( +. )) <> bits reversed);
+  List.iter
+    (fun (name, op, f) ->
+      let shm = Array.make nranks nan and sim = Array.make nranks nan in
+      ignore
+        (within 10.0 (fun () ->
+             Shm.run ~nranks (fun c ->
+                 shm.(Shm.rank c) <- Shm.allreduce c op vals.(Shm.rank c))));
+      ignore
+        (run ~nranks (fun c ->
+             sim.(Sim.rank c) <- Sim.allreduce c op vals.(Sim.rank c)));
+      Array.iteri
+        (fun r v ->
+          Alcotest.(check int64) (Printf.sprintf "%s rank %d" name r)
+            (bits (fold f)) (bits v);
+          Alcotest.(check int64) (Printf.sprintf "%s rank %d = Sim" name r)
+            (bits sim.(r)) (bits v))
+        shm)
+    [ ("sum", `Sum, ( +. )); ("max", `Max, Float.max); ("min", `Min, Float.min) ]
+
+let test_shm_bcast () =
+  let nranks = 3 in
+  let got = Array.make nranks [||] in
+  ignore
+    (within 10.0 (fun () ->
+         Shm.run ~nranks (fun c ->
+             let r = Shm.rank c in
+             let mine = if r = 1 then [| 1.0; 2.0; 3.0 |] else [| 9.0 |] in
+             let out = Shm.bcast c ~root:1 mine in
+             (* each rank holds its own copy *)
+             out.(0) <- out.(0) +. float_of_int (10 * r);
+             Shm.barrier c;
+             got.(r) <- out)));
+  Array.iteri
+    (fun r out ->
+      Alcotest.(check (array (float 0.0)))
+        (Printf.sprintf "rank %d" r)
+        [| 1.0 +. float_of_int (10 * r); 2.0; 3.0 |]
+        out)
+    got
+
+(* per (src, tag) the mailboxes are FIFO, whatever the receive order
+   across keys *)
+let test_shm_fifo_per_key () =
+  let got = ref [] in
+  ignore
+    (within 10.0 (fun () ->
+         Shm.run ~nranks:3 (fun c ->
+             match Shm.rank c with
+             | 1 ->
+                 let take src tag =
+                   List.init 5 (fun _ -> (Shm.recv c ~src ~tag).(0))
+                 in
+                 let b = take 0 1 in
+                 let a = take 0 0 in
+                 let d = take 2 0 in
+                 got := [ a; b; d ]
+             | r ->
+                 let base = float_of_int (100 * r) in
+                 for i = 1 to 5 do
+                   Shm.send c ~dest:1 ~tag:0 [| base +. float_of_int i |];
+                   if r = 0 then
+                     Shm.send c ~dest:1 ~tag:1 [| float_of_int (10 * i) |]
+                 done)));
+  Alcotest.(check (list (list (float 0.0))))
+    "each key in send order"
+    [
+      [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
+      [ 10.0; 20.0; 30.0; 40.0; 50.0 ];
+      [ 201.0; 202.0; 203.0; 204.0; 205.0 ];
+    ]
+    !got
+
 let suite =
   [
     ("send/recv", `Quick, test_send_recv);
@@ -356,4 +523,13 @@ let suite =
       test_mismatched_bcast_roots_named );
     ( "deadline beside blocking recv", `Quick,
       test_deadline_beside_blocking_recv );
+    ("shm barrier generations, 2 ranks", `Quick, shm_barrier_generations 2);
+    ( "shm barrier generations, oversubscribed",
+      `Quick,
+      shm_barrier_generations oversubscribed );
+    ("shm rank failure, 2 ranks", `Quick, shm_rank_failure 2);
+    ("shm rank failure, oversubscribed", `Quick, shm_rank_failure oversubscribed);
+    ("shm allreduce in rank order", `Quick, test_shm_allreduce_rank_order);
+    ("shm bcast", `Quick, test_shm_bcast);
+    ("shm fifo per (src, tag)", `Quick, test_shm_fifo_per_key);
   ]

@@ -721,6 +721,59 @@ c$acfd status(p)
     plan.D.spmd.Autocfd_fortran.Ast.u_body;
   Alcotest.(check bool) "no allgather needed" false !has_allgather
 
+(* The run walker: a box's runs expand to exactly the Value.linear_index
+   offsets of its elements in column-major order (dimension 0 fastest),
+   and copying the runs equals copying the elements one by one.  Bounds
+   and sub-boxes are random, empty sub-boxes included. *)
+let prop_box_runs =
+  let gen =
+    QCheck.Gen.(
+      let* rank = int_range 1 3 in
+      list_repeat rank
+        (let* lo = int_range (-3) 3 in
+         let* ext = int_range 1 6 in
+         let hi = lo + ext - 1 in
+         let* a = int_range lo hi in
+         let* b = int_range (a - 1) hi in
+         return ((lo, hi), (a, b))))
+  in
+  let print dims =
+    String.concat " "
+      (List.map
+         (fun ((lo, hi), (a, b)) -> Printf.sprintf "%d:%d[%d:%d]" lo hi a b)
+         dims)
+  in
+  QCheck.Test.make ~count:500 ~name:"box runs: column-major offsets, copies"
+    (QCheck.make ~print gen) (fun dims ->
+      let bounds = Array.of_list (List.map fst dims) in
+      let box = Array.of_list (List.map snd dims) in
+      let src = I.Value.make_array bounds in
+      Array.iteri (fun i _ -> src.I.Value.data.(i) <- float_of_int (i + 1))
+        src.I.Value.data;
+      (* every index of [box], dimension 0 fastest *)
+      let rec indices d =
+        if d < 0 then [ [] ]
+        else
+          let lo, hi = box.(d) in
+          List.concat_map
+            (fun i -> List.map (fun lower -> lower @ [ i ]) (indices (d - 1)))
+            (List.init (max 0 (hi - lo + 1)) (fun k -> lo + k))
+      in
+      let idxs = List.map Array.of_list (indices (Array.length box - 1)) in
+      let r = I.Spmd.box_runs src box in
+      let expanded =
+        List.concat_map
+          (fun start -> List.init r.I.Spmd.run_len (fun i -> start + i))
+          (Array.to_list r.I.Spmd.run_starts)
+      in
+      let by_runs = I.Value.make_array bounds in
+      I.Spmd.blit_runs r ~src:src.I.Value.data ~dst:by_runs.I.Value.data;
+      let by_elements = I.Value.make_array bounds in
+      List.iter
+        (fun idx -> I.Value.set by_elements idx (I.Value.get src idx))
+        idxs;
+      expanded = List.map (I.Value.linear_index src) idxs
+      && by_runs.I.Value.data = by_elements.I.Value.data)
 
 let suite =
   [
@@ -743,4 +796,5 @@ let suite =
     ("goto convergence loop", `Quick, test_goto_convergence_loop);
     ("goto self-dependent loop", `Quick, test_goto_self_dependent_loop);
     QCheck_alcotest.to_alcotest ~long:false prop_random_programs_equivalent;
+    QCheck_alcotest.to_alcotest prop_box_runs;
   ]

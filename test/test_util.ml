@@ -6,17 +6,8 @@ let test_interval_basics () =
   let i = Interval.make 3 7 in
   Alcotest.(check int) "lo" 3 (Interval.lo i);
   Alcotest.(check int) "hi" 7 (Interval.hi i);
-  Alcotest.(check int) "length" 5 (Interval.length i);
-  Alcotest.(check bool) "mem lo" true (Interval.mem 3 i);
-  Alcotest.(check bool) "mem hi" true (Interval.mem 7 i);
-  Alcotest.(check bool) "mem out" false (Interval.mem 8 i);
   Alcotest.check_raises "invalid" (Invalid_argument "Interval.make: lo=5 > hi=4")
     (fun () -> ignore (Interval.make 5 4))
-
-let test_interval_set_ops () =
-  let a = Interval.make 1 5 in
-  Alcotest.(check bool) "contains" true
-    (Interval.contains (Interval.make 0 10) a)
 
 let test_interval_arith () =
   let a = Interval.make 2 5 and b = Interval.make (-3) 4 in
@@ -91,7 +82,6 @@ let test_table_cells () =
 let suite =
   [
     ("interval basics", `Quick, test_interval_basics);
-    ("interval set ops", `Quick, test_interval_set_ops);
     ("interval sum/affine", `Quick, test_interval_arith);
     ("prng deterministic", `Quick, test_prng_deterministic);
     ("prng split", `Quick, test_prng_split_independent);
