@@ -914,7 +914,7 @@ type bin = Add | Sub | Mul | Div | Pow | Max | Min | Rem | Sign
 type fx =
   | Fconst of float
   | Fslot of int  (* KReal scalar slot *)
-  | Fref of int * int  (* array slot, registered reference id *)
+  | Fref of int  (* registered reference id *)
   | Fof_int of ix
   | Fun of un * fx
   | Fbin of bin * fx * fx
@@ -936,7 +936,7 @@ let as_fi = function Fi i -> i | Ff f -> Iof_float f
 
 (* one body statement *)
 type kst =
-  | Kstore of int * int * fx  (* array slot, written reference id, rhs *)
+  | Kstore of int * fx  (* written reference id, rhs *)
   | Kreal of int * fx  (* real scratch scalar slot := rhs *)
   | Kfold of int * bin * fx  (* real slot := slot op rhs: Add Sub Mul Max Min *)
 
@@ -984,7 +984,7 @@ let rec fcomp env (e : Ast.expr) : fe =
               | _ -> raise (Unfusable Non_arith_scalar))))
   | Ast.Ref (name, args) -> (
       match Hashtbl.find_opt env.e_ctx.x_ar name with
-      | Some slot -> Ff (Fref (slot, reg_ref env slot args))
+      | Some slot -> Ff (Fref (reg_ref env slot args))
       | None -> fintr env name args)
   | Ast.Unop (Ast.Neg, a) -> (
       match fcomp env a with
@@ -1131,7 +1131,7 @@ let comp_kstmt env fold (s : Ast.stmt) : kst option =
       | None -> raise (Unfusable Undeclared_array)
       | Some slot ->
           let rf = as_ff (fcomp env rhs) in
-          Some (Kstore (slot, reg_ref env slot args, rf)))
+          Some (Kstore (reg_ref env slot args, rf)))
   | Ast.Assign (Ast.Var x, rhs) -> (
       (* iteration-local scratch scalar: backed by its own slot, whose
          exit value is the last iteration's, exactly like the machine *)
@@ -1159,27 +1159,29 @@ let comp_kstmt env fold (s : Ast.stmt) : kst option =
   | Ast.Assign _ -> raise (Unfusable Bad_assign_target)
   | _ -> raise (Unfusable Non_assign_stmt)
 
-let un_fn = function
-  | Neg -> fun x -> -.x
-  | Abs -> Float.abs
-  | Sqrt -> Float.sqrt
-  | Exp -> Float.exp
-  | Log -> Float.log
-  | Sin -> Float.sin
-  | Cos -> Float.cos
-  | Tan -> Float.tan
-  | Atan -> Float.atan
+let[@inline] un_fn u x =
+  match u with
+  | Neg -> -.x
+  | Abs -> Float.abs x
+  | Sqrt -> Float.sqrt x
+  | Exp -> Float.exp x
+  | Log -> Float.log x
+  | Sin -> Float.sin x
+  | Cos -> Float.cos x
+  | Tan -> Float.tan x
+  | Atan -> Float.atan x
 
-let bin_fn = function
-  | Add -> fun x y -> x +. y
-  | Sub -> fun x y -> x -. y
-  | Mul -> fun x y -> x *. y
-  | Div -> fun x y -> x /. y
-  | Pow -> Float.pow
-  | Max -> Float.max
-  | Min -> Float.min
-  | Rem -> Float.rem
-  | Sign -> fun x y -> if y >= 0.0 then Float.abs x else -.Float.abs x
+let[@inline] bin_fn b x y =
+  match b with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Pow -> Float.pow x y
+  | Max -> Float.max x y
+  | Min -> Float.min x y
+  | Rem -> Float.rem x y
+  | Sign -> if y >= 0.0 then Float.abs x else -.Float.abs x
 
 (* ---- row path: every node evaluates a whole row into an unboxed
    register, one closure call per node per row ---- *)
@@ -1187,184 +1189,204 @@ let bin_fn = function
 (* One row of the kernel, along its row level or its diagonal, shared by
    its steps.  A row longer than [row_cap] points runs as consecutive
    pieces of at most that many, which keeps every dependence a whole row
-   keeps (pieces run in row order) and bounds the scratch buffer.  The
-   buffer [w_buf] is the state's: register [r] is
-   [r * w_n .. r * w_n + w_n - 1], then one cell per row-invariant value
-   from [w_inv]. *)
+   keeps (pieces run in row order) and bounds the scratch buffer.  A step
+   names each row it reads or writes by an operand id, which the row maps
+   to an array, an offset and a step: a reference's id is its own, and
+   the registers and cells after them (see [rid]) live in the state's
+   buffer, register [r] at [r * cap], then one float per cell (a
+   constant, written at kernel entry, or a row invariant, written once
+   per piece). *)
 let row_cap = 128
 
 type row = {
   w_st : state;
-  w_buf : float array;
   mutable w_n : int;  (* points in this piece of the row *)
-  w_inv : int;
-  w_offs : int array;  (* per reference: flat offset at the row's start *)
-  w_kd : int array;  (* per reference: flat offset step along the row *)
+  w_data : float array array;  (* per operand id: the array it lives in *)
+  w_offs : int array;  (* per operand id: its offset at the piece's start *)
+  w_kd : int array;  (* per operand id: its offset step along the row *)
   w_vals : int array;  (* loop values at the row's start *)
   w_lstep : int array;  (* per level: its loop value's step along the row *)
 }
 
-(* where a step reads a row: a buffer, a start and a stride *)
-type opnd =
-  | Oconst of float array  (* one element, stride 0 *)
-  | Omem of int * int  (* array slot, reference id: the reference's row *)
-  | Oreg of int  (* register, stride 1 *)
-  | Oinv of int  (* invariant cell, stride 0 *)
+(* how a step reads an operand: a cell's value once per piece, a row at
+   unit stride (a register, or a reference whose row stride is 1) at
+   [base + t], and any other row (strides 0, -1, 2, a diagonal's) by its
+   stride *)
+type opnd = Ocell of int | Ounit of int | Ostride of int  (* operand id *)
 
-let obuf w = function
-  | Oconst a -> a
-  | Omem (slot, _) -> Array.unsafe_get w.w_st.adata slot
-  | Oreg _ | Oinv _ -> w.w_buf
+type shape = Scell | Sunit | Sstride
 
-let obase w = function
-  | Oconst _ -> 0
-  | Omem (_, id) -> Array.unsafe_get w.w_offs id
-  | Oreg r -> r * w.w_n
-  | Oinv k -> w.w_inv + k
+let oid (Ocell i | Ounit i | Ostride i) = i
 
-let ostride w = function
-  | Oconst _ | Oinv _ -> 0
-  | Omem (_, id) -> Array.unsafe_get w.w_kd id
-  | Oreg _ -> 1
+(* The loops below take their operator and operand shapes as constants
+   at each call site, where the compiler inlines them and folds every
+   match on a constant: each step is one closure specialised, when the
+   kernel is compiled, to its operator and its operands' shapes, with no
+   match per call or per point and its arithmetic unboxed.  [at] reads
+   an operand at point [t]: a cell's value [v], read before the loop, a
+   unit row at [i + t], another row at its running offset [j]. *)
+let[@inline] at s (x : float array) i j v t =
+  match s with
+  | Scell -> v
+  | Sunit -> Array.unsafe_get x (i + t)
+  | Sstride -> Array.unsafe_get x j
 
-(* Each step writes register [d] from its operands' rows.  The common
-   operators get a loop each, so the arithmetic stays unboxed; the rest
-   share one loop with the operator matched per element. *)
-let un_step u a d w =
-  let n = w.w_n and y = w.w_buf in
-  let yd = d * n in
-  let xa = obuf w a and sa = ostride w a in
-  let ia = ref (obase w a) in
-  match u with
-  | Neg ->
-      for t = 0 to n - 1 do
-        Array.unsafe_set y (yd + t) (-.Array.unsafe_get xa !ia);
-        ia := !ia + sa
-      done
-  | Abs ->
-      for t = 0 to n - 1 do
-        Array.unsafe_set y (yd + t) (Float.abs (Array.unsafe_get xa !ia));
-        ia := !ia + sa
-      done
-  | _ ->
-      for t = 0 to n - 1 do
-        let x = Array.unsafe_get xa !ia in
-        Array.unsafe_set y (yd + t)
-          (match u with
-          | Sqrt -> Float.sqrt x
-          | Exp -> Float.exp x
-          | Log -> Float.log x
-          | Sin -> Float.sin x
-          | Cos -> Float.cos x
-          | Tan -> Float.tan x
-          | Atan -> Float.atan x
-          | Neg | Abs -> assert false);
-        ia := !ia + sa
-      done
-
-let bin_step b a c d w =
-  let n = w.w_n and y = w.w_buf in
-  let yd = d * n in
-  let xa = obuf w a and sa = ostride w a in
-  let xc = obuf w c and sc = ostride w c in
-  let ia = ref (obase w a) and ic = ref (obase w c) in
-  match b with
-  | Add ->
-      for t = 0 to n - 1 do
-        Array.unsafe_set y (yd + t)
-          (Array.unsafe_get xa !ia +. Array.unsafe_get xc !ic);
-        ia := !ia + sa;
-        ic := !ic + sc
-      done
-  | Sub ->
-      for t = 0 to n - 1 do
-        Array.unsafe_set y (yd + t)
-          (Array.unsafe_get xa !ia -. Array.unsafe_get xc !ic);
-        ia := !ia + sa;
-        ic := !ic + sc
-      done
-  | Mul ->
-      for t = 0 to n - 1 do
-        Array.unsafe_set y (yd + t)
-          (Array.unsafe_get xa !ia *. Array.unsafe_get xc !ic);
-        ia := !ia + sa;
-        ic := !ic + sc
-      done
-  | Div ->
-      for t = 0 to n - 1 do
-        Array.unsafe_set y (yd + t)
-          (Array.unsafe_get xa !ia /. Array.unsafe_get xc !ic);
-        ia := !ia + sa;
-        ic := !ic + sc
-      done
-  | _ ->
-      for t = 0 to n - 1 do
-        let p = Array.unsafe_get xa !ia and q = Array.unsafe_get xc !ic in
-        Array.unsafe_set y (yd + t)
-          (match b with
-          | Pow -> Float.pow p q
-          | Max -> Float.max p q
-          | Min -> Float.min p q
-          | Rem -> Float.rem p q
-          | Sign -> if q >= 0.0 then Float.abs p else -.Float.abs p
-          | Add | Sub | Mul | Div -> assert false);
-        ia := !ia + sa;
-        ic := !ic + sc
-      done
-
-(* copy a row into a strided destination *)
-let move_row w src dst base stride =
-  let x = obuf w src and sx = ostride w src in
-  let ix = ref (obase w src) and o = ref base in
-  for _ = 1 to w.w_n do
-    Array.unsafe_set dst !o (Array.unsafe_get x !ix);
-    ix := !ix + sx;
-    o := !o + stride
+(* register [d] := [a] op [c] *)
+let[@inline] bin_loop b sa sc a c d w =
+  let dat = w.w_data and off = w.w_offs and kd = w.w_kd in
+  let y = Array.unsafe_get dat d and yd = Array.unsafe_get off d in
+  let xa = Array.unsafe_get dat a and ia = Array.unsafe_get off a in
+  let xc = Array.unsafe_get dat c and ic = Array.unsafe_get off c in
+  let va = Array.unsafe_get xa ia and vc = Array.unsafe_get xc ic in
+  let ka = Array.unsafe_get kd a and kc = Array.unsafe_get kd c in
+  let ja = ref ia and jc = ref ic in
+  for t = 0 to w.w_n - 1 do
+    Array.unsafe_set y (yd + t)
+      (bin_fn b (at sa xa ia !ja va t) (at sc xc ic !jc vc t));
+    (match sa with Sstride -> ja := !ja + ka | _ -> ());
+    match sc with Sstride -> jc := !jc + kc | _ -> ()
   done
 
-(* fold a row into real slot [i] point by point in row order, which is
+(* register [d] := op [a] *)
+let[@inline] un_loop u sa a d w =
+  let y = Array.unsafe_get w.w_data d and yd = Array.unsafe_get w.w_offs d in
+  let x = Array.unsafe_get w.w_data a and ia = Array.unsafe_get w.w_offs a in
+  let v = Array.unsafe_get x ia in
+  let ka = Array.unsafe_get w.w_kd a and ja = ref ia in
+  for t = 0 to w.w_n - 1 do
+    Array.unsafe_set y (yd + t) (un_fn u (at sa x ia !ja v t));
+    match sa with Sstride -> ja := !ja + ka | _ -> ()
+  done
+
+(* row [d] := row [a], point by point in row order: a store, or a
+   reference's row copied into a register *)
+let[@inline] move_loop sa sd a d w =
+  let dat = w.w_data and off = w.w_offs and kd = w.w_kd in
+  let y = Array.unsafe_get dat d and yd = Array.unsafe_get off d in
+  let x = Array.unsafe_get dat a and ia = Array.unsafe_get off a in
+  let v = Array.unsafe_get x ia in
+  let ka = Array.unsafe_get kd a and ky = Array.unsafe_get kd d in
+  let ja = ref ia and jy = ref yd in
+  for t = 0 to w.w_n - 1 do
+    let x = at sa x ia !ja v t in
+    (match sd with
+    | Sunit -> Array.unsafe_set y (yd + t) x
+    | _ ->
+        Array.unsafe_set y !jy x;
+        jy := !jy + ky);
+    match sa with Sstride -> ja := !ja + ka | _ -> ()
+  done
+
+(* fold row [a] into real slot [i] point by point in row order, which is
    source order: a nest with a fold runs its rows along the source
    innermost level *)
-let fold_step b i src w =
-  let x = obuf w src and sx = ostride w src in
-  let ix = ref (obase w src) in
+let[@inline] fold_loop b sa i a w =
+  let x = Array.unsafe_get w.w_data a and ia = Array.unsafe_get w.w_offs a in
+  let v = Array.unsafe_get x ia in
+  let ka = Array.unsafe_get w.w_kd a and ja = ref ia in
   let sf = w.w_st.sf in
   let acc = ref (Array.unsafe_get sf i) in
-  (match b with
-  | Add ->
-      for _ = 1 to w.w_n do
-        acc := !acc +. Array.unsafe_get x !ix;
-        ix := !ix + sx
-      done
-  | Sub ->
-      for _ = 1 to w.w_n do
-        acc := !acc -. Array.unsafe_get x !ix;
-        ix := !ix + sx
-      done
-  | Mul ->
-      for _ = 1 to w.w_n do
-        acc := !acc *. Array.unsafe_get x !ix;
-        ix := !ix + sx
-      done
-  | Max ->
-      for _ = 1 to w.w_n do
-        acc := Float.max !acc (Array.unsafe_get x !ix);
-        ix := !ix + sx
-      done
-  | Min ->
-      for _ = 1 to w.w_n do
-        acc := Float.min !acc (Array.unsafe_get x !ix);
-        ix := !ix + sx
-      done
-  | Div | Pow | Rem | Sign -> assert false);
+  for t = 0 to w.w_n - 1 do
+    acc := bin_fn b !acc (at sa x ia !ja v t);
+    match sa with Sstride -> ja := !ja + ka | _ -> ()
+  done;
   Array.unsafe_set sf i !acc
+
+(* The steps: one closure per operator and shape.  The four arithmetic
+   operators have a loop for each shape pair; two cells meet only when a
+   scratch scalar holds one (others fold at compile time), and take the
+   strided loop, where a cell has stride 0.  The other operators, the
+   unary steps but [-] and [abs], and folds of a row not at unit stride
+   take the strided loop too. *)
+let bin_step b a c d =
+  let i = oid a and j = oid c in
+  match (b, a, c) with
+  | Add, Ocell _, Ounit _ -> fun w -> bin_loop Add Scell Sunit i j d w
+  | Add, Ounit _, Ocell _ -> fun w -> bin_loop Add Sunit Scell i j d w
+  | Add, Ounit _, Ounit _ -> fun w -> bin_loop Add Sunit Sunit i j d w
+  | Add, Ocell _, Ostride _ -> fun w -> bin_loop Add Scell Sstride i j d w
+  | Add, Ostride _, Ocell _ -> fun w -> bin_loop Add Sstride Scell i j d w
+  | Add, Ounit _, Ostride _ -> fun w -> bin_loop Add Sunit Sstride i j d w
+  | Add, Ostride _, Ounit _ -> fun w -> bin_loop Add Sstride Sunit i j d w
+  | Add, _, _ -> fun w -> bin_loop Add Sstride Sstride i j d w
+  | Sub, Ocell _, Ounit _ -> fun w -> bin_loop Sub Scell Sunit i j d w
+  | Sub, Ounit _, Ocell _ -> fun w -> bin_loop Sub Sunit Scell i j d w
+  | Sub, Ounit _, Ounit _ -> fun w -> bin_loop Sub Sunit Sunit i j d w
+  | Sub, Ocell _, Ostride _ -> fun w -> bin_loop Sub Scell Sstride i j d w
+  | Sub, Ostride _, Ocell _ -> fun w -> bin_loop Sub Sstride Scell i j d w
+  | Sub, Ounit _, Ostride _ -> fun w -> bin_loop Sub Sunit Sstride i j d w
+  | Sub, Ostride _, Ounit _ -> fun w -> bin_loop Sub Sstride Sunit i j d w
+  | Sub, _, _ -> fun w -> bin_loop Sub Sstride Sstride i j d w
+  | Mul, Ocell _, Ounit _ -> fun w -> bin_loop Mul Scell Sunit i j d w
+  | Mul, Ounit _, Ocell _ -> fun w -> bin_loop Mul Sunit Scell i j d w
+  | Mul, Ounit _, Ounit _ -> fun w -> bin_loop Mul Sunit Sunit i j d w
+  | Mul, Ocell _, Ostride _ -> fun w -> bin_loop Mul Scell Sstride i j d w
+  | Mul, Ostride _, Ocell _ -> fun w -> bin_loop Mul Sstride Scell i j d w
+  | Mul, Ounit _, Ostride _ -> fun w -> bin_loop Mul Sunit Sstride i j d w
+  | Mul, Ostride _, Ounit _ -> fun w -> bin_loop Mul Sstride Sunit i j d w
+  | Mul, _, _ -> fun w -> bin_loop Mul Sstride Sstride i j d w
+  | Div, Ocell _, Ounit _ -> fun w -> bin_loop Div Scell Sunit i j d w
+  | Div, Ounit _, Ocell _ -> fun w -> bin_loop Div Sunit Scell i j d w
+  | Div, Ounit _, Ounit _ -> fun w -> bin_loop Div Sunit Sunit i j d w
+  | Div, Ocell _, Ostride _ -> fun w -> bin_loop Div Scell Sstride i j d w
+  | Div, Ostride _, Ocell _ -> fun w -> bin_loop Div Sstride Scell i j d w
+  | Div, Ounit _, Ostride _ -> fun w -> bin_loop Div Sunit Sstride i j d w
+  | Div, Ostride _, Ounit _ -> fun w -> bin_loop Div Sstride Sunit i j d w
+  | Div, _, _ -> fun w -> bin_loop Div Sstride Sstride i j d w
+  | Pow, _, _ -> fun w -> bin_loop Pow Sstride Sstride i j d w
+  | Max, _, _ -> fun w -> bin_loop Max Sstride Sstride i j d w
+  | Min, _, _ -> fun w -> bin_loop Min Sstride Sstride i j d w
+  | Rem, _, _ -> fun w -> bin_loop Rem Sstride Sstride i j d w
+  | Sign, _, _ -> fun w -> bin_loop Sign Sstride Sstride i j d w
+
+let un_step u a d =
+  let i = oid a in
+  match (u, a) with
+  | Neg, Ounit _ -> fun w -> un_loop Neg Sunit i d w
+  | Abs, Ounit _ -> fun w -> un_loop Abs Sunit i d w
+  | Neg, _ -> fun w -> un_loop Neg Sstride i d w
+  | Abs, _ -> fun w -> un_loop Abs Sstride i d w
+  | Sqrt, _ -> fun w -> un_loop Sqrt Sstride i d w
+  | Exp, _ -> fun w -> un_loop Exp Sstride i d w
+  | Log, _ -> fun w -> un_loop Log Sstride i d w
+  | Sin, _ -> fun w -> un_loop Sin Sstride i d w
+  | Cos, _ -> fun w -> un_loop Cos Sstride i d w
+  | Tan, _ -> fun w -> un_loop Tan Sstride i d w
+  | Atan, _ -> fun w -> un_loop Atan Sstride i d w
+
+(* [unit]: the destination's row runs at unit stride *)
+let move_step a d ~unit =
+  let i = oid a in
+  match (a, unit) with
+  | Ounit _, true -> fun w -> move_loop Sunit Sunit i d w
+  | Ocell _, true -> fun w -> move_loop Scell Sunit i d w
+  | Ostride _, true -> fun w -> move_loop Sstride Sunit i d w
+  | Ounit _, false -> fun w -> move_loop Sunit Sstride i d w
+  | Ocell _, false -> fun w -> move_loop Scell Sstride i d w
+  | Ostride _, false -> fun w -> move_loop Sstride Sstride i d w
+
+let fold_step b i a =
+  let k = oid a in
+  match (b, a) with
+  | Add, Ounit _ -> fun w -> fold_loop Add Sunit i k w
+  | Sub, Ounit _ -> fun w -> fold_loop Sub Sunit i k w
+  | Mul, Ounit _ -> fun w -> fold_loop Mul Sunit i k w
+  | Max, Ounit _ -> fun w -> fold_loop Max Sunit i k w
+  | Min, Ounit _ -> fun w -> fold_loop Min Sunit i k w
+  | Add, _ -> fun w -> fold_loop Add Sstride i k w
+  | Sub, _ -> fun w -> fold_loop Sub Sstride i k w
+  | Mul, _ -> fun w -> fold_loop Mul Sstride i k w
+  | Max, _ -> fun w -> fold_loop Max Sstride i k w
+  | Min, _ -> fun w -> fold_loop Min Sstride i k w
+  | (Div | Pow | Rem | Sign), _ -> assert false
 
 (* row values at compile time: constants and row invariants stay
    scalar until an operand needs them *)
 type rv =
   | Vconst of float
   | Vinv of (row -> float)  (* evaluated once per row *)
-  | Vop of opnd
+  | Vreg of int  (* a register *)
+  | Vop of opnd  (* a reference's row, or a cell *)
 
 type ri = Iinv of (row -> int) | Irow of (row -> int -> int)  (* per element *)
 
@@ -1377,7 +1399,10 @@ type rgen = {
   mutable g_top : int;  (* next free register *)
   mutable g_floor : int;  (* registers below hold scratch scalars *)
   mutable g_regs : int;  (* high-water mark *)
-  mutable g_invs : int;  (* invariant cells *)
+  mutable g_cells : int;  (* cells so far *)
+  mutable g_consts : (int * float) list;  (* constant cells' ids and values *)
+  g_nrefs : int;  (* the kernel's references *)
+  g_unit : bool array;  (* per reference: is its row stride 1 *)
   g_along : bool array;  (* per level: does its loop value move along a row *)
   g_scal : (int, rv) Hashtbl.t;  (* real scratch slot -> its row *)
 }
@@ -1390,19 +1415,33 @@ let reg g =
   g.g_regs <- max g.g_regs g.g_top;
   r
 
+(* operand ids after the references alternate: register [r] is
+   [nrefs + 2r], cell [k] is [nrefs + 2k + 1] *)
+let rid g r = g.g_nrefs + (2 * r)
+
+let cell g =
+  let k = g.g_cells in
+  g.g_cells <- k + 1;
+  g.g_nrefs + (2 * k) + 1
+
 let opnd g = function
   | Vop o -> o
-  | Vconst c -> Oconst [| c |]
+  | Vreg r -> Ounit (rid g r)
+  | Vconst c ->
+      let i = cell g in
+      g.g_consts <- (i, c) :: g.g_consts;
+      Ocell i
   | Vinv f ->
-      let k = g.g_invs in
-      g.g_invs <- k + 1;
-      emit g (fun w -> Array.unsafe_set w.w_buf (w.w_inv + k) (f w));
-      Oinv k
+      let i = cell g in
+      emit g (fun w ->
+          Array.unsafe_set (Array.unsafe_get w.w_data i)
+            (Array.unsafe_get w.w_offs i) (f w));
+      Ocell i
 
 let scalar_of = function
   | Vconst c -> fun _ -> c
   | Vinv f -> f
-  | Vop _ -> assert false
+  | Vreg _ | Vop _ -> assert false
 
 let irow = function Iinv f -> fun w _ -> f w | Irow f -> f
 
@@ -1413,7 +1452,7 @@ let rec rfx g (e : fx) : rv =
       match Hashtbl.find_opt g.g_scal i with
       | Some v -> v
       | None -> Vinv (fun w -> Array.unsafe_get w.w_st.sf i))
-  | Fref (slot, id) -> Vop (Omem (slot, id))
+  | Fref id -> Vop (if g.g_unit.(id) then Ounit id else Ostride id)
   | Fof_int a -> (
       let mark = g.g_top in
       match rix g a with
@@ -1421,24 +1460,25 @@ let rec rfx g (e : fx) : rv =
       | Irow f ->
           g.g_top <- mark;
           let d = reg g in
+          let y = rid g d in
           emit g (fun w ->
-              let y = w.w_buf and yd = d * w.w_n in
+              let x = Array.unsafe_get w.w_data y in
+              let yd = Array.unsafe_get w.w_offs y in
               for t = 0 to w.w_n - 1 do
-                Array.unsafe_set y (yd + t) (float_of_int (f w t))
+                Array.unsafe_set x (yd + t) (float_of_int (f w t))
               done);
-          Vop (Oreg d))
+          Vreg d)
   | Fun (u, a) -> (
       let mark = g.g_top in
       match rfx g a with
       | Vconst c -> Vconst (un_fn u c)
-      | Vinv f ->
-          let h = un_fn u in
-          Vinv (fun w -> h (f w))
-      | Vop o ->
+      | Vinv f -> Vinv (fun w -> un_fn u (f w))
+      | v ->
+          let o = opnd g v in
           g.g_top <- mark;
           let d = reg g in
-          emit g (un_step u o d);
-          Vop (Oreg d))
+          emit g (un_step u o (rid g d));
+          Vreg d)
   | Fbin (b, x, y) -> (
       let mark = g.g_top in
       let va = rfx g x in
@@ -1446,15 +1486,15 @@ let rec rfx g (e : fx) : rv =
       match (va, vb) with
       | Vconst p, Vconst q -> Vconst (bin_fn b p q)
       | (Vconst _ | Vinv _), (Vconst _ | Vinv _) ->
-          let fa = scalar_of va and fb = scalar_of vb and h = bin_fn b in
-          Vinv (fun w -> h (fa w) (fb w))
+          let fa = scalar_of va and fb = scalar_of vb in
+          Vinv (fun w -> bin_fn b (fa w) (fb w))
       | _ ->
           let oa = opnd g va in
           let ob = opnd g vb in
           g.g_top <- mark;
           let d = reg g in
-          emit g (bin_step b oa ob d);
-          Vop (Oreg d))
+          emit g (bin_step b oa ob (rid g d));
+          Vreg d)
 
 and rix g (e : ix) : ri =
   match e with
@@ -1471,13 +1511,15 @@ and rix g (e : ix) : ri =
           let v = truncate c in
           Iinv (fun _ -> v)
       | Vinv f -> Iinv (fun w -> truncate (f w))
-      | Vop o ->
-          (* read when the consuming step runs: [o]'s register stays
+      | v ->
+          (* read when the consuming step runs: [v]'s register stays
              below that step's own *)
+          let i = oid (opnd g v) in
           Irow
             (fun w t ->
               truncate
-                (Array.unsafe_get (obuf w o) (obase w o + (t * ostride w o)))))
+                (Array.unsafe_get (Array.unsafe_get w.w_data i)
+                   (Array.unsafe_get w.w_offs i + (t * Array.unsafe_get w.w_kd i)))))
   | Iop1 (h, a) -> (
       match rix g a with
       | Iinv f -> Iinv (fun w -> h (f w))
@@ -1491,35 +1533,30 @@ and rix g (e : ix) : ri =
 
 (* Statements run in body order, each over the whole row: a store
    writes its row after its right-hand side is complete, a scratch
-   scalar keeps its row in a register (or as its invariant or constant)
-   for the statements after it, and a fold folds its row into its
+   scalar keeps its row in a register (or as its cell or constant) for
+   the statements after it, and a fold folds its row into its
    accumulator's slot. *)
 let rstmt g = function
   | Kfold (i, op, rhs) ->
-      let src = opnd g (rfx g rhs) in
-      emit g (fold_step op i src);
+      emit g (fold_step op i (opnd g (rfx g rhs)));
       g.g_top <- g.g_floor
-  | Kstore (slot, wid, rhs) ->
-      let src = opnd g (rfx g rhs) in
-      emit g (fun w ->
-          move_row w src
-            (Array.unsafe_get w.w_st.adata slot)
-            (Array.unsafe_get w.w_offs wid)
-            (Array.unsafe_get w.w_kd wid));
+  | Kstore (wid, rhs) ->
+      emit g (move_step (opnd g (rfx g rhs)) wid ~unit:g.g_unit.(wid));
       g.g_top <- g.g_floor
   | Kreal (i, rhs) ->
       let v =
         match rfx g rhs with
-        | Vop (Omem _ as o) ->
-            (* later statements may store into the array *)
+        | Vop ((Ounit _ | Ostride _) as o) ->
+            (* a reference's row: later statements may store into the
+               array *)
             let d = reg g in
-            emit g (fun w -> move_row w o w.w_buf (d * w.w_n) 1);
-            Vop (Oreg d)
+            emit g (move_step o (rid g d) ~unit:true);
+            Vreg d
         | Vinv _ as v -> Vop (opnd g v)
         | v -> v
       in
       (match v with
-      | Vop (Oreg d) -> g.g_floor <- max g.g_floor (d + 1)
+      | Vreg d -> g.g_floor <- max g.g_floor (d + 1)
       | _ -> ());
       g.g_top <- g.g_floor;
       Hashtbl.replace g.g_scal i v
@@ -1861,6 +1898,19 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
   let nrefs = Array.length kinfo in
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
+  (* each level's step, when it is a compile-time constant *)
+  let steps =
+    Array.of_list
+      (List.map
+         (fun (d : Ast.do_loop) ->
+           match d.Ast.do_step with
+           | None -> Some 1
+           | Some e -> (
+               match cfold env e with
+               | Some s when s <> 0 -> Some s
+               | _ -> None))
+         levels)
+  in
   (* rows along the legal level whose references have the least summed
      stride, the innermost of them on a tie; a nest with a fold tries only
      the source innermost level, where folding rows performs source
@@ -1868,21 +1918,9 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
      the legal diagonal of least summed stride, the outer pair on a tie;
      with none, the closure IR *)
   let path =
-    let steps =
-      Array.of_list
-        (List.map
-           (fun (d : Ast.do_loop) ->
-             match d.Ast.do_step with
-             | None -> Some 1
-             | Some e -> (
-                 match cfold env e with
-                 | Some s when s <> 0 -> Some s
-                 | _ -> None))
-           levels)
-    in
     let cost f = Array.fold_left (fun c k -> c + abs (f k.k_flat)) 0 kinfo in
     let writes =
-      Array.map (function Kstore (_, w, _) -> w | Kreal _ | Kfold _ -> -1) kst
+      Array.map (function Kstore (w, _) -> w | Kreal _ | Kfold _ -> -1) kst
     in
     let level_ok, diag_ok = row_legal ~steps refs spans writes in
     let fold = Array.exists (function Kfold _ -> true | _ -> false) kst in
@@ -1915,18 +1953,56 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
   in
   (* a row moves level [ra], and on a diagonal also [rb] (-1 otherwise) *)
   let ra, rb = match path with Row l -> (l, -1) | Diag (a, b) -> (a, b) in
+  (* a reference's offset step along a row whose levels move by [lstep] *)
+  let row_stride k lstep =
+    let d = ref 0 in
+    for l = 0 to m - 1 do
+      d := !d + (k.k_flat.(l) * lstep.(l))
+    done;
+    !d
+  in
+  (* the references whose row stride the levels' constant steps make 1
+     (the kernel's entry evaluates the same steps) *)
+  let unit =
+    match (steps.(ra), if rb < 0 then Some 0 else steps.(rb)) with
+    | Some sa, Some sb ->
+        let lstep =
+          Array.init m (fun l -> if l = ra then sa else if l = rb then -sb else 0)
+        in
+        Array.map (fun k -> row_stride k lstep = 1) kinfo
+    | _ -> Array.make nrefs false
+  in
   let g =
-    { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_invs = 0;
+    { g_steps = []; g_top = 0; g_floor = 0; g_regs = 0; g_cells = 0;
+      g_consts = []; g_nrefs = nrefs; g_unit = unit;
       g_along = Array.init m (fun l -> l = ra || l = rb);
       g_scal = Hashtbl.create 4 }
   in
   Array.iter (rstmt g) kst;
   (* scratch slots and their rows *)
   let exits =
-    Array.of_list (Hashtbl.fold (fun i v acc -> (i, opnd g v) :: acc) g.g_scal [])
+    Array.of_list
+      (Hashtbl.fold (fun i v acc -> (i, oid (opnd g v)) :: acc) g.g_scal [])
   in
   let rsteps = Array.of_list (List.rev g.g_steps) in
-  let nsteps = Array.length rsteps and regs = g.g_regs and invs = g.g_invs in
+  let nsteps = Array.length rsteps and regs = g.g_regs and cells = g.g_cells in
+  let nids = nrefs + (2 * max regs cells) and consts = g.g_consts in
+  (* stride classes: references with equal per-level flat strides share
+     one offset per row, to which each adds its entry base *)
+  let classes = ref [] in
+  let cls =
+    Array.map
+      (fun k ->
+        match List.assoc_opt k.k_flat !classes with
+        | Some c -> c
+        | None ->
+            let c = List.length !classes in
+            classes := (k.k_flat, c) :: !classes;
+            c)
+      kinfo
+  in
+  let cflat = Array.of_list (List.rev_map fst !classes) in
+  let ncls = Array.length cflat in
   let kernel fallback st =
     (* any entry-read slot unset, zero step, empty trip space, or an
        unprovable subscript range: run the closure IR, which reproduces
@@ -1986,40 +2062,50 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                 kinfo
             in
             let vals = Array.make m 0 in
-            let offs = Array.make nrefs 0 in
             let lstep = Array.make m 0 in
             lstep.(ra) <- steps.(ra);
             if rb >= 0 then lstep.(rb) <- -steps.(rb);
-            let kd =
-              Array.map
-                (fun k ->
-                  let d = ref 0 in
-                  for l = 0 to m - 1 do
-                    d := !d + (k.k_flat.(l) * lstep.(l))
-                  done;
-                  !d)
-                kinfo
-            in
             let ta = trips.(ra) and tb = if rb >= 0 then trips.(rb) else 0 in
             (* a diagonal's longest row is its shorter side *)
             let cap = min (if rb < 0 then ta else min ta tb) row_cap in
-            let need = (regs * cap) + invs in
+            let need = (regs * cap) + cells in
             if Array.length st.rows < need then
               st.rows <- Array.create_float need;
+            (* the operand table: each reference's array and stride, each
+               register's and cell's place in the buffer *)
+            let data = Array.make nids st.rows in
+            let offs = Array.make nids 0 and kd = Array.make nids 0 in
+            Array.iteri
+              (fun r k ->
+                data.(r) <- st.adata.(k.k_slot);
+                kd.(r) <- row_stride k lstep)
+              kinfo;
+            for r = 0 to regs - 1 do
+              offs.(nrefs + (2 * r)) <- r * cap;
+              kd.(nrefs + (2 * r)) <- 1
+            done;
+            for k = 0 to cells - 1 do
+              offs.(nrefs + (2 * k) + 1) <- (regs * cap) + k
+            done;
+            List.iter (fun (i, c) -> st.rows.(offs.(i)) <- c) consts;
             let w =
-              { w_st = st; w_buf = st.rows; w_n = cap; w_inv = regs * cap;
-                w_offs = offs; w_kd = kd; w_vals = vals; w_lstep = lstep }
+              { w_st = st; w_n = cap; w_data = data; w_offs = offs; w_kd = kd;
+                w_vals = vals; w_lstep = lstep }
             in
+            let pos = Array.make ncls 0 in
             (* the row of [len] points from the loop values at its start,
-               in pieces of at most [cap] *)
+               in pieces of at most [cap]: one position per stride class,
+               plus each reference's entry base *)
             let row len =
-              for r = 0 to nrefs - 1 do
-                let k = kinfo.(r) in
-                let o = ref rbase.(r) in
-                for l' = 0 to m - 1 do
-                  o := !o + (k.k_flat.(l') * vals.(l'))
+              for c = 0 to ncls - 1 do
+                let f = cflat.(c) and o = ref 0 in
+                for l = 0 to m - 1 do
+                  o := !o + (f.(l) * vals.(l))
                 done;
-                offs.(r) <- !o
+                pos.(c) <- !o
+              done;
+              for r = 0 to nrefs - 1 do
+                offs.(r) <- rbase.(r) + pos.(cls.(r))
               done;
               let first = ref 0 in
               while !first < len do
@@ -2071,9 +2157,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                last row ends at the last point in source order *)
             Array.iter
               (fun (i, o) ->
-                st.sf.(i) <-
-                  Array.unsafe_get (obuf w o)
-                    (obase w o + ((w.w_n - 1) * ostride w o));
+                st.sf.(i) <- data.(o).(offs.(o) + ((w.w_n - 1) * kd.(o)));
                 st.sset.(i) <- true)
               exits;
             (* batched charge: body flops per point times the trip-space

@@ -440,22 +440,20 @@ let gather_results :
     (string * Value.arr) list * (string * Value.scalar) list =
  fun iface ~gi ~topo ~nranks ~machine u ->
   let m0 = machine 0 in
+  (* no machine runs after the gather: rank 0's arrays are taken as they
+     are, each status array's rank-0 box already in place *)
   let gathered =
     List.map
       (fun name ->
-        let a0 = iface.i_array m0 name in
-        match GI.find_status gi name with
-        | None -> (name, Value.copy a0)
-        | Some _ ->
-            (* rank 0's box comes with the copy *)
-            let out = Value.copy a0 in
-            for r = 1 to nranks - 1 do
-              let src = iface.i_array (machine r) name in
-              blit_runs
-                (box_runs src (owned_box gi topo ~owner:r src name whole_block))
-                ~src:src.Value.data ~dst:out.Value.data
-            done;
-            (name, out))
+        let out = iface.i_array m0 name in
+        if GI.find_status gi name <> None then
+          for r = 1 to nranks - 1 do
+            let src = iface.i_array (machine r) name in
+            blit_runs
+              (box_runs src (owned_box gi topo ~owner:r src name whole_block))
+              ~src:src.Value.data ~dst:out.Value.data
+          done;
+        (name, out))
       (iface.i_array_names m0)
   in
   let scalars =

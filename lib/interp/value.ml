@@ -60,7 +60,6 @@ let linear_index a idx =
 let get a idx = a.data.(linear_index a idx)
 let set a idx v = a.data.(linear_index a idx) <- v
 let fill a v = Array.fill a.data 0 (Array.length a.data) v
-let copy a = { a with data = Array.copy a.data }
 
 let to_float = function
   | Int i -> float_of_int i

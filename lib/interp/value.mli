@@ -31,7 +31,6 @@ val linear_index : arr -> int array -> int
 val get : arr -> int array -> float
 val set : arr -> int array -> float -> unit
 val fill : arr -> float -> unit
-val copy : arr -> arr
 
 val to_float : scalar -> float
 (** @raise Invalid_argument on strings. *)

@@ -17,10 +17,15 @@ let seq_tree (t : D.t) =
     sq_flops = I.Machine.flops m;
   }
 
+(* a unit run on the closure IR without fused kernels: its final state *)
+let run_unfused_unit u =
+  let st = I.Compile.create (I.Compile.compile ~fuse:false u) in
+  I.Compile.run st;
+  st
+
 (* the inlined sequential unit on the closure IR without fused kernels *)
 let seq_unfused (t : D.t) =
-  let st = I.Compile.create (I.Compile.compile ~fuse:false t.D.inlined) in
-  I.Compile.run st;
+  let st = run_unfused_unit t.D.inlined in
   {
     D.sq_output = I.Compile.output st;
     sq_arrays =

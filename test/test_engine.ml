@@ -213,9 +213,10 @@ let test_charged_timing_identical () =
    time (non-affine max0 subscripts, IF bodies) or at run time
    (zero-trip loops).  Each program also carries one row-path hazard
    (below).  Subscripts stay in range by construction, generated
-   expressions avoid division/sqrt/log and every array assignment is
-   wrapped in sin/cos (so values stay bounded and NaN-free); the three
-   engines must then agree bit for bit on arrays, flops and output. *)
+   expressions avoid sqrt/log, divide only by [2.0 + sin(y)] (at least 1)
+   and wrap every array assignment in sin/cos (so values stay bounded
+   and NaN-free); the three engines must then agree bit for bit on
+   arrays, flops and output. *)
 
 let lit_pool = [| "0.5"; "1.25"; "-0.75"; "2.0"; "0.125"; "3.0"; "-1.5" |]
 
@@ -252,7 +253,7 @@ let rec gen_expr rng ~vi ~vj ~depth =
     | _ -> gen_read rng ~vi ~vj
   else
     let sub () = gen_expr rng ~vi ~vj ~depth:(depth - 1) in
-    match Prng.int rng 8 with
+    match Prng.int rng 9 with
     | 0 -> "(" ^ sub () ^ " + " ^ sub () ^ ")"
     | 1 -> "(" ^ sub () ^ " - " ^ sub () ^ ")"
     | 2 -> "(" ^ sub () ^ " * " ^ sub () ^ ")"
@@ -260,6 +261,7 @@ let rec gen_expr rng ~vi ~vj ~depth =
     | 4 -> "min(" ^ sub () ^ ", " ^ sub () ^ ")"
     | 5 -> "abs(" ^ sub () ^ ")"
     | 6 -> "sign(" ^ sub () ^ ", " ^ sub () ^ ")"
+    | 7 -> "(" ^ sub () ^ " / (2.0 + sin(" ^ sub () ^ ")))"
     | _ -> "sin(" ^ sub () ^ ")"
 
 (* a bounded RHS: values stay in [-1, 1] no matter how nests cascade *)
@@ -784,6 +786,109 @@ c$acfd status(a, b)
     "Runtime_error: variable 's' used before being set"
     (outcome (fun () -> I.Compile.run (I.Compile.create cu)))
 
+(* The row path's step loops, chosen per operator and operand shape
+   when a kernel is compiled.  Every binary operator meets every pair of
+   operand shapes: a constant, a row invariant, a register and
+   references at row strides 1, -1, 2 and 0, along a row (level i of a
+   [do j / do i] nest) and along a diagonal (a Gauss-Seidel sweep of [a]
+   puts the nest on the (i, j) anti-diagonals, where [e(i)], [e(30-i)],
+   [e(2*i)] and [e(7)] keep those strides).  Each statement writes its
+   own element of [r] or [w], so one wrong loop shows in the arrays.  Two
+   nests read arrays of different shapes, whose references fall in
+   several stride classes.  The fused run must match the closure IR's
+   arrays, scalars and flops bit for bit. *)
+let test_step_shapes () =
+  let shapes =
+    [ "0.75"; "s1"; "abs(e(i))"; "e(i)"; "e(30-i)"; "e(2*i)"; "e(7)" ]
+  in
+  let pairs = List.concat_map (fun x -> List.map (fun y -> (x, y)) shapes) shapes in
+  let ops = [ "+"; "-"; "*"; "/"; "max"; "min"; "sign"; "**" ] in
+  (* [+ - * / **] are infix, the others intrinsics *)
+  let apply op x y =
+    if String.length op <= 2 then Printf.sprintf "(%s %s %s)" x op y
+    else Printf.sprintf "%s(%s, %s)" op x y
+  in
+  let buf = Buffer.create 65536 in
+  let add = Buffer.add_string buf in
+  add
+    {|      program shapes
+      real a(12,10), b(12,10), c(12), q(12,10,4), e(40)
+      real r(12,10,49,8), w(12,10,49,8), s1
+      integer i, j, k
+      s1 = 0.3
+      do i = 1, 40
+        e(i) = 1.0 + 0.5 * sin(0.37 * float(i))
+      enddo
+      do i = 1, 12
+        c(i) = 0.25 * float(i)
+        do j = 1, 10
+          a(i,j) = 0.5 + 0.01 * float(i + 3 * j)
+          do k = 1, 4
+            q(i,j,k) = 0.1 * float(i - j + k)
+          enddo
+        enddo
+      enddo
+|};
+  List.iteri
+    (fun o op ->
+      let body var =
+        List.iteri
+          (fun k (x, y) ->
+            add
+              (Printf.sprintf "          %s(i,j,%d,%d) = %s\n" var (k + 1) (o + 1)
+                 (apply op x y)))
+          pairs
+      in
+      add "      do j = 2, 9\n        do i = 2, 11\n";
+      body "r";
+      add "        enddo\n      enddo\n";
+      add "      do i = 2, 11\n        do j = 2, 9\n";
+      add "          a(i,j) = 0.5 * (a(i-1,j) + a(i,j-1))\n";
+      body "w";
+      add "        enddo\n      enddo\n")
+    ops;
+  add
+    {|      do j = 2, 9
+        do i = 2, 11
+          b(i,j) = a(i,j) + c(i) * q(i,j,2) - a(i+1,j-1) * c(i-1)
+        enddo
+      enddo
+      do k = 1, 4
+        do j = 2, 9
+          do i = 2, 11
+            q(i,j,k) = 0.5 * q(i,j,k) + a(i,j) * c(i) - c(k) * b(i,j-1)
+          enddo
+        enddo
+      enddo
+      end
+|};
+  let u = unit_of_source (Buffer.contents buf) in
+  let cu = I.Compile.compile ~fuse:true u in
+  let expected =
+    I.Compile.[ Row 0; Row 0 ]
+    @ List.concat (List.init (List.length ops) (fun _ -> I.Compile.[ Row 1; Diag (0, 1) ]))
+    @ I.Compile.[ Row 1; Row 2 ]
+  in
+  Alcotest.(check (list string))
+    "each nest's path"
+    (List.map (fun p -> path_name (Some p)) expected)
+    (List.map path_name (I.Compile.kernel_paths cu));
+  let fused = I.Compile.create cu in
+  I.Compile.run fused;
+  let closure = Oracle.run_unfused_unit u in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " bit-identical") true
+        ((I.Compile.array fused name).I.Value.data
+        = (I.Compile.array closure name).I.Value.data))
+    (I.Compile.array_names fused);
+  Alcotest.(check bool)
+    "scalars identical" true
+    (I.Compile.scalar_bindings fused = I.Compile.scalar_bindings closure);
+  Alcotest.(check (float 0.0))
+    "flops identical" (I.Compile.flops closure) (I.Compile.flops fused)
+
 (* A field-loop nest whose innermost body holds an IF falls back as one
    nest: a single coverage entry under all its levels' variables, none
    for the inner DO *)
@@ -1112,6 +1217,7 @@ let suite =
     ("spmd kernel coverage 100%", `Quick, test_spmd_coverage);
     ("fused kernel paths pinned", `Quick, test_kernel_paths);
     ("row path long rows", `Quick, test_long_rows);
+    ("row path step shapes", `Quick, test_step_shapes);
     ("IF-bodied nest counted once", `Quick, test_if_nest_counted_once);
     ("compile-time init errors", `Quick, test_compile_init_errors);
     ( "compiled states own their storage", `Quick,
