@@ -1,4 +1,5 @@
 open Autocfd_fortran
+module SS = Access.SS
 
 type index_kind = Affine of string * int | Fixed of int | Opaque
 [@@deriving show, eq]
@@ -31,35 +32,26 @@ type summary = {
           decomposition needs (a per-dimension summary would lose
           diagonal dependences like [u(i+1, j-1)]) *)
   fs_reductions : reduction list;
-  fs_has_call : bool;
   fs_irregular : bool;
   fs_serial : bool;
   fs_hazard_dims : int list;
-      (** dims with fixed-plane chains (see [fixed_hazard_dims]) *)
+      (** see [fixed_hazard_dims] and the live-out rule of [analyze_unit] *)
 }
 
-let index_kind_of_expr env ~loop_vars (e : Ast.expr) =
-  match e with
-  | Ast.Var x when List.mem x loop_vars -> Affine (x, 0)
-  | Ast.Binop (Ast.Add, Ast.Var x, off) when List.mem x loop_vars -> (
-      match Env.eval_int env off with
-      | Some k -> Affine (x, k)
-      | None -> Opaque)
-  | Ast.Binop (Ast.Add, off, Ast.Var x) when List.mem x loop_vars -> (
-      match Env.eval_int env off with
-      | Some k -> Affine (x, k)
-      | None -> Opaque)
-  | Ast.Binop (Ast.Sub, Ast.Var x, off) when List.mem x loop_vars -> (
-      match Env.eval_int env off with
-      | Some k -> Affine (x, -k)
-      | None -> Opaque)
-  | e -> (
-      match Env.eval_int env e with
-      | Some k -> Fixed k
-      | None -> Opaque)
+(* A subscript's kind in one status dimension: a view of its affine form
+   over the nest's loop variables [vars] *)
+let index_kind vars (d : string Access.dim) =
+  match d with
+  | Access.Aff { coeffs; const; syms = [] } -> (
+      let lv = ref (-1) in
+      Array.iteri
+        (fun l c -> if c <> 0 then lv := if c = 1 && !lv = -1 then l else -2)
+        coeffs;
+      match !lv with -1 -> Fixed const | -2 -> Opaque | l -> Affine (vars.(l), const))
+  | Access.Aff _ | Access.Opaque -> Opaque
 
 (* ------------------------------------------------------------------ *)
-(* Raw access collection within one loop nest                          *)
+(* Status-array accesses of one loop nest                              *)
 (* ------------------------------------------------------------------ *)
 
 type raw_access = {
@@ -67,54 +59,22 @@ type raw_access = {
   ra_write : bool;
   ra_opaque_all : bool;  (** whole-array access (bare name) *)
   ra_indices : (int * index_kind) list;  (** grid dim -> kind *)
-  ra_stmt : int;  (** statement sequence number within the nest *)
+  ra_stmt : int;  (** statement within the nest *)
 }
 
-type collect_ctx = {
-  gi : Grid_info.t;
-  env : Env.t;
-  loop_vars : string list;
-  mutable accesses : raw_access list;
-  mutable has_call : bool;
-  mutable reductions : reduction list;
-  mutable stmt_seq : int;
-}
-
-let record ctx ~write name args =
-  match Grid_info.find_status ctx.gi name with
-  | None -> ()
-  | Some sa ->
-      let indices =
-        List.filteri (fun k _ -> k < sa.Grid_info.sa_rank) args
-        |> List.mapi (fun k idx ->
-               match sa.Grid_info.sa_dims.(k) with
-               | None -> None
-               | Some g ->
-                   Some
-                     (g, index_kind_of_expr ctx.env ~loop_vars:ctx.loop_vars idx))
-        |> List.filter_map Fun.id
-      in
-      ctx.accesses <-
-        { ra_array = name; ra_write = write; ra_opaque_all = false;
-          ra_indices = indices; ra_stmt = ctx.stmt_seq }
-        :: ctx.accesses
-
-let record_whole ctx ~write name =
-  if Grid_info.is_status ctx.gi name then
-    ctx.accesses <-
-      { ra_array = name; ra_write = write; ra_opaque_all = true;
-        ra_indices = []; ra_stmt = ctx.stmt_seq }
-      :: ctx.accesses
-
-(* reads inside an arbitrary expression *)
-let collect_expr_reads ctx e =
-  Ast.fold_exprs
-    (fun () e ->
-      match e with
-      | Ast.Ref (name, args) when not (Ast.is_intrinsic name) ->
-          record ctx ~write:false name args
-      | _ -> ())
-    () e
+let raw_access gi vars (r : string Access.aref) =
+  let indices =
+    match (Grid_info.find_status gi r.Access.name, r.Access.dims) with
+    | Some sa, Some dims ->
+        List.filter_map
+          (fun k ->
+            Option.map (fun g -> (g, index_kind vars dims.(k))) sa.Grid_info.sa_dims.(k))
+          (List.init (min sa.Grid_info.sa_rank (Array.length dims)) Fun.id)
+    | _ -> []
+  in
+  { ra_array = r.Access.name; ra_write = r.Access.write;
+    ra_opaque_all = r.Access.dims = None; ra_indices = indices;
+    ra_stmt = r.Access.stmt }
 
 let recognize_reduction (lhs : Ast.expr) (rhs : Ast.expr) =
   match lhs with
@@ -130,68 +90,6 @@ let recognize_reduction (lhs : Ast.expr) (rhs : Ast.expr) =
       | _ -> None)
   | _ -> None
 
-let rec collect_block ctx block = List.iter (collect_stmt ctx) block
-
-and collect_stmt ctx st =
-  ctx.stmt_seq <- ctx.stmt_seq + 1;
-  match st.Ast.s_kind with
-  | Ast.Assign (lhs, rhs) ->
-      (match lhs with
-      | Ast.Ref (name, args) ->
-          record ctx ~write:true name args;
-          (* index expressions of the lhs are reads *)
-          List.iter (collect_expr_reads ctx) args
-      | Ast.Var name when Grid_info.is_status ctx.gi name ->
-          record_whole ctx ~write:true name
-      | _ -> ());
-      collect_expr_reads ctx rhs;
-      (match recognize_reduction lhs rhs with
-      | Some r when not (List.mem r ctx.reductions) ->
-          ctx.reductions <- r :: ctx.reductions
-      | _ -> ())
-  | Ast.If (branches, els) ->
-      List.iter
-        (fun (c, b) ->
-          collect_expr_reads ctx c;
-          collect_block ctx b)
-        branches;
-      Option.iter (collect_block ctx) els
-  | Ast.Do d ->
-      collect_expr_reads ctx d.Ast.do_lo;
-      collect_expr_reads ctx d.Ast.do_hi;
-      Option.iter (collect_expr_reads ctx) d.Ast.do_step;
-      collect_block ctx d.Ast.do_body
-  | Ast.Call (_, args) ->
-      ctx.has_call <- true;
-      List.iter
-        (fun a ->
-          match a with
-          | Ast.Var name when Grid_info.is_status ctx.gi name ->
-              (* whole array passed to a subroutine: assume read+write *)
-              record_whole ctx ~write:false name;
-              record_whole ctx ~write:true name
-          | a -> collect_expr_reads ctx a)
-        args
-  | Ast.Read items ->
-      List.iter
-        (fun it ->
-          match it with
-          | Ast.Var name when Grid_info.is_status ctx.gi name ->
-              record_whole ctx ~write:true name
-          | Ast.Ref (name, args) when not (Ast.is_intrinsic name) ->
-              record ctx ~write:true name args;
-              List.iter (collect_expr_reads ctx) args
-          | _ -> ())
-        items
-  | Ast.Write items -> List.iter (collect_expr_reads ctx) items
-  | Ast.Goto _ | Ast.Continue | Ast.Return | Ast.Stop | Ast.Comm _
-  | Ast.Pipeline_recv _ | Ast.Pipeline_send _ ->
-      ()
-
-(* ------------------------------------------------------------------ *)
-(* Summarizing a nest                                                  *)
-(* ------------------------------------------------------------------ *)
-
 let nest_loop_vars (head : Ast.stmt) =
   let vars = ref [] in
   Ast.iter_stmts
@@ -202,6 +100,42 @@ let nest_loop_vars (head : Ast.stmt) =
       | _ -> ())
     [ head ];
   List.rev !vars
+
+(* One walk of the nest's body: its status-array accesses, its access
+   summary over the nest's loop variables, and its reductions *)
+let collect gi env (head : Ast.stmt) =
+  let body =
+    match head.Ast.s_kind with Ast.Do d -> d.Ast.do_body | _ -> assert false
+  in
+  let vars = Array.of_list (nest_loop_vars head) in
+  let lvl = Hashtbl.create 16 in
+  Array.iteri (fun l v -> Hashtbl.replace lvl v l) vars;
+  let names =
+    Access.names ~depth:(Array.length vars) ~fold:(Env.eval_int env)
+      ~is_array:(Grid_info.is_status gi) ~leaf:(fun x ->
+        match Hashtbl.find_opt lvl x with
+        | Some l -> Access.Level l
+        | None -> (
+            match Env.lookup env x with
+            | Some c -> Access.Int c
+            | None -> Access.Other))
+  in
+  let reductions = ref [] in
+  let visit (st : Ast.stmt) =
+    (match st.Ast.s_kind with
+    | Ast.Assign (lhs, rhs) -> (
+        match recognize_reduction lhs rhs with
+        | Some r when not (List.mem r !reductions) -> reductions := r :: !reductions
+        | _ -> ())
+    | _ -> ());
+    true
+  in
+  let acc = Access.summarize ~visit names body in
+  (List.map (raw_access gi vars) acc.Access.refs, acc, List.rev !reductions)
+
+(* ------------------------------------------------------------------ *)
+(* Summarizing a nest                                                  *)
+(* ------------------------------------------------------------------ *)
 
 let sorted_uniq l = List.sort_uniq compare l
 
@@ -240,122 +174,82 @@ let empty_use ndims =
 
 let summarize_uses gi accesses =
   let ndims = Grid_info.ndims gi in
-  let tbl = Hashtbl.create 8 in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some u -> u
-    | None -> empty_use ndims
-  in
   let all_dims = List.init ndims Fun.id in
-  List.iter
-    (fun ra ->
-      let u = get ra.ra_array in
+  let add x l = sorted_uniq (x :: l) in
+  List.fold_left
+    (fun uses ra ->
+      let w = ra.ra_write in
       let u =
-        if ra.ra_write then { u with au_assigned = true }
-        else { u with au_referenced = true }
+        Option.value ~default:(empty_use ndims) (List.assoc_opt ra.ra_array uses)
       in
+      let u = if w then { u with au_assigned = true } else { u with au_referenced = true } in
       let u =
         if ra.ra_opaque_all then
-          if ra.ra_write then
-            { u with au_opaque_write_dims = all_dims }
+          if w then { u with au_opaque_write_dims = all_dims }
           else { u with au_opaque_read_dims = all_dims }
         else
           List.fold_left
             (fun u (g, kind) ->
-              match (kind, ra.ra_write) with
-              | Affine (_, off), false ->
-                  u.au_read_offsets.(g) <-
-                    sorted_uniq (off :: u.au_read_offsets.(g));
+              match kind with
+              | Affine (_, off) ->
+                  let offs = if w then u.au_write_offsets else u.au_read_offsets in
+                  offs.(g) <- add off offs.(g);
                   u
-              | Affine (_, off), true ->
-                  u.au_write_offsets.(g) <-
-                    sorted_uniq (off :: u.au_write_offsets.(g));
-                  u
-              | Fixed p, false ->
-                  { u with au_fixed_reads =
-                             sorted_uniq ((g, p) :: u.au_fixed_reads) }
-              | Fixed p, true ->
-                  { u with au_fixed_writes =
-                             sorted_uniq ((g, p) :: u.au_fixed_writes) }
-              | Opaque, false ->
-                  { u with au_opaque_read_dims =
-                             sorted_uniq (g :: u.au_opaque_read_dims) }
-              | Opaque, true ->
-                  { u with au_opaque_write_dims =
-                             sorted_uniq (g :: u.au_opaque_write_dims) })
+              | Fixed p when w -> { u with au_fixed_writes = add (g, p) u.au_fixed_writes }
+              | Fixed p -> { u with au_fixed_reads = add (g, p) u.au_fixed_reads }
+              | Opaque when w ->
+                  { u with au_opaque_write_dims = add g u.au_opaque_write_dims }
+              | Opaque -> { u with au_opaque_read_dims = add g u.au_opaque_read_dims })
             u ra.ra_indices
       in
-      Hashtbl.replace tbl ra.ra_array u)
-    accesses;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+      (ra.ra_array, u) :: List.remove_assoc ra.ra_array uses)
+    [] accesses
+  |> List.sort compare
 
-(* Grid dimensions where the loop chains values across fixed planes or
-   mixes an affine sweep with fixed-plane reads — distributing such a loop
-   along that dimension would read values a remote rank just produced (or
-   mid-sweep values), so the code generator must fall back to Serial when
-   the dimension is cut. *)
-let fixed_hazard_dims accesses =
-  (* all fixed planes written anywhere in the nest, per dim *)
-  let written_fixed =
-    List.concat_map
-      (fun ra ->
-        if not ra.ra_write then []
-        else
-          List.filter_map
-            (fun (g, k) -> match k with Fixed p -> Some (g, p) | _ -> None)
-            ra.ra_indices)
-      accesses
+(* Grid dimensions the nest cannot be cut along: distributing it along
+   such a dimension would read values a remote rank just produced,
+   mid-sweep values, or a plane outside the reader's block, or keep a
+   rank's last iteration instead of the global one.  Dimension g is a
+   hazard when
+   - a statement writes a fixed plane of g and reads another plane of g
+     that the nest also writes as a fixed plane (a chain of planes);
+   - a write moves with g's loop variable and some read anywhere in the
+     nest (so also one that reaches the write through a scalar
+     temporary) is a fixed plane of g;
+   - a write is a fixed plane of g and the nest sweeps g, so the last
+     iteration's value wins. *)
+let fixed_hazard_dims ~ndims ~swept accesses =
+  let writes, reads = List.partition (fun ra -> ra.ra_write) accesses in
+  let planes g ra =
+    List.filter_map
+      (function g', Fixed p when g' = g -> Some p | _ -> None)
+      ra.ra_indices
   in
-  let hazards = ref [] in
-  let by_stmt = Hashtbl.create 16 in
-  List.iter
-    (fun ra ->
-      let cur =
-        Option.value ~default:[] (Hashtbl.find_opt by_stmt ra.ra_stmt)
-      in
-      Hashtbl.replace by_stmt ra.ra_stmt (ra :: cur))
-    accesses;
-  Hashtbl.iter
-    (fun _ ras ->
-      let writes = List.filter (fun ra -> ra.ra_write) ras in
-      let reads = List.filter (fun ra -> not ra.ra_write) ras in
-      List.iter
-        (fun w ->
-          List.iter
-            (fun (g, k) ->
-              match k with
-              | Fixed p2 ->
-                  (* writing plane p2 while reading a different plane p of
-                     dim g that this loop also writes *)
-                  List.iter
-                    (fun r ->
-                      List.iter
-                        (fun (g', k') ->
-                          match k' with
-                          | Fixed p
-                            when g' = g && p <> p2
-                                 && List.mem (g, p) written_fixed ->
-                              hazards := g :: !hazards
-                          | _ -> ())
-                        r.ra_indices)
-                    reads
-              | Affine _ ->
-                  (* an affine sweep of dim g that reads any fixed plane of
-                     g may read mid-sweep or distant values *)
-                  List.iter
-                    (fun r ->
-                      List.iter
-                        (fun (g', k') ->
-                          match k' with
-                          | Fixed _ when g' = g -> hazards := g :: !hazards
-                          | _ -> ())
-                        r.ra_indices)
-                    reads
-              | _ -> ())
-            w.ra_indices)
-        writes)
-    by_stmt;
-  List.sort_uniq compare !hazards
+  let chain g =
+    let written = List.concat_map (planes g) writes in
+    List.exists
+      (fun w ->
+        List.exists
+          (fun p2 ->
+            List.exists
+              (fun r ->
+                r.ra_stmt = w.ra_stmt
+                && List.exists (fun p -> p <> p2 && List.mem p written) (planes g r))
+              reads)
+          (planes g w))
+      writes
+  in
+  let moves g =
+    List.exists
+      (fun ra -> List.exists (function g', Affine _ -> g' = g | _ -> false) ra.ra_indices)
+      writes
+  in
+  List.filter
+    (fun g ->
+      chain g
+      || (moves g && List.exists (fun r -> planes g r <> []) reads)
+      || (List.mem g swept && List.exists (fun w -> planes g w <> []) writes))
+    (List.init ndims Fun.id)
 
 let ltype s array =
   match List.assoc_opt array s.fs_uses with
@@ -375,25 +269,31 @@ let self_dependent s array =
       && (Array.exists (List.exists (fun off -> off <> 0)) u.au_read_offsets
          || u.au_opaque_read_dims <> [])
 
+(* does [x] appear in a subscript of a status array within [st]? *)
+let subscripts_mention gi x st =
+  let mentions =
+    Ast.fold_exprs (fun m e -> m || match e with Ast.Var y -> y = x | _ -> false) false
+  in
+  Ast.fold_stmts
+    (fun m st ->
+      m
+      || List.exists
+           (Ast.fold_exprs
+              (fun m e ->
+                m
+                || match e with
+                   | Ast.Ref (name, args) when Grid_info.is_status gi name ->
+                       List.exists mentions args
+                   | _ -> false)
+              false)
+           (Ast.stmt_exprs st))
+    false [ st ]
+
 let analyze_unit gi (u : Ast.program_unit) =
   let env = Env.of_unit u in
   let ltree = Loops.build u in
-  let collect (l : Loops.loop) =
-    let head = l.Loops.lp_stmt in
-    let body =
-      match head.Ast.s_kind with
-      | Ast.Do d -> d.Ast.do_body
-      | _ -> assert false
-    in
-    let ctx =
-      { gi; env; loop_vars = nest_loop_vars head; accesses = [];
-        has_call = false; reductions = []; stmt_seq = 0 }
-    in
-    collect_block ctx body;
-    ctx
-  in
-  let summarize (l : Loops.loop) ctx (var_dims, conflict) =
-    let uses = summarize_uses gi ctx.accesses in
+  let summarize (l : Loops.loop) (accesses, acc, reductions) (var_dims, conflict) =
+    let uses = summarize_uses gi accesses in
     let opaque_status_use =
       List.exists
         (fun (_, au) ->
@@ -406,46 +306,78 @@ let analyze_unit gi (u : Ast.program_unit) =
         (fun ra ->
           if ra.ra_write || ra.ra_opaque_all then None
           else Some (ra.ra_array, ra.ra_indices))
-        (List.rev ctx.accesses)
+        accesses
     in
-    {
-      fs_loop = l;
-      fs_unit = u.Ast.u_name;
-      fs_var_dims = var_dims;
-      fs_swept_dims = swept;
-      fs_uses = uses;
-      fs_read_refs = read_refs;
-      fs_reductions = List.rev ctx.reductions;
-      fs_has_call = ctx.has_call;
-      fs_irregular = conflict || opaque_status_use;
-      fs_serial = false;
-      fs_hazard_dims = fixed_hazard_dims ctx.accesses;
-    }
+    ( {
+        fs_loop = l;
+        fs_unit = u.Ast.u_name;
+        fs_var_dims = var_dims;
+        fs_swept_dims = swept;
+        fs_uses = uses;
+        fs_read_refs = read_refs;
+        fs_reductions = reductions;
+        fs_irregular = conflict || opaque_status_use;
+        fs_serial = false;
+        fs_hazard_dims =
+          fixed_hazard_dims ~ndims:(Grid_info.ndims gi) ~swept accesses;
+      },
+      acc )
   in
   (* a loop sweeps the field if its own variable maps to a grid
      dimension; heads are sweep loops with no sweeping ancestor, found
      top-down: a sweeping loop is a head, and only the direct inner loops
-     of one that does not sweep are examined *)
+     of one that does not sweep are examined.  A loop whose variables
+     map inconsistently, with no head beneath it, is an irregular head
+     itself, so it runs replicated after an allgather. *)
   let rec heads acc (l : Loops.loop) =
-    let ctx = collect l in
-    let mapping =
-      try (var_dim_mapping ctx.accesses, false) with Conflict -> ([], true)
+    let nest =
+      lazy
+        (let ((accesses, _, _) as c) = collect gi env l.Loops.lp_stmt in
+         (c, try (var_dim_mapping accesses, false) with Conflict -> ([], true)))
     in
-    if List.mem_assoc l.Loops.lp_var (fst mapping) then
-      summarize l ctx mapping :: acc
+    let head () =
+      let c, mapping = Lazy.force nest in
+      summarize l c mapping :: acc
+    in
+    (* a variable no status subscript mentions maps to no dimension *)
+    if
+      subscripts_mention gi l.Loops.lp_var l.Loops.lp_stmt
+      && List.mem_assoc l.Loops.lp_var (fst (snd (Lazy.force nest)))
+    then head ()
     else
-      List.fold_left
-        (fun acc id -> heads acc (Loops.loop ltree id))
-        acc l.Loops.lp_children
+      let below =
+        List.fold_left
+          (fun acc id -> heads acc (Loops.loop ltree id))
+          acc l.Loops.lp_children
+      in
+      if below == acc && snd (snd (Lazy.force nest)) then head () else below
   in
   (* the walk is pre-order with children in program order, so [heads]
      collects the heads in program order, newest first *)
   let heads_in_order =
     List.rev (List.fold_left heads [] (Loops.top_level ltree))
   in
+  (* A head that assigns a scalar (not one of its reductions) which some
+     head reads before assigning it, or which code outside every head
+     reads, must not be cut: each rank would keep the value of its own
+     last point.  It gets every swept dimension as a hazard. *)
+  let ids = Hashtbl.create 32 in
+  List.iter (fun (s, _) -> Hashtbl.replace ids s.fs_loop.Loops.lp_id ()) heads_in_order;
+  let outside =
+    Access.summarize
+      ~visit:(fun st -> not (Hashtbl.mem ids st.Ast.s_id))
+      (Access.names ~depth:0 ~leaf:(fun _ -> Access.Other) ~fold:(fun _ -> None)
+         ~is_array:(Grid_info.is_status gi))
+      u.Ast.u_body
+  in
+  let live =
+    List.fold_left
+      (fun live (_, (a : string Access.t)) -> SS.union live a.Access.early)
+      outside.Access.reads heads_in_order
+  in
   let serial_lines = gi.Grid_info.serial_lines in
   List.map
-    (fun s ->
+    (fun (s, (a : string Access.t)) ->
       let line = s.fs_loop.Loops.lp_line in
       let serial =
         List.exists
@@ -453,11 +385,20 @@ let analyze_unit gi (u : Ast.program_unit) =
             dl < line
             && not
                  (List.exists
-                    (fun s' ->
+                    (fun (s', _) ->
                       let l' = s'.fs_loop.Loops.lp_line in
                       l' > dl && l' < line)
                     heads_in_order))
           serial_lines
       in
-      { s with fs_serial = serial })
+      let temps =
+        List.fold_left
+          (fun t r -> SS.remove r.red_var t)
+          a.Access.writes s.fs_reductions
+      in
+      let hazards =
+        if SS.disjoint temps live then s.fs_hazard_dims
+        else sorted_uniq (s.fs_hazard_dims @ s.fs_swept_dims)
+      in
+      { s with fs_serial = serial; fs_hazard_dims = hazards })
     heads_in_order

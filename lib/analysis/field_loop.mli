@@ -1,6 +1,7 @@
 (** Field-loop identification and A/R/C/O classification (paper Fig. 1),
     plus per-loop access summaries for the status arrays: stencil offsets
-    per grid dimension, fixed boundary planes, scalar reductions.
+    per grid dimension, fixed boundary planes, scalar reductions, all
+    read from one {!Access} summary of each nest.
 
     A {e field loop head} is an outermost loop whose nest sweeps at least
     one status dimension of the flow field; all dependency analysis is done
@@ -8,7 +9,8 @@
 
 open Autocfd_fortran
 
-(** How one status dimension is indexed in a reference. *)
+(** How one status dimension is indexed in a reference: a view of the
+    subscript's {!Access.aff} form over the nest's loop variables. *)
 type index_kind =
   | Affine of string * int  (** loop variable + constant offset *)
   | Fixed of int  (** compile-time constant plane: boundary code *)
@@ -48,14 +50,16 @@ type summary = {
           index kinds: the joint offset vectors for mirror-image
           legality analysis *)
   fs_reductions : reduction list;
-  fs_has_call : bool;  (** the nest contains subroutine calls *)
   fs_irregular : bool;
       (** conflicting variable/dimension mapping or opaque indices — the
           loop must stay sequential/replicated *)
   fs_serial : bool;  (** user forced c$acfd serial *)
   fs_hazard_dims : int list;
-      (** dims where the loop chains fixed planes or mixes an affine
-          sweep with fixed-plane reads — unsafe to distribute *)
+      (** dims the nest must not be cut along, judged over the whole
+          nest: it chains fixed planes, a write that moves with the
+          dim's variable meets a fixed-plane read, a fixed-plane write
+          sits in a sweep of the dim, or (every swept dim) it assigns a
+          scalar that is read after it *)
 }
 
 val ltype : summary -> string -> ltype

@@ -86,12 +86,16 @@ let of_program (program : Ast.program) =
   let dirs = program.Ast.p_directives in
   let grid_dirs = located (function Directive.Grid g -> g | _ -> []) dirs in
   let grid_names = List.map snd grid_dirs in
-  if grid_names = [] then
-    failwith "missing directive: c$acfd grid(...) is required";
+  let main = List.find_opt (fun u -> u.Ast.u_kind = Ast.Main) program.Ast.p_units in
+  (* a missing directive belongs to the main unit's PROGRAM line *)
+  let missing what =
+    Loc.errorf
+      (Loc.make (Option.fold ~none:0 ~some:(fun u -> u.Ast.u_line) main) 0)
+      "missing directive: c$acfd %s(...) is required" what
+  in
+  if grid_names = [] then missing "grid";
   let main =
-    match List.find_opt (fun u -> u.Ast.u_kind = Ast.Main) program.Ast.p_units with
-    | Some u -> u
-    | None -> failwith "program has no main unit"
+    match main with Some u -> u | None -> failwith "program has no main unit"
   in
   let env = Env.of_unit main in
   let grid =
@@ -108,8 +112,7 @@ let of_program (program : Ast.program) =
   let status_specs =
     located (function Directive.Status s -> s | _ -> []) dirs
   in
-  if status_specs = [] then
-    failwith "missing directive: c$acfd status(...) is required";
+  if status_specs = [] then missing "status";
   let status = List.map (resolve_status program grid) status_specs in
   {
     grid_names;

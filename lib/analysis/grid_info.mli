@@ -25,9 +25,9 @@ val of_program : Ast.program -> t
 (** @raise Loc.Error at the directive's line when a [grid] directive names
     something that is not a PARAMETER of the main unit, or a [status]
     directive names an undeclared array, a status dimension count beyond
-    the array's rank, or an array with no grid dimension.
-    @raise Failure when the [grid] or [status] directive, or the main
-    unit, is missing. *)
+    the array's rank, or an array with no grid dimension; at the main
+    unit's PROGRAM line when the [grid] or [status] directive is missing.
+    @raise Failure when the main unit is missing. *)
 
 val ndims : t -> int
 val is_status : t -> string -> bool

@@ -134,6 +134,7 @@ type unit_kind = Main | Subroutine of string list
 type program_unit = {
   u_name : string;
   u_kind : unit_kind;
+  u_line : int;  (** line of its PROGRAM or SUBROUTINE statement *)
   u_decls : decl list;
   u_consts : (string * expr) list;  (** PARAMETER constants, in order *)
   u_commons : (string * string list) list;  (** COMMON /name/ vars *)

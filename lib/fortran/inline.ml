@@ -317,6 +317,7 @@ let program (p : Ast.program) =
   {
     u_name = main.u_name;
     u_kind = Main;
+    u_line = main.u_line;
     u_decls = main.u_decls @ List.rev st.out_decls;
     u_consts = main.u_consts @ List.rev st.out_consts;
     u_commons = commons;

@@ -292,4 +292,6 @@ let tokenize source =
       push_tokens out rline rest;
       out := { tok = Token.Newline; tline = rline } :: !out)
     logical;
-  (List.rev ({ tok = Token.Eof; tline = 0 } :: !out), directives)
+  (* the end of input sits on the last line holding code *)
+  let last = List.fold_left (fun _ l -> l.rline) 0 logical in
+  (List.rev ({ tok = Token.Eof; tline = last } :: !out), directives)

@@ -731,6 +731,7 @@ let parse_unit_body st =
 
 let parse_unit st =
   skip_newlines st;
+  let line = peek_line st in
   let kind, name =
     match peek_ident st with
     | Some "program" ->
@@ -768,6 +769,7 @@ let parse_unit st =
   {
     u_name = name;
     u_kind = kind;
+    u_line = line;
     u_decls = List.rev b.decls;
     u_consts = List.rev b.consts;
     u_commons = List.rev b.commons;

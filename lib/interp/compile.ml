@@ -660,13 +660,13 @@ let float_store ctx i : state -> float -> unit =
 exception Unfusable of reason
 
 module Iv = Autocfd_util.Interval
-module Fission = Autocfd_analysis.Fission
+module Access = Autocfd_analysis.Access
 
 (* entry-invariant affine form of a subscript over the fused loop
    variables: [sum coeff_l * var_l + const + sum mul_s * slot_s], with
    per-level coefficients and (KInt slot, multiplier) symbols — the
    form the dependence test reads *)
-type aff = int Fission.aff
+type aff = int Access.aff
 
 type fenv = {
   e_ctx : ctx;
@@ -683,24 +683,8 @@ type fenv = {
       (* scalar slots assigned by an earlier body statement: reads of
          these observe the current iteration, never the entry value, so
          they are exempt from the entry sset precheck *)
+  e_names : int Access.names;  (* subscripts: [subscript_leaf], [cfold] *)
 }
-
-let aff_zero env : aff =
-  { Fission.coeffs = Array.make env.e_m 0; const = 0; syms = [] }
-
-let aff_scale c a =
-  {
-    Fission.coeffs = Array.map (fun k -> c * k) a.Fission.coeffs;
-    const = c * a.const;
-    syms = List.map (fun (i, mu) -> (i, c * mu)) a.syms;
-  }
-
-let aff_add a b =
-  {
-    Fission.coeffs = Array.mapi (fun l k -> k + b.Fission.coeffs.(l)) a.Fission.coeffs;
-    const = a.const + b.const;
-    syms = a.syms @ b.syms;
-  }
 
 (* compile-time integer folding through never-assigned PARAMETER
    constants (x_consts).  Only [Value.Int] constants participate, so a
@@ -711,16 +695,16 @@ let aff_add a b =
    reproduces the machine's runtime error).  This is what lets nests
    like [i - ni/2] in a body or [nj / 2] in a bound reach the fused
    tier. *)
-let rec cfold env (e : Ast.expr) : int option =
+let rec cfold ctx (e : Ast.expr) : int option =
   match e with
   | Ast.Const_int c -> Some c
   | Ast.Var x -> (
-      match Hashtbl.find_opt env.e_ctx.x_consts x with
+      match Hashtbl.find_opt ctx.x_consts x with
       | Some (Value.Int c) -> Some c
       | _ -> None)
-  | Ast.Unop (Ast.Neg, a) -> Option.map (fun c -> -c) (cfold env a)
+  | Ast.Unop (Ast.Neg, a) -> Option.map (fun c -> -c) (cfold ctx a)
   | Ast.Binop (op, a, b) -> (
-      match (cfold env a, cfold env b) with
+      match (cfold ctx a, cfold ctx b) with
       | Some x, Some y -> (
           match op with
           | Ast.Add -> Some (x + y)
@@ -731,77 +715,25 @@ let rec cfold env (e : Ast.expr) : int option =
       | _ -> None)
   | _ -> None
 
-(* affine decomposition of a subscript; rejects anything the machine
-   could fail on (so entry-time evaluation is exact).  The bool result is
-   true when the machine evaluates the expression in float arithmetic (an
-   integral real-typed constant appears): each float operation then
-   charges one flop per iteration, counted into [e_flops].  Scalars the
-   body assigns are barred — the kernel resolves subscript residuals once
-   at entry. *)
-let rec adecomp env (e : Ast.expr) : aff * bool =
-  match e with
-  | Ast.Const_int c -> ({ (aff_zero env) with Fission.const = c }, false)
-  | Ast.Const_real r when Float.is_integer r ->
-      ({ (aff_zero env) with Fission.const = truncate r }, true)
-  | Ast.Var x -> (
-      match Hashtbl.find_opt env.e_lvl x with
-      | Some l ->
-          let coeff = Array.make env.e_m 0 in
-          coeff.(l) <- 1;
-          ({ (aff_zero env) with Fission.coeffs = coeff }, false)
-      | None ->
-          if Hashtbl.mem env.e_wrb x then
-            raise (Unfusable Scalar_subscript)
-          else (
-            (* a constant folds (so the dependence test can compare it
-               with a literal subscript); other integer scalars are
-               entry-invariant symbols *)
-            match Hashtbl.find_opt env.e_ctx.x_consts x with
-            | Some (Value.Int c) ->
-                ({ (aff_zero env) with Fission.const = c }, false)
-            | Some (Value.Real r) when Float.is_integer r ->
-                ({ (aff_zero env) with Fission.const = truncate r }, true)
-            | _ -> (
-                match Hashtbl.find_opt env.e_ctx.x_sc x with
-                | Some i when env.e_ctx.x_kinds.(i) = KInt ->
-                    env.e_reads := i :: !(env.e_reads);
-                    ({ (aff_zero env) with Fission.syms = [ (i, 1) ] }, false)
-                | _ -> raise (Unfusable Non_affine_subscript))))
-  | Ast.Unop (Ast.Neg, a) ->
-      let fa, re = adecomp env a in
-      if re then incr env.e_flops;
-      (aff_scale (-1) fa, re)
-  | Ast.Binop (Ast.Add, a, b) ->
-      let fa, ra = adecomp env a in
-      let fb, rb = adecomp env b in
-      let re = ra || rb in
-      if re then incr env.e_flops;
-      (aff_add fa fb, re)
-  | Ast.Binop (Ast.Sub, a, b) ->
-      let fa, ra = adecomp env a in
-      let fb, rb = adecomp env b in
-      let re = ra || rb in
-      if re then incr env.e_flops;
-      (aff_add fa (aff_scale (-1) fb), re)
-  | Ast.Binop (Ast.Mul, a, b) -> (
-      match cfold env a with
-      | Some c ->
-          let fb, re = adecomp env b in
-          if re then incr env.e_flops;
-          (aff_scale c fb, re)
-      | None -> (
-          match cfold env b with
-          | Some c ->
-              let fa, re = adecomp env a in
-              if re then incr env.e_flops;
-              (aff_scale c fa, re)
-          | None -> raise (Unfusable Non_affine_subscript)))
-  | _ -> (
-      (* e.g. an integer division of constants: fold the whole
-         subexpression (no flops — machine integer arithmetic) *)
-      match cfold env e with
-      | Some c -> ({ (aff_zero env) with Fission.const = c }, false)
-      | None -> raise (Unfusable Non_affine_subscript))
+(* A subscript name as the kernel sees it.  Scalars the body assigns
+   are barred (the kernel resolves subscript residuals once at entry); a
+   constant folds, so the dependence test can compare it with a literal
+   subscript, and an integral real one makes the machine evaluate in
+   float; other integer scalars are entry-invariant symbols. *)
+let subscript_leaf ctx ~lvl ~wrb ~reads x : int Access.leaf =
+  match Hashtbl.find_opt lvl x with
+  | Some l -> Access.Level l
+  | None -> (
+      if Hashtbl.mem wrb x then raise (Unfusable Scalar_subscript);
+      match Hashtbl.find_opt ctx.x_consts x with
+      | Some (Value.Int c) -> Access.Int c
+      | Some (Value.Real r) when Float.is_integer r -> Access.Real (truncate r)
+      | _ -> (
+          match Hashtbl.find_opt ctx.x_sc x with
+          | Some i when ctx.x_kinds.(i) = KInt ->
+              reads := i :: !reads;
+              Access.Sym i
+          | _ -> Access.Other))
 
 (* entry-invariant, error-free integer-valued expression (loop bounds);
    anything else keeps the nest on the closure IR *)
@@ -854,7 +786,7 @@ let rec icomp env (fl : int ref) (e : Ast.expr) : (state -> int) * bool =
          path (truncate-at-the-end of a float division) is rejected —
          float rounding could disagree with integer division.  (At a
          truncation boundary [icomp_trunc] admits the float path.) *)
-      match cfold env b with
+      match cfold env.e_ctx b with
       | Some c when c <> 0 ->
           let fa, ra = icomp env fl a in
           if ra then raise (Unfusable Bound_not_integer);
@@ -890,7 +822,7 @@ let rec icomp env (fl : int ref) (e : Ast.expr) : (state -> int) * bool =
 and icomp_trunc env (fl : int ref) (e : Ast.expr) : state -> int =
   match e with
   | Ast.Binop (Ast.Div, a, b) -> (
-      match cfold env b with
+      match cfold env.e_ctx b with
       | Some c when c <> 0 ->
           let fa, ra = icomp env fl a in
           if ra then begin
@@ -944,7 +876,17 @@ let reg_ref env slot (args : Ast.expr list) : int =
   let bounds = env.e_ctx.x_bounds.(slot) in
   if List.length args <> Array.length bounds then
     raise (Unfusable Rank_mismatch);
-  let affs = Array.of_list (List.map (fun e -> fst (adecomp env e)) args) in
+  (* each float operation of a subscript charges one flop per iteration;
+     anything the machine could fail on is refused, so entry-time
+     evaluation is exact *)
+  let subscript e =
+    match Access.subscript env.e_names e with
+    | Access.Aff a, flops ->
+        env.e_flops := !(env.e_flops) + flops;
+        a
+    | Access.Opaque, _ -> raise (Unfusable Non_affine_subscript)
+  in
+  let affs = Array.of_list (List.map subscript args) in
   let id = !(env.e_nrefs) in
   incr env.e_nrefs;
   env.e_refs := (slot, affs) :: !(env.e_refs);
@@ -1008,11 +950,11 @@ let rec fcomp env (e : Ast.expr) : fe =
                   (* by a nonzero constant only: error-free, and OCaml's
                      [/] truncates toward zero like the machine's
                      integer division; charges no flops *)
-                  match cfold env b with
+                  match cfold env.e_ctx b with
                   | Some c when c <> 0 -> Fi (Iop1 ((fun x -> x / c), fa))
                   | _ -> raise (Unfusable Int_division))
               | Ast.Pow -> (
-                  match cfold env b with
+                  match cfold env.e_ctx b with
                   | Some y when y >= 0 -> Fi (Iop1 ((fun x -> ipow x 1 y), fa))
                   | _ -> raise (Unfusable Dynamic_exponent))
               | _ -> assert false)
@@ -1101,21 +1043,6 @@ and fintr env name args : fe =
           Ff (Fbin (Sign, fa, fb))
       | _ -> raise (Unfusable (Intrinsic_arity "sign")))
   | _ -> raise (Unfusable (Unknown_intrinsic name))
-
-(* [s = s + e], [s - e], [s * e], [max(s, e)] or [min(s, e)] (also
-   [amax1]/[amin1]): the accumulator, its operator and [e] *)
-let fold_shape ctx (s : Ast.stmt) =
-  match s.Ast.s_kind with
-  | Ast.Assign
-      (Ast.Var x, Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul) as op), Ast.Var y, e))
-    when x = y ->
-      Some (x, (match op with Ast.Add -> Add | Ast.Sub -> Sub | _ -> Mul), e)
-  | Ast.Assign
-      ( Ast.Var x,
-        Ast.Ref ((("max" | "amax1" | "min" | "amin1") as f), [ Ast.Var y; e ]) )
-    when x = y && not (Hashtbl.mem ctx.x_ar f) ->
-      Some (x, (if f = "max" || f = "amax1" then Max else Min), e)
-  | _ -> None
 
 let mentions x e =
   Ast.fold_exprs
@@ -1643,8 +1570,8 @@ type krf = {
    id order (array slot, subscripts), [spans.(s)] the ids statement [s]
    registered, [writes.(s)] the one it stores through (-1 for a scalar
    assignment), [steps] each level's step when it is a constant.  Every
-   two references to one array, at least one a write, give one Fission
-   distance vector, computed once; the two returned tests, one for a row
+   two references to one array, at least one a write, give one
+   [Access.distance] vector, computed once; the two returned tests, one for a row
    along a level and one for a diagonal row of two levels, pass when
    every vector passes the checks below.
    - Rows along a level: running the level innermost, the others in
@@ -1677,9 +1604,10 @@ type order =
 let row_legal ~steps (refs : (int * aff array) array) spans writes =
   let m = Array.length steps in
   let signs = Array.map (Option.map (fun s -> compare s 0)) steps in
+  let dims = Array.map (fun (_, affs) -> Array.map (fun a -> Access.Aff a) affs) refs in
   let deps = ref [] in
   let add order r r' =
-    match Fission.distance ~steps:signs (snd refs.(r)) (snd refs.(r')) with
+    match Access.distance ~steps:signs dims.(r) dims.(r') with
     | Some d -> deps := (order, d) :: !deps
     | None -> ()
   in
@@ -1791,17 +1719,22 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
       | Ast.Assign (Ast.Var x, _) -> Hashtbl.replace wrb x ()
       | _ -> ())
     stmts;
+  let reads = ref [] in
   let env =
     {
       e_ctx = ctx;
       e_m = m;
       e_lvl = lvl;
-      e_reads = ref [];
+      e_reads = reads;
       e_refs = ref [];
       e_nrefs = ref 0;
       e_flops = ref 0;
       e_wrb = wrb;
       e_wrscal = Hashtbl.create 8;
+      e_names =
+        Access.names ~depth:m
+          ~leaf:(subscript_leaf ctx ~lvl ~wrb ~reads)
+          ~fold:(cfold ctx) ~is_array:(Hashtbl.mem ctx.x_ar);
     }
   in
   (* fpb.(l): flops the machine charges for one evaluation of level l's
@@ -1833,13 +1766,17 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
      no other statement; a fold whose [e] reads it too reads the previous
      point's value ([Carried_scalar]) *)
   let fold_of s =
-    match fold_shape ctx s with
-    | Some (x, _, _) as f
+    match Access.fold env.e_names s with
+    | Some (x, op, e)
       when List.for_all
              (fun s' ->
                s' == s || not (List.exists (mentions x) (Ast.stmt_exprs s')))
              stmts ->
-        f
+        let op =
+          match op with
+          | `Add -> Add | `Sub -> Sub | `Mul -> Mul | `Max -> Max | `Min -> Min
+        in
+        Some (x, op, e)
     | _ -> None
   in
   (* each statement with the reference ids it registered *)
@@ -1867,7 +1804,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
         Array.iteri
           (fun d (a : aff) ->
             for l = 0 to m - 1 do
-              flat.(l) <- flat.(l) + (a.Fission.coeffs.(l) * strides.(d))
+              flat.(l) <- flat.(l) + (a.Access.coeffs.(l) * strides.(d))
             done)
           affs;
         {
@@ -1875,11 +1812,11 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
           k_bounds = bounds;
           k_strides = strides;
           k_base = base;
-          k_coeff = Array.map (fun (a : aff) -> a.Fission.coeffs) affs;
+          k_coeff = Array.map (fun (a : aff) -> a.Access.coeffs) affs;
           k_resid =
             Array.map
               (fun (a : aff) ->
-                match a.Fission.syms with
+                match a.Access.syms with
                 | [] ->
                     let c = a.const in
                     fun _ -> c
@@ -1906,7 +1843,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
            match d.Ast.do_step with
            | None -> Some 1
            | Some e -> (
-               match cfold env e with
+               match cfold env.e_ctx e with
                | Some s when s <> 0 -> Some s
                | _ -> None))
          levels)

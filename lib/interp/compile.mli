@@ -139,7 +139,7 @@ val coverage : cu -> coverage_entry list
       assigns or reads and [e] does not read) folds its row into [s]
       in row order.  A level is legal when, for every two references to
       one array, at least one a write, the distance vector of
-      {!Autocfd_analysis.Fission.distance} keeps its leading nonzero
+      {!Autocfd_analysis.Access.distance} keeps its leading nonzero
       sign with the level moved innermost ([None] counting as any
       distance), and no two such references that meet within a row run
       from a statement back to an earlier one, or from a statement's

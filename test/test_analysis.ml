@@ -72,10 +72,10 @@ let test_grid_info_resolution () =
   Alcotest.(check int) "dist default" 1 (A.Grid_info.distance gi "q")
 
 let test_grid_info_errors () =
-  let bad_missing_grid = "      program t\n      end\n" in
-  Alcotest.(check bool) "missing grid directive" true
+  let bad_missing_grid = "\n      program t\n      end\n" in
+  Alcotest.(check bool) "missing grid directive, at the PROGRAM line" true
     (match A.Grid_info.of_program (parse bad_missing_grid) with
-    | exception Failure _ -> true
+    | exception Loc.Error (loc, _) -> loc.Loc.line = 2
     | _ -> false);
   let bad_array =
     "c$acfd grid(n)\nc$acfd status(zz)\n      program t\n\

@@ -142,8 +142,8 @@ let test_load_diagnostics () =
   (* missing directives and syntax errors surface as documented errors *)
   Alcotest.(check bool) "missing grid directive" true
     (match D.load "      program t\n      end\n" with
-    | exception Failure msg ->
-        String.length msg > 0
+    | exception Autocfd_fortran.Loc.Error (loc, msg) ->
+        loc.Autocfd_fortran.Loc.line = 1 && String.length msg > 0
     | _ -> false);
   Alcotest.(check bool) "syntax error carries location" true
     (match D.load "c$acfd grid(n)\n      program t\n      x = (1 +\n      end\n" with

@@ -98,7 +98,8 @@ let test_lex_directives () =
    directives, a generated [c$acfd>] annotation, CRLF endings, a blank
    line of tabs and a carriage return, free-form trailing and leading
    '&' and fixed-form continuations, two-character operators, upper-case
-   identifiers; and the intrinsic-name check, which ignores case too. *)
+   identifiers, the end of input on the file's last line; and the
+   intrinsic-name check, which ignores case too. *)
 let test_lex_line_forms () =
   let src =
     "C$ACFD GRID(NI, NJ)\r\n   !$acfd dist(u, 2)  \r\nc$acfd> generated note\n \t\r\n\
@@ -108,7 +109,7 @@ let test_lex_line_forms () =
   Alcotest.(check (list string))
     "tokens"
     [ "5 x"; "5 ="; "5 a"; "5 **"; "5 2"; "5 +"; "5 b"; "5 .ne."; "5 c";
-      "5 .le."; "5 d"; "5 <newline>"; "8 end"; "8 <newline>"; "0 <eof>" ]
+      "5 .le."; "5 d"; "5 <newline>"; "8 end"; "8 <newline>"; "8 <eof>" ]
     (List.map
        (fun (t : Lexer.token) ->
          Printf.sprintf "%d %s" t.Lexer.tline (Token.to_string t.Lexer.tok))
@@ -330,7 +331,8 @@ let test_data_repeat () =
 (* Pretty-printing round-trip                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Strip statement ids and line numbers for structural comparison. *)
+(* Strip statement ids and line numbers (the units' too) for structural
+   comparison. *)
 let rec strip_block b = List.map strip_stmt b
 
 and strip_stmt st =
@@ -345,7 +347,7 @@ and strip_stmt st =
   in
   { st with Ast.s_id = 0; s_line = 0; s_kind = kind }
 
-let strip_unit u = { u with Ast.u_body = strip_block u.Ast.u_body }
+let strip_unit u = { u with Ast.u_body = strip_block u.Ast.u_body; u_line = 0 }
 
 let roundtrip_check src =
   let p1 = parse src in

@@ -376,8 +376,17 @@ let test_stale_tmp_swept () =
       Alcotest.(check bool) "fresh temp kept" true (Sys.file_exists fresh))
 
 let test_unwritable_cache_dir_rejected () =
-  if Unix.getuid () = 0 then ()
-    (* root ignores permission bits; the probe cannot fail *)
+  if Unix.getuid () = 0 then begin
+    (* root ignores permission bits, but not a path below a regular
+       file: creating it fails with ENOTDIR *)
+    let file = Filename.temp_file "autocfd_sched_test" ".file" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        match Sched.Cache.create ~dir:(Filename.concat file "cache") () with
+        | _ -> Alcotest.fail "expected Sys_error for a cache dir below a file"
+        | exception Sys_error _ -> ())
+  end
   else begin
     let dir = tmp_cache_dir () in
     Unix.chmod dir 0o500;

@@ -370,6 +370,178 @@ c$acfd status(v)
     [ [| 2; 1 |]; [| 2; 2 |]; [| 4; 1 |] ]
 
 (* ------------------------------------------------------------------ *)
+(* Nests that cannot be cut: each program diverged before the rule      *)
+(* that now keeps its nest serial                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* v(3, j) is written at every i: the last i wins, so an i cut would
+   keep the owner's last i *)
+let test_fixed_plane_write_in_sweep () =
+  check_equiv "fixed-plane write in its sweep"
+    {|
+c$acfd grid(m, n)
+c$acfd status(u, v)
+      program t
+      parameter (m = 12, n = 8)
+      real u(m, n), v(m, n)
+      integer i, j, it
+      do i = 1, m
+        do j = 1, n
+          u(i, j) = float(i) + 0.1 * float(j)
+          v(i, j) = 0.0
+        end do
+      end do
+      do it = 1, 2
+        do i = 1, m
+          do j = 1, n
+            v(3, j) = u(i, j)
+          end do
+        end do
+        do i = 2, m - 1
+          do j = 1, n
+            u(i, j) = 0.5 * (u(i-1, j) + v(i, j))
+          end do
+        end do
+      end do
+      write(*,*) v(3, 2)
+      end
+|}
+    [ [| 2; 1 |]; [| 2; 2 |] ]
+
+(* u(4, j) is a plane of the cut dimension, read through a scalar
+   temporary into a write that moves with i *)
+let test_fixed_plane_read_through_temporary () =
+  check_equiv "fixed-plane read through a temporary"
+    {|
+c$acfd grid(m, n)
+c$acfd status(u, v)
+      program t
+      parameter (m = 12, n = 8)
+      real u(m, n), v(m, n)
+      real t
+      integer i, j, it
+      do i = 1, m
+        do j = 1, n
+          u(i, j) = float(i) + 0.1 * float(j)
+          v(i, j) = 0.0
+        end do
+      end do
+      do it = 1, 2
+        do i = 1, m
+          do j = 1, n
+            u(i, j) = 0.5 * u(i, j) + v(i, j)
+          end do
+        end do
+        do i = 1, m
+          do j = 1, n
+            t = u(4, j)
+            v(i, j) = t + u(i, j)
+          end do
+        end do
+      end do
+      write(*,*) v(2, 2)
+      end
+|}
+    [ [| 2; 1 |]; [| 2; 2 |] ]
+
+(* j subscripts both dimensions in w(j, j): the nest has no consistent
+   sweep, and its inner loop becomes an irregular head that runs
+   replicated after an allgather *)
+let test_loop_var_in_two_dims () =
+  check_equiv "loop variable in two dimensions"
+    {|
+c$acfd grid(m, n)
+c$acfd status(u, w)
+      program t
+      parameter (m = 12, n = 8)
+      real u(m, n), w(m, n)
+      integer i, j, it
+      do i = 1, m
+        do j = 1, n
+          u(i, j) = float(i) + 0.1 * float(j)
+          w(i, j) = float(i * j)
+        end do
+      end do
+      do it = 1, 2
+        do i = 1, m
+          do j = 1, n
+            w(i, j) = 0.5 * w(i, j) + u(i, j)
+          end do
+        end do
+        do i = 2, m - 1
+          do j = 2, n - 1
+            w(i, j) = 0.5 * w(j, j) + u(i, j)
+          end do
+        end do
+      end do
+      write(*,*) w(2, 2)
+      end
+|}
+    [ [| 2; 1 |]; [| 2; 2 |] ]
+
+(* s is assigned at every point; a later nest reads it before assigning
+   it, and code after the nests reads it: each rank would keep its own
+   last point's value *)
+let test_live_out_scalar () =
+  check_equiv "scalar read by a later nest"
+    {|
+c$acfd grid(m, n)
+c$acfd status(u, v, w)
+      program t
+      parameter (m = 12, n = 8)
+      real u(m, n), v(m, n), w(m, n)
+      real s
+      integer i, j, it
+      s = 0.0
+      do i = 1, m
+        do j = 1, n
+          u(i, j) = float(i) + 0.1 * float(j)
+        end do
+      end do
+      do it = 1, 2
+        do i = 1, m
+          do j = 1, n
+            s = u(i, j) * 2.0
+            v(i, j) = s
+          end do
+        end do
+        do i = 1, m
+          do j = 1, n
+            w(i, j) = u(i, j) + s
+          end do
+        end do
+      end do
+      write(*,*) w(2, 2)
+      end
+|}
+    [ [| 2; 1 |]; [| 1; 2 |]; [| 2; 2 |] ];
+  check_equiv "scalar read after the nest"
+    {|
+c$acfd grid(m, n)
+c$acfd status(u, v)
+      program t
+      parameter (m = 12, n = 8)
+      real u(m, n), v(m, n)
+      real s
+      integer i, j
+      do i = 1, m
+        do j = 1, n
+          u(i, j) = float(i) + 0.1 * float(j)
+        end do
+      end do
+      do i = 1, m
+        do j = 1, n
+          s = u(i, j) * 2.0
+          v(i, j) = s
+        end do
+      end do
+      u(1, 1) = s
+      write(*,*) u(1, 1), s
+      end
+|}
+    [ [| 2; 1 |]; [| 1; 2 |]; [| 2; 2 |] ]
+
+(* ------------------------------------------------------------------ *)
 (* Property: random stencil programs match under random partitions     *)
 (* ------------------------------------------------------------------ *)
 
@@ -795,6 +967,11 @@ let suite =
     ("partial-participation reduction", `Quick, test_partial_participation_reduction);
     ("goto convergence loop", `Quick, test_goto_convergence_loop);
     ("goto self-dependent loop", `Quick, test_goto_self_dependent_loop);
+    ("fixed-plane write in its sweep", `Quick, test_fixed_plane_write_in_sweep);
+    ( "fixed-plane read through a temporary", `Quick,
+      test_fixed_plane_read_through_temporary );
+    ("loop variable in two dimensions", `Quick, test_loop_var_in_two_dims);
+    ("live-out scalar temporaries", `Quick, test_live_out_scalar);
     QCheck_alcotest.to_alcotest ~long:false prop_random_programs_equivalent;
     QCheck_alcotest.to_alcotest prop_box_runs;
   ]
